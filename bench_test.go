@@ -273,19 +273,20 @@ func BenchmarkAccuracySweepReplay(b *testing.B) {
 	}
 }
 
-// opaqueReplay hides every protocol but Source, forcing the accuracy
-// simulator down the instruction-at-a-time path replays used before the
-// branch fast path existed.
+// opaqueReplay hides every protocol but Source: the simulators drain it
+// one Next call at a time (the accuracy engine through trace.FilterBranches)
+// and, with no cursor to check a sidecar against, the timing engine
+// simulates live caches.
 type opaqueReplay struct{ src branchsim.Source }
 
 func (o opaqueReplay) Next(inst *branchsim.Inst) bool { return o.src.Next(inst) }
 func (o opaqueReplay) Name() string                   { return o.src.Name() }
 
-// BenchmarkAccuracySweepReplaySlowPath is the identical sweep forced down
-// the old data path: same recording, same cells, but every replayed
-// instruction is materialized and inspected. The ratio of this to
-// BenchmarkAccuracySweepReplay is the sweep_speedup of
-// BENCH_branchreplay.json.
+// BenchmarkAccuracySweepReplaySlowPath is the identical sweep through a
+// plain Source: same recording, same cells, same engine, but every replayed
+// instruction is materialized and filtered instead of read from the branch
+// index. The ratio of this to BenchmarkAccuracySweepReplay is the
+// sweep_speedup of BENCH_branchreplay.json.
 func BenchmarkAccuracySweepReplaySlowPath(b *testing.B) {
 	bench, _ := branchsim.BenchmarkByName("gcc")
 	rec := branchsim.RecordWorkload(bench, sweepInsts)
@@ -399,9 +400,10 @@ func BenchmarkPipelineSimulation(b *testing.B) {
 // each visit at the 64KB budget, duplicates included. Fast runs it as
 // cmd/reproduce now does — stream recorded once, cache hierarchy simulated
 // once into a memory sidecar, every cell a batched replay, duplicate cells
-// served from the timing memo. Slow forces the identical cell list down the
-// pre-fast-path route: every cell simulated independently, instruction at a
-// time through the Source interface, with the full cache hierarchy live. ---
+// served from the timing memo. Slow runs the identical cell list the way
+// the fast path avoids: every cell simulated independently, each
+// instruction pulled through the Source interface, with the full cache
+// hierarchy live. ---
 
 // timingGridCells is the design-point cell column: 19 grid visits, 9
 // distinct simulations. Figure 7's ideal perceptron repeats Figure 2's,
@@ -481,11 +483,11 @@ func BenchmarkTimingSweepFast(b *testing.B) {
 	}
 }
 
-// BenchmarkTimingSweepSlow is the identical cell list down the old data
-// path: every cell simulated independently (no memo), every instruction
-// dispatched through the Source interface, the cache hierarchy simulated
-// live per cell. The ratio of this to BenchmarkTimingSweepFast is the
-// fastpath speedup of BENCH_timing.json.
+// BenchmarkTimingSweepSlow is the identical cell list through a plain
+// Source: every cell simulated independently (no memo), every instruction
+// filled into the engine's batch by one Next call, the cache hierarchy
+// simulated live per cell. The ratio of this to BenchmarkTimingSweepFast is
+// the fastpath speedup of BENCH_timing.json.
 func BenchmarkTimingSweepSlow(b *testing.B) {
 	bench, _ := branchsim.BenchmarkByName("gcc")
 	cfg := branchsim.DefaultMachine()

@@ -51,26 +51,8 @@
 //   - maporder: nondeterministic map iteration order must not flow into
 //     canonical keys, codec output, or stdout.
 //
-// A fourth generation certifies the twin-path architecture: every hot
-// result flows through fused SoA fast paths (funcsim.RunMany,
-// pipeline.RunMany, BatchStepper) that must mirror scalar references
-// statement for statement, an invariant previously enforced only by
-// sampled equivalence tests:
+// A fourth generation guards the simulators' outcome-class dispatch:
 //
-//   - twinsync: functions marked //bplint:twin pkg.Recv.Method must,
-//     as a group, cover every kernel statement (assignments, calls,
-//     ++/--, returns) of the named scalar twin under a normalized-AST
-//     correspondence (normalize.go); //bplint:twinmap supplies name
-//     equivalences and //bplint:twinskip justifies genuine
-//     re-organizations;
-//   - fieldlanes: mutable fields of scalar state structs marked
-//     //bplint:lanecheck must map to declared SoA lane fields via
-//     //bplint:lane Owner.field annotations, and every field of a
-//     participating lane struct must name its scalar state or carry an
-//     explicit //bplint:lane - <reason>;
-//   - equivcover: every twin group and every BatchStepper
-//     implementation must be exercised by a package equivalence test
-//     whose closure reaches both sides and a comparison sink;
 //   - switchenum: switches over declared outcome/meta-class const sets
 //     in trace/funcsim/pipeline (//bplint:enum groups or typed enums)
 //     must be exhaustive or panic in their default.
@@ -123,9 +105,6 @@ func All() []*Analyzer {
 		OncePublish,
 		GlobalState,
 		MapOrder,
-		TwinSync,
-		FieldLanes,
-		EquivCover,
 		SwitchEnum,
 	}
 }

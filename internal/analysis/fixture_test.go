@@ -210,26 +210,6 @@ func TestGlobalState(t *testing.T) {
 	})
 }
 
-func TestTwinSync(t *testing.T)   { testAnalyzer(t, TwinSync, "branchsim/internal") }
-func TestFieldLanes(t *testing.T) { testAnalyzer(t, FieldLanes, "branchsim/internal") }
-
-// TestSeededDrift is the regression gate for the twin certification: the
-// drift pair is the same package twice, except the bad half edited one
-// scalar statement without mirroring it into the fused sweep. The bad
-// half must produce exactly one twinsync finding — the edited line — and
-// the good half exactly zero, pinning both the detection and the
-// no-false-positive side of the normalizer.
-func TestSeededDrift(t *testing.T) {
-	bad := filepath.Join("testdata", "twinsync", "drift", "bad")
-	if n := checkFixture(t, TwinSync, bad, "branchsim/internal/driftbad"); n != 1 {
-		t.Fatalf("seeded drift produced %d twinsync findings, want exactly 1", n)
-	}
-	good := filepath.Join("testdata", "twinsync", "drift", "good")
-	if n := checkFixture(t, TwinSync, good, "branchsim/internal/driftgood"); n != 0 {
-		t.Fatalf("in-sync drift pair produced %d twinsync findings, want 0", n)
-	}
-}
-
 // SwitchEnum only fires in trace, funcsim and pipeline (by import path
 // leaf), so its fixtures mount under synthetic paths ending in /pipeline;
 // a third pass proves the gate by mounting the bad fixture elsewhere.
@@ -254,25 +234,6 @@ func TestSwitchEnum(t *testing.T) {
 		}
 		if fs := Run(pkg, "branchsim", []*Analyzer{SwitchEnum}); len(fs) != 0 {
 			t.Fatalf("switchenum fired outside its gated packages: %v", fs)
-		}
-	})
-}
-
-// TestEquivCover runs the bad/good pair (the uncovered-StepBatch finding
-// sits on an annotatable line), then checks the twin-group finding — whose
-// position is the //bplint:twin directive itself, where no want comment
-// can ride — by count and content on a dedicated fixture.
-func TestEquivCover(t *testing.T) {
-	testAnalyzer(t, EquivCover, "branchsim/internal")
-	t.Run("uncovered-twin-group", func(t *testing.T) {
-		dir := filepath.Join("testdata", "equivcover", "twinbad")
-		pkg, err := fixtureLoader(t).LoadDirAs(dir, "branchsim/internal/equivtwinbad")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs := Run(pkg, "branchsim", []*Analyzer{EquivCover})
-		if len(fs) != 1 || !strings.Contains(fs[0].Message, "has no equivalence test") {
-			t.Fatalf("want exactly one uncovered-twin-group finding, got %v", fs)
 		}
 	})
 }

@@ -38,7 +38,7 @@ var SwitchEnum = &Analyzer{
 var enumRe = regexp.MustCompile(`^//\s*bplint:enum\s+([A-Za-z_][A-Za-z0-9_-]*)\s*$`)
 
 // switchEnumPackages gates the analyzer to the packages whose dispatch
-// the twin architecture depends on.
+// the simulators' outcome-class dispatch depends on.
 var switchEnumPackages = map[string]bool{"trace": true, "funcsim": true, "pipeline": true}
 
 func runSwitchEnum(pass *Pass) {

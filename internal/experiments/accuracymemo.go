@@ -168,8 +168,8 @@ func specKey(s accuracySpec, opts Options) accuracyKey {
 	}
 }
 
-// runSpec simulates spec s alone — the per-cell reference path whose
-// results the fused pass must reproduce bit for bit.
+// runSpec simulates spec s alone: a one-lane run of the engine the fused
+// pass drives, so per-cell and fused results agree bit for bit.
 func runSpec(s accuracySpec, opts Options) funcsim.Result {
 	return funcsim.Run(s.build(), source(s.prof, opts), funcsim.Options{
 		MaxInsts:    opts.Insts,

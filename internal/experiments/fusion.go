@@ -32,7 +32,7 @@ import (
 // groups actually simulated (groups whose memo and store tiers left at
 // least one cold lane), how many lanes those passes carried, and how each
 // declared cell was ultimately served — from a fused lane, or solo (memo
-// or store tier, or per-cell fallback). The accuracy and timing schedulers
+// or store tier). The accuracy and timing schedulers
 // each keep their own instance.
 type FusionCounters struct {
 	mu     sync.Mutex
@@ -122,9 +122,8 @@ type fusedGroupParams[S, R any] struct {
 	// without a store.
 	put func(S, R)
 	// runCold is the fused pass over the residual cold specs, returning
-	// results index-aligned with them; false when the source cannot fuse,
-	// sending the lanes to the per-cell fallback.
-	runCold func(specs []S) ([]R, bool)
+	// results index-aligned with them.
+	runCold func(specs []S) []R
 }
 
 // runFusedGroupOf resolves one group: memo tier, store tier, then one
@@ -161,16 +160,7 @@ func runFusedGroupOf[S, R any](p fusedGroupParams[S, R], fc *FusionCounters, spe
 	for i, l := range cold {
 		coldSpecs[i] = l.spec
 	}
-	results, ok := p.runCold(coldSpecs)
-	if !ok {
-		// A source without the fused protocol cannot fuse; resolve the
-		// lanes per-cell — identical results, just one pass each.
-		for _, l := range cold {
-			l.publish(func() R { return p.solo(l.spec) })
-			fc.add(0, 0, 0, int64(len(l.sinks)))
-		}
-		return
-	}
+	results := p.runCold(coldSpecs)
 	var fusedCells int64
 	for i, l := range cold {
 		res := l.publish(func() R { return results[i] })
@@ -214,12 +204,10 @@ func runFusedGroup(m *AccuracyMemo, fc *FusionCounters, specs []accuracySpec, op
 			skey := specKey(s, opts).storeKey(digest)
 			opts.Store.Put(skey, resultstore.Record{Key: skey, Accuracy: &res})
 		},
-		runCold: func(ss []accuracySpec) ([]funcsim.Result, bool) {
-			src := source(ss[0].prof, opts)
-			bs, ok := src.(trace.BranchSource)
-			if !ok {
-				return nil, false
-			}
+		runCold: func(ss []accuracySpec) []funcsim.Result {
+			// source returns a replay cursor, which serves its branches
+			// from the recording's branch index.
+			bs := source(ss[0].prof, opts).(trace.BranchSource)
 			fl := make([]funcsim.Lane, len(ss))
 			for i, s := range ss {
 				fl[i] = funcsim.Lane{P: s.build()}
@@ -227,7 +215,7 @@ func runFusedGroup(m *AccuracyMemo, fc *FusionCounters, specs []accuracySpec, op
 			return funcsim.RunMany(fl, bs, funcsim.Options{
 				MaxInsts:    opts.Insts,
 				WarmupInsts: opts.Warmup,
-			}), true
+			})
 		},
 	}, fc, specs)
 }
@@ -268,16 +256,15 @@ func runFusedTimingGroup(m *TimingMemo, fc *FusionCounters, specs []timingSpec, 
 			skey := specTimingKey(s, opts).storeKey(digest)
 			opts.Store.Put(skey, resultstore.Record{Key: skey, Timing: &res})
 		},
-		runCold: func(ss []timingSpec) ([]pipeline.Result, bool) {
+		runCold: func(ss []timingSpec) []pipeline.Result {
 			// pipeline.RunMany accepts any source — it simulates per-lane
-			// live caches when the sidecar does not cover the run — so the
-			// timing scheduler never needs the per-cell fallback.
+			// live caches when the sidecar does not cover the run.
 			lanes := make([]pipeline.Lane, len(ss))
 			for i, s := range ss {
 				lanes[i] = pipeline.Lane{Cfg: s.cfg, Pred: s.build()}
 			}
 			return pipeline.RunMany(lanes, source(ss[0].prof, opts),
-				sidecar(ss[0].prof, opts, ss[0].cfg), opts.Insts, opts.Warmup), true
+				sidecar(ss[0].prof, opts, ss[0].cfg), opts.Insts, opts.Warmup)
 		},
 	}, fc, specs)
 }

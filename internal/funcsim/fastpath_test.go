@@ -10,16 +10,15 @@ import (
 	"branchsim/internal/workload"
 )
 
-// opaqueSrc hides every protocol but Source, forcing Run and RunBlocks down
-// the instruction-at-a-time slow path — the reference the fast path must
-// match bit for bit.
+// opaqueSrc hides every protocol but Source, so Run and RunBlocks read it
+// through trace.FilterBranches instead of a branch index.
 type opaqueSrc struct{ src trace.Source }
 
 func (o opaqueSrc) Next(inst *trace.Inst) bool { return o.src.Next(inst) }
 func (o opaqueSrc) Name() string               { return o.src.Name() }
 
-// opaqueClassified additionally keeps the branch classifier visible, so
-// PerClass runs stay comparable across the two paths.
+// opaqueClassified additionally keeps the branch classifier visible, so a
+// filtered stream still collects PerClass rates.
 type opaqueClassified struct {
 	opaqueSrc
 	c BranchClassifier
@@ -38,12 +37,13 @@ func mustProfile(t *testing.T, name string) workload.Profile {
 	return prof
 }
 
-// TestFastPathEquivalenceRun is the tentpole's correctness contract: the
-// batched branch fast path must reproduce the slow instruction-at-a-time
-// loop bit for bit — across benchmarks, for a plain predictor and for a
-// cycle-aware one (whose fetch clock the fast path reconstructs from
-// InstIndex), from a replayed recording and from a live generator, whether
-// the run ends at the instruction budget or at the end of the stream.
+// TestFastPathEquivalenceRun is Run's correctness contract: the engine
+// must reproduce the instruction-at-a-time reference bit for bit — across
+// benchmarks, for a plain predictor and for a cycle-aware one (whose fetch
+// clock the engine reconstructs from InstIndex), from a replayed
+// recording's branch index, a filtered plain Source and a live generator,
+// whether the run ends at the instruction budget or at the end of the
+// stream.
 func TestFastPathEquivalenceRun(t *testing.T) {
 	predictors := []struct {
 		name string
@@ -71,63 +71,68 @@ func TestFastPathEquivalenceRun(t *testing.T) {
 		rec := workload.Record(prof, tc.recorded)
 		for _, pd := range predictors {
 			t.Run(tc.bench+"/"+pd.name, func(t *testing.T) {
-				// The slow path over the replayed stream is the reference.
-				want := Run(pd.mk(), opaqueSrc{rec.Replay()}, opts)
+				want := refRun(pd.mk(), rec.Replay(), opts)
 				for name, src := range map[string]trace.Source{
-					"replay-fast": rec.Replay(),
-					"live-slow":   opaqueSrc{workload.New(prof)},
+					"replay-index":    rec.Replay(),
+					"replay-filtered": opaqueSrc{rec.Replay()},
+					"live-filtered":   opaqueSrc{workload.New(prof)},
 				} {
 					got := Run(pd.mk(), src, opts)
-					if tc.recorded < opts.MaxInsts && name == "live-slow" {
+					if tc.recorded < opts.MaxInsts && name == "live-filtered" {
 						// The live stream does not end at the
 						// recording's boundary; only the replayed
 						// sources share the short-stream result.
 						continue
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s diverges from slow replay:\n got %+v\nwant %+v", name, got, want)
+						t.Errorf("%s diverges from the reference:\n got %+v\nwant %+v", name, got, want)
 					}
 				}
-				// The live generator's own fast path (Program filters its
-				// stream) must match the live slow path exactly, stream
-				// boundary or not.
-				liveWant := Run(pd.mk(), opaqueSrc{workload.New(prof)}, opts)
+				// The live generator's own branch protocol must match the
+				// reference over the live stream exactly, stream boundary
+				// or not.
+				liveWant := refRun(pd.mk(), workload.New(prof), opts)
 				liveGot := Run(pd.mk(), workload.New(prof), opts)
 				if !reflect.DeepEqual(liveGot, liveWant) {
-					t.Errorf("live fast path diverges:\n got %+v\nwant %+v", liveGot, liveWant)
+					t.Errorf("live generator diverges:\n got %+v\nwant %+v", liveGot, liveWant)
 				}
 			})
 		}
 	}
 }
 
-// TestFastPathEquivalencePerClass pins the per-class diagnostic rates across
-// the two paths, including the class map contents.
+// TestFastPathEquivalencePerClass pins the per-class diagnostic rates
+// against the reference, including the class map contents, over a branch
+// index and over a filtered stream.
 func TestFastPathEquivalencePerClass(t *testing.T) {
 	prof := mustProfile(t, "gzip")
 	rec := workload.Record(prof, 200_000)
 	opts := Options{MaxInsts: 150_000, WarmupInsts: 40_000, PerClass: true}
-	slowSrc := workload.Classify(rec.Replay(), prof)
-	want := Run(predictor.NewGShareFromBudget(16<<10),
-		opaqueClassified{opaqueSrc{slowSrc}, slowSrc.(BranchClassifier)}, opts)
-	got := Run(predictor.NewGShareFromBudget(16<<10), workload.Classify(rec.Replay(), prof), opts)
+	want := refRun(predictor.NewGShareFromBudget(16<<10), workload.Classify(rec.Replay(), prof), opts)
 	if len(want.ClassRates) == 0 {
-		t.Fatal("slow path collected no class rates")
+		t.Fatal("reference collected no class rates")
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("PerClass fast path diverges:\n got %+v\nwant %+v", got, want)
-	}
-	for name, w := range want.ClassRates {
-		g := got.ClassRates[name]
-		if g == nil || *g != *w {
-			t.Errorf("class %q: fast %+v, slow %+v", name, g, w)
+	indexed := workload.Classify(rec.Replay(), prof)
+	for name, src := range map[string]trace.Source{
+		"index":    indexed,
+		"filtered": opaqueClassified{opaqueSrc{rec.Replay()}, indexed.(BranchClassifier)},
+	} {
+		got := Run(predictor.NewGShareFromBudget(16<<10), src, opts)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: PerClass run diverges:\n got %+v\nwant %+v", name, got, want)
+		}
+		for class, w := range want.ClassRates {
+			g := got.ClassRates[class]
+			if g == nil || *g != *w {
+				t.Errorf("%s: class %q: engine %+v, reference %+v", name, class, g, w)
+			}
 		}
 	}
 }
 
 // TestFastPathEquivalenceBlocks pins the block-grouped protocol: block
 // boundaries (fetch-cycle changes, full blocks) reconstructed from InstIndex
-// must regroup the branches exactly as the slow loop does.
+// must regroup the branches exactly as the reference does.
 func TestFastPathEquivalenceBlocks(t *testing.T) {
 	opts := Options{MaxInsts: 150_000, WarmupInsts: 40_000, FetchWidth: 8, BlockBranches: 4}
 	for _, bench := range []string{"gzip", "mcf", "twolf"} {
@@ -136,34 +141,42 @@ func TestFastPathEquivalenceBlocks(t *testing.T) {
 		mk := func() *core.GShareFast {
 			return core.New(core.Config{Entries: 1 << 14, Latency: 3})
 		}
-		want := RunBlocks(mk(), "blk", opaqueSrc{rec.Replay()}, opts)
-		got := RunBlocks(mk(), "blk", rec.Replay(), opts)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: block fast path diverges:\n got %+v\nwant %+v", bench, got, want)
+		want := refRunBlocks(mk(), "blk", rec.Replay(), opts)
+		for name, src := range map[string]trace.Source{
+			"index":    rec.Replay(),
+			"filtered": opaqueSrc{rec.Replay()},
+		} {
+			got := RunBlocks(mk(), "blk", src, opts)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: RunBlocks diverges:\n got %+v\nwant %+v", bench, name, got, want)
+			}
 		}
 	}
 }
 
-// TestBatchedRunAllocs pins the steady-state allocation count of the
-// batched accuracy loop at zero: the batch buffer lives on the driver's
-// stack (Run devirtualizes the replay cursor) and the run state is
-// stack-allocated, so sweeping a predictor grid over a recorded trace costs
-// no garbage per cell. Skipped under -race, which instruments allocation.
+// TestBatchedRunAllocs pins the batched accuracy loop allocation-free at
+// steady state through the public entry point: Run allocates only the
+// engine's fixed per-call lane state, so a 5x longer stream must allocate
+// exactly as much per Run as a short one. Skipped under -race, which
+// instruments allocation.
 func TestBatchedRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	prof := mustProfile(t, "gzip")
-	rec := workload.Record(prof, 100_000)
-	cur := rec.Replay()
 	p := predictor.NewGShareFromBudget(16 << 10)
-	opts := Options{MaxInsts: 100_000, WarmupInsts: 20_000}
-	Run(p, cur, opts) // warm the predictor's lazy state, if any
-	allocs := testing.AllocsPerRun(10, func() {
-		cur.Reset()
-		Run(p, cur, opts)
-	})
-	if allocs != 0 {
-		t.Fatalf("batched Run allocates %.1f objects per run, want 0", allocs)
+	measure := func(n int64) float64 {
+		cur := workload.Record(prof, n).Replay()
+		opts := Options{MaxInsts: n, WarmupInsts: n / 5}
+		Run(p, cur, opts) // warm the predictor's lazy state, if any
+		return testing.AllocsPerRun(10, func() {
+			cur.Reset()
+			Run(p, cur, opts)
+		})
+	}
+	allocShort, allocLong := measure(20_000), measure(100_000)
+	if allocShort != allocLong {
+		t.Fatalf("Run allocates per batch: %.1f allocs on a short stream, %.1f on a long one",
+			allocShort, allocLong)
 	}
 }

@@ -71,224 +71,22 @@ func (r Result) MispredictPercent() float64 { return 100 * r.MispredictRate() }
 
 // Run streams src through p and returns the accuracy result. src may be a
 // live generator or a recorded trace's replay cursor; the two are
-// equivalent by construction (see internal/trace). Sources implementing
-// trace.BranchSource — replay cursors with a precomputed branch index,
-// self-filtering live generators — are driven through the batched branch
-// fast path instead of being drained one Inst at a time; the result is
-// bit-identical (TestFastPathEquivalenceRun).
+// equivalent by construction (see internal/trace). Run is RunMany with one
+// lane: a source that serves its branches directly (trace.BranchSource) is
+// read in batches, and any other is filtered to its branches by
+// trace.FilterBranches.
 func Run(p predictor.Predictor, src trace.Source, opts Options) Result {
-	if opts.MaxInsts <= 0 {
-		opts.MaxInsts = 1_000_000
-	}
-	if opts.FetchWidth <= 0 {
-		opts.FetchWidth = 3
-	}
-	cycleAware, _ := p.(predictor.CycleAware)
-	var classifier BranchClassifier
-	var classRates map[string]*stats.Rate
-	if opts.PerClass {
-		if c, ok := src.(BranchClassifier); ok {
-			classifier = c
-			classRates = make(map[string]*stats.Rate)
-		}
-	}
+	classifier, _ := src.(BranchClassifier)
+	return runMany([]Lane{{P: p}}, branchSource(src), src.Name(), classifier, opts)[0]
+}
 
+// branchSource returns src's own branch protocol when it has one, and the
+// filtered stream otherwise.
+func branchSource(src trace.Source) trace.BranchSource {
 	if bs, ok := src.(trace.BranchSource); ok {
-		r := &branchRun{
-			p:          p,
-			cycleAware: cycleAware,
-			classifier: classifier,
-			classRates: classRates,
-			opts:       opts,
-		}
-		// Devirtualizing the dominant concrete type keeps the batch
-		// buffer on the driver's stack (the interface call below makes
-		// it escape), which is what the zero-allocation guarantee of
-		// the batched loop rests on.
-		if cur, ok := src.(*trace.Cursor); ok {
-			r.driveCursor(cur)
-		} else {
-			r.drive(bs)
-		}
-		return r.result(p, src.Name())
+		return bs
 	}
-
-	var (
-		inst      trace.Inst
-		insts     int64
-		taken     stats.Rate
-		mispred   stats.Rate
-		lastCycle uint64
-	)
-	for insts < opts.MaxInsts && src.Next(&inst) {
-		insts++
-		if !inst.IsBranch() {
-			continue
-		}
-		if cycleAware != nil {
-			if cycle := uint64(insts) / uint64(opts.FetchWidth); cycle != lastCycle {
-				lastCycle = cycle
-				cycleAware.OnCycle(cycle)
-			}
-		}
-		pred := p.Predict(inst.PC)
-		p.Update(inst.PC, inst.Taken)
-		if insts > opts.WarmupInsts {
-			taken.Add(inst.Taken)
-			miss := pred != inst.Taken
-			mispred.Add(miss)
-			if classifier != nil {
-				if name, ok := classifier.BranchClassName(inst.PC); ok {
-					r := classRates[name]
-					if r == nil {
-						r = &stats.Rate{}
-						classRates[name] = r
-					}
-					r.Add(miss)
-				}
-			}
-		}
-	}
-	return Result{
-		ClassRates:   classRates,
-		Predictor:    p.Name(),
-		Workload:     src.Name(),
-		Insts:        insts,
-		Branches:     mispred.Total,
-		Mispredicts:  mispred.Events,
-		TakenRate:    taken.Value(),
-		PredSizeByte: p.SizeBytes(),
-	}
-}
-
-// branchRun is the state of one batched fast-path accuracy run. The slow
-// loop above reconstructs per-branch context (instruction count, warm-up
-// boundary, fetch cycle) from its running instruction counter; the batched
-// loop reconstructs the same values from each record's InstIndex, so the
-// two paths are bit-identical:
-//
-//   - the slow loop processes the branch at 0-based stream index i iff
-//     i < MaxInsts, and measures it iff i+1 > WarmupInsts, i.e. iff
-//     i >= WarmupInsts;
-//   - the fetch-cycle clock it shows CycleAware predictors at that branch
-//     is (i+1)/FetchWidth, announced only when it differs from the
-//     previous branch's cycle (lastCycle starts at 0, so cycle 0 is never
-//     announced) — a function of branch InstIndexes only, because the slow
-//     loop also evaluates it only at branches.
-//
-//bplint:lanecheck
-type branchRun struct {
-	p          predictor.Predictor    //bplint:lane fusedRun.preds
-	cycleAware predictor.CycleAware   //bplint:lane fusedRun.aware
-	classifier BranchClassifier       //bplint:lane - PerClass is a per-cell diagnostic; fused callers route such cells through Run
-	classRates map[string]*stats.Rate //bplint:lane - PerClass is a per-cell diagnostic; fused callers route such cells through Run
-	opts       Options                //bplint:lane fusedRun.opts
-
-	insts     int64      //bplint:lane fusedRun.insts
-	taken     stats.Rate //bplint:lane fusedRun.taken
-	mispred   stats.Rate //bplint:lane fusedRun.mispred
-	lastCycle uint64     //bplint:lane fusedRun.lastCycle
-}
-
-// driveCursor is drive specialized to the concrete replay cursor so the
-// batch array does not escape to the heap (see Run).
-//
-//bplint:hotpath accuracy fast path; TestBatchedRunAllocs pins allocs/op to zero
-func (r *branchRun) driveCursor(cur *trace.Cursor) {
-	var batch [trace.BatchLen]trace.BranchRec
-	for {
-		n := cur.NextBranches(batch[:])
-		if n == 0 {
-			r.finish(cur.InstsScanned())
-			return
-		}
-		if r.step(batch[:n]) {
-			return
-		}
-	}
-}
-
-// drive runs the batched loop over any BranchSource.
-func (r *branchRun) drive(bs trace.BranchSource) {
-	batch := make([]trace.BranchRec, trace.BatchLen)
-	for {
-		n := bs.NextBranches(batch)
-		if n == 0 {
-			r.finish(bs.InstsScanned())
-			return
-		}
-		if r.step(batch[:n]) {
-			return
-		}
-	}
-}
-
-// step processes one filled batch; it reports true when the instruction
-// budget is exhausted and the run is complete.
-//
-//bplint:hotpath batch loop body shared by driveCursor and drive
-func (r *branchRun) step(batch []trace.BranchRec) (done bool) {
-	for i := range batch {
-		rec := &batch[i]
-		if rec.InstIndex >= r.opts.MaxInsts {
-			r.insts = r.opts.MaxInsts
-			return true
-		}
-		if r.cycleAware != nil {
-			if cycle := uint64(rec.InstIndex+1) / uint64(r.opts.FetchWidth); cycle != r.lastCycle {
-				r.lastCycle = cycle
-				r.cycleAware.OnCycle(cycle)
-			}
-		}
-		pred := r.p.Predict(rec.PC)
-		r.p.Update(rec.PC, rec.Taken)
-		if rec.InstIndex >= r.opts.WarmupInsts {
-			//bplint:twinskip fused tallies taken once per batch into a shared stream-wide counter, not per lane
-			r.taken.Add(rec.Taken)
-			//bplint:twinskip fused folds the comparison into its lane tally's guard condition
-			miss := pred != rec.Taken
-			//bplint:twinskip fused counts raw lane mispredicts; Rate denominators reconstruct in results
-			r.mispred.Add(miss)
-			//bplint:twinskip PerClass is a per-cell diagnostic; fused callers route such cells through Run
-			if r.classifier != nil {
-				if name, ok := r.classifier.BranchClassName(rec.PC); ok {
-					cr := r.classRates[name]
-					if cr == nil {
-						// One allocation per distinct branch class (a handful
-						// per run), only on the PerClass diagnostic path.
-						//bplint:allow hotalloc bounded by the class count, not the instruction count
-						cr = &stats.Rate{}
-						r.classRates[name] = cr
-					}
-					cr.Add(miss)
-				}
-			}
-		}
-	}
-	return false
-}
-
-// finish fixes the instruction count when the stream ended before the
-// budget: the slow loop would have drained min(streamLen, MaxInsts)
-// instructions.
-func (r *branchRun) finish(streamLen int64) {
-	r.insts = streamLen
-	if r.insts > r.opts.MaxInsts {
-		r.insts = r.opts.MaxInsts
-	}
-}
-
-func (r *branchRun) result(p predictor.Predictor, workload string) Result {
-	return Result{
-		ClassRates:   r.classRates,
-		Predictor:    p.Name(),
-		Workload:     workload,
-		Insts:        r.insts,
-		Branches:     r.mispred.Total,
-		Mispredicts:  r.mispred.Events,
-		TakenRate:    r.taken.Value(),
-		PredSizeByte: p.SizeBytes(),
-	}
+	return trace.FilterBranches(src)
 }
 
 // BlockPredictor is the block-at-a-time prediction protocol of the
@@ -302,7 +100,9 @@ type BlockPredictor interface {
 // BlockBranches consecutive branches into one prediction block (all
 // predicted with the history as of the block's start), and returns the
 // accuracy result. It measures the accuracy cost of the stale within-block
-// history that multiple-branch prediction implies (§3.3.1).
+// history that multiple-branch prediction implies (§3.3.1). A branch at
+// 0-based stream index i belongs to fetch cycle (i+1)/FetchWidth; a block
+// ends at a cycle change or when it is full.
 func RunBlocks(p BlockPredictor, name string, src trace.Source, opts Options) Result {
 	if opts.MaxInsts <= 0 {
 		opts.MaxInsts = 1_000_000
@@ -313,62 +113,6 @@ func RunBlocks(p BlockPredictor, name string, src trace.Source, opts Options) Re
 	if opts.BlockBranches <= 0 {
 		opts.BlockBranches = 8
 	}
-	if bs, ok := src.(trace.BranchSource); ok {
-		return runBlocksBatched(p, name, src.Name(), bs, opts)
-	}
-	var (
-		inst      trace.Inst
-		insts     int64
-		mispred   stats.Rate
-		pcs       []uint64
-		takens    []bool
-		measured  []bool
-		lastCycle uint64 = ^uint64(0)
-	)
-	flush := func() {
-		if len(pcs) == 0 {
-			return
-		}
-		preds := p.PredictBlock(pcs)
-		p.UpdateBlock(pcs, takens)
-		for i := range preds {
-			if measured[i] {
-				mispred.Add(preds[i] != takens[i])
-			}
-		}
-		pcs, takens, measured = pcs[:0], takens[:0], measured[:0]
-	}
-	for insts < opts.MaxInsts && src.Next(&inst) {
-		insts++
-		if !inst.IsBranch() {
-			continue
-		}
-		cycle := uint64(insts) / uint64(opts.FetchWidth)
-		if cycle != lastCycle || len(pcs) >= opts.BlockBranches {
-			flush()
-			lastCycle = cycle
-		}
-		pcs = append(pcs, inst.PC)
-		takens = append(takens, inst.Taken)
-		measured = append(measured, insts > opts.WarmupInsts)
-	}
-	flush()
-	return Result{
-		Predictor:   name,
-		Workload:    src.Name(),
-		Insts:       insts,
-		Branches:    mispred.Total,
-		Mispredicts: mispred.Events,
-	}
-}
-
-// runBlocksBatched is RunBlocks over the branch fast path. Block boundaries
-// are a function of branch InstIndexes alone — the slow loop groups the
-// branch at 0-based index i into fetch cycle (i+1)/FetchWidth and flushes
-// on a cycle change or a full block — so the grouping, and therefore every
-// prediction's history context, is identical to the slow path's
-// (TestFastPathEquivalenceBlocks).
-func runBlocksBatched(p BlockPredictor, name, workload string, bs trace.BranchSource, opts Options) Result {
 	var (
 		insts     int64
 		mispred   stats.Rate
@@ -390,15 +134,13 @@ func runBlocksBatched(p BlockPredictor, name, workload string, bs trace.BranchSo
 		}
 		pcs, takens, measured = pcs[:0], takens[:0], measured[:0]
 	}
+	bs := branchSource(src)
 	batch := make([]trace.BranchRec, trace.BatchLen)
 	done := false
 	for !done {
 		n := bs.NextBranches(batch)
 		if n == 0 {
-			insts = bs.InstsScanned()
-			if insts > opts.MaxInsts {
-				insts = opts.MaxInsts
-			}
+			insts = min(bs.InstsScanned(), opts.MaxInsts)
 			break
 		}
 		for i := 0; i < n; i++ {
@@ -421,7 +163,7 @@ func runBlocksBatched(p BlockPredictor, name, workload string, bs trace.BranchSo
 	flush()
 	return Result{
 		Predictor:   name,
-		Workload:    workload,
+		Workload:    src.Name(),
 		Insts:       insts,
 		Branches:    mispred.Total,
 		Mispredicts: mispred.Events,

@@ -2,18 +2,18 @@ package funcsim
 
 import (
 	"branchsim/internal/predictor"
+	"branchsim/internal/stats"
 	"branchsim/internal/trace"
 )
 
-// This file is the grid-fused accuracy driver: one trace pass feeds every
-// predictor in a sweep. Run (funcsim.go) walks the stream once per cell;
-// with batch fill at a few ns/branch that walk is cheap, but it is still
-// repeated per (kind, budget) cell, and so is the per-branch dispatch
-// overhead of the Predict/Update protocol. RunMany pulls each 256-entry
-// branch batch once and feeds it to every lane before advancing the
-// cursor, so the fill cost amortizes over the whole grid column and cheap
-// table predictors step through the batch with one BatchStepper call
-// instead of two interface calls per branch.
+// This file is the accuracy engine: one trace pass feeds every predictor
+// in a sweep, and Run (funcsim.go) is the same engine with one lane. The
+// engine pulls each 256-entry branch batch once and feeds it to every lane
+// before advancing the source, so the fill cost amortizes over the whole
+// grid column and cheap table predictors step through the batch with one
+// BatchStepper call instead of two interface calls per branch. A test-only
+// reference (reference_test.go) — one Next call per instruction, one
+// Predict/Update pair per branch — pins every Result bit for bit.
 
 // A Lane is one predictor's slot in a fused RunMany sweep. Each lane gets
 // its own fresh predictor, exactly as if it were run through Run alone.
@@ -23,76 +23,92 @@ type Lane struct {
 
 // RunMany streams src through every lane's predictor in one pass and
 // returns one Result per lane, in lane order. Each lane's Result is
-// bit-identical to what Run(lane.P, src, opts) would return over its own
-// cursor on the same stream (TestRunManyEquivalence): fusion is an
-// execution strategy, not an observable one. Cycle-aware predictors see
-// the same InstIndex-reconstructed fetch clock as in Run, advanced
-// per-lane. The PerClass diagnostic is a per-cell concern and is ignored
-// here; fused callers run diagnostic cells through Run.
+// exactly what Run(lane.P, src, opts) returns over its own cursor on the
+// same stream (TestRunManyEquivalence): fusion is an execution strategy,
+// not an observable one. Cycle-aware predictors see a fetch clock
+// reconstructed from each branch's InstIndex, advanced per lane. With
+// Options.PerClass and a src implementing BranchClassifier, every lane
+// tallies per-class rates.
 func RunMany(lanes []Lane, src trace.BranchSource, opts Options) []Result {
+	// BranchSource is the batch protocol alone; real sources (cursors, live
+	// generators, filters) also carry the workload name.
+	name := ""
+	if s, ok := src.(interface{ Name() string }); ok {
+		name = s.Name()
+	}
+	classifier, _ := src.(BranchClassifier)
+	return runMany(lanes, src, name, classifier, opts)
+}
+
+// runMany is the engine entry shared by Run and RunMany: Run passes its
+// Source's name and classifier, which a filtered stream does not carry.
+func runMany(lanes []Lane, src trace.BranchSource, name string, classifier BranchClassifier, opts Options) []Result {
 	if opts.MaxInsts <= 0 {
 		opts.MaxInsts = 1_000_000
 	}
 	if opts.FetchWidth <= 0 {
 		opts.FetchWidth = 3
 	}
-	r := newFusedRun(lanes, opts)
-	// BranchSource is the batch protocol alone; real sources (cursors, live
-	// generators) are full trace.Sources and carry the workload name.
-	name := ""
-	if s, ok := src.(trace.Source); ok {
-		name = s.Name()
+	if !opts.PerClass {
+		classifier = nil
 	}
-	// Same devirtualization as Run: the dominant concrete source keeps the
-	// batch buffer on the driver's stack.
-	if cur, ok := src.(*trace.Cursor); ok {
-		r.driveCursor(cur)
-	} else {
-		r.drive(src)
-	}
+	r := newFusedRun(lanes, classifier, opts)
+	r.drive(src)
 	return r.results(lanes, name)
 }
 
-// fusedRun is the state of one RunMany sweep. Per-lane state is packed
-// into index-aligned slices (structure of arrays): the inner loop touches
+// fusedRun is the state of one sweep. Per-lane state is packed into
+// index-aligned slices (structure of arrays): the inner loop touches
 // mispred and lastCycle contiguously instead of chasing one heap object
 // per lane. The warm-up boundary, instruction count and taken tally are
 // lane-invariant — they are functions of the stream's InstIndexes alone —
 // so they are computed once per batch, not once per lane.
+//
+// Each branch's context is reconstructed from its InstIndex i: it is
+// processed iff i < MaxInsts, measured iff i >= WarmupInsts, and a
+// cycle-aware lane sees fetch cycle (i+1)/FetchWidth, announced only when
+// it differs from the lane's previous branch's cycle (which starts at 0,
+// so cycle 0 is never announced).
 type fusedRun struct {
-	opts Options //bplint:lane branchRun.opts
+	opts Options
 
 	// Per-lane state, index-aligned with the lanes slice.
-	preds []predictor.Predictor //bplint:lane branchRun.p
-	//bplint:lane branchRun.cycleAware
-	aware []predictor.CycleAware // nil for cycle-oblivious lanes
-	//bplint:lane branchRun.p
+	preds     []predictor.Predictor
+	aware     []predictor.CycleAware   // nil for cycle-oblivious lanes
 	steppers  []predictor.BatchStepper // nil for lanes on the scalar loop
-	mispred   []int64                  //bplint:lane branchRun.mispred
-	lastCycle []uint64                 //bplint:lane branchRun.lastCycle
+	mispred   []int64
+	lastCycle []uint64
+
+	// classifier and classRates serve the PerClass diagnostic: nil
+	// without it, else one class → rate map per lane.
+	classifier BranchClassifier
+	classRates []map[string]*stats.Rate
 
 	// Stream-wide tallies, shared by every lane: insts and the measured
-	// count are functions of the stream's InstIndexes alone, and the taken
-	// tally with the measured denominator reconstructs every lane's
-	// branchRun rates in results.
-	insts    int64 //bplint:lane branchRun.insts
-	measured int64 //bplint:lane branchRun.taken,branchRun.mispred
-	taken    int64 //bplint:lane branchRun.taken
+	// count are functions of the stream's InstIndexes alone.
+	insts    int64
+	measured int64
+	taken    int64
 
-	// SoA view of the current batch, filled once and read by every
-	// BatchStepper lane.
-	pcs    [trace.BatchLen]uint64 //bplint:lane - column view of the shared batch; the scalar loop reads records directly
-	takens [trace.BatchLen]bool   //bplint:lane - column view of the shared batch; the scalar loop reads records directly
+	// The current batch, and its SoA view, filled once and read by every
+	// lane.
+	batch  [trace.BatchLen]trace.BranchRec
+	pcs    [trace.BatchLen]uint64
+	takens [trace.BatchLen]bool
 }
 
-func newFusedRun(lanes []Lane, opts Options) *fusedRun {
+func newFusedRun(lanes []Lane, classifier BranchClassifier, opts Options) *fusedRun {
 	r := &fusedRun{
-		opts:      opts,
-		preds:     make([]predictor.Predictor, len(lanes)),
-		aware:     make([]predictor.CycleAware, len(lanes)),
-		steppers:  make([]predictor.BatchStepper, len(lanes)),
-		mispred:   make([]int64, len(lanes)),
-		lastCycle: make([]uint64, len(lanes)),
+		opts:       opts,
+		preds:      make([]predictor.Predictor, len(lanes)),
+		aware:      make([]predictor.CycleAware, len(lanes)),
+		steppers:   make([]predictor.BatchStepper, len(lanes)),
+		mispred:    make([]int64, len(lanes)),
+		lastCycle:  make([]uint64, len(lanes)),
+		classifier: classifier,
+	}
+	if classifier != nil {
+		r.classRates = make([]map[string]*stats.Rate, len(lanes))
 	}
 	for i, l := range lanes {
 		r.preds[i] = l.P
@@ -100,59 +116,43 @@ func newFusedRun(lanes []Lane, opts Options) *fusedRun {
 			// Cycle-aware lanes need OnCycle interleaved per branch; they
 			// take the scalar loop even if they could batch-step.
 			r.aware[i] = ca
-		} else if s, ok := l.P.(predictor.BatchStepper); ok {
+		} else if s, ok := l.P.(predictor.BatchStepper); ok && classifier == nil {
+			// Per-class tallies need each branch's outcome, so with a
+			// classifier every lane takes the scalar loop.
 			r.steppers[i] = s
+		}
+		if classifier != nil {
+			r.classRates[i] = make(map[string]*stats.Rate)
 		}
 	}
 	return r
 }
 
-// driveCursor is drive specialized to the concrete replay cursor so the
-// batch array does not escape to the heap (see Run).
+// drive is the engine's one drive loop: fill the batch, feed it to every
+// lane, until the budget or the stream runs out.
 //
-//bplint:twin funcsim.branchRun.driveCursor
-//bplint:hotpath fused accuracy sweep; TestRunManyAllocs pins steady-state allocs to zero
-func (r *fusedRun) driveCursor(cur *trace.Cursor) {
-	var batch [trace.BatchLen]trace.BranchRec
+//bplint:hotpath accuracy drive loop; TestRunManyAllocs pins steady-state allocs to zero
+func (r *fusedRun) drive(src trace.BranchSource) {
 	for {
-		n := cur.NextBranches(batch[:])
+		n := src.NextBranches(r.batch[:])
 		if n == 0 {
-			r.finish(cur.InstsScanned())
+			// The stream ended before the budget.
+			r.insts = min(src.InstsScanned(), r.opts.MaxInsts)
 			return
 		}
-		if r.step(batch[:n]) {
-			return
-		}
-	}
-}
-
-// drive runs the fused loop over any BranchSource.
-//
-//bplint:twin funcsim.branchRun.drive
-func (r *fusedRun) drive(bs trace.BranchSource) {
-	batch := make([]trace.BranchRec, trace.BatchLen)
-	for {
-		n := bs.NextBranches(batch)
-		if n == 0 {
-			r.finish(bs.InstsScanned())
-			return
-		}
-		if r.step(batch[:n]) {
+		if r.step(r.batch[:n]) {
+			r.insts = r.opts.MaxInsts
 			return
 		}
 	}
 }
 
 // step feeds one filled batch to every lane; it reports true when the
-// instruction budget is exhausted and the sweep is complete. The
-// per-branch context Run's loop reconstructs per record — budget cut,
-// warm-up boundary, fetch cycle — is reconstructed here from the same
-// InstIndexes; because records ascend by InstIndex, the cut and the
-// boundary are single positions valid for every lane.
+// instruction budget is exhausted and the sweep is complete. Because
+// records ascend by InstIndex, the budget cut and the warm-up boundary are
+// single positions valid for every lane.
 //
-//bplint:twin funcsim.branchRun.step
-//bplint:twinmap p=pred cycleaware=aware
-//bplint:hotpath fused batch loop shared by driveCursor and drive
+//bplint:hotpath fused batch loop; runs once per 256-branch batch
 func (r *fusedRun) step(batch []trace.BranchRec) (done bool) {
 	cut := len(batch)
 	for i := range batch {
@@ -191,26 +191,33 @@ func (r *fusedRun) step(batch []trace.BranchRec) (done bool) {
 			}
 			pred := p.Predict(rec.PC)
 			p.Update(rec.PC, rec.Taken)
-			if i >= from && pred != rec.Taken {
-				r.mispred[li]++
+			if i >= from {
+				miss := pred != rec.Taken
+				if miss {
+					r.mispred[li]++
+				}
+				if r.classRates != nil {
+					r.tallyClass(li, rec.PC, miss)
+				}
 			}
 		}
-	}
-	if done {
-		r.insts = r.opts.MaxInsts
 	}
 	return done
 }
 
-// finish fixes the instruction count when the stream ended before the
-// budget, mirroring branchRun.finish.
-//
-//bplint:twin funcsim.branchRun.finish
-func (r *fusedRun) finish(streamLen int64) {
-	r.insts = streamLen
-	if r.insts > r.opts.MaxInsts {
-		r.insts = r.opts.MaxInsts
+// tallyClass adds one measured branch to lane li's rate for the branch's
+// behaviour class, if the classifier knows it.
+func (r *fusedRun) tallyClass(li int, pc uint64, miss bool) {
+	name, ok := r.classifier.BranchClassName(pc)
+	if !ok {
+		return
 	}
+	cr := r.classRates[li][name]
+	if cr == nil {
+		cr = &stats.Rate{}
+		r.classRates[li][name] = cr
+	}
+	cr.Add(miss)
 }
 
 func (r *fusedRun) results(lanes []Lane, workload string) []Result {
@@ -228,6 +235,9 @@ func (r *fusedRun) results(lanes []Lane, workload string) []Result {
 			Mispredicts:  r.mispred[i],
 			TakenRate:    takenRate,
 			PredSizeByte: l.P.SizeBytes(),
+		}
+		if r.classRates != nil {
+			out[i].ClassRates = r.classRates[i]
 		}
 	}
 	return out

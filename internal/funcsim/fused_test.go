@@ -28,9 +28,9 @@ func fusedLaneKinds() []Lane {
 	}
 }
 
-// TestRunManyEquivalence is the fused driver's correctness contract: each
-// lane of one fused pass must be bit-identical to a per-cell Run of the
-// same predictor over its own cursor — across benchmarks, across predictor
+// TestRunManyEquivalence is the engine's correctness contract: each lane
+// of one fused pass must be bit-identical to a reference run of the same
+// predictor over its own cursor — across benchmarks, across predictor
 // kinds (batch-stepping, scalar, and cycle-aware lanes), and in both
 // termination modes (instruction budget reached, stream exhausted).
 func TestRunManyEquivalence(t *testing.T) {
@@ -53,11 +53,11 @@ func TestRunManyEquivalence(t *testing.T) {
 			got := RunMany(lanes, rec.Replay(), opts)
 			want := make([]Result, len(lanes))
 			for i, l := range fusedLaneKinds() {
-				want[i] = Run(l.P, rec.Replay(), opts)
+				want[i] = refRun(l.P, rec.Replay(), opts)
 			}
 			for i := range lanes {
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("lane %d (%s) diverges from per-cell Run:\n got %+v\nwant %+v",
+					t.Errorf("lane %d (%s) diverges from the reference:\n got %+v\nwant %+v",
 						i, lanes[i].P.Name(), got[i], want[i])
 				}
 			}
@@ -65,15 +65,16 @@ func TestRunManyEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunManySingleLane pins the degenerate sweep: one lane must equal one
-// Run, including warm-up boundaries that do not land on a batch edge.
+// TestRunManySingleLane pins the degenerate sweep: one lane must equal the
+// reference, including warm-up boundaries that do not land on a batch
+// edge.
 func TestRunManySingleLane(t *testing.T) {
 	prof := mustProfile(t, "gcc")
 	rec := workload.Record(prof, 120_000)
 	for _, warmup := range []int64{0, 1, 33_333, 119_999} {
 		opts := Options{MaxInsts: 120_000, WarmupInsts: warmup}
 		got := RunMany([]Lane{{P: predictor.NewGShareFromBudget(4 << 10)}}, rec.Replay(), opts)
-		want := Run(predictor.NewGShareFromBudget(4<<10), rec.Replay(), opts)
+		want := refRun(predictor.NewGShareFromBudget(4<<10), rec.Replay(), opts)
 		if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
 			t.Errorf("warmup=%d: single-lane RunMany diverges:\n got %+v\nwant %+v", warmup, got, want)
 		}

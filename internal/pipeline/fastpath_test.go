@@ -11,16 +11,16 @@ import (
 	"branchsim/internal/workload"
 )
 
-// opaqueReplay hides every protocol but Source, forcing Run down the
-// instruction-at-a-time slow path with live caches — the reference the
-// fast-path layers must match bit for bit.
+// opaqueReplay hides every protocol but Source, so the engine fills its
+// batches one Next call at a time and, with no cursor to check a sidecar
+// against, simulates live caches.
 type opaqueReplay struct{ src trace.Source }
 
 func (o opaqueReplay) Next(inst *trace.Inst) bool { return o.src.Next(inst) }
 func (o opaqueReplay) Name() string               { return o.src.Name() }
 
-// instSourceOnly exposes the batch protocol without being a *trace.Cursor,
-// exercising the interface-typed batched loop (runInstSource).
+// instSourceOnly exposes the batch protocol without being a *trace.Cursor:
+// batched fill, live caches.
 type instSourceOnly struct{ cur *trace.Cursor }
 
 func (o instSourceOnly) Next(inst *trace.Inst) bool     { return o.cur.Next(inst) }
@@ -61,11 +61,12 @@ func timingOrgs() []struct {
 	}
 }
 
-// TestTimingFastPathEquivalence is the tentpole's correctness contract: the
-// batched replay loop, the interface-typed batched loop, and the
-// memory-latency sidecar must each reproduce the instruction-at-a-time
-// live-cache run bit for bit — across benchmarks (including a stream
-// shorter than the budget), predictor organizations, and warmup settings.
+// TestTimingFastPathEquivalence is Run's correctness contract: over a
+// replay cursor, an InstSource, a plain Source, and a cursor with the
+// memory-latency sidecar, Run must reproduce the reference's
+// instruction-at-a-time live-cache run bit for bit — across benchmarks
+// (including a stream shorter than the budget), predictor organizations,
+// and warmup settings.
 func TestTimingFastPathEquivalence(t *testing.T) {
 	cases := []struct {
 		bench    string
@@ -86,7 +87,12 @@ func TestTimingFastPathEquivalence(t *testing.T) {
 		for _, org := range timingOrgs() {
 			for _, warmup := range []int64{0, 40_000} {
 				t.Run(tc.bench+"/"+org.name, func(t *testing.T) {
-					want := New(cfg, org.mk()).Run(opaqueReplay{rec.Replay()}, maxInsts, warmup)
+					want := refRun(cfg, org.mk(), rec.Replay(), maxInsts, warmup)
+
+					plain := New(cfg, org.mk()).Run(opaqueReplay{rec.Replay()}, maxInsts, warmup)
+					if !reflect.DeepEqual(plain, want) {
+						t.Errorf("warmup %d: plain Source diverges:\n got %+v\nwant %+v", warmup, plain, want)
+					}
 
 					batched := New(cfg, org.mk()).Run(rec.Replay(), maxInsts, warmup)
 					if !reflect.DeepEqual(batched, want) {
@@ -117,7 +123,7 @@ func TestSidecarFallback(t *testing.T) {
 	rec := workload.Record(mustProfile(t, "gzip"), 120_000)
 	mk := func() predictor.Predictor { return predictor.NewGShareFromBudget(16 << 10) }
 	cfg := DefaultConfig()
-	want := New(cfg, mk()).Run(opaqueReplay{rec.Replay()}, 120_000, 30_000)
+	want := refRun(cfg, mk(), rec.Replay(), 120_000, 30_000)
 
 	t.Run("geometry-mismatch", func(t *testing.T) {
 		other := MemGeometryOf(cfg)
@@ -137,7 +143,7 @@ func TestSidecarFallback(t *testing.T) {
 		sim := New(cfg, mk())
 		sim.SetMemSidecar(BuildMemSidecar(rec, MemGeometryOf(cfg)))
 		got := sim.Run(cur, 120_000, 30_000)
-		ref := New(cfg, mk()).Run(opaqueReplay{offsetReplay(rec)}, 120_000, 30_000)
+		ref := refRun(cfg, mk(), offsetReplay(rec), 120_000, 30_000)
 		if !reflect.DeepEqual(got, ref) {
 			t.Errorf("mid-stream cursor with sidecar diverges from live run:\n got %+v\nwant %+v", got, ref)
 		}
@@ -163,27 +169,31 @@ func offsetReplay(rec *trace.Recording) *trace.Cursor {
 	return cur
 }
 
-// TestBatchedTimingRunAllocs pins the steady-state allocation count of the
-// batched+sidecar timing loop at zero: the batch lives on the driver's
-// stack (Run devirtualizes the replay cursor), the run state is a stack
-// struct, and the sidecar replaces the only allocating cache work. Skipped
+// TestBatchedTimingRunAllocs pins the batched+sidecar timing loop
+// allocation-free at steady state through the public entry point: Run
+// allocates only the engine's fixed per-call lane state, so a 5x longer
+// stream must allocate exactly as much per Run as a short one. Skipped
 // under -race, which instruments allocation.
 func TestBatchedTimingRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	rec := workload.Record(mustProfile(t, "gzip"), 100_000)
-	cur := rec.Replay()
+	prof := mustProfile(t, "gzip")
 	cfg := DefaultConfig()
-	side := BuildMemSidecar(rec, MemGeometryOf(cfg))
-	sim := New(cfg, predictor.NewGShareFromBudget(16<<10))
-	sim.SetMemSidecar(side)
-	sim.Run(cur, 100_000, 20_000) // warm any lazy state
-	allocs := testing.AllocsPerRun(10, func() {
-		cur.Reset()
-		sim.Run(cur, 100_000, 20_000)
-	})
-	if allocs != 0 {
-		t.Fatalf("batched timing Run allocates %.1f objects per run, want 0", allocs)
+	measure := func(n int64) float64 {
+		rec := workload.Record(prof, n)
+		cur := rec.Replay()
+		sim := New(cfg, predictor.NewGShareFromBudget(16<<10))
+		sim.SetMemSidecar(BuildMemSidecar(rec, MemGeometryOf(cfg)))
+		sim.Run(cur, n, n/5) // warm any lazy state
+		return testing.AllocsPerRun(10, func() {
+			cur.Reset()
+			sim.Run(cur, n, n/5)
+		})
+	}
+	allocShort, allocLong := measure(20_000), measure(100_000)
+	if allocShort != allocLong {
+		t.Fatalf("timing Run allocates per batch: %.1f allocs on a short stream, %.1f on a long one",
+			allocShort, allocLong)
 	}
 }

@@ -11,12 +11,12 @@ import (
 	"branchsim/internal/trace"
 )
 
-// This file is the fused timing engine: one trace pass feeds every pipeline
-// configuration of a grid column at once. Sim.Run stays the per-cell
-// reference implementation — simple, instruction-at-a-time, the thing the
-// equivalence suite trusts — while RunMany is the throughput engine the
-// fused experiment scheduler drives. The two produce bit-identical Results
-// (TestFusedTimingEquivalence); RunMany is faster per lane because
+// This file is the timing engine: one trace pass feeds every pipeline
+// configuration of a grid column at once, and Sim.Run is the same engine
+// with one lane. A test-only reference simulator (reference_test.go) —
+// instruction at a time, live caches, scalar state — pins every Result bit
+// for bit (TestFusedTimingEquivalence, FuzzEngineVsReference). The engine
+// is fast per lane because
 //
 //   - the 256-entry instruction batch is decoded once and its lane-invariant
 //     columns (fetch-block addresses, port classes, MemSidecar outcome
@@ -49,13 +49,11 @@ type Lane struct {
 
 // RunMany replays up to maxInsts instructions from src through every lane
 // at once and returns the per-lane results, index-aligned with lanes. Each
-// lane's Result is bit-identical to
-//
-//	New(l.Cfg, l.Pred).SetMemSidecar(side); Run(src, maxInsts, warmupInsts)
-//
-// over its own replay of the same stream; the equivalence suite pins this.
-// As with Run, the sidecar is trusted only for a *trace.Cursor it covers;
-// any other source (or an uncovered cursor) simulates per-lane live caches.
+// lane's Result is exactly what a one-lane run over its own replay of the
+// same stream returns; fusion is an execution strategy, not an observable
+// one. The sidecar is trusted only for a *trace.Cursor it covers (same
+// recording, replayed from the start, same cache geometry); any other
+// source, or an uncovered cursor, simulates per-lane live caches.
 func RunMany(lanes []Lane, src trace.Source, side *MemSidecar, maxInsts, warmupInsts int64) []Result {
 	if len(lanes) == 0 {
 		return nil
@@ -67,20 +65,18 @@ func RunMany(lanes []Lane, src trace.Source, side *MemSidecar, maxInsts, warmupI
 		}
 	}
 	f := newFusedRun(lanes, side, maxInsts, warmupInsts)
-	if cur, ok := src.(*trace.Cursor); ok {
-		// Same devirtualization as Run: the sidecar is only trusted for
-		// a cursor, whose stream identity and position are checkable.
+	if cur, ok := src.(*trace.Cursor); ok && side != nil {
 		// Geometry is lane-invariant (checked above), so covers for
 		// lanes[0] decides for the whole column.
-		f.sideActive = side != nil && side.covers(lanes[0].Cfg, cur)
-		f.driveCursor(cur)
-	} else if is, ok := src.(trace.InstSource); ok {
-		f.driveInstSource(is)
-	} else {
-		f.driveSource(src)
+		f.sideActive = side.covers(lanes[0].Cfg, cur)
 	}
+	f.drive(src)
 	return f.finish(src.Name())
 }
+
+// ringSize is the scoreboard window in cycles: a ring slot is reused once
+// its cycle is ringSize old, far beyond any latency the model produces.
+const ringSize = 1 << 15
 
 // byteRing is the fused engine's slot ring: one reservation count per
 // cycle, packed eight cycles to a word, so a probe inspects eight cycles
@@ -220,68 +216,63 @@ const (
 // lane's fetch stall; latTab maps lcls latency classes to execution
 // latencies.
 type laneConst struct {
-	feDepth     uint64 //bplint:lane runState.feDepth
-	btbPenalty  uint64 //bplint:lane Sim.cfg
-	recovery    uint64 //bplint:lane Sim.recovery
-	commitWidth uint64 //bplint:lane Sim.cfg
-	fetchWidth  int    //bplint:lane Sim.cfg
-	robSize     int    //bplint:lane Sim.cfg
-	//bplint:lane Sim.cfg
-	fLat   [4]uint64       // by fetch class: none, L1, L2, mem
-	latTab [numLats]uint64 //bplint:lane Sim.cfg
-	l2Lat  uint64          //bplint:lane Sim.cfg
-	memLat uint64          //bplint:lane Sim.cfg
+	feDepth     uint64
+	btbPenalty  uint64
+	recovery    uint64
+	commitWidth uint64
+	fetchWidth  int
+	robSize     int
+	fLat        [4]uint64 // by fetch class: none, L1, L2, mem
+	latTab      [numLats]uint64
+	l2Lat       uint64
+	memLat      uint64
 }
 
 // laneOrg is a lane's predictor organization: the predictor and its
-// pre-resolved capability interfaces, mirroring Sim's over/cycleAware
-// fields.
+// pre-resolved capability interfaces.
 type laneOrg struct {
-	pred       predictor.Predictor  //bplint:lane Sim.pred
-	over       *core.Overriding     //bplint:lane Sim.over
-	cycleAware predictor.CycleAware //bplint:lane Sim.cycleAware
+	pred       predictor.Predictor
+	over       *core.Overriding
+	cycleAware predictor.CycleAware
 }
 
 // laneRings is a lane's issue-bandwidth and port scoreboard plus its ROB
 // commit window. The port rings are indexed by the shared pcls column.
 // There is no commit ring: commit probes are monotone non-decreasing
-// (commitAt is clamped to lastCommit and take only moves forward), so a
-// probed cycle is never revisited after a later one and slotRing's
-// forget-on-alias ring degenerates to the (lastCommit, commitUsed) scalar
-// pair in laneCursor — bit-identical by construction.
+// (commitAt is clamped to lastCommit and a reservation only moves
+// forward), so a probed cycle is never revisited after a later one and a
+// per-cycle commit ring degenerates to the (lastCommit, commitUsed) pair
+// in laneCursor.
 type laneRings struct {
-	issue      byteRing           //bplint:lane Sim.issueRing
-	ports      [numPorts]byteRing //bplint:lane Sim.intRing,Sim.memRing,Sim.mulRing,Sim.fpRing
-	commitRing []uint64           //bplint:lane Sim.commitRing
+	issue      byteRing
+	ports      [numPorts]byteRing
+	commitRing []uint64
 	// clearedTo is the rings' zeroed horizon: count bytes are valid for
 	// cycles in [clearedTo-ringSize, clearedTo) and zero from the scan
 	// frontier up to clearedTo; extend advances it in clearChunk strides.
-	//
-	//bplint:lane - byteRing zeroed-horizon bookkeeping; slotRing forgets stale cycles per probe instead
 	clearedTo uint64
 }
 
 // laneCaches is a lane's live memory hierarchy, exercised only when no
 // sidecar covers the run.
 type laneCaches struct {
-	icache *cache.Cache //bplint:lane Sim.icache
-	dcache *cache.Cache //bplint:lane Sim.dcache
-	l2     *cache.Cache //bplint:lane Sim.l2
+	icache *cache.Cache
+	dcache *cache.Cache
+	l2     *cache.Cache
 }
 
 // laneCursor is a lane's mutable scalar state between instructions. One
 // entry spans a single cache line, so the per-instruction lane sweep
 // touches one hot line per lane.
 type laneCursor struct {
-	fetchCycle     uint64 //bplint:lane Sim.fetchCycle
-	lastFetchBlock uint64 //bplint:lane Sim.lastFetchBlock
-	lastCommit     uint64 //bplint:lane Sim.lastCommit
-	//bplint:lane Sim.commitRing2
-	commitUsed  uint64 // commits taken at cycle lastCommit; replaces the monotone commit slot ring
-	fetchStall  uint64 //bplint:lane Sim.fetchStall
-	warmupCycle uint64 //bplint:lane runState.warmupCycle,Sim.cycles
-	fetchUsed   int    //bplint:lane Sim.fetchUsed
-	robIdx      int    //bplint:lane Sim.robIdx
+	fetchCycle     uint64
+	lastFetchBlock uint64
+	lastCommit     uint64
+	commitUsed     uint64 // commits taken at cycle lastCommit; replaces the monotone commit slot ring
+	fetchStall     uint64
+	warmupCycle    uint64
+	fetchUsed      int
+	robIdx         int
 }
 
 // laneTallies is a lane's statistics: branch and BTB rates, and the
@@ -289,54 +280,51 @@ type laneCursor struct {
 // redirect pattern, so the column cannot be shared the way the D-side one
 // is — see fusedRun.lT).
 type laneTallies struct {
-	branches     stats.Rate //bplint:lane Sim.branches
-	measBranches stats.Rate //bplint:lane Sim.measBranches
-	overrides    stats.Rate //bplint:lane Sim.overrides
-	btbMisses    stats.Rate //bplint:lane Sim.btbMisses
-	fT           [4]uint64  //bplint:lane Sim.sideL1IAcc,Sim.sideL1IMiss
+	measBranches stats.Rate
+	overrides    stats.Rate
+	btbMisses    stats.Rate
+	fT           [4]uint64
 }
 
 // fusedRun is the engine state: per-lane state in index-aligned SoA slices
 // (one slice per state family, all indexed by lane), the shared stream
 // cursor, and the shared per-batch columns.
 type fusedRun struct {
-	consts  []laneConst   //bplint:lane - SoA family; its per-field mapping is declared on laneConst
-	orgs    []laneOrg     //bplint:lane - SoA family; its per-field mapping is declared on laneOrg
-	rings   []laneRings   //bplint:lane - SoA family; its per-field mapping is declared on laneRings
-	btbs    []*btb.BTB    //bplint:lane Sim.btb
-	caches  []laneCaches  //bplint:lane - SoA family; its per-field mapping is declared on laneCaches
-	cursors []laneCursor  //bplint:lane - SoA family; its per-field mapping is declared on laneCursor
-	tallies []laneTallies //bplint:lane - SoA family; its per-field mapping is declared on laneTallies
-	//bplint:lane Sim.regReady
-	regs [][trace.NumRegs]uint64 // per-lane register-ready cycles
+	consts  []laneConst
+	orgs    []laneOrg
+	rings   []laneRings
+	btbs    []*btb.BTB
+	caches  []laneCaches
+	cursors []laneCursor
+	tallies []laneTallies
+	regs    [][trace.NumRegs]uint64 // per-lane register-ready cycles
 
-	//bplint:lane Sim.insts
-	insts       int64       // instructions fed to every lane so far
-	maxInsts    int64       //bplint:lane runState.maxInsts
-	warmupInsts int64       //bplint:lane Sim.warmupInsts,runState.warmupInsts
-	blockMask   uint64      //bplint:lane runState.blockMask
-	side        *MemSidecar //bplint:lane Sim.side
-	sideActive  bool        //bplint:lane Sim.sideActive
+	insts       int64 // instructions fed to every lane so far
+	maxInsts    int64
+	warmupInsts int64
+	blockMask   uint64
+	side        *MemSidecar
+	sideActive  bool
 
 	// lT and sT are the D-side sidecar class histograms. Loads and stores
 	// access the D-cache unconditionally in program order, so — unlike the
 	// I-side — every lane's tally is identical and one shared count
 	// serves the whole column.
-	lT [4]uint64 //bplint:lane Sim.sideL1DAcc,Sim.sideL1DMiss,Sim.sideL2Acc,Sim.sideL2Miss
-	sT [4]uint64 //bplint:lane Sim.sideL1DAcc,Sim.sideL1DMiss
+	lT [4]uint64
+	sT [4]uint64
 
 	// Shared per-batch columns, computed once per batch by prep. The class
-	// columns fcls/mcls are the sidecar bytes unpacked by batch offset,
-	// replacing the scalar run's per-instruction sideIdx cursor.
-	batch  [trace.InstBatchLen]trace.Inst //bplint:lane - shared batch buffer; the scalar loop steps one *trace.Inst at a time
-	blocks [trace.InstBatchLen]uint64     //bplint:lane - precomputed column of Sim.step's per-instruction block local
-	pcls   [trace.InstBatchLen]uint8      //bplint:lane - precomputed column of Sim.step's issue-port dispatch
-	lcls   [trace.InstBatchLen]uint8      //bplint:lane - precomputed column of Sim.step's execution-latency selection
-	fcls   [trace.InstBatchLen]uint8      //bplint:lane Sim.sideIdx
-	mcls   [trace.InstBatchLen]uint8      //bplint:lane Sim.sideIdx
+	// columns fcls/mcls are the sidecar bytes unpacked by batch offset.
+	batch  [trace.InstBatchLen]trace.Inst
+	blocks [trace.InstBatchLen]uint64
+	pcls   [trace.InstBatchLen]uint8
+	lcls   [trace.InstBatchLen]uint8
+	fcls   [trace.InstBatchLen]uint8
+	mcls   [trace.InstBatchLen]uint8
 }
 
-// newFusedRun builds the per-lane SoA state for one fused pass.
+// newFusedRun builds the per-lane SoA state for one pass, panicking on a
+// lane config the engine cannot simulate (checkLane).
 func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *fusedRun {
 	n := len(lanes)
 	f := &fusedRun{
@@ -355,12 +343,7 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 	}
 	for i, l := range lanes {
 		cfg := l.Cfg
-		if cfg.FetchWidth <= 0 || cfg.IssueWidth <= 0 || cfg.CommitWidth <= 0 {
-			panic("pipeline: invalid widths in fused lane config")
-		}
-		if cfg.ROBSize <= 0 {
-			panic("pipeline: ROB size must be positive")
-		}
+		checkLane(i, cfg)
 		k := &f.consts[i]
 		k.feDepth = uint64(cfg.frontEndDepth())
 		k.btbPenalty = uint64(cfg.BTBMissPenalty)
@@ -409,56 +392,26 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 	return f
 }
 
-// driveCursor is the fused drive loop specialized to the concrete replay
-// cursor, mirroring runCursor: devirtualized batch fill, then the lane
-// sweep over the shared batch.
+// drive is the engine's one drive loop: it fills the shared batch from
+// src — whole batches through trace.InstSource, one Next call at a time
+// otherwise — and sweeps the lanes over it. Batch boundaries do not
+// influence the scoreboard, so the fill protocol cannot change a result.
 //
-//bplint:twin pipeline.Sim.runCursor
-//bplint:hotpath fused timing drive loop; TestFusedTimingAllocs pins allocs/op to zero
-func (f *fusedRun) driveCursor(cur *trace.Cursor) {
-	for f.insts < f.maxInsts {
-		lim := len(f.batch)
-		if want := f.maxInsts - f.insts; int64(lim) > want {
-			lim = int(want)
-		}
-		n := cur.NextInsts(f.batch[:lim])
-		if n == 0 {
-			return
-		}
-		f.runBatch(n)
-	}
-}
-
-// driveInstSource is the fused drive loop over any batch-capable source.
-//
-//bplint:twin pipeline.Sim.runInstSource
-func (f *fusedRun) driveInstSource(is trace.InstSource) {
-	for f.insts < f.maxInsts {
-		lim := len(f.batch)
-		if want := f.maxInsts - f.insts; int64(lim) > want {
-			lim = int(want)
-		}
-		n := is.NextInsts(f.batch[:lim])
-		if n == 0 {
-			return
-		}
-		f.runBatch(n)
-	}
-}
-
-// driveSource is the fused drive loop over a plain Source: the batch is
-// assembled one Next call at a time, then consumed exactly as a decoded
-// one. Batch boundaries do not influence the scoreboard, so results are
-// identical to the per-instruction reference loop.
-func (f *fusedRun) driveSource(src trace.Source) {
+//bplint:hotpath timing drive loop; TestFusedTimingAllocs pins allocs/op to zero
+func (f *fusedRun) drive(src trace.Source) {
+	is, batched := src.(trace.InstSource)
 	for f.insts < f.maxInsts {
 		lim := len(f.batch)
 		if want := f.maxInsts - f.insts; int64(lim) > want {
 			lim = int(want)
 		}
 		n := 0
-		for n < lim && src.Next(&f.batch[n]) {
-			n++
+		if batched {
+			n = is.NextInsts(f.batch[:lim])
+		} else {
+			for n < lim && src.Next(&f.batch[n]) {
+				n++
+			}
 		}
 		if n == 0 {
 			return
@@ -471,14 +424,13 @@ func (f *fusedRun) driveSource(src trace.Source) {
 // a batch split so the step loop takes a constant measured flag, and sweeps
 // the lanes.
 //
-//bplint:twin pipeline.Sim.step
 //bplint:hotpath runs once per 256-instruction batch in fused sweeps
 func (f *fusedRun) runBatch(n int) {
 	f.prep(n)
 	if d := f.warmupInsts - f.insts; d >= 0 && d < int64(n) {
 		// The boundary falls inside this batch: step up to it, snapshot
-		// each lane's commit cycle (Sim.step does this at the boundary
-		// instruction, before stepping it), then step the measured rest.
+		// each lane's commit cycle before the first measured instruction,
+		// then step the measured rest.
 		k := int(d)
 		f.stepAll(0, k, false)
 		for li := range f.cursors {
@@ -498,7 +450,6 @@ func (f *fusedRun) runBatch(n int) {
 // its port and latency classes, and — when a sidecar covers the run — its
 // unpacked fetch and mem outcome classes plus the shared D-side tallies.
 //
-//bplint:twin pipeline.Sim.step
 //bplint:hotpath runs once per 256-instruction batch in fused sweeps
 func (f *fusedRun) prep(n int) {
 	for i := 0; i < n; i++ {
@@ -518,8 +469,6 @@ func (f *fusedRun) prep(n int) {
 		case trace.Load:
 			pc = portMem
 			if f.sideActive {
-				// Mirror loadLatency's switch: L1 and L2 explicit,
-				// memory charged for the rest.
 				switch f.mcls[i] {
 				case sideMemL1:
 					lc = latLoadL1
@@ -553,11 +502,8 @@ func (f *fusedRun) prep(n int) {
 	}
 }
 
-// advanceTo is Sim.advanceFetch on stepAll's hoisted locals: move the
-// fetch point to at least cycle t, accounting the skipped cycles as stall.
-//
-//bplint:twin pipeline.Sim.advanceFetch
-//bplint:twinmap stall=fetchstall lastblock=lastfetchblock
+// advanceTo moves the fetch point, held in the sweeps' hoisted locals, to
+// at least cycle t, accounting the skipped cycles as stall.
 func advanceTo(t, fetchCycle uint64, fetchUsed int, lastBlock, stall uint64) (uint64, int, uint64, uint64) {
 	if t > fetchCycle {
 		stall += t - fetchCycle
@@ -573,15 +519,12 @@ func advanceTo(t, fetchCycle uint64, fetchUsed int, lastBlock, stall uint64) (ui
 // the plain sweep (no prediction, no redirect, no resolution) serves the
 // large majority of instructions with every branch-unit test hoisted out of
 // the per-lane loop, and the branch and jump sweeps carry the prediction
-// and BTB stages only where they can fire. Each sweep's per-lane body is
-// Sim.step statement for statement — same stage order, same stall
-// arithmetic, same tally points — and TestFusedTimingEquivalence holds the
-// implementations together. measured is the constant truth of Sim.step's
-// per-branch warm-up comparison over this sub-batch; runBatch splits
-// batches so it never varies inside one call.
+// and BTB stages only where they can fire. Every sweep runs the same stage
+// order — fetch, predict, BTB, issue, resolve, commit — as the test
+// reference's step. measured says whether this sub-batch lies past the
+// warm-up boundary; runBatch splits batches so it never varies inside one
+// call.
 //
-//bplint:twin pipeline.Sim.step
-//bplint:twinmap fetchat=fetchcycle lastblock=lastfetchblock btbmisspenalty=btbpenalty regready=reg lattab=execlat advancefetch=advanceto
 //bplint:hotpath fused per-lane batch step; runs once per instruction per lane
 func (f *fusedRun) stepAll(lo, hi int, measured bool) {
 	for i := lo; i < hi; i++ {
@@ -603,7 +546,6 @@ func (f *fusedRun) stepAll(lo, hi int, measured bool) {
 // prediction, redirect, and resolution stages are absent rather than
 // tested per lane.
 //
-//bplint:twin pipeline.Sim.step
 //bplint:hotpath fused lane sweep for plain instructions
 func (f *fusedRun) sweepPlain(i int) {
 	consts := f.consts
@@ -746,7 +688,6 @@ func (f *fusedRun) sweepPlain(i int) {
 // always-taken BTB redirect, issue, commit. No prediction and no
 // resolution — jumps never mispredict direction.
 //
-//bplint:twin pipeline.Sim.step
 //bplint:hotpath fused lane sweep for jumps
 func (f *fusedRun) sweepJump(i int) {
 	consts := f.consts
@@ -892,7 +833,6 @@ func (f *fusedRun) sweepJump(i int) {
 // prediction (with override bubbles), the predicted-taken BTB redirect,
 // issue, resolution, commit.
 //
-//bplint:twin pipeline.Sim.step
 //bplint:hotpath fused lane sweep for conditional branches
 func (f *fusedRun) sweepBranch(i int, measured bool) {
 	consts := f.consts
@@ -1029,7 +969,6 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 		// --- Branch resolution ---
 		miss := predictedTaken != taken
 		tl := &tallies[li]
-		tl.branches.Add(miss)
 		if measured {
 			tl.measBranches.Add(miss)
 		}
@@ -1067,9 +1006,10 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 	}
 }
 
-// finish assembles the per-lane Results, index-aligned with the lanes,
-// mirroring Sim.result: sidecar runs fold the outcome-class histograms
-// into the same access/miss tallies the per-cell path counts inline.
+// finish assembles the per-lane Results, index-aligned with the lanes.
+// Sidecar runs fold the outcome-class histograms into the access/miss
+// ratios the live caches would have counted: the same levels, the same
+// zero-total rule.
 func (f *fusedRun) finish(workload string) []Result {
 	out := make([]Result, len(f.rings))
 	for li := range out {
@@ -1087,8 +1027,8 @@ func (f *fusedRun) finish(workload string) []Result {
 			FetchStallCycles: cu.fetchStall,
 		}
 		if f.sideActive {
-			// Fold the class histograms into per-level tallies exactly as
-			// fetchLatency/loadLatency/storeAccess count them inline.
+			// An I-side fetch miss and a D-side load miss reach the L2;
+			// a store miss only allocates in the L1D.
 			fAcc := tl.fT[0] + tl.fT[1] + tl.fT[2] + tl.fT[3]
 			fL2, fMem := tl.fT[2], tl.fT[3]
 			lAcc := f.lT[0] + f.lT[1] + f.lT[2] + f.lT[3]

@@ -53,12 +53,12 @@ func fusedCfgVariants() []Config {
 	return []Config{DefaultConfig(), deep, slowMem}
 }
 
-// TestFusedTimingEquivalence is the fused engine's correctness contract:
+// TestFusedTimingEquivalence is the engine's correctness contract:
 // RunMany over a heterogeneous column — every predictor organization plus
 // depth/latency config variants, all on one cache geometry — must
-// reproduce each lane's per-cell Run bit for bit, across benchmarks
-// (including a stream shorter than the budget), warmups, and both the
-// sidecar and live-cache paths.
+// reproduce each lane's reference run bit for bit, across benchmarks
+// (including a stream shorter than the budget) and warmups. The engine
+// runs with the sidecar; the reference simulates live caches.
 func TestFusedTimingEquivalence(t *testing.T) {
 	cases := []struct {
 		bench    string
@@ -85,9 +85,9 @@ func TestFusedTimingEquivalence(t *testing.T) {
 				t.Fatalf("RunMany returned %d results for %d lanes", len(fused), len(lanes))
 			}
 
-			// Rebuild each lane's predictor fresh for the per-cell
-			// reference: predictors are stateful and the fused pass
-			// trained the originals.
+			// Rebuild each lane's predictor fresh for the reference:
+			// predictors are stateful and the fused pass trained the
+			// originals.
 			var ref []Lane
 			for _, org := range fusedOrgs() {
 				ref = append(ref, Lane{Cfg: DefaultConfig(), Pred: org.mk()})
@@ -96,11 +96,9 @@ func TestFusedTimingEquivalence(t *testing.T) {
 				ref = append(ref, Lane{Cfg: cfg, Pred: predictor.NewGShareFromBudget(16 << 10)})
 			}
 			for i, l := range ref {
-				sim := New(l.Cfg, l.Pred)
-				sim.SetMemSidecar(side)
-				want := sim.Run(rec.Replay(), maxInsts, warmup)
+				want := refRun(l.Cfg, l.Pred, rec.Replay(), maxInsts, warmup)
 				if !reflect.DeepEqual(fused[i], want) {
-					t.Errorf("%s warmup %d lane %d (%s): fused diverges from per-cell:\n got %+v\nwant %+v",
+					t.Errorf("%s warmup %d lane %d (%s): fused diverges from the reference:\n got %+v\nwant %+v",
 						tc.bench, warmup, i, want.Predictor, fused[i], want)
 				}
 			}
@@ -110,7 +108,7 @@ func TestFusedTimingEquivalence(t *testing.T) {
 
 // TestFusedTimingLiveCaches pins the no-sidecar path: without a covering
 // sidecar the engine simulates each lane's own hierarchy, matching the
-// per-cell live-cache run.
+// reference's live-cache run.
 func TestFusedTimingLiveCaches(t *testing.T) {
 	rec := workload.Record(mustProfile(t, "gzip"), 120_000)
 	cfg := DefaultConfig()
@@ -118,7 +116,7 @@ func TestFusedTimingLiveCaches(t *testing.T) {
 
 	t.Run("nil-sidecar", func(t *testing.T) {
 		fused := RunMany([]Lane{{Cfg: cfg, Pred: mk()}}, rec.Replay(), nil, 120_000, 30_000)
-		want := New(cfg, mk()).Run(rec.Replay(), 120_000, 30_000)
+		want := refRun(cfg, mk(), rec.Replay(), 120_000, 30_000)
 		if !reflect.DeepEqual(fused[0], want) {
 			t.Errorf("live-cache fused run diverges:\n got %+v\nwant %+v", fused[0], want)
 		}
@@ -129,7 +127,7 @@ func TestFusedTimingLiveCaches(t *testing.T) {
 		other.L1I = cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Ways: 1}
 		fused := RunMany([]Lane{{Cfg: cfg, Pred: mk()}}, rec.Replay(),
 			BuildMemSidecar(rec, other), 120_000, 30_000)
-		want := New(cfg, mk()).Run(rec.Replay(), 120_000, 30_000)
+		want := refRun(cfg, mk(), rec.Replay(), 120_000, 30_000)
 		if !reflect.DeepEqual(fused[0], want) {
 			t.Errorf("mismatched-geometry sidecar was not ignored:\n got %+v\nwant %+v", fused[0], want)
 		}
@@ -138,7 +136,7 @@ func TestFusedTimingLiveCaches(t *testing.T) {
 	t.Run("opaque-source", func(t *testing.T) {
 		fused := RunMany([]Lane{{Cfg: cfg, Pred: mk()}}, opaqueReplay{rec.Replay()},
 			BuildMemSidecar(rec, MemGeometryOf(cfg)), 120_000, 30_000)
-		want := New(cfg, mk()).Run(opaqueReplay{rec.Replay()}, 120_000, 30_000)
+		want := refRun(cfg, mk(), rec.Replay(), 120_000, 30_000)
 		if !reflect.DeepEqual(fused[0], want) {
 			t.Errorf("opaque-source fused run diverges:\n got %+v\nwant %+v", fused[0], want)
 		}
@@ -147,7 +145,7 @@ func TestFusedTimingLiveCaches(t *testing.T) {
 	t.Run("inst-source", func(t *testing.T) {
 		fused := RunMany([]Lane{{Cfg: cfg, Pred: mk()}}, instSourceOnly{rec.Replay()},
 			nil, 120_000, 30_000)
-		want := New(cfg, mk()).Run(instSourceOnly{rec.Replay()}, 120_000, 30_000)
+		want := refRun(cfg, mk(), rec.Replay(), 120_000, 30_000)
 		if !reflect.DeepEqual(fused[0], want) {
 			t.Errorf("InstSource fused run diverges:\n got %+v\nwant %+v", fused[0], want)
 		}
@@ -194,11 +192,11 @@ func TestFusedTimingAllocs(t *testing.T) {
 	if !f.sideActive {
 		t.Fatal("sidecar does not cover the run")
 	}
-	f.driveCursor(cur) // warm any lazy state
+	f.drive(cur) // warm any lazy state
 	allocs := testing.AllocsPerRun(10, func() {
 		cur.Reset()
 		f.insts = 0
-		f.driveCursor(cur)
+		f.drive(cur)
 	})
 	if allocs != 0 {
 		t.Fatalf("fused timing drive loop allocates %.1f objects per run, want 0", allocs)

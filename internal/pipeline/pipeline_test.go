@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"branchsim/internal/core"
@@ -10,34 +12,31 @@ import (
 	"branchsim/internal/workload"
 )
 
-// perfect predicts every branch correctly by peeking at the trace — the
-// driver calls Predict before Update, and we exploit that the simulator
-// calls them back to back with the same instruction.
-type oracle struct{ next bool }
+// oracle predicts every branch correctly by replaying the stream's branch
+// outcomes in order: the simulator calls Predict then Update once per
+// conditional branch, in program order, however it batches the stream.
+type oracle struct {
+	outcomes []bool
+	next     int
+}
 
-func (o *oracle) Predict(uint64) bool { return o.next }
-func (o *oracle) Update(uint64, bool) {}
+func (o *oracle) Predict(uint64) bool { return o.outcomes[o.next] }
+func (o *oracle) Update(uint64, bool) { o.next++ }
 func (o *oracle) SizeBytes() int      { return 0 }
 func (o *oracle) Name() string        { return "oracle" }
-func (o *oracle) arm(taken bool)      { o.next = taken }
 
-// oracleGen wraps a generator and arms the oracle before each branch.
-type oracleGen struct {
-	inner trace.Generator
-	o     *oracle
-}
-
-func (g *oracleGen) Next(inst *trace.Inst) bool {
-	if !g.inner.Next(inst) {
-		return false
+// newOracle reads the first insts instructions of src and arms an oracle
+// with their branch outcomes.
+func newOracle(src trace.Source, insts int64) *oracle {
+	o := &oracle{}
+	var inst trace.Inst
+	for n := int64(0); n < insts && src.Next(&inst); n++ {
+		if inst.Kind == trace.CondBranch {
+			o.outcomes = append(o.outcomes, inst.Taken)
+		}
 	}
-	if inst.Kind == trace.CondBranch {
-		g.o.arm(inst.Taken)
-	}
-	return true
+	return o
 }
-
-func (g *oracleGen) Name() string { return g.inner.Name() }
 
 func run(p predictor.Predictor, bench string, insts int64) Result {
 	prof, _ := workload.ByName(bench)
@@ -53,10 +52,9 @@ func TestIPCWithinPhysicalBounds(t *testing.T) {
 }
 
 func TestOraclePredictorBeatsBadPredictor(t *testing.T) {
-	o := &oracle{}
 	prof, _ := workload.ByName("twolf")
-	simO := New(DefaultConfig(), o)
-	resO := simO.Run(&oracleGen{inner: workload.New(prof), o: o}, 400000, 100000)
+	o := newOracle(workload.New(prof), 400000)
+	resO := New(DefaultConfig(), o).Run(workload.New(prof), 400000, 100000)
 
 	resBad := run(predictor.NotTaken{}, "twolf", 400000)
 	if resO.IPC() <= resBad.IPC() {
@@ -192,6 +190,51 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}
 	}()
 	New(bad, predictor.Taken{})
+}
+
+// TestInvalidLaneNamed pins the loud failure on a bad config: the panic
+// names the offending lane and prints its config, through RunMany and
+// through a one-lane New(...).Run alike.
+func TestInvalidLaneNamed(t *testing.T) {
+	badWidth := DefaultConfig()
+	badWidth.FetchWidth = 0
+	badROB := DefaultConfig()
+	badROB.ROBSize = 0
+	src := func() trace.Source { return workload.New(mustProfile(t, "gzip")) }
+	panicMsg := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return ""
+	}
+	for _, tc := range []struct {
+		name string
+		bad  Config
+		want string
+	}{
+		{"widths", badWidth, "invalid widths"},
+		{"rob", badROB, "ROB size must be positive"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfgText := fmt.Sprintf("%+v", tc.bad)
+			msg := panicMsg(func() {
+				RunMany([]Lane{
+					{Cfg: DefaultConfig(), Pred: predictor.Taken{}},
+					{Cfg: tc.bad, Pred: predictor.Taken{}},
+				}, src(), nil, 1000, 0)
+			})
+			for _, want := range []string{tc.want, "lane 1", cfgText} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("RunMany panic %q does not contain %q", msg, want)
+				}
+			}
+			msg = panicMsg(func() { New(tc.bad, predictor.Taken{}).Run(src(), 1000, 0) })
+			for _, want := range []string{tc.want, "lane 0", cfgText} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("New(...).Run panic %q does not contain %q", msg, want)
+				}
+			}
+		})
+	}
 }
 
 func TestDeterministicIPC(t *testing.T) {

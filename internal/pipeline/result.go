@@ -49,35 +49,7 @@ func (r Result) MispredictPercent() float64 {
 	return 100 * float64(r.Mispredicts) / float64(r.Branches)
 }
 
-// result assembles the Result from the simulation state.
-func (s *Sim) result(warmupInsts int64) Result {
-	r := Result{
-		Predictor:        s.pred.Name(),
-		Insts:            s.insts - warmupInsts,
-		Cycles:           s.cycles,
-		Branches:         s.measBranches.Total,
-		Mispredicts:      s.measBranches.Events,
-		BTBMissRate:      s.btbMisses.Value(),
-		L1IMissRate:      s.icache.MissRate(),
-		L1DMissRate:      s.dcache.MissRate(),
-		L2MissRate:       s.l2.MissRate(),
-		FetchStallCycles: s.fetchStall,
-	}
-	if s.sideActive {
-		// The sidecar path tallied accesses and misses instead of
-		// simulating the caches; same ratios, same zero-total rule.
-		r.L1IMissRate = missRate(s.sideL1IMiss, s.sideL1IAcc)
-		r.L1DMissRate = missRate(s.sideL1DMiss, s.sideL1DAcc)
-		r.L2MissRate = missRate(s.sideL2Miss, s.sideL2Acc)
-	}
-	if s.over != nil {
-		r.Overrides = s.overrides.Events
-		r.OverrideRate = s.overrides.Value()
-	}
-	return r
-}
-
-// missRate mirrors cache.Cache.MissRate's formula for the sidecar tallies.
+// missRate is cache.Cache.MissRate's formula, for the sidecar tallies.
 func missRate(misses, total uint64) float64 {
 	if total == 0 {
 		return 0

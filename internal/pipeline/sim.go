@@ -3,16 +3,12 @@ package pipeline
 import (
 	"fmt"
 
-	"branchsim/internal/btb"
-	"branchsim/internal/cache"
-	"branchsim/internal/core"
 	"branchsim/internal/predictor"
-	"branchsim/internal/stats"
 	"branchsim/internal/trace"
 )
 
-// Sim is one timing simulation run: a core configuration, a branch
-// predictor organization, and the accumulated state of a trace replay.
+// Sim is one timing simulation cell: a core configuration, a branch
+// predictor organization, and an optional memory-latency sidecar.
 //
 // The model is an event-ordered scoreboard: instructions flow in program
 // order through fetch → dispatch → issue → complete → commit, with each
@@ -21,140 +17,34 @@ import (
 // are not simulated; their cost appears as the redirect bubble between a
 // mispredicted branch's resolution and the arrival of correct-path
 // instructions, the same accounting the paper's modified SimpleScalar uses.
-//
-//bplint:lanecheck
+// The simulation itself is the engine in fused.go; a Sim is its one-lane
+// caller.
 type Sim struct {
 	cfg  Config
 	pred predictor.Predictor
-
-	over       *core.Overriding     // non-nil when pred is an overriding organization
-	cycleAware predictor.CycleAware // non-nil when pred wants the fetch clock
-	recovery   int                  // extra post-misprediction bubble (predictor.RecoveryCost)
-
-	icache *cache.Cache
-	dcache *cache.Cache
-	l2     *cache.Cache
-	btb    *btb.BTB
-
-	// Memory-latency sidecar (SetMemSidecar). When active, the
-	// precomputed per-instruction access classes replace the live
-	// L1I/L1D/L2 simulation; the counters below reproduce the live
-	// caches' access/miss tallies so Result's miss rates are identical.
-	side                    *MemSidecar
-	sideActive              bool
-	sideIdx                 int64
-	sideL1IAcc, sideL1IMiss uint64
-	sideL1DAcc, sideL1DMiss uint64
-	sideL2Acc, sideL2Miss   uint64
-
-	// Scoreboard state.
-	regReady   [trace.NumRegs]uint64
-	commitRing []uint64 // commit cycle of the i-th most recent instructions (ROB window)
-	robIdx     int
-
-	issueRing   slotRing // total issues per cycle
-	intRing     slotRing
-	memRing     slotRing
-	mulRing     slotRing
-	fpRing      slotRing
-	commitRing2 slotRing
-
-	// Fetch state.
-	fetchCycle     uint64 // cycle currently being fetched into
-	fetchUsed      int    // instructions fetched in fetchCycle
-	lastFetchBlock uint64 // current I-cache block address + 1 (0 = none)
-	lastCommit     uint64
-
-	// Statistics.
-	insts        int64
-	cycles       uint64
-	branches     stats.Rate // mispredictions / branches
-	overrides    stats.Rate
-	btbMisses    stats.Rate
-	fetchStall   uint64 // cycles fetch waited on redirects/bubbles (approximate attribution)
-	warmupInsts  int64
-	measBranches stats.Rate
-}
-
-// slotRing counts per-cycle resource usage over a sliding window.
-type slotRing struct {
-	cycle []uint64
-	count []uint16
-	limit uint16
-}
-
-const ringSize = 1 << 15
-
-func newSlotRing(limit int) slotRing {
-	return slotRing{
-		cycle: make([]uint64, ringSize),
-		count: make([]uint16, ringSize),
-		limit: uint16(limit),
-	}
-}
-
-// take reserves one slot at or after cycle t and returns the cycle used.
-func (r *slotRing) take(t uint64) uint64 {
-	for {
-		i := t & (ringSize - 1)
-		if r.cycle[i] != t {
-			r.cycle[i] = t
-			r.count[i] = 1
-			return t
-		}
-		if r.count[i] < r.limit {
-			r.count[i]++
-			return t
-		}
-		t++
-	}
-}
-
-// peekFree reports the first cycle at or after t with a free slot, without
-// reserving it.
-func (r *slotRing) peekFree(t uint64) uint64 {
-	for {
-		i := t & (ringSize - 1)
-		if r.cycle[i] != t || r.count[i] < r.limit {
-			return t
-		}
-		t++
-	}
+	side *MemSidecar
 }
 
 // New returns a timing simulation of cfg using pred as the branch direction
 // predictor organization. Pass a *core.Overriding to model the overriding
 // delay-hiding scheme; a *core.GShareFast is driven with real fetch cycles;
 // any other predictor is treated as answering in a single cycle (the paper's
-// "no delay" idealization).
+// "no delay" idealization). An invalid cfg panics here, with the message
+// RunMany gives for lane 0.
 func New(cfg Config, pred predictor.Predictor) *Sim {
+	checkLane(0, cfg)
+	return &Sim{cfg: cfg, pred: pred}
+}
+
+// checkLane panics unless cfg describes a machine the engine can simulate,
+// naming the lane and the full config so a bad grid cell is identifiable.
+func checkLane(i int, cfg Config) {
 	if cfg.FetchWidth <= 0 || cfg.IssueWidth <= 0 || cfg.CommitWidth <= 0 {
-		panic(fmt.Sprintf("pipeline: invalid widths in config %+v", cfg))
+		panic(fmt.Sprintf("pipeline: invalid widths in lane %d config %+v", i, cfg))
 	}
 	if cfg.ROBSize <= 0 {
-		panic("pipeline: ROB size must be positive")
+		panic(fmt.Sprintf("pipeline: ROB size must be positive in lane %d config %+v", i, cfg))
 	}
-	s := &Sim{
-		cfg:         cfg,
-		pred:        pred,
-		icache:      cache.New(cfg.L1I),
-		dcache:      cache.New(cfg.L1D),
-		l2:          cache.New(cfg.L2),
-		btb:         btb.New(cfg.BTBEntries, cfg.BTBWays),
-		commitRing:  make([]uint64, cfg.ROBSize),
-		issueRing:   newSlotRing(cfg.IssueWidth),
-		intRing:     newSlotRing(cfg.IntPorts),
-		memRing:     newSlotRing(cfg.MemPorts),
-		mulRing:     newSlotRing(cfg.MulPorts),
-		fpRing:      newSlotRing(cfg.FPPorts),
-		commitRing2: newSlotRing(cfg.CommitWidth),
-	}
-	s.over, _ = pred.(*core.Overriding)
-	s.cycleAware, _ = pred.(predictor.CycleAware)
-	if rc, ok := pred.(predictor.RecoveryCost); ok {
-		s.recovery = rc.RecoveryPenalty()
-	}
-	return s
 }
 
 // Predictor returns the predictor organization under test.
@@ -163,391 +53,15 @@ func (s *Sim) Predictor() predictor.Predictor { return s.pred }
 // SetMemSidecar attaches a precomputed memory-latency sidecar. It is used
 // on a subsequent Run only when it covers that run exactly — same recording
 // replayed from the start under the same cache geometry (see
-// MemSidecar.covers); otherwise the live hierarchy is simulated as before.
+// MemSidecar.covers); otherwise the live hierarchy is simulated.
 func (s *Sim) SetMemSidecar(side *MemSidecar) { s.side = side }
 
-// icacheLatency returns the fetch stall for the block containing pc,
-// allocating through the hierarchy.
-func (s *Sim) icacheLatency(pc uint64) uint64 {
-	if s.icache.Access(pc) {
-		return 0
-	}
-	if s.l2.Access(pc) {
-		return uint64(s.cfg.L2Latency)
-	}
-	return uint64(s.cfg.MemLatency)
-}
-
-// dcacheLatency returns the load-use latency for addr.
-func (s *Sim) dcacheLatency(addr uint64) uint64 {
-	if s.dcache.Access(addr) {
-		return uint64(s.cfg.L1DLatency)
-	}
-	if s.l2.Access(addr) {
-		return uint64(s.cfg.L2Latency)
-	}
-	return uint64(s.cfg.MemLatency)
-}
-
-// fetchLatency is icacheLatency with the sidecar consulted first. It is
-// called only when the current instruction starts a fetch-block access:
-// either a genuinely new block (the sidecar recorded its outcome) or a
-// redirect-induced re-touch of the previous block (class sideFetchNone — a
-// guaranteed hit on the still-resident MRU line, see BuildMemSidecar).
-func (s *Sim) fetchLatency(pc uint64) uint64 {
-	if !s.sideActive {
-		return s.icacheLatency(pc)
-	}
-	s.sideL1IAcc++
-	switch s.side.class[s.sideIdx] & sideFetchMask {
-	case sideFetchNone, sideFetchL1 << sideFetchShift:
-		return 0
-	case sideFetchL2 << sideFetchShift:
-		s.sideL1IMiss++
-		s.sideL2Acc++
-		return uint64(s.cfg.L2Latency)
-	case sideFetchMem << sideFetchShift:
-		s.sideL1IMiss++
-		s.sideL2Acc++
-		s.sideL2Miss++
-		return uint64(s.cfg.MemLatency)
-	default:
-		panic("pipeline: sidecar fetch class out of range")
-	}
-}
-
-// loadLatency is dcacheLatency with the sidecar consulted first.
-func (s *Sim) loadLatency(addr uint64) uint64 {
-	if !s.sideActive {
-		return s.dcacheLatency(addr)
-	}
-	s.sideL1DAcc++
-	switch s.side.class[s.sideIdx] & sideMemMask {
-	case sideMemL1 << sideMemShift:
-		return uint64(s.cfg.L1DLatency)
-	case sideMemL2 << sideMemShift:
-		s.sideL1DMiss++
-		s.sideL2Acc++
-		return uint64(s.cfg.L2Latency)
-	case sideMemMem << sideMemShift:
-		s.sideL1DMiss++
-		s.sideL2Acc++
-		s.sideL2Miss++
-		return uint64(s.cfg.MemLatency)
-	default: // sideMemNone: loadLatency is only called for loads, which always carry a mem class
-		panic("pipeline: load with no sidecar mem class")
-	}
-}
-
-// storeAccess allocates a store's line in the D-cache (live path) or tallies
-// the precomputed outcome (sidecar path). Stores never access the L2 in this
-// model — they retire from the store queue — so a store miss only allocates.
-func (s *Sim) storeAccess(addr uint64) {
-	if !s.sideActive {
-		s.dcache.Access(addr)
-		return
-	}
-	s.sideL1DAcc++
-	if s.side.class[s.sideIdx]&sideMemMask == sideMemMem<<sideMemShift {
-		s.sideL1DMiss++
-	}
-}
-
-// advanceFetch moves the fetch point to at least cycle t, accounting the
-// skipped cycles as fetch stall.
-func (s *Sim) advanceFetch(t uint64) {
-	if t > s.fetchCycle {
-		s.fetchStall += t - s.fetchCycle
-		s.fetchCycle = t
-		s.fetchUsed = 0
-		s.lastFetchBlock = 0
-	}
-}
-
-// nextFetchCycle ends the current fetch cycle.
-func (s *Sim) breakFetch() {
-	s.fetchCycle++
-	s.fetchUsed = 0
-	s.lastFetchBlock = 0
-}
-
-// runState is the per-Run loop context shared by the three drive loops:
-// the budget and warm-up boundaries, the derived fetch constants, and the
-// commit cycle observed at the warm-up boundary.
-//
-//bplint:lanecheck
-type runState struct {
-	maxInsts    int64
-	warmupInsts int64
-	feDepth     uint64
-	blockMask   uint64
-	warmupCycle uint64
-}
-
 // Run replays up to maxInsts instructions from src (a live generator or a
-// recorded trace cursor), with the first
-// warmupInsts excluded from the reported statistics (caches, predictors and
-// scoreboard state still train). It returns the result summary.
-//
-// Sources implementing trace.InstSource — replay cursors reconstructing
-// whole batches from the recording's struct-of-arrays chunks — are driven
-// through a batched inner loop instead of one virtual Next call per
-// instruction; with a matching memory-latency sidecar (SetMemSidecar) the
-// precomputed per-instruction cache outcomes replace the live L1I/L1D/L2
-// simulation as well. Every fast-path layer is bit-identical to the plain
-// loop (TestTimingFastPathEquivalence).
+// recorded trace cursor), with the first warmupInsts excluded from the
+// reported statistics (caches, predictors and scoreboard state still
+// train). It is RunMany with one lane: every call starts from a fresh
+// scoreboard, caches and BTB, while the predictor keeps whatever state
+// earlier runs trained into it.
 func (s *Sim) Run(src trace.Source, maxInsts, warmupInsts int64) Result {
-	s.warmupInsts = warmupInsts
-	rs := runState{
-		maxInsts:    maxInsts,
-		warmupInsts: warmupInsts,
-		feDepth:     uint64(s.cfg.frontEndDepth()),
-		blockMask:   ^uint64(int64(s.cfg.L1I.LineBytes) - 1),
-	}
-	s.sideActive = false
-	s.sideIdx = 0
-	if cur, ok := src.(*trace.Cursor); ok {
-		// Devirtualizing the dominant concrete type keeps the batch on
-		// the driver's stack (the interface call in runInstSource makes
-		// it escape), which the zero-allocation guarantee rests on. The
-		// sidecar is only trusted for a cursor, whose stream identity
-		// and position are checkable.
-		s.sideActive = s.side != nil && s.side.covers(s.cfg, cur)
-		s.runCursor(cur, &rs)
-	} else if is, ok := src.(trace.InstSource); ok {
-		s.runInstSource(is, &rs)
-	} else {
-		var inst trace.Inst
-		for s.insts < rs.maxInsts && src.Next(&inst) {
-			s.step(&inst, &rs)
-		}
-	}
-	s.cycles = s.lastCommit - rs.warmupCycle
-	r := s.result(warmupInsts)
-	r.Workload = src.Name()
-	return r
-}
-
-// runCursor is the batched loop specialized to the concrete replay cursor
-// so the batch array does not escape to the heap (see Run).
-//
-//bplint:hotpath timing fast path; TestBatchedTimingRunAllocs pins allocs/op to zero
-func (s *Sim) runCursor(cur *trace.Cursor, rs *runState) {
-	var batch [trace.InstBatchLen]trace.Inst
-	for s.insts < rs.maxInsts {
-		lim := len(batch)
-		if want := rs.maxInsts - s.insts; int64(lim) > want {
-			lim = int(want)
-		}
-		n := cur.NextInsts(batch[:lim])
-		if n == 0 {
-			return
-		}
-		for i := 0; i < n; i++ {
-			//bplint:twinskip fused hands the whole batch to runBatch's lane sweep instead of stepping singly
-			s.step(&batch[i], rs)
-		}
-	}
-}
-
-// runInstSource is the batched loop over any InstSource.
-func (s *Sim) runInstSource(is trace.InstSource, rs *runState) {
-	//bplint:twinskip fused fills its own batch column array; no per-call buffer
-	batch := make([]trace.Inst, trace.InstBatchLen)
-	for s.insts < rs.maxInsts {
-		lim := len(batch)
-		if want := rs.maxInsts - s.insts; int64(lim) > want {
-			lim = int(want)
-		}
-		n := is.NextInsts(batch[:lim])
-		if n == 0 {
-			return
-		}
-		for i := 0; i < n; i++ {
-			//bplint:twinskip fused hands the whole batch to runBatch's lane sweep instead of stepping singly
-			s.step(&batch[i], rs)
-		}
-	}
-}
-
-// step advances the scoreboard by one instruction — the loop body shared by
-// the instruction-at-a-time and batched drive loops, so the fast paths are
-// equivalent by construction and only the stream delivery (and, with a
-// sidecar, the memory-latency source) differs.
-//
-//bplint:hotpath runs once per instruction across multi-million-instruction sweeps
-func (s *Sim) step(inst *trace.Inst, rs *runState) {
-	if s.insts == rs.warmupInsts {
-		rs.warmupCycle = s.lastCommit
-	}
-	//bplint:twinskip fused counts whole batches once in runBatch, not per instruction
-	s.insts++
-
-	// --- Fetch ---
-	if s.fetchUsed >= s.cfg.FetchWidth {
-		s.breakFetch()
-	}
-	block := inst.PC&rs.blockMask + 1
-	if block != s.lastFetchBlock {
-		if s.lastFetchBlock != 0 {
-			// Crossing into a new block mid-cycle: fetch continues
-			// next cycle. block depends only on inst.PC, so it
-			// needs no recomputation after the fetch break.
-			s.breakFetch()
-		}
-		//bplint:twinskip fused splits this probe by sidecar flag: class table lookup or live per-lane caches
-		if lat := s.fetchLatency(inst.PC); lat > 0 {
-			s.advanceFetch(s.fetchCycle + lat)
-		}
-		s.lastFetchBlock = block
-	}
-	fetchAt := s.fetchCycle
-	s.fetchUsed++
-
-	// Keep fetch from running unboundedly ahead of commit: the
-	// ROB bounds instructions in flight.
-	oldestCommit := s.commitRing[s.robIdx]
-	dispatchAt := fetchAt + rs.feDepth
-	if dispatchAt <= oldestCommit {
-		// Structural stall: fetch (and the whole front end)
-		// backs up until the ROB drains.
-		if oldestCommit+1 > rs.feDepth {
-			s.advanceFetch(oldestCommit + 1 - rs.feDepth)
-		}
-		fetchAt = s.fetchCycle
-		dispatchAt = fetchAt + rs.feDepth
-	}
-
-	// --- Branch prediction at fetch ---
-	var predictedTaken bool
-	//bplint:twinskip fused hoists the kind test into stepAll's per-instruction sweep dispatch
-	isBranch := inst.Kind == trace.CondBranch
-	if isBranch {
-		if s.cycleAware != nil {
-			s.cycleAware.OnCycle(fetchAt)
-		}
-		predictedTaken = s.pred.Predict(inst.PC)
-		s.pred.Update(inst.PC, inst.Taken)
-		if s.over != nil {
-			if overrode, bubble := s.over.LastOverrode(); overrode {
-				// The slow predictor rejected the quick
-				// prediction: instructions fetched behind
-				// this branch are squashed and fetch
-				// restarts after the bubble.
-				s.overrides.Add(true)
-				s.advanceFetch(fetchAt + 1 + uint64(bubble))
-			} else {
-				s.overrides.Add(false)
-			}
-		}
-	}
-
-	// Taken control flow: BTB provides the target for predicted-
-	// taken branches; jumps resolve in decode at the latest.
-	if (isBranch && predictedTaken && inst.Taken) || inst.Kind == trace.Jump {
-		_, hit := s.btb.Lookup(inst.PC)
-		if !hit {
-			s.btbMisses.Add(true)
-			s.advanceFetch(fetchAt + 1 + uint64(s.cfg.BTBMissPenalty))
-		} else {
-			s.btbMisses.Add(false)
-			s.breakFetch() // taken-branch fetch break
-		}
-		s.btb.Insert(inst.PC, inst.Target)
-	}
-
-	// --- Issue ---
-	ready := dispatchAt
-	if inst.Src1 >= 0 {
-		if t := s.regReady[inst.Src1]; t > ready {
-			ready = t
-		}
-	}
-	if inst.Src2 >= 0 {
-		if t := s.regReady[inst.Src2]; t > ready {
-			ready = t
-		}
-	}
-	var port *slotRing
-	var execLat uint64
-	switch inst.Kind {
-	case trace.Load:
-		//bplint:twinskip fused precomputes port and latency classes into prep's shared pcls/lcls columns
-		port, execLat = &s.memRing, s.loadLatency(inst.Addr)
-	case trace.Store:
-		//bplint:twinskip fused precomputes port and latency classes into prep's shared pcls/lcls columns
-		port, execLat = &s.memRing, 1
-		// Stores retire from the store queue; the D-cache
-		// line is still allocated for subsequent loads.
-		//bplint:twinskip fused splits this by sidecar flag: prep tallies the class or the sweep probes live caches
-		s.storeAccess(inst.Addr)
-	case trace.Mul:
-		//bplint:twinskip fused precomputes port and latency classes into prep's shared pcls/lcls columns
-		port, execLat = &s.mulRing, uint64(s.cfg.MulLatency)
-	case trace.FPU:
-		//bplint:twinskip fused precomputes port and latency classes into prep's shared pcls/lcls columns
-		port, execLat = &s.fpRing, uint64(s.cfg.FPLatency)
-	case trace.ALU, trace.CondBranch, trace.Jump:
-		//bplint:twinskip fused precomputes port and latency classes into prep's shared pcls/lcls columns
-		port, execLat = &s.intRing, 1
-	default:
-		panic("pipeline: unhandled instruction kind")
-	}
-	//bplint:twinskip fused collapses the probe-then-reserve protocol into one byteRing takeInBoth call
-	issueAt := ready
-	for {
-		//bplint:twinskip fused collapses the probe-then-reserve protocol into one byteRing takeInBoth call
-		t := s.issueRing.peekFree(issueAt)
-		//bplint:twinskip fused collapses the probe-then-reserve protocol into one byteRing takeInBoth call
-		t = port.peekFree(t)
-		if t == issueAt {
-			break
-		}
-		//bplint:twinskip fused collapses the probe-then-reserve protocol into one byteRing takeInBoth call
-		issueAt = t
-	}
-	//bplint:twinskip fused collapses the probe-then-reserve protocol into one byteRing takeInBoth call
-	s.issueRing.take(issueAt)
-	//bplint:twinskip fused collapses the probe-then-reserve protocol into one byteRing takeInBoth call
-	port.take(issueAt)
-	completeAt := issueAt + execLat
-
-	if inst.Dst >= 0 {
-		s.regReady[inst.Dst] = completeAt
-	}
-
-	// --- Branch resolution ---
-	if isBranch {
-		miss := predictedTaken != inst.Taken
-		s.branches.Add(miss)
-		if s.insts > rs.warmupInsts {
-			s.measBranches.Add(miss)
-		}
-		if miss {
-			// Redirect: correct-path fetch resumes once the
-			// branch resolves and the front end refills —
-			// plus any organization-specific recovery cost
-			// (e.g. an uncheckpointed PHT buffer refill).
-			s.advanceFetch(completeAt + 1 + uint64(s.recovery))
-		}
-	}
-
-	// --- Commit ---
-	commitAt := completeAt + 1
-	if commitAt < s.lastCommit {
-		//bplint:twinskip fused degenerates the monotone commit ring to the (lastCommit, commitUsed) scalar pair
-		commitAt = s.lastCommit // in-order commit
-	}
-	//bplint:twinskip fused degenerates the monotone commit ring to the (lastCommit, commitUsed) scalar pair
-	commitAt = s.commitRing2.take(commitAt)
-	if commitAt > s.lastCommit {
-		s.lastCommit = commitAt
-	}
-	//bplint:twinskip fused stores the clamped lastCommit, identical to commitAt after the ring take
-	s.commitRing[s.robIdx] = commitAt
-	//bplint:twinskip fused wraps the ROB cursor with a compare instead of an integer division
-	s.robIdx = (s.robIdx + 1) % s.cfg.ROBSize
-
-	//bplint:twinskip fused indexes sidecar classes by batch offset in prep, no per-instruction cursor
-	s.sideIdx++
+	return RunMany([]Lane{{Cfg: s.cfg, Pred: s.pred}}, src, s.side, maxInsts, warmupInsts)[0]
 }

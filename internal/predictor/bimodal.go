@@ -49,8 +49,6 @@ func (b *Bimodal) Update(pc uint64, taken bool) {
 // StepBatch implements BatchStepper: one fused read-modify-write of the
 // PC-indexed counter per branch.
 //
-//bplint:twin predictor.Bimodal.Update
-//bplint:twinmap update=predictupdate
 //bplint:hotpath fused-sweep bimodal lane; bit-identity pinned by TestStepBatchEquivalence
 func (b *Bimodal) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
 	var miss int64

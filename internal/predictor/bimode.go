@@ -89,11 +89,9 @@ func (b *BiMode) Update(pc uint64, taken bool) {
 	choiceIdx, dirIdx, useTaken := b.parts(pc)
 	var bankCorrect bool
 	if useTaken {
-		//bplint:twinskip fused folds this read into PredictUpdate: the pre-update direction doubles as pred and bankCorrect
 		bankCorrect = b.taken.Taken(dirIdx) == taken
 		b.taken.Update(dirIdx, taken)
 	} else {
-		//bplint:twinskip fused folds this read into PredictUpdate: the pre-update direction doubles as pred and bankCorrect
 		bankCorrect = b.notTkn.Taken(dirIdx) == taken
 		b.notTkn.Update(dirIdx, taken)
 	}
@@ -111,8 +109,6 @@ func (b *BiMode) Update(pc uint64, taken bool) {
 // bankCorrect, and the choice counter's direction is unchanged until its
 // own conditional update.
 //
-//bplint:twin predictor.BiMode.Update
-//bplint:twinmap update=predictupdate
 //bplint:hotpath fused-sweep bi-mode lane; bit-identity pinned by TestStepBatchEquivalence
 func (b *BiMode) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
 	var miss int64

@@ -66,9 +66,6 @@ func (g *GShare) Update(pc uint64, taken bool) {
 // with the index computed once and the PHT word read and written once
 // (counter.Array2.PredictUpdate).
 //
-//bplint:twin predictor.GShare.index
-//bplint:twin predictor.GShare.Update
-//bplint:twinmap update=predictupdate
 //bplint:hotpath fused-sweep gshare lane; bit-identity pinned by TestStepBatchEquivalence
 func (g *GShare) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
 	var miss int64

@@ -32,7 +32,7 @@ type BranchRec struct {
 // BranchSource is the batch fast-path protocol: a stream that can serve its
 // conditional branches directly, in stream order, without materializing the
 // instructions in between. Recording replay cursors implement it from the
-// precomputed branch index; live generators filter their own stream.
+// precomputed branch index; any other Source is adapted by FilterBranches.
 // Consumers use either the Source protocol or the BranchSource protocol on
 // one stream, never both.
 type BranchSource interface {
@@ -138,3 +138,36 @@ func (c *BranchCursor) Name() string { return c.rec.name }
 
 // Reset rewinds the cursor to the first branch.
 func (c *BranchCursor) Reset() { c.ci, c.bi, c.scanned = 0, 0, 0 }
+
+// BranchFilter adapts a plain Source to BranchSource: it drains the stream
+// one Next call at a time and passes on only the conditional branches,
+// positioned by their stream index. It is how a live generator, or any
+// Source without a branch index, reaches the accuracy simulator.
+type BranchFilter struct {
+	src     Source
+	scanned int64
+	inst    Inst
+}
+
+// FilterBranches returns a BranchFilter over src, positioned at src's
+// current instruction.
+func FilterBranches(src Source) *BranchFilter { return &BranchFilter{src: src} }
+
+// NextBranches implements BranchSource.
+func (f *BranchFilter) NextBranches(dst []BranchRec) int {
+	n := 0
+	for n < len(dst) && f.src.Next(&f.inst) {
+		f.scanned++
+		if f.inst.Kind == CondBranch {
+			dst[n] = BranchRec{InstIndex: f.scanned - 1, PC: f.inst.PC, Taken: f.inst.Taken}
+			n++
+		}
+	}
+	return n
+}
+
+// InstsScanned implements BranchSource.
+func (f *BranchFilter) InstsScanned() int64 { return f.scanned }
+
+// Name identifies the filtered workload.
+func (f *BranchFilter) Name() string { return f.src.Name() }

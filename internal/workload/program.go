@@ -93,6 +93,7 @@ type Program struct {
 	regionIdx    int
 
 	classByPC map[uint64]BranchClass // lazy diagnostic index
+	filter    *trace.BranchFilter    // lazy branch protocol (NextBranches)
 }
 
 // phaseLen is the per-phase instruction budget of the phase scheduler.
@@ -518,22 +519,17 @@ func (p *Program) Next(inst *trace.Inst) bool {
 	return true
 }
 
-// NextBranches implements trace.BranchSource by filtering the live stream:
-// the generator still synthesizes every instruction (its RNG state depends
-// on all of them), but only the conditional branches cross the interface,
-// in batches, with their stream positions. This is the straightforward
-// adapter that lets a live Program and a recording's replay cursor serve
-// the accuracy simulator's fast path interchangeably.
+// NextBranches implements trace.BranchSource by filtering the live stream
+// (trace.FilterBranches): the generator still synthesizes every instruction
+// (its RNG state depends on all of them), but only the conditional
+// branches cross the interface, in batches, with their stream positions.
+// It lets a live Program and a recording's replay cursor serve the
+// accuracy simulator interchangeably.
 func (p *Program) NextBranches(dst []trace.BranchRec) int {
-	var inst trace.Inst
-	n := 0
-	for n < len(dst) && p.Next(&inst) {
-		if inst.Kind == trace.CondBranch {
-			dst[n] = trace.BranchRec{InstIndex: p.insts - 1, PC: inst.PC, Taken: inst.Taken}
-			n++
-		}
+	if p.filter == nil {
+		p.filter = trace.FilterBranches(p)
 	}
-	return n
+	return p.filter.NextBranches(dst)
 }
 
 // InstsScanned implements trace.BranchSource: the instructions generated so

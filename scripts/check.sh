@@ -19,14 +19,15 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> bplint ./... (all nineteen analyzers, concurrency + twin certification included)"
+echo "==> bplint ./... (all sixteen analyzers, concurrency certification included)"
 go run ./cmd/bplint ./...
 
 echo "==> bplint allow audit (every waiver carries a justification)"
 go run ./cmd/bplint -allows
 
-echo "==> seeded-drift regression (edited scalar statement must yield exactly one twinsync finding)"
-go test -run 'TestSeededDrift' ./internal/analysis
+echo "==> engine-vs-reference differential fuzz smoke (10s each: random streams, 1-3 lanes, bit-identical Results)"
+go test -run '^$' -fuzz FuzzEngineVsReference -fuzztime=10s ./internal/pipeline
+go test -run '^$' -fuzz FuzzEngineVsReference -fuzztime=10s ./internal/funcsim
 
 echo "==> BPTRACE1 codec fuzz smoke (10s round-trip/fixed-point search)"
 go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime=10s ./internal/trace
@@ -47,17 +48,18 @@ go test -race -run 'TestConcurrentColdCoalesce' ./internal/resultstore
 echo "==> replay equivalence (live vs recorded streams, race-enabled)"
 go test -race -run 'TestReplayEquivalence|TestConcurrentReplay|TestClassifiedReplay' ./internal/tracestore
 
-echo "==> branch fast-path equivalence (batched vs instruction-at-a-time, race-enabled)"
-go test -race -run 'TestFastPathEquivalence' ./internal/funcsim
+echo "==> accuracy engine equivalence (Run/RunMany/RunBlocks vs the instruction-at-a-time reference, every factory BatchStepper, race-enabled)"
+go test -race -run 'TestFastPathEquivalence|TestRunManyEquivalence|TestRunManySingleLane' ./internal/funcsim
+go test -race -run 'TestFactoryBatchSteppers' ./internal/experiments
 go test -race -run 'TestBranchIndexMatchesStream|TestCodecPreservesBranchIndex|TestConcurrentBranchCursors' ./internal/trace
 
-echo "==> timing fast-path equivalence (batched/sidecar/memo vs instruction-at-a-time live-cache, race-enabled)"
+echo "==> timing engine equivalence (cursor/InstSource/plain Source/sidecar/memo vs the instruction-at-a-time live-cache reference, race-enabled)"
 go test -race -run 'TestTimingFastPathEquivalence|TestSidecarFallback|TestSlotRingWraparound' ./internal/pipeline
 go test -race -run 'TestTimingMemoEquivalence|TestTimingMemoDeduplicates|TestTimingMemoConcurrentStress' ./internal/experiments
 go test -race -run 'TestNextInstsMatchesStream|TestNextInstsInterleavesWithNext|TestNextInstsProtocolMixPanics' ./internal/trace
 
-echo "==> fused timing equivalence (RunMany vs per-cell reference, geometry guard, scheduler parity, race-enabled)"
-go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingLiveCaches|TestFusedTimingGeometryGuard' ./internal/pipeline
+echo "==> fused timing equivalence (RunMany vs the reference, geometry guard, named bad lanes, scheduler parity, race-enabled)"
+go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingLiveCaches|TestFusedTimingGeometryGuard|TestInvalidLaneNamed' ./internal/pipeline
 go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFusedTimingMemoAccounting|TestFusedTimingStoreFlow' ./internal/experiments
 
 echo "==> cell store equivalence + robustness (store-served cells bit-identical; corrupt/truncated/stale entries recomputed, race-enabled)"
@@ -65,7 +67,7 @@ go test -race ./internal/resultstore
 go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestRunCellsPanicKey' ./internal/experiments
 
 echo "==> batched-loop allocation bounds (no race: alloc counts need a plain build)"
-go test -run 'TestBatchedRunAllocs' ./internal/funcsim
+go test -run 'TestBatchedRunAllocs|TestRunManyAllocs' ./internal/funcsim
 go test -run 'TestBatchedTimingRunAllocs|TestFusedTimingAllocs' ./internal/pipeline
 
 echo "==> go test -race ./..."
