@@ -572,8 +572,8 @@ func BenchmarkFusedTimingSweepPerCell(b *testing.B) {
 // The same design-point column as the timing sweep above, but exercised
 // through the persistence and planner layers: a cold run simulates every
 // distinct cell and writes it back to a fresh result store; a warm run opens
-// a second store over the same directory (a second process's view — its
-// in-memory flight cache is empty, so every cell must come off disk) and
+// a second store over the same directory through a fresh memo (a second
+// process's view, so every cell must come off disk) and
 // serves the whole column without simulating. The sharded/serial pair runs
 // the identical distinct-cell plan through the worker-pool scheduler at
 // GOMAXPROCS vs one worker. ---

@@ -276,25 +276,19 @@ const (
 // TimingMemo memoizes timing Results by canonical cell key — (kind,
 // organization, budget, benchmark, measurement window, machine) — so cells
 // duplicated across experiment grids are simulated once. The experiment
-// registry runs every figure and ablation through a process-wide memo;
+// registry runs every figure and ablation through a process-wide cache;
 // NewTimingMemo gives a custom grid its own.
 type TimingMemo = experiments.TimingMemo
 
-// NewTimingMemo returns an empty timing memo. Its Cell method is the
-// memoized grid-cell primitive: recorded stream and memory sidecar from the
-// process-wide trace store, batched replay, Result cached in the memo.
+// NewTimingMemo returns an empty timing memo. Its Cell method resolves one
+// grid cell the way the experiment grids do: recorded stream and memory
+// sidecar from the process-wide trace store, Result cached in the memo and,
+// when the options carry a ResultStore, persisted there.
 func NewTimingMemo() *TimingMemo { return experiments.NewTimingMemo() }
 
-// AccuracyMemo is the timing memo's functional-simulation sibling:
-// accuracy Results memoized by canonical cell key.
-type AccuracyMemo = experiments.AccuracyMemo
-
-// NewAccuracyMemo returns an empty accuracy memo.
-func NewAccuracyMemo() *AccuracyMemo { return experiments.NewAccuracyMemo() }
-
-// ResultStore is the persistent tier beneath the memos: a disk-backed,
-// content-addressed store of cell results, keyed by the full canonical
-// cell identity including the recorded stream's content digest
+// ResultStore is the persistent tier beneath the cell caches: a
+// disk-backed, content-addressed store of cell results, keyed by the full
+// canonical cell identity including the recorded stream's content digest
 // (Recording.Digest). Set ExperimentOptions.Store to thread one through an
 // experiment run; store-served cells are bit-identical to fresh
 // simulation, so stdout stays byte-for-byte reproducible warm or cold.

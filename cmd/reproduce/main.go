@@ -13,10 +13,11 @@
 // store (-store) does not change stdout either — store-served cells are
 // bit-identical to fresh simulation — it only makes reruns incremental: a
 // second run serves every cell from disk, and a config tweak recomputes
-// only the cells whose canonical identity changed. Likewise -nofuse: the
-// grid-fused accuracy sweeps (one trace pass per benchmark feeding every
-// predictor lane) are an execution strategy, not an identity, and both
-// modes print the same bytes.
+// only the cells whose canonical identity changed. Likewise -nofuse: grid
+// fusion (one trace pass per benchmark, or per benchmark and cache
+// geometry for timing cells, feeding every lane) is an execution strategy,
+// not an identity. -nofuse runs every cell through the same path as a
+// one-lane group, and both modes print the same bytes.
 package main
 
 import (
@@ -44,7 +45,7 @@ func main() {
 		timings    = flag.Bool("timings", false, "print per-experiment wall-clock timings to stderr")
 		storeDir   = flag.String("store", ".resultstore", "persistent result-store directory (cells served from and written back to disk)")
 		nostore    = flag.Bool("nostore", false, "disable the persistent result store; every cell simulates in-process")
-		nofuse     = flag.Bool("nofuse", false, "disable grid-fused accuracy sweeps; every accuracy cell walks its own trace pass")
+		nofuse     = flag.Bool("nofuse", false, "run every accuracy and timing cell as a one-lane group: same path and results, one trace pass per cell")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this path")
 	)

@@ -12,7 +12,7 @@ import (
 // declaration carries a "// guarded by <mu>" comment may only be read or
 // written in code where that mutex is provably held. The memo maps the
 // fast paths rest on — the trace store's recordings and sidecars, the
-// timing memo's cells — are shared across every experiment goroutine; an
+// cell cache's entries — are shared across every experiment goroutine; an
 // unguarded touch is a data race that corrupts a memoized Result (one
 // wrong IPC cell) without ever failing loudly.
 //
@@ -93,6 +93,9 @@ func runLockGuard(pass *Pass) {
 			if !ok {
 				return
 			}
+			// A generic struct's selections name the instantiated
+			// field; specs is keyed by the declared one.
+			v = v.Origin()
 			spec, ok := specs[v]
 			if !ok {
 				return

@@ -7,8 +7,8 @@ import (
 )
 
 // OncePublish certifies the memo stores' publication protocol. The trace
-// store's entries (entry.rec, sidecarEntry.side) and the timing memo's
-// cells (timingEntry.res) follow one pattern: a struct pairing a sync.Once
+// store's entries (entry.rec, sidecarEntry.side) and the cell cache's
+// entries and group runs (cellEntry.res, groupRun.res) follow one pattern: a struct pairing a sync.Once
 // with the published payload, where the first goroutine computes inside
 // once.Do and everyone else blocks on the Do and then reads. The pattern
 // is sound; the classic way to break it is the unsynchronized
@@ -89,6 +89,9 @@ func runOncePublish(pass *Pass) {
 		if !ok {
 			return
 		}
+		// A generic struct's selections name the instantiated field;
+		// payload is keyed by the declared one.
+		v = v.Origin()
 		info, ok := payload[v]
 		if !ok {
 			return

@@ -52,3 +52,14 @@ type orphan struct {
 }
 
 func (o *orphan) read() int { return o.v }
+
+// probeCache is the generic shape of cache: the guard lookup must resolve
+// an instantiated field back to its declaration.
+type probeCache[R any] struct {
+	mu      sync.Mutex
+	entries map[string]R // guarded by mu
+}
+
+func (c *probeCache[R]) get(k string) R {
+	return c.entries[k] // want "accessed without the mutex provably held"
+}

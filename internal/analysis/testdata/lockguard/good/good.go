@@ -57,3 +57,15 @@ func (c *cache) size() int {
 	defer c.mu.Unlock()
 	return c.sizeLocked()
 }
+
+// probeCache is the generic shape of cache, read under its lock.
+type probeCache[R any] struct {
+	mu      sync.Mutex
+	entries map[string]R // guarded by mu
+}
+
+func (c *probeCache[R]) get(k string) R {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entries[k]
+}

@@ -38,3 +38,16 @@ func (r *registry) peek(k string) *int {
 func (c *cell) sampleStat() bool {
 	return c.res != nil //bplint:allow oncepublish fixture: monitoring-only racy peek
 }
+
+// probeEntry is the generic shape of cell, published the same way.
+type probeEntry[R any] struct {
+	once sync.Once
+	res  R
+}
+
+func (e *probeEntry[R]) get(compute func() R) R {
+	e.once.Do(func() {
+		e.res = compute()
+	})
+	return e.res
+}

@@ -18,7 +18,6 @@ import (
 // paper reports 4.03% → 4.07% mean misprediction at a 256 KB budget and
 // under 1% IPC.
 func DelayedUpdate(opts Options) *Outcome {
-	opts = opts.normalize()
 	const budget = 256 << 10
 	lags := []int{0, 16, 64, 256}
 	profiles := workload.Profiles()
@@ -37,14 +36,14 @@ func DelayedUpdate(opts Options) *Outcome {
 
 	mr := make([][]float64, len(lags))  // [lag][benchmark] mispredict %
 	ipc := make([][]float64, len(lags)) // [lag][benchmark] IPC
-	var plan cellPlan
+	plan := newPlan(opts)
 	for i, lag := range lags {
 		mr[i] = make([]float64, len(profiles))
 		ipc[i] = make([]float64, len(profiles))
 		// lag=0 constructs the stock gshare.fast, so its cells are the
 		// canonical factory ones (the timing cell is the "ideal" one shared
 		// with Figures 2/7 at this budget); lagged variants get their own
-		// memo organizations.
+		// organizations.
 		accOrg, timOrg := "", "ideal"
 		if lag > 0 {
 			accOrg = fmt.Sprintf("lag%d", lag)
@@ -59,7 +58,7 @@ func DelayedUpdate(opts Options) *Outcome {
 				func(res pipeline.Result) { ipc[i][pi] = res.IPC() })
 		}
 	}
-	plan.execute(opts)
+	plan.execute()
 
 	rows := make([]string, len(lags))
 	values := make([][]float64, len(lags))
@@ -89,7 +88,6 @@ func DelayedUpdate(opts Options) *Outcome {
 // average for the perceptron predictor and 18.1% on 300.twolf for the
 // multi-component predictor at the 53-64 KB point.
 func OverrideRate(opts Options) *Outcome {
-	opts = opts.normalize()
 	const budget = 64 << 10
 	kinds := []string{"multicomponent", "2bcgskew", "perceptron"}
 	profiles := workload.Profiles()
@@ -97,7 +95,7 @@ func OverrideRate(opts Options) *Outcome {
 	for i := range values {
 		values[i] = make([]float64, len(kinds))
 	}
-	var plan cellPlan
+	plan := newPlan(opts)
 	for pi, prof := range profiles {
 		for ki, kind := range kinds {
 			plan.addCell(kind, budget, Realistic, prof, func(res pipeline.Result) {
@@ -105,7 +103,7 @@ func OverrideRate(opts Options) *Outcome {
 			})
 		}
 	}
-	plan.execute(opts)
+	plan.execute()
 	for ki := range kinds {
 		col := make([]float64, len(profiles))
 		for pi := range profiles {
@@ -135,34 +133,22 @@ func OverrideRate(opts Options) *Outcome {
 // necessarily stale. It reports the accuracy cost and the buffer sizing
 // b·2^L the paper derives.
 func MultiBranch(opts Options) *Outcome {
-	opts = opts.normalize()
 	const budget = 64 << 10
 	widths := []int{1, 2, 4, 8}
 	profiles := workload.Profiles()
 	grid := make([][]float64, len(widths)) // [width][benchmark] mispredict %
-	var plan cellPlan
+	plan := newPlan(opts)
 	for i, w := range widths {
 		grid[i] = make([]float64, len(profiles))
-		// The block simulation's shape beyond the window is part of the
-		// cell identity (funcsim.RunBlocks vs Run, fetch width, block
-		// branches), carried in the key's sim component.
-		sim := fmt.Sprintf("blocks.fw8.bb%d", w)
 		for pi, prof := range profiles {
-			plan.add(planKey("accuracy", "gshare.fast", "", budget, prof.Name, sim), func() {
-				res := accuracyMemo.cell("gshare.fast", "", sim, budget, prof, opts, func() funcsim.Result {
-					g := NewGShareFast(budget)
-					return funcsim.RunBlocks(g, g.Name(), source(prof, opts), funcsim.Options{
-						MaxInsts:      opts.Insts,
-						WarmupInsts:   opts.Warmup,
-						FetchWidth:    8,
-						BlockBranches: w,
-					})
-				})
+			plan.addBlocks("gshare.fast", budget, w, func() predictor.Predictor {
+				return NewGShareFast(budget)
+			}, prof, func(res funcsim.Result) {
 				grid[i][pi] = res.MispredictPercent()
 			})
 		}
 	}
-	plan.execute(opts)
+	plan.execute()
 	values := make([][]float64, len(widths))
 	for i, w := range widths {
 		// Buffer sizing is arithmetic on the construction, not a
@@ -196,12 +182,11 @@ func MultiBranch(opts Options) *Outcome {
 // prefetched (stale) row bits and late-selected (fresh) buffer bits affects
 // gshare.fast accuracy at a 256 KB budget.
 func BufferSweep(opts Options) *Outcome {
-	opts = opts.normalize()
 	const budget = 256 << 10
 	bufBits := []uint{3, 6, 9, 12, 15}
 	profiles := workload.Profiles()
 	grid := make([][]float64, len(bufBits)) // [bufferBits][benchmark]
-	var plan cellPlan
+	plan := newPlan(opts)
 	for i, bits := range bufBits {
 		grid[i] = make([]float64, len(profiles))
 		org := fmt.Sprintf("buf%d", bits)
@@ -221,7 +206,7 @@ func BufferSweep(opts Options) *Outcome {
 			})
 		}
 	}
-	plan.execute(opts)
+	plan.execute()
 	values := make([][]float64, len(bufBits))
 	for i := range bufBits {
 		values[i] = []float64{stats.Mean(grid[i])}
@@ -251,13 +236,12 @@ func BufferSweep(opts Options) *Outcome {
 // organization's sensitivity to the quick predictor's size (the paper fixes
 // it at an optimistic 2K entries).
 func QuickSizeSweep(opts Options) *Outcome {
-	opts = opts.normalize()
 	const budget = 256 << 10
 	sizes := []int{256, 1024, 2048, 8192}
 	profiles := workload.Profiles()
 	ipcs := make([][]float64, len(sizes))      // [size][benchmark]
 	overrides := make([][]float64, len(sizes)) // [size][benchmark]
-	var plan cellPlan
+	plan := newPlan(opts)
 	for i, size := range sizes {
 		ipcs[i] = make([]float64, len(profiles))
 		overrides[i] = make([]float64, len(profiles))
@@ -280,7 +264,7 @@ func QuickSizeSweep(opts Options) *Outcome {
 				})
 		}
 	}
-	plan.execute(opts)
+	plan.execute()
 	values := make([][]float64, len(sizes))
 	for i := range sizes {
 		values[i] = []float64{stats.HarmonicMean(ipcs[i]), stats.Mean(overrides[i])}
@@ -310,13 +294,12 @@ func QuickSizeSweep(opts Options) *Outcome {
 // penalty gap between gshare.fast and an overriding perceptron at 256 KB —
 // the paper's motivation that deeper pipelines make predictor delay worse.
 func DepthSweep(opts Options) *Outcome {
-	opts = opts.normalize()
 	depths := []int{10, 20, 30, 40}
 	const budget = 256 << 10
 	profiles := workload.Profiles()
 	fast := make([][]float64, len(depths)) // [depth][benchmark]
 	over := make([][]float64, len(depths)) // [depth][benchmark]
-	var plan cellPlan
+	plan := newPlan(opts)
 	for i, depth := range depths {
 		fast[i] = make([]float64, len(profiles))
 		over[i] = make([]float64, len(profiles))
@@ -337,7 +320,7 @@ func DepthSweep(opts Options) *Outcome {
 				func(res pipeline.Result) { over[i][pi] = res.IPC() })
 		}
 	}
-	plan.execute(opts)
+	plan.execute()
 	values := make([][]float64, len(depths))
 	for i := range depths {
 		values[i] = []float64{stats.HarmonicMean(fast[i]), stats.HarmonicMean(over[i])}
@@ -369,19 +352,18 @@ func DepthSweep(opts Options) *Outcome {
 // resulting single-cycle family against the overriding complex predictors
 // at a large budget, in both accuracy and IPC.
 func FastFamily(opts Options) *Outcome {
-	opts = opts.normalize()
 	const budget = 256 << 10
 	rows := []string{"gshare.fast", "bimode.fast", "perceptron(override)", "multicomponent(override)", "2bcgskew(override)"}
 	profiles := workload.Profiles()
 	// Each row's timing cell is canonical: the pipelined predictors are
 	// exactly their factory ("ideal") organizations and the rest are the
-	// standard overriding ones, so all five columns share memo entries
+	// standard overriding ones, so all five columns share cache entries
 	// with the figures at this budget.
 	cellKinds := []string{"gshare.fast", "bimode.fast", "perceptron", "multicomponent", "2bcgskew"}
 	cellModes := []TimingMode{Ideal, Ideal, Realistic, Realistic, Realistic}
 	rates := make([][]float64, len(rows)) // [organization][benchmark]
 	ipcs := make([][]float64, len(rows))  // [organization][benchmark]
-	var plan cellPlan
+	plan := newPlan(opts)
 	for i := range rows {
 		rates[i] = make([]float64, len(profiles))
 		ipcs[i] = make([]float64, len(profiles))
@@ -395,7 +377,7 @@ func FastFamily(opts Options) *Outcome {
 			})
 		}
 	}
-	plan.execute(opts)
+	plan.execute()
 	values := make([][]float64, len(rows))
 	for i := range rows {
 		values[i] = []float64{stats.Mean(rates[i]), stats.HarmonicMean(ipcs[i])}
@@ -422,18 +404,17 @@ func FastFamily(opts Options) *Outcome {
 // versus without (every misprediction additionally stalls fetch for a full
 // PHT read while the buffer refills).
 func Recovery(opts Options) *Outcome {
-	opts = opts.normalize()
 	budgets := []int{64 << 10, 256 << 10, 512 << 10}
 	profiles := workload.Profiles()
 	with := make([][]float64, len(budgets))    // [budget][benchmark]
 	without := make([][]float64, len(budgets)) // [budget][benchmark]
-	var plan cellPlan
+	plan := newPlan(opts)
 	for i, budget := range budgets {
 		with[i] = make([]float64, len(profiles))
 		without[i] = make([]float64, len(profiles))
 		// The checkpointed column is the stock gshare.fast — the same
 		// "ideal" cells the figures sweep — while the uncheckpointed
-		// wrapper is its own memo organization.
+		// wrapper is its own organization.
 		for pi, prof := range profiles {
 			plan.addCell("gshare.fast", budget, Ideal, prof, func(res pipeline.Result) {
 				with[i][pi] = res.IPC()
@@ -445,7 +426,7 @@ func Recovery(opts Options) *Outcome {
 				func(res pipeline.Result) { without[i][pi] = res.IPC() })
 		}
 	}
-	plan.execute(opts)
+	plan.execute()
 	values := make([][]float64, len(budgets))
 	for i := range budgets {
 		values[i] = []float64{stats.HarmonicMean(with[i]), stats.HarmonicMean(without[i])}

@@ -14,10 +14,9 @@ import (
 // specs so the scheduler can fuse each benchmark's cold column into one
 // trace pass; the mean is reduced after the plan completes.
 func mispredictSweep(kinds []string, budgets []int, opts Options) *textplot.Table {
-	opts = opts.normalize()
 	profiles := workload.Profiles()
 	grid := make([][][]float64, len(budgets)) // [budget][kind][benchmark]
-	var plan cellPlan
+	plan := newPlan(opts)
 	for bi, budget := range budgets {
 		grid[bi] = make([][]float64, len(kinds))
 		for ki, kind := range kinds {
@@ -31,7 +30,7 @@ func mispredictSweep(kinds []string, budgets []int, opts Options) *textplot.Tabl
 			}
 		}
 	}
-	plan.execute(opts)
+	plan.execute()
 	values := make([][]float64, len(budgets))
 	for bi := range budgets {
 		values[bi] = make([]float64, len(kinds))
@@ -93,7 +92,6 @@ func Figure5(opts Options) *Outcome {
 // ~53-64 KB design point (the paper compares 53 KB complex predictors with
 // a 64 KB gshare.fast).
 func Figure6(opts Options) *Outcome {
-	opts = opts.normalize()
 	kinds := []string{"multicomponent", "2bcgskew", "perceptron", "gshare.fast"}
 	const budget = 64 << 10
 	profiles := workload.Profiles()
@@ -101,7 +99,7 @@ func Figure6(opts Options) *Outcome {
 	for i := range values {
 		values[i] = make([]float64, len(kinds))
 	}
-	var plan cellPlan
+	plan := newPlan(opts)
 	for pi, prof := range profiles {
 		for ki, kind := range kinds {
 			plan.addAccuracy(kind, "", budget, func() predictor.Predictor {
@@ -111,7 +109,7 @@ func Figure6(opts Options) *Outcome {
 			})
 		}
 	}
-	plan.execute(opts)
+	plan.execute()
 	for ki := range kinds {
 		col := make([]float64, len(profiles))
 		for pi := range profiles {

@@ -67,11 +67,11 @@ func SidecarStats() (sidecars int, bytes int64) {
 	return traceStore.SidecarLen(), traceStore.SidecarSizeBytes()
 }
 
-// FuseMode selects how a plan's accuracy and timing cells execute. It is
-// an execution strategy, not an identity: both modes publish bit-identical
-// Results under the same canonical keys (TestFusedEquivalence,
-// TestFusedTimingPlan), so the knob exists only for A/B timing and for
-// falling back if a platform ever misbehaves.
+// FuseMode selects how a plan's accuracy and timing cells are grouped into
+// trace passes. It is an execution strategy, not an identity: both modes
+// run the same path and publish bit-identical Results under the same
+// canonical keys (TestFusedEquivalence, TestFusedTimingPlan), so the knob
+// exists only to measure what fusion buys.
 type FuseMode int
 
 const (
@@ -81,8 +81,9 @@ const (
 	// trace pass (funcsim.RunMany / pipeline.RunMany): one cursor walk
 	// feeds every lane of the group.
 	FuseAuto FuseMode = iota
-	// FuseOff lowers every accuracy and timing cell to its own per-cell
-	// run, the pre-fusion schedule (cmd/reproduce -nofuse).
+	// FuseOff makes every accuracy and timing cell a group of one: the
+	// same cache → store → simulate path, one lane per trace pass
+	// (cmd/reproduce -nofuse).
 	FuseOff
 )
 
@@ -97,12 +98,12 @@ type Options struct {
 	Warmup int64
 	// Parallel bounds concurrent simulations; zero means GOMAXPROCS.
 	Parallel int
-	// Store, when non-nil, is the persistent result store the memo tiers
+	// Store, when non-nil, is the persistent result store cold cells
 	// resolve through before simulating: distinct cells hit disk first, and
 	// fresh computes are written back, making reruns incremental across
 	// processes. Nil keeps everything in-memory.
 	Store *resultstore.Store
-	// Fuse selects the accuracy and timing cells' execution strategy; the
+	// Fuse selects how the accuracy and timing cells are grouped; the
 	// zero value (FuseAuto) runs them grid-fused, one trace pass per
 	// group.
 	Fuse FuseMode
@@ -178,16 +179,6 @@ func mustOverriding(kind string, budgetBytes int) *core.Overriding {
 		panic("experiments: " + strings.TrimPrefix(err.Error(), "experiments: "))
 	}
 	return o
-}
-
-// timingRunCfg runs a fresh predictor organization built by build on
-// prof's recorded stream under an explicit machine config, with the
-// memoized memory-latency sidecar attached (the Sim falls back to live
-// caches whenever the sidecar does not cover the run exactly).
-func timingRunCfg(cfg pipeline.Config, build func() predictor.Predictor, prof workload.Profile, opts Options) pipeline.Result {
-	sim := pipeline.New(cfg, build())
-	sim.SetMemSidecar(sidecar(prof, opts, cfg))
-	return sim.Run(source(prof, opts), opts.Insts, opts.Warmup)
 }
 
 // budgetLabel renders a budget the way the paper's x axes do.

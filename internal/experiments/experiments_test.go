@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -166,11 +167,11 @@ func TestOutcomeRenderAndTableLookup(t *testing.T) {
 func TestRunCellsCoversAll(t *testing.T) {
 	for _, par := range []int{1, 4, 16} {
 		hit := make([]bool, 37)
-		var plan cellPlan
+		var cells []PlannedCell
 		for i := range hit {
-			plan.add(planKey("test", "none", "", 0, "bench"), func() { hit[i] = true })
+			cells = append(cells, PlannedCell{Key: "test|none", Run: func() { hit[i] = true }})
 		}
-		plan.execute(Options{Parallel: par})
+		RunCells(par, cells)
 		for i, h := range hit {
 			if !h {
 				t.Fatalf("parallel=%d: index %d not visited", par, i)
@@ -183,7 +184,7 @@ func TestRunCellsCoversAll(t *testing.T) {
 // any cell — serial or sharded — is re-raised from RunCells carrying the
 // offending cell's canonical key, not a bare worker stack.
 func TestRunCellsPanicKey(t *testing.T) {
-	key := planKey("timing", "gshare", "ideal", 8192, "164.gzip")
+	const key = "family=timing|kind=gshare|org=ideal|budget=8192|bench=164.gzip"
 	for _, par := range []int{1, 8} {
 		func() {
 			defer func() {
@@ -196,12 +197,12 @@ func TestRunCellsPanicKey(t *testing.T) {
 					t.Fatalf("parallel=%d: panic lost cell context: %v", par, r)
 				}
 			}()
-			var plan cellPlan
+			var cells []PlannedCell
 			for i := 0; i < 16; i++ {
-				plan.add(planKey("test", "ok", "", i, "bench"), func() {})
+				cells = append(cells, PlannedCell{Key: fmt.Sprintf("test|ok|%d", i), Run: func() {}})
 			}
-			plan.add(key, func() { panic("boom") })
-			plan.execute(Options{Parallel: par})
+			cells = append(cells, PlannedCell{Key: key, Run: func() { panic("boom") }})
+			RunCells(par, cells)
 		}()
 	}
 }

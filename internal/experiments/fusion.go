@@ -9,262 +9,180 @@ import (
 	"branchsim/internal/trace"
 )
 
-// This file is the fused scheduler: the execution strategy behind
-// plan.execute's FuseAuto lowering, for both cell families. A plan's
-// accuracy specs arrive grouped by benchmark and its timing specs by
-// (benchmark, cache geometry); each group resolves through the same tiers a
-// per-cell run would — in-process memo, then the persistent store — and
-// whatever survives both becomes lanes of a single fused trace pass
-// (funcsim.RunMany for accuracy, pipeline.RunMany for timing). Fusion
-// changes only when simulations happen, never what they compute or how
-// they are keyed: every lane's Result is published into the memo and the
-// store under its unchanged per-cell canonical key, so a warm rerun, a
-// -nofuse rerun, and a fused run are interchangeable byte for byte
-// (TestFusedEquivalence, TestFusedStoreFlow, TestFusedTimingPlan).
-//
-// The two schedulers share all lane/group/publish machinery below; they
-// differ only in their spec type and their group-run function, supplied
-// through fusedGroupParams. The memo entries themselves (accuracyEntry,
-// timingEntry) stay concrete so the oncepublish and lockguard analyzers
-// keep certifying their publication protocol.
+// This file is the cell scheduler: the one path every accuracy and timing
+// cell resolves through. A plan's specs arrive in groups — accuracy cells
+// by (benchmark, block width), timing cells by (benchmark, cache
+// geometry), or one spec per group under FuseOff — and every group runs
+// the same sequence. It acquires its cells' cache entries under one lock,
+// creating the missing ones, then resolves each entry. The first
+// resolution of an entry this group created runs the group's computation:
+// probe the persistent store for each created cell, simulate whatever is
+// still cold in one trace pass (funcsim.RunMany or RunBlocks for
+// accuracy, pipeline.RunMany for timing), and write those cells back.
+// Grouping changes only when simulations happen, never what they compute
+// or how they are keyed, so fused, -nofuse and warm-store runs are
+// interchangeable byte for byte (TestFusedEquivalence, TestFusedStoreFlow,
+// TestFusedTimingPlan).
 
-// FusionCounters tallies one fused scheduler's work for -timings: how many
-// groups actually simulated (groups whose memo and store tiers left at
-// least one cold lane), how many lanes those passes carried, and how each
-// declared cell was ultimately served — from a fused lane, or solo (memo
-// or store tier). The accuracy and timing schedulers
-// each keep their own instance.
-type FusionCounters struct {
-	mu     sync.Mutex
-	groups int64 // guarded by mu
-	lanes  int64 // guarded by mu
-	fused  int64 // guarded by mu
-	solo   int64 // guarded by mu
+// fusedLane is one distinct cell of a group: its spec, its cache entry,
+// and every sink waiting on it — the declaring spec's plus any in-group
+// duplicates'. owned marks an entry this group created; the others
+// predate the group and resolve through their creator's computation.
+type fusedLane[S any, R cellResult] struct {
+	spec  S
+	entry *cellEntry[R]
+	sinks []func(R)
+	owned bool
 }
 
-func (c *FusionCounters) add(groups, lanes, fused, solo int64) {
+// groupRun is one group's computation, published once: the first of the
+// group's created entries to resolve runs it, and each reads its own
+// lane's Result from it.
+type groupRun[R cellResult] struct {
+	once sync.Once
+	res  []R
+}
+
+// result returns lane i's Result, running compute on first use.
+func (g *groupRun[R]) result(i int, compute func() []R) R {
+	g.once.Do(func() { g.res = compute() })
+	return g.res[i]
+}
+
+// runGroup resolves one group of specs through c; simulate runs one trace
+// pass over specs of the group, returning Results index-aligned with them.
+func runGroup[S specOf[R], R cellResult](c *cellCache[R], specs []S, opts Options, simulate func([]S) []R) {
+	var lanes, owned []*fusedLane[S, R]
+	run := &groupRun[R]{}
+	compute := func() []R { return computeGroup(c, owned, opts, simulate) }
+	byKey := make(map[resultstore.Key]*fusedLane[S, R], len(specs))
 	c.mu.Lock()
-	c.groups += groups
-	c.lanes += lanes
-	c.fused += fused
-	c.solo += solo
+	if c.entries == nil {
+		c.entries = make(map[resultstore.Key]*cellEntry[R])
+	}
+	for _, s := range specs {
+		cs := s.cell()
+		if l := byKey[cs.key]; l != nil {
+			c.hits++
+			l.sinks = append(l.sinks, cs.sink)
+			continue
+		}
+		l := &fusedLane[S, R]{spec: s, entry: c.entries[cs.key], sinks: []func(R){cs.sink}}
+		if l.entry != nil {
+			c.hits++
+		} else {
+			i := len(owned)
+			l.entry = &cellEntry[R]{compute: func() R { return run.result(i, compute) }}
+			l.owned = true
+			c.entries[cs.key] = l.entry
+			owned = append(owned, l)
+		}
+		byKey[cs.key] = l
+		lanes = append(lanes, l)
+	}
+	c.mu.Unlock()
+
+	var solo int64
+	for _, l := range lanes {
+		res := l.entry.resolve()
+		for _, sink := range l.sinks {
+			sink(res)
+		}
+		if !l.owned {
+			solo += int64(len(l.sinks))
+		}
+	}
+	c.mu.Lock()
+	c.fusion.solo += solo
 	c.mu.Unlock()
 }
 
-// fusionCounters is the process-wide accuracy tally, sibling to
-// accuracyMemo; timingFusionCounters is the timing tally, sibling to
-// timingMemo.
-var (
-	fusionCounters       = &FusionCounters{}
-	timingFusionCounters = &FusionCounters{}
-)
-
-// FusionStats reports the process-wide fused accuracy-scheduler counters:
-// fused trace passes run, predictor lanes they simulated, and accuracy
-// cells served fused vs solo.
-func FusionStats() (groups, lanes, fusedCells, soloCells int64) {
-	return fusionCounters.stats()
-}
-
-// TimingFusionStats is FusionStats for the fused timing scheduler: fused
-// timing passes run, pipeline lanes they simulated, and timing cells
-// served fused vs solo.
-func TimingFusionStats() (groups, lanes, fusedCells, soloCells int64) {
-	return timingFusionCounters.stats()
-}
-
-// stats snapshots the counters.
-func (c *FusionCounters) stats() (groups, lanes, fused, solo int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.groups, c.lanes, c.fused, c.solo
-}
-
-// fusedLane is one distinct cold-candidate cell of a fused group: its
-// spec, the resolve guard of the memo entry this group owns (created in
-// the memo tier, published exactly once), and every sink waiting on it —
-// the owning spec's plus any in-group duplicates'.
-type fusedLane[S, R any] struct {
-	spec    S
-	resolve func(compute func() R) R
-	sinks   []func(R)
-}
-
-// publish resolves the lane's entry exactly once via compute, fans the
-// published Result out to every sink, and returns it. When the entry was
-// already resolved (a racing per-cell lookup got there first), the sinks
-// see the previously published value, not compute's — the entry's once is
-// the arbiter, same as the memos' result paths.
-func (l *fusedLane[S, R]) publish(compute func() R) R {
-	res := l.resolve(compute)
-	for _, sink := range l.sinks {
-		sink(res)
+// computeGroup is a group's computation over the lanes it created: serve
+// each cell the persistent store holds, simulate the rest in one pass, and
+// write those back. The stream digest is bound only when a store is
+// configured.
+func computeGroup[S specOf[R], R cellResult](c *cellCache[R], lanes []*fusedLane[S, R], opts Options, simulate func([]S) []R) []R {
+	res := make([]R, len(lanes))
+	keys := make([]resultstore.Key, len(lanes))
+	var tally fusionTally
+	var cold []int
+	var coldSpecs []S
+	var digest string
+	if opts.Store != nil {
+		digest = traceDigest(lanes[0].spec.cell().prof, opts) // one group, one stream
 	}
+	for i, l := range lanes {
+		keys[i] = l.spec.cell().key
+		keys[i].Trace = digest
+		if opts.Store != nil {
+			if r, ok := storeGet[R](opts.Store, keys[i]); ok {
+				res[i] = r
+				tally.solo += int64(len(l.sinks))
+				continue
+			}
+		}
+		cold = append(cold, i)
+		coldSpecs = append(coldSpecs, l.spec)
+	}
+	if len(cold) > 0 {
+		out := simulate(coldSpecs)
+		for j, i := range cold {
+			res[i] = out[j]
+			if opts.Store != nil {
+				storePut(opts.Store, keys[i], out[j])
+			}
+			tally.fused += int64(len(lanes[i].sinks))
+		}
+		tally.groups, tally.lanes = 1, int64(len(cold))
+	}
+	c.mu.Lock()
+	c.fusion.add(tally)
+	c.mu.Unlock()
 	return res
 }
 
-// fusedGroupParams supplies the spec-type-specific pieces of one fused
-// group's resolution; everything else — tier order, publication, counter
-// accounting — is shared by runFusedGroupOf.
-type fusedGroupParams[S, R any] struct {
-	// acquire is the memo tier: classify the group's specs under one lock
-	// acquisition into owned lanes (entries this group created, the fusion
-	// candidates) and preowned lanes (entries that predate the group —
-	// another experiment's cells — which are not ours to simulate).
-	acquire func(specs []S) (owned, preowned []*fusedLane[S, R])
-	// solo is the full per-cell compute for one spec, resolving through
-	// the persistent store when one is configured.
-	solo func(S) R
-	// probe is the store tier's read for one spec; false when the cell is
-	// cold or no store is configured.
-	probe func(S) (R, bool)
-	// put writes one fused-computed cell back to the store; a no-op
-	// without a store.
-	put func(S, R)
-	// runCold is the fused pass over the residual cold specs, returning
-	// results index-aligned with them.
-	runCold func(specs []S) []R
-}
+// blockFetchWidth is the fetch width of every block-prediction cell, the
+// "fw8" of their SimOptions.
+const blockFetchWidth = 8
 
-// runFusedGroupOf resolves one group: memo tier, store tier, then one
-// fused pass over whatever is still cold. The Get/Put pair counts store
-// traffic exactly as the per-cell Do path does, so -timings reads
-// identically with and without fusion.
-func runFusedGroupOf[S, R any](p fusedGroupParams[S, R], fc *FusionCounters, specs []S) {
-	owned, preowned := p.acquire(specs)
-
-	// A pre-existing entry is usually already computed and its once a
-	// no-op; the solo compute is the defensive path for an entry someone
-	// created but never resolved.
-	for _, l := range preowned {
-		l.publish(func() R { return p.solo(l.spec) })
-		fc.add(0, 0, 0, int64(len(l.sinks)))
-	}
-
-	// Store tier: probe each owned lane's cell on disk.
-	cold := owned[:0]
-	for _, l := range owned {
-		if res, ok := p.probe(l.spec); ok {
-			l.publish(func() R { return res })
-			fc.add(0, 0, 0, int64(len(l.sinks)))
-			continue
+// runAccuracyGroup resolves one accuracy group: plain cells fused into one
+// funcsim.RunMany pass over the benchmark's branch cursor, block cells
+// through funcsim.RunBlocks, whose per-block state RunMany does not carry.
+func runAccuracyGroup(c *cellCache[funcsim.Result], specs []accuracySpec, opts Options) {
+	runGroup(c, specs, opts, func(ss []accuracySpec) []funcsim.Result {
+		fo := funcsim.Options{MaxInsts: opts.Insts, WarmupInsts: opts.Warmup}
+		if w := ss[0].blocks; w > 0 {
+			fo.FetchWidth, fo.BlockBranches = blockFetchWidth, w
+			out := make([]funcsim.Result, len(ss))
+			for i, s := range ss {
+				p := s.build()
+				out[i] = funcsim.RunBlocks(p.(funcsim.BlockPredictor), p.Name(), source(s.prof, opts), fo)
+			}
+			return out
 		}
-		cold = append(cold, l)
-	}
-	if len(cold) == 0 {
-		return
-	}
-
-	// Fused pass: one trace pass feeds every residual cold lane.
-	coldSpecs := make([]S, len(cold))
-	for i, l := range cold {
-		coldSpecs[i] = l.spec
-	}
-	results := p.runCold(coldSpecs)
-	var fusedCells int64
-	for i, l := range cold {
-		res := l.publish(func() R { return results[i] })
-		p.put(l.spec, res)
-		fusedCells += int64(len(l.sinks))
-	}
-	fc.add(1, int64(len(cold)), fusedCells, 0)
+		// source returns a replay cursor, which serves its branches from
+		// the recording's branch index.
+		bs := source(ss[0].prof, opts).(trace.BranchSource)
+		lanes := make([]funcsim.Lane, len(ss))
+		for i, s := range ss {
+			lanes[i] = funcsim.Lane{P: s.build()}
+		}
+		return funcsim.RunMany(lanes, bs, fo)
+	})
 }
 
-// runFusedGroup resolves one benchmark's accuracy specs through the shared
-// scheduler, fused via funcsim.RunMany.
-func runFusedGroup(m *AccuracyMemo, fc *FusionCounters, specs []accuracySpec, opts Options) {
-	opts = opts.normalize()
-	var digest string // bound on first store probe, reused by put
-	runFusedGroupOf(fusedGroupParams[accuracySpec, funcsim.Result]{
-		acquire: func(ss []accuracySpec) (owned, preowned []*fusedLane[accuracySpec, funcsim.Result]) {
-			return m.acquireLanes(ss, opts)
-		},
-		solo: func(s accuracySpec) funcsim.Result {
-			return storedCompute(specKey(s, opts), s.prof, opts, func() funcsim.Result {
-				return runSpec(s, opts)
-			})
-		},
-		probe: func(s accuracySpec) (funcsim.Result, bool) {
-			if opts.Store == nil {
-				return funcsim.Result{}, false
-			}
-			if digest == "" {
-				digest = traceDigest(s.prof, opts)
-			}
-			rec, ok := opts.Store.Get(specKey(s, opts).storeKey(digest))
-			if !ok || rec.Accuracy == nil {
-				return funcsim.Result{}, false
-			}
-			return *rec.Accuracy, true
-		},
-		put: func(s accuracySpec, res funcsim.Result) {
-			if opts.Store == nil {
-				return
-			}
-			skey := specKey(s, opts).storeKey(digest)
-			opts.Store.Put(skey, resultstore.Record{Key: skey, Accuracy: &res})
-		},
-		runCold: func(ss []accuracySpec) []funcsim.Result {
-			// source returns a replay cursor, which serves its branches
-			// from the recording's branch index.
-			bs := source(ss[0].prof, opts).(trace.BranchSource)
-			fl := make([]funcsim.Lane, len(ss))
-			for i, s := range ss {
-				fl[i] = funcsim.Lane{P: s.build()}
-			}
-			return funcsim.RunMany(fl, bs, funcsim.Options{
-				MaxInsts:    opts.Insts,
-				WarmupInsts: opts.Warmup,
-			})
-		},
-	}, fc, specs)
-}
-
-// runFusedTimingGroup resolves one (benchmark, cache geometry) group's
-// timing specs through the shared scheduler, fused via pipeline.RunMany:
-// one trace cursor and one memory sidecar feed every pipeline
-// configuration of the group.
-func runFusedTimingGroup(m *TimingMemo, fc *FusionCounters, specs []timingSpec, opts Options) {
-	opts = opts.normalize()
-	var digest string // bound on first store probe, reused by put
-	runFusedGroupOf(fusedGroupParams[timingSpec, pipeline.Result]{
-		acquire: func(ss []timingSpec) (owned, preowned []*fusedLane[timingSpec, pipeline.Result]) {
-			return m.acquireLanes(ss, opts)
-		},
-		solo: func(s timingSpec) pipeline.Result {
-			return storedComputeTiming(specTimingKey(s, opts), s.prof, opts, func() pipeline.Result {
-				return timingRunCfg(s.cfg, s.build, s.prof, opts)
-			})
-		},
-		probe: func(s timingSpec) (pipeline.Result, bool) {
-			if opts.Store == nil {
-				return pipeline.Result{}, false
-			}
-			if digest == "" {
-				digest = traceDigest(s.prof, opts)
-			}
-			rec, ok := opts.Store.Get(specTimingKey(s, opts).storeKey(digest))
-			if !ok || rec.Timing == nil {
-				return pipeline.Result{}, false
-			}
-			return *rec.Timing, true
-		},
-		put: func(s timingSpec, res pipeline.Result) {
-			if opts.Store == nil {
-				return
-			}
-			skey := specTimingKey(s, opts).storeKey(digest)
-			opts.Store.Put(skey, resultstore.Record{Key: skey, Timing: &res})
-		},
-		runCold: func(ss []timingSpec) []pipeline.Result {
-			// pipeline.RunMany accepts any source — it simulates per-lane
-			// live caches when the sidecar does not cover the run.
-			lanes := make([]pipeline.Lane, len(ss))
-			for i, s := range ss {
-				lanes[i] = pipeline.Lane{Cfg: s.cfg, Pred: s.build()}
-			}
-			return pipeline.RunMany(lanes, source(ss[0].prof, opts),
-				sidecar(ss[0].prof, opts, ss[0].cfg), opts.Insts, opts.Warmup)
-		},
-	}, fc, specs)
+// runTimingGroup resolves one (benchmark, cache geometry) timing group
+// through pipeline.RunMany: one trace cursor and one memory sidecar feed
+// every pipeline configuration of the group.
+func runTimingGroup(c *cellCache[pipeline.Result], specs []timingSpec, opts Options) {
+	runGroup(c, specs, opts, func(ss []timingSpec) []pipeline.Result {
+		// pipeline.RunMany accepts any source — it simulates per-lane
+		// live caches when the sidecar does not cover the run.
+		lanes := make([]pipeline.Lane, len(ss))
+		for i, s := range ss {
+			lanes[i] = pipeline.Lane{Cfg: s.cfg, Pred: s.build()}
+		}
+		return pipeline.RunMany(lanes, source(ss[0].prof, opts),
+			sidecar(ss[0].prof, opts, ss[0].cfg), opts.Insts, opts.Warmup)
+	})
 }

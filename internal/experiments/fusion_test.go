@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"branchsim/internal/funcsim"
+	"branchsim/internal/pipeline"
 	"branchsim/internal/predictor"
 	"branchsim/internal/resultstore"
 	"branchsim/internal/workload"
@@ -36,31 +37,31 @@ func fusionGrid(plan *cellPlan, kinds []string, budgets []int, nBench int) []fun
 }
 
 // TestFusedEquivalence is the fused scheduler's correctness contract at
-// the plan level: the same grid executed fused and per-cell (FuseOff) must
-// fill every sink with bit-identical Results. The kind mix covers all
+// the plan level: the same grid executed fused and in groups of one
+// (FuseOff) must fill every sink with bit-identical Results. The kind mix covers all
 // three lane shapes — batch-stepping (gshare), heavy scalar (perceptron),
 // and cycle-aware (gshare.fast).
 func TestFusedEquivalence(t *testing.T) {
 	kinds := []string{"gshare", "perceptron", "gshare.fast"}
 	budgets := []int{4 << 10, 32 << 10}
 	const nBench = 3
-	var fusedPlan, soloPlan cellPlan
-	fused := fusionGrid(&fusedPlan, kinds, budgets, nBench)
-	solo := fusionGrid(&soloPlan, kinds, budgets, nBench)
-
-	fc := &FusionCounters{}
-	fusedPlan.executeWith(fusionTestOpts, NewAccuracyMemo(), NewTimingMemo(), fc, &FusionCounters{})
 	off := fusionTestOpts
 	off.Fuse = FuseOff
-	soloPlan.executeWith(off, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, &FusionCounters{})
+	fusedPlan, soloPlan := newPlan(fusionTestOpts), newPlan(off)
+	fused := fusionGrid(fusedPlan, kinds, budgets, nBench)
+	solo := fusionGrid(soloPlan, kinds, budgets, nBench)
+
+	fc := &cellCache[funcsim.Result]{}
+	fusedPlan.executeWith(fc, &cellCache[pipeline.Result]{})
+	soloPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
 
 	for i := range fused {
 		if !reflect.DeepEqual(fused[i], solo[i]) {
-			t.Errorf("cell %d diverges between fused and per-cell execution:\n got %+v\nwant %+v",
+			t.Errorf("cell %d diverges between fused and FuseOff execution:\n got %+v\nwant %+v",
 				i, fused[i], solo[i])
 		}
 	}
-	groups, lanes, fusedCells, soloCells := fc.stats()
+	groups, lanes, fusedCells, soloCells := fc.fusionStats()
 	wantLanes := int64(len(kinds) * len(budgets) * nBench)
 	if groups != nBench || lanes != wantLanes || fusedCells != wantLanes || soloCells != 0 {
 		t.Errorf("fused counters = %d groups, %d lanes, %d fused, %d solo; want %d, %d, %d, 0",
@@ -72,14 +73,13 @@ func TestFusedEquivalence(t *testing.T) {
 // publishing: a cell declared twice in one plan (the Figure 5 / Figure 6
 // overlap) simulates once and the duplicate counts as a memory hit, and a
 // later plan revisiting the cells resolves them solo — zero fused passes —
-// with one hit per lookup, exactly as per-cell execution would count.
+// with one hit per lookup, exactly as groups of one would count.
 func TestFusedMemoAccounting(t *testing.T) {
-	memo := NewAccuracyMemo()
-	fc := &FusionCounters{}
-	var plan cellPlan
-	first := fusionGrid(&plan, []string{"bimode"}, []int{8 << 10}, 2)
-	dup := fusionGrid(&plan, []string{"bimode"}, []int{8 << 10}, 2)
-	plan.executeWith(fusionTestOpts, memo, NewTimingMemo(), fc, &FusionCounters{})
+	memo := &cellCache[funcsim.Result]{}
+	plan := newPlan(fusionTestOpts)
+	first := fusionGrid(plan, []string{"bimode"}, []int{8 << 10}, 2)
+	dup := fusionGrid(plan, []string{"bimode"}, []int{8 << 10}, 2)
+	plan.executeWith(memo, &cellCache[pipeline.Result]{})
 
 	if cells, hits := memo.stats(); cells != 2 || hits != 2 {
 		t.Fatalf("after duplicated plan: %d cells, %d hits; want 2 distinct cells, 2 duplicate hits", cells, hits)
@@ -87,19 +87,19 @@ func TestFusedMemoAccounting(t *testing.T) {
 	if !reflect.DeepEqual(first, dup) {
 		t.Fatalf("duplicate sinks received different results:\n%+v\n%+v", first, dup)
 	}
-	if groups, lanes, fused, solo := fc.stats(); groups != 2 || lanes != 2 || fused != 4 || solo != 0 {
+	if groups, lanes, fused, solo := memo.fusionStats(); groups != 2 || lanes != 2 || fused != 4 || solo != 0 {
 		t.Fatalf("counters after duplicated plan = %d/%d/%d/%d, want 2 groups, 2 lanes, 4 fused, 0 solo",
 			groups, lanes, fused, solo)
 	}
 
 	// A second plan over the same memo finds every entry pre-existing.
-	var again cellPlan
-	revisit := fusionGrid(&again, []string{"bimode"}, []int{8 << 10}, 2)
-	again.executeWith(fusionTestOpts, memo, NewTimingMemo(), fc, &FusionCounters{})
+	again := newPlan(fusionTestOpts)
+	revisit := fusionGrid(again, []string{"bimode"}, []int{8 << 10}, 2)
+	again.executeWith(memo, &cellCache[pipeline.Result]{})
 	if cells, hits := memo.stats(); cells != 2 || hits != 4 {
 		t.Fatalf("after revisit: %d cells, %d hits; want still 2 cells, 4 hits", cells, hits)
 	}
-	if groups, _, _, solo := fc.stats(); groups != 2 || solo != 2 {
+	if groups, _, _, solo := memo.fusionStats(); groups != 2 || solo != 2 {
 		t.Fatalf("revisit ran %d groups total (%d solo cells), want no new passes (2 groups, 2 solo)", groups, solo)
 	}
 	if !reflect.DeepEqual(revisit, first) {
@@ -107,12 +107,11 @@ func TestFusedMemoAccounting(t *testing.T) {
 	}
 }
 
-// TestFusedStoreFlow proves the fused scheduler's Get/Put store flow has
-// exact parity with the per-cell Do path: a cold fused run misses and
-// writes once per distinct cell, a warm rerun (fresh memo, second store
-// over the same directory — a stand-in for a second process) serves every
-// cell from disk and runs zero fused passes, and a -nofuse rerun reads the
-// fused run's cells bit-identically.
+// TestFusedStoreFlow pins the scheduler's Get/Put store flow: a cold fused
+// run misses and writes once per distinct cell, a warm rerun (fresh cache,
+// second store over the same directory — a stand-in for a second process)
+// serves every cell from disk and runs zero fused passes, and a -nofuse
+// rerun reads the fused run's cells bit-identically.
 func TestFusedStoreFlow(t *testing.T) {
 	kinds := []string{"gshare", "2bcgskew"}
 	budgets := []int{16 << 10}
@@ -125,9 +124,9 @@ func TestFusedStoreFlow(t *testing.T) {
 	}
 	opts := fusionTestOpts
 	opts.Store = st1
-	var coldPlan cellPlan
-	cold := fusionGrid(&coldPlan, kinds, budgets, nBench)
-	coldPlan.executeWith(opts, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, &FusionCounters{})
+	coldPlan := newPlan(opts)
+	cold := fusionGrid(coldPlan, kinds, budgets, nBench)
+	coldPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
 	if s := st1.Stats(); s.Misses != nCells || s.Writes != nCells || s.Hits != 0 {
 		t.Fatalf("cold store traffic = %+v, want %d misses, %d writes", s, nCells, nCells)
 	}
@@ -137,14 +136,14 @@ func TestFusedStoreFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Store = st2
-	var warmPlan cellPlan
-	warm := fusionGrid(&warmPlan, kinds, budgets, nBench)
-	fcWarm := &FusionCounters{}
-	warmPlan.executeWith(opts, NewAccuracyMemo(), NewTimingMemo(), fcWarm, &FusionCounters{})
+	warmPlan := newPlan(opts)
+	warm := fusionGrid(warmPlan, kinds, budgets, nBench)
+	fcWarm := &cellCache[funcsim.Result]{}
+	warmPlan.executeWith(fcWarm, &cellCache[pipeline.Result]{})
 	if s := st2.Stats(); s.Hits != nCells || s.Misses != 0 || s.Invalidations != 0 {
 		t.Fatalf("warm store traffic = %+v, want %d hits", s, nCells)
 	}
-	if groups, lanes, fused, solo := fcWarm.stats(); groups != 0 || lanes != 0 || fused != 0 || solo != nCells {
+	if groups, lanes, fused, solo := fcWarm.fusionStats(); groups != 0 || lanes != 0 || fused != 0 || solo != nCells {
 		t.Fatalf("warm rerun ran %d fused passes (%d lanes, %d fused cells, %d solo); want none, all %d solo",
 			groups, lanes, fused, solo, nCells)
 	}
@@ -158,9 +157,9 @@ func TestFusedStoreFlow(t *testing.T) {
 	}
 	opts.Store = st3
 	opts.Fuse = FuseOff
-	var soloPlan cellPlan
-	solo := fusionGrid(&soloPlan, kinds, budgets, nBench)
-	soloPlan.executeWith(opts, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, &FusionCounters{})
+	soloPlan := newPlan(opts)
+	solo := fusionGrid(soloPlan, kinds, budgets, nBench)
+	soloPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
 	if s := st3.Stats(); s.Hits != nCells {
 		t.Fatalf("-nofuse rerun store traffic = %+v, want %d hits", s, nCells)
 	}

@@ -8,135 +8,164 @@ import (
 	"branchsim/internal/funcsim"
 	"branchsim/internal/pipeline"
 	"branchsim/internal/predictor"
+	"branchsim/internal/resultstore"
 	"branchsim/internal/workload"
 )
 
-// This file is the experiment layer's scheduler: experiments no longer
-// compute their grids inline, they enumerate a plan of cells — each one a
-// canonical key plus a closure — and hand the plan to a worker pool that
-// shards distinct cells across goroutines. The closures fan results back
-// into preallocated grid slices (each cell owns exactly one element, so
-// the fan-in needs no locking) and resolve through the tiered store:
-// in-memory memo (timingmemo.go, accuracymemo.go), then the persistent
-// resultstore when Options.Store is set, then simulation.
+// This file is the experiment layer's planner: experiments do not compute
+// their grids inline, they declare a plan of cells — each one a canonical
+// key, a predictor construction and a sink — and execute it. Execution
+// groups the cells (fusion.go), shards the groups across a worker pool,
+// and resolves every cell through the cell cache (cellcache.go), then the
+// persistent resultstore when Options.Store is set, then simulation. Sinks
+// fan results back into preallocated grid slices; each cell owns exactly
+// one element, so the fan-in needs no locking.
 
-// A PlannedCell is one schedulable unit of an experiment grid: the canonical key
-// naming what it computes — the identity a panic is reported under — and
-// the closure that computes it.
+// A PlannedCell is one schedulable unit of work: the canonical key naming
+// what it computes — the identity a panic is reported under — and the
+// closure that computes it.
 type PlannedCell struct {
 	Key string
 	Run func()
 }
 
-// An accuracySpec is one standard accuracy cell declared for fused
-// scheduling: the canonical (kind, org, budget, benchmark) identity, the
-// predictor construction, and the sink its Result fans back into. Unlike
-// a PlannedCell its computation is not a closed closure — the scheduler
-// decides, per benchmark and after the memo and store tiers resolve,
-// which specs still need simulation, and runs those together through one
-// funcsim.RunMany trace pass (fusion.go).
+// cellSpec is one declared cell as the scheduler sees it, whatever its
+// family: its canonical cache key (a resultstore.Key with Trace left
+// empty), the benchmark whose recorded stream it runs on, the predictor
+// construction, and the sink its Result fans back into. Callers must
+// ensure equal keys always denote identical constructions; the cache and
+// the store both trade on that.
+type cellSpec[R cellResult] struct {
+	key   resultstore.Key
+	prof  workload.Profile
+	build func() predictor.Predictor
+	sink  func(R)
+}
+
+func (s cellSpec[R]) cell() cellSpec[R] { return s }
+
+// specOf is the scheduler's view of a family's spec type.
+type specOf[R cellResult] interface {
+	cell() cellSpec[R]
+}
+
+// An accuracySpec is one accuracy cell. blocks > 0 makes it a §3.3.1
+// block-prediction cell: funcsim.RunBlocks predicting up to blocks
+// branches per block.
 type accuracySpec struct {
-	kind   string
-	org    string
-	budget int
-	build  func() predictor.Predictor
-	prof   workload.Profile
-	sink   func(funcsim.Result)
+	cellSpec[funcsim.Result]
+	blocks int
 }
 
-// A timingSpec is one timing cell declared for fused scheduling, the
-// timing sibling of accuracySpec: the canonical (kind, org, budget,
-// machine, benchmark) identity, the predictor construction, and the sink
-// its Result fans back into. The scheduler decides, per (benchmark,
-// cache geometry) group and after the memo and store tiers resolve, which
-// specs still need simulation, and runs those together through one
-// pipeline.RunMany trace pass (fusion.go).
+// A timingSpec is one timing cell on machine cfg.
 type timingSpec struct {
-	kind   string
-	org    string
-	budget int
-	cfg    pipeline.Config
-	build  func() predictor.Predictor
-	prof   workload.Profile
-	sink   func(pipeline.Result)
+	cellSpec[pipeline.Result]
+	cfg pipeline.Config
 }
 
-// cellPlan accumulates an experiment's cells before execution.
+// cellPlan accumulates an experiment's cells before execution. Its options
+// are fixed when it is created: the measurement window is part of every
+// cell's key.
 type cellPlan struct {
-	cells []PlannedCell
-	acc   []accuracySpec
-	tim   []timingSpec
+	opts Options
+	acc  []accuracySpec
+	tim  []timingSpec
 }
 
-func (p *cellPlan) add(key string, run func()) {
-	p.cells = append(p.cells, PlannedCell{Key: key, Run: run})
+// newPlan returns an empty plan executing under opts.
+func newPlan(opts Options) *cellPlan {
+	return &cellPlan{opts: opts.normalize()}
 }
 
-// addAccuracy declares one standard accuracy cell (sim = "": plain
-// funcsim.Run semantics), published under exactly the same canonical key
-// whether it later executes fused or per-cell. Accuracy cells with extra
-// simulator shape (RunBlocks) or diagnostics (PerClass) stay on add;
-// RunMany does not carry their state.
-func (p *cellPlan) addAccuracy(kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, sink func(funcsim.Result)) {
-	p.acc = append(p.acc, accuracySpec{kind: kind, org: org, budget: budget, build: build, prof: prof, sink: sink})
-}
-
-// addTiming declares one timing cell on machine cfg, published under
-// exactly the same canonical key whether it later executes fused or
-// per-cell. As with cellCustom, callers must ensure that equal
-// (cfg.Canonical, kind, org, budget) always denotes an identical
-// construction.
-func (p *cellPlan) addTiming(cfg pipeline.Config, kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, sink func(pipeline.Result)) {
-	p.tim = append(p.tim, timingSpec{kind: kind, org: org, budget: budget, cfg: cfg, build: build, prof: prof, sink: sink})
-}
-
-// execute runs the plan: plain cells as scheduled, accuracy and timing
-// specs lowered to fused groups (FuseAuto) or to per-cell runs (FuseOff).
-// Both lowerings resolve through the same memo and store tiers under the
-// same keys, so the mode is invisible to results and caches.
-func (p *cellPlan) execute(opts Options) {
-	p.executeWith(opts, accuracyMemo, timingMemo, fusionCounters, timingFusionCounters)
-}
-
-// executeWith is execute with the process-wide memos and fusion counters
-// made explicit so tests can run plans against fresh ones.
-func (p *cellPlan) executeWith(opts Options, memo *AccuracyMemo, tmemo *TimingMemo, fc, tfc *FusionCounters) {
-	opts = opts.normalize()
-	cells := p.cells
-	if opts.Fuse == FuseOff {
-		for _, s := range p.acc {
-			cells = append(cells, PlannedCell{
-				Key: planKey("accuracy", s.kind, s.org, s.budget, s.prof.Name),
-				Run: func() { s.sink(memo.specCell(s, opts)) },
-			})
-		}
-		for _, s := range p.tim {
-			cells = append(cells, PlannedCell{
-				Key: planKey("timing", s.kind, s.org, s.budget, s.prof.Name),
-				Run: func() { s.sink(tmemo.specCell(s, opts)) },
-			})
-		}
-	} else {
-		for _, g := range groupSpecs(p.acc, func(s accuracySpec) string { return s.prof.Name }) {
-			cells = append(cells, PlannedCell{
-				Key: fmt.Sprintf("accuracy.fused|bench=%s|lanes=%d", g[0].prof.Name, len(g)),
-				Run: func() { runFusedGroup(memo, fc, g, opts) },
-			})
-		}
-		for _, g := range groupSpecs(p.tim, timingGroupKey) {
-			cells = append(cells, PlannedCell{
-				Key: fmt.Sprintf("timing.fused|bench=%s|lanes=%d", g[0].prof.Name, len(g)),
-				Run: func() { runFusedTimingGroup(tmemo, tfc, g, opts) },
-			})
-		}
+// key returns the canonical cache key of one of the plan's cells.
+func (p *cellPlan) key(family, kind, org string, budget int, prof workload.Profile) resultstore.Key {
+	return resultstore.Key{
+		Family: family,
+		Kind:   kind,
+		Org:    org,
+		Budget: budget,
+		Bench:  prof.Name,
+		Seed:   prof.Seed,
+		Insts:  p.opts.Insts,
+		Warmup: p.opts.Warmup,
 	}
-	RunCells(opts.Parallel, cells)
+}
+
+// addAccuracy declares one standard accuracy cell. org disambiguates
+// non-factory constructions ("" is the stock factory predictor for kind;
+// the ablations use "lag64", "buf9", ...).
+func (p *cellPlan) addAccuracy(kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, sink func(funcsim.Result)) {
+	p.acc = append(p.acc, accuracySpec{cellSpec: cellSpec[funcsim.Result]{
+		key: p.key("accuracy", kind, org, budget, prof), prof: prof, build: build, sink: sink,
+	}})
+}
+
+// addBlocks declares one block-prediction accuracy cell: build's
+// predictor, which must implement funcsim.BlockPredictor, predicting up to
+// width branches per block. The simulator shape is the key's SimOptions
+// ("blocks.fw8.bb4"), so block cells never collide with standard ones.
+func (p *cellPlan) addBlocks(kind string, budget, width int, build func() predictor.Predictor, prof workload.Profile, sink func(funcsim.Result)) {
+	key := p.key("accuracy", kind, "", budget, prof)
+	key.SimOptions = fmt.Sprintf("blocks.fw%d.bb%d", blockFetchWidth, width)
+	p.acc = append(p.acc, accuracySpec{
+		cellSpec: cellSpec[funcsim.Result]{key: key, prof: prof, build: build, sink: sink},
+		blocks:   width,
+	})
+}
+
+// addTiming declares one timing cell on machine cfg; the canonical
+// rendering of cfg is the key's Machine. org names the organization:
+// "ideal" (bare predictor, single-cycle), "override" (behind the 2K-entry
+// quick gshare), or an ablation variant ("override.q256", "lag64", ...).
+func (p *cellPlan) addTiming(cfg pipeline.Config, kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, sink func(pipeline.Result)) {
+	key := p.key("timing", kind, org, budget, prof)
+	key.Machine = machineString(cfg)
+	p.tim = append(p.tim, timingSpec{
+		cellSpec: cellSpec[pipeline.Result]{key: key, prof: prof, build: build, sink: sink},
+		cfg:      cfg,
+	})
+}
+
+// execute runs the plan through the process-wide caches.
+func (p *cellPlan) execute() {
+	p.executeWith(accuracyMemo, &timingMemo.cellCache)
+}
+
+// executeWith runs the plan through explicit caches, so tests can use
+// fresh ones. Every group is one worker-pool unit, named by its first
+// cell's key and its width.
+func (p *cellPlan) executeWith(acc *cellCache[funcsim.Result], tim *cellCache[pipeline.Result]) {
+	var cells []PlannedCell
+	for _, g := range groupSpecs(p.acc, p.opts.Fuse, accuracyGroupKey) {
+		cells = append(cells, PlannedCell{
+			Key: fmt.Sprintf("%s|lanes=%d", g[0].key.Canonical(), len(g)),
+			Run: func() { runAccuracyGroup(acc, g, p.opts) },
+		})
+	}
+	for _, g := range groupSpecs(p.tim, p.opts.Fuse, timingGroupKey) {
+		cells = append(cells, PlannedCell{
+			Key: fmt.Sprintf("%s|lanes=%d", g[0].key.Canonical(), len(g)),
+			Run: func() { runTimingGroup(tim, g, p.opts) },
+		})
+	}
+	RunCells(p.opts.Parallel, cells)
+}
+
+// accuracyGroup keys the fused accuracy unit: one pass per recorded
+// stream and simulator shape. The measurement window is uniform across a
+// plan, so it needs no key component.
+type accuracyGroup struct {
+	bench  string
+	blocks int
+}
+
+func accuracyGroupKey(s accuracySpec) accuracyGroup {
+	return accuracyGroup{bench: s.prof.Name, blocks: s.blocks}
 }
 
 // timingGroup keys the fused timing unit: one trace pass per recorded
 // stream and cache geometry. Lanes in a group share the cursor and the
-// memory sidecar, so they must agree on both; the measurement window is
-// uniform across a plan (Options), so it needs no key component.
+// memory sidecar, so they must agree on both.
 type timingGroup struct {
 	bench string
 	seed  uint64
@@ -148,32 +177,25 @@ func timingGroupKey(s timingSpec) timingGroup {
 }
 
 // groupSpecs buckets specs by key in first-appearance order — the fused
-// unit is "one trace pass per group".
-func groupSpecs[S any, G comparable](specs []S, key func(S) G) [][]S {
+// unit is "one trace pass per group". FuseOff makes every spec a group of
+// one: the same path, one lane per pass.
+func groupSpecs[S any, G comparable](specs []S, fuse FuseMode, key func(S) G) [][]S {
 	idx := make(map[G]int)
 	var groups [][]S
-	for _, s := range specs {
-		i, ok := idx[key(s)]
+	for i, s := range specs {
+		if fuse == FuseOff {
+			groups = append(groups, specs[i:i+1])
+			continue
+		}
+		gi, ok := idx[key(s)]
 		if !ok {
-			i = len(groups)
-			idx[key(s)] = i
+			gi = len(groups)
+			idx[key(s)] = gi
 			groups = append(groups, nil)
 		}
-		groups[i] = append(groups[i], s)
+		groups[gi] = append(groups[gi], s)
 	}
 	return groups
-}
-
-// planKey names a cell for the scheduler: the canonical identity minus the
-// measurement window (uniform across a plan) and the trace digest (unknown
-// until the stream is recorded). extra carries cell context beyond the
-// standard axes — an ablation's machine variant, a block-simulation shape.
-func planKey(family, kind, org string, budget int, bench string, extra ...string) string {
-	key := fmt.Sprintf("%s|kind=%s|org=%s|budget=%d|bench=%s", family, kind, org, budget, bench)
-	for _, e := range extra {
-		key += "|" + e
-	}
-	return key
 }
 
 // cellPanic records the first panic raised by any cell in a plan so the
@@ -223,10 +245,10 @@ func runCell(p *cellPanic, c PlannedCell) {
 	c.Run()
 }
 
-// RunCells executes a plan's cells on a worker pool of at most parallel
+// RunCells executes cells on a worker pool of at most parallel
 // goroutines. Cells must write to disjoint destinations (each owns its
-// grid element); cells that share a canonical result key coalesce in the
-// memo/store tiers rather than here. If any cell panics, the remaining
+// grid element); plan cells that share a canonical result key coalesce in
+// the cell cache rather than here. If any cell panics, the remaining
 // cells are skipped and the panic is re-raised from RunCells with the
 // offending cell's key prepended.
 func RunCells(parallel int, cells []PlannedCell) {

@@ -18,16 +18,16 @@ func TestRunCellsSharedCaptureStress(t *testing.T) {
 	var mu sync.Mutex
 	sum := 0
 	seen := make([]bool, n)
-	var plan cellPlan
+	var cells []PlannedCell
 	for i := 0; i < n; i++ {
-		plan.add(planKey("test", "stress", "", i, "bench"), func() {
+		cells = append(cells, PlannedCell{Key: "test|stress", Run: func() {
 			mu.Lock()
 			sum += i
 			mu.Unlock()
 			seen[i] = true
-		})
+		}})
 	}
-	plan.execute(Options{Parallel: 16})
+	RunCells(16, cells)
 	if want := n * (n - 1) / 2; sum != want {
 		t.Fatalf("sum = %d, want %d", sum, want)
 	}

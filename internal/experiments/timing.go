@@ -29,7 +29,7 @@ func buildTimed(kind string, budget int, mode TimingMode) predictor.Predictor {
 	return mustOverriding(kind, budget)
 }
 
-// timingOrg names buildTimed's organization for the memo and plan keys:
+// timingOrg names buildTimed's organization for the cell keys:
 // "ideal" for the bare single-cycle predictor (gshare.fast's organization
 // is mode-invariant, so its realistic cells collapse to the same entry),
 // "override" behind the 2K-entry quick gshare.
@@ -41,8 +41,7 @@ func timingOrg(kind string, mode TimingMode) string {
 }
 
 // addCell declares the canonical (kind, budget, mode) timing cell on the
-// Table 1 machine — Cell's plan-schedulable form, resolving through the
-// same memo entry whether it later executes fused or per-cell.
+// Table 1 machine, the cell TimingMemo.Cell resolves.
 func (p *cellPlan) addCell(kind string, budget int, mode TimingMode, prof workload.Profile, sink func(pipeline.Result)) {
 	p.addTiming(pipeline.DefaultConfig(), kind, timingOrg(kind, mode), budget, func() predictor.Predictor {
 		return buildTimed(kind, budget, mode)
@@ -53,10 +52,9 @@ func (p *cellPlan) addCell(kind string, budget int, mode TimingMode, prof worklo
 // plan's cells are the distinct (kind, budget, benchmark) simulations; the
 // harmonic mean is reduced after the plan completes.
 func ipcSweep(kinds []string, budgets []int, mode TimingMode, opts Options) *textplot.Table {
-	opts = opts.normalize()
 	profiles := workload.Profiles()
 	grid := make([][][]float64, len(budgets)) // [budget][kind][benchmark]
-	var plan cellPlan
+	plan := newPlan(opts)
 	for bi, budget := range budgets {
 		grid[bi] = make([][]float64, len(kinds))
 		for ki, kind := range kinds {
@@ -68,7 +66,7 @@ func ipcSweep(kinds []string, budgets []int, mode TimingMode, opts Options) *tex
 			}
 		}
 	}
-	plan.execute(opts)
+	plan.execute()
 	values := make([][]float64, len(budgets))
 	for bi := range budgets {
 		values[bi] = make([]float64, len(kinds))
@@ -138,7 +136,6 @@ func Figure7(opts Options) *Outcome {
 // Figure8 reproduces Figure 8: per-benchmark IPC at the 53-64 KB design
 // point under realistic (overriding) timing, with harmonic means.
 func Figure8(opts Options) *Outcome {
-	opts = opts.normalize()
 	kinds := []string{"multicomponent", "2bcgskew", "perceptron", "gshare.fast"}
 	const budget = 64 << 10
 	profiles := workload.Profiles()
@@ -146,7 +143,7 @@ func Figure8(opts Options) *Outcome {
 	for i := range values {
 		values[i] = make([]float64, len(kinds))
 	}
-	var plan cellPlan
+	plan := newPlan(opts)
 	for pi, prof := range profiles {
 		for ki, kind := range kinds {
 			plan.addCell(kind, budget, Realistic, prof, func(res pipeline.Result) {
@@ -154,7 +151,7 @@ func Figure8(opts Options) *Outcome {
 			})
 		}
 	}
-	plan.execute(opts)
+	plan.execute()
 	for ki := range kinds {
 		col := make([]float64, len(profiles))
 		for pi := range profiles {

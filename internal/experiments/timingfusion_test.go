@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"branchsim/internal/funcsim"
 	"branchsim/internal/pipeline"
 	"branchsim/internal/predictor"
 	"branchsim/internal/resultstore"
@@ -45,30 +46,30 @@ func timingFusionGrid(plan *cellPlan, depths []int, kinds []string, nBench int) 
 }
 
 // TestFusedTimingPlan is the fused timing scheduler's correctness contract
-// at the plan level: the same grid executed fused and per-cell (FuseOff)
-// must fill every sink with bit-identical Results, and the fused execution
+// at the plan level: the same grid executed fused and in groups of one
+// (FuseOff) must fill every sink with bit-identical Results, and the fused execution
 // must run exactly one pass per (benchmark, geometry) group.
 func TestFusedTimingPlan(t *testing.T) {
 	depths := []int{14, 26}
 	kinds := []string{"gshare", "gshare.fast"}
 	const nBench = 3
-	var fusedPlan, soloPlan cellPlan
-	fused := timingFusionGrid(&fusedPlan, depths, kinds, nBench)
-	solo := timingFusionGrid(&soloPlan, depths, kinds, nBench)
-
-	tfc := &FusionCounters{}
-	fusedPlan.executeWith(timingFusionTestOpts, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, tfc)
 	off := timingFusionTestOpts
 	off.Fuse = FuseOff
-	soloPlan.executeWith(off, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, &FusionCounters{})
+	fusedPlan, soloPlan := newPlan(timingFusionTestOpts), newPlan(off)
+	fused := timingFusionGrid(fusedPlan, depths, kinds, nBench)
+	solo := timingFusionGrid(soloPlan, depths, kinds, nBench)
+
+	tfc := &cellCache[pipeline.Result]{}
+	fusedPlan.executeWith(&cellCache[funcsim.Result]{}, tfc)
+	soloPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
 
 	for i := range fused {
 		if !reflect.DeepEqual(fused[i], solo[i]) {
-			t.Errorf("cell %d diverges between fused and per-cell execution:\n got %+v\nwant %+v",
+			t.Errorf("cell %d diverges between fused and FuseOff execution:\n got %+v\nwant %+v",
 				i, fused[i], solo[i])
 		}
 	}
-	groups, lanes, fusedCells, soloCells := tfc.stats()
+	groups, lanes, fusedCells, soloCells := tfc.fusionStats()
 	wantLanes := int64(len(depths) * len(kinds) * nBench)
 	if groups != nBench || lanes != wantLanes || fusedCells != wantLanes || soloCells != 0 {
 		t.Errorf("timing fused counters = %d groups, %d lanes, %d fused, %d solo; want %d, %d, %d, 0",
@@ -85,7 +86,7 @@ func TestFusedTimingGeometryGrouping(t *testing.T) {
 	prof := workload.Profiles()[0]
 	small := pipeline.DefaultConfig()
 	small.L2.SizeBytes = 512 << 10
-	var plan cellPlan
+	plan := newPlan(timingFusionTestOpts)
 	var a, b pipeline.Result
 	plan.addTiming(pipeline.DefaultConfig(), "gshare", "", budget, func() predictor.Predictor {
 		return mustPredictor("gshare", budget)
@@ -94,9 +95,9 @@ func TestFusedTimingGeometryGrouping(t *testing.T) {
 		return mustPredictor("gshare", budget)
 	}, prof, func(res pipeline.Result) { b = res })
 
-	tfc := &FusionCounters{}
-	plan.executeWith(timingFusionTestOpts, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, tfc)
-	if groups, lanes, fusedCells, _ := tfc.stats(); groups != 2 || lanes != 2 || fusedCells != 2 {
+	tfc := &cellCache[pipeline.Result]{}
+	plan.executeWith(&cellCache[funcsim.Result]{}, tfc)
+	if groups, lanes, fusedCells, _ := tfc.fusionStats(); groups != 2 || lanes != 2 || fusedCells != 2 {
 		t.Fatalf("geometry-split grid ran %d groups (%d lanes, %d fused cells); want 2 single-lane groups",
 			groups, lanes, fusedCells)
 	}
@@ -112,15 +113,14 @@ func TestFusedTimingGeometryGrouping(t *testing.T) {
 // fused publishing, mirroring TestFusedMemoAccounting: a cell declared
 // twice in one plan simulates once and the duplicate counts as a memory
 // hit, and a later plan revisiting the cells resolves them solo — zero
-// fused passes — with one hit per lookup, exactly as per-cell execution
-// would count.
+// fused passes — with one hit per lookup, exactly as groups of one would
+// count.
 func TestFusedTimingMemoAccounting(t *testing.T) {
-	tmemo := NewTimingMemo()
-	tfc := &FusionCounters{}
-	var plan cellPlan
-	first := timingFusionGrid(&plan, []int{18}, []string{"bimode"}, 2)
-	dup := timingFusionGrid(&plan, []int{18}, []string{"bimode"}, 2)
-	plan.executeWith(timingFusionTestOpts, NewAccuracyMemo(), tmemo, &FusionCounters{}, tfc)
+	tmemo := &cellCache[pipeline.Result]{}
+	plan := newPlan(timingFusionTestOpts)
+	first := timingFusionGrid(plan, []int{18}, []string{"bimode"}, 2)
+	dup := timingFusionGrid(plan, []int{18}, []string{"bimode"}, 2)
+	plan.executeWith(&cellCache[funcsim.Result]{}, tmemo)
 
 	if cells, hits := tmemo.stats(); cells != 2 || hits != 2 {
 		t.Fatalf("after duplicated plan: %d cells, %d hits; want 2 distinct cells, 2 duplicate hits", cells, hits)
@@ -128,19 +128,19 @@ func TestFusedTimingMemoAccounting(t *testing.T) {
 	if !reflect.DeepEqual(first, dup) {
 		t.Fatalf("duplicate sinks received different results:\n%+v\n%+v", first, dup)
 	}
-	if groups, lanes, fused, solo := tfc.stats(); groups != 2 || lanes != 2 || fused != 4 || solo != 0 {
+	if groups, lanes, fused, solo := tmemo.fusionStats(); groups != 2 || lanes != 2 || fused != 4 || solo != 0 {
 		t.Fatalf("counters after duplicated plan = %d/%d/%d/%d, want 2 groups, 2 lanes, 4 fused, 0 solo",
 			groups, lanes, fused, solo)
 	}
 
 	// A second plan over the same memo finds every entry pre-existing.
-	var again cellPlan
-	revisit := timingFusionGrid(&again, []int{18}, []string{"bimode"}, 2)
-	again.executeWith(timingFusionTestOpts, NewAccuracyMemo(), tmemo, &FusionCounters{}, tfc)
+	again := newPlan(timingFusionTestOpts)
+	revisit := timingFusionGrid(again, []int{18}, []string{"bimode"}, 2)
+	again.executeWith(&cellCache[funcsim.Result]{}, tmemo)
 	if cells, hits := tmemo.stats(); cells != 2 || hits != 4 {
 		t.Fatalf("after revisit: %d cells, %d hits; want still 2 cells, 4 hits", cells, hits)
 	}
-	if groups, _, _, solo := tfc.stats(); groups != 2 || solo != 2 {
+	if groups, _, _, solo := tmemo.fusionStats(); groups != 2 || solo != 2 {
 		t.Fatalf("revisit ran %d groups total (%d solo cells), want no new passes (2 groups, 2 solo)", groups, solo)
 	}
 	if !reflect.DeepEqual(revisit, first) {
@@ -148,12 +148,11 @@ func TestFusedTimingMemoAccounting(t *testing.T) {
 	}
 }
 
-// TestFusedTimingStoreFlow proves the fused timing scheduler's Get/Put
-// store flow has exact parity with the per-cell Do path: a cold fused run
-// misses and writes once per distinct cell, a warm rerun (fresh memo,
-// second store over the same directory — a stand-in for a second process)
-// serves every cell from disk and runs zero fused passes, and a -nofuse
-// rerun reads the fused run's cells bit-identically.
+// TestFusedTimingStoreFlow pins the timing scheduler's Get/Put store flow:
+// a cold fused run misses and writes once per distinct cell, a warm rerun
+// (fresh cache, second store over the same directory — a stand-in for a
+// second process) serves every cell from disk and runs zero fused passes,
+// and a -nofuse rerun reads the fused run's cells bit-identically.
 func TestFusedTimingStoreFlow(t *testing.T) {
 	depths := []int{22}
 	kinds := []string{"gshare", "2bcgskew"}
@@ -166,9 +165,9 @@ func TestFusedTimingStoreFlow(t *testing.T) {
 	}
 	opts := timingFusionTestOpts
 	opts.Store = st1
-	var coldPlan cellPlan
-	cold := timingFusionGrid(&coldPlan, depths, kinds, nBench)
-	coldPlan.executeWith(opts, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, &FusionCounters{})
+	coldPlan := newPlan(opts)
+	cold := timingFusionGrid(coldPlan, depths, kinds, nBench)
+	coldPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
 	if s := st1.Stats(); s.Misses != nCells || s.Writes != nCells || s.Hits != 0 {
 		t.Fatalf("cold store traffic = %+v, want %d misses, %d writes", s, nCells, nCells)
 	}
@@ -178,14 +177,14 @@ func TestFusedTimingStoreFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Store = st2
-	var warmPlan cellPlan
-	warm := timingFusionGrid(&warmPlan, depths, kinds, nBench)
-	tfcWarm := &FusionCounters{}
-	warmPlan.executeWith(opts, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, tfcWarm)
+	warmPlan := newPlan(opts)
+	warm := timingFusionGrid(warmPlan, depths, kinds, nBench)
+	tfcWarm := &cellCache[pipeline.Result]{}
+	warmPlan.executeWith(&cellCache[funcsim.Result]{}, tfcWarm)
 	if s := st2.Stats(); s.Hits != nCells || s.Misses != 0 || s.Invalidations != 0 {
 		t.Fatalf("warm store traffic = %+v, want %d hits", s, nCells)
 	}
-	if groups, lanes, fused, solo := tfcWarm.stats(); groups != 0 || lanes != 0 || fused != 0 || solo != nCells {
+	if groups, lanes, fused, solo := tfcWarm.fusionStats(); groups != 0 || lanes != 0 || fused != 0 || solo != nCells {
 		t.Fatalf("warm rerun ran %d fused passes (%d lanes, %d fused cells, %d solo); want none, all %d solo",
 			groups, lanes, fused, solo, nCells)
 	}
@@ -199,9 +198,9 @@ func TestFusedTimingStoreFlow(t *testing.T) {
 	}
 	opts.Store = st3
 	opts.Fuse = FuseOff
-	var soloPlan cellPlan
-	solo := timingFusionGrid(&soloPlan, depths, kinds, nBench)
-	soloPlan.executeWith(opts, NewAccuracyMemo(), NewTimingMemo(), &FusionCounters{}, &FusionCounters{})
+	soloPlan := newPlan(opts)
+	solo := timingFusionGrid(soloPlan, depths, kinds, nBench)
+	soloPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
 	if s := st3.Stats(); s.Hits != nCells {
 		t.Fatalf("-nofuse rerun store traffic = %+v, want %d hits", s, nCells)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"branchsim/internal/pipeline"
+	"branchsim/internal/resultstore"
 	"branchsim/internal/workload"
 )
 
@@ -109,5 +110,53 @@ func TestTimingMemoConcurrentStress(t *testing.T) {
 	}
 	if want := int64(goroutines*iters*len(specs) - len(specs)); hits != want {
 		t.Errorf("memo served %d hits, want %d", hits, want)
+	}
+}
+
+// TestCellCacheColdCoalesce is the singleflight contract, held by the cell
+// cache's once-published entries: goroutines resolving one cold cell
+// through Cell at the same moment run exactly one simulation and one store
+// write, and all share its Result. Run under -race by check.sh.
+func TestCellCacheColdCoalesce(t *testing.T) {
+	prof := workload.Profiles()[2]
+	const budget = 16 << 10
+	st, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := stressOpts
+	opts.Store = st
+	m := NewTimingMemo()
+	const callers = 16
+	got := make([]pipeline.Result, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = m.Cell("perceptron", budget, Realistic, prof, opts)
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	if groups, lanes, _, _ := m.fusionStats(); groups != 1 || lanes != 1 {
+		t.Fatalf("cold cell simulated in %d passes carrying %d lanes, want exactly 1 simulation", groups, lanes)
+	}
+	if s := st.Stats(); s.Misses != 1 || s.Writes != 1 || s.Hits != 0 {
+		t.Fatalf("store traffic = %+v, want exactly 1 miss + 1 write", s)
+	}
+	if cells, hits := m.stats(); cells != 1 || hits != callers-1 {
+		t.Fatalf("cache holds %d cells with %d hits, want 1 cell, %d hits", cells, hits, callers-1)
+	}
+	if got[0].Insts == 0 {
+		t.Fatal("coalesced cell returned an empty Result")
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], got[0]) {
+			t.Fatalf("caller %d got %+v, want %+v", i, got[i], got[0])
+		}
 	}
 }

@@ -32,7 +32,7 @@ func TestTimingMemoEquivalence(t *testing.T) {
 		{"gshare.fast", "gshare.fast", Realistic},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := Cell(tc.kind, budget, tc.mode, prof, memoTestOpts)
+			got := timingMemo.Cell(tc.kind, budget, tc.mode, prof, memoTestOpts)
 			// The reference recomputes the cell from scratch with no
 			// memo, no sidecar and a private replay of the same stream.
 			rec := workload.Record(prof, memoTestOpts.Insts)
@@ -56,12 +56,12 @@ func TestTimingMemoDeduplicates(t *testing.T) {
 	opts := Options{Insts: 120_000, Warmup: 30_000, Parallel: 1}
 
 	_, hits0 := TimingMemoStats()
-	first := Cell("gshare.fast", budget, Ideal, prof, opts)
+	first := timingMemo.Cell("gshare.fast", budget, Ideal, prof, opts)
 	_, hits1 := TimingMemoStats()
-	again := Cell("gshare.fast", budget, Ideal, prof, opts)
+	again := timingMemo.Cell("gshare.fast", budget, Ideal, prof, opts)
 	// gshare.fast is pipelined: its realistic organization is the ideal
 	// one, so the canonical key collapses the two modes to one cell.
-	other := Cell("gshare.fast", budget, Realistic, prof, opts)
+	other := timingMemo.Cell("gshare.fast", budget, Realistic, prof, opts)
 	_, hits2 := TimingMemoStats()
 
 	if !reflect.DeepEqual(first, again) || !reflect.DeepEqual(first, other) {

@@ -1,10 +1,11 @@
-// Package resultstore is the persistent tier of the experiment grid's
-// memo stack: a disk-backed, content-addressed store of simulated cell
-// results. The in-memory memos (internal/experiments' TimingMemo and
-// AccuracyMemo) dedupe cells within one process; this store makes them
-// survive it, so `cmd/reproduce` becomes incremental — a rerun, or a run
-// after a config tweak, recomputes only the cells whose identity actually
-// changed.
+// Package resultstore is the persistent tier beneath the experiment grid's
+// cell cache: a disk-backed, content-addressed store of simulated cell
+// results. The in-memory cell cache (internal/experiments' cellCache, keyed
+// by this package's Key with Trace left empty) dedupes cells within one
+// process and coalesces concurrent lookups of a cold one; this store makes
+// the results survive the process, so `cmd/reproduce` becomes incremental
+// — a rerun, or a run after a config tweak, recomputes only the cells whose
+// identity actually changed.
 //
 // Identity is the whole design. A cell's Key names everything its result
 // is a function of: the predictor construction (kind, organization,
@@ -17,8 +18,9 @@
 // mtime or filename convention.
 //
 // Robustness rule: the store must never error out and never serve bad
-// data. A truncated, corrupted or wrong-version cell file is treated as a
-// miss (counted as an invalidation), recomputed, and rewritten; an
+// data. A truncated, corrupted, wrong-version or wrong-payload cell file is
+// treated as a miss (counted as an invalidation), recomputed, and
+// rewritten; an
 // unwritable directory degrades the store to a pass-through. The
 // equivalence suites in internal/experiments prove store-served cells are
 // bit-identical to fresh simulation.
@@ -41,8 +43,8 @@ import (
 
 // Key canonically identifies one experiment grid cell across processes.
 // Two cells with equal keys construct byte-identical simulations, so their
-// stored records are interchangeable — the on-disk analogue of the timing
-// memo's in-process contract. Every field must flow into Canonical; the
+// stored records are interchangeable — the on-disk analogue of the cell
+// cache's in-process contract. Every field must flow into Canonical; the
 // keyfields analyzer turns a field added without a key extension into a
 // lint failure instead of a silent cross-process collision.
 //
@@ -116,26 +118,13 @@ type Stats struct {
 	WriteErrors   int64
 }
 
-// flight serializes the in-process computation of one cold cell: the
-// first caller loads-or-computes inside the once, concurrent duplicates
-// block on it and share the record — so a cold cell simulates once no
-// matter how many goroutines ask for it at the same time.
-type flight struct {
-	once sync.Once
-	// rec is written inside once.Do and read only after Do returns; the
-	// sync.Once serializes it, not Store.mu, so it deliberately has no
-	// lockguard annotation.
-	rec Record
-}
-
-// Store is a concurrency-safe, disk-backed cell store. The zero tier of
-// every lookup is the flights map, which doubles as an in-memory cache of
-// everything this process has seen.
+// Store is a concurrency-safe, disk-backed cell store. It keeps nothing
+// in memory but its traffic counters: callers dedupe cells in-process
+// before asking it anything, so every Get is a genuine disk question.
 type Store struct {
-	dir     string
-	mu      sync.Mutex
-	flights map[string]*flight // guarded by mu
-	stats   Stats              // guarded by mu
+	dir   string
+	mu    sync.Mutex
+	stats Stats // guarded by mu
 }
 
 // Open returns a store rooted at dir, creating it if needed.
@@ -143,7 +132,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: opening %s: %w", dir, err)
 	}
-	return &Store{dir: dir, flights: make(map[string]*flight)}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
@@ -156,46 +145,17 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Do returns the stored record for key, calling compute to simulate it on
-// first use (per process and per store directory). Concurrent callers with
-// the same key coalesce onto one load-or-compute; compute's record is
-// written back under the key's content address. compute must return a
-// record whose Key equals key — the store trades on that.
-func (s *Store) Do(key Key, compute func() Record) Record {
-	ck := key.Canonical()
-	s.mu.Lock()
-	f := s.flights[ck]
-	if f == nil {
-		f = &flight{}
-		s.flights[ck] = f
-	}
-	s.mu.Unlock()
-	f.once.Do(func() {
-		if rec, ok := s.load(key, ck); ok {
-			f.rec = rec
-			return
-		}
-		f.rec = compute()
-		s.write(key, f.rec)
-	})
-	return f.rec
-}
-
-// Get probes the store for key without computing anything on a miss — the
-// read half of the fused sweep's two-phase flow (probe every cell in a
-// group, simulate the residual cold cells together, Put them back). It
-// counts traffic exactly as Do's load does: a Hit when the cell is served,
-// a Miss when no file exists, an Invalidation when a file exists but fails
-// validation. Unlike Do it does not consult or populate the in-process
-// flight cache: fused callers dedupe in-process through the accuracy memo
-// before probing, so every Get is a genuine disk question.
+// Get probes the store for key without computing anything on a miss: the
+// read half of a cell's two-phase flow (probe, simulate what is cold, Put
+// it back). It counts a Hit when the cell is served, a Miss when no file
+// exists, and an Invalidation when a file exists but fails validation.
 func (s *Store) Get(key Key) (Record, bool) {
 	return s.load(key, key.Canonical())
 }
 
-// Put writes rec back under key — the write half of the fused two-phase
-// flow, counting Writes and WriteErrors exactly as Do's write-back does.
-// rec.Key must equal key, like Do's compute contract.
+// Put writes rec back under key, counting Writes and WriteErrors. rec.Key
+// must equal key and rec must carry the payload key.Family names; a record
+// that does not is written but never served (Get treats it as invalid).
 func (s *Store) Put(key Key, rec Record) {
 	s.write(key, rec)
 }
@@ -225,7 +185,8 @@ func (s *Store) load(key Key, canonical string) (Record, bool) {
 
 // decodeCell validates one cell file against the requested canonical key:
 // header shape, version, body length (truncation), body digest
-// (corruption), JSON shape, and stored-key identity.
+// (corruption), JSON shape, stored-key identity, and a payload matching
+// the key's family.
 func decodeCell(raw []byte, canonical string) (Record, bool) {
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
@@ -251,13 +212,22 @@ func decodeCell(raw []byte, canonical string) (Record, bool) {
 	if err := json.Unmarshal(body, &rec); err != nil {
 		return Record{}, false
 	}
-	if rec.Key.Canonical() != canonical {
-		return Record{}, false
-	}
-	if (rec.Timing == nil) == (rec.Accuracy == nil) {
+	if rec.Key.Canonical() != canonical || !rec.payloadMatchesFamily() {
 		return Record{}, false
 	}
 	return rec, true
+}
+
+// payloadMatchesFamily reports whether r carries exactly one payload, the
+// one its Key.Family names.
+func (r Record) payloadMatchesFamily() bool {
+	switch r.Key.Family {
+	case "accuracy":
+		return r.Accuracy != nil && r.Timing == nil
+	case "timing":
+		return r.Timing != nil && r.Accuracy == nil
+	}
+	return false
 }
 
 // write stores rec under key's content address: header with a body digest,

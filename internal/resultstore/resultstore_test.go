@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -47,6 +46,17 @@ func testRecord(key Key) Record {
 	}
 }
 
+// getOrPut is the cell flow every store caller runs: Get, and on a miss
+// compute the record and Put it back.
+func getOrPut(s *Store, key Key, compute func() Record) Record {
+	if rec, ok := s.Get(key); ok {
+		return rec
+	}
+	rec := compute()
+	s.Put(key, rec)
+	return rec
+}
+
 // TestCanonicalGolden pins the canonical key string: the content address of
 // every stored cell. Changing it silently would orphan every existing store
 // entry, so it must be a deliberate, visible act.
@@ -75,21 +85,21 @@ func TestColdThenWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	var computes atomic.Int64
-	got := s1.Do(key, func() Record { computes.Add(1); return want })
+	got := getOrPut(s1, key, func() Record { computes.Add(1); return want })
 	if computes.Load() != 1 {
 		t.Fatalf("cold cell computed %d times, want 1", computes.Load())
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cold Do returned %+v, want %+v", got, want)
+		t.Fatalf("cold lookup returned %+v, want %+v", got, want)
 	}
 	if st := s1.Stats(); st.Misses != 1 || st.Writes != 1 || st.Hits != 0 {
 		t.Fatalf("cold stats = %+v, want 1 miss, 1 write", st)
 	}
 
-	// Same store: in-memory flight serves, no second disk read or compute.
-	s1.Do(key, func() Record { computes.Add(1); return want })
+	// Same store: the written cell serves, no second compute.
+	getOrPut(s1, key, func() Record { computes.Add(1); return want })
 	if computes.Load() != 1 {
-		t.Fatal("warm in-process Do recomputed")
+		t.Fatal("warm in-process lookup recomputed")
 	}
 
 	// Fresh store over the same dir: must load, bit-identical.
@@ -97,12 +107,12 @@ func TestColdThenWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2 := s2.Do(key, func() Record {
-		t.Error("warm cross-process Do recomputed")
+	got2 := getOrPut(s2, key, func() Record {
+		t.Error("warm cross-process lookup recomputed")
 		return Record{}
 	})
 	if !reflect.DeepEqual(got2, want) {
-		t.Fatalf("warm Do returned %+v, want %+v", got2, want)
+		t.Fatalf("warm lookup returned %+v, want %+v", got2, want)
 	}
 	if st := s2.Stats(); st.Hits != 1 || st.Misses != 0 || st.Invalidations != 0 {
 		t.Fatalf("warm stats = %+v, want 1 hit", st)
@@ -120,9 +130,9 @@ func TestFloatRoundTrip(t *testing.T) {
 	want.Timing.OverrideRate = 1.0 / 3.0
 
 	s1, _ := Open(dir)
-	s1.Do(key, func() Record { return want })
+	getOrPut(s1, key, func() Record { return want })
 	s2, _ := Open(dir)
-	got := s2.Do(key, func() Record { t.Fatal("recompute"); return Record{} })
+	got := getOrPut(s2, key, func() Record { t.Fatal("recompute"); return Record{} })
 	if got.Timing.L2MissRate != want.Timing.L2MissRate || got.Timing.OverrideRate != want.Timing.OverrideRate {
 		t.Fatalf("float drift through store: %v/%v vs %v/%v",
 			got.Timing.L2MissRate, got.Timing.OverrideRate,
@@ -142,9 +152,9 @@ func TestAccuracyFamily(t *testing.T) {
 		Branches: 20_000, Mispredicts: 1_111, TakenRate: 0.625, PredSizeByte: 2048,
 	}}
 	s1, _ := Open(dir)
-	s1.Do(key, func() Record { return want })
+	getOrPut(s1, key, func() Record { return want })
 	s2, _ := Open(dir)
-	got := s2.Do(key, func() Record { t.Fatal("recompute"); return Record{} })
+	got := getOrPut(s2, key, func() Record { t.Fatal("recompute"); return Record{} })
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("accuracy record drifted: %+v vs %+v", got, want)
 	}
@@ -169,12 +179,12 @@ func corruptAndRecover(t *testing.T, corrupt func(t *testing.T, path string)) {
 	key := testKey("164.gzip")
 	want := testRecord(key)
 	s1, _ := Open(dir)
-	s1.Do(key, func() Record { return want })
+	getOrPut(s1, key, func() Record { return want })
 	corrupt(t, cellFile(t, s1, key))
 
 	s2, _ := Open(dir)
 	var computes atomic.Int64
-	got := s2.Do(key, func() Record { computes.Add(1); return want })
+	got := getOrPut(s2, key, func() Record { computes.Add(1); return want })
 	if computes.Load() != 1 {
 		t.Fatalf("invalid cell computed %d times, want 1", computes.Load())
 	}
@@ -187,7 +197,7 @@ func corruptAndRecover(t *testing.T, corrupt func(t *testing.T, path string)) {
 
 	// The rewrite must have restored a fully valid entry.
 	s3, _ := Open(dir)
-	s3.Do(key, func() Record { t.Error("rewritten cell still invalid"); return Record{} })
+	getOrPut(s3, key, func() Record { t.Error("rewritten cell still invalid"); return Record{} })
 	if st := s3.Stats(); st.Hits != 1 {
 		t.Fatalf("post-rewrite stats = %+v, want 1 hit", st)
 	}
@@ -247,7 +257,7 @@ func TestKeyMismatchCell(t *testing.T) {
 	other := testKey("181.mcf")
 	victim := testKey("164.gzip")
 	s1, _ := Open(dir)
-	s1.Do(other, func() Record { return testRecord(other) })
+	getOrPut(s1, other, func() Record { return testRecord(other) })
 	src := cellFile(t, s1, other)
 	dst := s1.path(victim)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
@@ -263,7 +273,7 @@ func TestKeyMismatchCell(t *testing.T) {
 
 	s2, _ := Open(dir)
 	want := testRecord(victim)
-	got := s2.Do(victim, func() Record { return want })
+	got := getOrPut(s2, victim, func() Record { return want })
 	if got.Timing.Workload != "164.gzip" {
 		t.Fatalf("served another cell's record: %+v", got)
 	}
@@ -272,52 +282,25 @@ func TestKeyMismatchCell(t *testing.T) {
 	}
 }
 
-// TestMismatchedFamilyPayload rejects records whose payload shape disagrees
-// with having exactly one result.
+// TestMismatchedFamilyPayload rejects validly framed records whose payload
+// is not exactly the one their family names: no payload at all, and a
+// timing key carrying an accuracy payload.
 func TestMismatchedFamilyPayload(t *testing.T) {
-	corruptAndRecover(t, func(t *testing.T, path string) {
-		// Re-frame a record with both payloads nil but a valid digest: the
-		// decode layer must still reject it.
-		key := testKey("164.gzip")
-		rec := Record{Key: key}
-		s := &Store{dir: filepath.Dir(filepath.Dir(path)), flights: map[string]*flight{}}
-		s.write(key, rec)
-	})
-}
-
-// TestConcurrentColdCoalesce hammers one cold cell from many goroutines; the
-// singleflight must run compute exactly once and hand every caller the same
-// record. Run under -race by check.sh.
-func TestConcurrentColdCoalesce(t *testing.T) {
-	dir := t.TempDir()
-	key := testKey("164.gzip")
-	want := testRecord(key)
-	s, _ := Open(dir)
-	var computes atomic.Int64
-	var wg sync.WaitGroup
-	const callers = 16
-	got := make([]Record, callers)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = s.Do(key, func() Record {
-				computes.Add(1)
-				return want
+	for _, tc := range []struct {
+		name string
+		rec  Record
+	}{
+		{"no-payload", Record{Key: testKey("164.gzip")}},
+		{"wrong-family", Record{Key: testKey("164.gzip"), Accuracy: &funcsim.Result{Predictor: "gshare", Insts: 300_000}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			corruptAndRecover(t, func(t *testing.T, path string) {
+				// Re-frame the record with a valid digest: the decode layer
+				// must still reject it.
+				s := &Store{dir: filepath.Dir(filepath.Dir(path))}
+				s.write(tc.rec.Key, tc.rec)
 			})
-		}(i)
-	}
-	wg.Wait()
-	if computes.Load() != 1 {
-		t.Fatalf("cold cell computed %d times under contention, want 1", computes.Load())
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("caller %d got %+v, want %+v", i, got[i], want)
-		}
-	}
-	if st := s.Stats(); st.Misses != 1 || st.Writes != 1 {
-		t.Fatalf("stats = %+v, want exactly 1 miss + 1 write", st)
+		})
 	}
 }
 
@@ -338,7 +321,7 @@ func TestUnwritableStoreDegrades(t *testing.T) {
 	defer os.Chmod(dir, 0o755)
 	key := testKey("164.gzip")
 	want := testRecord(key)
-	got := s.Do(key, func() Record { return want })
+	got := getOrPut(s, key, func() Record { return want })
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("unwritable store corrupted result: %+v", got)
 	}
@@ -353,7 +336,7 @@ func TestShardedLayout(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	key := testKey("164.gzip")
-	s.Do(key, func() Record { return testRecord(key) })
+	getOrPut(s, key, func() Record { return testRecord(key) })
 	rel, err := filepath.Rel(dir, cellFile(t, s, key))
 	if err != nil {
 		t.Fatal(err)

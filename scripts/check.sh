@@ -32,18 +32,21 @@ go test -run '^$' -fuzz FuzzEngineVsReference -fuzztime=10s ./internal/funcsim
 echo "==> BPTRACE1 codec fuzz smoke (10s round-trip/fixed-point search)"
 go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime=10s ./internal/trace
 
+echo "==> BPCELL1 decoder fuzz smoke (10s: no panics; accepted cells match the requested key and family)"
+go test -run '^$' -fuzz FuzzDecodeCell -fuzztime=10s ./internal/resultstore
+
 echo "==> concurrency certification: -race runtime twins of the static analyzers"
 # frozen: recordings are replayed concurrently with no synchronization —
 # sound only if nothing writes them after publication.
 go test -race -run 'TestConcurrentReplay|TestConcurrentBranchCursors' ./internal/tracestore ./internal/trace
-# oncepublish: memo cells are published under sync.Once and hammered from
-# many goroutines.
+# oncepublish: cell-cache entries are published under sync.Once and
+# hammered from many goroutines.
 go test -race -run 'TestTimingMemoConcurrentStress' ./internal/experiments
 # sharedcapture: the worker pool's captured shared state, lock-dominated.
 go test -race -run 'TestRunCellsSharedCaptureStress' ./internal/experiments
-# singleflight: concurrent cold lookups of one cell coalesce into exactly
-# one computation and one store write.
-go test -race -run 'TestConcurrentColdCoalesce' ./internal/resultstore
+# singleflight: concurrent cold lookups of one cell coalesce in the cell
+# cache into exactly one simulation and one store write.
+go test -race -run 'TestCellCacheColdCoalesce' ./internal/experiments
 
 echo "==> replay equivalence (live vs recorded streams, race-enabled)"
 go test -race -run 'TestReplayEquivalence|TestConcurrentReplay|TestClassifiedReplay' ./internal/tracestore
@@ -64,7 +67,7 @@ go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFuse
 
 echo "==> cell store equivalence + robustness (store-served cells bit-identical; corrupt/truncated/stale entries recomputed, race-enabled)"
 go test -race ./internal/resultstore
-go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestRunCellsPanicKey' ./internal/experiments
+go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestMultiBranchWarmStore|TestRunCellsPanicKey' ./internal/experiments
 
 echo "==> batched-loop allocation bounds (no race: alloc counts need a plain build)"
 go test -run 'TestBatchedRunAllocs|TestRunManyAllocs' ./internal/funcsim
