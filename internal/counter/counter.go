@@ -3,8 +3,8 @@
 //
 // Pattern history tables (PHTs) are arrays of 2-bit saturating counters; some
 // predictors (meta-predictors, choosers) use the same structure, and the
-// perceptron predictor uses signed 8-bit weights. All of them live here so
-// the predictors themselves stay purely organizational.
+// perceptron predictor uses bit-sliced signed weights (WeightPlanes). All of
+// them live here so the predictors themselves stay purely organizational.
 package counter
 
 import "fmt"
@@ -182,53 +182,3 @@ func (a *Array2) CloneRange(lo, n int, dst []uint32) {
 		dst[i] = a.Get(lo + i)
 	}
 }
-
-// SignedArray is an array of signed saturating integers with a configurable
-// bit width, used for perceptron weights.
-type SignedArray struct {
-	v    []int16
-	bits uint
-	max  int16
-	min  int16
-}
-
-// NewSignedArray returns an array of n signed bits-wide saturating values
-// initialized to zero. bits must be in [2, 16].
-func NewSignedArray(n int, bits uint) *SignedArray {
-	if bits < 2 || bits > 16 {
-		panic(fmt.Sprintf("counter: invalid signed width %d", bits))
-	}
-	if n <= 0 {
-		panic(fmt.Sprintf("counter: invalid array size %d", n))
-	}
-	max := int16(1)<<(bits-1) - 1
-	return &SignedArray{v: make([]int16, n), bits: bits, max: max, min: -max - 1}
-}
-
-// Len returns the number of values.
-func (s *SignedArray) Len() int { return len(s.v) }
-
-// SizeBytes returns the hardware state size: bits per value, rounded up over
-// the whole array.
-func (s *SignedArray) SizeBytes() int { return (len(s.v)*int(s.bits) + 7) / 8 }
-
-// Get returns value i.
-func (s *SignedArray) Get(i int) int { return int(s.v[i]) }
-
-// Add adds delta to value i, saturating at the width's limits.
-func (s *SignedArray) Add(i int, delta int) {
-	v := int(s.v[i]) + delta
-	if v > int(s.max) {
-		v = int(s.max)
-	}
-	if v < int(s.min) {
-		v = int(s.min)
-	}
-	s.v[i] = int16(v)
-}
-
-// Max returns the maximum representable value.
-func (s *SignedArray) Max() int { return int(s.max) }
-
-// Min returns the minimum representable value.
-func (s *SignedArray) Min() int { return int(s.min) }

@@ -192,50 +192,114 @@ func TestArrayNSizeBytes(t *testing.T) {
 	}
 }
 
-func TestSignedArraySaturation(t *testing.T) {
-	s := NewSignedArray(4, 8)
-	if s.Max() != 127 || s.Min() != -128 {
-		t.Fatalf("8-bit range [%d,%d]", s.Min(), s.Max())
+func TestWeightPlanesSaturation(t *testing.T) {
+	w := NewWeightPlanes(4, 3, 8) // 8-bit weights saturate at 127 and -128
+	// Lane 0 always agrees with the outcome, lane 1 always disagrees,
+	// lane 2 follows it.
+	for i := 0; i < 1000; i++ {
+		w.Train(2, 0b101, true)
 	}
-	s.Add(0, 1000)
-	if s.Get(0) != 127 {
-		t.Fatalf("saturate high: %d", s.Get(0))
+	if w.Bias(2) != 127 || w.Weight(2, 0) != 127 || w.Weight(2, 1) != -128 || w.Weight(2, 2) != 127 {
+		t.Fatalf("saturate up: bias %d, weights %d %d %d",
+			w.Bias(2), w.Weight(2, 0), w.Weight(2, 1), w.Weight(2, 2))
 	}
-	s.Add(0, -1000)
-	if s.Get(0) != -128 {
-		t.Fatalf("saturate low: %d", s.Get(0))
+	for i := 0; i < 1000; i++ {
+		w.Train(2, 0b101, false)
+	}
+	if w.Bias(2) != -128 || w.Weight(2, 0) != -128 || w.Weight(2, 1) != 127 || w.Weight(2, 2) != -128 {
+		t.Fatalf("saturate down: bias %d, weights %d %d %d",
+			w.Bias(2), w.Weight(2, 0), w.Weight(2, 1), w.Weight(2, 2))
+	}
+	for _, r := range []int{0, 1, 3} {
+		if w.Bias(r) != 0 || w.Dot(r, ^uint64(0)) != 0 {
+			t.Fatalf("training row 2 disturbed row %d", r)
+		}
 	}
 }
 
-func TestSignedArrayAddCommutes(t *testing.T) {
-	s := NewSignedArray(1, 8)
-	f := func(deltas []int8) bool {
-		s.Add(0, -s.Get(0)) // reset
-		sum := 0
-		for _, d := range deltas {
-			s.Add(0, int(d))
-			sum += int(d)
-			if sum > 127 {
-				sum = 127
+// TestWeightPlanesMatchScalar holds the bit-sliced Dot and Train to the
+// scalar perceptron arithmetic — one saturating int per weight, one
+// multiply-accumulate per lane — over random inputs, at every width, at
+// full and partial lane counts, and long enough for weights to saturate.
+func TestWeightPlanesMatchScalar(t *testing.T) {
+	f := func(seed uint64, lanesRaw, bitsRaw uint8, steps []uint64) bool {
+		lanes := uint(lanesRaw % 65) // 0..64
+		bits := 2 + uint(bitsRaw%15) // 2..16
+		w := NewWeightPlanes(2, lanes, bits)
+		max, min := 1<<(bits-1)-1, -(1 << (bits - 1))
+		ref := make([]int, 1+lanes) // bias, then lanes
+		x := seed
+		for _, s := range steps {
+			// Bias the walk so weights reach both bounds.
+			up := s%5 < 3
+			for n := 0; n < 1+int(s>>60); n++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				w.Train(1, x, up)
+				for i := range ref {
+					inc := up // the bias follows the outcome
+					if i > 0 {
+						inc = (x>>(i-1)&1 == 1) == up
+					}
+					if inc && ref[i] < max {
+						ref[i]++
+					} else if !inc && ref[i] > min {
+						ref[i]--
+					}
+				}
 			}
-			if sum < -128 {
-				sum = -128
+			y := ref[0]
+			for i := uint(0); i < lanes; i++ {
+				if s>>i&1 == 1 {
+					y += ref[1+i]
+				} else {
+					y -= ref[1+i]
+				}
 			}
-			// Saturation is path-dependent; only check bounds here.
-			if s.Get(0) > 127 || s.Get(0) < -128 {
+			if w.Dot(1, s) != y || w.Bias(1) != ref[0] {
+				return false
+			}
+			for i := uint(0); i < lanes; i++ {
+				if w.Weight(1, i) != ref[1+i] {
+					return false
+				}
+			}
+			if w.Dot(0, s) != 0 {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestSignedArraySizeBytes(t *testing.T) {
-	if got := NewSignedArray(100, 8).SizeBytes(); got != 100 {
-		t.Fatalf("100 8-bit weights = %d bytes", got)
+func TestWeightPlanesSizeBytes(t *testing.T) {
+	// The hardware budget counts the bias and every lane weight at the
+	// declared width: 100 rows of 1+9 8-bit weights are 1000 bytes.
+	if got := NewWeightPlanes(100, 9, 8).SizeBytes(); got != 1000 {
+		t.Fatalf("100 rows of 10 8-bit weights = %d bytes", got)
+	}
+	if got := NewWeightPlanes(3, 2, 3).SizeBytes(); got != 4 {
+		t.Fatalf("27 bits = %d bytes, want 4", got)
+	}
+}
+
+func TestWeightPlanesInvalid(t *testing.T) {
+	for i, f := range []func(){
+		func() { NewWeightPlanes(0, 8, 8) },
+		func() { NewWeightPlanes(1, 65, 8) },
+		func() { NewWeightPlanes(1, 8, 1) },
+		func() { NewWeightPlanes(1, 8, 17) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d did not panic", i)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

@@ -64,7 +64,7 @@ func TestFactoryBatchSteppers(t *testing.T) {
 			}
 		}
 	}
-	for _, kind := range []string{"bimodal", "gshare", "bimode"} {
+	for _, kind := range []string{"bimodal", "gshare", "bimode", "2bcgskew", "perceptron", "multicomponent"} {
 		if !covered[kind] {
 			t.Errorf("%s no longer implements BatchStepper; was the stepper dropped on purpose?", kind)
 		}

@@ -15,6 +15,9 @@ var stepBatchKinds = []struct {
 	{"gshare-short-history", func() Predictor { return NewGShare(1<<12, 5) }},
 	{"bimodal", func() Predictor { return NewBimodalFromBudget(8 << 10) }},
 	{"bimode", func() Predictor { return NewBiModeFromBudget(8 << 10) }},
+	{"perceptron", func() Predictor { return NewPerceptronFromBudget(8 << 10) }},
+	{"multicomponent", func() Predictor { return NewMultiComponentFromBudget(8 << 10) }},
+	{"2bcgskew", func() Predictor { return NewGSkew2BcFromBudget(8 << 10) }},
 }
 
 // branchStream synthesizes a deterministic branch stream with enough

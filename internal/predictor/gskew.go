@@ -143,6 +143,11 @@ func (g *GSkew2Bc) Predict(pc uint64) bool {
 //   - On a misprediction, train all direction banks toward the outcome.
 //   - META trains toward the e-gskew side whenever BIM and e-gskew disagree.
 func (g *GSkew2Bc) Update(pc uint64, taken bool) {
+	g.step(pc, taken)
+}
+
+// step is Update, returning the prediction Predict made for the branch.
+func (g *GSkew2Bc) step(pc uint64, taken bool) bool {
 	bimT, g0T, g1T, useSkew, skewPred, ib, i0, i1, im := g.components(pc)
 	pred := bimT
 	if useSkew {
@@ -171,6 +176,21 @@ func (g *GSkew2Bc) Update(pc uint64, taken bool) {
 		g.meta.Update(im, skewPred == taken)
 	}
 	g.ghr.Push(taken)
+	return pred
+}
+
+// StepBatch implements BatchStepper: the four bank indices and reads once
+// per branch, where Predict followed by Update computes them twice.
+//
+//bplint:hotpath fused-sweep 2Bc-gskew lane; bit-identity pinned by TestStepBatchEquivalence
+func (g *GSkew2Bc) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
+	var miss int64
+	for i, pc := range pcs {
+		if g.step(pc, takens[i]) != takens[i] && i >= measuredFrom {
+			miss++
+		}
+	}
+	return miss
 }
 
 // SizeBytes implements Predictor.

@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"fmt"
+	"math/bits"
 
 	"branchsim/internal/counter"
 	"branchsim/internal/history"
@@ -32,29 +33,39 @@ type MultiComponent struct {
 	name      string
 }
 
-// mcComponent is one gshare-style two-level component with XOR-folded
-// history of a fixed length.
+// mcComponent is one gshare-style two-level component indexed by its PC
+// and its history slice XOR-folded down to the index width. The fold is a
+// TAGE-style folded history register updated on every history push, so a
+// lookup costs one XOR instead of a loop over the history's chunks; being
+// a function of the global history register, it is not hardware state of
+// its own and is not counted in SizeBytes.
 type mcComponent struct {
 	pht      *counter.Array2
 	histBits uint
 	mask     uint64
 	idxBits  uint
+	outPos   uint   // histBits % idxBits: where the outgoing bit sits in the fold
+	folded   uint64 // the histBits-bit history slice, folded to idxBits bits
 }
 
-func (c *mcComponent) index(pc uint64, hist uint64) int {
-	h := hist
-	if c.histBits < 64 {
-		h &= 1<<c.histBits - 1
-	}
+// index returns the component's table index for pc under the current fold.
+func (c *mcComponent) index(pc uint64) int {
 	v := pc >> 2
-	folded := v & c.mask
-	v >>= c.idxBits
-	folded ^= v & c.mask
-	for h != 0 {
-		folded ^= h & c.mask
-		h >>= c.idxBits
+	return int(v&c.mask ^ v>>c.idxBits&c.mask ^ c.folded)
+}
+
+// push folds outcome t into the register as the global history shifts,
+// given the history before the shift: t enters at bit 0, the outcome
+// leaving the component's histBits-bit window (bit histBits-1 of hist) is
+// XORed back out, and the bit carried past the index width wraps to bit 0.
+func (c *mcComponent) push(hist uint64, t bool) {
+	f := c.folded << 1
+	if t {
+		f |= 1
 	}
-	return int(folded)
+	f ^= (hist >> (c.histBits - 1) & 1) << c.outPos
+	f ^= f >> c.idxBits
+	c.folded = f & c.mask
 }
 
 // MCConfig sizes a multi-component hybrid.
@@ -85,6 +96,17 @@ func NewMultiComponent(cfg MCConfig) *MultiComponent {
 	if cfg.SelectorEntries <= 0 || cfg.SelectorEntries&(cfg.SelectorEntries-1) != 0 {
 		panic(fmt.Sprintf("predictor: selector entries %d not a power of two", cfg.SelectorEntries))
 	}
+	if cfg.ComponentEntries < 2 {
+		panic(fmt.Sprintf("predictor: multi-component needs at least two entries per component (config %+v)", cfg))
+	}
+	if len(cfg.HistoryLengths) > 62 {
+		panic(fmt.Sprintf("predictor: %d history components exceed the 62 supported (config %+v)", len(cfg.HistoryLengths), cfg))
+	}
+	for i, h := range cfg.HistoryLengths {
+		if h == 0 || i > 0 && h < cfg.HistoryLengths[i-1] {
+			panic(fmt.Sprintf("predictor: history lengths must be positive and ascending (config %+v)", cfg))
+		}
+	}
 	maxHist := cfg.HistoryLengths[len(cfg.HistoryLengths)-1]
 	if maxHist > history.MaxGlobalBits {
 		panic(fmt.Sprintf("predictor: history length %d exceeds %d", maxHist, history.MaxGlobalBits))
@@ -102,6 +124,7 @@ func NewMultiComponent(cfg MCConfig) *MultiComponent {
 			histBits: h,
 			mask:     uint64(cfg.ComponentEntries - 1),
 			idxBits:  idxBits,
+			outPos:   h % idxBits,
 		})
 	}
 	if cfg.LocalHistories > 0 && cfg.LocalBits > 0 {
@@ -129,6 +152,11 @@ func NewMultiComponent(cfg MCConfig) *MultiComponent {
 // direction tables get a quarter of the budget each and the bimodal and
 // selector tables ride on top.
 func NewMultiComponentFromBudget(budgetBytes int) *MultiComponent {
+	return NewMultiComponent(mcBudgetConfig(budgetBytes))
+}
+
+// mcBudgetConfig is NewMultiComponentFromBudget's configuration.
+func mcBudgetConfig(budgetBytes int) MCConfig {
 	compEntries := pow2Entries(budgetBytes/4, 2, 64)
 	bimEntries := pow2Entries(budgetBytes/16, 2, 16)
 	selEntries := pow2Entries(budgetBytes/16, 10, 16)
@@ -143,14 +171,14 @@ func NewMultiComponentFromBudget(budgetBytes int) *MultiComponent {
 	if lengths[0] == 0 {
 		lengths[0] = 1
 	}
-	return NewMultiComponent(MCConfig{
+	return MCConfig{
 		BimodalEntries:   bimEntries,
 		ComponentEntries: compEntries,
 		HistoryLengths:   lengths,
 		SelectorEntries:  selEntries,
 		LocalHistories:   1024,
 		LocalBits:        10,
-	})
+	}
 }
 
 // sources returns the number of prediction sources: the global components,
@@ -163,39 +191,44 @@ func (m *MultiComponent) sources() int {
 	return n
 }
 
-// predictions returns each source's prediction (global components in order,
-// then the local component if present, bimodal last) and the chosen source.
-func (m *MultiComponent) predictions(pc uint64) (preds []bool, chosen int) {
-	hist := m.ghr.Value()
-	preds = make([]bool, m.sources())
-	for i, c := range m.components {
-		preds[i] = c.pht.Taken(c.index(pc, hist))
-	}
-	if m.localPHT != nil {
-		preds[len(m.components)] = m.localPHT.Taken(int(m.localHist.Get(pc)))
-	}
-	bim := m.sources() - 1
-	preds[bim] = m.bimodal.Taken(int(pcIndex(pc, m.bimMask)))
-
-	sel := int(pcIndex(pc, m.selMask))
-	best, bestConf := bim, int(m.selector[bim].Get(sel))
+// choose returns the selector row for pc and the source it selects: the
+// most confident one, ties going to the bimodal table and then to the
+// shorter history.
+func (m *MultiComponent) choose(pc uint64) (sel, chosen int) {
+	sel = int(pcIndex(pc, m.selMask))
+	bim := len(m.selector) - 1
+	best, bestConf := bim, m.selector[bim].Get(sel)
 	// Scan short-history components first: confidence ties go to the
 	// component with the least context, which warms up fastest and
 	// aliases least. A longer-history component takes over only when its
 	// confidence strictly exceeds everything simpler — the stable
 	// variant of Evers' priority selection for 2-bit confidences.
-	for i := 0; i < bim; i++ {
-		if conf := int(m.selector[i].Get(sel)); conf > bestConf {
+	for i, s := range m.selector[:bim] {
+		if conf := s.Get(sel); conf > bestConf {
 			best, bestConf = i, conf
 		}
 	}
-	return preds, best
+	return sel, best
 }
 
-// Predict implements Predictor.
+// sourceTaken reads source i's prediction (global components in order, then
+// the local component if present, bimodal last).
+func (m *MultiComponent) sourceTaken(i int, pc uint64) bool {
+	switch {
+	case i < len(m.components):
+		c := m.components[i]
+		return c.pht.Taken(c.index(pc))
+	case i == len(m.selector)-1:
+		return m.bimodal.Taken(int(pcIndex(pc, m.bimMask)))
+	default:
+		return m.localPHT.Taken(int(m.localHist.Get(pc)))
+	}
+}
+
+// Predict implements Predictor. Only the chosen source's table is read.
 func (m *MultiComponent) Predict(pc uint64) bool {
-	preds, chosen := m.predictions(pc)
-	return preds[chosen]
+	_, chosen := m.choose(pc)
+	return m.sourceTaken(chosen, pc)
 }
 
 // Update implements Predictor. All direction components train on every
@@ -208,30 +241,72 @@ func (m *MultiComponent) Predict(pc uint64) bool {
 //   - chosen wrong: correct components are incremented and the chosen
 //     component is decremented.
 func (m *MultiComponent) Update(pc uint64, taken bool) {
-	preds, chosen := m.predictions(pc)
-	chosenCorrect := preds[chosen] == taken
-	sel := int(pcIndex(pc, m.selMask))
-	for i, pred := range preds {
-		correct := pred == taken
-		switch {
-		case i == chosen && !chosenCorrect:
-			m.selector[i].Update(sel, false)
-		case i != chosen && chosenCorrect && !correct:
-			m.selector[i].Update(sel, false)
-		case i != chosen && !chosenCorrect && correct:
-			m.selector[i].Update(sel, true)
+	m.step(pc, taken)
+}
+
+// step is Update, returning the prediction Predict made for the branch.
+// Each direction table is read and trained in one pass
+// (counter.Array2.PredictUpdate), the per-source predictions gathered as a
+// bitmask (bit i = source i predicts taken); the selector trains on them,
+// then the histories advance.
+func (m *MultiComponent) step(pc uint64, taken bool) bool {
+	var preds uint64
+	for i, c := range m.components {
+		if c.pht.PredictUpdate(c.index(pc), taken) {
+			preds |= 1 << i
 		}
 	}
-	hist := m.ghr.Value()
-	for _, c := range m.components {
-		c.pht.Update(c.index(pc, hist), taken)
-	}
+	bim := len(m.selector) - 1
 	if m.localPHT != nil {
-		m.localPHT.Update(int(m.localHist.Get(pc)), taken)
+		if m.localPHT.PredictUpdate(int(m.localHist.Get(pc)), taken) {
+			preds |= 1 << (bim - 1)
+		}
 		m.localHist.Push(pc, taken)
 	}
-	m.bimodal.Update(int(pcIndex(pc, m.bimMask)), taken)
+	if m.bimodal.PredictUpdate(int(pcIndex(pc, m.bimMask)), taken) {
+		preds |= 1 << bim
+	}
+
+	sel, chosen := m.choose(pc)
+	all := uint64(1)<<(bim+1) - 1
+	wrong := preds // bit i: source i mispredicted
+	if taken {
+		wrong ^= all
+	}
+	if wrong>>chosen&1 == 0 {
+		// Chosen correct: the wrong sources lose confidence.
+		for w := wrong; w != 0; w &= w - 1 {
+			m.selector[bits.TrailingZeros64(w)].Update(sel, false)
+		}
+	} else {
+		// Chosen wrong: it loses confidence and the correct sources gain.
+		m.selector[chosen].Update(sel, false)
+		for r := all &^ wrong; r != 0; r &= r - 1 {
+			m.selector[bits.TrailingZeros64(r)].Update(sel, true)
+		}
+	}
+
+	hist := m.ghr.Value()
+	for _, c := range m.components {
+		c.push(hist, taken)
+	}
 	m.ghr.Push(taken)
+	return preds>>chosen&1 == 1
+}
+
+// StepBatch implements BatchStepper: one step per branch, so every table is
+// read once per branch where Predict followed by Update reads the chosen
+// source's table twice and the selector twice.
+//
+//bplint:hotpath fused-sweep multi-component lane; bit-identity pinned by TestStepBatchEquivalence
+func (m *MultiComponent) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
+	var miss int64
+	for i, pc := range pcs {
+		if m.step(pc, takens[i]) != takens[i] && i >= measuredFrom {
+			miss++
+		}
+	}
+	return miss
 }
 
 // SizeBytes implements Predictor.

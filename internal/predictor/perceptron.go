@@ -21,8 +21,14 @@ import (
 // product is an adder tree as deep as a multiplier (§2.2), which we model as
 // one extra cycle on top of the table access under the paper's optimistic
 // assumption (§4.1.5).
+//
+// The weights are stored bit-sliced (counter.WeightPlanes): a row's hg+hl
+// history weights are WeightBits 64-bit planes, lane i = history bit i,
+// global bits first and then local. The dot product is then a few
+// popcounts per plane and training a ripple-carry ±1 across the planes,
+// bit-identical to the scalar per-weight loops.
 type Perceptron struct {
-	weights *counter.SignedArray // n × (1+hg+hl), row-major
+	weights *counter.WeightPlanes // n rows of a bias and hg+hl weights
 	lhist   *history.Local
 	ghr     *history.Global
 	n       int
@@ -31,19 +37,17 @@ type Perceptron struct {
 	theta   int
 	name    string
 
-	// Predict memoizes its dot product for the Update that follows: with
-	// the strict Predict-then-Update alternation of the functional
-	// simulator the recomputation in Update is pure waste (it reads
-	// exactly the state Predict read), and it is the dominant cost of the
-	// predictor. The memo is only reused when the PC matches and no
-	// Update ran in between — weights and histories mutate only in
-	// Update, which always invalidates — so out-of-order drivers (the
-	// pipeline model retires updates long after fetch-time predictions)
-	// recompute exactly as before. Hardware reads the adder tree once
-	// and latches y; this is that latch.
+	// Predict memoizes its dot product for the Update that follows: every
+	// scalar driver (the timing pipeline, the overriding organization)
+	// calls Update right after Predict for the same branch, and the
+	// recomputation reads exactly the state Predict read. The memo is
+	// reused only when the PC matches and no Update ran in between —
+	// weights and histories mutate only in Update and StepBatch, which
+	// always invalidate — so an out-of-order driver recomputes exactly as
+	// before. Hardware reads the adder tree once and latches y; this is
+	// that latch.
 	memoPC    uint64
 	memoY     int
-	memoBase  int
 	memoValid bool
 }
 
@@ -68,8 +72,12 @@ func NewPerceptron(cfg PerceptronConfig) *Perceptron {
 		panic(fmt.Sprintf("predictor: perceptron global history %d out of range", cfg.GlobalBits))
 	}
 	h := cfg.GlobalBits + cfg.LocalBits
+	if h > 64 {
+		panic(fmt.Sprintf("predictor: perceptron history of %d global + %d local bits exceeds the 64 weight lanes (config %+v)",
+			cfg.GlobalBits, cfg.LocalBits, cfg))
+	}
 	p := &Perceptron{
-		weights: counter.NewSignedArray(cfg.Entries*int(1+h), cfg.WeightBits),
+		weights: counter.NewWeightPlanes(cfg.Entries, h, cfg.WeightBits),
 		ghr:     history.NewGlobal(cfg.GlobalBits),
 		n:       cfg.Entries,
 		hg:      cfg.GlobalBits,
@@ -91,6 +99,11 @@ func NewPerceptron(cfg PerceptronConfig) *Perceptron {
 // with a 10-bit local component — and then fits as many perceptrons as the
 // remaining budget allows.
 func NewPerceptronFromBudget(budgetBytes int) *Perceptron {
+	return NewPerceptron(perceptronBudgetConfig(budgetBytes))
+}
+
+// perceptronBudgetConfig is NewPerceptronFromBudget's configuration.
+func perceptronBudgetConfig(budgetBytes int) PerceptronConfig {
 	kb := budgetBytes / 1024
 	var hg uint
 	switch {
@@ -126,104 +139,81 @@ func NewPerceptronFromBudget(budgetBytes int) *Perceptron {
 	if entries < 8 {
 		entries = 8
 	}
-	return NewPerceptron(PerceptronConfig{
+	return PerceptronConfig{
 		Entries:     entries,
 		GlobalBits:  hg,
 		LocalBits:   hl,
 		LocalTables: localTables,
 		WeightBits:  8,
-	})
+	}
 }
 
 func (p *Perceptron) row(pc uint64) int {
 	return int(hashPC(pc) % uint64(p.n))
 }
 
-// output computes the perceptron dot product for the branch at pc.
-func (p *Perceptron) output(pc uint64) (y int, base int) {
-	base = p.row(pc) * int(1+p.hg+p.hl)
-	y = p.weights.Get(base)
-	g := p.ghr.Value()
-	for i := uint(0); i < p.hg; i++ {
-		w := p.weights.Get(base + 1 + int(i))
-		if g>>i&1 == 1 {
-			y += w
-		} else {
-			y -= w
-		}
-	}
+// inputs returns the history as the weight lanes see it: the global
+// history in lanes 0..hg-1 and the local history above it.
+func (p *Perceptron) inputs(pc uint64) uint64 {
+	x := p.ghr.Value()
 	if p.hl > 0 {
-		l := p.lhist.Get(pc)
-		off := base + 1 + int(p.hg)
-		for i := uint(0); i < p.hl; i++ {
-			w := p.weights.Get(off + int(i))
-			if l>>i&1 == 1 {
-				y += w
-			} else {
-				y -= w
-			}
-		}
+		x |= p.lhist.Get(pc) << p.hg
 	}
-	return y, base
+	return x
 }
 
 // Predict implements Predictor.
 func (p *Perceptron) Predict(pc uint64) bool {
-	y, base := p.output(pc)
+	y := p.weights.Dot(p.row(pc), p.inputs(pc))
 	// The dot-product memo is observationally pure: Update consults it only
 	// when the PC matches and always invalidates it, and Predict overwrites
 	// it unconditionally, so no prediction or training outcome ever depends
 	// on whether (or in what order) earlier Predicts ran — out-of-order
 	// pipeline drivers stay bit-identical to in-order ones.
 	//bplint:allow predictpure memo never changes an outcome; Update invalidates it on every call
-	p.memoPC, p.memoY, p.memoBase, p.memoValid = pc, y, base, true
+	p.memoPC, p.memoY, p.memoValid = pc, y, true
 	return y >= 0
 }
 
 // Update implements Predictor.
 func (p *Perceptron) Update(pc uint64, taken bool) {
-	var y, base int
-	if p.memoValid && p.memoPC == pc {
-		y, base = p.memoY, p.memoBase
-	} else {
-		y, base = p.output(pc)
+	row, x := p.row(pc), p.inputs(pc)
+	y := p.memoY
+	if !p.memoValid || p.memoPC != pc {
+		y = p.weights.Dot(row, x)
 	}
 	p.memoValid = false
-	pred := y >= 0
-	mag := y
-	if mag < 0 {
-		mag = -mag
-	}
-	if pred != taken || mag <= p.theta {
-		t := -1
-		if taken {
-			t = 1
-		}
-		p.weights.Add(base, t)
-		g := p.ghr.Value()
-		for i := uint(0); i < p.hg; i++ {
-			x := -1
-			if g>>i&1 == 1 {
-				x = 1
-			}
-			p.weights.Add(base+1+int(i), t*x)
-		}
-		if p.hl > 0 {
-			l := p.lhist.Get(pc)
-			off := base + 1 + int(p.hg)
-			for i := uint(0); i < p.hl; i++ {
-				x := -1
-				if l>>i&1 == 1 {
-					x = 1
-				}
-				p.weights.Add(off+int(i), t*x)
-			}
-		}
+	p.train(pc, row, x, y, taken)
+}
+
+// train applies the perceptron rule to the branch at pc, whose row, inputs
+// and output are row, x and y, and advances the histories.
+func (p *Perceptron) train(pc uint64, row int, x uint64, y int, taken bool) {
+	if (y >= 0) != taken || y <= p.theta && y >= -p.theta {
+		p.weights.Train(row, x, taken)
 	}
 	if p.hl > 0 {
 		p.lhist.Push(pc, taken)
 	}
 	p.ghr.Push(taken)
+}
+
+// StepBatch implements BatchStepper: one dot product per branch, shared by
+// the prediction and the training decision.
+//
+//bplint:hotpath fused-sweep perceptron lane; bit-identity pinned by TestStepBatchEquivalence
+func (p *Perceptron) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
+	p.memoValid = false
+	var miss int64
+	for i, pc := range pcs {
+		row, x := p.row(pc), p.inputs(pc)
+		y := p.weights.Dot(row, x)
+		p.train(pc, row, x, y, takens[i])
+		if (y >= 0) != takens[i] && i >= measuredFrom {
+			miss++
+		}
+	}
+	return miss
 }
 
 // SizeBytes implements Predictor.

@@ -53,11 +53,13 @@ type CycleAware interface {
 // i >= measuredFrom whose pred differed from takens[i]. "Identical" means
 // bit-identical: the same table and history state afterwards and the same
 // per-branch predictions, which the equivalence suites in this package and
-// in funcsim enforce against the scalar protocol. Only predictors whose
-// per-branch work is cheap enough for dispatch and duplicate index
-// computation to dominate implement it — complex predictors gain nothing,
-// and cycle-aware predictors cannot (their per-branch OnCycle interleaving
-// needs the scalar loop).
+// in funcsim enforce against the scalar protocol. A predictor implements it
+// when one fused step per branch saves work over the pair: the cheap table
+// predictors save dispatch and a duplicate index computation, and the heavy
+// ones (perceptron, multi-component, 2Bc-gskew) save their second lookup —
+// the row and history reads, the selector and the component reads, or the
+// four skewed bank indices. Cycle-aware predictors cannot implement it: their
+// per-branch OnCycle interleaving needs the scalar loop.
 type BatchStepper interface {
 	StepBatch(pcs []uint64, takens []bool, measuredFrom int) (mispredicts int64)
 }

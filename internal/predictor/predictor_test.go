@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"strings"
 	"testing"
 
 	"branchsim/internal/rng"
@@ -349,6 +350,11 @@ func TestInvalidConstructions(t *testing.T) {
 		func() { NewMultiComponent(MCConfig{ComponentEntries: 128}) },
 		func() { NewPerceptron(PerceptronConfig{Entries: 0, GlobalBits: 10}) },
 		func() { NewPerceptron(PerceptronConfig{Entries: 10, GlobalBits: 0}) },
+		// Wider than the 64-lane weight planes.
+		func() { NewPerceptron(PerceptronConfig{Entries: 10, GlobalBits: 60, LocalBits: 10}) },
+		func() { NewMultiComponent(mcConfigWith(func(c *MCConfig) { c.ComponentEntries = 1 })) },
+		func() { NewMultiComponent(mcConfigWith(func(c *MCConfig) { c.HistoryLengths = []uint{8, 4} })) },
+		func() { NewMultiComponent(mcConfigWith(func(c *MCConfig) { c.HistoryLengths = []uint{0, 4} })) },
 	}
 	for i, f := range cases {
 		func() {
@@ -360,6 +366,24 @@ func TestInvalidConstructions(t *testing.T) {
 			f()
 		}()
 	}
+	// The too-wide perceptron names itself and its configuration.
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.HasPrefix(msg, "predictor: ") || !strings.Contains(msg, "GlobalBits:60 LocalBits:10") {
+				t.Errorf("too-wide perceptron panicked with %q", msg)
+			}
+		}()
+		NewPerceptron(PerceptronConfig{Entries: 10, GlobalBits: 60, LocalBits: 10})
+	}()
+}
+
+// mcConfigWith returns a valid multi-component configuration with one
+// change applied.
+func mcConfigWith(change func(*MCConfig)) MCConfig {
+	cfg := MCConfig{BimodalEntries: 64, ComponentEntries: 64, HistoryLengths: []uint{4, 8}, SelectorEntries: 64}
+	change(&cfg)
+	return cfg
 }
 
 func TestEV6ChooserMigration(t *testing.T) {

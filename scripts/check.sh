@@ -29,6 +29,9 @@ echo "==> engine-vs-reference differential fuzz smoke (10s each: random streams,
 go test -run '^$' -fuzz FuzzEngineVsReference -fuzztime=10s ./internal/pipeline
 go test -run '^$' -fuzz FuzzEngineVsReference -fuzztime=10s ./internal/funcsim
 
+echo "==> heavy-predictor differential fuzz smoke (10s: random perceptron/multi-component/2Bc-gskew configs, Predict/Update and StepBatch vs the naive reference)"
+go test -run '^$' -fuzz FuzzPredictorVsReference -fuzztime=10s ./internal/predictor
+
 echo "==> BPTRACE1 codec fuzz smoke (10s round-trip/fixed-point search)"
 go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime=10s ./internal/trace
 
@@ -69,8 +72,9 @@ echo "==> cell store equivalence + robustness (store-served cells bit-identical;
 go test -race ./internal/resultstore
 go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestMultiBranchWarmStore|TestRunCellsPanicKey' ./internal/experiments
 
-echo "==> batched-loop allocation bounds (no race: alloc counts need a plain build)"
+echo "==> batched-loop and per-branch predictor allocation bounds (no race: alloc counts need a plain build)"
 go test -run 'TestBatchedRunAllocs|TestRunManyAllocs' ./internal/funcsim
+go test -run 'TestPredictorStepAllocs' ./internal/experiments
 go test -run 'TestBatchedTimingRunAllocs|TestFusedTimingAllocs' ./internal/pipeline
 
 echo "==> go test -race ./..."
