@@ -2,6 +2,12 @@
 // simulations: one or more predictors over one or more synthetic SPECint2000
 // benchmarks, reporting per-benchmark and mean misprediction rates.
 //
+// Benchmarks are the outer loop: each benchmark's stream is recorded once
+// and every predictor is one lane of a single fused funcsim.RunMany pass
+// over it; the recording is released before the next benchmark. The
+// per-predictor report is printed once every benchmark is done, so a bad
+// -predictors kind fails before any output.
+//
 // Examples:
 //
 //	bpsim -predictors gshare.fast,perceptron -budget 65536
@@ -9,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -20,80 +28,125 @@ import (
 	"branchsim/internal/prof"
 	"branchsim/internal/stats"
 	"branchsim/internal/trace"
-	"branchsim/internal/tracestore"
 	"branchsim/internal/workload"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, simulates, and writes the report to
+// stdout and any error to stderr, returning the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		predictors = flag.String("predictors", "gshare.fast", "comma-separated predictor kinds")
-		budget     = flag.Int("budget", 64<<10, "hardware budget in bytes")
-		benchmarks = flag.String("benchmarks", "all", "comma-separated benchmark names or 'all'")
-		insts      = flag.Int64("insts", workload.DefaultInstructions, "dynamic instructions per benchmark")
-		warmup     = flag.Int64("warmup", 0, "warm-up instructions excluded from statistics")
-		list       = flag.Bool("list", false, "list available predictors and benchmarks, then exit")
-		perClass   = flag.Bool("perclass", false, "print per-branch-class misprediction diagnostics")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memprofile = flag.String("memprofile", "", "write an allocation profile to this path")
+		predictors = fs.String("predictors", "gshare.fast", "comma-separated predictor kinds")
+		budget     = fs.Int("budget", 64<<10, "hardware budget in bytes")
+		benchmarks = fs.String("benchmarks", "all", "comma-separated benchmark names or 'all'")
+		insts      = fs.Int64("insts", workload.DefaultInstructions, "dynamic instructions per benchmark")
+		warmup     = fs.Int64("warmup", 0, "warm-up instructions excluded from statistics")
+		list       = fs.Bool("list", false, "list available predictors and benchmarks, then exit")
+		perClass   = fs.Bool("perclass", false, "print per-branch-class misprediction diagnostics")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this path")
+		memprofile = fs.String("memprofile", "", "write an allocation profile to this path")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	defer stopProf()
 
 	if *list {
-		fmt.Println("predictors:", strings.Join(experiments.PredictorKinds(), " "))
+		fmt.Fprintln(stdout, "predictors:", strings.Join(experiments.PredictorKinds(), " "))
 		names := make([]string, 0, 12)
 		for _, p := range workload.Profiles() {
 			names = append(names, p.Name)
 		}
-		fmt.Println("benchmarks:", strings.Join(names, " "))
-		return
+		fmt.Fprintln(stdout, "benchmarks:", strings.Join(names, " "))
+		return 0
 	}
 
 	profiles, err := selectProfiles(*benchmarks)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	kinds := splitKinds(*predictors)
+	opts := funcsim.Options{MaxInsts: *insts, WarmupInsts: *warmup, PerClass: *perClass}
+	results, err := simulate(kinds, *budget, profiles, opts)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	printReport(stdout, kinds, *budget, *insts, *perClass, profiles, results)
+	return 0
+}
 
-	// Each benchmark's stream is recorded on first use and replayed for
-	// every subsequent predictor kind, so multi-predictor invocations pay
-	// generation cost once per benchmark.
-	store := tracestore.New()
-	for _, kind := range strings.Split(*predictors, ",") {
-		kind = strings.TrimSpace(kind)
-		if kind == "" {
-			continue
+// splitKinds returns the non-empty comma-separated predictor kinds.
+func splitKinds(list string) []string {
+	var kinds []string
+	for _, kind := range strings.Split(list, ",") {
+		if kind = strings.TrimSpace(kind); kind != "" {
+			kinds = append(kinds, kind)
 		}
-		fmt.Printf("%s @ %dKB (%d insts/benchmark)\n", kind, *budget>>10, *insts)
-		var rates []float64
-		for _, prof := range profiles {
-			p, err := experiments.NewPredictor(kind, *budget)
+	}
+	return kinds
+}
+
+// simulate returns every kind's Result on every benchmark, indexed
+// [kind][benchmark]. Each benchmark is one fused pass whose recording is
+// dropped afterwards, so at most one benchmark's stream is alive at a time.
+// A benchmark's lanes are all built before its stream is recorded, so an
+// unknown kind fails before anything is simulated.
+func simulate(kinds []string, budget int, profiles []workload.Profile, opts funcsim.Options) ([][]funcsim.Result, error) {
+	results := make([][]funcsim.Result, len(kinds))
+	if len(kinds) == 0 {
+		return results, nil
+	}
+	for _, prof := range profiles {
+		lanes := make([]funcsim.Lane, len(kinds))
+		for i, kind := range kinds {
+			p, err := experiments.NewPredictor(kind, budget)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return nil, err
 			}
-			src := store.Source(
-				tracestore.Key{Name: prof.Name, Seed: prof.Seed, Insts: *insts},
-				func() trace.Source { return workload.New(prof) })
-			if *perClass {
-				src = workload.Classify(src, prof)
-			}
-			res := funcsim.Run(p, src, funcsim.Options{
-				MaxInsts:    *insts,
-				WarmupInsts: *warmup,
-				PerClass:    *perClass,
-			})
+			lanes[i] = funcsim.Lane{P: p}
+		}
+		rec := workload.Record(prof, opts.MaxInsts)
+		var src trace.BranchSource = rec.Replay()
+		if opts.PerClass {
+			// Classify keeps a replay cursor's branch protocol.
+			src = workload.Classify(rec.Replay(), prof).(trace.BranchSource)
+		}
+		for i, r := range funcsim.RunMany(lanes, src, opts) {
+			results[i] = append(results[i], r)
+		}
+	}
+	return results, nil
+}
+
+// printReport writes one block per kind: a header, a line per benchmark
+// (with per-class rates under -perclass), and the mean misprediction rate.
+func printReport(w io.Writer, kinds []string, budget int, insts int64, perClass bool, profiles []workload.Profile, results [][]funcsim.Result) {
+	for i, kind := range kinds {
+		fmt.Fprintf(w, "%s @ %dKB (%d insts/benchmark)\n", kind, budget>>10, insts)
+		var rates []float64
+		for j, prof := range profiles {
+			res := results[i][j]
 			rates = append(rates, res.MispredictPercent())
-			fmt.Printf("  %-12s %7.3f%% mispredicted  (%d branches, predictor %s, %d bytes)\n",
+			fmt.Fprintf(w, "  %-12s %7.3f%% mispredicted  (%d branches, predictor %s, %d bytes)\n",
 				prof.ShortName(), res.MispredictPercent(), res.Branches,
 				res.Predictor, res.PredSizeByte)
-			if *perClass {
+			if perClass {
 				names := make([]string, 0, len(res.ClassRates))
 				for n := range res.ClassRates {
 					names = append(names, n)
@@ -101,12 +154,12 @@ func main() {
 				sort.Strings(names)
 				for _, n := range names {
 					r := res.ClassRates[n]
-					fmt.Printf("      %-14s %7.3f%%  share %5.1f%%\n",
+					fmt.Fprintf(w, "      %-14s %7.3f%%  share %5.1f%%\n",
 						n, r.Percent(), 100*float64(r.Total)/float64(res.Branches))
 				}
 			}
 		}
-		fmt.Printf("  %-12s %7.3f%% (arithmetic mean)\n\n", "MEAN", stats.Mean(rates))
+		fmt.Fprintf(w, "  %-12s %7.3f%% (arithmetic mean)\n\n", "MEAN", stats.Mean(rates))
 	}
 }
 

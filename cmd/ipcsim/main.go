@@ -10,14 +10,23 @@
 //	           overriding organization with delay-model latency;
 //	           gshare.fast runs pipelined and needs no overriding
 //
+// Benchmarks are the outer loop: each benchmark's stream is recorded once,
+// its memory hierarchy is simulated once into a sidecar, and every predictor
+// kind is one lane of a single fused pipeline.RunMany pass over them. The
+// recording and sidecar are released before the next benchmark, and the
+// per-predictor report is printed once every benchmark is done, so a bad
+// -predictors kind or -mode fails before any output.
+//
 // Example:
 //
 //	ipcsim -predictors gshare.fast,perceptron -budget 65536 -mode realistic
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,70 +35,115 @@ import (
 	"branchsim/internal/predictor"
 	"branchsim/internal/prof"
 	"branchsim/internal/stats"
-	"branchsim/internal/trace"
-	"branchsim/internal/tracestore"
 	"branchsim/internal/workload"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, simulates, and writes the report to
+// stdout and any error to stderr, returning the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ipcsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		predictors = flag.String("predictors", "gshare.fast", "comma-separated predictor kinds")
-		budget     = flag.Int("budget", 64<<10, "hardware budget in bytes")
-		benchmarks = flag.String("benchmarks", "all", "comma-separated benchmark names or 'all'")
-		insts      = flag.Int64("insts", workload.DefaultInstructions, "dynamic instructions per benchmark")
-		warmup     = flag.Int64("warmup", 0, "warm-up instructions excluded from statistics")
-		mode       = flag.String("mode", "realistic", "predictor timing: ideal or realistic")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memprofile = flag.String("memprofile", "", "write an allocation profile to this path")
+		predictors = fs.String("predictors", "gshare.fast", "comma-separated predictor kinds")
+		budget     = fs.Int("budget", 64<<10, "hardware budget in bytes")
+		benchmarks = fs.String("benchmarks", "all", "comma-separated benchmark names or 'all'")
+		insts      = fs.Int64("insts", workload.DefaultInstructions, "dynamic instructions per benchmark")
+		warmup     = fs.Int64("warmup", 0, "warm-up instructions excluded from statistics")
+		mode       = fs.String("mode", "realistic", "predictor timing: ideal or realistic")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this path")
+		memprofile = fs.String("memprofile", "", "write an allocation profile to this path")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	defer stopProf()
 
 	profiles, err := selectProfiles(*benchmarks)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	kinds := splitKinds(*predictors)
+	results, err := simulate(kinds, *budget, *mode, profiles, *insts, *warmup)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	printReport(stdout, kinds, *budget, *mode, *insts, profiles, results)
+	return 0
+}
 
-	// Streams are recorded once per benchmark and replayed for every
-	// predictor kind, and the memory hierarchy is simulated once per
-	// benchmark via the store's sidecars (see internal/tracestore).
-	cfg := pipeline.DefaultConfig()
-	store := tracestore.New()
-	for _, kind := range strings.Split(*predictors, ",") {
-		kind = strings.TrimSpace(kind)
-		if kind == "" {
-			continue
+// splitKinds returns the non-empty comma-separated predictor kinds.
+func splitKinds(list string) []string {
+	var kinds []string
+	for _, kind := range strings.Split(list, ",") {
+		if kind = strings.TrimSpace(kind); kind != "" {
+			kinds = append(kinds, kind)
 		}
-		fmt.Printf("%s @ %dKB, %s timing (%d insts/benchmark)\n", kind, *budget>>10, *mode, *insts)
-		var ipcs []float64
-		for _, prof := range profiles {
-			p, err := buildPredictor(kind, *budget, *mode)
+	}
+	return kinds
+}
+
+// simulate returns every kind's Result on every benchmark, indexed
+// [kind][benchmark]. Each benchmark is one fused pass: its recording and
+// memory sidecar serve every kind's lane and are dropped afterwards, so at
+// most one benchmark's stream is alive at a time. A benchmark's lanes are
+// all built before its stream is recorded, so an unknown kind or mode
+// fails before anything is simulated.
+func simulate(kinds []string, budget int, mode string, profiles []workload.Profile, insts, warmup int64) ([][]pipeline.Result, error) {
+	results := make([][]pipeline.Result, len(kinds))
+	if len(kinds) == 0 {
+		return results, nil
+	}
+	cfg := pipeline.DefaultConfig()
+	for _, prof := range profiles {
+		lanes := make([]pipeline.Lane, len(kinds))
+		for i, kind := range kinds {
+			p, err := buildPredictor(kind, budget, mode)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return nil, err
 			}
-			key := tracestore.Key{Name: prof.Name, Seed: prof.Seed, Insts: *insts}
-			gen := func() trace.Source { return workload.New(prof) }
-			src := store.Source(key, gen)
-			sim := pipeline.New(cfg, p)
-			sim.SetMemSidecar(store.MemSidecar(key, pipeline.MemGeometryOf(cfg), gen))
-			res := sim.Run(src, *insts, *warmup)
+			lanes[i] = pipeline.Lane{Cfg: cfg, Pred: p}
+		}
+		rec := workload.Record(prof, insts)
+		side := pipeline.BuildMemSidecar(rec, pipeline.MemGeometryOf(cfg))
+		for i, r := range pipeline.RunMany(lanes, rec.Replay(), side, insts, warmup) {
+			results[i] = append(results[i], r)
+		}
+	}
+	return results, nil
+}
+
+// printReport writes one block per kind: a header, a line per benchmark,
+// and the harmonic-mean IPC.
+func printReport(w io.Writer, kinds []string, budget int, mode string, insts int64, profiles []workload.Profile, results [][]pipeline.Result) {
+	for i, kind := range kinds {
+		fmt.Fprintf(w, "%s @ %dKB, %s timing (%d insts/benchmark)\n", kind, budget>>10, mode, insts)
+		var ipcs []float64
+		for j, prof := range profiles {
+			res := results[i][j]
 			ipcs = append(ipcs, res.IPC())
 			extra := ""
 			if res.OverrideRate > 0 {
 				extra = fmt.Sprintf("  override %.2f%%", 100*res.OverrideRate)
 			}
-			fmt.Printf("  %-12s IPC %6.3f  (mispredict %5.2f%%%s)\n",
+			fmt.Fprintf(w, "  %-12s IPC %6.3f  (mispredict %5.2f%%%s)\n",
 				prof.ShortName(), res.IPC(), res.MispredictPercent(), extra)
 		}
-		fmt.Printf("  %-12s IPC %6.3f (harmonic mean)\n\n", "HMEAN", stats.HarmonicMean(ipcs))
+		fmt.Fprintf(w, "  %-12s IPC %6.3f (harmonic mean)\n\n", "HMEAN", stats.HarmonicMean(ipcs))
 	}
 }
 

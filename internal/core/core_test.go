@@ -401,3 +401,108 @@ func TestFastPipeMatchesGShareFastIndexing(t *testing.T) {
 		f.Push(taken)
 	}
 }
+
+// TestOverridingBatchEquivalence pins the overriding pair's batch path
+// against Predict/Update/LastOverrode per branch: over uneven batches —
+// empty, single-branch, across the 64-branch chunk edge, and full — the
+// batch path must give the same slow predictions and override flags, and
+// leave OverrideCount and LastOverrode where the scalar protocol leaves
+// them after every batch. StepBatch, which drops the flags, must keep the
+// same state.
+func TestOverridingBatchEquivalence(t *testing.T) {
+	pairs := []struct {
+		name    string
+		mk      func() *Overriding
+		latency int
+	}{
+		{"gshare->2bcgskew", func() *Overriding {
+			return NewOverriding(predictor.NewGShare(2048, 0), predictor.NewGSkew2BcFromBudget(16<<10), 3)
+		}, 3},
+		{"bimodal->perceptron", func() *Overriding {
+			return NewOverriding(predictor.NewBimodal(512), predictor.NewPerceptronFromBudget(16<<10), 5)
+		}, 5},
+		{"gshare->multicomponent-lat1", func() *Overriding {
+			return NewOverriding(predictor.NewGShare(2048, 0), predictor.NewMultiComponentFromBudget(16<<10), 1)
+		}, 1},
+	}
+	r := rng.NewXoshiro256(5)
+	const n = 12_000
+	pcs, takens := make([]uint64, n), make([]bool, n)
+	for i := range pcs {
+		pcs[i] = uint64(0x4000 + r.Intn(512)*4)
+		takens[i] = r.Bool(0.3 + 0.4*float64(pcs[i]>>2&1))
+	}
+	sizes := []int{0, 1, 63, 64, 65, 200, 256, 7, 129}
+	for _, pc := range pairs {
+		t.Run(pc.name, func(t *testing.T) {
+			scalar, batched, plain := pc.mk(), pc.mk(), pc.mk()
+			preds, overrode, plainPreds := make([]bool, 256), make([]bool, 256), make([]bool, 256)
+			var overrides int64
+			for off, k := 0, 0; off < n; k++ {
+				m := min(sizes[k%len(sizes)], n-off)
+				batched.StepBatchOverrides(pcs[off:off+m], takens[off:off+m], preds, overrode)
+				plain.StepBatch(pcs[off:off+m], takens[off:off+m], plainPreds)
+				for i := 0; i < m; i++ {
+					want := scalar.Predict(pcs[off+i])
+					ov, bubble := scalar.LastOverrode()
+					scalar.Update(pcs[off+i], takens[off+i])
+					if preds[i] != want || plainPreds[i] != want || overrode[i] != ov {
+						t.Fatalf("branch %d (batch %d of %d): batch predicts %v/%v override %v, scalar %v override %v",
+							off+i, k, m, preds[i], plainPreds[i], overrode[i], want, ov)
+					}
+					if ov {
+						overrides++
+						if bubble != pc.latency-1 {
+							t.Fatalf("bubble %d at latency %d", bubble, pc.latency)
+						}
+					}
+				}
+				for _, o := range []*Overriding{batched, plain} {
+					if g, w := pack(o.OverrideCount()), pack(scalar.OverrideCount()); g != w {
+						t.Fatalf("after batch %d: OverrideCount %v, scalar %v", k, g, w)
+					}
+					gov, gb := o.LastOverrode()
+					wov, wb := scalar.LastOverrode()
+					if gov != wov || gb != wb {
+						t.Fatalf("after batch %d: LastOverrode %v/%d, scalar %v/%d", k, gov, gb, wov, wb)
+					}
+				}
+				off += m
+			}
+			if pc.latency > 1 && overrides == 0 {
+				t.Fatal("degenerate stream: no overrides")
+			}
+		})
+	}
+}
+
+func pack(a, b int64) [2]int64 { return [2]int64{a, b} }
+
+// TestBatchStepperOf pins the engines' batching resolver: batch steppers
+// batch unless cycle-aware, and an overriding pair batches exactly when
+// both of its components do.
+func TestBatchStepperOf(t *testing.T) {
+	gs := func() predictor.Predictor { return predictor.NewGShare(2048, 0) }
+	fast := func() predictor.Predictor { return New(Config{Entries: 1 << 12, Latency: 3}) }
+	cases := []struct {
+		name string
+		p    predictor.Predictor
+		want bool
+	}{
+		{"gshare", gs(), true},
+		{"perceptron", predictor.NewPerceptronFromBudget(4 << 10), true},
+		{"local", predictor.NewLocalFromBudget(4 << 10), false},
+		{"gshare.fast", fast(), false},
+		{"nockpt", WithoutCheckpointing(New(Config{Entries: 1 << 12, Latency: 3})), false},
+		{"bimodefast", NewBiModeFastFromBudget(8<<10, 3), false},
+		{"override", NewOverriding(gs(), predictor.NewGSkew2BcFromBudget(4<<10), 3), true},
+		{"override-cycleaware-slow", NewOverriding(gs(), fast(), 3), false},
+		{"override-cycleaware-quick", NewOverriding(fast(), gs(), 3), false},
+		{"override-scalar-slow", NewOverriding(gs(), predictor.NewLocalFromBudget(4<<10), 3), false},
+	}
+	for _, c := range cases {
+		if got := BatchStepperOf(c.p) != nil; got != c.want {
+			t.Errorf("%s: batches %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -115,3 +115,77 @@ func (o *Overriding) OnCycle(cycle uint64) {
 		c.OnCycle(cycle)
 	}
 }
+
+// StepBatch implements predictor.BatchStepper: StepBatchOverrides without
+// the override column.
+func (o *Overriding) StepBatch(pcs []uint64, takens []bool, preds []bool) {
+	o.StepBatchOverrides(pcs, takens, preds, nil)
+}
+
+// overrideChunk is the number of branches StepBatchOverrides steps per
+// component call: the quick predictions of one chunk fit one word.
+const overrideChunk = 64
+
+// StepBatchOverrides is the batch form of the Predict/Update/LastOverrode
+// sequence the timing engine runs per branch: it steps the quick and the
+// slow component through the batch with their own StepBatch, writes the slow
+// predictions to preds and, when overrode is non-nil, whether each branch
+// was overridden (quick ≠ slow with a multi-cycle slow predictor). The
+// override tally and LastOverrode end exactly where the scalar protocol
+// leaves them. Both components must be batch steppers (BatchStepperOf);
+// they share no state, so stepping one through the batch before the other
+// is the per-branch interleave reordered. Each chunk's quick predictions are
+// held as one word's bits, so the step needs no scratch column.
+func (o *Overriding) StepBatchOverrides(pcs []uint64, takens []bool, preds, overrode []bool) {
+	quick, qok := o.quick.(predictor.BatchStepper)
+	slow, sok := o.slow.(predictor.BatchStepper)
+	if !qok || !sok {
+		panic("core: StepBatchOverrides needs batch-stepping components")
+	}
+	multiCycle := o.latency > 1
+	var events int64
+	for lo := 0; lo < len(pcs); lo += overrideChunk {
+		hi := min(lo+overrideChunk, len(pcs))
+		p := preds[lo:hi]
+		quick.StepBatch(pcs[lo:hi], takens[lo:hi], p)
+		var qbits uint64
+		for i, q := range p {
+			if q {
+				qbits |= 1 << i
+			}
+		}
+		slow.StepBatch(pcs[lo:hi], takens[lo:hi], p)
+		for i, s := range p {
+			q := qbits>>i&1 == 1
+			ov := multiCycle && q != s
+			if ov {
+				events++
+			}
+			if overrode != nil {
+				overrode[lo+i] = ov
+			}
+		}
+		o.lastQuick, o.lastSlow = qbits>>(len(p)-1)&1 == 1, p[len(p)-1]
+	}
+	o.overrides.AddN(events, int64(len(pcs)))
+}
+
+// BatchStepperOf is the engines' one batching resolver: it returns p's
+// batch protocol when every prediction p makes depends on the branch stream
+// alone, and nil when the lane must take the per-branch path. A
+// predictor.BatchStepper qualifies unless it is cycle-aware; an Overriding
+// — which always forwards OnCycle — qualifies when both its components do,
+// since its OnCycle is then a no-op.
+func BatchStepperOf(p predictor.Predictor) predictor.BatchStepper {
+	if o, ok := p.(*Overriding); ok {
+		if BatchStepperOf(o.quick) == nil || BatchStepperOf(o.slow) == nil {
+			return nil
+		}
+		return o
+	}
+	if _, ok := p.(predictor.CycleAware); ok {
+		return nil
+	}
+	s, _ := p.(predictor.BatchStepper)
+	return s
+}

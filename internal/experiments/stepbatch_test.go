@@ -11,9 +11,8 @@ import (
 // TestFactoryBatchSteppers holds every batch-stepping predictor the
 // experiments can build to the BatchStepper contract: for each factory kind
 // at each Figure 1 budget (a superset of the paper budgets) whose predictor
-// implements predictor.BatchStepper, StepBatch over uneven batches — with
-// the warm-up boundary falling inside a batch — must count exactly the
-// mispredicts of the Predict/Update pair per branch, and leave the
+// implements predictor.BatchStepper, StepBatch over uneven batches must
+// predict every branch exactly as the Predict/Update pair does, and leave the
 // predictor predicting exactly as the scalar-stepped twin does. A kind that
 // gains a StepBatch is covered here without being named.
 func TestFactoryBatchSteppers(t *testing.T) {
@@ -22,9 +21,8 @@ func TestFactoryBatchSteppers(t *testing.T) {
 	if n := trace.FilterBranches(workload.New(prof)).NextBranches(branches[:]); n != len(branches) {
 		t.Fatalf("stream yielded %d branches, want %d", n, len(branches))
 	}
-	// Batch sizes cycle unevenly; the warm-up boundary lands mid-batch.
+	// Batch sizes cycle unevenly.
 	sizes := []int{1, 7, 256, 33, 100, 3, 255}
-	const warmup = 5_003
 
 	covered := map[string]bool{}
 	for _, kind := range PredictorKinds() {
@@ -37,23 +35,22 @@ func TestFactoryBatchSteppers(t *testing.T) {
 			covered[kind] = true
 			pcs := make([]uint64, 0, 256)
 			takens := make([]bool, 0, 256)
+			preds := make([]bool, 256)
 			for pos, k := 0, 0; pos < len(branches); k++ {
 				batch := branches[pos:min(pos+sizes[k%len(sizes)], len(branches))]
-				from := min(max(warmup-pos, 0), len(batch))
 				pcs, takens = pcs[:0], takens[:0]
-				var want int64
-				for i, b := range batch {
+				for _, b := range batch {
 					pcs = append(pcs, b.PC)
 					takens = append(takens, b.Taken)
-					pred := ref.Predict(b.PC)
-					ref.Update(b.PC, b.Taken)
-					if i >= from && pred != b.Taken {
-						want++
-					}
 				}
-				if got := s.StepBatch(pcs, takens, from); got != want {
-					t.Fatalf("%s at %d bytes, batch %d at branch %d (measured from %d): StepBatch counted %d mispredicts, Predict/Update %d",
-						kind, budget, k, pos, from, got, want)
+				s.StepBatch(pcs, takens, preds)
+				for i, b := range batch {
+					want := ref.Predict(b.PC)
+					ref.Update(b.PC, b.Taken)
+					if preds[i] != want {
+						t.Fatalf("%s at %d bytes, batch %d at branch %d: StepBatch predicts %v, Predict/Update %v",
+							kind, budget, k, pos+i, preds[i], want)
+					}
 				}
 				pos += len(batch)
 			}

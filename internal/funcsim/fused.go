@@ -1,6 +1,7 @@
 package funcsim
 
 import (
+	"branchsim/internal/core"
 	"branchsim/internal/predictor"
 	"branchsim/internal/stats"
 	"branchsim/internal/trace"
@@ -10,8 +11,10 @@ import (
 // in a sweep, and Run (funcsim.go) is the same engine with one lane. The
 // engine pulls each 256-entry branch batch once and feeds it to every lane
 // before advancing the source, so the fill cost amortizes over the whole
-// grid column and cheap table predictors step through the batch with one
-// BatchStepper call instead of two interface calls per branch. A test-only
+// grid column, and every lane core.BatchStepperOf resolves steps through
+// the batch with one BatchStepper call instead of two interface calls per
+// branch, leaving its per-branch predictions in one shared column that the
+// mispredict and per-class tallies read. A test-only
 // reference (reference_test.go) — one Next call per instruction, one
 // Predict/Update pair per branch — pins every Result bit for bit.
 
@@ -73,7 +76,7 @@ type fusedRun struct {
 	opts Options
 
 	// Per-lane state, index-aligned with the lanes slice.
-	preds     []predictor.Predictor
+	lanePreds []predictor.Predictor
 	aware     []predictor.CycleAware   // nil for cycle-oblivious lanes
 	steppers  []predictor.BatchStepper // nil for lanes on the scalar loop
 	mispred   []int64
@@ -91,16 +94,17 @@ type fusedRun struct {
 	taken    int64
 
 	// The current batch, and its SoA view, filled once and read by every
-	// lane.
+	// lane; preds holds one batch-stepped lane's predictions at a time.
 	batch  [trace.BatchLen]trace.BranchRec
 	pcs    [trace.BatchLen]uint64
 	takens [trace.BatchLen]bool
+	preds  [trace.BatchLen]bool
 }
 
 func newFusedRun(lanes []Lane, classifier BranchClassifier, opts Options) *fusedRun {
 	r := &fusedRun{
 		opts:       opts,
-		preds:      make([]predictor.Predictor, len(lanes)),
+		lanePreds:  make([]predictor.Predictor, len(lanes)),
 		aware:      make([]predictor.CycleAware, len(lanes)),
 		steppers:   make([]predictor.BatchStepper, len(lanes)),
 		mispred:    make([]int64, len(lanes)),
@@ -111,15 +115,12 @@ func newFusedRun(lanes []Lane, classifier BranchClassifier, opts Options) *fused
 		r.classRates = make([]map[string]*stats.Rate, len(lanes))
 	}
 	for i, l := range lanes {
-		r.preds[i] = l.P
-		if ca, ok := l.P.(predictor.CycleAware); ok {
-			// Cycle-aware lanes need OnCycle interleaved per branch; they
-			// take the scalar loop even if they could batch-step.
-			r.aware[i] = ca
-		} else if s, ok := l.P.(predictor.BatchStepper); ok && classifier == nil {
-			// Per-class tallies need each branch's outcome, so with a
-			// classifier every lane takes the scalar loop.
+		r.lanePreds[i] = l.P
+		if s := core.BatchStepperOf(l.P); s != nil {
 			r.steppers[i] = s
+		} else if ca, ok := l.P.(predictor.CycleAware); ok {
+			// Cycle-aware lanes need OnCycle interleaved per branch.
+			r.aware[i] = ca
 		}
 		if classifier != nil {
 			r.classRates[i] = make(map[string]*stats.Rate)
@@ -173,13 +174,25 @@ func (r *fusedRun) step(batch []trace.BranchRec) (done bool) {
 		}
 	}
 	r.measured += int64(cut - from)
-	pcs, takens := r.pcs[:cut], r.takens[:cut]
-	for li := range r.preds {
+	pcs, takens, preds := r.pcs[:cut], r.takens[:cut], r.preds[:cut]
+	for li := range r.lanePreds {
 		if s := r.steppers[li]; s != nil {
-			r.mispred[li] += s.StepBatch(pcs, takens, from)
+			s.StepBatch(pcs, takens, preds)
+			var miss int64
+			for i := from; i < cut; i++ {
+				if preds[i] != takens[i] {
+					miss++
+				}
+			}
+			r.mispred[li] += miss
+			if r.classRates != nil {
+				for i := from; i < cut; i++ {
+					r.tallyClass(li, pcs[i], preds[i] != takens[i])
+				}
+			}
 			continue
 		}
-		p := r.preds[li]
+		p := r.lanePreds[li]
 		aware := r.aware[li]
 		for i := 0; i < cut; i++ {
 			rec := &batch[i]

@@ -11,10 +11,11 @@ import (
 )
 
 // fusedLaneKinds is the lane mix for the fused equivalence suite: every
-// BatchStepper implementation, the heavy predictors whose lanes take the
-// generic scalar loop (the perceptron's Predict-memo must survive many
-// lanes interleaving on one stream), and the cycle-aware gshare.fast,
-// whose per-lane fetch clock RunMany reconstructs independently.
+// BatchStepper implementation, an overriding pair that batch-steps through
+// its components, and the lanes core.BatchStepperOf sends to the scalar
+// loop — the cycle-aware gshare.fast, whose per-lane fetch clock RunMany
+// reconstructs independently, a local-history predictor with no batch
+// protocol, and an overriding pair whose quick component is cycle-aware.
 func fusedLaneKinds() []Lane {
 	return []Lane{
 		{P: predictor.NewGShareFromBudget(2 << 10)},
@@ -24,15 +25,19 @@ func fusedLaneKinds() []Lane {
 		{P: predictor.NewPerceptronFromBudget(16 << 10)},
 		{P: predictor.NewMultiComponentFromBudget(16 << 10)},
 		{P: predictor.NewGSkew2BcFromBudget(16 << 10)},
+		{P: core.NewOverriding(predictor.NewGShare(2048, 0), predictor.NewGSkew2BcFromBudget(16<<10), 3)},
 		{P: core.New(core.Config{Entries: 1 << 14, Latency: 3})},
+		{P: predictor.NewLocalFromBudget(8 << 10)},
+		{P: core.NewOverriding(core.New(core.Config{Entries: 1 << 11, Latency: 2}), predictor.NewPerceptronFromBudget(16<<10), 3)},
 	}
 }
 
 // TestRunManyEquivalence is the engine's correctness contract: each lane
 // of one fused pass must be bit-identical to a reference run of the same
 // predictor over its own cursor — across benchmarks, across predictor
-// kinds (batch-stepping, scalar, and cycle-aware lanes), and in both
-// termination modes (instruction budget reached, stream exhausted).
+// kinds (batch-stepping, scalar, and cycle-aware lanes), in both
+// termination modes (instruction budget reached, stream exhausted), and
+// with per-class tallies on and off.
 func TestRunManyEquivalence(t *testing.T) {
 	cases := []struct {
 		bench    string
@@ -49,16 +54,27 @@ func TestRunManyEquivalence(t *testing.T) {
 		t.Run(tc.bench, func(t *testing.T) {
 			prof := mustProfile(t, tc.bench)
 			rec := workload.Record(prof, tc.recorded)
-			lanes := fusedLaneKinds()
-			got := RunMany(lanes, rec.Replay(), opts)
-			want := make([]Result, len(lanes))
-			for i, l := range fusedLaneKinds() {
-				want[i] = refRun(l.P, rec.Replay(), opts)
-			}
-			for i := range lanes {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("lane %d (%s) diverges from the reference:\n got %+v\nwant %+v",
-						i, lanes[i].P.Name(), got[i], want[i])
+			for _, perClass := range []bool{false, true} {
+				src := func() trace.Source { return rec.Replay() }
+				if perClass {
+					src = func() trace.Source { return workload.Classify(rec.Replay(), prof) }
+				}
+				opts := opts
+				opts.PerClass = perClass
+				lanes := fusedLaneKinds()
+				got := RunMany(lanes, src().(trace.BranchSource), opts)
+				want := make([]Result, len(lanes))
+				for i, l := range fusedLaneKinds() {
+					want[i] = refRun(l.P, src(), opts)
+				}
+				for i := range lanes {
+					if perClass && len(want[i].ClassRates) == 0 {
+						t.Fatalf("lane %d: reference collected no class rates", i)
+					}
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("perclass=%v lane %d (%s) diverges from the reference:\n got %+v\nwant %+v",
+							perClass, i, lanes[i].P.Name(), got[i], want[i])
+					}
 				}
 			}
 		})

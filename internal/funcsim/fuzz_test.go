@@ -15,10 +15,11 @@ import (
 const fuzzHeader = 4 + 3
 
 // fuzzPredictor builds a fresh predictor from one byte: batch-stepping
-// table predictors, a scalar-loop heavy predictor, and the cycle-aware
-// gshare.fast.
+// table and heavy predictors, a batch-stepping overriding pair, and the
+// scalar-loop lanes — the cycle-aware gshare.fast and an overriding pair
+// holding it.
 func fuzzPredictor(b byte) predictor.Predictor {
-	switch b % 5 {
+	switch b % 7 {
 	case 0:
 		return predictor.NewGShare(256, 0)
 	case 1:
@@ -27,6 +28,10 @@ func fuzzPredictor(b byte) predictor.Predictor {
 		return predictor.NewBiModeFromBudget(2 << 10)
 	case 3:
 		return predictor.NewPerceptronFromBudget(1 << 10)
+	case 4:
+		return core.NewOverriding(predictor.NewGShare(64, 0), predictor.NewGSkew2BcFromBudget(1<<10), 3)
+	case 5:
+		return core.NewOverriding(core.New(core.Config{Entries: 1 << 8, Latency: 2}), predictor.NewGShare(256, 0), 2)
 	default:
 		return core.New(core.Config{Entries: 1 << 10, Latency: 3})
 	}

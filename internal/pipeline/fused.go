@@ -20,8 +20,20 @@ import (
 //
 //   - the 256-entry instruction batch is decoded once and its lane-invariant
 //     columns (fetch-block addresses, port classes, MemSidecar outcome
-//     classes and the latency classes derived from them) are computed once,
-//     then every lane consumes the shared batch;
+//     classes and the latency classes derived from them, and the batch's
+//     branch PCs, outcomes and per-instruction branch ordinals) are computed
+//     once, then every lane consumes the shared batch;
+//   - prediction runs once per batch, not once per branch, for every lane
+//     whose predictions depend on the branch stream alone
+//     (core.BatchStepperOf: every organization but the cycle-aware ones —
+//     gshare.fast, BiModeFast, NoCheckpoint — and overriding pairs holding
+//     one): before the sweep, the lane's BatchStepper (for an overriding
+//     pair, core.Overriding.StepBatchOverrides) steps over the branch
+//     columns and leaves per-branch prediction and override bits, which the
+//     branch sweep reads with no interface call. Cycle-aware lanes need the
+//     fetch cycle of each branch, so they — and predictors with no batch
+//     protocol — keep the per-branch OnCycle/Predict/Update calls inside
+//     the sweep;
 //   - lanes are interleaved per instruction: each lane's scoreboard update
 //     is a serial dependency chain (ring probe → reserve → commit), and
 //     stepping all lanes through one instruction before advancing lets those
@@ -78,12 +90,13 @@ func RunMany(lanes []Lane, src trace.Source, side *MemSidecar, maxInsts, warmupI
 // its cycle is ringSize old, far beyond any latency the model produces.
 const ringSize = 1 << 15
 
-// byteRing is the fused engine's slot ring: one reservation count per
-// cycle, packed eight cycles to a word, so a probe inspects eight cycles
-// with one load. Where slotRing forgets a cycle when a younger one aliases
-// its slot, byteRing forgets by zeroing count bytes one lap ahead of the
-// scan frontier (laneRings.extend) — the same "a cycle older than ringSize
-// reads as empty" contract, amortized to a fraction of a store per cycle.
+// byteRing is the engine's slot ring: one reservation count per cycle,
+// packed eight cycles to a word, so a probe inspects eight cycles with one
+// load. The test reference's slotRing (reference_test.go) keeps a tagged
+// slot per cycle and forgets a cycle when a younger one aliases its slot;
+// byteRing instead forgets by zeroing count bytes one lap ahead of the scan
+// frontier (laneRings.extend) — the same "a cycle older than ringSize reads
+// as empty" contract, amortized to a fraction of a store per cycle.
 type byteRing struct {
 	// w's byte c&7 of word (c&(ringSize-1))>>3 counts cycle c. The
 	// fixed-size array lets the masked index elide bounds checks in the
@@ -115,7 +128,8 @@ const clearChunk = 512
 // five rings, reclaiming slots exactly one lap (ringSize cycles) old. It
 // preserves the invariant that every cycle in [clearedTo-ringSize,
 // clearedTo) reads its own count and anything older reads as forgotten —
-// the aliasing contract slotRing's tag compare enforces per probe.
+// the aliasing contract the reference's slotRing enforces per probe with a
+// tag compare.
 func (rg *laneRings) extend(t uint64) {
 	to := (t + clearChunk) &^ 7
 	issue, p0, p1, p2, p3 := rg.issue.w, rg.ports[0].w, rg.ports[1].w, rg.ports[2].w, rg.ports[3].w
@@ -131,7 +145,7 @@ func (rg *laneRings) extend(t uint64) {
 }
 
 // takeInBoth books the first cycle at or after t with a free slot in both
-// the issue ring and port ring p, and returns it: slotRing.take's
+// the issue ring and port ring p, and returns it: the reference slotRing's
 // scan-then-reserve collapsed into one word-at-a-time pass. A count byte
 // equals its ring's limit iff the matching byte of count^limitRep is zero;
 // forcing each byte's high bit before the (now borrow-free) decrement
@@ -229,24 +243,40 @@ type laneConst struct {
 }
 
 // laneOrg is a lane's predictor organization: the predictor and its
-// pre-resolved capability interfaces.
+// pre-resolved capability interfaces. stepper is non-nil for a lane whose
+// prediction stage runs once per batch (core.BatchStepperOf); such a lane
+// never calls OnCycle, Predict or Update from the sweep. bubble is an
+// overriding pair's override cost in cycles.
 type laneOrg struct {
 	pred       predictor.Predictor
 	over       *core.Overriding
 	cycleAware predictor.CycleAware
+	stepper    predictor.BatchStepper
+	bubble     uint64
+}
+
+// lanePreds is a batch-stepped lane's prediction stage output for the
+// current batch, indexed by branch ordinal (fusedRun.bord): each branch's
+// predicted direction and, for an overriding pair, whether the slow
+// predictor overrode the quick one.
+type lanePreds struct {
+	taken    [trace.InstBatchLen]bool
+	overrode [trace.InstBatchLen]bool
 }
 
 // laneRings is a lane's issue-bandwidth and port scoreboard plus its ROB
 // commit window. The port rings are indexed by the shared pcls column.
-// There is no commit ring: commit probes are monotone non-decreasing
-// (commitAt is clamped to lastCommit and a reservation only moves
-// forward), so a probed cycle is never revisited after a later one and a
-// per-cycle commit ring degenerates to the (lastCommit, commitUsed) pair
-// in laneCursor.
+// robCommit holds the commit cycle of each of the last ROBSize
+// instructions, indexed by laneCursor.robIdx; the slot about to be reused
+// bounds how far fetch may run ahead of commit. There is no per-cycle
+// commit slot ring: commit probes are monotone non-decreasing (commitAt is
+// clamped to lastCommit and a reservation only moves forward), so a probed
+// cycle is never revisited after a later one and such a ring degenerates to
+// the (lastCommit, commitUsed) pair in laneCursor.
 type laneRings struct {
-	issue      byteRing
-	ports      [numPorts]byteRing
-	commitRing []uint64
+	issue     byteRing
+	ports     [numPorts]byteRing
+	robCommit []uint64
 	// clearedTo is the rings' zeroed horizon: count bytes are valid for
 	// cycles in [clearedTo-ringSize, clearedTo) and zero from the scan
 	// frontier up to clearedTo; extend advances it in clearChunk strides.
@@ -292,6 +322,7 @@ type laneTallies struct {
 type fusedRun struct {
 	consts  []laneConst
 	orgs    []laneOrg
+	preds   []lanePreds
 	rings   []laneRings
 	btbs    []*btb.BTB
 	caches  []laneCaches
@@ -314,13 +345,20 @@ type fusedRun struct {
 	sT [4]uint64
 
 	// Shared per-batch columns, computed once per batch by prep. The class
-	// columns fcls/mcls are the sidecar bytes unpacked by batch offset.
-	batch  [trace.InstBatchLen]trace.Inst
-	blocks [trace.InstBatchLen]uint64
-	pcls   [trace.InstBatchLen]uint8
-	lcls   [trace.InstBatchLen]uint8
-	fcls   [trace.InstBatchLen]uint8
-	mcls   [trace.InstBatchLen]uint8
+	// columns fcls/mcls are the sidecar bytes unpacked by batch offset. The
+	// branch columns bpcs/btakens hold the batch's nb conditional branches
+	// in stream order, and bord maps each branch's batch offset to its
+	// ordinal among them.
+	batch   [trace.InstBatchLen]trace.Inst
+	blocks  [trace.InstBatchLen]uint64
+	pcls    [trace.InstBatchLen]uint8
+	lcls    [trace.InstBatchLen]uint8
+	fcls    [trace.InstBatchLen]uint8
+	mcls    [trace.InstBatchLen]uint8
+	bord    [trace.InstBatchLen]uint16
+	bpcs    [trace.InstBatchLen]uint64
+	btakens [trace.InstBatchLen]bool
+	nb      int
 }
 
 // newFusedRun builds the per-lane SoA state for one pass, panicking on a
@@ -330,6 +368,7 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 	f := &fusedRun{
 		consts:      make([]laneConst, n),
 		orgs:        make([]laneOrg, n),
+		preds:       make([]lanePreds, n),
 		rings:       make([]laneRings, n),
 		btbs:        make([]*btb.BTB, n),
 		caches:      make([]laneCaches, n),
@@ -365,7 +404,13 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 		o := &f.orgs[i]
 		o.pred = l.Pred
 		o.over, _ = l.Pred.(*core.Overriding)
-		o.cycleAware, _ = l.Pred.(predictor.CycleAware)
+		if o.over != nil {
+			o.bubble = uint64(o.over.Latency() - 1)
+		}
+		o.stepper = core.BatchStepperOf(l.Pred)
+		if o.stepper == nil {
+			o.cycleAware, _ = l.Pred.(predictor.CycleAware)
+		}
 		if rc, ok := l.Pred.(predictor.RecoveryCost); ok {
 			k.recovery = uint64(rc.RecoveryPenalty())
 		}
@@ -378,7 +423,7 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 				portMul: newByteRing(cfg.MulPorts),
 				portFP:  newByteRing(cfg.FPPorts),
 			},
-			commitRing: make([]uint64, cfg.ROBSize),
+			robCommit: make([]uint64, cfg.ROBSize),
 			// The freshly zeroed arrays already cover the first lap.
 			clearedTo: ringSize,
 		}
@@ -420,13 +465,29 @@ func (f *fusedRun) drive(src trace.Source) {
 	}
 }
 
-// runBatch precomputes the shared columns, resolves the warm-up boundary to
-// a batch split so the step loop takes a constant measured flag, and sweeps
-// the lanes.
+// runBatch precomputes the shared columns, runs the prediction stage of
+// every batch-stepped lane over the batch's branches, resolves the warm-up
+// boundary to a batch split so the step loop takes a constant measured
+// flag, and sweeps the lanes. Stepping a lane's predictor ahead of its
+// scoreboard is exact: without a fetch clock, a branch's prediction depends
+// only on the branches before it.
 //
 //bplint:hotpath runs once per 256-instruction batch in fused sweeps
 func (f *fusedRun) runBatch(n int) {
 	f.prep(n)
+	pcs, takens := f.bpcs[:f.nb], f.btakens[:f.nb]
+	for li := range f.orgs {
+		o := &f.orgs[li]
+		if o.stepper == nil {
+			continue
+		}
+		lp := &f.preds[li]
+		if o.over != nil {
+			o.over.StepBatchOverrides(pcs, takens, lp.taken[:f.nb], lp.overrode[:f.nb])
+		} else {
+			o.stepper.StepBatch(pcs, takens, lp.taken[:f.nb])
+		}
+	}
 	if d := f.warmupInsts - f.insts; d >= 0 && d < int64(n) {
 		// The boundary falls inside this batch: step up to it, snapshot
 		// each lane's commit cycle before the first measured instruction,
@@ -447,8 +508,9 @@ func (f *fusedRun) runBatch(n int) {
 
 // prep computes the lane-invariant columns of the current batch: each
 // instruction's fetch-block address (the lanes share one I-cache geometry),
-// its port and latency classes, and — when a sidecar covers the run — its
-// unpacked fetch and mem outcome classes plus the shared D-side tallies.
+// its port and latency classes, the branch columns, and — when a sidecar
+// covers the run — its unpacked fetch and mem outcome classes plus the
+// shared D-side tallies.
 //
 //bplint:hotpath runs once per 256-instruction batch in fused sweeps
 func (f *fusedRun) prep(n int) {
@@ -463,6 +525,7 @@ func (f *fusedRun) prep(n int) {
 			f.mcls[i] = c & sideMemMask >> sideMemShift
 		}
 	}
+	nb := 0
 	for i := 0; i < n; i++ {
 		var pc, lc uint8
 		switch f.batch[i].Kind {
@@ -492,7 +555,13 @@ func (f *fusedRun) prep(n int) {
 			pc, lc = portMul, latMul
 		case trace.FPU:
 			pc, lc = portFP, latFP
-		case trace.ALU, trace.CondBranch, trace.Jump:
+		case trace.CondBranch:
+			pc, lc = portInt, latOne
+			f.bord[i] = uint16(nb)
+			f.bpcs[nb] = f.batch[i].PC
+			f.btakens[nb] = f.batch[i].Taken
+			nb++
+		case trace.ALU, trace.Jump:
 			pc, lc = portInt, latOne
 		default:
 			panic("pipeline: unhandled instruction kind")
@@ -500,6 +569,7 @@ func (f *fusedRun) prep(n int) {
 		f.pcls[i] = pc
 		f.lcls[i] = lc
 	}
+	f.nb = nb
 }
 
 // advanceTo moves the fetch point, held in the sweeps' hoisted locals, to
@@ -521,7 +591,8 @@ func advanceTo(t, fetchCycle uint64, fetchUsed int, lastBlock, stall uint64) (ui
 // the per-lane loop, and the branch and jump sweeps carry the prediction
 // and BTB stages only where they can fire. Every sweep runs the same stage
 // order — fetch, predict, BTB, issue, resolve, commit — as the test
-// reference's step. measured says whether this sub-batch lies past the
+// reference's step; for a batch-stepped lane the predict stage reads the
+// bits runBatch already computed. measured says whether this sub-batch lies past the
 // warm-up boundary; runBatch splits batches so it never varies inside one
 // call.
 //
@@ -612,7 +683,7 @@ func (f *fusedRun) sweepPlain(i int) {
 
 		// Keep fetch from running unboundedly ahead of commit.
 		robIdx := cu.robIdx
-		oldestCommit := rg.commitRing[robIdx]
+		oldestCommit := rg.robCommit[robIdx]
 		dispatchAt := fetchAt + k.feDepth
 		if dispatchAt <= oldestCommit {
 			if oldestCommit+1 > k.feDepth {
@@ -668,7 +739,7 @@ func (f *fusedRun) sweepPlain(i int) {
 			lastCommit++ // commit bandwidth exhausted: next cycle
 			commitUsed = 1
 		}
-		rg.commitRing[robIdx] = lastCommit
+		rg.robCommit[robIdx] = lastCommit
 		robIdx++
 		if robIdx == k.robSize {
 			robIdx = 0
@@ -754,7 +825,7 @@ func (f *fusedRun) sweepJump(i int) {
 
 		// Keep fetch from running unboundedly ahead of commit.
 		robIdx := cu.robIdx
-		oldestCommit := rg.commitRing[robIdx]
+		oldestCommit := rg.robCommit[robIdx]
 		dispatchAt := fetchAt + k.feDepth
 		if dispatchAt <= oldestCommit {
 			if oldestCommit+1 > k.feDepth {
@@ -813,7 +884,7 @@ func (f *fusedRun) sweepJump(i int) {
 			lastCommit++ // commit bandwidth exhausted: next cycle
 			commitUsed = 1
 		}
-		rg.commitRing[robIdx] = lastCommit
+		rg.robCommit[robIdx] = lastCommit
 		robIdx++
 		if robIdx == k.robSize {
 			robIdx = 0
@@ -831,7 +902,9 @@ func (f *fusedRun) sweepJump(i int) {
 
 // sweepBranch steps every lane through one conditional branch: fetch,
 // prediction (with override bubbles), the predicted-taken BTB redirect,
-// issue, resolution, commit.
+// issue, resolution, commit. A batch-stepped lane's prediction and override
+// bits are read from its lanePreds at the branch's ordinal; any other lane
+// calls its predictor here, a cycle-aware one at the branch's fetch cycle.
 //
 //bplint:hotpath fused lane sweep for conditional branches
 func (f *fusedRun) sweepBranch(i int, measured bool) {
@@ -841,6 +914,7 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 	rings := f.rings[:nLanes]
 	tallies := f.tallies[:nLanes]
 	orgs := f.orgs[:nLanes]
+	preds := f.preds[:nLanes]
 	btbs := f.btbs[:nLanes]
 	regs := f.regs[:nLanes]
 	caches := f.caches[:nLanes]
@@ -851,6 +925,7 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 	pcl := f.pcls[i]
 	lcl := f.lcls[i]
 	fcl := f.fcls[i]
+	bi := f.bord[i]
 	s1, s2, dst := inst.Src1, inst.Src2, inst.Dst
 	taken := inst.Taken
 
@@ -901,7 +976,7 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 
 		// Keep fetch from running unboundedly ahead of commit.
 		robIdx := cu.robIdx
-		oldestCommit := rg.commitRing[robIdx]
+		oldestCommit := rg.robCommit[robIdx]
 		dispatchAt := fetchAt + k.feDepth
 		if dispatchAt <= oldestCommit {
 			if oldestCommit+1 > k.feDepth {
@@ -914,18 +989,25 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 
 		// --- Branch prediction at fetch ---
 		org := &orgs[li]
-		if org.cycleAware != nil {
-			org.cycleAware.OnCycle(fetchAt)
+		var predictedTaken, overrode bool
+		if org.stepper != nil {
+			lp := &preds[li]
+			predictedTaken, overrode = lp.taken[bi], lp.overrode[bi]
+		} else {
+			if org.cycleAware != nil {
+				org.cycleAware.OnCycle(fetchAt)
+			}
+			predictedTaken = org.pred.Predict(pc)
+			org.pred.Update(pc, taken)
+			if org.over != nil {
+				overrode, _ = org.over.LastOverrode()
+			}
 		}
-		predictedTaken := org.pred.Predict(pc)
-		org.pred.Update(pc, taken)
 		if org.over != nil {
-			if overrode, bubble := org.over.LastOverrode(); overrode {
-				tallies[li].overrides.Add(true)
+			tallies[li].overrides.Add(overrode)
+			if overrode {
 				fetchCycle, fetchUsed, lastBlock, fetchStall =
-					advanceTo(fetchAt+1+uint64(bubble), fetchCycle, fetchUsed, lastBlock, fetchStall)
-			} else {
-				tallies[li].overrides.Add(false)
+					advanceTo(fetchAt+1+org.bubble, fetchCycle, fetchUsed, lastBlock, fetchStall)
 			}
 		}
 
@@ -990,7 +1072,7 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 			lastCommit++ // commit bandwidth exhausted: next cycle
 			commitUsed = 1
 		}
-		rg.commitRing[robIdx] = lastCommit
+		rg.robCommit[robIdx] = lastCommit
 		robIdx++
 		if robIdx == k.robSize {
 			robIdx = 0

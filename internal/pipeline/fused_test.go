@@ -11,9 +11,13 @@ import (
 )
 
 // fusedOrgs are the predictor organizations the fused equivalence suite
-// sweeps — the timingOrgs set plus the lagged-update and uncheckpointed
-// gshare.fast variants, whose recovery penalties and update pipelines
-// exercise the engine's cycleAware/RecoveryCost plumbing.
+// sweeps in one column. Lanes whose prediction stage runs once per batch
+// (ideal gshare and multi-component, overriding perceptron and 2Bc-gskew)
+// mix with lanes core.BatchStepperOf sends to the per-branch path:
+// gshare.fast, its lagged-update and uncheckpointed variants, whose
+// recovery penalties and update pipelines exercise the engine's
+// cycleAware/RecoveryCost plumbing, and an overriding pair whose slow
+// component is cycle-aware.
 func fusedOrgs() []struct {
 	name string
 	mk   func() predictor.Predictor
@@ -25,9 +29,20 @@ func fusedOrgs() []struct {
 		{"ideal-gshare-16KB", func() predictor.Predictor {
 			return predictor.NewGShareFromBudget(16 << 10)
 		}},
+		{"ideal-multicomponent-64KB", func() predictor.Predictor {
+			return predictor.NewMultiComponentFromBudget(64 << 10)
+		}},
 		{"override-perceptron-64KB", func() predictor.Predictor {
 			return core.NewOverriding(predictor.NewGShare(2048, 0),
 				predictor.NewPerceptronFromBudget(64<<10), 4)
+		}},
+		{"override-2bcgskew-64KB", func() predictor.Predictor {
+			return core.NewOverriding(predictor.NewGShare(2048, 0),
+				predictor.NewGSkew2BcFromBudget(64<<10), 3)
+		}},
+		{"override-gshare.fast-slow", func() predictor.Predictor {
+			return core.NewOverriding(predictor.NewGShare(2048, 0),
+				core.New(core.Config{Entries: 1 << 15, Latency: 3}), 2)
 		}},
 		{"gshare.fast-64KB", func() predictor.Predictor {
 			return core.New(core.Config{Entries: 1 << 15, Latency: 3})
@@ -186,6 +201,7 @@ func TestFusedTimingAllocs(t *testing.T) {
 		{Cfg: cfg, Pred: predictor.NewGShareFromBudget(16 << 10)},
 		{Cfg: cfg, Pred: predictor.NewPerceptronFromBudget(64 << 10)},
 		{Cfg: cfg, Pred: core.New(core.Config{Entries: 1 << 15, Latency: 3})},
+		{Cfg: cfg, Pred: core.NewOverriding(predictor.NewGShare(2048, 0), predictor.NewGSkew2BcFromBudget(64<<10), 3)},
 	}
 	f := newFusedRun(lanes, side, 100_000, 20_000)
 	f.sideActive = side.covers(cfg, cur)

@@ -35,19 +35,28 @@ func fuzzConfig(b byte) Config {
 	return cfg
 }
 
-// fuzzPredictor builds a fresh predictor organization from one byte: an
-// ideal single-cycle predictor, an overriding pair, or the cycle-aware
-// gshare.fast with or without checkpointed recovery.
+// fuzzPredictor builds a fresh predictor organization from one byte. The
+// first four batch-step their prediction stage: ideal single-cycle gshare
+// and multi-component, and overriding perceptron and 2Bc-gskew pairs. The
+// rest take the per-branch path: the cycle-aware gshare.fast with or
+// without checkpointed recovery, and an overriding pair whose slow
+// component is cycle-aware.
 func fuzzPredictor(b byte) predictor.Predictor {
-	switch b % 4 {
+	switch b % 7 {
 	case 0:
 		return predictor.NewGShare(256, 0)
 	case 1:
-		return core.NewOverriding(predictor.NewGShare(64, 0), predictor.NewPerceptronFromBudget(1<<10), 3)
+		return predictor.NewMultiComponentFromBudget(2 << 10)
 	case 2:
+		return core.NewOverriding(predictor.NewGShare(64, 0), predictor.NewPerceptronFromBudget(1<<10), 3)
+	case 3:
+		return core.NewOverriding(predictor.NewGShare(64, 0), predictor.NewGSkew2BcFromBudget(1<<10), 2)
+	case 4:
 		return core.New(core.Config{Entries: 1 << 10, Latency: 3})
-	default:
+	case 5:
 		return core.WithoutCheckpointing(core.New(core.Config{Entries: 1 << 10, Latency: 2}))
+	default:
+		return core.NewOverriding(predictor.NewGShare(64, 0), core.New(core.Config{Entries: 1 << 10, Latency: 3}), 3)
 	}
 }
 

@@ -45,11 +45,10 @@ func branchStream(n int) (pcs []uint64, takens []bool) {
 }
 
 // TestStepBatchEquivalence pins every BatchStepper against the scalar
-// Predict/Update protocol: the same stream, chopped into uneven batches
-// with a mid-batch warm-up boundary, must produce the same mispredict
-// counts and leave the predictor in the same state — checked by continuing
-// both instances scalar-only afterwards and demanding identical
-// predictions.
+// Predict/Update protocol: the same stream, chopped into uneven batches,
+// must produce the same per-branch predictions and leave the predictor in
+// the same state — checked by continuing both instances scalar-only
+// afterwards and demanding identical predictions.
 func TestStepBatchEquivalence(t *testing.T) {
 	for _, k := range stepBatchKinds {
 		t.Run(k.name, func(t *testing.T) {
@@ -60,30 +59,25 @@ func TestStepBatchEquivalence(t *testing.T) {
 			}
 			pcs, takens := branchStream(20_000)
 			batchSizes := []int{1, 3, 256, 17, 100, 255, 64}
-			var fusedMiss, scalarMiss int64
+			preds := make([]bool, len(pcs))
+			var misses int
 			for off, bi := 0, 0; off < len(pcs); bi++ {
-				n := batchSizes[bi%len(batchSizes)]
-				if off+n > len(pcs) {
-					n = len(pcs) - off
-				}
-				// Alternate the measured boundary through every regime:
-				// fully measured, fully warm-up, split mid-batch.
-				from := []int{0, n, n / 2}[bi%3]
-				fusedMiss += stepper.StepBatch(pcs[off:off+n], takens[off:off+n], from)
-				for i := 0; i < n; i++ {
-					pred := scalar.Predict(pcs[off+i])
-					scalar.Update(pcs[off+i], takens[off+i])
-					if i >= from && pred != takens[off+i] {
-						scalarMiss++
+				n := min(batchSizes[bi%len(batchSizes)], len(pcs)-off)
+				stepper.StepBatch(pcs[off:off+n], takens[off:off+n], preds[off:off+n])
+				for i := off; i < off+n; i++ {
+					pred := scalar.Predict(pcs[i])
+					scalar.Update(pcs[i], takens[i])
+					if preds[i] != pred {
+						t.Fatalf("branch %d (batch %d): StepBatch predicts %v, scalar %v", i, bi, preds[i], pred)
+					}
+					if pred != takens[i] {
+						misses++
 					}
 				}
 				off += n
 			}
-			if fusedMiss != scalarMiss {
-				t.Fatalf("mispredicts diverge: StepBatch %d, scalar %d", fusedMiss, scalarMiss)
-			}
-			if fusedMiss == 0 {
-				t.Fatal("degenerate stream: no mispredicts measured")
+			if misses == 0 {
+				t.Fatal("degenerate stream: no mispredicts")
 			}
 			// State equivalence: both instances must now predict identically.
 			more, moreTaken := branchStream(5_000)

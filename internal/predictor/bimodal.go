@@ -50,17 +50,11 @@ func (b *Bimodal) Update(pc uint64, taken bool) {
 // PC-indexed counter per branch.
 //
 //bplint:hotpath fused-sweep bimodal lane; bit-identity pinned by TestStepBatchEquivalence
-func (b *Bimodal) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
-	var miss int64
+func (b *Bimodal) StepBatch(pcs []uint64, takens []bool, preds []bool) {
 	pht, mask := b.pht, b.mask
 	for i, pc := range pcs {
-		taken := takens[i]
-		pred := pht.PredictUpdate(int(pcIndex(pc, mask)), taken)
-		if pred != taken && i >= measuredFrom {
-			miss++
-		}
+		preds[i] = pht.PredictUpdate(int(pcIndex(pc, mask)), takens[i])
 	}
-	return miss
 }
 
 // SizeBytes implements Predictor.

@@ -110,8 +110,7 @@ func (b *BiMode) Update(pc uint64, taken bool) {
 // own conditional update.
 //
 //bplint:hotpath fused-sweep bi-mode lane; bit-identity pinned by TestStepBatchEquivalence
-func (b *BiMode) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
-	var miss int64
+func (b *BiMode) StepBatch(pcs []uint64, takens []bool, preds []bool) {
 	for i, pc := range pcs {
 		taken := takens[i]
 		choiceIdx, dirIdx, useTaken := b.parts(pc)
@@ -125,11 +124,8 @@ func (b *BiMode) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 
 			b.choice.Update(choiceIdx, taken)
 		}
 		b.ghr.Push(taken)
-		if pred != taken && i >= measuredFrom {
-			miss++
-		}
+		preds[i] = pred
 	}
-	return miss
 }
 
 // SizeBytes implements Predictor.

@@ -72,11 +72,9 @@ func decodeBranches(b []byte) (pcs []uint64, takens []bool) {
 // FuzzPredictorVsReference drives each heavy predictor three ways over the
 // same branch stream — the naive reference, the engine through
 // Predict/Update with a stray Predict of another branch between some pairs,
-// and the engine through StepBatch over uneven batches with a moving
-// warm-up boundary — and requires every prediction to agree: per
-// branch for the scalar engine, per batch count (and per branch in
-// one-branch batches) for the batch stepper, and over a probe of PCs at
-// the end.
+// and the engine through StepBatch over uneven batches — and requires
+// every prediction to agree: per branch for the scalar engine and the
+// batch stepper alike, and over a probe of PCs at the end.
 func FuzzPredictorVsReference(f *testing.F) {
 	for kind := byte(0); kind < 3; kind++ {
 		for _, n := range []int{0, 50, 600, 4000} {
@@ -100,10 +98,10 @@ func FuzzPredictorVsReference(f *testing.F) {
 		stepper := batched.(BatchStepper)
 		pcs, takens := decodeBranches(data[heavyFuzzHeader:])
 		sizes := []int{1, 1 + int(hdr[12]%17), 1, 1 + int(hdr[13])}
+		preds := make([]bool, len(pcs))
 		for off, k := 0, 0; off < len(pcs); k++ {
 			n := min(sizes[k%len(sizes)], len(pcs)-off)
-			from := []int{0, n, n / 2}[k%3]
-			var want int64
+			want := make([]bool, n)
 			for i := off; i < off+n; i++ {
 				rp, sp := ref.Predict(pcs[i]), scalar.Predict(pcs[i])
 				if rp != sp {
@@ -116,13 +114,14 @@ func FuzzPredictorVsReference(f *testing.F) {
 				}
 				ref.Update(pcs[i], takens[i])
 				scalar.Update(pcs[i], takens[i])
-				if i-off >= from && rp != takens[i] {
-					want++
-				}
+				want[i-off] = rp
 			}
-			if got := stepper.StepBatch(pcs[off:off+n], takens[off:off+n], from); got != want {
-				t.Fatalf("%s: batch %d at branch %d (%d branches, measured from %d): StepBatch counted %d mispredicts, reference %d",
-					desc, k, off, n, from, got, want)
+			stepper.StepBatch(pcs[off:off+n], takens[off:off+n], preds[off:off+n])
+			for i, rp := range want {
+				if preds[off+i] != rp {
+					t.Fatalf("%s: batch %d at branch %d (%d branches): StepBatch predicts %v at branch %d, reference %v",
+						desc, k, off, n, preds[off+i], off+i, rp)
+				}
 			}
 			off += n
 		}

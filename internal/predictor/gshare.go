@@ -67,19 +67,14 @@ func (g *GShare) Update(pc uint64, taken bool) {
 // (counter.Array2.PredictUpdate).
 //
 //bplint:hotpath fused-sweep gshare lane; bit-identity pinned by TestStepBatchEquivalence
-func (g *GShare) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
-	var miss int64
+func (g *GShare) StepBatch(pcs []uint64, takens []bool, preds []bool) {
 	pht, ghr, mask := g.pht, g.ghr, g.idxMask
 	for i, pc := range pcs {
 		taken := takens[i]
 		idx := int((ghr.Value() ^ (pc >> 2)) & mask)
-		pred := pht.PredictUpdate(idx, taken)
+		preds[i] = pht.PredictUpdate(idx, taken)
 		ghr.Push(taken)
-		if pred != taken && i >= measuredFrom {
-			miss++
-		}
 	}
-	return miss
 }
 
 // SizeBytes implements Predictor.

@@ -183,14 +183,10 @@ func (g *GSkew2Bc) step(pc uint64, taken bool) bool {
 // per branch, where Predict followed by Update computes them twice.
 //
 //bplint:hotpath fused-sweep 2Bc-gskew lane; bit-identity pinned by TestStepBatchEquivalence
-func (g *GSkew2Bc) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
-	var miss int64
+func (g *GSkew2Bc) StepBatch(pcs []uint64, takens []bool, preds []bool) {
 	for i, pc := range pcs {
-		if g.step(pc, takens[i]) != takens[i] && i >= measuredFrom {
-			miss++
-		}
+		preds[i] = g.step(pc, takens[i])
 	}
-	return miss
 }
 
 // SizeBytes implements Predictor.

@@ -299,14 +299,10 @@ func (m *MultiComponent) step(pc uint64, taken bool) bool {
 // source's table twice and the selector twice.
 //
 //bplint:hotpath fused-sweep multi-component lane; bit-identity pinned by TestStepBatchEquivalence
-func (m *MultiComponent) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
-	var miss int64
+func (m *MultiComponent) StepBatch(pcs []uint64, takens []bool, preds []bool) {
 	for i, pc := range pcs {
-		if m.step(pc, takens[i]) != takens[i] && i >= measuredFrom {
-			miss++
-		}
+		preds[i] = m.step(pc, takens[i])
 	}
-	return miss
 }
 
 // SizeBytes implements Predictor.

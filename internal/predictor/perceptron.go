@@ -38,8 +38,9 @@ type Perceptron struct {
 	name    string
 
 	// Predict memoizes its dot product for the Update that follows: every
-	// scalar driver (the timing pipeline, the overriding organization)
-	// calls Update right after Predict for the same branch, and the
+	// scalar caller (the overriding organization's Predict/Update, a
+	// timing lane the engines cannot batch-step) calls Update right after
+	// Predict for the same branch, and the
 	// recomputation reads exactly the state Predict read. The memo is
 	// reused only when the PC matches and no Update ran in between —
 	// weights and histories mutate only in Update and StepBatch, which
@@ -202,18 +203,14 @@ func (p *Perceptron) train(pc uint64, row int, x uint64, y int, taken bool) {
 // the prediction and the training decision.
 //
 //bplint:hotpath fused-sweep perceptron lane; bit-identity pinned by TestStepBatchEquivalence
-func (p *Perceptron) StepBatch(pcs []uint64, takens []bool, measuredFrom int) int64 {
+func (p *Perceptron) StepBatch(pcs []uint64, takens []bool, preds []bool) {
 	p.memoValid = false
-	var miss int64
 	for i, pc := range pcs {
 		row, x := p.row(pc), p.inputs(pc)
 		y := p.weights.Dot(row, x)
 		p.train(pc, row, x, y, takens[i])
-		if (y >= 0) != takens[i] && i >= measuredFrom {
-			miss++
-		}
+		preds[i] = y >= 0
 	}
-	return miss
 }
 
 // SizeBytes implements Predictor.

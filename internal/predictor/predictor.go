@@ -41,27 +41,31 @@ type CycleAware interface {
 	OnCycle(cycle uint64)
 }
 
-// BatchStepper is the fused sweep driver's per-lane protocol
-// (funcsim.RunMany): step the predictor through a batch of resolved
-// branches in stream order with one call instead of one Predict/Update
-// pair per branch. StepBatch must be observationally identical to
+// BatchStepper is the engines' per-lane batch protocol: step the predictor
+// through a batch of resolved branches in stream order with one call
+// instead of one Predict/Update pair per branch. StepBatch must be
+// observationally identical to
 //
-//	pred := p.Predict(pcs[i])
+//	preds[i] = p.Predict(pcs[i])
 //	p.Update(pcs[i], takens[i])
 //
-// applied for i = 0..len(pcs)-1, returning the number of branches at
-// i >= measuredFrom whose pred differed from takens[i]. "Identical" means
-// bit-identical: the same table and history state afterwards and the same
-// per-branch predictions, which the equivalence suites in this package and
-// in funcsim enforce against the scalar protocol. A predictor implements it
-// when one fused step per branch saves work over the pair: the cheap table
-// predictors save dispatch and a duplicate index computation, and the heavy
-// ones (perceptron, multi-component, 2Bc-gskew) save their second lookup —
-// the row and history reads, the selector and the component reads, or the
-// four skewed bank indices. Cycle-aware predictors cannot implement it: their
+// applied for i = 0..len(pcs)-1; preds is at least as long as pcs.
+// "Identical" means bit-identical: the same per-branch predictions and the
+// same table and history state afterwards, which the equivalence suites in
+// this package and in funcsim, pipeline and core enforce against the scalar
+// protocol. It has two callers, both resolving a lane's stepper once with
+// core.BatchStepperOf: the accuracy engine (funcsim.RunMany) counts
+// mispredicts and per-class rates from preds, and the timing engine
+// (pipeline.RunMany) steps each batch's branches before its scoreboard
+// sweep reads preds. A predictor implements it when one fused step per
+// branch saves work over the pair: the cheap table predictors save dispatch
+// and a duplicate index computation, and the heavy ones (perceptron,
+// multi-component, 2Bc-gskew) save their second lookup — the row and
+// history reads, the selector and the component reads, or the four skewed
+// bank indices. Cycle-aware predictors cannot implement it: their
 // per-branch OnCycle interleaving needs the scalar loop.
 type BatchStepper interface {
-	StepBatch(pcs []uint64, takens []bool, measuredFrom int) (mispredicts int64)
+	StepBatch(pcs []uint64, takens []bool, preds []bool)
 }
 
 // pow2Entries returns the largest power-of-two entry count such that

@@ -54,9 +54,11 @@ go test -race -run 'TestCellCacheColdCoalesce' ./internal/experiments
 echo "==> replay equivalence (live vs recorded streams, race-enabled)"
 go test -race -run 'TestReplayEquivalence|TestConcurrentReplay|TestClassifiedReplay' ./internal/tracestore
 
-echo "==> accuracy engine equivalence (Run/RunMany/RunBlocks vs the instruction-at-a-time reference, every factory BatchStepper, race-enabled)"
+echo "==> accuracy engine equivalence (Run/RunMany/RunBlocks vs the instruction-at-a-time reference, every factory BatchStepper, the overriding batch step and batching resolver, fused bpsim vs per-cell Run, race-enabled)"
 go test -race -run 'TestFastPathEquivalence|TestRunManyEquivalence|TestRunManySingleLane' ./internal/funcsim
 go test -race -run 'TestFactoryBatchSteppers' ./internal/experiments
+go test -race -run 'TestOverridingBatchEquivalence|TestBatchStepperOf' ./internal/core
+go test -race -run 'TestFusedMatchesPerCell|TestBadKindFailsBeforeOutput' ./cmd/bpsim
 go test -race -run 'TestBranchIndexMatchesStream|TestCodecPreservesBranchIndex|TestConcurrentBranchCursors' ./internal/trace
 
 echo "==> timing engine equivalence (cursor/InstSource/plain Source/sidecar/memo vs the instruction-at-a-time live-cache reference, race-enabled)"
@@ -64,9 +66,10 @@ go test -race -run 'TestTimingFastPathEquivalence|TestSidecarFallback|TestSlotRi
 go test -race -run 'TestTimingMemoEquivalence|TestTimingMemoDeduplicates|TestTimingMemoConcurrentStress' ./internal/experiments
 go test -race -run 'TestNextInstsMatchesStream|TestNextInstsInterleavesWithNext|TestNextInstsProtocolMixPanics' ./internal/trace
 
-echo "==> fused timing equivalence (RunMany vs the reference, geometry guard, named bad lanes, scheduler parity, race-enabled)"
+echo "==> fused timing equivalence (RunMany with batch-stepped and per-branch lanes vs the reference, geometry guard, named bad lanes, scheduler parity, fused ipcsim vs per-cell Sim.Run, race-enabled)"
 go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingLiveCaches|TestFusedTimingGeometryGuard|TestInvalidLaneNamed' ./internal/pipeline
 go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFusedTimingMemoAccounting|TestFusedTimingStoreFlow' ./internal/experiments
+go test -race -run 'TestFusedMatchesPerCell|TestBadFlagsFailBeforeOutput' ./cmd/ipcsim
 
 echo "==> cell store equivalence + robustness (store-served cells bit-identical; corrupt/truncated/stale entries recomputed, race-enabled)"
 go test -race ./internal/resultstore
