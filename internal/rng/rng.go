@@ -8,6 +8,8 @@
 // Go releases in the past; owning the generator pins the streams forever.
 package rng
 
+import "math/bits"
+
 // SplitMix64 is the seed-expansion generator from Steele, Lea and Flood
 // ("Fast splittable pseudorandom number generators", OOPSLA 2014). It is used
 // both directly for simple streams and to seed Xoshiro256.
@@ -31,44 +33,45 @@ func (s *SplitMix64) Next() uint64 {
 
 // Xoshiro256 implements xoshiro256** 1.0 (Blackman & Vigna), a fast
 // all-purpose generator with 256 bits of state and period 2^256-1.
+//
+// The four state words are named fields rather than an array, and Next
+// stores them back with one composite literal: both keep Next, and Bool
+// through it, under the compiler's inlining budget, and the workload
+// generator draws several words per instruction.
 type Xoshiro256 struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // NewXoshiro256 returns a generator whose state is expanded from seed with
 // SplitMix64, as the xoshiro authors recommend.
 func NewXoshiro256(seed uint64) *Xoshiro256 {
 	sm := NewSplitMix64(seed)
-	var x Xoshiro256
-	for i := range x.s {
-		x.s[i] = sm.Next()
-	}
+	x := Xoshiro256{s0: sm.Next(), s1: sm.Next(), s2: sm.Next(), s3: sm.Next()}
 	// An all-zero state would be absorbing; SplitMix64 cannot produce four
 	// zero outputs in a row, but guard anyway so a hostile seed cannot wedge
 	// the generator.
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
+		x.s0 = 0x9e3779b97f4a7c15
 	}
 	return &x
 }
 
-func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
 // Next returns the next 64 random bits.
 func (x *Xoshiro256) Next() uint64 {
-	result := rotl(x.s[1]*5, 7) * 9
-	t := x.s[1] << 17
-	x.s[2] ^= x.s[0]
-	x.s[3] ^= x.s[1]
-	x.s[1] ^= x.s[2]
-	x.s[0] ^= x.s[3]
-	x.s[2] ^= t
-	x.s[3] = rotl(x.s[3], 45)
-	return result
+	s0, s1 := x.s0, x.s1
+	s2 := x.s2 ^ s0
+	s3 := x.s3 ^ s1
+	*x = Xoshiro256{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Uint64n returns a uniformly distributed integer in [0, n). It panics if n
-// is zero. Uses Lemire's multiply-shift rejection method.
+// is zero. Uses Lemire's multiply-shift rejection method ("Fast random
+// integer generation in an interval", TOMACS 2019): a draw is accepted
+// outright when the low product word is at least n, and only otherwise is
+// the rejection threshold (2⁶⁴ mod n) computed with a division. Since the
+// threshold is below n, this accepts and rejects exactly the draws the
+// threshold test alone would.
 func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with n == 0")
@@ -77,27 +80,14 @@ func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return x.Next() & (n - 1)
 	}
-	// Rejection sampling to avoid modulo bias.
-	threshold := (-n) % n
-	for {
-		v := x.Next()
-		hi, lo := mul64(v, n)
-		if lo >= threshold {
-			return hi
+	hi, lo := bits.Mul64(x.Next(), n)
+	if lo < n {
+		threshold := -n % n
+		for lo < threshold {
+			hi, lo = bits.Mul64(x.Next(), n)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
+	return hi
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
@@ -115,13 +105,8 @@ func (x *Xoshiro256) Float64() float64 {
 
 // Bool returns true with probability p. p outside [0,1] saturates.
 func (x *Xoshiro256) Bool(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return x.Float64() < p
+	// Float64 spelled out: one call level fewer keeps Bool inlinable.
+	return p >= 1 || !(p <= 0) && float64(x.Next()>>11)/(1<<53) < p
 }
 
 // Geometric returns a sample from a geometric distribution with success

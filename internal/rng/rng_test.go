@@ -204,3 +204,57 @@ func TestZeroSeedNotAbsorbing(t *testing.T) {
 		t.Fatalf("seed 0 generator nearly stuck at zero (%d/100)", zero)
 	}
 }
+
+// TestXoshiroGoldenVector pins the generator's draws, not just their
+// self-determinism: every workload stream (and every store key digested
+// from one) is a function of these values and of how many words each draw
+// consumes. It covers Next, Uint64n on an odd n, on the two non-power-of-two
+// working-set sizes, and on 2⁶³+1, where about half the words are rejected,
+// and Bool at both saturation points and in between. The final Next pins
+// the number of words the draws consumed.
+func TestXoshiroGoldenVector(t *testing.T) {
+	x := NewXoshiro256(0x5eed)
+	for i, want := range []uint64{0xef33f17055244b74, 0xe1f591112fb5051b, 0xd8ab05640214863a, 0xf985e1f2fb897b03} {
+		if got := x.Next(); got != want {
+			t.Fatalf("Next #%d = %#x, want %#x", i, got, want)
+		}
+	}
+	for _, c := range []struct {
+		n    uint64
+		want [8]uint64
+	}{
+		{3, [8]uint64{2, 1, 0, 1, 2, 2, 0, 2}},
+		{768 << 10, [8]uint64{425350, 243813, 478674, 194448, 440609, 403305, 235660, 602314}},
+		{1536 << 10, [8]uint64{608394, 711237, 19972, 1288612, 5734, 1420548, 1411077, 191921}},
+		{1<<63 + 1, [8]uint64{2343426197813832048, 6161897022253078975, 5633840813164590778, 2167746964974386708,
+			4101175998211141093, 6984034539619314473, 3466501201066965166, 1554297778543538100}},
+	} {
+		for i, want := range c.want {
+			if got := x.Uint64n(c.n); got != want {
+				t.Fatalf("Uint64n(%d) #%d = %d, want %d", c.n, i, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		p    float64
+		want string
+	}{
+		{0, "0000000000000000"},
+		{0.55, "0001011011000000"},
+		{1, "1111111111111111"},
+	} {
+		got := make([]byte, len(c.want))
+		for i := range got {
+			got[i] = '0'
+			if x.Bool(c.p) {
+				got[i] = '1'
+			}
+		}
+		if string(got) != c.want {
+			t.Fatalf("Bool(%v) draws = %s, want %s", c.p, got, c.want)
+		}
+	}
+	if got, want := x.Next(), uint64(0x6c54e9ca4dc8d786); got != want {
+		t.Fatalf("Next after the draws = %#x, want %#x (a draw consumed a different number of words)", got, want)
+	}
+}

@@ -1,0 +1,72 @@
+package trace
+
+import (
+	"bytes"
+	"testing"
+)
+
+// The recorder, the encoder behind Digest and the decoder allocate per
+// batch, chunk or column growth, never per instruction. Each bound below
+// is a constant that holds at a short stream and at a full chunk; an
+// allocation per instruction would exceed it by three orders of magnitude.
+// The tests skip themselves under -race, which instruments allocation.
+const (
+	recordAllocBound = 64
+	digestAllocBound = 8
+	decodeAllocBound = 64
+)
+
+// allocStreamLens are the stream lengths every bound must hold at.
+var allocStreamLens = []int64{1000, chunkLen}
+
+func TestRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, n := range allocStreamLens {
+		allocs := testing.AllocsPerRun(5, func() {
+			Record(&lcgSource{state: 7, n: n}, n)
+		})
+		if allocs > recordAllocBound {
+			t.Errorf("Record of %d instructions: %.0f allocations, want at most %d", n, allocs, recordAllocBound)
+		}
+	}
+}
+
+func TestDigestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, n := range append(allocStreamLens, 3*chunkLen) {
+		rec := Record(&lcgSource{state: 7, n: n}, n)
+		allocs := testing.AllocsPerRun(5, func() {
+			// A fresh Recording over the same chunks, so every run
+			// computes the digest instead of reading the cached one.
+			fresh := &Recording{name: rec.name, chunks: rec.chunks, insts: rec.insts}
+			fresh.Digest()
+		})
+		if allocs > digestAllocBound {
+			t.Errorf("Digest of %d instructions: %.0f allocations, want at most %d", n, allocs, digestAllocBound)
+		}
+	}
+}
+
+func TestReadRecordingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, n := range allocStreamLens {
+		var buf bytes.Buffer
+		if _, err := Record(&lcgSource{state: 7, n: n}, n).WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := ReadRecording(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > decodeAllocBound {
+			t.Errorf("ReadRecording of %d instructions: %.0f allocations, want at most %d", n, allocs, decodeAllocBound)
+		}
+	}
+}

@@ -32,65 +32,77 @@ func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// countingWriter tracks bytes written for WriteTo's contract.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
+// encodeBufLen bounds the encoder's output buffer: WriteTo flushes it to
+// the writer whenever an instruction might not fit, so encoding (and
+// digesting) a recording of any length costs one 16 KB buffer.
+const encodeBufLen = 16 << 10
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
+// maxInstBytes is the longest encoding of one instruction: the meta byte,
+// three register bytes and three varints.
+const maxInstBytes = 4 + 3*binary.MaxVarintLen64
 
 // WriteTo encodes the recording in the binary trace format. It implements
-// io.WriterTo.
+// io.WriterTo. It is the one BPTRACE1 writer: Digest hashes its output. It
+// encodes straight from the chunk columns — the chunk's meta byte is the
+// format's meta byte, and the sparse columns hold exactly the addresses
+// and targets the meta bits announce — into a bounded buffer.
 func (r *Recording) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		bw.Write(scratch[:binary.PutUvarint(scratch[:], v)])
-	}
-	bw.WriteString(traceMagic)
-	putUvarint(uint64(len(r.name)))
-	bw.WriteString(r.name)
-	putUvarint(uint64(r.insts))
+	buf := make([]byte, 0, encodeBufLen)
+	buf = append(buf, traceMagic...)
+	buf = binary.AppendUvarint(buf, uint64(len(r.name)))
+	buf = append(buf, r.name...)
+	buf = binary.AppendUvarint(buf, uint64(r.insts))
+	n := len(buf)
+	buf = buf[:cap(buf)]
 
-	var inst Inst
+	var written int64
 	var prevPC, prevAddr, prevTarget uint64
-	cur := r.Replay()
-	for cur.Next(&inst) {
-		m := uint8(inst.Kind) & metaKindMask
-		if inst.Taken {
-			m |= metaTaken
-		}
-		if inst.Addr != 0 {
-			m |= metaHasAddr
-		}
-		if inst.Target != 0 {
-			m |= metaHasTarget
-		}
-		bw.WriteByte(m)
-		bw.WriteByte(uint8(inst.Src1))
-		bw.WriteByte(uint8(inst.Src2))
-		bw.WriteByte(uint8(inst.Dst))
-		putUvarint(zigzag(int64(inst.PC - prevPC)))
-		prevPC = inst.PC
-		if m&metaHasAddr != 0 {
-			putUvarint(zigzag(int64(inst.Addr - prevAddr)))
-			prevAddr = inst.Addr
-		}
-		if m&metaHasTarget != 0 {
-			putUvarint(zigzag(int64(inst.Target - prevTarget)))
-			prevTarget = inst.Target
+	for ci := range r.chunks {
+		c := &r.chunks[ci]
+		meta := c.meta
+		src1, src2, dst, pc := c.src1[:len(meta)], c.src2[:len(meta)], c.dst[:len(meta)], c.pc[:len(meta)]
+		addr, target := c.addr, c.target
+		for i, m := range meta {
+			if n > len(buf)-maxInstBytes {
+				k, err := w.Write(buf[:n])
+				written += int64(k)
+				if err != nil {
+					return written, err
+				}
+				n = 0
+			}
+			buf[n] = m
+			buf[n+1] = uint8(src1[i])
+			buf[n+2] = uint8(src2[i])
+			buf[n+3] = uint8(dst[i])
+			n = putUvarint(buf, n+4, zigzag(int64(pc[i]-prevPC)))
+			prevPC = pc[i]
+			if m&metaHasAddr != 0 {
+				n = putUvarint(buf, n, zigzag(int64(addr[0]-prevAddr)))
+				prevAddr = addr[0]
+				addr = addr[1:]
+			}
+			if m&metaHasTarget != 0 {
+				n = putUvarint(buf, n, zigzag(int64(target[0]-prevTarget)))
+				prevTarget = target[0]
+				target = target[1:]
+			}
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
+	k, err := w.Write(buf[:n])
+	return written + int64(k), err
+}
+
+// putUvarint writes v at buf[n:] as binary.PutUvarint would and returns
+// the position after it. Most deltas fit in one byte.
+func putUvarint(buf []byte, n int, v uint64) int {
+	for v >= 0x80 {
+		buf[n] = uint8(v) | 0x80
+		v >>= 7
+		n++
 	}
-	return cw.n, nil
+	buf[n] = uint8(v)
+	return n + 1
 }
 
 // ReadRecording decodes a binary trace written by WriteTo.
@@ -121,17 +133,19 @@ func ReadRecording(rd io.Reader) (*Recording, error) {
 	}
 
 	rec := &Recording{name: string(name)}
-	var inst Inst
+	var batch [InstBatchLen]Inst
+	var hdr [4]byte
 	var prevPC, prevAddr, prevTarget uint64
+	nb := 0
 	for i := uint64(0); i < insts; i++ {
-		hdr := make([]byte, 4)
-		if _, err := io.ReadFull(br, hdr); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return nil, fmt.Errorf("trace: instruction %d: %w", i, err)
 		}
 		m := hdr[0]
 		if Kind(m&metaKindMask) >= numKinds {
 			return nil, fmt.Errorf("trace: instruction %d: invalid kind %d", i, m&metaKindMask)
 		}
+		inst := &batch[nb]
 		inst.Kind = Kind(m & metaKindMask)
 		inst.Taken = m&metaTaken != 0
 		inst.Src1 = int8(hdr[1])
@@ -161,7 +175,11 @@ func ReadRecording(rd io.Reader) (*Recording, error) {
 			prevTarget += uint64(unzigzag(d))
 			inst.Target = prevTarget
 		}
-		rec.append(&inst)
+		if nb++; nb == len(batch) {
+			rec.appendInsts(batch[:])
+			nb = 0
+		}
 	}
+	rec.appendInsts(batch[:nb])
 	return rec, nil
 }

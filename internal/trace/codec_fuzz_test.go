@@ -2,21 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 )
 
-// FuzzCodecRoundTrip drives arbitrary bytes through the BPTRACE1 decoder.
-// Any input the decoder accepts must re-encode to a canonical byte string
-// that is a fixed point (decode→encode→decode→encode is byte-identical)
-// and must replay to the same instruction stream — the reproducibility
-// contract the experiment grids and cmd/tracegen rely on. Inputs the
-// decoder rejects must fail with an error, never a panic.
-func FuzzCodecRoundTrip(f *testing.F) {
+// addCodecSeeds seeds a BPTRACE1 fuzz target with encoded recordings and
+// two malformed inputs.
+func addCodecSeeds(f *testing.F) {
 	encode := func(name string, insts []Inst) []byte {
 		rec := &Recording{name: name}
-		for i := range insts {
-			rec.append(&insts[i])
-		}
+		rec.appendInsts(insts)
 		var buf bytes.Buffer
 		if _, err := rec.WriteTo(&buf); err != nil {
 			f.Fatalf("seed encode: %v", err)
@@ -38,7 +34,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	}))
 	f.Add([]byte("BPTRACE1\x00\x00"))
 	f.Add([]byte("NOTATRACE"))
+}
 
+// FuzzCodecRoundTrip drives arbitrary bytes through the BPTRACE1 decoder.
+// Any input the decoder accepts must re-encode to a canonical byte string
+// that is a fixed point (decode→encode→decode→encode is byte-identical)
+// and must replay to the same instruction stream — the reproducibility
+// contract the experiment grids and cmd/tracegen rely on. Inputs the
+// decoder rejects must fail with an error, never a panic.
+func FuzzCodecRoundTrip(f *testing.F) {
+	addCodecSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := ReadRecording(bytes.NewReader(data))
 		if err != nil {
@@ -77,4 +82,40 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzEncodeVsReference checks the columnar encoder against the naive
+// one: every recording the decoder accepts must encode to the same bytes,
+// with the same reported length, under WriteTo and referenceWriteTo, and
+// Digest must be the SHA-256 of those bytes.
+func FuzzEncodeVsReference(f *testing.F) {
+	addCodecSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := ReadRecording(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		checkEncodeVsReference(t, rec)
+	})
+}
+
+// checkEncodeVsReference fails t unless rec encodes identically under both
+// encoders and digests to the SHA-256 of that encoding.
+func checkEncodeVsReference(t *testing.T, rec *Recording) {
+	t.Helper()
+	var got, want bytes.Buffer
+	nGot, err := rec.WriteTo(&got)
+	if err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	nWant, err := referenceWriteTo(rec, &want)
+	if err != nil {
+		t.Fatalf("referenceWriteTo: %v", err)
+	}
+	if nGot != nWant || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("encoders disagree: WriteTo %d bytes %x, reference %d bytes %x", nGot, got.Bytes(), nWant, want.Bytes())
+	}
+	if sum := sha256.Sum256(want.Bytes()); rec.Digest() != hex.EncodeToString(sum[:]) {
+		t.Fatalf("Digest %s is not the SHA-256 of the encoding", rec.Digest())
+	}
 }

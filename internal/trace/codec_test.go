@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -84,5 +85,50 @@ func TestZigzag(t *testing.T) {
 		if got := unzigzag(zigzag(d)); got != d {
 			t.Fatalf("unzigzag(zigzag(%d)) = %d", d, got)
 		}
+	}
+}
+
+// TestEncodeMatchesReference checks the columnar encoder against the naive
+// reference across chunk boundaries: three full chunks and a partial
+// fourth, where the second chunk carries no address and no target (empty
+// sparse columns) and the stream's delta bases must carry across it.
+func TestEncodeMatchesReference(t *testing.T) {
+	rec := &Recording{name: "four-chunks"}
+	insts := drain(&lcgSource{state: 5, n: chunkLen}, chunkLen)
+	rec.appendInsts(insts)
+	for i := range insts {
+		insts[i] = Inst{PC: 0x4000 + 4*uint64(i), Kind: ALU, Src1: 1, Src2: NoReg, Dst: 2}
+	}
+	rec.appendInsts(insts)
+	rec.appendInsts(drain(&lcgSource{state: 6, n: chunkLen + 1234}, chunkLen+1234))
+	if len(rec.chunks) != 4 || len(rec.chunks[1].addr) != 0 || len(rec.chunks[1].target) != 0 {
+		t.Fatalf("test stream has %d chunks, chunk 1 with %d addrs and %d targets; want 4, 0, 0",
+			len(rec.chunks), len(rec.chunks[1].addr), len(rec.chunks[1].target))
+	}
+	checkEncodeVsReference(t, rec)
+}
+
+// failingWriter accepts limit bytes, then fails.
+type failingWriter struct{ limit int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n := w.limit
+		w.limit = 0
+		return n, io.ErrShortWrite
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+// TestWriteToReportsWriterError checks WriteTo's io.WriterTo contract when
+// the writer fails mid-stream: the error comes back with the count of
+// bytes the writer accepted.
+func TestWriteToReportsWriterError(t *testing.T) {
+	rec := Record(&lcgSource{state: 3, n: 20_000}, 20_000)
+	const limit = encodeBufLen + 100
+	n, err := rec.WriteTo(&failingWriter{limit: limit})
+	if err != io.ErrShortWrite || n != limit {
+		t.Fatalf("WriteTo = (%d, %v), want (%d, %v)", n, err, limit, io.ErrShortWrite)
 	}
 }

@@ -25,7 +25,7 @@ func digestTestStream(n int, pcBase uint64) *Recording {
 			inst.Kind = Store
 			inst.Addr = 0x2000 + uint64(16*i)
 		}
-		rec.append(&inst)
+		rec.appendInsts([]Inst{inst})
 	}
 	return rec
 }

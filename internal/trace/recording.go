@@ -3,6 +3,7 @@ package trace
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sync"
 )
 
@@ -77,53 +78,102 @@ type chunk struct {
 	br     []int32
 }
 
-func (c *chunk) append(inst *Inst) {
-	m := uint8(inst.Kind) & metaKindMask
-	if inst.Kind == CondBranch {
-		c.br = append(c.br, int32(len(c.meta)))
+// newChunk returns an empty chunk whose dense columns hold chunkLen
+// instructions without growing.
+func newChunk() chunk {
+	return chunk{
+		meta: make([]uint8, 0, chunkLen),
+		src1: make([]int8, 0, chunkLen),
+		src2: make([]int8, 0, chunkLen),
+		dst:  make([]int8, 0, chunkLen),
+		pc:   make([]uint64, 0, chunkLen),
 	}
-	if inst.Taken {
-		m |= metaTaken
+}
+
+// appendInsts appends a batch of instructions column by column. The dense
+// columns take one entry per instruction. The sparse columns (addr,
+// target) and the branch index are filled without a branch per
+// instruction: every instruction's value is written at the column's next
+// free slot, and the slot is kept only when the meta byte says it exists.
+// Record and the codec's read path both append through here, so a decoded
+// recording carries identical columns and an identical branch index.
+func (c *chunk) appendInsts(insts []Inst) {
+	k := len(insts)
+	n0 := len(c.meta)
+	c.meta = slices.Grow(c.meta, k)[:n0+k]
+	c.src1 = slices.Grow(c.src1, k)[:n0+k]
+	c.src2 = slices.Grow(c.src2, k)[:n0+k]
+	c.dst = slices.Grow(c.dst, k)[:n0+k]
+	c.pc = slices.Grow(c.pc, k)[:n0+k]
+	meta, src1, src2, dst, pc := c.meta[n0:], c.src1[n0:], c.src2[n0:], c.dst[n0:], c.pc[n0:]
+	for i := range insts {
+		in := &insts[i]
+		meta[i] = uint8(in.Kind)&metaKindMask | metaTaken*b2u8(in.Taken) |
+			metaHasAddr*b2u8(in.Addr != 0) | metaHasTarget*b2u8(in.Target != 0)
+		src1[i] = in.Src1
+		src2[i] = in.Src2
+		dst[i] = in.Dst
+		pc[i] = in.PC
 	}
-	if inst.Addr != 0 {
-		m |= metaHasAddr
-		c.addr = append(c.addr, inst.Addr)
+
+	na, nt, nb := len(c.addr), len(c.target), len(c.br)
+	addr := slices.Grow(c.addr, k)[:na+k]
+	target := slices.Grow(c.target, k)[:nt+k]
+	br := slices.Grow(c.br, k)[:nb+k]
+	for i := range insts {
+		in := &insts[i]
+		addr[na] = in.Addr
+		na += int(b2u8(in.Addr != 0))
+		target[nt] = in.Target
+		nt += int(b2u8(in.Target != 0))
+		br[nb] = int32(n0 + i)
+		nb += int(b2u8(in.Kind == CondBranch))
 	}
-	if inst.Target != 0 {
-		m |= metaHasTarget
-		c.target = append(c.target, inst.Target)
+	c.addr, c.target, c.br = addr[:na], target[:nt], br[:nb]
+}
+
+// b2u8 converts a bool to 0 or 1 without a branch.
+func b2u8(b bool) uint8 {
+	if b {
+		return 1
 	}
-	c.meta = append(c.meta, m)
-	c.src1 = append(c.src1, inst.Src1)
-	c.src2 = append(c.src2, inst.Src2)
-	c.dst = append(c.dst, inst.Dst)
-	c.pc = append(c.pc, inst.PC)
+	return 0
 }
 
 // Record drains up to maxInsts instructions from src into a new Recording.
-// The recording is immutable afterwards, so any number of Replay cursors
-// may read it concurrently.
+// It fills a batch of InstBatchLen instructions at a time and appends each
+// batch column by column, calling src.Next exactly as often as an
+// instruction-at-a-time drain would. The recording is immutable
+// afterwards, so any number of Replay cursors may read it concurrently.
 func Record(src Source, maxInsts int64) *Recording {
 	rec := &Recording{name: src.Name()}
-	var inst Inst
-	for rec.insts < maxInsts && src.Next(&inst) {
-		rec.append(&inst)
+	var batch [InstBatchLen]Inst
+	for rec.insts < maxInsts {
+		want := int(min(maxInsts-rec.insts, InstBatchLen))
+		n := 0
+		for n < want && src.Next(&batch[n]) {
+			n++
+		}
+		rec.appendInsts(batch[:n])
+		if n < want {
+			break
+		}
 	}
 	return rec
 }
 
-func (r *Recording) append(inst *Inst) {
-	if len(r.chunks) == 0 || len(r.chunks[len(r.chunks)-1].meta) == chunkLen {
-		r.chunks = append(r.chunks, chunk{
-			meta: make([]uint8, 0, chunkLen),
-			src1: make([]int8, 0, chunkLen),
-			src2: make([]int8, 0, chunkLen),
-			dst:  make([]int8, 0, chunkLen),
-			pc:   make([]uint64, 0, chunkLen),
-		})
+// appendInsts appends insts to the recording, opening a new chunk whenever
+// the last one is full.
+func (r *Recording) appendInsts(insts []Inst) {
+	for len(insts) > 0 {
+		if len(r.chunks) == 0 || len(r.chunks[len(r.chunks)-1].meta) == chunkLen {
+			r.chunks = append(r.chunks, newChunk())
+		}
+		k := min(len(insts), chunkLen-len(r.chunks[len(r.chunks)-1].meta))
+		r.chunks[len(r.chunks)-1].appendInsts(insts[:k])
+		r.insts += int64(k)
+		insts = insts[k:]
 	}
-	r.chunks[len(r.chunks)-1].append(inst)
-	r.insts++
 }
 
 // Name returns the recorded workload's name.

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+
 	"branchsim/internal/rng"
 	"branchsim/internal/trace"
 )
@@ -19,8 +21,7 @@ type slotTemplate struct {
 	kind     trace.Kind
 	mem      memMode
 	stride   uint64
-	streamID int32 // index into per-program stream counters, -1 if none
-	base     uint64
+	streamID int32 // index into per-program stream offsets, -1 if none
 }
 
 // branchDesc is the generative model of one static conditional branch.
@@ -71,13 +72,18 @@ type Program struct {
 	ghist     uint64 // global outcome history, bit 0 = most recent
 	loopCount []int32
 	patPos    []int32
-	rareRun   []bool // ClassBiased Markov state: currently in a rare run
-	streams   []uint64
+	rareRun   []bool   // ClassBiased Markov state: currently in a rare run
+	streams   []uint64 // per stream: offset of its next address in the working set
 
-	destRing [8]int8
+	destRing [destRingLen]int8
 	destLen  int
 	destHead int
-	regNext  int
+	regNext  int // next destination is register 4+regNext, in [0, 28)
+
+	// depNearCut is ceil(DepNear·2⁵³), the integer form of
+	// Bool(DepNear) that pickSrc's steady state compares a word against;
+	// 0 when DepNear is outside (0, 1), where Bool draws no word.
+	depNearCut uint64
 
 	insts    int64
 	branches int64
@@ -95,6 +101,10 @@ type Program struct {
 	classByPC map[uint64]BranchClass // lazy diagnostic index
 	filter    *trace.BranchFilter    // lazy branch protocol (NextBranches)
 }
+
+// destRingLen is the number of recent destination registers pickSrc
+// samples dependencies from. A power of two, so the ring index is a mask.
+const destRingLen = 8
 
 // phaseLen is the per-phase instruction budget of the phase scheduler.
 const phaseLen = 16384
@@ -116,6 +126,9 @@ func New(prof Profile) *Program {
 		patPos:      make([]int32, prof.Blocks),
 		rareRun:     make([]bool, prof.Blocks),
 		phaseBudget: phaseLen,
+	}
+	if prof.DepNear > 0 && prof.DepNear < 1 {
+		p.depNearCut = uint64(math.Ceil(prof.DepNear * (1 << 53)))
 	}
 	for start := 0; start < prof.Blocks; start += regionBlocks {
 		p.regionStarts = append(p.regionStarts, int32(start))
@@ -225,8 +238,7 @@ func (p *Program) makeSlot() slotTemplate {
 			strides := [...]uint64{4, 4, 8, 8, 16}
 			t.stride = strides[p.rng.Intn(len(strides))]
 			t.streamID = int32(len(p.streams))
-			t.base = p.rng.Uint64n(prof.WorkingSet) &^ 7
-			p.streams = append(p.streams, 0)
+			p.streams = append(p.streams, p.rng.Uint64n(prof.WorkingSet)&^7)
 		default:
 			t.mem = memStack
 		}
@@ -334,10 +346,27 @@ func (p *Program) Stats() (insts, branches, taken int64) {
 
 // pickSrc samples a source register: usually a recently produced value
 // (short dependency distance), otherwise any architectural register.
+//
+// The coin is close to fair, so branching on it mispredicts on the host
+// about half the time. In the steady state (at least four recent
+// destinations, 0 < DepNear < 1) both arms draw exactly one more word —
+// Intn(4) and Intn(NumRegs) are powers of two, so each is one Next masked —
+// and pickSrc draws both words up front and selects with a mask instead.
+// The coin is Float64() < DepNear, which for the 53-bit k = Next()>>11 is
+// k/2⁵³ < DepNear, i.e. k < ceil(DepNear·2⁵³) = depNearCut: the selected
+// register and the words consumed are exactly the branching form's.
 func (p *Program) pickSrc() int8 {
+	if p.destLen >= 4 && p.depNearCut != 0 {
+		near := p.rng.Next()>>11 < p.depNearCut
+		w := p.rng.Next()
+		recent := p.destRing[(p.destHead-1-int(w&3))&(destRingLen-1)]
+		anyReg := int8(w & (trace.NumRegs - 1))
+		mask := -int8(b2u(near))
+		return anyReg ^ (anyReg^recent)&mask
+	}
 	if p.destLen > 0 && p.rng.Bool(p.prof.DepNear) {
 		back := 1 + p.rng.Intn(min(4, p.destLen))
-		idx := (p.destHead - back + len(p.destRing)) % len(p.destRing)
+		idx := (p.destHead - back + destRingLen) % destRingLen
 		return p.destRing[idx]
 	}
 	return int8(p.rng.Intn(trace.NumRegs))
@@ -346,11 +375,13 @@ func (p *Program) pickSrc() int8 {
 // nextDst allocates a destination register round-robin over the
 // non-reserved registers and records it for dependency sampling.
 func (p *Program) nextDst() int8 {
-	d := int8(4 + p.regNext%28)
-	p.regNext++
+	d := int8(4 + p.regNext)
+	if p.regNext++; p.regNext == 28 {
+		p.regNext = 0
+	}
 	p.destRing[p.destHead] = d
-	p.destHead = (p.destHead + 1) % len(p.destRing)
-	if p.destLen < len(p.destRing) {
+	p.destHead = (p.destHead + 1) & (destRingLen - 1)
+	if p.destLen < destRingLen {
 		p.destLen++
 	}
 	return d
@@ -360,9 +391,15 @@ func (p *Program) nextDst() int8 {
 func (p *Program) address(t *slotTemplate) uint64 {
 	switch t.mem {
 	case memStream:
-		c := p.streams[t.streamID]
-		p.streams[t.streamID] = c + 1
-		return heapBase + (t.base+c*t.stride)%p.prof.WorkingSet
+		// The n-th access is at (base + n·stride) mod WorkingSet, kept
+		// as a running offset so only a wrap divides.
+		off := p.streams[t.streamID]
+		next := off + t.stride
+		if next >= p.prof.WorkingSet {
+			next %= p.prof.WorkingSet
+		}
+		p.streams[t.streamID] = next
+		return heapBase + off
 	case memRandom:
 		// Pointer-chasing references have an 80/20 shape in real
 		// programs: half the "random" references land in a small hot

@@ -35,6 +35,14 @@ go test -run '^$' -fuzz FuzzPredictorVsReference -fuzztime=10s ./internal/predic
 echo "==> BPTRACE1 codec fuzz smoke (10s round-trip/fixed-point search)"
 go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime=10s ./internal/trace
 
+echo "==> BPTRACE1 encoder fuzz smoke (10s: every decodable recording encodes byte-identically under the columnar encoder and the naive reference)"
+go test -run '^$' -fuzz FuzzEncodeVsReference -fuzztime=10s ./internal/trace
+
+echo "==> pinned streams (every profile's digest at 1/65536/65537/500000 instructions, the RNG golden vector, the columnar encoder vs the reference across chunks)"
+go test -run 'TestProfileDigestsPinned' ./internal/workload
+go test -run 'TestXoshiroGoldenVector|TestSplitMix64KnownValues' ./internal/rng
+go test -run 'TestEncodeMatchesReference|TestDigestStableAcrossCodec' ./internal/trace
+
 echo "==> BPCELL1 decoder fuzz smoke (10s: no panics; accepted cells match the requested key and family)"
 go test -run '^$' -fuzz FuzzDecodeCell -fuzztime=10s ./internal/resultstore
 
@@ -79,6 +87,9 @@ echo "==> batched-loop and per-branch predictor allocation bounds (no race: allo
 go test -run 'TestBatchedRunAllocs|TestRunManyAllocs' ./internal/funcsim
 go test -run 'TestPredictorStepAllocs' ./internal/experiments
 go test -run 'TestBatchedTimingRunAllocs|TestFusedTimingAllocs' ./internal/pipeline
+
+echo "==> trace-layer allocation bounds (Record, Digest and ReadRecording allocate per batch, chunk or column growth, never per instruction; no race)"
+go test -run 'TestRecordAllocs|TestDigestAllocs|TestReadRecordingAllocs' ./internal/trace
 
 echo "==> go test -race ./..."
 go test -race ./...
