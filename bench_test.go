@@ -276,7 +276,7 @@ func BenchmarkAccuracySweepReplay(b *testing.B) {
 // opaqueReplay hides every protocol but Source: the simulators drain it
 // one Next call at a time (the accuracy engine through trace.FilterBranches)
 // and, with no cursor to check a sidecar against, the timing engine
-// simulates live caches.
+// classifies each batch's memory accesses itself.
 type opaqueReplay struct{ src branchsim.Source }
 
 func (o opaqueReplay) Next(inst *branchsim.Inst) bool { return o.src.Next(inst) }
@@ -486,7 +486,7 @@ func BenchmarkTimingSweepFast(b *testing.B) {
 // BenchmarkTimingSweepSlow is the identical cell list through a plain
 // Source: every cell simulated independently (no memo), every instruction
 // filled into the engine's batch by one Next call, the cache hierarchy
-// simulated live per cell. The ratio of this to BenchmarkTimingSweepFast is
+// simulated per cell as the batches arrive (no sidecar). The ratio of this to BenchmarkTimingSweepFast is
 // the fastpath speedup of BENCH_timing.json.
 func BenchmarkTimingSweepSlow(b *testing.B) {
 	bench, _ := branchsim.BenchmarkByName("gcc")

@@ -135,8 +135,9 @@ const BatchLen = trace.BatchLen
 
 // InstSource batch-serves a stream's instructions — the timing simulator's
 // fast-path protocol. Replay cursors implement it straight from the
-// recording's columnar storage; RunTiming detects it and switches to a
-// batched inner loop with bit-identical results.
+// recording's columnar storage, and a live workload generator fills its
+// batches through Next; RunTiming detects it and fills whole batches with
+// one call each, with bit-identical results.
 type InstSource = trace.InstSource
 
 // InstBatchLen is the recommended NextInsts batch length.
@@ -238,7 +239,7 @@ func NewMemSidecar(rec *Recording, cfg MachineConfig) *MemSidecar {
 // sidecar's precomputed memory latencies, bit-identical to RunTiming over
 // rec.Replay() but without re-simulating the cache hierarchy. The sidecar
 // must come from NewMemSidecar(rec, cfg); one that does not cover the run
-// is ignored and the live hierarchy is simulated instead.
+// is ignored and the hierarchy is simulated during the run instead.
 func RunTimingFast(cfg MachineConfig, p Predictor, rec *Recording, side *MemSidecar, maxInsts, warmupInsts int64) TimingResult {
 	sim := pipeline.New(cfg, p)
 	sim.SetMemSidecar(side)
@@ -256,8 +257,9 @@ type TimingLane = pipeline.Lane
 // lanes, so the trace walk, batch decode and sidecar lookups are paid once
 // per sweep instead of once per cell. Results are index-aligned with lanes
 // and bit-identical to running each lane alone through RunTiming /
-// RunTimingFast. A nil or non-covering sidecar falls back to per-lane live
-// cache simulation, still in one pass.
+// RunTimingFast. With a nil or non-covering sidecar the engine simulates
+// the cache hierarchy batch by batch, once for all lanes, still in one
+// pass.
 func RunTimingMany(lanes []TimingLane, src Source, side *MemSidecar, maxInsts, warmupInsts int64) []TimingResult {
 	return pipeline.RunMany(lanes, src, side, maxInsts, warmupInsts)
 }

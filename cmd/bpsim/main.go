@@ -2,11 +2,13 @@
 // simulations: one or more predictors over one or more synthetic SPECint2000
 // benchmarks, reporting per-benchmark and mean misprediction rates.
 //
-// Benchmarks are the outer loop: each benchmark's stream is recorded once
-// and every predictor is one lane of a single fused funcsim.RunMany pass
-// over it; the recording is released before the next benchmark. The
-// per-predictor report is printed once every benchmark is done, so a bad
-// -predictors kind fails before any output.
+// Benchmarks are the outer loop: every predictor is one lane of a single
+// fused funcsim.RunMany pass straight off the benchmark's live generator,
+// which filters its own branches and, under -perclass, classifies them.
+// The pass is the only one over the stream, so nothing is recorded. The
+// per-predictor report is printed once every benchmark is done, and the
+// flags are checked first, so a bad -predictors kind, -budget, -insts or
+// -warmup fails before any output.
 //
 // Examples:
 //
@@ -27,7 +29,6 @@ import (
 	"branchsim/internal/funcsim"
 	"branchsim/internal/prof"
 	"branchsim/internal/stats"
-	"branchsim/internal/trace"
 	"branchsim/internal/workload"
 )
 
@@ -56,6 +57,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+	if err := checkRun(*budget, *insts, *warmup); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
@@ -91,6 +96,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// checkRun rejects a budget, run length or warm-up no simulation can
+// honor: the budget and run length must be positive, and the warm-up must
+// leave at least one measured instruction.
+func checkRun(budget int, insts, warmup int64) error {
+	switch {
+	case budget <= 0:
+		return fmt.Errorf("bpsim: -budget must be positive, got %d", budget)
+	case insts <= 0:
+		return fmt.Errorf("bpsim: -insts must be positive, got %d", insts)
+	case warmup < 0 || warmup >= insts:
+		return fmt.Errorf("bpsim: -warmup must be in [0, -insts %d), got %d", insts, warmup)
+	}
+	return nil
+}
+
 // splitKinds returns the non-empty comma-separated predictor kinds.
 func splitKinds(list string) []string {
 	var kinds []string
@@ -103,10 +123,9 @@ func splitKinds(list string) []string {
 }
 
 // simulate returns every kind's Result on every benchmark, indexed
-// [kind][benchmark]. Each benchmark is one fused pass whose recording is
-// dropped afterwards, so at most one benchmark's stream is alive at a time.
-// A benchmark's lanes are all built before its stream is recorded, so an
-// unknown kind fails before anything is simulated.
+// [kind][benchmark]. Each benchmark is one fused pass over a fresh
+// generator. A benchmark's lanes are all built before its stream starts,
+// so an unknown kind fails before anything is simulated.
 func simulate(kinds []string, budget int, profiles []workload.Profile, opts funcsim.Options) ([][]funcsim.Result, error) {
 	results := make([][]funcsim.Result, len(kinds))
 	if len(kinds) == 0 {
@@ -121,13 +140,7 @@ func simulate(kinds []string, budget int, profiles []workload.Profile, opts func
 			}
 			lanes[i] = funcsim.Lane{P: p}
 		}
-		rec := workload.Record(prof, opts.MaxInsts)
-		var src trace.BranchSource = rec.Replay()
-		if opts.PerClass {
-			// Classify keeps a replay cursor's branch protocol.
-			src = workload.Classify(rec.Replay(), prof).(trace.BranchSource)
-		}
-		for i, r := range funcsim.RunMany(lanes, src, opts) {
+		for i, r := range funcsim.RunMany(lanes, workload.New(prof), opts) {
 			results[i] = append(results[i], r)
 		}
 	}

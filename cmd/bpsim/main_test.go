@@ -10,10 +10,11 @@ import (
 	"branchsim/internal/workload"
 )
 
-// TestFusedMatchesPerCell pins the fused report to the per-cell shape it
-// replaced: with and without -perclass, the output of one RunMany pass per
-// benchmark must equal the report built from one funcsim.Run per
-// (predictor, benchmark) cell over its own replay. The kinds mix the
+// TestFusedMatchesPerCell pins the streamed report to the per-cell shape
+// it replaced: with and without -perclass, the output of one RunMany pass
+// per benchmark straight off the generator must equal the report built
+// from one funcsim.Run per (predictor, benchmark) cell over its own
+// recording. The kinds mix the
 // cycle-aware gshare.fast and a predictor with no batch protocol with
 // batch-stepped lanes.
 func TestFusedMatchesPerCell(t *testing.T) {
@@ -59,17 +60,32 @@ func TestFusedMatchesPerCell(t *testing.T) {
 }
 
 // TestBadKindFailsBeforeOutput pins that an unknown predictor kind, even
-// after valid ones, exits 1 with nothing on stdout.
+// after valid ones, a non-positive budget or run length, or a warm-up
+// outside [0, -insts) exits 1 with nothing on stdout and the offending flag
+// named on stderr.
 func TestBadKindFailsBeforeOutput(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	args := []string{"-predictors", "gshare,perceptron,nosuch", "-insts", "1000"}
-	if code := run(args, &stdout, &stderr); code != 1 {
-		t.Errorf("exit %d, want 1", code)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("printed before failing:\n%s", stdout.String())
-	}
-	if stderr.Len() == 0 {
-		t.Error("no error message")
+	for _, tc := range []struct {
+		args []string
+		flag string // named in the error
+	}{
+		{[]string{"-predictors", "gshare,perceptron,nosuch", "-insts", "1000"}, "nosuch"},
+		{[]string{"-insts", "0"}, "-insts"},
+		{[]string{"-insts", "-5"}, "-insts"},
+		{[]string{"-insts", "1000", "-warmup", "2000"}, "-warmup"},
+		{[]string{"-insts", "1000", "-warmup", "1000"}, "-warmup"},
+		{[]string{"-insts", "1000", "-warmup", "-100"}, "-warmup"},
+		{[]string{"-insts", "1000", "-budget", "0"}, "-budget"},
+		{[]string{"-insts", "1000", "-budget", "-5"}, "-budget"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", tc.args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed before failing:\n%s", tc.args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), tc.flag) {
+			t.Errorf("%v: error %q does not name %s", tc.args, stderr.String(), tc.flag)
+		}
 	}
 }

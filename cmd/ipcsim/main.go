@@ -10,12 +10,14 @@
 //	           overriding organization with delay-model latency;
 //	           gshare.fast runs pipelined and needs no overriding
 //
-// Benchmarks are the outer loop: each benchmark's stream is recorded once,
-// its memory hierarchy is simulated once into a sidecar, and every predictor
-// kind is one lane of a single fused pipeline.RunMany pass over them. The
-// recording and sidecar are released before the next benchmark, and the
-// per-predictor report is printed once every benchmark is done, so a bad
-// -predictors kind or -mode fails before any output.
+// Benchmarks are the outer loop: every predictor kind is one lane of a
+// single fused pipeline.RunMany pass straight off the benchmark's live
+// generator. The pass is the only one over the stream, so nothing is
+// recorded: the engine classifies each batch's memory accesses with one
+// hierarchy shared by the lanes, and memory stays flat in -insts. The
+// per-predictor report is printed once every benchmark is done, and the
+// flags are checked first, so a bad -predictors kind, -mode, -budget,
+// -insts or -warmup fails before any output.
 //
 // Example:
 //
@@ -63,6 +65,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if err := checkRun(*budget, *insts, *warmup); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -86,6 +92,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// checkRun rejects a budget, run length or warm-up no simulation can
+// honor: the budget and run length must be positive, and the warm-up must
+// leave at least one measured instruction.
+func checkRun(budget int, insts, warmup int64) error {
+	switch {
+	case budget <= 0:
+		return fmt.Errorf("ipcsim: -budget must be positive, got %d", budget)
+	case insts <= 0:
+		return fmt.Errorf("ipcsim: -insts must be positive, got %d", insts)
+	case warmup < 0 || warmup >= insts:
+		return fmt.Errorf("ipcsim: -warmup must be in [0, -insts %d), got %d", insts, warmup)
+	}
+	return nil
+}
+
 // splitKinds returns the non-empty comma-separated predictor kinds.
 func splitKinds(list string) []string {
 	var kinds []string
@@ -98,11 +119,9 @@ func splitKinds(list string) []string {
 }
 
 // simulate returns every kind's Result on every benchmark, indexed
-// [kind][benchmark]. Each benchmark is one fused pass: its recording and
-// memory sidecar serve every kind's lane and are dropped afterwards, so at
-// most one benchmark's stream is alive at a time. A benchmark's lanes are
-// all built before its stream is recorded, so an unknown kind or mode
-// fails before anything is simulated.
+// [kind][benchmark]. Each benchmark is one fused pass over a fresh
+// generator. A benchmark's lanes are all built before its stream starts,
+// so an unknown kind or mode fails before anything is simulated.
 func simulate(kinds []string, budget int, mode string, profiles []workload.Profile, insts, warmup int64) ([][]pipeline.Result, error) {
 	results := make([][]pipeline.Result, len(kinds))
 	if len(kinds) == 0 {
@@ -118,9 +137,7 @@ func simulate(kinds []string, budget int, mode string, profiles []workload.Profi
 			}
 			lanes[i] = pipeline.Lane{Cfg: cfg, Pred: p}
 		}
-		rec := workload.Record(prof, insts)
-		side := pipeline.BuildMemSidecar(rec, pipeline.MemGeometryOf(cfg))
-		for i, r := range pipeline.RunMany(lanes, rec.Replay(), side, insts, warmup) {
+		for i, r := range pipeline.RunMany(lanes, workload.New(prof), nil, insts, warmup) {
 			results[i] = append(results[i], r)
 		}
 	}

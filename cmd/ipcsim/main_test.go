@@ -9,11 +9,12 @@ import (
 	"branchsim/internal/workload"
 )
 
-// TestFusedMatchesPerCell pins the fused report to the per-cell shape it
-// replaced: for both modes, the output of one RunMany pass per benchmark
-// must equal the report built from one fresh pipeline.Sim.Run per
-// (predictor, benchmark) cell over its own replay and sidecar. The kinds
-// mix the cycle-aware gshare.fast with batch-stepped lanes.
+// TestFusedMatchesPerCell pins the streamed report to the per-cell shape
+// it replaced: for both modes, the output of one RunMany pass per benchmark
+// straight off the generator must equal the report built from one fresh
+// pipeline.Sim.Run per (predictor, benchmark) cell over its own recording
+// and sidecar. The kinds mix the cycle-aware gshare.fast with
+// batch-stepped lanes.
 func TestFusedMatchesPerCell(t *testing.T) {
 	const insts, warmup = 20_000, 5_000
 	kinds := []string{"gshare.fast", "perceptron", "multicomponent", "2bcgskew"}
@@ -51,21 +52,33 @@ func TestFusedMatchesPerCell(t *testing.T) {
 }
 
 // TestBadFlagsFailBeforeOutput pins that an unknown predictor kind — even
-// after valid ones — or an unknown mode exits 1 with nothing on stdout.
+// after valid ones — an unknown mode, a non-positive budget or run length,
+// or a warm-up outside [0, -insts) exits 1 with nothing on stdout and the
+// offending flag named on stderr.
 func TestBadFlagsFailBeforeOutput(t *testing.T) {
-	for _, args := range [][]string{
-		{"-predictors", "gshare.fast,perceptron,nosuch", "-insts", "1000"},
-		{"-predictors", "perceptron", "-mode", "bogus", "-insts", "1000"},
+	for _, tc := range []struct {
+		args []string
+		flag string // named in the error
+	}{
+		{[]string{"-predictors", "gshare.fast,perceptron,nosuch", "-insts", "1000"}, "nosuch"},
+		{[]string{"-predictors", "perceptron", "-mode", "bogus", "-insts", "1000"}, "bogus"},
+		{[]string{"-insts", "0"}, "-insts"},
+		{[]string{"-insts", "-5"}, "-insts"},
+		{[]string{"-insts", "1000", "-warmup", "2000"}, "-warmup"},
+		{[]string{"-insts", "1000", "-warmup", "1000"}, "-warmup"},
+		{[]string{"-insts", "1000", "-warmup", "-100"}, "-warmup"},
+		{[]string{"-insts", "1000", "-budget", "0"}, "-budget"},
+		{[]string{"-insts", "1000", "-budget", "-5"}, "-budget"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 1 {
-			t.Errorf("%v: exit %d, want 1", args, code)
+		if code := run(tc.args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", tc.args, code)
 		}
 		if stdout.Len() != 0 {
-			t.Errorf("%v: printed before failing:\n%s", args, stdout.String())
+			t.Errorf("%v: printed before failing:\n%s", tc.args, stdout.String())
 		}
-		if stderr.Len() == 0 {
-			t.Errorf("%v: no error message", args)
+		if !strings.Contains(stderr.String(), tc.flag) {
+			t.Errorf("%v: error %q does not name %s", tc.args, stderr.String(), tc.flag)
 		}
 	}
 }

@@ -21,8 +21,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -34,43 +36,61 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, runs the experiments, and writes the
+// report to stdout and progress and errors to stderr, returning the exit
+// code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment = flag.String("experiment", "all", "experiment id or 'all'")
-		insts      = flag.Int64("insts", 0, "instructions per benchmark (0 = default 8M)")
-		warmup     = flag.Int64("warmup", 0, "warm-up instructions (0 = insts/4)")
-		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		jsonPath   = flag.String("json", "", "also write results as JSON to this path (for cmd/compare)")
-		label      = flag.String("label", "", "label stored in the JSON results")
-		timings    = flag.Bool("timings", false, "print per-experiment wall-clock timings to stderr")
-		storeDir   = flag.String("store", ".resultstore", "persistent result-store directory (cells served from and written back to disk)")
-		nostore    = flag.Bool("nostore", false, "disable the persistent result store; every cell simulates in-process")
-		nofuse     = flag.Bool("nofuse", false, "run every accuracy and timing cell as a one-lane group: same path and results, one trace pass per cell")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memprofile = flag.String("memprofile", "", "write an allocation profile to this path")
+		experiment = fs.String("experiment", "all", "experiment id or 'all'")
+		insts      = fs.Int64("insts", 0, "instructions per benchmark (0 = default 8M)")
+		warmup     = fs.Int64("warmup", 0, "warm-up instructions (0 = insts/4)")
+		parallel   = fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+		list       = fs.Bool("list", false, "list experiment ids and exit")
+		jsonPath   = fs.String("json", "", "also write results as JSON to this path (for cmd/compare)")
+		label      = fs.String("label", "", "label stored in the JSON results")
+		timings    = fs.Bool("timings", false, "print per-experiment wall-clock timings to stderr")
+		storeDir   = fs.String("store", ".resultstore", "persistent result-store directory (cells served from and written back to disk)")
+		nostore    = fs.Bool("nostore", false, "disable the persistent result store; every cell simulates in-process")
+		nofuse     = fs.Bool("nofuse", false, "run every accuracy and timing cell as a one-lane group: same path and results, one trace pass per cell")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this path")
+		memprofile = fs.String("memprofile", "", "write an allocation profile to this path")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := checkRun(*insts, *warmup); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	defer stopProf()
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return 0
 	}
 
 	var store *resultstore.Store
 	if !*nostore && *storeDir != "" {
 		store, err = resultstore.Open(*storeDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 
@@ -88,56 +108,77 @@ func main() {
 		id = strings.TrimSpace(id)
 		runner, err := experiments.ByID(id)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		start := time.Now()
 		outcome := runner(opts)
-		fmt.Print(outcome.Render())
-		fmt.Println()
+		fmt.Fprint(stdout, outcome.Render())
+		fmt.Fprintln(stdout)
 		if *timings {
-			fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stderr, "(%s completed in %v)\n", id, time.Since(start).Round(time.Millisecond))
 		}
 		file.Experiments = append(file.Experiments, results.FromOutcome(outcome))
 	}
 	if *timings {
 		n, bytes := experiments.TraceStoreStats()
-		fmt.Fprintf(os.Stderr, "(trace store: %d recordings, %.1f MB; streams generated once, replayed per grid cell)\n",
+		fmt.Fprintf(stderr, "(trace store: %d recordings, %.1f MB; streams generated once, replayed per grid cell)\n",
 			n, float64(bytes)/(1<<20))
 		sn, sbytes := experiments.SidecarStats()
-		fmt.Fprintf(os.Stderr, "(mem sidecars: %d columns, %.1f MB; cache hierarchy simulated once per recording+geometry)\n",
+		fmt.Fprintf(stderr, "(mem sidecars: %d columns, %.1f MB; cache hierarchy simulated once per recording+geometry)\n",
 			sn, float64(sbytes)/(1<<20))
 		cells, hits := experiments.TimingMemoStats()
-		fmt.Fprintf(os.Stderr, "(timing memo: %d distinct cells simulated, %d duplicate cells served from memory)\n",
+		fmt.Fprintf(stderr, "(timing memo: %d distinct cells simulated, %d duplicate cells served from memory)\n",
 			cells, hits)
 		acells, ahits := experiments.AccuracyMemoStats()
-		fmt.Fprintf(os.Stderr, "(accuracy memo: %d distinct cells simulated, %d duplicate cells served from memory)\n",
+		fmt.Fprintf(stderr, "(accuracy memo: %d distinct cells simulated, %d duplicate cells served from memory)\n",
 			acells, ahits)
 		groups, lanes, fusedCells, soloCells := experiments.FusionStats()
 		meanLanes := 0.0
 		if groups > 0 {
 			meanLanes = float64(lanes) / float64(groups)
 		}
-		fmt.Fprintf(os.Stderr, "(grid fusion: %d fused trace passes run (%.1f lanes each); %d accuracy cells served fused, %d solo)\n",
+		fmt.Fprintf(stderr, "(grid fusion: %d fused trace passes run (%.1f lanes each); %d accuracy cells served fused, %d solo)\n",
 			groups, meanLanes, fusedCells, soloCells)
 		tgroups, tlanes, tfusedCells, tsoloCells := experiments.TimingFusionStats()
 		tmeanLanes := 0.0
 		if tgroups > 0 {
 			tmeanLanes = float64(tlanes) / float64(tgroups)
 		}
-		fmt.Fprintf(os.Stderr, "(timing fusion: %d fused timing passes run (%.1f lanes each); %d timing cells served fused, %d solo)\n",
+		fmt.Fprintf(stderr, "(timing fusion: %d fused timing passes run (%.1f lanes each); %d timing cells served fused, %d solo)\n",
 			tgroups, tmeanLanes, tfusedCells, tsoloCells)
 		if store != nil {
 			s := store.Stats()
-			fmt.Fprintf(os.Stderr, "(result store: %d cells served from disk, %d cold cells computed, %d invalid entries recomputed; %d cells written back, %d write errors)\n",
+			fmt.Fprintf(stderr, "(result store: %d cells served from disk, %d cold cells computed, %d invalid entries recomputed; %d cells written back, %d write errors)\n",
 				s.Hits, s.Misses, s.Invalidations, s.Writes, s.WriteErrors)
 		}
 	}
 	if *jsonPath != "" {
 		if err := file.Save(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("results written to %s\n", *jsonPath)
+		fmt.Fprintf(stdout, "results written to %s\n", *jsonPath)
 	}
+	return 0
+}
+
+// checkRun rejects a run length or warm-up no experiment can honor. Zero
+// selects a default for either flag, so only negative values are invalid
+// on their own; an explicit warm-up must also leave at least one measured
+// instruction of the effective run length.
+func checkRun(insts, warmup int64) error {
+	switch {
+	case insts < 0:
+		return fmt.Errorf("reproduce: -insts must be 0 (default %d) or positive, got %d", experiments.DefaultInsts, insts)
+	case warmup < 0:
+		return fmt.Errorf("reproduce: -warmup must be 0 (insts/4) or positive, got %d", warmup)
+	}
+	if insts == 0 {
+		insts = experiments.DefaultInsts
+	}
+	if warmup >= insts {
+		return fmt.Errorf("reproduce: -warmup %d must be below -insts %d", warmup, insts)
+	}
+	return nil
 }

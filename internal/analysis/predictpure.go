@@ -10,12 +10,14 @@ import (
 
 // PredictPure proves the fast paths' central contract: Predict (and
 // PredictBits) on internal/predictor types must not mutate predictor
-// state. The record/replay layer, the branch/instruction batch protocols
-// and the timing memo all assume a prediction is a pure read — the
-// pipeline driver retires updates long after fetch-time predictions, and
-// the memo replays cells in arbitrary order, so a Predict that trains
-// state would make results depend on driver interleaving and silently
-// break the bit-identical equivalence the suite enforces.
+// state. Both engines call Update right after Predict, or step a whole
+// batch through StepBatch, so the contract is not about delayed updates.
+// It is what keeps the protocols interchangeable: a StepBatch must equal
+// the scalar Predict-then-Update sequence bit for bit, and the overriding
+// organization asks both components before either trains. A Predict that
+// trained state would make results depend on which protocol drove the
+// predictor and silently break the bit-identical equivalence the suites
+// enforce.
 //
 // The analysis is flow-aware within the package: a method is flagged for
 // direct stores to state reachable from its receiver or parameters

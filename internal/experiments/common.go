@@ -109,9 +109,12 @@ type Options struct {
 	Fuse FuseMode
 }
 
+// DefaultInsts is the instruction budget a zero Options.Insts selects.
+const DefaultInsts = 8_000_000
+
 func (o Options) normalize() Options {
 	if o.Insts <= 0 {
-		o.Insts = 8_000_000
+		o.Insts = DefaultInsts
 	}
 	if o.Warmup <= 0 {
 		o.Warmup = o.Insts / 4

@@ -176,8 +176,8 @@ func runAccuracyGroup(c *cellCache[funcsim.Result], specs []accuracySpec, opts O
 // every pipeline configuration of the group.
 func runTimingGroup(c *cellCache[pipeline.Result], specs []timingSpec, opts Options) {
 	runGroup(c, specs, opts, func(ss []timingSpec) []pipeline.Result {
-		// pipeline.RunMany accepts any source — it simulates per-lane
-		// live caches when the sidecar does not cover the run.
+		// pipeline.RunMany accepts any source — it classifies each batch
+		// itself when the sidecar does not cover the run.
 		lanes := make([]pipeline.Lane, len(ss))
 		for i, s := range ss {
 			lanes[i] = pipeline.Lane{Cfg: s.cfg, Pred: s.build()}

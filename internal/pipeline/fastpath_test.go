@@ -13,14 +13,14 @@ import (
 
 // opaqueReplay hides every protocol but Source, so the engine fills its
 // batches one Next call at a time and, with no cursor to check a sidecar
-// against, simulates live caches.
+// against, classifies each batch itself.
 type opaqueReplay struct{ src trace.Source }
 
 func (o opaqueReplay) Next(inst *trace.Inst) bool { return o.src.Next(inst) }
 func (o opaqueReplay) Name() string               { return o.src.Name() }
 
 // instSourceOnly exposes the batch protocol without being a *trace.Cursor:
-// batched fill, live caches.
+// batched fill, each batch classified by the engine.
 type instSourceOnly struct{ cur *trace.Cursor }
 
 func (o instSourceOnly) Next(inst *trace.Inst) bool     { return o.cur.Next(inst) }
@@ -117,8 +117,8 @@ func TestTimingFastPathEquivalence(t *testing.T) {
 }
 
 // TestSidecarFallback pins the safety rails: a sidecar precomputed under a
-// different cache geometry, or presented with a mid-stream cursor, must be
-// ignored in favor of the live hierarchy.
+// different cache geometry, for another recording, or presented with a
+// mid-stream cursor must be ignored in favor of classifying each batch.
 func TestSidecarFallback(t *testing.T) {
 	rec := workload.Record(mustProfile(t, "gzip"), 120_000)
 	mk := func() predictor.Predictor { return predictor.NewGShareFromBudget(16 << 10) }

@@ -1,10 +1,10 @@
 package pipeline
 
 import (
+	"fmt"
 	"math/bits"
 
 	"branchsim/internal/btb"
-	"branchsim/internal/cache"
 	"branchsim/internal/core"
 	"branchsim/internal/predictor"
 	"branchsim/internal/stats"
@@ -19,10 +19,14 @@ import (
 // is fast per lane because
 //
 //   - the 256-entry instruction batch is decoded once and its lane-invariant
-//     columns (fetch-block addresses, port classes, MemSidecar outcome
+//     columns (fetch-block addresses, port classes, memory-hierarchy outcome
 //     classes and the latency classes derived from them, and the batch's
 //     branch PCs, outcomes and per-instruction branch ordinals) are computed
-//     once, then every lane consumes the shared batch;
+//     once, then every lane consumes the shared batch. The outcome classes
+//     come from a covering MemSidecar or, for any other source, from one
+//     shared hierarchy stepped over the batch (memHier.classify): the access
+//     sequence does not depend on the predictor, so no lane has caches of
+//     its own;
 //   - prediction runs once per batch, not once per branch, for every lane
 //     whose predictions depend on the branch stream alone
 //     (core.BatchStepperOf: every organization but the cycle-aware ones —
@@ -63,10 +67,17 @@ type Lane struct {
 // at once and returns the per-lane results, index-aligned with lanes. Each
 // lane's Result is exactly what a one-lane run over its own replay of the
 // same stream returns; fusion is an execution strategy, not an observable
-// one. The sidecar is trusted only for a *trace.Cursor it covers (same
-// recording, replayed from the start, same cache geometry); any other
-// source, or an uncovered cursor, simulates per-lane live caches.
+// one. The first warmupInsts instructions train every structure but are
+// excluded from the statistics; a warm-up outside [0, maxInsts) panics.
+// The sidecar is used only for a *trace.Cursor it covers (same recording,
+// replayed from the start, same cache geometry); with any other source —
+// a live generator, an uncovered cursor — the engine classifies each batch
+// as it arrives, with the same results.
 func RunMany(lanes []Lane, src trace.Source, side *MemSidecar, maxInsts, warmupInsts int64) []Result {
+	if warmupInsts < 0 || warmupInsts >= maxInsts {
+		panic(fmt.Sprintf("pipeline: RunMany on %s: warm-up %d insts outside [0, maxInsts %d)",
+			src.Name(), warmupInsts, maxInsts))
+	}
 	if len(lanes) == 0 {
 		return nil
 	}
@@ -76,12 +87,12 @@ func RunMany(lanes []Lane, src trace.Source, side *MemSidecar, maxInsts, warmupI
 			panic("pipeline: RunMany lanes must share one cache geometry")
 		}
 	}
-	f := newFusedRun(lanes, side, maxInsts, warmupInsts)
-	if cur, ok := src.(*trace.Cursor); ok && side != nil {
-		// Geometry is lane-invariant (checked above), so covers for
-		// lanes[0] decides for the whole column.
-		f.sideActive = side.covers(lanes[0].Cfg, cur)
+	// Geometry is lane-invariant (checked above), so covers for lanes[0]
+	// decides for the whole column.
+	if cur, ok := src.(*trace.Cursor); !ok || side == nil || !side.covers(lanes[0].Cfg, cur) {
+		side = nil
 	}
+	f := newFusedRun(lanes, side, maxInsts, warmupInsts)
 	f.drive(src)
 	return f.finish(src.Name())
 }
@@ -228,9 +239,8 @@ const (
 
 // laneConst is a lane's config, predigested: the per-instruction constants
 // the step loop needs, extracted once so the hot loop reads a flat SoA
-// entry instead of Config fields. fLat maps sidecar fetch classes to this
-// lane's fetch stall; latTab maps lcls latency classes to execution
-// latencies.
+// entry instead of Config fields. fLat maps fetch classes to this lane's
+// fetch stall; latTab maps lcls latency classes to execution latencies.
 type laneConst struct {
 	feDepth     uint64
 	btbPenalty  uint64
@@ -240,8 +250,6 @@ type laneConst struct {
 	robSize     int
 	fLat        [4]uint64 // by fetch class: none, L1, L2, mem
 	latTab      [numLats]uint64
-	l2Lat       uint64
-	memLat      uint64
 }
 
 // laneOrg is a lane's predictor organization: the predictor and its
@@ -285,14 +293,6 @@ type laneRings struct {
 	clearedTo uint64
 }
 
-// laneCaches is a lane's live memory hierarchy, exercised only when no
-// sidecar covers the run.
-type laneCaches struct {
-	icache *cache.Cache
-	dcache *cache.Cache
-	l2     *cache.Cache
-}
-
 // laneCursor is a lane's mutable scalar state between instructions. One
 // entry spans a single cache line, so the per-instruction lane sweep
 // touches one hot line per lane.
@@ -308,9 +308,9 @@ type laneCursor struct {
 }
 
 // laneTallies is a lane's statistics: branch and BTB rates, and the
-// I-side sidecar class histogram (fetch accesses depend on the lane's own
-// redirect pattern, so the column cannot be shared the way the D-side one
-// is — see fusedRun.lT).
+// I-side fetch class histogram (fetch accesses depend on the lane's own
+// redirect pattern, so the histogram cannot be shared the way the D-side
+// one is — see fusedRun.lT).
 type laneTallies struct {
 	measBranches stats.Rate
 	overrides    stats.Rate
@@ -327,7 +327,6 @@ type fusedRun struct {
 	preds   []lanePreds
 	rings   []laneRings
 	btbs    []*btb.BTB
-	caches  []laneCaches
 	cursors []laneCursor
 	tallies []laneTallies
 	regs    [][trace.NumRegs]uint64 // per-lane register-ready cycles
@@ -336,10 +335,12 @@ type fusedRun struct {
 	maxInsts    int64
 	warmupInsts int64
 	blockMask   uint64
-	side        *MemSidecar
-	sideActive  bool
+	// Exactly one of side and hier is set: a sidecar covering the run, or
+	// the shared hierarchy prep classifies each batch with.
+	side *MemSidecar
+	hier *memHier
 
-	// lT and sT are the D-side sidecar class histograms. Loads and stores
+	// lT and sT are the D-side mem class histograms. Loads and stores
 	// access the D-cache unconditionally in program order, so — unlike the
 	// I-side — every lane's tally is identical and one shared count
 	// serves the whole column.
@@ -347,11 +348,13 @@ type fusedRun struct {
 	sT [4]uint64
 
 	// Shared per-batch columns, computed once per batch by prep. The class
-	// columns fcls/mcls are the sidecar bytes unpacked by batch offset. The
+	// columns fcls/mcls are the packed class bytes (the sidecar's, or cls
+	// when hier computes them) unpacked by batch offset. The
 	// branch columns bpcs/btakens hold the batch's nb conditional branches
 	// in stream order, and bord maps each branch's batch offset to its
 	// ordinal among them.
 	batch   [trace.InstBatchLen]trace.Inst
+	cls     [trace.InstBatchLen]uint8
 	blocks  [trace.InstBatchLen]uint64
 	pcls    [trace.InstBatchLen]uint8
 	lcls    [trace.InstBatchLen]uint8
@@ -364,7 +367,8 @@ type fusedRun struct {
 }
 
 // newFusedRun builds the per-lane SoA state for one pass, panicking on a
-// lane config the engine cannot simulate (checkLane).
+// lane config the engine cannot simulate (checkLane). side must cover the
+// run or be nil, in which case the pass gets its own memHier.
 func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *fusedRun {
 	n := len(lanes)
 	f := &fusedRun{
@@ -373,7 +377,6 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 		preds:       make([]lanePreds, n),
 		rings:       make([]laneRings, n),
 		btbs:        make([]*btb.BTB, n),
-		caches:      make([]laneCaches, n),
 		cursors:     make([]laneCursor, n),
 		tallies:     make([]laneTallies, n),
 		regs:        make([][trace.NumRegs]uint64, n),
@@ -381,6 +384,9 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 		warmupInsts: warmupInsts,
 		side:        side,
 		blockMask:   ^uint64(int64(lanes[0].Cfg.L1I.LineBytes) - 1),
+	}
+	if side == nil {
+		f.hier = newMemHier(MemGeometryOf(lanes[0].Cfg))
 	}
 	for i, l := range lanes {
 		cfg := l.Cfg
@@ -391,16 +397,15 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 		k.commitWidth = uint64(cfg.CommitWidth)
 		k.fetchWidth = cfg.FetchWidth
 		k.robSize = cfg.ROBSize
-		k.l2Lat = uint64(cfg.L2Latency)
-		k.memLat = uint64(cfg.MemLatency)
-		k.fLat = [4]uint64{0, 0, k.l2Lat, k.memLat}
+		l2Lat, memLat := uint64(cfg.L2Latency), uint64(cfg.MemLatency)
+		k.fLat = [4]uint64{0, 0, l2Lat, memLat}
 		k.latTab = [numLats]uint64{
 			latOne:     1,
 			latMul:     uint64(cfg.MulLatency),
 			latFP:      uint64(cfg.FPLatency),
 			latLoadL1:  uint64(cfg.L1DLatency),
-			latLoadL2:  k.l2Lat,
-			latLoadMem: k.memLat,
+			latLoadL2:  l2Lat,
+			latLoadMem: memLat,
 		}
 
 		o := &f.orgs[i]
@@ -430,11 +435,6 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 			clearedTo: ringSize,
 		}
 		f.btbs[i] = btb.New(cfg.BTBEntries, cfg.BTBWays)
-		f.caches[i] = laneCaches{
-			icache: cache.New(cfg.L1I),
-			dcache: cache.New(cfg.L1D),
-			l2:     cache.New(cfg.L2),
-		}
 	}
 	return f
 }
@@ -510,22 +510,26 @@ func (f *fusedRun) runBatch(n int) {
 
 // prep computes the lane-invariant columns of the current batch: each
 // instruction's fetch-block address (the lanes share one I-cache geometry),
-// its port and latency classes, the branch columns, and — when a sidecar
-// covers the run — its unpacked fetch and mem outcome classes plus the
-// shared D-side tallies.
+// its fetch and mem outcome classes — the covering sidecar's bytes, or the
+// shared hierarchy's classification of this batch — its port and latency
+// classes, the branch columns, and the shared D-side tallies.
 //
 //bplint:hotpath runs once per 256-instruction batch in fused sweeps
 func (f *fusedRun) prep(n int) {
 	for i := 0; i < n; i++ {
 		f.blocks[i] = f.batch[i].PC&f.blockMask + 1
 	}
-	if f.sideActive {
-		cls := f.side.class[f.insts : f.insts+int64(n)]
-		for i := 0; i < n; i++ {
-			c := cls[i]
-			f.fcls[i] = c & sideFetchMask >> sideFetchShift
-			f.mcls[i] = c & sideMemMask >> sideMemShift
-		}
+	var cls []uint8
+	if f.side != nil {
+		cls = f.side.class[f.insts : f.insts+int64(n)]
+	} else {
+		cls = f.cls[:n]
+		f.hier.classify(f.batch[:n], cls)
+	}
+	for i := 0; i < n; i++ {
+		c := cls[i]
+		f.fcls[i] = c & sideFetchMask >> sideFetchShift
+		f.mcls[i] = c & sideMemMask >> sideMemShift
 	}
 	nb := 0
 	for i := 0; i < n; i++ {
@@ -533,26 +537,20 @@ func (f *fusedRun) prep(n int) {
 		switch f.batch[i].Kind {
 		case trace.Load:
 			pc = portMem
-			if f.sideActive {
-				switch f.mcls[i] {
-				case sideMemL1:
-					lc = latLoadL1
-				case sideMemL2:
-					lc = latLoadL2
-				case sideMemMem:
-					lc = latLoadMem
-				default: // sideMemNone: loads always carry a mem class
-					panic("pipeline: load with no sidecar mem class")
-				}
-				f.lT[f.mcls[i]]++
-			} else {
-				lc = latLoadL1 // placeholder; live path probes its own caches
+			switch f.mcls[i] {
+			case sideMemL1:
+				lc = latLoadL1
+			case sideMemL2:
+				lc = latLoadL2
+			case sideMemMem:
+				lc = latLoadMem
+			default: // sideMemNone: loads always carry a mem class
+				panic("pipeline: load with no mem class")
 			}
+			f.lT[f.mcls[i]]++
 		case trace.Store:
 			pc, lc = portMem, latOne
-			if f.sideActive {
-				f.sT[f.mcls[i]]++
-			}
+			f.sT[f.mcls[i]]++
 		case trace.Mul:
 			pc, lc = portMul, latMul
 		case trace.FPU:
@@ -627,16 +625,12 @@ func (f *fusedRun) sweepPlain(i int) {
 	rings := f.rings[:nLanes]
 	tallies := f.tallies[:nLanes]
 	regs := f.regs[:nLanes]
-	caches := f.caches[:nLanes]
-	sideActive := f.sideActive
 	inst := &f.batch[i]
-	pc := inst.PC
 	block := f.blocks[i]
 	pcl := f.pcls[i]
 	lcl := f.lcls[i]
 	fcl := f.fcls[i]
 	s1, s2, dst := inst.Src1, inst.Src2, inst.Dst
-	kind := inst.Kind
 
 	for li := 0; li < nLanes; li++ {
 		k := &consts[li]
@@ -660,21 +654,8 @@ func (f *fusedRun) sweepPlain(i int) {
 				fetchCycle++
 				fetchUsed = 0
 			}
-			var lat uint64
-			if sideActive {
-				tallies[li].fT[fcl]++
-				lat = k.fLat[fcl]
-			} else {
-				ch := &caches[li]
-				if !ch.icache.Access(pc) {
-					if ch.l2.Access(pc) {
-						lat = k.l2Lat
-					} else {
-						lat = k.memLat
-					}
-				}
-			}
-			if lat > 0 {
+			tallies[li].fT[fcl]++
+			if lat := k.fLat[fcl]; lat > 0 {
 				fetchCycle, fetchUsed, lastBlock, fetchStall =
 					advanceTo(fetchCycle+lat, fetchCycle, fetchUsed, lastBlock, fetchStall)
 			}
@@ -709,18 +690,6 @@ func (f *fusedRun) sweepPlain(i int) {
 			}
 		}
 		execLat := k.latTab[lcl]
-		if kind == trace.Load && !sideActive {
-			ch := &caches[li]
-			if ch.dcache.Access(inst.Addr) {
-				execLat = k.latTab[latLoadL1]
-			} else if ch.l2.Access(inst.Addr) {
-				execLat = k.l2Lat
-			} else {
-				execLat = k.memLat
-			}
-		} else if kind == trace.Store && !sideActive {
-			caches[li].dcache.Access(inst.Addr)
-		}
 		issueAt := rg.takeInBoth(pcl, ready)
 		completeAt := issueAt + execLat
 
@@ -770,8 +739,6 @@ func (f *fusedRun) sweepJump(i int) {
 	tallies := f.tallies[:nLanes]
 	btbs := f.btbs[:nLanes]
 	regs := f.regs[:nLanes]
-	caches := f.caches[:nLanes]
-	sideActive := f.sideActive
 	inst := &f.batch[i]
 	pc := inst.PC
 	block := f.blocks[i]
@@ -802,21 +769,8 @@ func (f *fusedRun) sweepJump(i int) {
 				fetchCycle++
 				fetchUsed = 0
 			}
-			var lat uint64
-			if sideActive {
-				tallies[li].fT[fcl]++
-				lat = k.fLat[fcl]
-			} else {
-				ch := &caches[li]
-				if !ch.icache.Access(pc) {
-					if ch.l2.Access(pc) {
-						lat = k.l2Lat
-					} else {
-						lat = k.memLat
-					}
-				}
-			}
-			if lat > 0 {
+			tallies[li].fT[fcl]++
+			if lat := k.fLat[fcl]; lat > 0 {
 				fetchCycle, fetchUsed, lastBlock, fetchStall =
 					advanceTo(fetchCycle+lat, fetchCycle, fetchUsed, lastBlock, fetchStall)
 			}
@@ -919,8 +873,6 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 	preds := f.preds[:nLanes]
 	btbs := f.btbs[:nLanes]
 	regs := f.regs[:nLanes]
-	caches := f.caches[:nLanes]
-	sideActive := f.sideActive
 	inst := &f.batch[i]
 	pc := inst.PC
 	block := f.blocks[i]
@@ -953,21 +905,8 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 				fetchCycle++
 				fetchUsed = 0
 			}
-			var lat uint64
-			if sideActive {
-				tallies[li].fT[fcl]++
-				lat = k.fLat[fcl]
-			} else {
-				ch := &caches[li]
-				if !ch.icache.Access(pc) {
-					if ch.l2.Access(pc) {
-						lat = k.l2Lat
-					} else {
-						lat = k.memLat
-					}
-				}
-			}
-			if lat > 0 {
+			tallies[li].fT[fcl]++
+			if lat := k.fLat[fcl]; lat > 0 {
 				fetchCycle, fetchUsed, lastBlock, fetchStall =
 					advanceTo(fetchCycle+lat, fetchCycle, fetchUsed, lastBlock, fetchStall)
 			}
@@ -1090,10 +1029,9 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 	}
 }
 
-// finish assembles the per-lane Results, index-aligned with the lanes.
-// Sidecar runs fold the outcome-class histograms into the access/miss
-// ratios the live caches would have counted: the same levels, the same
-// zero-total rule.
+// finish assembles the per-lane Results, index-aligned with the lanes. It
+// folds the outcome-class histograms into the access/miss ratios live
+// caches would have counted: the same levels, the same zero-total rule.
 func (f *fusedRun) finish(workload string) []Result {
 	out := make([]Result, len(f.rings))
 	for li := range out {
@@ -1110,23 +1048,16 @@ func (f *fusedRun) finish(workload string) []Result {
 			BTBMissRate:      tl.btbMisses.Value(),
 			FetchStallCycles: cu.fetchStall,
 		}
-		if f.sideActive {
-			// An I-side fetch miss and a D-side load miss reach the L2;
-			// a store miss only allocates in the L1D.
-			fAcc := tl.fT[0] + tl.fT[1] + tl.fT[2] + tl.fT[3]
-			fL2, fMem := tl.fT[2], tl.fT[3]
-			lAcc := f.lT[0] + f.lT[1] + f.lT[2] + f.lT[3]
-			lL2, lMem := f.lT[2], f.lT[3]
-			sAcc := f.sT[0] + f.sT[1] + f.sT[2] + f.sT[3]
-			r.L1IMissRate = missRate(fL2+fMem, fAcc)
-			r.L1DMissRate = missRate(lL2+lMem+f.sT[3], lAcc+sAcc)
-			r.L2MissRate = missRate(fMem+lMem, fL2+fMem+lL2+lMem)
-		} else {
-			ch := &f.caches[li]
-			r.L1IMissRate = ch.icache.MissRate()
-			r.L1DMissRate = ch.dcache.MissRate()
-			r.L2MissRate = ch.l2.MissRate()
-		}
+		// An I-side fetch miss and a D-side load miss reach the L2; a
+		// store miss only allocates in the L1D.
+		fAcc := tl.fT[0] + tl.fT[1] + tl.fT[2] + tl.fT[3]
+		fL2, fMem := tl.fT[2], tl.fT[3]
+		lAcc := f.lT[0] + f.lT[1] + f.lT[2] + f.lT[3]
+		lL2, lMem := f.lT[2], f.lT[3]
+		sAcc := f.sT[0] + f.sT[1] + f.sT[2] + f.sT[3]
+		r.L1IMissRate = missRate(fL2+fMem, fAcc)
+		r.L1DMissRate = missRate(lL2+lMem+f.sT[3], lAcc+sAcc)
+		r.L2MissRate = missRate(fMem+lMem, fL2+fMem+lL2+lMem)
 		if org.over != nil {
 			r.Overrides = tl.overrides.Events
 			r.OverrideRate = tl.overrides.Value()

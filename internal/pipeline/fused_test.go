@@ -7,6 +7,7 @@ import (
 	"branchsim/internal/cache"
 	"branchsim/internal/core"
 	"branchsim/internal/predictor"
+	"branchsim/internal/trace"
 	"branchsim/internal/workload"
 )
 
@@ -68,12 +69,47 @@ func fusedCfgVariants() []Config {
 	return []Config{DefaultConfig(), deep, slowMem}
 }
 
+// fusedColumn returns a fresh heterogeneous column: every fusedOrgs
+// organization on the default machine, then the fusedCfgVariants shapes
+// with an ideal gshare, all on one cache geometry. Each call builds new
+// predictors, since a run trains the ones it is given.
+func fusedColumn() []Lane {
+	var lanes []Lane
+	for _, org := range fusedOrgs() {
+		lanes = append(lanes, Lane{Cfg: DefaultConfig(), Pred: org.mk()})
+	}
+	for _, cfg := range fusedCfgVariants()[1:] {
+		lanes = append(lanes, Lane{Cfg: cfg, Pred: predictor.NewGShareFromBudget(16 << 10)})
+	}
+	return lanes
+}
+
+// checkColumn runs fusedColumn through RunMany over the source run makes
+// and compares every lane with the reference's live-cache run over the
+// source ref makes, bit for bit. It returns the fused results.
+func checkColumn(t *testing.T, name string, run func(lanes []Lane) []Result, ref func() trace.Source, maxInsts, warmup int64) []Result {
+	t.Helper()
+	lanes := fusedColumn()
+	fused := run(lanes)
+	if len(fused) != len(lanes) {
+		t.Fatalf("RunMany returned %d results for %d lanes", len(fused), len(lanes))
+	}
+	for i, l := range fusedColumn() {
+		want := refRun(l.Cfg, l.Pred, ref(), maxInsts, warmup)
+		if !reflect.DeepEqual(fused[i], want) {
+			t.Errorf("%s warmup %d lane %d (%s): fused diverges from the reference:\n got %+v\nwant %+v",
+				name, warmup, i, want.Predictor, fused[i], want)
+		}
+	}
+	return fused
+}
+
 // TestFusedTimingEquivalence is the engine's correctness contract:
 // RunMany over a heterogeneous column — every predictor organization plus
 // depth/latency config variants, all on one cache geometry — must
 // reproduce each lane's reference run bit for bit, across benchmarks
 // (including a stream shorter than the budget) and warmups. The engine
-// runs with the sidecar; the reference simulates live caches.
+// runs with the sidecar; the reference simulates live caches per lane.
 func TestFusedTimingEquivalence(t *testing.T) {
 	cases := []struct {
 		bench    string
@@ -88,41 +124,44 @@ func TestFusedTimingEquivalence(t *testing.T) {
 		rec := workload.Record(mustProfile(t, tc.bench), tc.recorded)
 		side := BuildMemSidecar(rec, MemGeometryOf(DefaultConfig()))
 		for _, warmup := range []int64{0, 40_000} {
-			var lanes []Lane
-			for _, org := range fusedOrgs() {
-				lanes = append(lanes, Lane{Cfg: DefaultConfig(), Pred: org.mk()})
-			}
-			for _, cfg := range fusedCfgVariants()[1:] {
-				lanes = append(lanes, Lane{Cfg: cfg, Pred: predictor.NewGShareFromBudget(16 << 10)})
-			}
-			fused := RunMany(lanes, rec.Replay(), side, maxInsts, warmup)
-			if len(fused) != len(lanes) {
-				t.Fatalf("RunMany returned %d results for %d lanes", len(fused), len(lanes))
-			}
-
-			// Rebuild each lane's predictor fresh for the reference:
-			// predictors are stateful and the fused pass trained the
-			// originals.
-			var ref []Lane
-			for _, org := range fusedOrgs() {
-				ref = append(ref, Lane{Cfg: DefaultConfig(), Pred: org.mk()})
-			}
-			for _, cfg := range fusedCfgVariants()[1:] {
-				ref = append(ref, Lane{Cfg: cfg, Pred: predictor.NewGShareFromBudget(16 << 10)})
-			}
-			for i, l := range ref {
-				want := refRun(l.Cfg, l.Pred, rec.Replay(), maxInsts, warmup)
-				if !reflect.DeepEqual(fused[i], want) {
-					t.Errorf("%s warmup %d lane %d (%s): fused diverges from the reference:\n got %+v\nwant %+v",
-						tc.bench, warmup, i, want.Predictor, fused[i], want)
-				}
-			}
+			checkColumn(t, tc.bench, func(lanes []Lane) []Result {
+				return RunMany(lanes, rec.Replay(), side, maxInsts, warmup)
+			}, func() trace.Source { return rec.Replay() }, maxInsts, warmup)
 		}
 	}
 }
 
-// TestFusedTimingLiveCaches pins the no-sidecar path: without a covering
-// sidecar the engine simulates each lane's own hierarchy, matching the
+// TestFusedTimingClassifiedEquivalence is the same contract for the runs
+// no sidecar covers, where prep classifies each batch with one hierarchy
+// shared by the column: a live generator, and a replay cursor that starts
+// mid-stream (its sidecar does not cover it). The lanes redirect fetch
+// differently, so the shared hierarchy must still leave each lane its own
+// I-side tallies; the test fails if every lane reports one L1I miss rate.
+func TestFusedTimingClassifiedEquivalence(t *testing.T) {
+	const maxInsts, warmup = 150_000, 40_000
+	for _, bench := range []string{"gzip", "mcf", "gcc", "eon"} {
+		prof := mustProfile(t, bench)
+		fused := checkColumn(t, bench+"/generator", func(lanes []Lane) []Result {
+			return RunMany(lanes, workload.New(prof), nil, maxInsts, warmup)
+		}, func() trace.Source { return workload.New(prof) }, maxInsts, warmup)
+		distinct := map[float64]bool{}
+		for _, r := range fused {
+			distinct[r.L1IMissRate] = true
+		}
+		if len(distinct) < 2 {
+			t.Errorf("%s: every lane reports L1I miss rate %v; the I-side tallies are not per lane", bench, fused[0].L1IMissRate)
+		}
+	}
+
+	rec := workload.Record(mustProfile(t, "gzip"), 200_000)
+	side := BuildMemSidecar(rec, MemGeometryOf(DefaultConfig()))
+	checkColumn(t, "gzip/mid-stream", func(lanes []Lane) []Result {
+		return RunMany(lanes, offsetReplay(rec), side, maxInsts, warmup)
+	}, func() trace.Source { return offsetReplay(rec) }, maxInsts, warmup)
+}
+
+// TestFusedTimingLiveCaches pins the no-sidecar path for one lane: without
+// a covering sidecar the engine classifies each batch itself, matching the
 // reference's live-cache run.
 func TestFusedTimingLiveCaches(t *testing.T) {
 	rec := workload.Record(mustProfile(t, "gzip"), 120_000)
@@ -185,36 +224,56 @@ func TestFusedTimingGeometryGuard(t *testing.T) {
 }
 
 // TestFusedTimingAllocs pins the steady-state allocation count of the
-// fused drive loop at zero: the batch and its shared columns live in the
-// engine (allocated once at construction), per-lane state is reused, and
-// the sidecar replaces the only allocating cache work. Skipped under
-// -race, which instruments allocation.
+// fused drive loop at zero, both over a replay cursor with a covering
+// sidecar and over a live generator the engine classifies batch by batch:
+// the batch and its shared columns live in the engine (allocated once at
+// construction) and per-lane state is reused. Skipped under -race, which
+// instruments allocation.
 func TestFusedTimingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	rec := workload.Record(mustProfile(t, "gzip"), 100_000)
-	cur := rec.Replay()
+	prof := mustProfile(t, "gzip")
 	cfg := DefaultConfig()
-	side := BuildMemSidecar(rec, MemGeometryOf(cfg))
-	lanes := []Lane{
-		{Cfg: cfg, Pred: predictor.NewGShareFromBudget(16 << 10)},
-		{Cfg: cfg, Pred: predictor.NewPerceptronFromBudget(64 << 10)},
-		{Cfg: cfg, Pred: core.New(core.Config{Entries: 1 << 15, Latency: 3})},
-		{Cfg: cfg, Pred: core.NewOverriding(predictor.NewGShare(2048, 0), predictor.NewGSkew2BcFromBudget(64<<10), 3)},
+	lanes := func() []Lane {
+		return []Lane{
+			{Cfg: cfg, Pred: predictor.NewGShareFromBudget(16 << 10)},
+			{Cfg: cfg, Pred: predictor.NewPerceptronFromBudget(64 << 10)},
+			{Cfg: cfg, Pred: core.New(core.Config{Entries: 1 << 15, Latency: 3})},
+			{Cfg: cfg, Pred: core.NewOverriding(predictor.NewGShare(2048, 0), predictor.NewGSkew2BcFromBudget(64<<10), 3)},
+		}
 	}
-	f := newFusedRun(lanes, side, 100_000, 20_000)
-	f.sideActive = side.covers(cfg, cur)
-	if !f.sideActive {
-		t.Fatal("sidecar does not cover the run")
-	}
-	f.drive(cur) // warm any lazy state
-	allocs := testing.AllocsPerRun(10, func() {
-		cur.Reset()
-		f.insts = 0
-		f.drive(cur)
+
+	t.Run("sidecar", func(t *testing.T) {
+		rec := workload.Record(prof, 100_000)
+		cur := rec.Replay()
+		side := BuildMemSidecar(rec, MemGeometryOf(cfg))
+		if !side.covers(cfg, cur) {
+			t.Fatal("sidecar does not cover the run")
+		}
+		f := newFusedRun(lanes(), side, 100_000, 20_000)
+		f.drive(cur) // warm any lazy state
+		allocs := testing.AllocsPerRun(10, func() {
+			cur.Reset()
+			f.insts = 0
+			f.drive(cur)
+		})
+		if allocs != 0 {
+			t.Fatalf("fused timing drive loop allocates %.1f objects per run, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("fused timing drive loop allocates %.1f objects per run, want 0", allocs)
-	}
+
+	t.Run("generator", func(t *testing.T) {
+		gen := workload.New(prof)
+		f := newFusedRun(lanes(), nil, 100_000, 20_000)
+		f.drive(gen) // warm any lazy state
+		allocs := testing.AllocsPerRun(10, func() {
+			// The stream is endless: each run drives the next 100K.
+			f.maxInsts = f.insts + 100_000
+			f.drive(gen)
+		})
+		if allocs != 0 {
+			t.Fatalf("classifying drive loop allocates %.1f objects per run, want 0", allocs)
+		}
+	})
 }

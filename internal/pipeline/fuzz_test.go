@@ -62,8 +62,9 @@ func fuzzPredictor(b byte) predictor.Predictor {
 
 // FuzzEngineVsReference decodes a random instruction stream and run shape
 // from the input, runs the engine with one to three lanes — over a replay
-// cursor with the memory sidecar, and over a plain Source with live caches
-// — and demands each lane's Result be identical to the reference's.
+// cursor with the memory sidecar, and over a plain Source the engine
+// classifies batch by batch — and demands each lane's Result be identical
+// to the reference's, whose per-lane live caches are the oracle.
 func FuzzEngineVsReference(f *testing.F) {
 	for _, n := range []int{0, 40, 400, 3000} {
 		seed := make([]byte, fuzzHeader+5*n)
@@ -82,8 +83,8 @@ func FuzzEngineVsReference(f *testing.F) {
 		insts := tracetest.Decode(body)
 		n := int64(len(insts))
 		nLanes := 1 + int(hdr[0]%3)
-		maxInsts := n - int64(hdr[1])%(n+1) // may cut the stream short
-		warmup := int64(hdr[2]) * (n + 1) / 256
+		maxInsts := max(n-int64(hdr[1])%(n+1), 1) // may cut the stream short
+		warmup := int64(hdr[2]) * maxInsts / 256  // RunMany requires warmup < maxInsts
 		lanes := func() []Lane {
 			ls := make([]Lane, nLanes)
 			for i := range ls {
@@ -99,8 +100,8 @@ func FuzzEngineVsReference(f *testing.F) {
 		rec := trace.Record(&tracetest.Slice{Insts: insts}, n)
 		side := BuildMemSidecar(rec, MemGeometryOf(fuzzConfig(0)))
 		runs := map[string][]Result{
-			"sidecar": RunMany(lanes(), rec.Replay(), side, maxInsts, warmup),
-			"live":    RunMany(lanes(), &tracetest.Slice{Insts: insts}, nil, maxInsts, warmup),
+			"sidecar":    RunMany(lanes(), rec.Replay(), side, maxInsts, warmup),
+			"classified": RunMany(lanes(), &tracetest.Slice{Insts: insts}, nil, maxInsts, warmup),
 		}
 		for name, got := range runs {
 			for i := range want {

@@ -237,6 +237,39 @@ func TestInvalidLaneNamed(t *testing.T) {
 	}
 }
 
+// TestRunManyBadWarmup pins the measured-window guard: a warm-up below zero
+// or at or past maxInsts would report a negative or empty instruction
+// count, so RunMany panics with a message naming the workload and both
+// counts — before it simulates anything, and for an empty lane list too.
+func TestRunManyBadWarmup(t *testing.T) {
+	src := workload.New(mustProfile(t, "gzip"))
+	lanes := []Lane{{Cfg: DefaultConfig(), Pred: predictor.Taken{}}}
+	for _, tc := range []struct {
+		lanes            []Lane
+		maxInsts, warmup int64
+	}{
+		{lanes, 1000, -1},
+		{lanes, 1000, 1000},
+		{lanes, 1000, 2000},
+		{lanes, 0, 0},
+		{nil, 1000, 1000},
+	} {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			RunMany(tc.lanes, src, nil, tc.maxInsts, tc.warmup)
+			return ""
+		}()
+		for _, want := range []string{"gzip", fmt.Sprint(tc.warmup), fmt.Sprint(tc.maxInsts)} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("maxInsts %d warmup %d: panic %q does not contain %q", tc.maxInsts, tc.warmup, msg, want)
+			}
+		}
+	}
+	if n := src.InstsScanned(); n != 0 {
+		t.Errorf("a rejected run consumed %d instructions", n)
+	}
+}
+
 func TestDeterministicIPC(t *testing.T) {
 	a := run(predictor.NewGShareFromBudget(32<<10), "gap", 300000)
 	b := run(predictor.NewGShareFromBudget(32<<10), "gap", 300000)

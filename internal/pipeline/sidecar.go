@@ -73,16 +73,19 @@ const (
 //     after a clear — a re-touch of the block accessed for i-1 with no
 //     intervening I-cache accesses, so the line is still resident and MRU:
 //     a guaranteed hit that moves no cache state except the hit tally
-//     (which the Sim counts live). The I-cache therefore evolves along the
-//     predictor-independent new-block subsequence.
+//     (which each lane counts from its own accesses). The I-cache
+//     therefore evolves along the predictor-independent new-block
+//     subsequence.
 //   - The D-cache is accessed for every load and store in program order,
 //     unconditionally.
 //   - The L2 access sequence is the L1I new-block misses interleaved with
 //     the L1D load misses, in program order (store misses allocate in L1D
 //     without an L2 access).
 //
-// The equivalence suite (fastpath_test.go) checks the resulting Result is
-// bit-identical to live simulation across predictor organizations.
+// The engine relies on the same fact without a sidecar: it classifies each
+// batch with one shared memHier. The equivalence suites (fused_test.go,
+// fastpath_test.go) check both against the test reference's per-lane live
+// caches, bit for bit, across predictor organizations.
 //
 // Like the Recording it annotates, a built sidecar is shared read-only
 // across goroutines; the frozen analyzer proves no post-publication write.
@@ -102,7 +105,8 @@ func (m *MemSidecar) SizeBytes() int64 { return int64(len(m.class)) }
 
 // covers reports whether the sidecar's precomputed outcomes apply to a run
 // of cfg over cur: same recording, replay starting at the beginning, and
-// identical cache geometry. Anything else falls back to live simulation.
+// identical cache geometry. Any other run classifies its batches as they
+// arrive (memHier.classify), the same computation done on the fly.
 func (m *MemSidecar) covers(cfg Config, cur *trace.Cursor) bool {
 	return m.rec == cur.Recording() && cur.Pos() == 0 && m.geom == MemGeometryOf(cfg)
 }
@@ -110,64 +114,84 @@ func (m *MemSidecar) covers(cfg Config, cur *trace.Cursor) bool {
 // BuildMemSidecar simulates the memory hierarchy once over the whole
 // recording and returns the per-instruction outcome column. The cost is
 // one cache-only pass per (recording, geometry); every timing cell that
-// replays the recording under that geometry then skips the three-cache
-// simulation entirely.
+// replays the recording under that geometry then reads the column instead
+// of classifying each batch itself.
 func BuildMemSidecar(rec *trace.Recording, geom MemGeometry) *MemSidecar {
-	m := &MemSidecar{
-		rec:   rec,
-		geom:  geom,
-		class: make([]uint8, 0, rec.Len()),
-	}
-	icache := cache.New(geom.L1I)
-	dcache := cache.New(geom.L1D)
-	l2 := cache.New(geom.L2)
-	blockMask := ^uint64(int64(geom.L1I.LineBytes) - 1)
-	var lastBlock uint64
-
-	batch := make([]trace.Inst, trace.InstBatchLen)
+	class := make([]uint8, rec.Len())
+	h := newMemHier(geom)
+	var batch [trace.InstBatchLen]trace.Inst
 	cur := rec.Replay()
-	for {
-		n := cur.NextInsts(batch)
+	for off := 0; ; {
+		n := cur.NextInsts(batch[:])
 		if n == 0 {
-			return m
+			return &MemSidecar{rec: rec, geom: geom, class: class}
 		}
-		for i := 0; i < n; i++ {
-			inst := &batch[i]
-			var cls uint8
-			block := inst.PC&blockMask + 1
-			if block != lastBlock {
-				lastBlock = block
-				switch {
-				case icache.Access(inst.PC):
-					cls = sideFetchL1 << sideFetchShift
-				case l2.Access(inst.PC):
-					cls = sideFetchL2 << sideFetchShift
-				default:
-					cls = sideFetchMem << sideFetchShift
-				}
-			}
-			switch inst.Kind {
-			case trace.Load:
-				switch {
-				case dcache.Access(inst.Addr):
-					cls |= sideMemL1 << sideMemShift
-				case l2.Access(inst.Addr):
-					cls |= sideMemL2 << sideMemShift
-				default:
-					cls |= sideMemMem << sideMemShift
-				}
-			case trace.Store:
-				if dcache.Access(inst.Addr) {
-					cls |= sideMemL1 << sideMemShift
-				} else {
-					cls |= sideMemMem << sideMemShift
-				}
-			case trace.ALU, trace.Mul, trace.FPU, trace.CondBranch, trace.Jump:
-				// No memory access: the mem field stays sideMemNone.
+		h.classify(batch[:n], class[off:off+n])
+		off += n
+	}
+}
+
+// memHier is the L1I/L1D/L2 hierarchy the class column is computed
+// from, plus the last fetched I-cache block. Because the access sequence
+// depends only on the stream (see MemSidecar), one memHier run in
+// program order serves every lane of a fused pass.
+type memHier struct {
+	icache, dcache, l2 *cache.Cache
+	blockMask          uint64
+	lastBlock          uint64 // block address + 1 of the previous instruction (0 = none)
+}
+
+func newMemHier(geom MemGeometry) *memHier {
+	return &memHier{
+		icache:    cache.New(geom.L1I),
+		dcache:    cache.New(geom.L1D),
+		l2:        cache.New(geom.L2),
+		blockMask: ^uint64(int64(geom.L1I.LineBytes) - 1),
+	}
+}
+
+// classify advances the hierarchy over batch, the next instructions of
+// the stream, and writes each one's packed class byte to the same index of
+// out.
+//
+//bplint:hotpath runs once per 256-instruction batch when no sidecar covers the run
+func (h *memHier) classify(batch []trace.Inst, out []uint8) {
+	out = out[:len(batch)]
+	for i := range batch {
+		inst := &batch[i]
+		var cls uint8
+		if block := inst.PC&h.blockMask + 1; block != h.lastBlock {
+			h.lastBlock = block
+			switch {
+			case h.icache.Access(inst.PC):
+				cls = sideFetchL1 << sideFetchShift
+			case h.l2.Access(inst.PC):
+				cls = sideFetchL2 << sideFetchShift
 			default:
-				panic("pipeline: unhandled instruction kind")
+				cls = sideFetchMem << sideFetchShift
 			}
-			m.class = append(m.class, cls)
 		}
+		switch inst.Kind {
+		case trace.Load:
+			switch {
+			case h.dcache.Access(inst.Addr):
+				cls |= sideMemL1 << sideMemShift
+			case h.l2.Access(inst.Addr):
+				cls |= sideMemL2 << sideMemShift
+			default:
+				cls |= sideMemMem << sideMemShift
+			}
+		case trace.Store:
+			if h.dcache.Access(inst.Addr) {
+				cls |= sideMemL1 << sideMemShift
+			} else {
+				cls |= sideMemMem << sideMemShift
+			}
+		case trace.ALU, trace.Mul, trace.FPU, trace.CondBranch, trace.Jump:
+			// No memory access: the mem field stays sideMemNone.
+		default:
+			panic("pipeline: unhandled instruction kind")
+		}
+		out[i] = cls
 	}
 }

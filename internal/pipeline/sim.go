@@ -53,15 +53,17 @@ func (s *Sim) Predictor() predictor.Predictor { return s.pred }
 // SetMemSidecar attaches a precomputed memory-latency sidecar. It is used
 // on a subsequent Run only when it covers that run exactly — same recording
 // replayed from the start under the same cache geometry (see
-// MemSidecar.covers); otherwise the live hierarchy is simulated.
+// MemSidecar.covers); otherwise Run computes the same outcome classes batch
+// by batch, so the sidecar changes only the cost of a run, never its
+// Result.
 func (s *Sim) SetMemSidecar(side *MemSidecar) { s.side = side }
 
 // Run replays up to maxInsts instructions from src (a live generator or a
 // recorded trace cursor), with the first warmupInsts excluded from the
 // reported statistics (caches, predictors and scoreboard state still
-// train). It is RunMany with one lane: every call starts from a fresh
-// scoreboard, caches and BTB, while the predictor keeps whatever state
-// earlier runs trained into it.
+// train); a warm-up outside [0, maxInsts) panics. It is RunMany with one
+// lane: every call starts from a fresh scoreboard, caches and BTB, while
+// the predictor keeps whatever state earlier runs trained into it.
 func (s *Sim) Run(src trace.Source, maxInsts, warmupInsts int64) Result {
 	return RunMany([]Lane{{Cfg: s.cfg, Pred: s.pred}}, src, s.side, maxInsts, warmupInsts)[0]
 }

@@ -57,9 +57,10 @@ const (
 	hotRegion = 32 << 10
 )
 
-// Program is a synthetic benchmark program implementing trace.Generator.
-// The stream is infinite (steady-state by construction); drivers bound it
-// with an instruction budget. Two Programs built from the same Profile
+// Program is a synthetic benchmark program implementing trace.Generator
+// and both batch protocols, trace.InstSource and trace.BranchSource. The
+// stream is infinite (steady-state by construction); drivers bound it with
+// an instruction budget. Two Programs built from the same Profile
 // produce identical streams.
 type Program struct {
 	prof   Profile
@@ -554,6 +555,17 @@ func (p *Program) Next(inst *trace.Inst) bool {
 	p.insts++
 	p.phaseBudget--
 	return true
+}
+
+// NextInsts implements trace.InstSource by filling dst through Next, so a
+// consumer takes a whole batch from a live Program with one call. It shares
+// Next's position: the two may be interleaved. The stream never ends, so
+// dst is always filled.
+func (p *Program) NextInsts(dst []trace.Inst) int {
+	for i := range dst {
+		p.Next(&dst[i])
+	}
+	return len(dst)
 }
 
 // NextBranches implements trace.BranchSource by filtering the live stream

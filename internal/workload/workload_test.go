@@ -247,3 +247,41 @@ func TestInvalidProfilePanics(t *testing.T) {
 	}()
 	New(Profile{Blocks: 1})
 }
+
+// TestNextInstsMatchesRecording pins Program's InstSource protocol: Next
+// and NextInsts of ragged sizes, interleaved on one Program, must yield the
+// stream trace.Record captures, across the recording's 64K-instruction
+// chunk boundaries.
+func TestNextInstsMatchesRecording(t *testing.T) {
+	const n = 2<<16 + 321
+	prof := Profiles()[0]
+	want := trace.Record(New(prof), n).Replay()
+	p := New(prof)
+	var got, w trace.Inst
+	batch := make([]trace.Inst, 1000)
+	sizes := []int{1, 7, trace.InstBatchLen, 1000}
+	for i, k := 0, 0; i < n; k++ {
+		var insts []trace.Inst
+		if k%2 == 0 {
+			if !p.Next(&got) {
+				t.Fatal("Next ended the stream")
+			}
+			insts = []trace.Inst{got}
+		} else {
+			size := min(sizes[k/2%len(sizes)], n-i)
+			if m := p.NextInsts(batch[:size]); m != size {
+				t.Fatalf("NextInsts filled %d of %d", m, size)
+			}
+			insts = batch[:size]
+		}
+		for _, inst := range insts {
+			if !want.Next(&w) {
+				t.Fatalf("recording ended at %d", i)
+			}
+			if inst != w {
+				t.Fatalf("inst %d = %+v, want %+v", i, inst, w)
+			}
+			i++
+		}
+	}
+}

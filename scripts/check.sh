@@ -74,16 +74,18 @@ go test -race -run 'TestTimingFastPathEquivalence|TestSidecarFallback|TestSlotRi
 go test -race -run 'TestTimingMemoEquivalence|TestTimingMemoDeduplicates|TestTimingMemoConcurrentStress' ./internal/experiments
 go test -race -run 'TestNextInstsMatchesStream|TestNextInstsInterleavesWithNext|TestNextInstsProtocolMixPanics' ./internal/trace
 
-echo "==> fused timing equivalence (RunMany with batch-stepped and per-branch lanes vs the reference, geometry guard, named bad lanes, scheduler parity, fused ipcsim vs per-cell Sim.Run, race-enabled)"
-go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingLiveCaches|TestFusedTimingGeometryGuard|TestInvalidLaneNamed' ./internal/pipeline
+echo "==> fused timing equivalence (RunMany with batch-stepped and per-branch lanes vs the reference, over a sidecar and over batches one shared hierarchy classifies — live generator, mid-stream cursor; geometry guard, named bad lanes, scheduler parity, streamed ipcsim vs per-cell Sim.Run, bad run flags, race-enabled)"
+go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingClassifiedEquivalence|TestFusedTimingLiveCaches|TestFusedTimingGeometryGuard|TestInvalidLaneNamed|TestRunManyBadWarmup' ./internal/pipeline
+go test -race -run 'TestNextInstsMatchesRecording' ./internal/workload
 go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFusedTimingMemoAccounting|TestFusedTimingStoreFlow' ./internal/experiments
 go test -race -run 'TestFusedMatchesPerCell|TestBadFlagsFailBeforeOutput' ./cmd/ipcsim
+go test -race -run 'TestBadRunFlagsFailBeforeOutput' ./cmd/reproduce
 
 echo "==> cell store equivalence + robustness (store-served cells bit-identical; corrupt/truncated/stale entries recomputed, race-enabled)"
 go test -race ./internal/resultstore
 go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestMultiBranchWarmStore|TestRunCellsPanicKey' ./internal/experiments
 
-echo "==> batched-loop and per-branch predictor allocation bounds (no race: alloc counts need a plain build)"
+echo "==> batched-loop and per-branch predictor allocation bounds, the timing drive loop over a sidecar and over a live generator (no race: alloc counts need a plain build)"
 go test -run 'TestBatchedRunAllocs|TestRunManyAllocs' ./internal/funcsim
 go test -run 'TestPredictorStepAllocs' ./internal/experiments
 go test -run 'TestBatchedTimingRunAllocs|TestFusedTimingAllocs' ./internal/pipeline
