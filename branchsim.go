@@ -39,7 +39,12 @@ import (
 // Update(pc, taken), strictly alternating in program order.
 type Predictor = predictor.Predictor
 
-// CycleAware predictors (GShareFast) receive the fetch-cycle clock.
+// CycleAware predictors (GShareFast) receive the fetch-cycle clock. The
+// simulators announce each branch's fetch cycle before its prediction, in
+// the accuracy simulator from the fetch-width clock and in the timing
+// simulator from the modelled fetch stage; a predictor with no batch step
+// of its own gets one OnCycle call per branch, whose repeats of a cycle
+// must be no-ops.
 type CycleAware = predictor.CycleAware
 
 // GShareFast is the paper's pipelined single-cycle predictor (§3).
@@ -196,7 +201,9 @@ func RunAccuracyMany(lanes []AccuracyLane, src BranchSource, opts AccuracyOption
 }
 
 // BlockPredictor is the block-at-a-time protocol of the multiple-branch
-// extension (§3.3.1); GShareFast implements it.
+// extension (§3.3.1): StepBlock predicts one fetch block's branches from
+// the block-start history, then trains on their outcomes. GShareFast
+// implements it.
 type BlockPredictor = funcsim.BlockPredictor
 
 // RunAccuracyBlocks evaluates a block predictor with up to

@@ -14,9 +14,9 @@ import (
 // it replaced: with and without -perclass, the output of one RunMany pass
 // per benchmark straight off the generator must equal the report built
 // from one funcsim.Run per (predictor, benchmark) cell over its own
-// recording. The kinds mix the
-// cycle-aware gshare.fast and a predictor with no batch protocol with
-// batch-stepped lanes.
+// recording (without -perclass) or its own generator (with it). The kinds
+// mix the cycle-aware gshare.fast and a predictor with no stepper of its
+// own with natively stepped lanes.
 func TestFusedMatchesPerCell(t *testing.T) {
 	const insts, warmup = 20_000, 5_000
 	kinds := []string{"gshare.fast", "local", "gshare", "perceptron", "multicomponent", "2bcgskew"}
@@ -42,11 +42,12 @@ func TestFusedMatchesPerCell(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					src := workload.Record(prof, insts).Replay()
 					if perClass {
-						perCell[i] = append(perCell[i], funcsim.Run(p, workload.Classify(src, prof), opts))
+						// A recording does not classify its branches;
+						// the live generator does.
+						perCell[i] = append(perCell[i], funcsim.Run(p, workload.New(prof), opts))
 					} else {
-						perCell[i] = append(perCell[i], funcsim.Run(p, src, opts))
+						perCell[i] = append(perCell[i], funcsim.Run(p, workload.Record(prof, insts).Replay(), opts))
 					}
 				}
 			}

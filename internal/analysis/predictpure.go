@@ -10,8 +10,9 @@ import (
 
 // PredictPure proves the fast paths' central contract: Predict (and
 // PredictBits) on internal/predictor types must not mutate predictor
-// state. Both engines call Update right after Predict, or step a whole
-// batch through StepBatch, so the contract is not about delayed updates.
+// state. Both engines step predictors through StepBatch, whose per-branch
+// adapter for stepper-less kinds calls Update right after Predict, so the
+// contract is not about delayed updates.
 // It is what keeps the protocols interchangeable: a StepBatch must equal
 // the scalar Predict-then-Update sequence bit for bit, and the overriding
 // organization asks both components before either trains. A Predict that
@@ -25,10 +26,10 @@ import (
 // methods of other packages (Update, Push, Add, Set, ... — the repo's
 // counter/history mutation vocabulary) on receiver-rooted values, and for
 // calls to same-package helpers that transitively do either with
-// receiver-rooted values flowing in. The one sanctioned exception — the
-// Perceptron's dot-product memo, whose invalidation rule keeps
-// out-of-order drivers bit-identical — carries a //bplint:allow
-// predictpure directive stating that invariant.
+// receiver-rooted values flowing in. A write that provably never changes
+// an outcome (a Predict→Update memo that Update always invalidates) may
+// carry a //bplint:allow predictpure directive stating that invariant; the
+// repository has none left.
 var PredictPure = &Analyzer{
 	Name: "predictpure",
 	Doc:  "Predict/PredictBits on internal/predictor types must not mutate predictor state",

@@ -23,9 +23,8 @@ func (p *pred) output(pc uint64) int {
 func (p *pred) Predict(pc uint64) bool {
 	y := p.output(pc) // pure helper call: not a violation
 	y += 0            // rebinding a local is not a state mutation
-	// Mirrors the perceptron dot-product memo: Update consults the memo
-	// only on a PC match and always invalidates it, so the write is
-	// observationally pure.
+	// A Predict→Update memo: Update consults it only on a PC match and
+	// always invalidates it, so the write is observationally pure.
 	//bplint:allow predictpure memo never changes an outcome; Update invalidates it on every call
 	p.memoPC, p.memoValid = pc, true
 	return y >= 0

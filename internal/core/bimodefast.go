@@ -16,7 +16,7 @@ import (
 // destructive-aliasing reduction while delivering every prediction in one
 // cycle.
 type BiModeFast struct {
-	pipe   *FastPipe
+	FastPipe
 	taken  *counter.Array2
 	notTkn *counter.Array2
 	choice *counter.Array2
@@ -48,42 +48,20 @@ func NewBiModeFast(cfg BiModeFastConfig) *BiModeFast {
 	if cfg.ChoiceEntries > 2048 {
 		panic("core: bimode.fast choice table exceeds the single-cycle limit")
 	}
-	idxBits := uint(0)
-	for n := cfg.DirEntries; n > 1; n >>= 1 {
-		idxBits++
-	}
 	b := &BiModeFast{
-		pipe:   NewFastPipe(idxBits, cfg.Latency, 0),
-		taken:  counter.NewArray2(cfg.DirEntries, counter.WeaklyTaken),
-		notTkn: counter.NewArray2(cfg.DirEntries, counter.WeaklyNotTaken),
-		choice: counter.NewArray2(cfg.ChoiceEntries, counter.WeaklyNotTaken),
-		chMask: uint64(cfg.ChoiceEntries - 1),
+		FastPipe: NewFastPipe(log2(cfg.DirEntries), cfg.Latency, 0),
+		taken:    counter.NewArray2(cfg.DirEntries, counter.WeaklyTaken),
+		notTkn:   counter.NewArray2(cfg.DirEntries, counter.WeaklyNotTaken),
+		choice:   counter.NewArray2(cfg.ChoiceEntries, counter.WeaklyNotTaken),
+		chMask:   uint64(cfg.ChoiceEntries - 1),
 	}
 	b.name = fmt.Sprintf("bimode.fast-%s", budgetName(b.SizeBytes()))
 	return b
 }
 
-// NewBiModeFastFromBudget sizes the direction tables to budgetBytes with a
-// fixed 2K-entry choice table and delay-model-free latency supplied by the
-// caller (use delaymodel.Default.PHTReadCycles for the paper's clock).
-func NewBiModeFastFromBudget(budgetBytes int, latency int) *BiModeFast {
-	dir := 4
-	for dir*2*2*2/8 <= budgetBytes { // two banks of 2-bit counters
-		dir *= 2
-	}
-	return NewBiModeFast(BiModeFastConfig{
-		DirEntries:    dir,
-		ChoiceEntries: 2048,
-		Latency:       latency,
-	})
-}
-
-// OnCycle implements predictor.CycleAware.
-func (b *BiModeFast) OnCycle(cycle uint64) { b.pipe.OnCycle(cycle) }
-
 func (b *BiModeFast) parts(pc uint64) (choiceIdx, dirIdx int, useTaken bool) {
 	choiceIdx = int((pc >> 2) & b.chMask)
-	dirIdx = b.pipe.Index(pc)
+	dirIdx = b.Index(pc)
 	useTaken = b.choice.Taken(choiceIdx)
 	return choiceIdx, dirIdx, useTaken
 }
@@ -97,36 +75,46 @@ func (b *BiModeFast) Predict(pc uint64) bool {
 	return b.notTkn.Taken(dirIdx)
 }
 
-// Update implements predictor.Predictor with the bi-mode partial-update
-// rule (see predictor.BiMode).
-func (b *BiModeFast) Update(pc uint64, taken bool) {
-	choiceIdx, dirIdx, useTaken := b.parts(pc)
-	var bankCorrect bool
-	if useTaken {
-		bankCorrect = b.taken.Taken(dirIdx) == taken
-		b.taken.Update(dirIdx, taken)
-	} else {
-		bankCorrect = b.notTkn.Taken(dirIdx) == taken
-		b.notTkn.Update(dirIdx, taken)
+// Update implements predictor.Predictor.
+func (b *BiModeFast) Update(pc uint64, taken bool) { b.step(pc, taken) }
+
+// StepBatch implements predictor.BatchStepper: each branch's indices and
+// bank read are computed once, for the prediction and the training.
+//
+//bplint:hotpath bimode.fast lane of both engines; bit-identity pinned by FuzzStepVsReference
+func (b *BiModeFast) StepBatch(pcs []uint64, takens []bool, cycles []uint64, preds []bool) {
+	for i, pc := range pcs {
+		b.clockAt(cycles, i)
+		preds[i] = b.step(pc, takens[i])
 	}
-	if !(useTaken != taken && bankCorrect) {
+}
+
+// step predicts the branch at pc, trains it with the bi-mode partial-update
+// rule (see predictor.BiMode) and pushes its outcome; it returns the
+// prediction.
+func (b *BiModeFast) step(pc uint64, taken bool) bool {
+	choiceIdx, dirIdx, useTaken := b.parts(pc)
+	bank := b.notTkn
+	if useTaken {
+		bank = b.taken
+	}
+	pred := bank.Taken(dirIdx)
+	bank.Update(dirIdx, taken)
+	if !(useTaken != taken && pred == taken) {
 		b.choice.Update(choiceIdx, taken)
 	}
-	b.pipe.Push(taken)
+	b.Push(taken)
+	return pred
 }
 
 // SizeBytes implements predictor.Predictor.
 func (b *BiModeFast) SizeBytes() int {
 	return b.taken.SizeBytes() + b.notTkn.SizeBytes() + b.choice.SizeBytes() +
-		b.pipe.HistorySizeBytes() + 2*b.pipe.BufferStateBytes()
+		b.HistorySizeBytes() + 2*b.BufferStateBytes()
 }
 
 // Name implements predictor.Predictor.
 func (b *BiModeFast) Name() string { return b.name }
-
-// Latency returns the hidden direction-PHT read latency (effective
-// prediction latency is one cycle).
-func (b *BiModeFast) Latency() int { return b.pipe.Latency() }
 
 // LargestTable implements predictor.DelayFootprint.
 func (b *BiModeFast) LargestTable() (int, int) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"branchsim/internal/counter"
@@ -140,8 +141,8 @@ func TestGShareFastBlockMatchesScalarForWidth1(t *testing.T) {
 		taken := r.Bool(0.6)
 		sp := scalar.Predict(pc)
 		scalar.Update(pc, taken)
-		bp := block.PredictBlock([]uint64{pc})
-		block.UpdateBlock([]uint64{pc}, []bool{taken})
+		bp := make([]bool, 1)
+		block.StepBlock([]uint64{pc}, []bool{taken}, bp)
 		if sp != bp[0] {
 			t.Fatalf("scalar/block divergence at %d", i)
 		}
@@ -378,10 +379,11 @@ func TestFastPipeValidation(t *testing.T) {
 }
 
 func TestFastPipeMatchesGShareFastIndexing(t *testing.T) {
-	// FastPipe is the extracted gshare.fast machinery; a GShareFast and a
-	// FastPipe-backed equivalent must predict identically under the same
-	// clock and outcome stream.
-	g := New(Config{Entries: 1 << 14, Latency: 4})
+	// FastPipe is the extracted gshare.fast machinery; the pre-FastPipe
+	// gshare.fast (the test-only reference) and a FastPipe-backed
+	// equivalent must predict identically under the same clock and
+	// outcome stream.
+	g := newRefGShareFast(Config{Entries: 1 << 14, Latency: 4})
 	f := NewFastPipe(14, 4, 0)
 	pht := counter.NewArray2(1<<14, counter.WeaklyNotTaken)
 	r := rng.NewXoshiro256(13)
@@ -403,12 +405,14 @@ func TestFastPipeMatchesGShareFastIndexing(t *testing.T) {
 }
 
 // TestOverridingBatchEquivalence pins the overriding pair's batch path
-// against Predict/Update/LastOverrode per branch: over uneven batches —
-// empty, single-branch, across the 64-branch chunk edge, and full — the
-// batch path must give the same slow predictions and override flags, and
-// leave OverrideCount and LastOverrode where the scalar protocol leaves
-// them after every batch. StepBatch, which drops the flags, must keep the
-// same state.
+// against OnCycle/Predict/Update/LastOverrode per branch: over uneven
+// batches — empty, single-branch, across the 64-branch chunk edge, and
+// full — with a cycle column, the batch path must give the same slow
+// predictions and override flags, and leave OverrideCount and LastOverrode
+// where the scalar protocol leaves them after every batch. StepBatch,
+// which drops the flags, must keep the same state. The last pair forwards
+// the column to a cycle-aware slow component through a stepper-less quick
+// one.
 func TestOverridingBatchEquivalence(t *testing.T) {
 	pairs := []struct {
 		name    string
@@ -424,13 +428,17 @@ func TestOverridingBatchEquivalence(t *testing.T) {
 		{"gshare->multicomponent-lat1", func() *Overriding {
 			return NewOverriding(predictor.NewGShare(2048, 0), predictor.NewMultiComponentFromBudget(16<<10), 1)
 		}, 1},
+		{"local->gshare.fast", func() *Overriding {
+			return NewOverriding(predictor.NewLocalFromBudget(4<<10), New(Config{Entries: 1 << 12, Latency: 3}), 2)
+		}, 2},
 	}
 	r := rng.NewXoshiro256(5)
 	const n = 12_000
-	pcs, takens := make([]uint64, n), make([]bool, n)
+	pcs, takens, cycles := make([]uint64, n), make([]bool, n), make([]uint64, n)
 	for i := range pcs {
 		pcs[i] = uint64(0x4000 + r.Intn(512)*4)
 		takens[i] = r.Bool(0.3 + 0.4*float64(pcs[i]>>2&1))
+		cycles[i] = uint64(i+1) / 3
 	}
 	sizes := []int{0, 1, 63, 64, 65, 200, 256, 7, 129}
 	for _, pc := range pairs {
@@ -440,9 +448,10 @@ func TestOverridingBatchEquivalence(t *testing.T) {
 			var overrides int64
 			for off, k := 0, 0; off < n; k++ {
 				m := min(sizes[k%len(sizes)], n-off)
-				batched.StepBatchOverrides(pcs[off:off+m], takens[off:off+m], preds, overrode)
-				plain.StepBatch(pcs[off:off+m], takens[off:off+m], plainPreds)
+				batched.StepBatchOverrides(pcs[off:off+m], takens[off:off+m], cycles[off:off+m], preds, overrode)
+				plain.StepBatch(pcs[off:off+m], takens[off:off+m], cycles[off:off+m], plainPreds)
 				for i := 0; i < m; i++ {
+					scalar.OnCycle(cycles[off+i])
 					want := scalar.Predict(pcs[off+i])
 					ov, bubble := scalar.LastOverrode()
 					scalar.Update(pcs[off+i], takens[off+i])
@@ -478,10 +487,9 @@ func TestOverridingBatchEquivalence(t *testing.T) {
 
 func pack(a, b int64) [2]int64 { return [2]int64{a, b} }
 
-// TestBatchStepperOf pins the engines' batching resolver: batch steppers
-// batch unless cycle-aware, and an overriding pair batches exactly when
-// both of its components do.
-func TestBatchStepperOf(t *testing.T) {
+// TestNeedsClock pins which lanes the timing engine steps one branch at a
+// time: cycle-aware predictors, and overriding pairs holding one.
+func TestNeedsClock(t *testing.T) {
 	gs := func() predictor.Predictor { return predictor.NewGShare(2048, 0) }
 	fast := func() predictor.Predictor { return New(Config{Entries: 1 << 12, Latency: 3}) }
 	cases := []struct {
@@ -489,20 +497,67 @@ func TestBatchStepperOf(t *testing.T) {
 		p    predictor.Predictor
 		want bool
 	}{
-		{"gshare", gs(), true},
-		{"perceptron", predictor.NewPerceptronFromBudget(4 << 10), true},
+		{"gshare", gs(), false},
+		{"perceptron", predictor.NewPerceptronFromBudget(4 << 10), false},
 		{"local", predictor.NewLocalFromBudget(4 << 10), false},
-		{"gshare.fast", fast(), false},
-		{"nockpt", WithoutCheckpointing(New(Config{Entries: 1 << 12, Latency: 3})), false},
-		{"bimodefast", NewBiModeFastFromBudget(8<<10, 3), false},
-		{"override", NewOverriding(gs(), predictor.NewGSkew2BcFromBudget(4<<10), 3), true},
-		{"override-cycleaware-slow", NewOverriding(gs(), fast(), 3), false},
-		{"override-cycleaware-quick", NewOverriding(fast(), gs(), 3), false},
+		{"gshare.fast", fast(), true},
+		{"nockpt", WithoutCheckpointing(New(Config{Entries: 1 << 12, Latency: 3})), true},
+		{"bimodefast", NewBiModeFast(BiModeFastConfig{DirEntries: 1 << 14, ChoiceEntries: 2048, Latency: 3}), true},
+		{"override", NewOverriding(gs(), predictor.NewGSkew2BcFromBudget(4<<10), 3), false},
+		{"override-cycleaware-slow", NewOverriding(gs(), fast(), 3), true},
+		{"override-cycleaware-quick", NewOverriding(fast(), gs(), 3), true},
 		{"override-scalar-slow", NewOverriding(gs(), predictor.NewLocalFromBudget(4<<10), 3), false},
 	}
 	for _, c := range cases {
-		if got := BatchStepperOf(c.p) != nil; got != c.want {
-			t.Errorf("%s: batches %v, want %v", c.name, got, c.want)
+		if got := NeedsClock(c.p); got != c.want {
+			t.Errorf("%s: NeedsClock %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// clockLog is a stepper-less cycle-aware predictor that records the
+// clock it is announced: the user-predictor case of BatchStepperOf.
+type clockLog struct {
+	predictor.Taken
+	log []uint64
+}
+
+func (c *clockLog) OnCycle(cycle uint64) { c.log = append(c.log, cycle) }
+
+// TestBatchStepperOf pins the engines' stepper resolver: a predictor's own
+// StepBatch is used as is, and a stepper-less one gets the per-branch
+// adapter, which announces each column entry to a cycle-aware predictor
+// before its Predict/Update pair and announces nothing without a column.
+func TestBatchStepperOf(t *testing.T) {
+	g := predictor.NewGShare(2048, 0)
+	if s, ok := BatchStepperOf(g).(*predictor.GShare); !ok || s != g {
+		t.Fatal("a native stepper must resolve to itself")
+	}
+	pcs, takens, preds := []uint64{0x1000, 0x1004, 0x1008}, []bool{true, false, true}, make([]bool, 3)
+	c := &clockLog{}
+	s := BatchStepperOf(c)
+	s.StepBatch(pcs, takens, nil, preds)
+	if len(c.log) != 0 {
+		t.Fatalf("no column announced %v", c.log)
+	}
+	s.StepBatch(pcs, takens, []uint64{0, 4, 4}, preds)
+	if !reflect.DeepEqual(c.log, []uint64{0, 4, 4}) || !preds[0] || !preds[1] || !preds[2] {
+		t.Fatalf("adapter announced %v, predicted %v", c.log, preds)
+	}
+	// A stepper-less, cycle-oblivious kind matches its scalar protocol.
+	batch, scalar := predictor.NewLocalFromBudget(4<<10), predictor.NewLocalFromBudget(4<<10)
+	r := rng.NewXoshiro256(3)
+	for k := 0; k < 50; k++ {
+		pcs, takens, preds := make([]uint64, k), make([]bool, k), make([]bool, k)
+		for i := range pcs {
+			pcs[i], takens[i] = uint64(0x2000+r.Intn(32)*4), r.Bool(0.6)
+		}
+		BatchStepperOf(batch).StepBatch(pcs, takens, nil, preds)
+		for i, pc := range pcs {
+			if want := scalar.Predict(pc); preds[i] != want {
+				t.Fatalf("batch %d branch %d: adapter %v, scalar %v", k, i, preds[i], want)
+			}
+			scalar.Update(pc, takens[i])
 		}
 	}
 }

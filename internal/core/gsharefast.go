@@ -9,60 +9,18 @@ import (
 	"fmt"
 
 	"branchsim/internal/counter"
-	"branchsim/internal/history"
 )
 
-// rowShift is the history offset of the prefetched row window (see index):
-// row bits come from positions [rowShift, rowShift+rowBits) of the current
-// speculative history.
-const rowShift = 2
-
-// DefaultBufferBits is the default width of the late-selected portion of the
-// PHT index: the lower bits of the branch address are XORed with the newest
-// global history bits to pick an entry out of the prefetched PHT buffer in
-// the final predictor pipeline stage (paper §3.1: "the lower nine bits of
-// its address are exclusive-ored with the low bits of the global history
-// register ... forms an index into the PHT buffer").
-const DefaultBufferBits = 9
-
-// GShareFast is the pipelined gshare predictor of §3. The PHT index is split
-// in two:
-//
-//   - The upper index bits come from the speculative global history as it
-//     stood when the multi-cycle PHT access began, Latency cycles before the
-//     prediction is needed. They select a contiguous line of candidate
-//     counters (the PHT buffer) without ever touching the branch address, so
-//     the access can start long before the branch is fetched.
-//   - The lower BufferBits bits are computed in the single final stage:
-//     low branch-PC bits XORed with the newest speculative history bits,
-//     including the New History bits generated while the access was in
-//     flight (tracked in hardware by the Branch Present / New History latches
-//     of Figure 4, and here by per-cycle history snapshots).
-//
-// Because the final stage is one mux plus one XOR, the predictor delivers an
-// up-to-date prediction every cycle with no overriding and no interaction
-// with the rest of the pipeline beyond prediction and recovery (§3.3.4).
+// GShareFast is the pipelined gshare predictor of §3: a PHT indexed by the
+// embedded FastPipe, whose split index reads a row prefetched with history
+// Latency cycles old and late-selects its low bits with the newest history
+// in a single final stage. Because that stage is one mux plus one XOR, the
+// predictor delivers an up-to-date prediction every cycle with no
+// overriding and no interaction with the rest of the pipeline beyond
+// prediction and recovery (§3.3.4).
 type GShareFast struct {
-	pht     *counter.Array2
-	ghr     *history.Global
-	idxBits uint
-	bufBits uint
-	latency int
-
-	// Fetch-cycle model. snaps records the history value and cumulative
-	// push count at the end of each cycle in which history changed. The
-	// row address for a prediction at cycle c is content-aligned current
-	// history (the New History Bit / Branch Present latches keep the
-	// prefetched row aligned with bits arriving during the access) as
-	// long as no more than bufBits branches were predicted during the
-	// access; in heavier bursts the aligned row was not prefetchable and
-	// the model falls back to the history as of cycle c-latency.
-	cycle         uint64
-	externalClock bool
-	pushes        uint64
-	// snaps models the per-stage history latches; their SRAM cost is the
-	// per-stage buffer checkpoints charged analytically in SizeBytes.
-	snaps []histSnap //bplint:allow sizebytes simulation bookkeeping, hardware cost charged as buffer checkpoints
+	FastPipe
+	pht *counter.Array2
 
 	// Delayed non-speculative PHT update (§3.2): counters train up to
 	// UpdateLag branches after prediction, modelling the multi-cycle
@@ -70,17 +28,7 @@ type GShareFast struct {
 	updateLag int
 	pending   []pendingUpdate //bplint:allow sizebytes models the in-flight write queue of the PHT port, not a prediction table
 
-	// lastBlockPreds carries PredictBlock's chained predictions to
-	// UpdateBlock so training replays the same within-block history.
-	lastBlockPreds []bool //bplint:allow sizebytes driver-protocol scratch, not predictor state
-
 	name string
-}
-
-type histSnap struct {
-	cycle  uint64
-	pushes uint64 // cumulative history pushes through this cycle
-	hist   uint64
 }
 
 type pendingUpdate struct {
@@ -120,177 +68,54 @@ func New(cfg Config) *GShareFast {
 	if cfg.UpdateLag < 0 {
 		panic(fmt.Sprintf("core: gshare.fast update lag %d must be >= 0", cfg.UpdateLag))
 	}
-	idxBits := uint(0)
-	for n := cfg.Entries; n > 1; n >>= 1 {
-		idxBits++
-	}
-	histBits := idxBits
-	if histBits > history.MaxGlobalBits {
-		histBits = history.MaxGlobalBits
-	}
-	bufBits := cfg.BufferBits
-	if bufBits == 0 {
-		// The prefetched line grows with the array: an SRAM's natural
-		// row width scales with the square root of its capacity, so
-		// larger PHTs hand the final stage more late-selected (fresh)
-		// index bits. The paper's 9-bit buffer index corresponds to
-		// the ~256K-entry design point of Figure 4.
-		bufBits = (idxBits + 1) / 2
-		if bufBits < DefaultBufferBits {
-			bufBits = DefaultBufferBits
-		}
-	}
-	if bufBits > idxBits {
-		bufBits = idxBits
-	}
 	g := &GShareFast{
+		FastPipe:  NewFastPipe(log2(cfg.Entries), cfg.Latency, cfg.BufferBits),
 		pht:       counter.NewArray2(cfg.Entries, counter.WeaklyNotTaken),
-		ghr:       history.NewGlobal(histBits),
-		idxBits:   idxBits,
-		bufBits:   bufBits,
-		latency:   cfg.Latency,
 		updateLag: cfg.UpdateLag,
-		snaps:     []histSnap{{}},
 	}
 	g.name = fmt.Sprintf("gshare.fast-%s", budgetName(g.SizeBytes()))
 	return g
 }
 
-// NewFromBudget returns the largest gshare.fast fitting budgetBytes, with
-// the given PHT read latency.
-func NewFromBudget(budgetBytes int, latency int) *GShareFast {
-	entries := 4
-	for entries*2*2/8 <= budgetBytes {
-		entries *= 2
-	}
-	return New(Config{Entries: entries, Latency: latency})
-}
-
-// OnCycle implements predictor.CycleAware: it advances the predictor's fetch
-// clock. Drivers call it with a non-decreasing cycle number; predictions
-// issued before any OnCycle call see a conservative one-branch-per-cycle
-// clock advanced by Update.
-func (g *GShareFast) OnCycle(cycle uint64) {
-	g.externalClock = true
-	if cycle > g.cycle {
-		g.cycle = cycle
-	}
-}
-
-// histAt returns the speculative global history and cumulative push count
-// as of the end of cycle c, i.e. what the hardware had latched when an
-// access launched in cycle c+1.
-func (g *GShareFast) histAt(c uint64) (hist, pushes uint64) {
-	// Scan newest-to-oldest; the snapshot list is short (pruned below).
-	for i := len(g.snaps) - 1; i >= 0; i-- {
-		if g.snaps[i].cycle <= c {
-			return g.snaps[i].hist, g.snaps[i].pushes
-		}
-	}
-	return g.snaps[0].hist, g.snaps[0].pushes
-}
-
-// recordHistory notes that the history register changed during the current
-// cycle and prunes snapshots too old to ever be a row address again.
-func (g *GShareFast) recordHistory() {
-	h := g.ghr.Value()
-	if n := len(g.snaps); n > 0 && g.snaps[n-1].cycle == g.cycle {
-		g.snaps[n-1].hist = h
-		g.snaps[n-1].pushes = g.pushes
-		return
-	}
-	g.snaps = append(g.snaps, histSnap{cycle: g.cycle, pushes: g.pushes, hist: h})
-	// Keep the newest snapshot at or before cycle-latency plus everything
-	// after it; older entries can never be selected.
-	if len(g.snaps) > g.latency+2 {
-		cut := uint64(0)
-		if g.cycle > uint64(g.latency) {
-			cut = g.cycle - uint64(g.latency)
-		}
-		keepFrom := 0
-		for i := len(g.snaps) - 1; i >= 0; i-- {
-			if g.snaps[i].cycle <= cut {
-				keepFrom = i
-				break
-			}
-		}
-		if keepFrom > 0 {
-			g.snaps = append(g.snaps[:0], g.snaps[keepFrom:]...)
-		}
-	}
-}
-
-// index computes the effective PHT index for a branch predicted in the
-// current cycle. The low bufBits bits are fresh: newest speculative history
-// XOR low branch-address bits, computed in the final single-cycle stage.
-// The row bits come from history above position bufBits; the prefetched row
-// stays aligned with the bits that arrived during the multi-cycle access
-// (the New History Bit forwarding of Figure 4) as long as at most bufBits
-// branches were predicted while the access was in flight. In heavier
-// bursts the aligned row could not have been prefetched, and the entry
-// actually resident is the one addressed with the history as of the cycle
-// the access began — a stale row, the residual accuracy cost of the
-// pipelined organization.
-func (g *GShareFast) index(pc uint64) int {
-	lowMask := uint64(1)<<g.bufBits - 1
-	cur := g.ghr.Value()
-	low := ((pc >> 2) ^ cur) & lowMask
-	if g.idxBits == g.bufBits {
-		return int(low)
-	}
-	var rowCycle uint64
-	if g.cycle > uint64(g.latency) {
-		rowCycle = g.cycle - uint64(g.latency)
-	}
-	rowMask := uint64(1)<<(g.idxBits-g.bufBits) - 1
-	oldHist, oldPushes := g.histAt(rowCycle)
-	var row uint64
-	if k := g.pushes - oldPushes; k <= uint64(g.bufBits) {
-		// The row the access fetched is addressed by history bits a
-		// couple of positions up from the newest — the typical number
-		// of branches in flight during the PHT read — and the New
-		// History Bit forwarding keeps that alignment exact whenever
-		// no more new bits arrived than the buffer can late-select.
-		// Recent history carries the most correlation, so the row
-		// window deliberately overlaps the fresh low window.
-		row = (cur >> rowShift) & rowMask
-	} else {
-		// Burst: more branches resolved during the access than the
-		// buffer covers; the resident row is the one addressed when
-		// the access began.
-		row = oldHist & rowMask
-	}
-	return int(row<<g.bufBits | low)
-}
-
 // Predict implements predictor.Predictor.
 func (g *GShareFast) Predict(pc uint64) bool {
-	return g.pht.Taken(g.index(pc))
+	return g.pht.Taken(g.Index(pc))
 }
 
-// Update implements predictor.Predictor. The counter update is enqueued
-// behind UpdateLag younger branches (the slow non-speculative PHT write path
-// of §3.2); the speculative history updates immediately, as the New History
-// latches do in hardware.
+// Update implements predictor.Predictor.
 func (g *GShareFast) Update(pc uint64, taken bool) {
-	idx := g.index(pc)
+	g.train(g.Index(pc), taken)
+	g.Push(taken)
+}
+
+// StepBatch implements predictor.BatchStepper: each branch's index is
+// computed once, for the prediction and the training.
+//
+//bplint:hotpath gshare.fast lane of both engines; bit-identity pinned by FuzzStepVsReference
+func (g *GShareFast) StepBatch(pcs []uint64, takens []bool, cycles []uint64, preds []bool) {
+	for i, pc := range pcs {
+		g.clockAt(cycles, i)
+		idx := g.Index(pc)
+		preds[i] = g.pht.Taken(idx)
+		g.train(idx, takens[i])
+		g.Push(takens[i])
+	}
+}
+
+// train applies one counter update at idx. The update is enqueued behind
+// UpdateLag younger branches (the slow non-speculative PHT write path of
+// §3.2); the speculative history, which the caller pushes, updates
+// immediately, as the New History latches do in hardware.
+func (g *GShareFast) train(idx int, taken bool) {
 	if g.updateLag == 0 {
 		g.pht.Update(idx, taken)
-	} else {
-		g.pending = append(g.pending, pendingUpdate{index: idx, taken: taken})
-		if len(g.pending) > g.updateLag {
-			u := g.pending[0]
-			g.pending = g.pending[1:]
-			g.pht.Update(u.index, u.taken)
-		}
+		return
 	}
-	g.ghr.Push(taken)
-	g.pushes++
-	g.recordHistory()
-	// Without an external clock, model one branch per cycle so the row
-	// address is still latency cycles stale.
-	if !g.externalClock {
-		g.cycle++
+	g.pending = append(g.pending, pendingUpdate{index: idx, taken: taken})
+	if len(g.pending) > g.updateLag {
+		u := g.pending[0]
+		g.pending = g.pending[1:]
+		g.pht.Update(u.index, u.taken)
 	}
 }
 
@@ -307,9 +132,7 @@ func (g *GShareFast) Flush() {
 // and the PHT buffer with its per-stage checkpoint copies (§3.2 keeps one
 // buffer copy per pipeline stage for misprediction recovery).
 func (g *GShareFast) SizeBytes() int {
-	bufferBytes := (1 << g.bufBits) * 2 / 8
-	checkpoints := g.latency + 1
-	return g.pht.SizeBytes() + g.ghr.SizeBytes() + bufferBytes*(1+checkpoints)
+	return g.pht.SizeBytes() + g.HistorySizeBytes() + g.BufferStateBytes()
 }
 
 // Name implements predictor.Predictor.
@@ -318,19 +141,20 @@ func (g *GShareFast) Name() string { return g.name }
 // Entries returns the PHT size in counters.
 func (g *GShareFast) Entries() int { return g.pht.Len() }
 
-// Latency returns the PHT read latency being hidden by the pipeline. The
-// *effective* prediction latency is always one cycle; this value only sizes
-// the pipeline and its buffers.
-func (g *GShareFast) Latency() int { return g.latency }
-
-// HistoryBits returns the global history length.
-func (g *GShareFast) HistoryBits() uint { return g.ghr.Len() }
-
 func budgetName(bytes int) string {
 	if bytes >= 1024 {
 		return fmt.Sprintf("%dKB", (bytes+512)/1024)
 	}
 	return fmt.Sprintf("%dB", bytes)
+}
+
+// log2 returns log2(n) for a power of two n.
+func log2(n int) uint {
+	var b uint
+	for ; n > 1; n >>= 1 {
+		b++
+	}
+	return b
 }
 
 // LargestTable implements predictor.DelayFootprint: the PHT itself. Its

@@ -11,65 +11,29 @@ import "fmt"
 // other's outcomes — which is the same stale-history compromise the EV8
 // predictor makes across fetch blocks, reported to cost little accuracy.
 
-// PredictBlock predicts up to len(pcs) branches fetched in the same cycle.
-// The PHT row is shared (prefetched with the block-start history), and each
-// prediction is chained into the speculative history used to select the
-// next one within the block — the same New History Bit forwarding the
+// StepBlock predicts the len(pcs) branches of one fetch block into preds and
+// trains on their outcomes, takens (funcsim.BlockPredictor). The PHT row is
+// shared (prefetched with the block-start history), and each prediction is
+// chained into the speculative history used to select the next one within
+// the block (FastPipe.blockIndex) — the same New History Bit forwarding the
 // predictor pipeline performs across stages, applied within a block. The
 // residual accuracy cost of block prediction is therefore only the stale
 // row address plus any wrong within-block predictions polluting the chain.
-// Call UpdateBlock with the outcomes before the next block.
-func (g *GShareFast) PredictBlock(pcs []uint64) []bool {
-	preds := make([]bool, len(pcs))
-	snap := g.ghr.Snapshot()
-	for i, pc := range pcs {
-		preds[i] = g.pht.Taken(g.index(pc))
-		g.ghr.Push(preds[i])
-	}
-	g.ghr.Restore(snap)
-	g.lastBlockPreds = append(g.lastBlockPreds[:0], preds...)
-	return preds
-}
-
-// UpdateBlock resolves a block issued by PredictBlock: counters train at the
-// indices the predictions used (recomputed by replaying the predicted
-// within-block history), then the block's true outcomes enter the history
-// register and the fetch clock advances one cycle.
-func (g *GShareFast) UpdateBlock(pcs []uint64, takens []bool) {
+// Every prediction reads the PHT before any of the block trains it; the
+// counters then train at the indices the predictions used, the block's true
+// outcomes enter the history register, and a self-driven fetch clock
+// advances one cycle.
+func (g *GShareFast) StepBlock(pcs []uint64, takens, preds []bool) {
 	if len(pcs) != len(takens) {
-		panic("core: UpdateBlock length mismatch")
+		panic("core: StepBlock length mismatch")
 	}
-	preds := g.lastBlockPreds
-	if len(preds) != len(pcs) {
-		// UpdateBlock without a matching PredictBlock (tests, warm
-		// drivers): train along the true-outcome path.
-		preds = takens
-	}
-	snap := g.ghr.Snapshot()
 	for i, pc := range pcs {
-		idx := g.index(pc)
-		g.ghr.Push(preds[i])
-		if g.updateLag == 0 {
-			g.pht.Update(idx, takens[i])
-		} else {
-			g.pending = append(g.pending, pendingUpdate{index: idx, taken: takens[i]})
-		}
+		preds[i] = g.pht.Taken(g.blockIndex(pc, preds[:i]))
 	}
-	g.ghr.Restore(snap)
-	g.lastBlockPreds = g.lastBlockPreds[:0]
-	for g.updateLag > 0 && len(g.pending) > g.updateLag {
-		u := g.pending[0]
-		g.pending = g.pending[1:]
-		g.pht.Update(u.index, u.taken)
+	for i, pc := range pcs {
+		g.train(g.blockIndex(pc, preds[:i]), takens[i])
 	}
-	for _, t := range takens {
-		g.ghr.Push(t)
-		g.pushes++
-	}
-	g.recordHistory()
-	if !g.externalClock {
-		g.cycle++
-	}
+	g.pushBlock(takens)
 }
 
 // BlockBufferEntries returns the PHT buffer size required to predict up to
@@ -79,8 +43,8 @@ func (g *GShareFast) BlockBufferEntries(blockWidth int) int {
 	if blockWidth < 1 {
 		panic(fmt.Sprintf("core: block width %d must be >= 1", blockWidth))
 	}
-	need := blockWidth << uint(g.latency)
-	if min := 1 << g.bufBits; need < min {
+	need := blockWidth << uint(g.Latency())
+	if min := 1 << g.BufferBits(); need < min {
 		return min
 	}
 	return need
@@ -92,8 +56,8 @@ func (g *GShareFast) BlockBufferEntries(blockWidth int) int {
 // Present and New History latches (blockWidth bits per pipeline stage each).
 func (g *GShareFast) BlockSizeBytes(blockWidth int) int {
 	bufferBytes := g.BlockBufferEntries(blockWidth) * 2 / 8
-	checkpoints := g.latency + 1
-	latchBits := 2 * blockWidth * (g.latency + 1)
-	return g.pht.SizeBytes() + g.ghr.SizeBytes() +
+	checkpoints := g.Latency() + 1
+	latchBits := 2 * blockWidth * (g.Latency() + 1)
+	return g.pht.SizeBytes() + g.HistorySizeBytes() +
 		bufferBytes*(1+checkpoints) + (latchBits+7)/8
 }

@@ -22,6 +22,10 @@ import (
 type Overriding struct {
 	quick predictor.Predictor
 	slow  predictor.Predictor
+	// quickStep and slowStep are the components' batch steps
+	// (BatchStepperOf), resolved once.
+	quickStep predictor.BatchStepper
+	slowStep  predictor.BatchStepper
 	// Latency is the slow predictor's access delay in cycles. A latency
 	// of 1 makes the organization ideal: the slow predictor answers
 	// immediately and the quick predictor is irrelevant.
@@ -40,10 +44,12 @@ func NewOverriding(quick, slow predictor.Predictor, latency int) *Overriding {
 		panic(fmt.Sprintf("core: overriding latency %d must be >= 1", latency))
 	}
 	return &Overriding{
-		quick:   quick,
-		slow:    slow,
-		latency: latency,
-		name:    fmt.Sprintf("override(%s->%s,lat=%d)", quick.Name(), slow.Name(), latency),
+		quick:     quick,
+		slow:      slow,
+		quickStep: BatchStepperOf(quick),
+		slowStep:  BatchStepperOf(slow),
+		latency:   latency,
+		name:      fmt.Sprintf("override(%s->%s,lat=%d)", quick.Name(), slow.Name(), latency),
 	}
 }
 
@@ -118,43 +124,42 @@ func (o *Overriding) OnCycle(cycle uint64) {
 
 // StepBatch implements predictor.BatchStepper: StepBatchOverrides without
 // the override column.
-func (o *Overriding) StepBatch(pcs []uint64, takens []bool, preds []bool) {
-	o.StepBatchOverrides(pcs, takens, preds, nil)
+func (o *Overriding) StepBatch(pcs []uint64, takens []bool, cycles []uint64, preds []bool) {
+	o.StepBatchOverrides(pcs, takens, cycles, preds, nil)
 }
 
 // overrideChunk is the number of branches StepBatchOverrides steps per
 // component call: the quick predictions of one chunk fit one word.
 const overrideChunk = 64
 
-// StepBatchOverrides is the batch form of the Predict/Update/LastOverrode
-// sequence the timing engine runs per branch: it steps the quick and the
-// slow component through the batch with their own StepBatch, writes the slow
-// predictions to preds and, when overrode is non-nil, whether each branch
-// was overridden (quick ≠ slow with a multi-cycle slow predictor). The
-// override tally and LastOverrode end exactly where the scalar protocol
-// leaves them. Both components must be batch steppers (BatchStepperOf);
-// they share no state, so stepping one through the batch before the other
-// is the per-branch interleave reordered. Each chunk's quick predictions are
-// held as one word's bits, so the step needs no scratch column.
-func (o *Overriding) StepBatchOverrides(pcs []uint64, takens []bool, preds, overrode []bool) {
-	quick, qok := o.quick.(predictor.BatchStepper)
-	slow, sok := o.slow.(predictor.BatchStepper)
-	if !qok || !sok {
-		panic("core: StepBatchOverrides needs batch-stepping components")
-	}
+// StepBatchOverrides is the batch form of the OnCycle/Predict/Update/
+// LastOverrode sequence per branch: it steps the quick and the slow
+// component through the batch with their own batch steps, handing both the
+// cycle column, writes the slow predictions to preds and, when overrode is
+// non-nil, whether each branch was overridden (quick ≠ slow with a
+// multi-cycle slow predictor). The override tally and LastOverrode end
+// exactly where the scalar protocol leaves them. The components share no
+// state, so stepping one through the batch before the other is the
+// per-branch interleave reordered. Each chunk's quick predictions are held
+// as one word's bits, so the step needs no scratch column.
+func (o *Overriding) StepBatchOverrides(pcs []uint64, takens []bool, cycles []uint64, preds, overrode []bool) {
 	multiCycle := o.latency > 1
 	var events int64
 	for lo := 0; lo < len(pcs); lo += overrideChunk {
 		hi := min(lo+overrideChunk, len(pcs))
+		var cyc []uint64
+		if cycles != nil {
+			cyc = cycles[lo:hi]
+		}
 		p := preds[lo:hi]
-		quick.StepBatch(pcs[lo:hi], takens[lo:hi], p)
+		o.quickStep.StepBatch(pcs[lo:hi], takens[lo:hi], cyc, p)
 		var qbits uint64
 		for i, q := range p {
 			if q {
 				qbits |= 1 << i
 			}
 		}
-		slow.StepBatch(pcs[lo:hi], takens[lo:hi], p)
+		o.slowStep.StepBatch(pcs[lo:hi], takens[lo:hi], cyc, p)
 		for i, s := range p {
 			q := qbits>>i&1 == 1
 			ov := multiCycle && q != s
@@ -170,22 +175,45 @@ func (o *Overriding) StepBatchOverrides(pcs []uint64, takens []bool, preds, over
 	o.overrides.AddN(events, int64(len(pcs)))
 }
 
-// BatchStepperOf is the engines' one batching resolver: it returns p's
-// batch protocol when every prediction p makes depends on the branch stream
-// alone, and nil when the lane must take the per-branch path. A
-// predictor.BatchStepper qualifies unless it is cycle-aware; an Overriding
-// — which always forwards OnCycle — qualifies when both its components do,
-// since its OnCycle is then a no-op.
+// BatchStepperOf is the engines' one stepper resolver: p's own
+// predictor.BatchStepper, or for a kind with none — gselect, local, ev6,
+// yags, agree, the static kinds, a user predictor — a per-branch adapter
+// that announces each branch's cycle to a cycle-aware p and runs one
+// Predict/Update pair.
 func BatchStepperOf(p predictor.Predictor) predictor.BatchStepper {
-	if o, ok := p.(*Overriding); ok {
-		if BatchStepperOf(o.quick) == nil || BatchStepperOf(o.slow) == nil {
-			return nil
+	if s, ok := p.(predictor.BatchStepper); ok {
+		return s
+	}
+	ca, _ := p.(predictor.CycleAware)
+	return perBranch{p: p, clock: ca}
+}
+
+// perBranch is BatchStepperOf's adapter for a predictor with no batch step
+// of its own; clock is p when p is cycle-aware, else nil.
+type perBranch struct {
+	p     predictor.Predictor
+	clock predictor.CycleAware
+}
+
+// StepBatch implements predictor.BatchStepper by its definition.
+func (s perBranch) StepBatch(pcs []uint64, takens []bool, cycles []uint64, preds []bool) {
+	for i, pc := range pcs {
+		if cycles != nil && s.clock != nil {
+			s.clock.OnCycle(cycles[i])
 		}
-		return o
+		preds[i] = s.p.Predict(pc)
+		s.p.Update(pc, takens[i])
 	}
-	if _, ok := p.(predictor.CycleAware); ok {
-		return nil
+}
+
+// NeedsClock reports whether p's predictions depend on the fetch clock: p
+// is cycle-aware, or an overriding pair with a cycle-aware component. The
+// timing engine steps such a lane one branch at a time, at the branch's
+// fetch cycle; every other lane steps once per batch with no cycle column.
+func NeedsClock(p predictor.Predictor) bool {
+	if o, ok := p.(*Overriding); ok {
+		return NeedsClock(o.quick) || NeedsClock(o.slow)
 	}
-	s, _ := p.(predictor.BatchStepper)
-	return s
+	_, ok := p.(predictor.CycleAware)
+	return ok
 }

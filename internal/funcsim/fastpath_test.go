@@ -102,20 +102,19 @@ func TestFastPathEquivalenceRun(t *testing.T) {
 }
 
 // TestFastPathEquivalencePerClass pins the per-class diagnostic rates
-// against the reference, including the class map contents, over a branch
-// index and over a filtered stream.
+// against the reference, including the class map contents, over the live
+// generator's own branch protocol and over its filtered stream.
 func TestFastPathEquivalencePerClass(t *testing.T) {
 	prof := mustProfile(t, "gzip")
-	rec := workload.Record(prof, 200_000)
 	opts := Options{MaxInsts: 150_000, WarmupInsts: 40_000, PerClass: true}
-	want := refRun(predictor.NewGShareFromBudget(16<<10), workload.Classify(rec.Replay(), prof), opts)
+	want := refRun(predictor.NewGShareFromBudget(16<<10), workload.New(prof), opts)
 	if len(want.ClassRates) == 0 {
 		t.Fatal("reference collected no class rates")
 	}
-	indexed := workload.Classify(rec.Replay(), prof)
+	live := workload.New(prof)
 	for name, src := range map[string]trace.Source{
-		"index":    indexed,
-		"filtered": opaqueClassified{opaqueSrc{rec.Replay()}, indexed.(BranchClassifier)},
+		"live":     live,
+		"filtered": opaqueClassified{opaqueSrc{workload.New(prof)}, live},
 	} {
 		got := Run(predictor.NewGShareFromBudget(16<<10), src, opts)
 		if !reflect.DeepEqual(got, want) {

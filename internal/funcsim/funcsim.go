@@ -8,6 +8,8 @@
 package funcsim
 
 import (
+	"fmt"
+
 	"branchsim/internal/predictor"
 	"branchsim/internal/stats"
 	"branchsim/internal/trace"
@@ -15,11 +17,13 @@ import (
 
 // Options configures a functional run.
 type Options struct {
-	// MaxInsts bounds the dynamic instruction count (branches included).
+	// MaxInsts bounds the dynamic instruction count (branches included);
+	// it must be positive.
 	MaxInsts int64
 	// WarmupInsts are executed and trained on but excluded from the
 	// misprediction statistics, mirroring the paper's practice of
-	// skipping each benchmark's initialization phase.
+	// skipping each benchmark's initialization phase. It must lie in
+	// [0, MaxInsts).
 	WarmupInsts int64
 	// FetchWidth sets the cycle approximation for cycle-aware
 	// predictors: the fetch clock advances every FetchWidth
@@ -69,6 +73,16 @@ func (r Result) MispredictRate() float64 {
 // unit of Figures 1, 5 and 6.
 func (r Result) MispredictPercent() float64 { return 100 * r.MispredictRate() }
 
+// checkBudget panics, naming the entry point and the workload, unless the
+// run measures a nonempty window: MaxInsts > 0 and WarmupInsts in
+// [0, MaxInsts).
+func checkBudget(entry, workload string, opts Options) {
+	if opts.WarmupInsts < 0 || opts.WarmupInsts >= opts.MaxInsts {
+		panic(fmt.Sprintf("funcsim: %s on %s: warm-up %d insts outside [0, maxInsts %d)",
+			entry, workload, opts.WarmupInsts, opts.MaxInsts))
+	}
+}
+
 // Run streams src through p and returns the accuracy result. src may be a
 // live generator or a recorded trace's replay cursor; the two are
 // equivalent by construction (see internal/trace). Run is RunMany with one
@@ -76,6 +90,7 @@ func (r Result) MispredictPercent() float64 { return 100 * r.MispredictRate() }
 // read in batches, and any other is filtered to its branches by
 // trace.FilterBranches.
 func Run(p predictor.Predictor, src trace.Source, opts Options) Result {
+	checkBudget("Run", src.Name(), opts)
 	classifier, _ := src.(BranchClassifier)
 	return runMany([]Lane{{P: p}}, branchSource(src), src.Name(), classifier, opts)[0]
 }
@@ -90,10 +105,11 @@ func branchSource(src trace.Source) trace.BranchSource {
 }
 
 // BlockPredictor is the block-at-a-time prediction protocol of the
-// multiple-branch experiment (§3.3.1).
+// multiple-branch experiment (§3.3.1). StepBlock predicts the branches of
+// one fetch block into preds, all from the history as of the block's
+// start, then trains on their outcomes, takens.
 type BlockPredictor interface {
-	PredictBlock(pcs []uint64) []bool
-	UpdateBlock(pcs []uint64, takens []bool)
+	StepBlock(pcs []uint64, takens, preds []bool)
 }
 
 // RunBlocks streams src through a block predictor, grouping up to
@@ -104,9 +120,7 @@ type BlockPredictor interface {
 // 0-based stream index i belongs to fetch cycle (i+1)/FetchWidth; a block
 // ends at a cycle change or when it is full.
 func RunBlocks(p BlockPredictor, name string, src trace.Source, opts Options) Result {
-	if opts.MaxInsts <= 0 {
-		opts.MaxInsts = 1_000_000
-	}
+	checkBudget("RunBlocks", src.Name(), opts)
 	if opts.FetchWidth <= 0 {
 		opts.FetchWidth = 8
 	}
@@ -120,13 +134,14 @@ func RunBlocks(p BlockPredictor, name string, src trace.Source, opts Options) Re
 		takens    []bool
 		measured  []bool
 		lastCycle uint64 = ^uint64(0)
+		block            = make([]bool, opts.BlockBranches)
 	)
 	flush := func() {
 		if len(pcs) == 0 {
 			return
 		}
-		preds := p.PredictBlock(pcs)
-		p.UpdateBlock(pcs, takens)
+		preds := block[:len(pcs)]
+		p.StepBlock(pcs, takens, preds)
 		for i := range preds {
 			if measured[i] {
 				mispred.Add(preds[i] != takens[i])

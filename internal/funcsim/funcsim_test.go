@@ -1,11 +1,15 @@
 package funcsim
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"branchsim/internal/core"
 	"branchsim/internal/predictor"
 	"branchsim/internal/trace"
+	"branchsim/internal/trace/tracetest"
 	"branchsim/internal/workload"
 )
 
@@ -156,5 +160,68 @@ func TestCycleAwareReceivesClock(t *testing.T) {
 	res := Run(g, workload.New(prof), Options{MaxInsts: 200000, FetchWidth: 4})
 	if res.Branches == 0 || res.MispredictRate() > 0.5 {
 		t.Fatalf("suspicious result: %+v", res)
+	}
+}
+
+// TestBadBudget pins that every entry point rejects a run with no measured
+// window — a non-positive MaxInsts, or a warm-up outside [0, MaxInsts) —
+// with a panic naming the workload and both counts, before reading the
+// stream.
+func TestBadBudget(t *testing.T) {
+	prof, _ := workload.ByName("gzip")
+	src := workload.New(prof)
+	runs := map[string]func(Options){
+		"Run":     func(o Options) { Run(predictor.NewGShare(256, 0), src, o) },
+		"RunMany": func(o Options) { RunMany([]Lane{{P: predictor.NewGShare(256, 0)}}, src, o) },
+		"RunBlocks": func(o Options) {
+			RunBlocks(core.New(core.Config{Entries: 1 << 10, Latency: 2}), "blk", src, o)
+		},
+	}
+	for name, run := range runs {
+		for _, o := range []Options{
+			{MaxInsts: 0},
+			{MaxInsts: -5},
+			{MaxInsts: 1000, WarmupInsts: 1000},
+			{MaxInsts: 1000, WarmupInsts: 2000},
+			{MaxInsts: 1000, WarmupInsts: -1},
+		} {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				run(o)
+				return ""
+			}()
+			for _, want := range []string{name + " on ", "gzip", fmt.Sprint(o.WarmupInsts), fmt.Sprint(o.MaxInsts)} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("%s %+v: panic %q does not contain %q", name, o, msg, want)
+				}
+			}
+		}
+	}
+	if n := src.InstsScanned(); n != 0 {
+		t.Errorf("a rejected run consumed %d instructions", n)
+	}
+}
+
+// TestCycleZeroSelfClocked pins the accuracy engine's one clock hazard: a
+// clocked lane is never announced cycle 0, so it clocks itself through a
+// stream's cycle-0 branches and reads the cycle column only from the first
+// nonzero cycle. A stream opening with seven branches in cycle 0 (fetch
+// width 8), into a gshare.fast whose 2-bit buffer makes the row source
+// sensitive to every push, must match the reference, whose OnCycle calls
+// start at cycle 1.
+func TestCycleZeroSelfClocked(t *testing.T) {
+	insts := make([]trace.Inst, 4000)
+	x := uint32(1)
+	for i := range insts {
+		x = x*1664525 + 1013904223
+		insts[i] = trace.Inst{PC: 0x1000 + uint64(x>>24%64)*4, Kind: trace.CondBranch, Taken: x>>20&3 != 0,
+			Src1: trace.NoReg, Src2: trace.NoReg, Dst: trace.NoReg}
+	}
+	mk := func() *core.GShareFast { return core.New(core.Config{Entries: 1 << 10, Latency: 4, BufferBits: 2}) }
+	opts := Options{MaxInsts: int64(len(insts)), FetchWidth: 8}
+	want := refRun(mk(), &tracetest.Slice{Insts: insts}, opts)
+	got := RunMany([]Lane{{P: mk()}}, trace.FilterBranches(&tracetest.Slice{Insts: insts}), opts)[0]
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("engine diverges from the reference:\n got %+v\nwant %+v", got, want)
 	}
 }

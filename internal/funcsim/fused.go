@@ -11,12 +11,14 @@ import (
 // in a sweep, and Run (funcsim.go) is the same engine with one lane. The
 // engine pulls each 256-entry branch batch once and feeds it to every lane
 // before advancing the source, so the fill cost amortizes over the whole
-// grid column, and every lane core.BatchStepperOf resolves steps through
-// the batch with one BatchStepper call instead of two interface calls per
-// branch, leaving its per-branch predictions in one shared column that the
-// mispredict and per-class tallies read. A test-only
-// reference (reference_test.go) — one Next call per instruction, one
-// Predict/Update pair per branch — pins every Result bit for bit.
+// grid column. Every lane steps through the batch with one call of the
+// stepper core.BatchStepperOf resolves for it, leaving its per-branch
+// predictions in one shared column that the mispredict and per-class
+// tallies read. A clocked lane (core.NeedsClock) reads each branch's fetch
+// cycle from a shared cycle column, which the engine knows before the step:
+// it is (InstIndex+1)/FetchWidth. A test-only reference (reference_test.go)
+// — one Next call per instruction, one OnCycle/Predict/Update sequence per
+// branch — pins every Result bit for bit.
 
 // A Lane is one predictor's slot in a fused RunMany sweep. Each lane gets
 // its own fresh predictor, exactly as if it were run through Run alone.
@@ -29,7 +31,7 @@ type Lane struct {
 // exactly what Run(lane.P, src, opts) returns over its own cursor on the
 // same stream (TestRunManyEquivalence): fusion is an execution strategy,
 // not an observable one. Cycle-aware predictors see a fetch clock
-// reconstructed from each branch's InstIndex, advanced per lane. With
+// reconstructed from each branch's InstIndex. With
 // Options.PerClass and a src implementing BranchClassifier, every lane
 // tallies per-class rates.
 func RunMany(lanes []Lane, src trace.BranchSource, opts Options) []Result {
@@ -39,6 +41,7 @@ func RunMany(lanes []Lane, src trace.BranchSource, opts Options) []Result {
 	if s, ok := src.(interface{ Name() string }); ok {
 		name = s.Name()
 	}
+	checkBudget("RunMany", name, opts)
 	classifier, _ := src.(BranchClassifier)
 	return runMany(lanes, src, name, classifier, opts)
 }
@@ -46,9 +49,6 @@ func RunMany(lanes []Lane, src trace.BranchSource, opts Options) []Result {
 // runMany is the engine entry shared by Run and RunMany: Run passes its
 // Source's name and classifier, which a filtered stream does not carry.
 func runMany(lanes []Lane, src trace.BranchSource, name string, classifier BranchClassifier, opts Options) []Result {
-	if opts.MaxInsts <= 0 {
-		opts.MaxInsts = 1_000_000
-	}
 	if opts.FetchWidth <= 0 {
 		opts.FetchWidth = 3
 	}
@@ -61,26 +61,26 @@ func runMany(lanes []Lane, src trace.BranchSource, name string, classifier Branc
 }
 
 // fusedRun is the state of one sweep. Per-lane state is packed into
-// index-aligned slices (structure of arrays): the inner loop touches
-// mispred and lastCycle contiguously instead of chasing one heap object
-// per lane. The warm-up boundary, instruction count and taken tally are
-// lane-invariant — they are functions of the stream's InstIndexes alone —
-// so they are computed once per batch, not once per lane.
+// index-aligned slices (structure of arrays). The warm-up boundary,
+// instruction count, taken tally and fetch cycles are lane-invariant —
+// they are functions of the stream's InstIndexes alone — so they are
+// computed once per batch, not once per lane.
 //
 // Each branch's context is reconstructed from its InstIndex i: it is
-// processed iff i < MaxInsts, measured iff i >= WarmupInsts, and a
-// cycle-aware lane sees fetch cycle (i+1)/FetchWidth, announced only when
-// it differs from the lane's previous branch's cycle (which starts at 0,
-// so cycle 0 is never announced).
+// processed iff i < MaxInsts, measured iff i >= WarmupInsts, and a clocked
+// lane sees fetch cycle (i+1)/FetchWidth. Cycle 0 is never announced: a
+// clocked lane clocks itself through its cycle-0 branches, which only the
+// first batch holds, and reads the column from its first nonzero cycle.
 type fusedRun struct {
 	opts Options
 
 	// Per-lane state, index-aligned with the lanes slice.
-	lanePreds []predictor.Predictor
-	aware     []predictor.CycleAware   // nil for cycle-oblivious lanes
-	steppers  []predictor.BatchStepper // nil for lanes on the scalar loop
-	mispred   []int64
-	lastCycle []uint64
+	steppers []predictor.BatchStepper
+	mispred  []int64
+
+	// clocked is set when some lane's predictions depend on the fetch
+	// clock; only then is the cycle column filled.
+	clocked bool
 
 	// classifier and classRates serve the PerClass diagnostic: nil
 	// without it, else one class → rate map per lane.
@@ -94,34 +94,27 @@ type fusedRun struct {
 	taken    int64
 
 	// The current batch, and its SoA view, filled once and read by every
-	// lane; preds holds one batch-stepped lane's predictions at a time.
+	// lane; preds holds one lane's predictions at a time.
 	batch  [trace.BatchLen]trace.BranchRec
 	pcs    [trace.BatchLen]uint64
 	takens [trace.BatchLen]bool
+	cycles [trace.BatchLen]uint64
 	preds  [trace.BatchLen]bool
 }
 
 func newFusedRun(lanes []Lane, classifier BranchClassifier, opts Options) *fusedRun {
 	r := &fusedRun{
 		opts:       opts,
-		lanePreds:  make([]predictor.Predictor, len(lanes)),
-		aware:      make([]predictor.CycleAware, len(lanes)),
 		steppers:   make([]predictor.BatchStepper, len(lanes)),
 		mispred:    make([]int64, len(lanes)),
-		lastCycle:  make([]uint64, len(lanes)),
 		classifier: classifier,
 	}
 	if classifier != nil {
 		r.classRates = make([]map[string]*stats.Rate, len(lanes))
 	}
 	for i, l := range lanes {
-		r.lanePreds[i] = l.P
-		if s := core.BatchStepperOf(l.P); s != nil {
-			r.steppers[i] = s
-		} else if ca, ok := l.P.(predictor.CycleAware); ok {
-			// Cycle-aware lanes need OnCycle interleaved per branch.
-			r.aware[i] = ca
-		}
+		r.steppers[i] = core.BatchStepperOf(l.P)
+		r.clocked = r.clocked || core.NeedsClock(l.P)
 		if classifier != nil {
 			r.classRates[i] = make(map[string]*stats.Rate)
 		}
@@ -150,8 +143,8 @@ func (r *fusedRun) drive(src trace.BranchSource) {
 
 // step feeds one filled batch to every lane; it reports true when the
 // instruction budget is exhausted and the sweep is complete. Because
-// records ascend by InstIndex, the budget cut and the warm-up boundary are
-// single positions valid for every lane.
+// records ascend by InstIndex, the budget cut, the warm-up boundary and
+// the end of the cycle-0 prefix are single positions valid for every lane.
 //
 //bplint:hotpath fused batch loop; runs once per 256-branch batch
 func (r *fusedRun) step(batch []trace.BranchRec) (done bool) {
@@ -174,44 +167,35 @@ func (r *fusedRun) step(batch []trace.BranchRec) (done bool) {
 		}
 	}
 	r.measured += int64(cut - from)
-	pcs, takens, preds := r.pcs[:cut], r.takens[:cut], r.preds[:cut]
-	for li := range r.lanePreds {
-		if s := r.steppers[li]; s != nil {
-			s.StepBatch(pcs, takens, preds)
-			var miss int64
-			for i := from; i < cut; i++ {
-				if preds[i] != takens[i] {
-					miss++
-				}
-			}
-			r.mispred[li] += miss
-			if r.classRates != nil {
-				for i := from; i < cut; i++ {
-					r.tallyClass(li, pcs[i], preds[i] != takens[i])
-				}
-			}
-			continue
-		}
-		p := r.lanePreds[li]
-		aware := r.aware[li]
+	// Branches [0, self) are in cycle 0 and step with no cycle column.
+	var cycles []uint64
+	self := 0
+	if r.clocked {
+		fw := uint64(r.opts.FetchWidth)
 		for i := 0; i < cut; i++ {
-			rec := &batch[i]
-			if aware != nil {
-				if cycle := uint64(rec.InstIndex+1) / uint64(r.opts.FetchWidth); cycle != r.lastCycle[li] {
-					r.lastCycle[li] = cycle
-					aware.OnCycle(cycle)
-				}
+			r.cycles[i] = uint64(batch[i].InstIndex+1) / fw
+		}
+		for self < cut && r.cycles[self] == 0 {
+			self++
+		}
+		cycles = r.cycles[self:cut]
+	}
+	pcs, takens, preds := r.pcs[:cut], r.takens[:cut], r.preds[:cut]
+	for li, s := range r.steppers {
+		if self > 0 {
+			s.StepBatch(pcs[:self], takens[:self], nil, preds[:self])
+		}
+		s.StepBatch(pcs[self:], takens[self:], cycles, preds[self:])
+		var miss int64
+		for i := from; i < cut; i++ {
+			if preds[i] != takens[i] {
+				miss++
 			}
-			pred := p.Predict(rec.PC)
-			p.Update(rec.PC, rec.Taken)
-			if i >= from {
-				miss := pred != rec.Taken
-				if miss {
-					r.mispred[li]++
-				}
-				if r.classRates != nil {
-					r.tallyClass(li, rec.PC, miss)
-				}
+		}
+		r.mispred[li] += miss
+		if r.classRates != nil {
+			for i := from; i < cut; i++ {
+				r.tallyClass(li, pcs[i], preds[i] != takens[i])
 			}
 		}
 	}

@@ -11,11 +11,11 @@ import (
 )
 
 // fusedLaneKinds is the lane mix for the fused equivalence suite: every
-// BatchStepper implementation, an overriding pair that batch-steps through
-// its components, and the lanes core.BatchStepperOf sends to the scalar
-// loop — the cycle-aware gshare.fast, whose per-lane fetch clock RunMany
-// reconstructs independently, a local-history predictor with no batch
-// protocol, and an overriding pair whose quick component is cycle-aware.
+// native BatchStepper, an overriding pair that batch-steps through its
+// components, the clocked lanes that read the shared cycle column — the
+// cycle-aware gshare.fast and bimode.fast and an overriding pair whose
+// quick component is cycle-aware — and a local-history predictor, which
+// steps through core.BatchStepperOf's per-branch adapter.
 func fusedLaneKinds() []Lane {
 	return []Lane{
 		{P: predictor.NewGShareFromBudget(2 << 10)},
@@ -27,6 +27,7 @@ func fusedLaneKinds() []Lane {
 		{P: predictor.NewGSkew2BcFromBudget(16 << 10)},
 		{P: core.NewOverriding(predictor.NewGShare(2048, 0), predictor.NewGSkew2BcFromBudget(16<<10), 3)},
 		{P: core.New(core.Config{Entries: 1 << 14, Latency: 3})},
+		{P: core.NewBiModeFast(core.BiModeFastConfig{DirEntries: 1 << 13, ChoiceEntries: 2048, Latency: 2})},
 		{P: predictor.NewLocalFromBudget(8 << 10)},
 		{P: core.NewOverriding(core.New(core.Config{Entries: 1 << 11, Latency: 2}), predictor.NewPerceptronFromBudget(16<<10), 3)},
 	}
@@ -35,9 +36,10 @@ func fusedLaneKinds() []Lane {
 // TestRunManyEquivalence is the engine's correctness contract: each lane
 // of one fused pass must be bit-identical to a reference run of the same
 // predictor over its own cursor — across benchmarks, across predictor
-// kinds (batch-stepping, scalar, and cycle-aware lanes), in both
+// kinds (native steppers, adapted and cycle-aware lanes), in both
 // termination modes (instruction budget reached, stream exhausted), and
-// with per-class tallies on and off.
+// with per-class tallies on and off. Per-class runs read the live
+// generator, which classifies its own branches and never ends first.
 func TestRunManyEquivalence(t *testing.T) {
 	cases := []struct {
 		bench    string
@@ -57,7 +59,7 @@ func TestRunManyEquivalence(t *testing.T) {
 			for _, perClass := range []bool{false, true} {
 				src := func() trace.Source { return rec.Replay() }
 				if perClass {
-					src = func() trace.Source { return workload.Classify(rec.Replay(), prof) }
+					src = func() trace.Source { return workload.New(prof) }
 				}
 				opts := opts
 				opts.PerClass = perClass
@@ -98,7 +100,8 @@ func TestRunManySingleLane(t *testing.T) {
 }
 
 // TestRunManyAllocs pins the fused inner loop allocation-free at steady
-// state: RunMany's allocations are setup-only (the per-lane SoA slices),
+// state, for natively stepped, clocked and adapted lanes alike: RunMany's
+// allocations are setup-only (the per-lane SoA slices),
 // so a 5x longer stream must allocate exactly as much as a short one.
 // Skipped under -race, which instruments allocation.
 func TestRunManyAllocs(t *testing.T) {
@@ -112,6 +115,8 @@ func TestRunManyAllocs(t *testing.T) {
 		{P: predictor.NewGShareFromBudget(16 << 10)},
 		{P: predictor.NewBimodalFromBudget(8 << 10)},
 		{P: predictor.NewBiModeFromBudget(16 << 10)},
+		{P: core.New(core.Config{Entries: 1 << 15, Latency: 3})}, // clocked
+		{P: predictor.NewLocalFromBudget(8 << 10)},               // adapted
 	}
 	opts := Options{MaxInsts: 100_000, WarmupInsts: 20_000}
 	measure := func(rec *trace.Recording) float64 {

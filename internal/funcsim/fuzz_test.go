@@ -14,12 +14,13 @@ import (
 // lane count, budget, warm-up, fetch width, and one predictor byte per lane.
 const fuzzHeader = 4 + 3
 
-// fuzzPredictor builds a fresh predictor from one byte: batch-stepping
-// table and heavy predictors, a batch-stepping overriding pair, and the
-// scalar-loop lanes — the cycle-aware gshare.fast and an overriding pair
-// holding it.
+// fuzzPredictor builds a fresh predictor from one byte: natively stepping
+// table and heavy predictors, an overriding pair of them, the clocked
+// lanes — the cycle-aware gshare.fast (one with a 2-bit buffer, whose rows
+// depend on the clock) and bimode.fast and an overriding pair holding
+// gshare.fast — and a gselect, which has no stepper of its own.
 func fuzzPredictor(b byte) predictor.Predictor {
-	switch b % 7 {
+	switch b % 10 {
 	case 0:
 		return predictor.NewGShare(256, 0)
 	case 1:
@@ -32,6 +33,12 @@ func fuzzPredictor(b byte) predictor.Predictor {
 		return core.NewOverriding(predictor.NewGShare(64, 0), predictor.NewGSkew2BcFromBudget(1<<10), 3)
 	case 5:
 		return core.NewOverriding(core.New(core.Config{Entries: 1 << 8, Latency: 2}), predictor.NewGShare(256, 0), 2)
+	case 6:
+		return core.NewBiModeFast(core.BiModeFastConfig{DirEntries: 1 << 10, ChoiceEntries: 256, Latency: 2})
+	case 7:
+		return predictor.NewGSelectFromBudget(1 << 10)
+	case 8:
+		return core.New(core.Config{Entries: 1 << 10, Latency: 4, BufferBits: 2})
 	default:
 		return core.New(core.Config{Entries: 1 << 10, Latency: 3})
 	}
@@ -59,13 +66,11 @@ func FuzzEngineVsReference(f *testing.F) {
 		hdr, body := data[:fuzzHeader], data[fuzzHeader:]
 		insts := tracetest.Decode(body)
 		n := int64(len(insts))
+		maxInsts := max(n-int64(hdr[1])%(n+1), 1) // may cut the stream short
 		opts := Options{
-			MaxInsts:    n - int64(hdr[1])%(n+1), // may cut the stream short
-			WarmupInsts: int64(hdr[2]) * (n + 1) / 256,
+			MaxInsts:    maxInsts,
+			WarmupInsts: int64(hdr[2]) * maxInsts / 256, // RunMany requires warmup < MaxInsts
 			FetchWidth:  1 + int(hdr[3]%8),
-		}
-		if opts.MaxInsts == 0 {
-			return // zero selects the default budget, not an empty run
 		}
 		lanes := func() []Lane {
 			ls := make([]Lane, 1+int(hdr[0]%3))

@@ -13,9 +13,6 @@ import (
 // counters rather than reconstructed from branch indexes. The engine
 // (Run, RunMany) must match it bit for bit.
 func refRun(p predictor.Predictor, src trace.Source, opts Options) Result {
-	if opts.MaxInsts <= 0 {
-		opts.MaxInsts = 1_000_000
-	}
 	if opts.FetchWidth <= 0 {
 		opts.FetchWidth = 3
 	}
@@ -76,9 +73,6 @@ func refRun(p predictor.Predictor, src trace.Source, opts Options) Result {
 // driven one Next call per instruction, the fetch cycle taken from the
 // running instruction count.
 func refRunBlocks(p BlockPredictor, name string, src trace.Source, opts Options) Result {
-	if opts.MaxInsts <= 0 {
-		opts.MaxInsts = 1_000_000
-	}
 	if opts.FetchWidth <= 0 {
 		opts.FetchWidth = 8
 	}
@@ -98,8 +92,8 @@ func refRunBlocks(p BlockPredictor, name string, src trace.Source, opts Options)
 		if len(pcs) == 0 {
 			return
 		}
-		preds := p.PredictBlock(pcs)
-		p.UpdateBlock(pcs, takens)
+		preds := make([]bool, len(pcs))
+		p.StepBlock(pcs, takens, preds)
 		for i := range preds {
 			if measured[i] {
 				mispred.Add(preds[i] != takens[i])

@@ -27,17 +27,17 @@ import (
 //     shared hierarchy stepped over the batch (memHier.classify): the access
 //     sequence does not depend on the predictor, so no lane has caches of
 //     its own;
-//   - prediction runs once per batch, not once per branch, for every lane
-//     whose predictions depend on the branch stream alone
-//     (core.BatchStepperOf: every organization but the cycle-aware ones —
-//     gshare.fast, BiModeFast, NoCheckpoint — and overriding pairs holding
-//     one): before the sweep, the lane's BatchStepper (for an overriding
-//     pair, core.Overriding.StepBatchOverrides) steps over the branch
-//     columns and leaves per-branch prediction and override bits, which the
-//     branch sweep reads with no interface call. Cycle-aware lanes need the
-//     fetch cycle of each branch, so they — and predictors with no batch
-//     protocol — keep the per-branch OnCycle/Predict/Update calls inside
-//     the sweep;
+//   - every lane's predictor is driven through one step protocol, the
+//     stepper core.BatchStepperOf resolves for it. A lane whose predictions
+//     depend on the branch stream alone steps once per batch, before the
+//     sweep, over the branch columns, and leaves per-branch prediction and
+//     (for an overriding pair, core.Overriding.StepBatchOverrides) override
+//     bits that the branch sweep reads with no interface call. A clocked
+//     lane (core.NeedsClock: gshare.fast, BiModeFast, NoCheckpoint and
+//     overriding pairs holding one) needs each branch's fetch cycle, which
+//     depends on its earlier predictions, so it steps one branch at a time
+//     inside the sweep through the same step, with a one-entry cycle column
+//     holding the branch's fetch cycle;
 //   - lanes are interleaved per instruction: each lane's scoreboard update
 //     is a serial dependency chain (ring probe → reserve → commit), and
 //     stepping all lanes through one instruction before advancing lets those
@@ -94,6 +94,10 @@ func RunMany(lanes []Lane, src trace.Source, side *MemSidecar, maxInsts, warmupI
 	}
 	f := newFusedRun(lanes, side, maxInsts, warmupInsts)
 	f.drive(src)
+	if f.insts < warmupInsts {
+		panic(fmt.Sprintf("pipeline: RunMany on %s: stream ended after %d insts, inside the %d-inst warm-up",
+			src.Name(), f.insts, warmupInsts))
+	}
 	return f.finish(src.Name())
 }
 
@@ -253,20 +257,30 @@ type laneConst struct {
 }
 
 // laneOrg is a lane's predictor organization: the predictor and its
-// pre-resolved capability interfaces. stepper is non-nil for a lane whose
-// prediction stage runs once per batch (core.BatchStepperOf); such a lane
-// never calls OnCycle, Predict or Update from the sweep. bubble is an
-// overriding pair's override cost in cycles.
+// pre-resolved step. clocked is set for a lane that steps one branch at a
+// time at its fetch cycle (core.NeedsClock); every other lane steps once
+// per batch. bubble is an overriding pair's override cost in cycles.
 type laneOrg struct {
-	pred       predictor.Predictor
-	over       *core.Overriding
-	cycleAware predictor.CycleAware
-	stepper    predictor.BatchStepper
-	bubble     uint64
+	pred    predictor.Predictor
+	over    *core.Overriding
+	stepper predictor.BatchStepper
+	clocked bool
+	bubble  uint64
 }
 
-// lanePreds is a batch-stepped lane's prediction stage output for the
-// current batch, indexed by branch ordinal (fusedRun.bord): each branch's
+// step runs the lane's prediction stage over a run of branches: preds gets
+// each predicted direction and, for an overriding pair, overrode whether the
+// slow predictor overrode the quick one.
+func (o *laneOrg) step(pcs []uint64, takens []bool, cycles []uint64, preds, overrode []bool) {
+	if o.over != nil {
+		o.over.StepBatchOverrides(pcs, takens, cycles, preds, overrode)
+	} else {
+		o.stepper.StepBatch(pcs, takens, cycles, preds)
+	}
+}
+
+// lanePreds is a lane's prediction stage output for the current batch,
+// indexed by branch ordinal (fusedRun.bord): each branch's
 // predicted direction and, for an overriding pair, whether the slow
 // predictor overrode the quick one.
 type lanePreds struct {
@@ -364,6 +378,9 @@ type fusedRun struct {
 	bpcs    [trace.InstBatchLen]uint64
 	btakens [trace.InstBatchLen]bool
 	nb      int
+
+	// fetchAt is the one-entry cycle column a clocked lane steps with.
+	fetchAt [1]uint64
 }
 
 // newFusedRun builds the per-lane SoA state for one pass, panicking on a
@@ -415,9 +432,7 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 			o.bubble = uint64(o.over.Latency() - 1)
 		}
 		o.stepper = core.BatchStepperOf(l.Pred)
-		if o.stepper == nil {
-			o.cycleAware, _ = l.Pred.(predictor.CycleAware)
-		}
+		o.clocked = core.NeedsClock(l.Pred)
 		if rc, ok := l.Pred.(predictor.RecoveryCost); ok {
 			k.recovery = uint64(rc.RecoveryPenalty())
 		}
@@ -468,7 +483,7 @@ func (f *fusedRun) drive(src trace.Source) {
 }
 
 // runBatch precomputes the shared columns, runs the prediction stage of
-// every batch-stepped lane over the batch's branches, resolves the warm-up
+// every unclocked lane over the batch's branches, resolves the warm-up
 // boundary to a batch split so the step loop takes a constant measured
 // flag, and sweeps the lanes. Stepping a lane's predictor ahead of its
 // scoreboard is exact: without a fetch clock, a branch's prediction depends
@@ -479,15 +494,9 @@ func (f *fusedRun) runBatch(n int) {
 	f.prep(n)
 	pcs, takens := f.bpcs[:f.nb], f.btakens[:f.nb]
 	for li := range f.orgs {
-		o := &f.orgs[li]
-		if o.stepper == nil {
-			continue
-		}
-		lp := &f.preds[li]
-		if o.over != nil {
-			o.over.StepBatchOverrides(pcs, takens, lp.taken[:f.nb], lp.overrode[:f.nb])
-		} else {
-			o.stepper.StepBatch(pcs, takens, lp.taken[:f.nb])
+		if o := &f.orgs[li]; !o.clocked {
+			lp := &f.preds[li]
+			o.step(pcs, takens, nil, lp.taken[:f.nb], lp.overrode[:f.nb])
 		}
 	}
 	if d := f.warmupInsts - f.insts; d >= 0 && d < int64(n) {
@@ -858,9 +867,9 @@ func (f *fusedRun) sweepJump(i int) {
 
 // sweepBranch steps every lane through one conditional branch: fetch,
 // prediction (with override bubbles), the predicted-taken BTB redirect,
-// issue, resolution, commit. A batch-stepped lane's prediction and override
-// bits are read from its lanePreds at the branch's ordinal; any other lane
-// calls its predictor here, a cycle-aware one at the branch's fetch cycle.
+// issue, resolution, commit. Each lane's prediction and override bits are
+// read from its lanePreds at the branch's ordinal; a clocked lane first
+// steps this one branch there, at its fetch cycle.
 //
 //bplint:hotpath fused lane sweep for conditional branches
 func (f *fusedRun) sweepBranch(i int, measured bool) {
@@ -930,20 +939,12 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 
 		// --- Branch prediction at fetch ---
 		org := &orgs[li]
-		var predictedTaken, overrode bool
-		if org.stepper != nil {
-			lp := &preds[li]
-			predictedTaken, overrode = lp.taken[bi], lp.overrode[bi]
-		} else {
-			if org.cycleAware != nil {
-				org.cycleAware.OnCycle(fetchAt)
-			}
-			predictedTaken = org.pred.Predict(pc)
-			org.pred.Update(pc, taken)
-			if org.over != nil {
-				overrode, _ = org.over.LastOverrode()
-			}
+		lp := &preds[li]
+		if org.clocked {
+			f.fetchAt[0] = fetchAt
+			org.step(f.bpcs[bi:bi+1], f.btakens[bi:bi+1], f.fetchAt[:], lp.taken[bi:bi+1], lp.overrode[bi:bi+1])
 		}
+		predictedTaken, overrode := lp.taken[bi], lp.overrode[bi]
 		if org.over != nil {
 			tallies[li].overrides.Add(overrode)
 			if overrode {

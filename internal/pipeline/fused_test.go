@@ -14,11 +14,12 @@ import (
 // fusedOrgs are the predictor organizations the fused equivalence suite
 // sweeps in one column. Lanes whose prediction stage runs once per batch
 // (ideal gshare and multi-component, overriding perceptron and 2Bc-gskew)
-// mix with lanes core.BatchStepperOf sends to the per-branch path:
-// gshare.fast, its lagged-update and uncheckpointed variants, whose
-// recovery penalties and update pipelines exercise the engine's
-// cycleAware/RecoveryCost plumbing, and an overriding pair whose slow
-// component is cycle-aware.
+// mix with clocked lanes (core.NeedsClock), stepped one branch at a time at
+// their fetch cycle: gshare.fast, its lagged-update and uncheckpointed
+// variants, whose recovery penalties and update pipelines exercise the
+// engine's clock/RecoveryCost plumbing, a gshare.fast with a 2-bit buffer,
+// whose stale-row fallback makes its predictions depend on the fetch clock,
+// and an overriding pair whose slow component is cycle-aware.
 func fusedOrgs() []struct {
 	name string
 	mk   func() predictor.Predictor
@@ -53,6 +54,9 @@ func fusedOrgs() []struct {
 		}},
 		{"gshare.fast-nockpt", func() predictor.Predictor {
 			return core.WithoutCheckpointing(core.New(core.Config{Entries: 1 << 15, Latency: 3}))
+		}},
+		{"gshare.fast-buf2", func() predictor.Predictor {
+			return core.New(core.Config{Entries: 1 << 15, Latency: 4, BufferBits: 2})
 		}},
 	}
 }

@@ -38,11 +38,12 @@ func fuzzConfig(b byte) Config {
 // fuzzPredictor builds a fresh predictor organization from one byte. The
 // first four batch-step their prediction stage: ideal single-cycle gshare
 // and multi-component, and overriding perceptron and 2Bc-gskew pairs. The
-// rest take the per-branch path: the cycle-aware gshare.fast with or
-// without checkpointed recovery, and an overriding pair whose slow
-// component is cycle-aware.
+// rest are clocked lanes, stepped one branch at a time at their fetch
+// cycle: the cycle-aware gshare.fast with or without checkpointed recovery,
+// one with a 2-bit buffer whose rows depend on the clock, and an overriding
+// pair whose slow component is cycle-aware.
 func fuzzPredictor(b byte) predictor.Predictor {
-	switch b % 7 {
+	switch b % 8 {
 	case 0:
 		return predictor.NewGShare(256, 0)
 	case 1:
@@ -55,6 +56,8 @@ func fuzzPredictor(b byte) predictor.Predictor {
 		return core.New(core.Config{Entries: 1 << 10, Latency: 3})
 	case 5:
 		return core.WithoutCheckpointing(core.New(core.Config{Entries: 1 << 10, Latency: 2}))
+	case 6:
+		return core.New(core.Config{Entries: 1 << 10, Latency: 3, BufferBits: 2})
 	default:
 		return core.NewOverriding(predictor.NewGShare(64, 0), core.New(core.Config{Entries: 1 << 10, Latency: 3}), 3)
 	}

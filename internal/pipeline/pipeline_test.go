@@ -270,6 +270,23 @@ func TestRunManyBadWarmup(t *testing.T) {
 	}
 }
 
+// TestRunManyStreamEndsInWarmup pins that a stream ending before the
+// warm-up does is rejected, naming the workload, the instructions seen and
+// the warm-up, instead of reporting a negative instruction count.
+func TestRunManyStreamEndsInWarmup(t *testing.T) {
+	rec := workload.Record(mustProfile(t, "twolf"), 8_000)
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		RunMany([]Lane{{Cfg: DefaultConfig(), Pred: predictor.Taken{}}}, rec.Replay(), nil, 15_000, 10_000)
+		return ""
+	}()
+	for _, want := range []string{"twolf", "8000", "10000"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic %q does not contain %q", msg, want)
+		}
+	}
+}
+
 func TestDeterministicIPC(t *testing.T) {
 	a := run(predictor.NewGShareFromBudget(32<<10), "gap", 300000)
 	b := run(predictor.NewGShareFromBudget(32<<10), "gap", 300000)

@@ -63,7 +63,7 @@ func TestStepBatchEquivalence(t *testing.T) {
 			var misses int
 			for off, bi := 0, 0; off < len(pcs); bi++ {
 				n := min(batchSizes[bi%len(batchSizes)], len(pcs)-off)
-				stepper.StepBatch(pcs[off:off+n], takens[off:off+n], preds[off:off+n])
+				stepper.StepBatch(pcs[off:off+n], takens[off:off+n], nil, preds[off:off+n])
 				for i := off; i < off+n; i++ {
 					pred := scalar.Predict(pcs[i])
 					scalar.Update(pcs[i], takens[i])

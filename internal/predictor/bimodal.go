@@ -50,7 +50,7 @@ func (b *Bimodal) Update(pc uint64, taken bool) {
 // PC-indexed counter per branch.
 //
 //bplint:hotpath fused-sweep bimodal lane; bit-identity pinned by TestStepBatchEquivalence
-func (b *Bimodal) StepBatch(pcs []uint64, takens []bool, preds []bool) {
+func (b *Bimodal) StepBatch(pcs []uint64, takens []bool, _ []uint64, preds []bool) {
 	pht, mask := b.pht, b.mask
 	for i, pc := range pcs {
 		preds[i] = pht.PredictUpdate(int(pcIndex(pc, mask)), takens[i])

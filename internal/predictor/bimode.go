@@ -110,7 +110,7 @@ func (b *BiMode) Update(pc uint64, taken bool) {
 // own conditional update.
 //
 //bplint:hotpath fused-sweep bi-mode lane; bit-identity pinned by TestStepBatchEquivalence
-func (b *BiMode) StepBatch(pcs []uint64, takens []bool, preds []bool) {
+func (b *BiMode) StepBatch(pcs []uint64, takens []bool, _ []uint64, preds []bool) {
 	for i, pc := range pcs {
 		taken := takens[i]
 		choiceIdx, dirIdx, useTaken := b.parts(pc)

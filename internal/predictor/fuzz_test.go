@@ -116,7 +116,7 @@ func FuzzPredictorVsReference(f *testing.F) {
 				scalar.Update(pcs[i], takens[i])
 				want[i-off] = rp
 			}
-			stepper.StepBatch(pcs[off:off+n], takens[off:off+n], preds[off:off+n])
+			stepper.StepBatch(pcs[off:off+n], takens[off:off+n], nil, preds[off:off+n])
 			for i, rp := range want {
 				if preds[off+i] != rp {
 					t.Fatalf("%s: batch %d at branch %d (%d branches): StepBatch predicts %v at branch %d, reference %v",

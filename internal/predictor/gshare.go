@@ -67,7 +67,7 @@ func (g *GShare) Update(pc uint64, taken bool) {
 // (counter.Array2.PredictUpdate).
 //
 //bplint:hotpath fused-sweep gshare lane; bit-identity pinned by TestStepBatchEquivalence
-func (g *GShare) StepBatch(pcs []uint64, takens []bool, preds []bool) {
+func (g *GShare) StepBatch(pcs []uint64, takens []bool, _ []uint64, preds []bool) {
 	pht, ghr, mask := g.pht, g.ghr, g.idxMask
 	for i, pc := range pcs {
 		taken := takens[i]

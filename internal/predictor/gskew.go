@@ -183,7 +183,7 @@ func (g *GSkew2Bc) step(pc uint64, taken bool) bool {
 // per branch, where Predict followed by Update computes them twice.
 //
 //bplint:hotpath fused-sweep 2Bc-gskew lane; bit-identity pinned by TestStepBatchEquivalence
-func (g *GSkew2Bc) StepBatch(pcs []uint64, takens []bool, preds []bool) {
+func (g *GSkew2Bc) StepBatch(pcs []uint64, takens []bool, _ []uint64, preds []bool) {
 	for i, pc := range pcs {
 		preds[i] = g.step(pc, takens[i])
 	}

@@ -299,7 +299,7 @@ func (m *MultiComponent) step(pc uint64, taken bool) bool {
 // source's table twice and the selector twice.
 //
 //bplint:hotpath fused-sweep multi-component lane; bit-identity pinned by TestStepBatchEquivalence
-func (m *MultiComponent) StepBatch(pcs []uint64, takens []bool, preds []bool) {
+func (m *MultiComponent) StepBatch(pcs []uint64, takens []bool, _ []uint64, preds []bool) {
 	for i, pc := range pcs {
 		preds[i] = m.step(pc, takens[i])
 	}

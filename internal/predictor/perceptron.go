@@ -36,20 +36,6 @@ type Perceptron struct {
 	hl      uint
 	theta   int
 	name    string
-
-	// Predict memoizes its dot product for the Update that follows: every
-	// scalar caller (the overriding organization's Predict/Update, a
-	// timing lane the engines cannot batch-step) calls Update right after
-	// Predict for the same branch, and the
-	// recomputation reads exactly the state Predict read. The memo is
-	// reused only when the PC matches and no Update ran in between —
-	// weights and histories mutate only in Update and StepBatch, which
-	// always invalidate — so an out-of-order driver recomputes exactly as
-	// before. Hardware reads the adder tree once and latches y; this is
-	// that latch.
-	memoPC    uint64
-	memoY     int
-	memoValid bool
 }
 
 // PerceptronConfig sizes a perceptron predictor.
@@ -165,26 +151,13 @@ func (p *Perceptron) inputs(pc uint64) uint64 {
 
 // Predict implements Predictor.
 func (p *Perceptron) Predict(pc uint64) bool {
-	y := p.weights.Dot(p.row(pc), p.inputs(pc))
-	// The dot-product memo is observationally pure: Update consults it only
-	// when the PC matches and always invalidates it, and Predict overwrites
-	// it unconditionally, so no prediction or training outcome ever depends
-	// on whether (or in what order) earlier Predicts ran — out-of-order
-	// pipeline drivers stay bit-identical to in-order ones.
-	//bplint:allow predictpure memo never changes an outcome; Update invalidates it on every call
-	p.memoPC, p.memoY, p.memoValid = pc, y, true
-	return y >= 0
+	return p.weights.Dot(p.row(pc), p.inputs(pc)) >= 0
 }
 
 // Update implements Predictor.
 func (p *Perceptron) Update(pc uint64, taken bool) {
 	row, x := p.row(pc), p.inputs(pc)
-	y := p.memoY
-	if !p.memoValid || p.memoPC != pc {
-		y = p.weights.Dot(row, x)
-	}
-	p.memoValid = false
-	p.train(pc, row, x, y, taken)
+	p.train(pc, row, x, p.weights.Dot(row, x), taken)
 }
 
 // train applies the perceptron rule to the branch at pc, whose row, inputs
@@ -203,8 +176,7 @@ func (p *Perceptron) train(pc uint64, row int, x uint64, y int, taken bool) {
 // the prediction and the training decision.
 //
 //bplint:hotpath fused-sweep perceptron lane; bit-identity pinned by TestStepBatchEquivalence
-func (p *Perceptron) StepBatch(pcs []uint64, takens []bool, preds []bool) {
-	p.memoValid = false
+func (p *Perceptron) StepBatch(pcs []uint64, takens []bool, _ []uint64, preds []bool) {
 	for i, pc := range pcs {
 		row, x := p.row(pc), p.inputs(pc)
 		y := p.weights.Dot(row, x)

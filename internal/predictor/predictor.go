@@ -10,7 +10,10 @@
 // Update(pc, taken) for the same branch. Histories are advanced inside
 // Update, which — because the trace-driven drivers deliver only correct-path
 // branches — is exactly equivalent to the paper's assumption of speculative
-// history update with precise repair after a misprediction (§4.1.2).
+// history update with precise repair after a misprediction (§4.1.2). The
+// engines drive the same protocol in batches (BatchStepper): with no wrong
+// path and no update lag outside the one gshare.fast models itself, one
+// predict-and-train step per branch is exact.
 package predictor
 
 import "fmt"
@@ -33,39 +36,49 @@ type Predictor interface {
 
 // CycleAware is implemented by predictors whose behaviour depends on fetch
 // timing, such as the pipelined gshare.fast, whose PHT row address uses the
-// global history as of several cycles before the prediction. Drivers call
-// OnCycle with a monotonically non-decreasing fetch-cycle number before
-// issuing predictions for that cycle; drivers that never call it get
-// conservative single-branch-per-cycle timing.
+// global history as of several cycles before the prediction. OnCycle
+// announces a monotonically non-decreasing fetch-cycle number before the
+// predictions of that cycle; announcing the same cycle again is a no-op.
+// A predictor that has never been announced a cycle clocks itself, one
+// cycle per branch (conservative single-branch-per-cycle timing). The
+// engines never call OnCycle directly: they hand the fetch cycles to
+// BatchStepper.StepBatch as a column.
 type CycleAware interface {
 	OnCycle(cycle uint64)
 }
 
-// BatchStepper is the engines' per-lane batch protocol: step the predictor
-// through a batch of resolved branches in stream order with one call
-// instead of one Predict/Update pair per branch. StepBatch must be
-// observationally identical to
+// BatchStepper is the engines' one prediction protocol: step the predictor
+// through a batch of resolved branches in stream order with one call.
+// StepBatch must be observationally identical to
 //
+//	if cycles != nil { p.OnCycle(cycles[i]) } // cycle-aware p only
 //	preds[i] = p.Predict(pcs[i])
 //	p.Update(pcs[i], takens[i])
 //
-// applied for i = 0..len(pcs)-1; preds is at least as long as pcs.
-// "Identical" means bit-identical: the same per-branch predictions and the
-// same table and history state afterwards, which the equivalence suites in
-// this package and in funcsim, pipeline and core enforce against the scalar
-// protocol. It has two callers, both resolving a lane's stepper once with
-// core.BatchStepperOf: the accuracy engine (funcsim.RunMany) counts
-// mispredicts and per-class rates from preds, and the timing engine
-// (pipeline.RunMany) steps each batch's branches before its scoreboard
-// sweep reads preds. A predictor implements it when one fused step per
-// branch saves work over the pair: the cheap table predictors save dispatch
-// and a duplicate index computation, and the heavy ones (perceptron,
-// multi-component, 2Bc-gskew) save their second lookup — the row and
-// history reads, the selector and the component reads, or the four skewed
-// bank indices. Cycle-aware predictors cannot implement it: their
-// per-branch OnCycle interleaving needs the scalar loop.
+// applied for i = 0..len(pcs)-1; preds is at least as long as pcs, and
+// cycles, when not nil, holds each branch's fetch cycle. A nil cycles
+// column announces nothing, so a cycle-aware predictor clocks itself, and
+// a cycle-oblivious one ignores the column. "Identical" means
+// bit-identical: the same per-branch predictions and the same table and
+// history state afterwards, which the equivalence suites in this package
+// and in funcsim, pipeline and core enforce against the scalar protocol.
+//
+// Both engines resolve a lane's stepper once with core.BatchStepperOf,
+// which adapts a predictor with no StepBatch of its own to one
+// Predict/Update pair per branch. The accuracy engine (funcsim.RunMany)
+// steps every lane once per batch, with the cycle column its fetch-width
+// clock implies. The timing engine (pipeline.RunMany) steps a lane once
+// per batch before its scoreboard sweep, with no column, unless the
+// lane's predictions depend on the clock (core.NeedsClock): a fetch cycle
+// there depends on earlier predictions, so such a lane steps one branch
+// at a time with a one-entry column. A predictor implements StepBatch
+// when one fused step per branch saves work over the pair: the cheap table
+// predictors save dispatch and a duplicate index computation, and the
+// heavy ones (perceptron, multi-component, 2Bc-gskew) save their second
+// lookup — the row and history reads, the selector and the component
+// reads, or the four skewed bank indices.
 type BatchStepper interface {
-	StepBatch(pcs []uint64, takens []bool, preds []bool)
+	StepBatch(pcs []uint64, takens []bool, cycles []uint64, preds []bool)
 }
 
 // pow2Entries returns the largest power-of-two entry count such that

@@ -98,18 +98,14 @@ func TestReplayEquivalenceBlocks(t *testing.T) {
 	}
 }
 
-// blockAdapter drives a scalar predictor through the block protocol.
+// blockAdapter drives a scalar predictor through the block protocol: all
+// of a block's predictions first, then its updates.
 type blockAdapter struct{ p predictor.Predictor }
 
-func (a blockAdapter) PredictBlock(pcs []uint64) []bool {
-	out := make([]bool, len(pcs))
+func (a blockAdapter) StepBlock(pcs []uint64, takens, preds []bool) {
 	for i, pc := range pcs {
-		out[i] = a.p.Predict(pc)
+		preds[i] = a.p.Predict(pc)
 	}
-	return out
-}
-
-func (a blockAdapter) UpdateBlock(pcs []uint64, takens []bool) {
 	for i, pc := range pcs {
 		a.p.Update(pc, takens[i])
 	}
@@ -181,29 +177,6 @@ func TestConcurrentReplay(t *testing.T) {
 	for w := 1; w < workers; w++ {
 		if !funcsimEqual(results[w], results[0]) {
 			t.Fatalf("worker %d result differs: %+v vs %+v", w, results[w], results[0])
-		}
-	}
-}
-
-// TestClassifiedReplay asserts per-class diagnostics survive replay: the
-// class rates measured from a classified replay cursor match those from the
-// live program.
-func TestClassifiedReplay(t *testing.T) {
-	prof := profileFor(t, "gzip")
-	opts := funcsim.Options{MaxInsts: 100_000, PerClass: true}
-	live := funcsim.Run(predictor.NewGShareFromBudget(8<<10), workload.New(prof), opts)
-	rec := workload.Record(prof, 100_000)
-	replay := funcsim.Run(predictor.NewGShareFromBudget(8<<10), workload.Classify(rec.Replay(), prof), opts)
-	if len(live.ClassRates) == 0 {
-		t.Fatal("live run produced no class rates")
-	}
-	if len(replay.ClassRates) != len(live.ClassRates) {
-		t.Fatalf("replay saw %d classes, live %d", len(replay.ClassRates), len(live.ClassRates))
-	}
-	for name, lr := range live.ClassRates {
-		rr := replay.ClassRates[name]
-		if rr == nil || *rr != *lr {
-			t.Errorf("class %s: replay %+v, live %+v", name, rr, lr)
 		}
 	}
 }

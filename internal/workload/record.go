@@ -10,50 +10,3 @@ import "branchsim/internal/trace"
 func Record(prof Profile, maxInsts int64) *trace.Recording {
 	return trace.Record(New(prof), maxInsts)
 }
-
-// branchClassifier mirrors funcsim.BranchClassifier without importing it.
-type branchClassifier interface {
-	BranchClassName(pc uint64) (string, bool)
-}
-
-// classifiedSource pairs a replayed stream with the profile's static branch
-// index so per-class diagnostics keep working against replayed PCs.
-type classifiedSource struct {
-	trace.Source
-	prog *Program
-}
-
-func (c *classifiedSource) BranchClassName(pc uint64) (string, bool) {
-	return c.prog.BranchClassName(pc)
-}
-
-// classifiedBranchSource additionally forwards the batch fast-path protocol
-// so classification does not hide a replay cursor's branch index from the
-// accuracy simulator.
-type classifiedBranchSource struct {
-	classifiedSource
-	bs trace.BranchSource
-}
-
-func (c *classifiedBranchSource) NextBranches(dst []trace.BranchRec) int {
-	return c.bs.NextBranches(dst)
-}
-
-func (c *classifiedBranchSource) InstsScanned() int64 { return c.bs.InstsScanned() }
-
-// Classify wraps src with prof's static-branch class index (used by
-// funcsim's PerClass diagnostics). A live *Program classifies itself and is
-// returned unchanged; a replay cursor gains the index from a freshly
-// constructed program, whose static branches are identical because
-// construction is deterministic in prof.Seed. A src implementing
-// trace.BranchSource keeps that protocol through the wrapper.
-func Classify(src trace.Source, prof Profile) trace.Source {
-	if _, ok := src.(branchClassifier); ok {
-		return src
-	}
-	cs := classifiedSource{Source: src, prog: New(prof)}
-	if bs, ok := src.(trace.BranchSource); ok {
-		return &classifiedBranchSource{classifiedSource: cs, bs: bs}
-	}
-	return &cs
-}

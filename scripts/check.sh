@@ -32,6 +32,9 @@ go test -run '^$' -fuzz FuzzEngineVsReference -fuzztime=10s ./internal/funcsim
 echo "==> heavy-predictor differential fuzz smoke (10s: random perceptron/multi-component/2Bc-gskew configs, Predict/Update and StepBatch vs the naive reference)"
 go test -run '^$' -fuzz FuzzPredictorVsReference -fuzztime=10s ./internal/predictor
 
+echo "==> gshare.fast/bimode.fast step fuzz smoke (10s: StepBatch with random cycle columns and StepBlock vs the pre-FastPipe gshare.fast kept as a test-only reference)"
+go test -run '^$' -fuzz FuzzStepVsReference -fuzztime=10s ./internal/core
+
 echo "==> BPTRACE1 codec fuzz smoke (10s round-trip/fixed-point search)"
 go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime=10s ./internal/trace
 
@@ -60,12 +63,12 @@ go test -race -run 'TestRunCellsSharedCaptureStress' ./internal/experiments
 go test -race -run 'TestCellCacheColdCoalesce' ./internal/experiments
 
 echo "==> replay equivalence (live vs recorded streams, race-enabled)"
-go test -race -run 'TestReplayEquivalence|TestConcurrentReplay|TestClassifiedReplay' ./internal/tracestore
+go test -race -run 'TestReplayEquivalence|TestConcurrentReplay' ./internal/tracestore
 
-echo "==> accuracy engine equivalence (Run/RunMany/RunBlocks vs the instruction-at-a-time reference, every factory BatchStepper, the overriding batch step and batching resolver, fused bpsim vs per-cell Run, race-enabled)"
-go test -race -run 'TestFastPathEquivalence|TestRunManyEquivalence|TestRunManySingleLane' ./internal/funcsim
+echo "==> accuracy engine equivalence (Run/RunMany/RunBlocks vs the instruction-at-a-time reference, every factory kind through the stepper BatchStepperOf resolves, the overriding batch step with a cycle column, the stepper resolver and NeedsClock, bad budgets, fused bpsim vs per-cell Run, race-enabled)"
+go test -race -run 'TestFastPathEquivalence|TestRunManyEquivalence|TestRunManySingleLane|TestBadBudget|TestCycleZeroSelfClocked' ./internal/funcsim
 go test -race -run 'TestFactoryBatchSteppers' ./internal/experiments
-go test -race -run 'TestOverridingBatchEquivalence|TestBatchStepperOf' ./internal/core
+go test -race -run 'TestOverridingBatchEquivalence|TestBatchStepperOf|TestNeedsClock' ./internal/core
 go test -race -run 'TestFusedMatchesPerCell|TestBadKindFailsBeforeOutput' ./cmd/bpsim
 go test -race -run 'TestBranchIndexMatchesStream|TestCodecPreservesBranchIndex|TestConcurrentBranchCursors' ./internal/trace
 
@@ -74,8 +77,8 @@ go test -race -run 'TestTimingFastPathEquivalence|TestSidecarFallback|TestSlotRi
 go test -race -run 'TestTimingMemoEquivalence|TestTimingMemoDeduplicates|TestTimingMemoConcurrentStress' ./internal/experiments
 go test -race -run 'TestNextInstsMatchesStream|TestNextInstsInterleavesWithNext|TestNextInstsProtocolMixPanics' ./internal/trace
 
-echo "==> fused timing equivalence (RunMany with batch-stepped and per-branch lanes vs the reference, over a sidecar and over batches one shared hierarchy classifies — live generator, mid-stream cursor; geometry guard, named bad lanes, scheduler parity, streamed ipcsim vs per-cell Sim.Run, bad run flags, race-enabled)"
-go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingClassifiedEquivalence|TestFusedTimingLiveCaches|TestFusedTimingGeometryGuard|TestInvalidLaneNamed|TestRunManyBadWarmup' ./internal/pipeline
+echo "==> fused timing equivalence (RunMany with batch-stepped and clocked lanes vs the reference, over a sidecar and over batches one shared hierarchy classifies — live generator, mid-stream cursor; geometry guard, named bad lanes, scheduler parity, streamed ipcsim vs per-cell Sim.Run, bad run flags and a stream ending inside the warm-up, race-enabled)"
+go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingClassifiedEquivalence|TestFusedTimingLiveCaches|TestFusedTimingGeometryGuard|TestInvalidLaneNamed|TestRunManyBadWarmup|TestRunManyStreamEndsInWarmup' ./internal/pipeline
 go test -race -run 'TestNextInstsMatchesRecording' ./internal/workload
 go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFusedTimingMemoAccounting|TestFusedTimingStoreFlow' ./internal/experiments
 go test -race -run 'TestFusedMatchesPerCell|TestBadFlagsFailBeforeOutput' ./cmd/ipcsim
