@@ -166,27 +166,7 @@ func TestFloatCmp(t *testing.T) {
 	})
 }
 
-// PredictPure only fires under internal/predictor, so its fixtures mount
-// there; a third pass proves the path gate by mounting the bad fixture
-// under a path the analyzer ignores.
-func TestPredictPure(t *testing.T) {
-	testAnalyzer(t, PredictPure, "branchsim/internal/predictor")
-	t.Run("ungated-path", func(t *testing.T) {
-		dir := filepath.Join("testdata", "predictpure", "bad")
-		pkg, err := fixtureLoader(t).LoadDirAs(dir, "branchsim/internal/core/purefix")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fs := Run(pkg, "branchsim", []*Analyzer{PredictPure}); len(fs) != 0 {
-			t.Fatalf("predictpure fired outside internal/predictor: %v", fs)
-		}
-	})
-}
-
 func TestLockGuard(t *testing.T) { testAnalyzer(t, LockGuard, "branchsim/internal") }
-func TestKeyFields(t *testing.T) { testAnalyzer(t, KeyFields, "branchsim/internal") }
-func TestHotAlloc(t *testing.T)  { testAnalyzer(t, HotAlloc, "branchsim/internal") }
-func TestProtoMix(t *testing.T)  { testAnalyzer(t, ProtoMix, "branchsim/internal") }
 
 func TestFrozen(t *testing.T)        { testAnalyzer(t, Frozen, "branchsim/internal") }
 func TestSharedCapture(t *testing.T) { testAnalyzer(t, SharedCapture, "branchsim/internal") }

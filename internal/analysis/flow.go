@@ -5,10 +5,11 @@ import (
 	"go/types"
 )
 
-// flow.go holds the small flow-analysis vocabulary shared by the v2
-// analyzers (predictpure, lockguard, keyfields, hotalloc, protomix): root
-// identifiers of access chains, statement-container chains for the
-// dominance approximation, and enclosing-function lookup.
+// flow.go holds the small flow-analysis vocabulary shared by the
+// flow-aware analyzers (lockguard, frozen, sharedcapture, oncepublish) and
+// the dataflow core (dataflow.go): root identifiers of access chains,
+// statement-container chains for the dominance approximation,
+// enclosing-function lookup and method lookup through embedding.
 
 // rootIdent returns the leftmost identifier of a selector/index/deref
 // chain, or nil when the chain is rooted in something else (a call result,

@@ -41,6 +41,18 @@ var Frozen = &Analyzer{
 
 var frozenRe = regexp.MustCompile(`^//\s*bplint:frozen\b`)
 
+// crossMutators is the mutation vocabulary of the packages frozen types
+// build on (internal/counter, internal/history, sync/atomic, ...). A call
+// to a method with one of these names on a frozen-rooted value is treated
+// as a write; the callee's body is in another package and out of reach,
+// so the name is the contract.
+var crossMutators = map[string]bool{
+	"Update": true, "Push": true, "Add": true, "Set": true,
+	"Insert": true, "Reset": true, "Train": true, "Record": true,
+	"OnCycle": true, "Store": true, "Swap": true, "Clear": true,
+	"Write": true, "Delete": true,
+}
+
 // frozenOp is one potential violation inside a function: a direct write to
 // frozen state (callee nil) or a call that mutates frozen state iff the
 // callee turns out to be a mutator.

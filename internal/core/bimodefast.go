@@ -81,7 +81,8 @@ func (b *BiModeFast) Update(pc uint64, taken bool) { b.step(pc, taken) }
 // StepBatch implements predictor.BatchStepper: each branch's indices and
 // bank read are computed once, for the prediction and the training.
 //
-//bplint:hotpath bimode.fast lane of both engines; bit-identity pinned by FuzzStepVsReference
+// Bit-identity is pinned by FuzzStepVsReference, zero allocations per
+// batch by TestPredictorStepAllocs.
 func (b *BiModeFast) StepBatch(pcs []uint64, takens []bool, cycles []uint64, preds []bool) {
 	for i, pc := range pcs {
 		b.clockAt(cycles, i)

@@ -17,8 +17,10 @@ const fuzzHeader = 6
 // cycle column is non-decreasing and starts with zeros, under one of three
 // conventions: no column (the predictor clocks itself), a column announced
 // entry by entry (the timing engine's), or the accuracy engine's, which
-// steps its cycle-0 prefix with no column. Every prediction, and the table,
-// history, clock, snapshot and write-queue state at the end, must match.
+// steps its cycle-0 prefix with no column. Update lags up to 64 branches
+// wrap gshare.fast's write ring many times over a stream. Every prediction,
+// and the table, history, clock, snapshot and write-queue state at the end,
+// must match.
 func FuzzStepVsReference(f *testing.F) {
 	for i, n := range []int{0, 40, 400, 3000} {
 		seed := make([]byte, fuzzHeader+2*n)
@@ -27,7 +29,8 @@ func FuzzStepVsReference(f *testing.F) {
 			x = x*1664525 + 1013904223
 			seed[j] = byte(x >> 24)
 		}
-		seed[0] = byte(i) // one seed per kind, and block steps
+		seed[0] = byte(i)     // one seed per kind, and block steps
+		seed[3] = byte(2 + i) // lags 1, 3, 7, 64: the 40- and 3000-branch gshare.fast seeds wrap the write ring 13 and 46 times
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -38,7 +41,7 @@ func FuzzStepVsReference(f *testing.F) {
 		cfg := Config{
 			Entries:    1 << (4 + hdr[1]%10),
 			Latency:    1 + int(hdr[2]%6),
-			UpdateLag:  []int{0, 0, 1, 3, 64}[hdr[3]%5],
+			UpdateLag:  []int{0, 0, 1, 3, 7, 64}[hdr[3]%6],
 			BufferBits: uint(hdr[4] % 12),
 		}
 		mode, zeros := hdr[5]%3, int(hdr[5]/3%8)
@@ -84,13 +87,18 @@ func FuzzStepVsReference(f *testing.F) {
 			}
 			ref, predict, update, refBlock = r, r.Predict, r.Update, r
 			check = func() {
+				if g.queued != len(r.pending) {
+					t.Fatalf("write queue %d, reference %d", g.queued, len(r.pending))
+				}
+				for i, w := range r.pending {
+					if u := g.pending[(g.head+i)%cfg.UpdateLag]; u != w {
+						t.Fatalf("queued write %d: %+v, reference %+v", i, u, w)
+					}
+				}
 				g.Flush()
 				r.Flush()
 				if !reflect.DeepEqual(g.pht, r.pht) {
 					t.Fatal("PHT diverges from the reference")
-				}
-				if len(g.pending) != len(r.pending) {
-					t.Fatalf("write queue %d, reference %d", len(g.pending), len(r.pending))
 				}
 				checkPipe(t, &g.FastPipe, r)
 			}

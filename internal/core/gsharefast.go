@@ -24,9 +24,12 @@ type GShareFast struct {
 
 	// Delayed non-speculative PHT update (§3.2): counters train up to
 	// UpdateLag branches after prediction, modelling the multi-cycle
-	// write path into a large PHT.
+	// write path into a large PHT. The in-flight writes sit in a ring of
+	// UpdateLag entries, the oldest at head.
 	updateLag int
 	pending   []pendingUpdate //bplint:allow sizebytes models the in-flight write queue of the PHT port, not a prediction table
+	head      int
+	queued    int
 
 	name string
 }
@@ -72,6 +75,7 @@ func New(cfg Config) *GShareFast {
 		FastPipe:  NewFastPipe(log2(cfg.Entries), cfg.Latency, cfg.BufferBits),
 		pht:       counter.NewArray2(cfg.Entries, counter.WeaklyNotTaken),
 		updateLag: cfg.UpdateLag,
+		pending:   make([]pendingUpdate, cfg.UpdateLag),
 	}
 	g.name = fmt.Sprintf("gshare.fast-%s", budgetName(g.SizeBytes()))
 	return g
@@ -89,9 +93,9 @@ func (g *GShareFast) Update(pc uint64, taken bool) {
 }
 
 // StepBatch implements predictor.BatchStepper: each branch's index is
-// computed once, for the prediction and the training.
-//
-//bplint:hotpath gshare.fast lane of both engines; bit-identity pinned by FuzzStepVsReference
+// computed once, for the prediction and the training. Bit-identity is
+// pinned by FuzzStepVsReference, zero allocations per batch (lagged or
+// not) by TestPredictorStepAllocs.
 func (g *GShareFast) StepBatch(pcs []uint64, takens []bool, cycles []uint64, preds []bool) {
 	for i, pc := range pcs {
 		g.clockAt(cycles, i)
@@ -111,21 +115,31 @@ func (g *GShareFast) train(idx int, taken bool) {
 		g.pht.Update(idx, taken)
 		return
 	}
-	g.pending = append(g.pending, pendingUpdate{index: idx, taken: taken})
-	if len(g.pending) > g.updateLag {
-		u := g.pending[0]
-		g.pending = g.pending[1:]
-		g.pht.Update(u.index, u.taken)
+	u := pendingUpdate{index: idx, taken: taken}
+	if g.queued < g.updateLag {
+		g.pending[(g.head+g.queued)%g.updateLag] = u
+		g.queued++
+		return
+	}
+	// Full: the oldest write lands and its slot takes the newest.
+	due := g.pending[g.head]
+	g.pht.Update(due.index, due.taken)
+	g.pending[g.head] = u
+	if g.head++; g.head == g.updateLag {
+		g.head = 0
 	}
 }
 
-// Flush applies all pending delayed updates, used by drivers at the end of a
-// run so short traces are not biased by a permanently-lagging tail.
+// Flush applies all pending delayed updates, oldest first, and empties the
+// write queue. No engine calls it: a run ends with up to UpdateLag writes
+// still in flight, as the hardware would. Tests call it to compare PHT
+// state with every write landed.
 func (g *GShareFast) Flush() {
-	for _, u := range g.pending {
+	for i := 0; i < g.queued; i++ {
+		u := g.pending[(g.head+i)%g.updateLag]
 		g.pht.Update(u.index, u.taken)
 	}
-	g.pending = g.pending[:0]
+	g.head, g.queued = 0, 0
 }
 
 // SizeBytes implements predictor.Predictor: the PHT, the history register,

@@ -145,7 +145,8 @@ func (a *Array2) Update(i int, taken bool) {
 // and the saturating write halves the word traffic of the Predict/Update
 // protocol on the table whose access dominates a cheap predictor's cost.
 //
-//bplint:hotpath fused-sweep table access; equivalence pinned by TestPredictUpdate
+// Equivalence is pinned by TestPredictUpdate; the batch steppers built on
+// it are pinned allocation-free by TestPredictorStepAllocs.
 func (a *Array2) PredictUpdate(i int, taken bool) bool {
 	shift := 2 * (uint(i) & 31)
 	w := &a.words[i>>5]

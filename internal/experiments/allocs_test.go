@@ -3,32 +3,41 @@ package experiments
 import (
 	"testing"
 
+	"branchsim/internal/core"
 	"branchsim/internal/predictor"
 )
 
 // TestPredictorStepAllocs pins every predictor the experiments build
-// allocation-free per branch: for each factory kind at each Figure 1 budget,
-// and for the overriding organization of each heavy kind, one Predict plus
-// one Update allocates nothing once the predictor is warm. Skipped under
+// allocation-free per batch on the path both engines drive: the stepper
+// core.BatchStepperOf resolves, fed 256-branch pc/taken/cycle columns. It
+// covers each factory kind at each Figure 1 budget, the overriding
+// organization of each heavy kind, and a gshare.fast with a 64-branch
+// update lag (the delayedupdate ablation's write queue). Skipped under
 // -race, which instruments allocation.
 func TestPredictorStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	const batch = 256
+	pcs, takens, cycles, preds := make([]uint64, batch), make([]bool, batch), make([]uint64, batch), make([]bool, batch)
 	check := func(p predictor.Predictor) {
 		t.Helper()
-		pc, taken := uint64(0x1000), false
+		s := core.BatchStepperOf(p)
+		pc, cycle := uint64(0x1000), uint64(0)
 		step := func() {
-			pc = pc*5 + 4 // walk over rows and tables
-			taken = !taken
-			p.Predict(pc)
-			p.Update(pc, taken)
+			for i := range pcs {
+				pc = pc*5 + 4 // walk over rows and tables
+				pcs[i], takens[i] = pc, pc>>7&1 == 1
+				cycle += uint64(i & 1) // two branches per fetch cycle
+				cycles[i] = cycle
+			}
+			s.StepBatch(pcs, takens, cycles, preds)
 		}
-		for i := 0; i < 100; i++ {
+		for i := 0; i < 4; i++ {
 			step() // warm any lazy state
 		}
-		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-			t.Errorf("%s: %.1f allocations per Predict+Update", p.Name(), allocs)
+		if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+			t.Errorf("%s: %.2f allocations per %d-branch StepBatch", p.Name(), allocs, batch)
 		}
 	}
 	for _, kind := range PredictorKinds() {
@@ -41,4 +50,5 @@ func TestPredictorStepAllocs(t *testing.T) {
 			check(mustOverriding(kind, budget))
 		}
 	}
+	check(core.New(core.Config{Entries: 1 << 16, Latency: 3, UpdateLag: 64}))
 }

@@ -125,7 +125,7 @@ func newFusedRun(lanes []Lane, classifier BranchClassifier, opts Options) *fused
 // drive is the engine's one drive loop: fill the batch, feed it to every
 // lane, until the budget or the stream runs out.
 //
-//bplint:hotpath accuracy drive loop; TestRunManyAllocs pins steady-state allocs to zero
+// TestRunManyAllocs pins it allocation-free at steady state.
 func (r *fusedRun) drive(src trace.BranchSource) {
 	for {
 		n := src.NextBranches(r.batch[:])
@@ -146,7 +146,8 @@ func (r *fusedRun) drive(src trace.BranchSource) {
 // records ascend by InstIndex, the budget cut, the warm-up boundary and
 // the end of the cycle-0 prefix are single positions valid for every lane.
 //
-//bplint:hotpath fused batch loop; runs once per 256-branch batch
+// It runs once per 256-branch batch; TestRunManyAllocs pins it
+// allocation-free.
 func (r *fusedRun) step(batch []trace.BranchRec) (done bool) {
 	cut := len(batch)
 	for i := range batch {

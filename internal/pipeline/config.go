@@ -15,12 +15,11 @@ import (
 
 // Config parameterizes the simulated core. DefaultConfig reproduces Table 1.
 //
-// Config's canonical form is the timing memo's key component, so every
-// field must flow into Canonical — the keyfields analyzer enforces that a
-// field added here is also added to the key, keeping two genuinely
-// different machines from colliding on one memoized Result.
-//
-//bplint:keyfields Canonical
+// Config's canonical form is the timing cells' key component, so every
+// field must flow into Canonical — TestCanonicalKeyCoverage
+// (internal/experiments) changes each field and requires the rendered key
+// to change, keeping two genuinely different machines from colliding on
+// one cached Result.
 type Config struct {
 	// FetchWidth is the instructions fetched per cycle (fetch stops at a
 	// taken branch and at I-cache block boundaries).
@@ -107,12 +106,12 @@ func (c Config) frontEndDepth() int {
 
 // Canonical returns the config with derived defaults resolved, so two
 // configs describing the same machine compare equal. Config is comparable;
-// the canonical form is the timing-result memo's config key component.
+// the canonical form is the timing cells' config key component.
 //
 // The result is built as an explicit field-by-field literal rather than a
-// mutated copy of the receiver: the keyfields analyzer requires every
-// Config field to be named here, turning a field added without a key
-// extension into a lint failure instead of a silent memo collision.
+// mutated copy of the receiver, so a field added to Config is absent from
+// the key until it is named here; TestCanonicalKeyCoverage fails until
+// then.
 func (c Config) Canonical() Config {
 	return Config{
 		FetchWidth:    c.FetchWidth,

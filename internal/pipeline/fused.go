@@ -459,7 +459,8 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 // otherwise — and sweeps the lanes over it. Batch boundaries do not
 // influence the scoreboard, so the fill protocol cannot change a result.
 //
-//bplint:hotpath timing drive loop; TestFusedTimingAllocs pins allocs/op to zero
+// TestFusedTimingAllocs pins it allocation-free over a sidecar and over a
+// live generator.
 func (f *fusedRun) drive(src trace.Source) {
 	is, batched := src.(trace.InstSource)
 	for f.insts < f.maxInsts {
@@ -489,7 +490,8 @@ func (f *fusedRun) drive(src trace.Source) {
 // scoreboard is exact: without a fetch clock, a branch's prediction depends
 // only on the branches before it.
 //
-//bplint:hotpath runs once per 256-instruction batch in fused sweeps
+// It runs once per 256-instruction batch; TestFusedTimingAllocs pins it
+// allocation-free.
 func (f *fusedRun) runBatch(n int) {
 	f.prep(n)
 	pcs, takens := f.bpcs[:f.nb], f.btakens[:f.nb]
@@ -523,7 +525,8 @@ func (f *fusedRun) runBatch(n int) {
 // shared hierarchy's classification of this batch — its port and latency
 // classes, the branch columns, and the shared D-side tallies.
 //
-//bplint:hotpath runs once per 256-instruction batch in fused sweeps
+// It runs once per 256-instruction batch; TestFusedTimingAllocs pins it
+// allocation-free.
 func (f *fusedRun) prep(n int) {
 	for i := 0; i < n; i++ {
 		f.blocks[i] = f.batch[i].PC&f.blockMask + 1
@@ -605,7 +608,8 @@ func advanceTo(t, fetchCycle uint64, fetchUsed int, lastBlock, stall uint64) (ui
 // warm-up boundary; runBatch splits batches so it never varies inside one
 // call.
 //
-//bplint:hotpath fused per-lane batch step; runs once per instruction per lane
+// It runs once per instruction per lane; TestFusedTimingAllocs pins it
+// allocation-free.
 func (f *fusedRun) stepAll(lo, hi int, measured bool) {
 	for i := lo; i < hi; i++ {
 		switch f.batch[i].Kind {
@@ -626,7 +630,7 @@ func (f *fusedRun) stepAll(lo, hi int, measured bool) {
 // prediction, redirect, and resolution stages are absent rather than
 // tested per lane.
 //
-//bplint:hotpath fused lane sweep for plain instructions
+// TestFusedTimingAllocs pins it allocation-free.
 func (f *fusedRun) sweepPlain(i int) {
 	consts := f.consts
 	nLanes := len(consts)
@@ -739,7 +743,7 @@ func (f *fusedRun) sweepPlain(i int) {
 // always-taken BTB redirect, issue, commit. No prediction and no
 // resolution — jumps never mispredict direction.
 //
-//bplint:hotpath fused lane sweep for jumps
+// TestFusedTimingAllocs pins it allocation-free.
 func (f *fusedRun) sweepJump(i int) {
 	consts := f.consts
 	nLanes := len(consts)
@@ -871,7 +875,7 @@ func (f *fusedRun) sweepJump(i int) {
 // read from its lanePreds at the branch's ordinal; a clocked lane first
 // steps this one branch there, at its fetch cycle.
 //
-//bplint:hotpath fused lane sweep for conditional branches
+// TestFusedTimingAllocs pins it allocation-free.
 func (f *fusedRun) sweepBranch(i int, measured bool) {
 	consts := f.consts
 	nLanes := len(consts)

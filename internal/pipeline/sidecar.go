@@ -154,7 +154,8 @@ func newMemHier(geom MemGeometry) *memHier {
 // the stream, and writes each one's packed class byte to the same index of
 // out.
 //
-//bplint:hotpath runs once per 256-instruction batch when no sidecar covers the run
+// It runs once per 256-instruction batch when no sidecar covers the run;
+// TestFusedTimingAllocs/generator pins that path allocation-free.
 func (h *memHier) classify(batch []trace.Inst, out []uint8) {
 	out = out[:len(batch)]
 	for i := range batch {

@@ -109,7 +109,8 @@ func (b *BiMode) Update(pc uint64, taken bool) {
 // bankCorrect, and the choice counter's direction is unchanged until its
 // own conditional update.
 //
-//bplint:hotpath fused-sweep bi-mode lane; bit-identity pinned by TestStepBatchEquivalence
+// Bit-identity is pinned by TestStepBatchEquivalence, zero allocations
+// per batch by TestPredictorStepAllocs.
 func (b *BiMode) StepBatch(pcs []uint64, takens []bool, _ []uint64, preds []bool) {
 	for i, pc := range pcs {
 		taken := takens[i]

@@ -66,7 +66,8 @@ func (g *GShare) Update(pc uint64, taken bool) {
 // with the index computed once and the PHT word read and written once
 // (counter.Array2.PredictUpdate).
 //
-//bplint:hotpath fused-sweep gshare lane; bit-identity pinned by TestStepBatchEquivalence
+// Bit-identity is pinned by TestStepBatchEquivalence, zero allocations
+// per batch by TestPredictorStepAllocs.
 func (g *GShare) StepBatch(pcs []uint64, takens []bool, _ []uint64, preds []bool) {
 	pht, ghr, mask := g.pht, g.ghr, g.idxMask
 	for i, pc := range pcs {

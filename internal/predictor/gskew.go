@@ -182,7 +182,8 @@ func (g *GSkew2Bc) step(pc uint64, taken bool) bool {
 // StepBatch implements BatchStepper: the four bank indices and reads once
 // per branch, where Predict followed by Update computes them twice.
 //
-//bplint:hotpath fused-sweep 2Bc-gskew lane; bit-identity pinned by TestStepBatchEquivalence
+// Bit-identity is pinned by TestStepBatchEquivalence, zero allocations
+// per batch by TestPredictorStepAllocs.
 func (g *GSkew2Bc) StepBatch(pcs []uint64, takens []bool, _ []uint64, preds []bool) {
 	for i, pc := range pcs {
 		preds[i] = g.step(pc, takens[i])

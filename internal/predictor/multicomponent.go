@@ -298,7 +298,8 @@ func (m *MultiComponent) step(pc uint64, taken bool) bool {
 // read once per branch where Predict followed by Update reads the chosen
 // source's table twice and the selector twice.
 //
-//bplint:hotpath fused-sweep multi-component lane; bit-identity pinned by TestStepBatchEquivalence
+// Bit-identity is pinned by TestStepBatchEquivalence, zero allocations
+// per batch by TestPredictorStepAllocs.
 func (m *MultiComponent) StepBatch(pcs []uint64, takens []bool, _ []uint64, preds []bool) {
 	for i, pc := range pcs {
 		preds[i] = m.step(pc, takens[i])

@@ -175,7 +175,8 @@ func (p *Perceptron) train(pc uint64, row int, x uint64, y int, taken bool) {
 // StepBatch implements BatchStepper: one dot product per branch, shared by
 // the prediction and the training decision.
 //
-//bplint:hotpath fused-sweep perceptron lane; bit-identity pinned by TestStepBatchEquivalence
+// Bit-identity is pinned by TestStepBatchEquivalence, zero allocations
+// per batch by TestPredictorStepAllocs.
 func (p *Perceptron) StepBatch(pcs []uint64, takens []bool, _ []uint64, preds []bool) {
 	for i, pc := range pcs {
 		row, x := p.row(pc), p.inputs(pc)

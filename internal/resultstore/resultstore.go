@@ -44,11 +44,10 @@ import (
 // Key canonically identifies one experiment grid cell across processes.
 // Two cells with equal keys construct byte-identical simulations, so their
 // stored records are interchangeable — the on-disk analogue of the cell
-// cache's in-process contract. Every field must flow into Canonical; the
-// keyfields analyzer turns a field added without a key extension into a
-// lint failure instead of a silent cross-process collision.
-//
-//bplint:keyfields Canonical
+// cache's in-process contract. Every field must flow into Canonical;
+// TestCanonicalKeyCoverage (internal/experiments) changes each field and
+// requires Canonical to change, so a field added without a key extension
+// fails a test instead of colliding silently across processes.
 type Key struct {
 	// Family is the cell's result family: "accuracy" (functional runs,
 	// funcsim.Result) or "timing" (cycle-level runs, pipeline.Result).
@@ -78,8 +77,8 @@ type Key struct {
 }
 
 // Canonical returns the key's canonical string form — the content address
-// everything else derives from. Built field by field so the keyfields
-// analyzer can prove exhaustiveness.
+// everything else derives from. Built field by field;
+// TestCanonicalKeyCoverage checks that every field reaches it.
 func (k Key) Canonical() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "family=%s|kind=%s|org=%s|budget=%d|bench=%s|seed=%d|insts=%d|warmup=%d|sim=%s|machine=%s|trace=%s",

@@ -70,3 +70,42 @@ func TestReadRecordingAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorAllocs pins replay allocation-free under each protocol: after a
+// Reset, draining a multi-chunk recording through Next, NextInsts or
+// NextBranches allocates nothing.
+func TestCursorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	n := int64(2*chunkLen + 1000)
+	cur := Record(&lcgSource{state: 7, n: n}, n).Replay()
+	var inst Inst
+	insts := make([]Inst, InstBatchLen)
+	branches := make([]BranchRec, BatchLen)
+	for _, p := range []struct {
+		name  string
+		drain func()
+	}{
+		{"Next", func() {
+			for cur.Next(&inst) {
+			}
+		}},
+		{"NextInsts", func() {
+			for cur.NextInsts(insts) > 0 {
+			}
+		}},
+		{"NextBranches", func() {
+			for cur.NextBranches(branches) > 0 {
+			}
+		}},
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			cur.Reset()
+			p.drain()
+		})
+		if allocs != 0 {
+			t.Errorf("%s over %d instructions: %.1f allocations, want 0", p.name, n, allocs)
+		}
+	}
+}

@@ -237,7 +237,7 @@ type Cursor struct {
 
 // Next implements Source, reconstructing the recorded instruction exactly.
 //
-//bplint:hotpath per-instruction replay fallback
+// TestCursorAllocs pins it allocation-free.
 func (c *Cursor) Next(inst *Inst) bool {
 	if c.br.scanned != 0 || c.br.bi != 0 || c.br.ci != 0 {
 		panic("trace: replay cursor used with both Next and NextBranches")
@@ -287,7 +287,8 @@ func (c *Cursor) Name() string { return c.rec.name }
 // interleaved — but, like Next, it must not be mixed with the branch
 // protocol on one cursor.
 //
-//bplint:hotpath batch fill for the timing fast path
+// TestCursorAllocs pins it allocation-free, and TestFusedTimingAllocs the
+// timing engine's drive over it.
 func (c *Cursor) NextInsts(dst []Inst) int {
 	if c.br.scanned != 0 || c.br.bi != 0 || c.br.ci != 0 {
 		panic("trace: replay cursor used with both NextInsts and NextBranches")
@@ -353,7 +354,7 @@ func (c *Cursor) Pos() int64 { return c.served }
 // NextBranches implements BranchSource via the recording's branch index
 // (see BranchCursor). It must not be mixed with Next on one cursor.
 //
-//bplint:hotpath forwards to the indexed branch fill
+// TestCursorAllocs pins it allocation-free.
 func (c *Cursor) NextBranches(dst []BranchRec) int {
 	if c.served != 0 {
 		panic("trace: replay cursor used with both Next and NextBranches")

@@ -19,7 +19,7 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> bplint ./... (all sixteen analyzers, concurrency certification included)"
+echo "==> bplint ./... (every analyzer bplint -list names, concurrency certification included)"
 go run ./cmd/bplint ./...
 
 echo "==> bplint allow audit (every waiver carries a justification)"
@@ -65,9 +65,9 @@ go test -race -run 'TestCellCacheColdCoalesce' ./internal/experiments
 echo "==> replay equivalence (live vs recorded streams, race-enabled)"
 go test -race -run 'TestReplayEquivalence|TestConcurrentReplay' ./internal/tracestore
 
-echo "==> accuracy engine equivalence (Run/RunMany/RunBlocks vs the instruction-at-a-time reference, every factory kind through the stepper BatchStepperOf resolves, the overriding batch step with a cycle column, the stepper resolver and NeedsClock, bad budgets, fused bpsim vs per-cell Run, race-enabled)"
+echo "==> accuracy engine equivalence (Run/RunMany/RunBlocks vs the instruction-at-a-time reference, every factory kind through the stepper BatchStepperOf resolves, Predict purity of every factory kind, the overriding batch step with a cycle column, the stepper resolver and NeedsClock, bad budgets, fused bpsim vs per-cell Run, race-enabled)"
 go test -race -run 'TestFastPathEquivalence|TestRunManyEquivalence|TestRunManySingleLane|TestBadBudget|TestCycleZeroSelfClocked' ./internal/funcsim
-go test -race -run 'TestFactoryBatchSteppers' ./internal/experiments
+go test -race -run 'TestFactoryBatchSteppers|TestPredictIsPure' ./internal/experiments
 go test -race -run 'TestOverridingBatchEquivalence|TestBatchStepperOf|TestNeedsClock' ./internal/core
 go test -race -run 'TestFusedMatchesPerCell|TestBadKindFailsBeforeOutput' ./cmd/bpsim
 go test -race -run 'TestBranchIndexMatchesStream|TestCodecPreservesBranchIndex|TestConcurrentBranchCursors' ./internal/trace
@@ -84,17 +84,17 @@ go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFuse
 go test -race -run 'TestFusedMatchesPerCell|TestBadFlagsFailBeforeOutput' ./cmd/ipcsim
 go test -race -run 'TestBadRunFlagsFailBeforeOutput' ./cmd/reproduce
 
-echo "==> cell store equivalence + robustness (store-served cells bit-identical; corrupt/truncated/stale entries recomputed, race-enabled)"
+echo "==> cell store equivalence + robustness (store-served cells bit-identical; corrupt/truncated/stale entries recomputed; every Config and Key field reaches the key rendering, race-enabled)"
 go test -race ./internal/resultstore
-go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestMultiBranchWarmStore|TestRunCellsPanicKey' ./internal/experiments
+go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestMultiBranchWarmStore|TestRunCellsPanicKey|TestCanonicalKeyCoverage' ./internal/experiments
 
-echo "==> batched-loop and per-branch predictor allocation bounds, the timing drive loop over a sidecar and over a live generator (no race: alloc counts need a plain build)"
+echo "==> batched-loop and per-StepBatch predictor allocation bounds (every factory kind, the overriding kinds, a lag-64 gshare.fast), the timing drive loop over a sidecar and over a live generator (no race: alloc counts need a plain build)"
 go test -run 'TestBatchedRunAllocs|TestRunManyAllocs' ./internal/funcsim
 go test -run 'TestPredictorStepAllocs' ./internal/experiments
 go test -run 'TestBatchedTimingRunAllocs|TestFusedTimingAllocs' ./internal/pipeline
 
-echo "==> trace-layer allocation bounds (Record, Digest and ReadRecording allocate per batch, chunk or column growth, never per instruction; no race)"
-go test -run 'TestRecordAllocs|TestDigestAllocs|TestReadRecordingAllocs' ./internal/trace
+echo "==> trace-layer allocation bounds (Record, Digest and ReadRecording allocate per batch, chunk or column growth, never per instruction; replay cursors allocate nothing under either protocol; no race)"
+go test -run 'TestRecordAllocs|TestDigestAllocs|TestReadRecordingAllocs|TestCursorAllocs' ./internal/trace
 
 echo "==> go test -race ./..."
 go test -race ./...
