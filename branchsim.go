@@ -297,8 +297,8 @@ func NewTimingMemo() *TimingMemo { return experiments.NewTimingMemo() }
 
 // ResultStore is the persistent tier beneath the cell caches: a
 // disk-backed, content-addressed store of cell results, keyed by the full
-// canonical cell identity including the recorded stream's content digest
-// (Recording.Digest). Set ExperimentOptions.Store to thread one through an
+// canonical cell identity including a digest of the code that computes
+// the cell. Set ExperimentOptions.Store to thread one through an
 // experiment run; store-served cells are bit-identical to fresh
 // simulation, so stdout stays byte-for-byte reproducible warm or cold.
 type ResultStore = resultstore.Store

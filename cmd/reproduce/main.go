@@ -12,8 +12,12 @@
 // progress lines only appear with -timings, and go to stderr. The result
 // store (-store) does not change stdout either — store-served cells are
 // bit-identical to fresh simulation — it only makes reruns incremental: a
-// second run serves every cell from disk, and a config tweak recomputes
-// only the cells whose canonical identity changed. Likewise -nofuse: grid
+// second run serves every cell from disk without generating a single
+// stream, and a config tweak recomputes only the cells whose canonical
+// identity changed. A cell's identity includes a digest of the code that
+// computes it, so a binary built from edited simulator, predictor,
+// delay-model or workload sources recomputes every cell rather than
+// serving an older binary's numbers. Likewise -nofuse: grid
 // fusion (one trace pass per benchmark, or per benchmark and cache
 // geometry for timing cells, feeding every lane) is an execution strategy,
 // not an identity. -nofuse runs every cell through the same path as a
@@ -128,24 +132,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "(mem sidecars: %d columns, %.1f MB; cache hierarchy simulated once per recording+geometry)\n",
 			sn, float64(sbytes)/(1<<20))
 		cells, hits := experiments.TimingMemoStats()
-		fmt.Fprintf(stderr, "(timing memo: %d distinct cells simulated, %d duplicate cells served from memory)\n",
+		fmt.Fprintf(stderr, "(timing memo: %d distinct cells resolved, %d duplicate cells served from memory)\n",
 			cells, hits)
 		acells, ahits := experiments.AccuracyMemoStats()
-		fmt.Fprintf(stderr, "(accuracy memo: %d distinct cells simulated, %d duplicate cells served from memory)\n",
+		fmt.Fprintf(stderr, "(accuracy memo: %d distinct cells resolved, %d duplicate cells served from memory)\n",
 			acells, ahits)
 		groups, lanes, fusedCells, soloCells := experiments.FusionStats()
 		meanLanes := 0.0
 		if groups > 0 {
 			meanLanes = float64(lanes) / float64(groups)
 		}
-		fmt.Fprintf(stderr, "(grid fusion: %d fused trace passes run (%.1f lanes each); %d accuracy cells served fused, %d solo)\n",
+		fmt.Fprintf(stderr, "(grid fusion: %d fused trace passes run (%.1f lanes each); %d accuracy cells served fused, %d served by the store or memory)\n",
 			groups, meanLanes, fusedCells, soloCells)
 		tgroups, tlanes, tfusedCells, tsoloCells := experiments.TimingFusionStats()
 		tmeanLanes := 0.0
 		if tgroups > 0 {
 			tmeanLanes = float64(tlanes) / float64(tgroups)
 		}
-		fmt.Fprintf(stderr, "(timing fusion: %d fused timing passes run (%.1f lanes each); %d timing cells served fused, %d solo)\n",
+		fmt.Fprintf(stderr, "(timing fusion: %d fused timing passes run (%.1f lanes each); %d timing cells served fused, %d served by the store or memory)\n",
 			tgroups, tmeanLanes, tfusedCells, tsoloCells)
 		if store != nil {
 			s := store.Stats()

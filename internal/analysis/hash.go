@@ -22,6 +22,7 @@ type ModuleHasher struct {
 	Root   string // absolute module root directory
 	Salt   string // folded into every hash; carries tool version and config
 
+	skip  map[string]bool // absolute paths of source files left out
 	memo  map[string]string
 	state map[string]int // 0 new, 1 in progress (cycle guard), 2 done
 }
@@ -35,6 +36,35 @@ func NewModuleHasher(module, root, salt string) *ModuleHasher {
 		memo:   map[string]string{},
 		state:  map[string]int{},
 	}
+}
+
+// CodeDigest returns the transitive content hash (PackageHash, empty
+// salt) of the package in dir, inside the module rooted at root: the
+// SHA-256 of its non-test sources and those of every module-local package
+// it imports. Files of dir named in exclude are left out, so a generated
+// file can carry the digest of the sources around it. The hash covers
+// import paths and file bytes only, so it does not depend on where the
+// module is checked out. internal/experiments keys every stored cell on
+// it (the generated codeDigest constant).
+func CodeDigest(root, dir string, exclude ...string) (string, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return "", err
+	}
+	module, err := modulePath(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
+	}
+	h := NewModuleHasher(module, root, "")
+	h.skip = map[string]bool{}
+	for _, name := range exclude {
+		h.skip[filepath.Join(abs, name)] = true
+	}
+	return h.PackageHash(abs)
 }
 
 // PackageHash returns the transitive content hash of the package in dir,
@@ -75,6 +105,9 @@ func (h *ModuleHasher) hash(path, dir string) (string, error) {
 	files := append([]string(nil), bp.GoFiles...)
 	sort.Strings(files)
 	for _, name := range files {
+		if h.skip[filepath.Join(dir, name)] {
+			continue
+		}
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return "", err

@@ -36,11 +36,10 @@ func (e *cellEntry[R]) resolve() R {
 	return e.res
 }
 
-// cellCache memoizes one result family by canonical cell key: the cell's
-// resultstore.Key with Trace left empty. The stream digest is bound only
-// when a cold cell consults the persistent store, so a storeless run never
-// digests a trace. Cells duplicated across grids — Figures 6 and 8 revisit
-// the 64 KB points of Figures 5 and 7, gshare.fast's ideal and realistic
+// cellCache memoizes one result family by canonical cell key: the same
+// resultstore.Key the persistent store reads and writes the cell under.
+// Cells duplicated across grids — Figures 6 and 8 revisit the 64 KB
+// points of Figures 5 and 7, gshare.fast's ideal and realistic
 // cells are one organization, the ablations revisit figure cells at their
 // shared budgets — resolve once per process. The zero value is an empty
 // cache.
@@ -140,7 +139,8 @@ var (
 )
 
 // TimingMemoStats reports the process-wide timing cache's footprint:
-// distinct cells resolved and duplicate lookups served from memory.
+// distinct cells resolved (simulated or served by the store) and duplicate
+// lookups served from memory.
 func TimingMemoStats() (cells int, hits int64) {
 	return timingMemo.stats()
 }
@@ -152,14 +152,14 @@ func AccuracyMemoStats() (cells int, hits int64) {
 
 // FusionStats reports the process-wide accuracy scheduler's tally: fused
 // trace passes run, predictor lanes they simulated, and accuracy cells
-// served fused vs solo.
+// served fused vs by the store or memory.
 func FusionStats() (groups, lanes, fusedCells, soloCells int64) {
 	return accuracyMemo.fusionStats()
 }
 
 // TimingFusionStats is FusionStats for the timing scheduler: fused timing
 // passes run, pipeline lanes they simulated, and timing cells served
-// fused vs solo.
+// fused vs by the store or memory.
 func TimingFusionStats() (groups, lanes, fusedCells, soloCells int64) {
 	return timingMemo.fusionStats()
 }

@@ -39,13 +39,13 @@ func sidecar(prof workload.Profile, opts Options, cfg pipeline.Config) *pipeline
 		func() trace.Source { return workload.New(prof) })
 }
 
-// traceDigest returns the content digest of prof's recorded stream at
-// opts.Insts instructions — the identity that binds persistent store
-// entries to the exact bytes they were measured on.
-func traceDigest(prof workload.Profile, opts Options) string {
-	key := tracestore.Key{Name: prof.Name, Seed: prof.Seed, Insts: opts.Insts}
-	return traceStore.Digest(key, func() trace.Source { return workload.New(prof) })
-}
+//go:generate go run gencodedigest.go
+
+// cellCode is every cell key's Code: the digest of the code that computes
+// the cell (codeDigest, generated into codedigest.go) and the toolchain
+// that compiled it. With the profile's name and seed and the run length,
+// it also names the cell's stream, so no key needs the stream's bytes.
+var cellCode = codeDigest + " " + runtime.Version()
 
 // machineString renders cfg's canonical form for the persistent store's
 // Machine key component. %+v over Config.Canonical is deterministic and

@@ -99,23 +99,16 @@ func runGroup[S specOf[R], R cellResult](c *cellCache[R], specs []S, opts Option
 
 // computeGroup is a group's computation over the lanes it created: serve
 // each cell the persistent store holds, simulate the rest in one pass, and
-// write those back. The stream digest is bound only when a store is
-// configured.
+// write those back. A cell's key names it whole, so a group the store
+// serves entirely never touches its stream.
 func computeGroup[S specOf[R], R cellResult](c *cellCache[R], lanes []*fusedLane[S, R], opts Options, simulate func([]S) []R) []R {
 	res := make([]R, len(lanes))
-	keys := make([]resultstore.Key, len(lanes))
 	var tally fusionTally
 	var cold []int
 	var coldSpecs []S
-	var digest string
-	if opts.Store != nil {
-		digest = traceDigest(lanes[0].spec.cell().prof, opts) // one group, one stream
-	}
 	for i, l := range lanes {
-		keys[i] = l.spec.cell().key
-		keys[i].Trace = digest
 		if opts.Store != nil {
-			if r, ok := storeGet[R](opts.Store, keys[i]); ok {
+			if r, ok := storeGet[R](opts.Store, l.spec.cell().key); ok {
 				res[i] = r
 				tally.solo += int64(len(l.sinks))
 				continue
@@ -129,7 +122,7 @@ func computeGroup[S specOf[R], R cellResult](c *cellCache[R], lanes []*fusedLane
 		for j, i := range cold {
 			res[i] = out[j]
 			if opts.Store != nil {
-				storePut(opts.Store, keys[i], out[j])
+				storePut(opts.Store, lanes[i].spec.cell().key, out[j])
 			}
 			tally.fused += int64(len(lanes[i].sinks))
 		}

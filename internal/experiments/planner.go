@@ -30,11 +30,11 @@ type PlannedCell struct {
 }
 
 // cellSpec is one declared cell as the scheduler sees it, whatever its
-// family: its canonical cache key (a resultstore.Key with Trace left
-// empty), the benchmark whose recorded stream it runs on, the predictor
-// construction, and the sink its Result fans back into. Callers must
-// ensure equal keys always denote identical constructions; the cache and
-// the store both trade on that.
+// family: its canonical key (the resultstore.Key the cell cache and the
+// persistent store both use), the benchmark whose recorded stream it runs
+// on, the predictor construction, and the sink its Result fans back into.
+// Callers must ensure equal keys always denote identical constructions;
+// the cache and the store both trade on that.
 type cellSpec[R cellResult] struct {
 	key   resultstore.Key
 	prof  workload.Profile
@@ -77,7 +77,11 @@ func newPlan(opts Options) *cellPlan {
 	return &cellPlan{opts: opts.normalize()}
 }
 
-// key returns the canonical cache key of one of the plan's cells.
+// key returns the canonical key of one of the plan's cells. Kind, Org
+// and Budget name the construction in full: its latencies, quick
+// predictor and pipeline depth follow from them under delaymodel.Default,
+// whose coefficients Code covers, so no predictor is built to name a
+// cell.
 func (p *cellPlan) key(family, kind, org string, budget int, prof workload.Profile) resultstore.Key {
 	return resultstore.Key{
 		Family: family,
@@ -88,6 +92,7 @@ func (p *cellPlan) key(family, kind, org string, budget int, prof workload.Profi
 		Seed:   prof.Seed,
 		Insts:  p.opts.Insts,
 		Warmup: p.opts.Warmup,
+		Code:   cellCode,
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"branchsim/internal/pipeline"
 	"branchsim/internal/predictor"
 	"branchsim/internal/resultstore"
+	"branchsim/internal/tracestore"
 	"branchsim/internal/workload"
 )
 
@@ -214,5 +216,110 @@ func TestMultiBranchWarmStore(t *testing.T) {
 		if warm != cold {
 			t.Fatalf("fuse=%d: warm MultiBranch render diverges from cold:\n%s\nvs\n%s", fuse, warm, cold)
 		}
+	}
+}
+
+// mixedPlan declares a small grid of every cell shape — plain and block
+// accuracy cells, ideal and overriding timing cells — on the first two
+// benchmarks, and returns the plan and the Results its sinks fill, in
+// declaration order.
+func mixedPlan(opts Options) (*cellPlan, []any) {
+	plan := newPlan(opts)
+	const budget = 16 << 10
+	profs := workload.Profiles()[:2]
+	out := make([]any, 4*len(profs))
+	for pi, prof := range profs {
+		i := 4 * pi
+		plan.addAccuracy("bimode", "", budget, func() predictor.Predictor {
+			return mustPredictor("bimode", budget)
+		}, prof, func(r funcsim.Result) { out[i] = r })
+		plan.addBlocks("gshare.fast", budget, 2, func() predictor.Predictor {
+			return NewGShareFast(budget)
+		}, prof, func(r funcsim.Result) { out[i+1] = r })
+		plan.addCell("perceptron", budget, Realistic, prof, func(r pipeline.Result) { out[i+2] = r })
+		plan.addCell("gshare.fast", budget, Ideal, prof, func(r pipeline.Result) { out[i+3] = r })
+	}
+	return plan, out
+}
+
+// TestWarmRunGeneratesNothing proves a warm run reads its cells and
+// nothing else: after a cold run fills a store, a second run over the
+// same plan, through fresh caches and a fresh trace store, serves every
+// cell from disk and records, digests and classifies no stream.
+func TestWarmRunGeneratesNothing(t *testing.T) {
+	saved := traceStore
+	t.Cleanup(func() { traceStore = saved })
+	dir := t.TempDir()
+	openStore := func() *resultstore.Store {
+		st, err := resultstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	opts := Options{Insts: 70_000, Warmup: 20_000}
+
+	traceStore = tracestore.New()
+	opts.Store = openStore()
+	plan, cold := mixedPlan(opts)
+	plan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	n := int64(len(cold))
+	if s := opts.Store.Stats(); s.Misses != n || s.Writes != n {
+		t.Fatalf("cold store traffic = %+v, want %d misses and writes", s, n)
+	}
+
+	traceStore = tracestore.New()
+	opts.Store = openStore()
+	plan, warm := mixedPlan(opts)
+	plan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	if s := opts.Store.Stats(); s.Hits != n || s.Misses != 0 || s.Invalidations != 0 || s.Writes != 0 {
+		t.Fatalf("warm store traffic = %+v, want %d hits and nothing else", s, n)
+	}
+	if recs, sides := traceStore.Len(), traceStore.SidecarLen(); recs != 0 || sides != 0 {
+		t.Fatalf("warm run recorded %d streams and built %d sidecars, want none", recs, sides)
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Fatalf("warm Results differ from cold:\n%+v\n%+v", warm, cold)
+	}
+}
+
+// TestStoreKeyNamesCode proves the store serves a cell only to the code
+// that computed it: every key a plan fills carries cellCode, and the same
+// key with any other Code misses the filled store.
+func TestStoreKeyNamesCode(t *testing.T) {
+	dir := t.TempDir()
+	st, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := storeTestOpts
+	opts.Store = st
+	plan, _ := mixedPlan(opts)
+	plan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+
+	var keys []resultstore.Key
+	for _, s := range plan.acc {
+		keys = append(keys, s.key)
+	}
+	for _, s := range plan.tim {
+		keys = append(keys, s.key)
+	}
+	if st, err = resultstore.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if k.Code != cellCode {
+			t.Fatalf("%s: Code %q, want cellCode %q", k.Canonical(), k.Code, cellCode)
+		}
+		if _, ok := st.Get(k); !ok {
+			t.Fatalf("%s: not served from the store it filled", k.Canonical())
+		}
+		k.Code = "f00d " + runtime.Version()
+		if _, ok := st.Get(k); ok {
+			t.Fatalf("%s: served to a key naming other code", k.Canonical())
+		}
+	}
+	if s := st.Stats(); s.Hits != int64(len(keys)) || s.Misses != int64(len(keys)) {
+		t.Fatalf("store traffic = %+v, want %d hits and %d misses", s, len(keys), len(keys))
 	}
 }

@@ -1,21 +1,24 @@
 // Package resultstore is the persistent tier beneath the experiment grid's
 // cell cache: a disk-backed, content-addressed store of simulated cell
 // results. The in-memory cell cache (internal/experiments' cellCache, keyed
-// by this package's Key with Trace left empty) dedupes cells within one
-// process and coalesces concurrent lookups of a cold one; this store makes
-// the results survive the process, so `cmd/reproduce` becomes incremental
-// — a rerun, or a run after a config tweak, recomputes only the cells whose
-// identity actually changed.
+// by this package's Key) dedupes cells within one process and coalesces
+// concurrent lookups of a cold one; this store makes the results survive
+// the process, so `cmd/reproduce` becomes incremental — a rerun, or a run
+// after a config tweak, recomputes only the cells whose identity actually
+// changed.
 //
 // Identity is the whole design. A cell's Key names everything its result
 // is a function of: the predictor construction (kind, organization,
-// budget), the measurement window, the simulated machine, and — crucially
-// — the recorded instruction stream itself, by content digest
-// (trace.Recording.Digest over the BPTRACE1 bytes). Change a workload
-// generator, a machine parameter, or the delay model's effect on an
-// organization string, and the affected cells miss by construction; stale
-// entries are never wrong, only dead weight. Nothing is ever looked up by
-// mtime or filename convention.
+// budget), the workload profile, the measurement window, the simulated
+// machine, and the code that computes it — a digest of the simulator,
+// predictor, delay-model and workload sources plus the Go toolchain
+// version (Key.Code). The stream is not hashed: the profile's name and
+// seed, the run length and the workload generator's code already fix its
+// bytes. Change a workload generator, a predictor, a delay-model
+// coefficient or a machine parameter, and the affected cells miss by
+// construction. So stale entries are never wrong, only dead weight: a
+// result is served only to a key every one of its inputs agrees with.
+// Nothing is ever looked up by mtime or filename convention.
 //
 // Robustness rule: the store must never error out and never serve bad
 // data. A truncated, corrupted, wrong-version or wrong-payload cell file is
@@ -48,6 +51,11 @@ import (
 // TestCanonicalKeyCoverage (internal/experiments) changes each field and
 // requires Canonical to change, so a field added without a key extension
 // fails a test instead of colliding silently across processes.
+//
+// Code covers every input compiled into the binary: delaymodel.Default's
+// coefficients, the profile table, the factory sizing. An input read at
+// run time is not covered, and must get its own field when it lands — a
+// delaymodel.Model in the experiments' Options for a clock sweep, say.
 type Key struct {
 	// Family is the cell's result family: "accuracy" (functional runs,
 	// funcsim.Result) or "timing" (cycle-level runs, pipeline.Result).
@@ -71,8 +79,16 @@ type Key struct {
 	// Machine is the canonical rendering of the timing machine config
 	// (pipeline.Config.Canonical); "" for accuracy cells.
 	Machine string
-	// Trace is the recorded stream's content digest
-	// (trace.Recording.Digest): the hex SHA-256 of its BPTRACE1 bytes.
+	// Code names the code that computes the cell: the experiments
+	// package's generated source digest and the Go toolchain version.
+	Code string
+	// Trace is a recorded stream's content digest
+	// (trace.Recording.Digest).
+	//
+	// Deprecated: the experiments package never sets it; Code, Bench,
+	// Seed and Insts name the stream. Only perfbench/layers still sets
+	// it, and the next benchmark change retargets that layer and then
+	// deletes the field.
 	Trace string
 }
 
@@ -81,8 +97,8 @@ type Key struct {
 // TestCanonicalKeyCoverage checks that every field reaches it.
 func (k Key) Canonical() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "family=%s|kind=%s|org=%s|budget=%d|bench=%s|seed=%d|insts=%d|warmup=%d|sim=%s|machine=%s|trace=%s",
-		k.Family, k.Kind, k.Org, k.Budget, k.Bench, k.Seed, k.Insts, k.Warmup, k.SimOptions, k.Machine, k.Trace)
+	fmt.Fprintf(&b, "family=%s|kind=%s|org=%s|budget=%d|bench=%s|seed=%d|insts=%d|warmup=%d|sim=%s|machine=%s|code=%s|trace=%s",
+		k.Family, k.Kind, k.Org, k.Budget, k.Bench, k.Seed, k.Insts, k.Warmup, k.SimOptions, k.Machine, k.Code, k.Trace)
 	return b.String()
 }
 

@@ -23,7 +23,7 @@ func testKey(bench string) Key {
 		Insts:   400_000,
 		Warmup:  100_000,
 		Machine: "{FetchWidth:3 ...}", // stand-in; real callers pass Config.Canonical
-		Trace:   "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef",
+		Code:    "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef go1.24.0",
 	}
 }
 
@@ -64,9 +64,9 @@ func TestCanonicalGolden(t *testing.T) {
 	k := Key{
 		Family: "accuracy", Kind: "bimode", Org: "lag64", Budget: 2048,
 		Bench: "164.gzip", Seed: 7, Insts: 150_000, Warmup: 30_000,
-		SimOptions: "blocks.fw8.bb4", Machine: "", Trace: "aa55",
+		SimOptions: "blocks.fw8.bb4", Machine: "", Code: "c0de go1.24.0", Trace: "aa55",
 	}
-	const want = "family=accuracy|kind=bimode|org=lag64|budget=2048|bench=164.gzip|seed=7|insts=150000|warmup=30000|sim=blocks.fw8.bb4|machine=|trace=aa55"
+	const want = "family=accuracy|kind=bimode|org=lag64|budget=2048|bench=164.gzip|seed=7|insts=150000|warmup=30000|sim=blocks.fw8.bb4|machine=|code=c0de go1.24.0|trace=aa55"
 	if got := k.Canonical(); got != want {
 		t.Fatalf("canonical key drifted:\n got %q\nwant %q", got, want)
 	}

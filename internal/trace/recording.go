@@ -200,10 +200,9 @@ func (r *Recording) SizeBytes() int64 {
 // function of the instruction stream, the digest survives process
 // boundaries and storage-layout changes alike — a recording decoded from a
 // trace file, or rebuilt from the same workload seed, digests identically
-// (TestDigestStableAcrossCodec). The persistent result store keys cells on
-// it so a memoized Result is never served against a stream it was not
-// measured on. Computed once per recording and cached; safe for concurrent
-// callers.
+// (TestDigestStableAcrossCodec). TestProfileDigestsPinned pins every
+// workload profile's stream by it. Computed once per recording and cached;
+// safe for concurrent callers.
 func (r *Recording) Digest() string {
 	r.dig.once.Do(func() {
 		h := sha256.New()

@@ -83,19 +83,6 @@ func (s *Store) Source(key Key, gen func() trace.Source) trace.Source {
 	return rec.Replay()
 }
 
-// Digest returns the content digest (trace.Recording.Digest: hex SHA-256
-// of the BPTRACE1 stream) of the memoized recording for key, recording it
-// via gen on first use. The persistent result store includes this in its
-// cell keys, so cross-process cache entries are bound to the exact stream
-// bytes they were measured on — a workload-generator change invalidates
-// every dependent cell by construction.
-func (s *Store) Digest(key Key, gen func() trace.Source) string {
-	rec := s.Recording(key, func() *trace.Recording {
-		return trace.Record(gen(), key.Insts)
-	})
-	return rec.Digest()
-}
-
 // Len returns the number of memoized recordings.
 func (s *Store) Len() int {
 	s.mu.Lock()

@@ -180,33 +180,3 @@ func TestConcurrentReplay(t *testing.T) {
 		}
 	}
 }
-
-// TestStoreDigest pins the digest path the persistent result store keys
-// on: Digest memoizes the recording (no second record pass), matches the
-// recording's own digest, and equals an independently recorded twin's —
-// the cross-process stability the store's cell keys assume.
-func TestStoreDigest(t *testing.T) {
-	prof := profileFor(t, "mcf")
-	store := New()
-	var records atomic.Int32
-	gen := func() trace.Source {
-		records.Add(1)
-		return workload.New(prof)
-	}
-	key := Key{Name: prof.Name, Seed: prof.Seed, Insts: 30_000}
-
-	d := store.Digest(key, gen)
-	if d == "" {
-		t.Fatal("empty digest")
-	}
-	if got := store.Digest(key, gen); got != d {
-		t.Fatalf("digest changed across calls: %s -> %s", d, got)
-	}
-	if got := records.Load(); got != 1 {
-		t.Fatalf("record ran %d times, want 1 (digest must reuse the memoized recording)", got)
-	}
-	twin := trace.Record(workload.New(prof), 30_000)
-	if twin.Digest() != d {
-		t.Fatalf("independently recorded twin digests differently: %s vs %s", twin.Digest(), d)
-	}
-}

@@ -131,8 +131,9 @@ type Profile struct {
 	StreamFrac, RandomFrac float64
 }
 
-// DefaultInstructions is the per-benchmark dynamic instruction count used by
-// the reproduce harness when none is specified. The paper runs >1B
+// DefaultInstructions is the per-benchmark dynamic instruction count
+// cmd/bpsim and cmd/ipcsim run when -insts is not given (cmd/reproduce
+// uses experiments.DefaultInsts instead). The paper runs >1B
 // instructions per benchmark after a 500M warm-up; the synthetic programs
 // reach steady state orders of magnitude sooner because they have no
 // initialization phase, so the default keeps full-suite sweeps tractable.

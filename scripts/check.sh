@@ -84,9 +84,9 @@ go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFuse
 go test -race -run 'TestFusedMatchesPerCell|TestBadFlagsFailBeforeOutput' ./cmd/ipcsim
 go test -race -run 'TestBadRunFlagsFailBeforeOutput' ./cmd/reproduce
 
-echo "==> cell store equivalence + robustness (store-served cells bit-identical; corrupt/truncated/stale entries recomputed; every Config and Key field reaches the key rendering, race-enabled)"
+echo "==> cell store equivalence + robustness (store-served cells bit-identical; corrupt/truncated/stale entries recomputed; every Config and Key field reaches the key rendering; the code digest is current and tracks the sources; a key naming other code misses; a warm run records no stream, race-enabled)"
 go test -race ./internal/resultstore
-go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestMultiBranchWarmStore|TestRunCellsPanicKey|TestCanonicalKeyCoverage' ./internal/experiments
+go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestMultiBranchWarmStore|TestRunCellsPanicKey|TestCanonicalKeyCoverage|TestCodeDigestCurrent|TestCodeDigestTracksSources|TestStoreKeyNamesCode|TestWarmRunGeneratesNothing' ./internal/experiments
 
 echo "==> batched-loop and per-StepBatch predictor allocation bounds (every factory kind, the overriding kinds, a lag-64 gshare.fast), the timing drive loop over a sidecar and over a live generator (no race: alloc counts need a plain build)"
 go test -run 'TestBatchedRunAllocs|TestRunManyAllocs' ./internal/funcsim
