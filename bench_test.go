@@ -254,13 +254,10 @@ func BenchmarkAccuracySweepRegenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkAccuracySweepReplay is the record/replay data path as the
-// experiment grid actually runs it: the stream is recorded once in setup —
-// the process-wide trace store records each benchmark once per process and
-// replays it for every (predictor, budget) cell, so recording amortizes to
-// ~zero across a real grid's dozens of cells — and every cell replays it
-// through the batched branch fast path (the replay cursor implements
-// BranchSource). scripts/bench.sh compares this against the PR 2 baseline
+// BenchmarkAccuracySweepReplay is the record/replay data path: the stream
+// is recorded once in setup, as the experiment grid did before it streamed
+// each benchmark in one fused pass, and every cell replays it through the
+// batched branch fast path (the replay cursor implements BranchSource). scripts/bench.sh compares this against the PR 2 baseline
 // and against the SlowPath twin below in BENCH_branchreplay.json.
 func BenchmarkAccuracySweepReplay(b *testing.B) {
 	bench, _ := branchsim.BenchmarkByName("gcc")
@@ -464,16 +461,13 @@ func timingSweepCell(b *testing.B, res branchsim.TimingResult) {
 	}
 }
 
-// BenchmarkTimingSweepFast times the grid column on the fast path: the
-// process-wide trace store's recording and memory sidecar are warmed in
-// setup (one recording pass and one cache simulation serve every cell, as
-// across a real grid's hundreds), each iteration runs the 19 cells through
-// a fresh timing memo so the 10 duplicates are served from memory and the
-// 9 distinct cells replay through the batched sidecar loop.
+// BenchmarkTimingSweepFast times the grid column through TimingMemo.Cell:
+// each iteration runs the 19 cells through a fresh timing memo, so the 10
+// duplicates are served from memory and each of the 9 distinct cells is
+// one pass off the benchmark's generator, classified batch by batch.
 func BenchmarkTimingSweepFast(b *testing.B) {
 	bench, _ := branchsim.BenchmarkByName("gcc")
 	opts := branchsim.ExperimentOptions{Insts: timingSweepInsts, Warmup: timingSweepWarmup, Parallel: 1}
-	branchsim.NewTimingMemo().Cell("gshare", timingSweepBudget, branchsim.Ideal, bench, opts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		memo := branchsim.NewTimingMemo()
@@ -612,11 +606,9 @@ func runGridColumn(b *testing.B, bench branchsim.Benchmark, opts branchsim.Exper
 
 // BenchmarkGridColdStore measures the cold cost cmd/reproduce pays on a
 // first run: every cell fully simulated plus written back to a brand-new
-// store directory. The trace store and memory sidecar are warmed in setup,
-// as across a real grid.
+// store directory.
 func BenchmarkGridColdStore(b *testing.B) {
 	bench, _ := branchsim.BenchmarkByName("gcc")
-	branchsim.NewTimingMemo().Cell("gshare", timingSweepBudget, branchsim.Ideal, bench, gridOpts(nil))
 	root := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -679,7 +671,6 @@ func runGridPlan(b *testing.B, bench branchsim.Benchmark, parallel int) {
 // scheduler at GOMAXPROCS workers — how cmd/reproduce shards a grid.
 func BenchmarkGridSharded(b *testing.B) {
 	bench, _ := branchsim.BenchmarkByName("gcc")
-	branchsim.NewTimingMemo().Cell("gshare", timingSweepBudget, branchsim.Ideal, bench, gridOpts(nil))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runGridPlan(b, bench, runtime.GOMAXPROCS(0))
@@ -692,7 +683,6 @@ func BenchmarkGridSharded(b *testing.B) {
 // count).
 func BenchmarkGridSerial(b *testing.B) {
 	bench, _ := branchsim.BenchmarkByName("gcc")
-	branchsim.NewTimingMemo().Cell("gshare", timingSweepBudget, branchsim.Ideal, bench, gridOpts(nil))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runGridPlan(b, bench, 1)

@@ -290,9 +290,9 @@ const (
 type TimingMemo = experiments.TimingMemo
 
 // NewTimingMemo returns an empty timing memo. Its Cell method resolves one
-// grid cell the way the experiment grids do: recorded stream and memory
-// sidecar from the process-wide trace store, Result cached in the memo and,
-// when the options carry a ResultStore, persisted there.
+// grid cell the way the experiment grids do: one pass off the benchmark's
+// generator, Result cached in the memo and, when the options carry a
+// ResultStore, persisted there.
 func NewTimingMemo() *TimingMemo { return experiments.NewTimingMemo() }
 
 // ResultStore is the persistent tier beneath the cell caches: a

@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"branchsim/internal/delaymodel"
 	"branchsim/internal/experiments"
@@ -32,7 +33,12 @@ func main() {
 
 	fmt.Printf("clock: %g FO4 (3.5 GHz at 100 nm, after Hrishikesh et al.)\n", m.ClockFO4)
 	fmt.Printf("largest single-cycle PHT: %d entries\n\n", m.SingleCycleEntries())
-	fmt.Print(experiments.Table2(experiments.Options{}).Render())
+	outs, err := experiments.Run([]string{"table2"}, experiments.Options{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Print(outs[0].Render())
 
 	fmt.Println("predictor area at the 90nm SRAM anchor (§3.3.2):")
 	for _, kb := range []int{16, 64, 100, 256, 512} {

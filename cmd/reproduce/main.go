@@ -8,8 +8,14 @@
 //	reproduce -experiment figure7 -insts 12000000 -warmup 3000000
 //	reproduce -list
 //
+// Every experiment named declares its cells into one plan; the plan is
+// executed once — one pass per benchmark straight off its generator, per
+// block width for accuracy cells and per cache geometry (at most 24 lanes
+// a pass) for timing cells — and then each experiment is rendered in the
+// order named.
+//
 // Stdout is byte-for-byte reproducible for a given configuration: wall-clock
-// progress lines only appear with -timings, and go to stderr. The result
+// lines only appear with -timings, and go to stderr. The result
 // store (-store) does not change stdout either — store-served cells are
 // bit-identical to fresh simulation — it only makes reruns incremental: a
 // second run serves every cell from disk without generating a single
@@ -17,11 +23,9 @@
 // identity changed. A cell's identity includes a digest of the code that
 // computes it, so a binary built from edited simulator, predictor,
 // delay-model or workload sources recomputes every cell rather than
-// serving an older binary's numbers. Likewise -nofuse: grid
-// fusion (one trace pass per benchmark, or per benchmark and cache
-// geometry for timing cells, feeding every lane) is an execution strategy,
-// not an identity. -nofuse runs every cell through the same path as a
-// one-lane group, and both modes print the same bytes.
+// serving an older binary's numbers. Likewise -nofuse: grid fusion is an
+// execution strategy, not an identity. -nofuse runs every cell through the
+// same path as a one-lane group, and both modes print the same bytes.
 package main
 
 import (
@@ -57,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list       = fs.Bool("list", false, "list experiment ids and exit")
 		jsonPath   = fs.String("json", "", "also write results as JSON to this path (for cmd/compare)")
 		label      = fs.String("label", "", "label stored in the JSON results")
-		timings    = fs.Bool("timings", false, "print per-experiment wall-clock timings to stderr")
+		timings    = fs.Bool("timings", false, "print the run's wall-clock timings and cell tallies to stderr")
 		storeDir   = fs.String("store", ".resultstore", "persistent result-store directory (cells served from and written back to disk)")
 		nostore    = fs.Bool("nostore", false, "disable the persistent result store; every cell simulates in-process")
 		nofuse     = fs.Bool("nofuse", false, "run every accuracy and timing cell as a one-lane group: same path and results, one trace pass per cell")
@@ -106,43 +110,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ids := experiments.IDs()
 	if *experiment != "all" {
 		ids = strings.Split(*experiment, ",")
-	}
-	file := &results.File{Label: *label, Insts: opts.Insts, Warmup: opts.Warmup}
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		runner, err := experiments.ByID(id)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
 		}
-		start := time.Now()
-		outcome := runner(opts)
+	}
+	plan, err := experiments.Plan(ids, opts)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	start := time.Now()
+	plan.Execute()
+	executed := time.Since(start)
+	start = time.Now()
+	outcomes := plan.Render()
+	rendered := time.Since(start)
+	file := &results.File{Label: *label, Insts: opts.Insts, Warmup: opts.Warmup}
+	for _, outcome := range outcomes {
 		fmt.Fprint(stdout, outcome.Render())
 		fmt.Fprintln(stdout)
-		if *timings {
-			fmt.Fprintf(stderr, "(%s completed in %v)\n", id, time.Since(start).Round(time.Millisecond))
-		}
 		file.Experiments = append(file.Experiments, results.FromOutcome(outcome))
 	}
 	if *timings {
-		n, bytes := experiments.TraceStoreStats()
-		fmt.Fprintf(stderr, "(trace store: %d recordings, %.1f MB; streams generated once, replayed per grid cell)\n",
-			n, float64(bytes)/(1<<20))
-		sn, sbytes := experiments.SidecarStats()
-		fmt.Fprintf(stderr, "(mem sidecars: %d columns, %.1f MB; cache hierarchy simulated once per recording+geometry)\n",
-			sn, float64(sbytes)/(1<<20))
-		cells, hits := experiments.TimingMemoStats()
-		fmt.Fprintf(stderr, "(timing memo: %d distinct cells resolved, %d duplicate cells served from memory)\n",
-			cells, hits)
-		acells, ahits := experiments.AccuracyMemoStats()
-		fmt.Fprintf(stderr, "(accuracy memo: %d distinct cells resolved, %d duplicate cells served from memory)\n",
-			acells, ahits)
+		accCollapsed, timCollapsed := plan.Collapsed()
+		fmt.Fprintf(stderr, "(plan: %d experiments executed in %v)\n", len(ids), executed.Round(time.Millisecond))
+		fmt.Fprintf(stderr, "(render: %d experiments rendered in %v)\n", len(ids), rendered.Round(time.Millisecond))
+		cells, _ := experiments.TimingMemoStats()
+		fmt.Fprintf(stderr, "(timing memo: %d distinct cells resolved, %d duplicate cells collapsed at plan time)\n",
+			cells, timCollapsed)
+		acells, _ := experiments.AccuracyMemoStats()
+		fmt.Fprintf(stderr, "(accuracy memo: %d distinct cells resolved, %d duplicate cells collapsed at plan time)\n",
+			acells, accCollapsed)
 		groups, lanes, fusedCells, soloCells := experiments.FusionStats()
 		meanLanes := 0.0
 		if groups > 0 {
 			meanLanes = float64(lanes) / float64(groups)
 		}
-		fmt.Fprintf(stderr, "(grid fusion: %d fused trace passes run (%.1f lanes each); %d accuracy cells served fused, %d served by the store or memory)\n",
+		fmt.Fprintf(stderr, "(grid fusion: %d fused accuracy passes run (%.1f lanes each); %d accuracy cells served fused, %d served by the store or memory)\n",
 			groups, meanLanes, fusedCells, soloCells)
 		tgroups, tlanes, tfusedCells, tsoloCells := experiments.TimingFusionStats()
 		tmeanLanes := 0.0

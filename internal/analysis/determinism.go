@@ -11,10 +11,11 @@ import (
 // releases — the repo owns internal/rng instead), reading wall clocks with
 // time.Now/time.Since, and consulting the environment with
 // os.Getenv/os.LookupEnv/os.Environ. Simulation results must be a pure
-// function of the configuration and the seed; the same holds for trace
-// recordings (internal/trace, internal/tracestore), which are memoized by
-// (profile, seed, budget) and replayed in place of live generation — any
-// hidden input there would silently change every experiment built on them.
+// function of the configuration and the seed; the same holds for the
+// workload generator (internal/workload), whose streams every experiment
+// runs straight off, and for trace recordings (internal/trace), which
+// replay in place of live generation — any hidden input there would
+// silently change every experiment built on them.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid math/rand, time.Now/Since and os.Getenv in simulation packages",

@@ -111,13 +111,12 @@ func testAnalyzer(t *testing.T, a *Analyzer, pathPrefix string) {
 func TestDeterminism(t *testing.T) { testAnalyzer(t, Determinism, "branchsim/internal") }
 
 // TestDeterminismCoversTraceRecording pins the analyzer's reach over the
-// record/replay layer: recordings are memoized by (profile, seed, budget)
-// and substituted for live generation across the whole experiment grid, so
-// internal/trace and internal/tracestore must stay inside the determinism
-// gate — and so must internal/funcsim, whose batched branch fast path
-// carries the accuracy grids, and internal/pipeline and
-// internal/experiments, whose batched/sidecar/memoized timing fast path
-// carries the IPC grids. The bad fixture is mounted at each real import
+// stream layer: every experiment grid runs straight off the workload
+// generator, and recordings replay in place of it, so internal/workload
+// and internal/trace must stay inside the determinism gate — and so must
+// internal/funcsim, whose batched branch fast path carries the accuracy
+// grids, and internal/pipeline and internal/experiments, whose batched,
+// memoized timing fast path carries the IPC grids. The bad fixture is mounted at each real import
 // path and must keep producing findings there. A private loader keeps
 // these synthetic packages out of the shared cache, where they would
 // shadow the real ones for the self-host test.
@@ -128,7 +127,7 @@ func TestDeterminismCoversTraceRecording(t *testing.T) {
 	}
 	for _, importPath := range []string{
 		"branchsim/internal/trace",
-		"branchsim/internal/tracestore",
+		"branchsim/internal/workload",
 		"branchsim/internal/funcsim",
 		"branchsim/internal/pipeline",
 		"branchsim/internal/experiments",

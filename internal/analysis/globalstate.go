@@ -9,15 +9,15 @@ import (
 
 // GlobalState inventories package-level mutable state in the hot shared
 // packages — the ones every experiment goroutine (and, next, every
-// reproduce shard) runs through: internal/trace, internal/tracestore,
-// internal/funcsim, internal/pipeline and internal/experiments. A
+// reproduce shard) runs through: internal/trace, internal/funcsim,
+// internal/pipeline and internal/experiments. A
 // package-level variable there is process-shared by construction; the
 // sharded drivers are sound only if each such variable is one of
 //
 //   - a synchronization primitive itself (mutex, Once, WaitGroup, chan);
 //   - self-guarded: a struct (or pointer to one) carrying its own mutex,
-//     whose fields lockguard then polices (the process-wide trace store
-//     and timing memo);
+//     whose fields lockguard then polices (the process-wide cell
+//     caches);
 //   - write-once: initialized in its declaration or func init() and never
 //     assigned afterwards (lookup tables, registries);
 //   - or explicitly audited with //bplint:allow globalstate <reason>.
@@ -37,7 +37,6 @@ var GlobalState = &Analyzer{
 // same set the determinism analyzer's coverage test pins.
 var globalStatePkgs = map[string]bool{
 	"internal/trace":       true,
-	"internal/tracestore":  true,
 	"internal/funcsim":     true,
 	"internal/pipeline":    true,
 	"internal/experiments": true,

@@ -13,11 +13,11 @@ import (
 	"branchsim/internal/workload"
 )
 
-// DelayedUpdate quantifies §3.2's claim: updating the PHT up to 64 branches
+// delayedUpdate quantifies §3.2's claim: updating the PHT up to 64 branches
 // late (the slow non-speculative write path) costs almost nothing — the
 // paper reports 4.03% → 4.07% mean misprediction at a 256 KB budget and
 // under 1% IPC.
-func DelayedUpdate(opts Options) *Outcome {
+func delayedUpdate(plan *cellPlan) func() *Outcome {
 	const budget = 256 << 10
 	lags := []int{0, 16, 64, 256}
 	profiles := workload.Profiles()
@@ -36,7 +36,6 @@ func DelayedUpdate(opts Options) *Outcome {
 
 	mr := make([][]float64, len(lags))  // [lag][benchmark] mispredict %
 	ipc := make([][]float64, len(lags)) // [lag][benchmark] IPC
-	plan := newPlan(opts)
 	for i, lag := range lags {
 		mr[i] = make([]float64, len(profiles))
 		ipc[i] = make([]float64, len(profiles))
@@ -58,36 +57,37 @@ func DelayedUpdate(opts Options) *Outcome {
 				func(res pipeline.Result) { ipc[i][pi] = res.IPC() })
 		}
 	}
-	plan.execute()
+	return func() *Outcome {
 
-	rows := make([]string, len(lags))
-	values := make([][]float64, len(lags))
-	for i, lag := range lags {
-		rows[i] = fmt.Sprintf("lag=%d", lag)
-		values[i] = []float64{stats.Mean(mr[i]), stats.HarmonicMean(ipc[i])}
-	}
-	t := &textplot.Table{
-		Title:     "Delayed PHT update at 256KB (gshare.fast)",
-		RowHeader: "update lag",
-		Rows:      rows,
-		Cols:      []string{"mean mispredict %", "harmonic IPC"},
-		Values:    values,
-	}
-	return &Outcome{
-		ID:     "delayedupdate",
-		Title:  "§3.2: slow non-speculative PHT update costs almost nothing",
-		Tables: []*textplot.Table{t},
-		Notes: []string{
-			"expected: misprediction rises by only a few hundredths of a point at lag 64; IPC moves <1%",
-		},
+		rows := make([]string, len(lags))
+		values := make([][]float64, len(lags))
+		for i, lag := range lags {
+			rows[i] = fmt.Sprintf("lag=%d", lag)
+			values[i] = []float64{stats.Mean(mr[i]), stats.HarmonicMean(ipc[i])}
+		}
+		t := &textplot.Table{
+			Title:     "Delayed PHT update at 256KB (gshare.fast)",
+			RowHeader: "update lag",
+			Rows:      rows,
+			Cols:      []string{"mean mispredict %", "harmonic IPC"},
+			Values:    values,
+		}
+		return &Outcome{
+			ID:     "delayedupdate",
+			Title:  "§3.2: slow non-speculative PHT update costs almost nothing",
+			Tables: []*textplot.Table{t},
+			Notes: []string{
+				"expected: misprediction rises by only a few hundredths of a point at lag 64; IPC moves <1%",
+			},
+		}
 	}
 }
 
-// OverrideRate reproduces §4.5's accounting: how often the slow predictor
+// overrideRate reproduces §4.5's accounting: how often the slow predictor
 // overrides the quick one, per benchmark — the paper reports a 7.38%
 // average for the perceptron predictor and 18.1% on 300.twolf for the
 // multi-component predictor at the 53-64 KB point.
-func OverrideRate(opts Options) *Outcome {
+func overrideRate(plan *cellPlan) func() *Outcome {
 	const budget = 64 << 10
 	kinds := []string{"multicomponent", "2bcgskew", "perceptron"}
 	profiles := workload.Profiles()
@@ -95,7 +95,6 @@ func OverrideRate(opts Options) *Outcome {
 	for i := range values {
 		values[i] = make([]float64, len(kinds))
 	}
-	plan := newPlan(opts)
 	for pi, prof := range profiles {
 		for ki, kind := range kinds {
 			plan.addCell(kind, budget, Realistic, prof, func(res pipeline.Result) {
@@ -103,41 +102,35 @@ func OverrideRate(opts Options) *Outcome {
 			})
 		}
 	}
-	plan.execute()
-	for ki := range kinds {
-		col := make([]float64, len(profiles))
-		for pi := range profiles {
-			col[pi] = values[pi][ki]
+	return func() *Outcome {
+		values[len(profiles)] = columnMeans(values[:len(profiles)], stats.Mean)
+		t := &textplot.Table{
+			Title:     "Override rates (%) at the 53-64KB design point",
+			RowHeader: "benchmark",
+			Rows:      append(benchNames(), "MEAN"),
+			Cols:      kinds,
+			Values:    values,
 		}
-		values[len(profiles)][ki] = stats.Mean(col)
-	}
-	t := &textplot.Table{
-		Title:     "Override rates (%) at the 53-64KB design point",
-		RowHeader: "benchmark",
-		Rows:      append(benchNames(), "MEAN"),
-		Cols:      kinds,
-		Values:    values,
-	}
-	return &Outcome{
-		ID:     "overriderate",
-		Title:  "§4.5: quick/slow disagreement rates behind the realistic-IPC gap",
-		Tables: []*textplot.Table{t},
-		Notes: []string{
-			"expected: averages in the high single digits; the hardest benchmarks (twolf, vpr) near 15-20%",
-		},
+		return &Outcome{
+			ID:     "overriderate",
+			Title:  "§4.5: quick/slow disagreement rates behind the realistic-IPC gap",
+			Tables: []*textplot.Table{t},
+			Notes: []string{
+				"expected: averages in the high single digits; the hardest benchmarks (twolf, vpr) near 15-20%",
+			},
+		}
 	}
 }
 
-// MultiBranch evaluates the §3.3.1 extension: predicting up to b branches
+// multiBranch evaluates the §3.3.1 extension: predicting up to b branches
 // per cycle from one enlarged PHT buffer, with within-block histories
 // necessarily stale. It reports the accuracy cost and the buffer sizing
 // b·2^L the paper derives.
-func MultiBranch(opts Options) *Outcome {
+func multiBranch(plan *cellPlan) func() *Outcome {
 	const budget = 64 << 10
 	widths := []int{1, 2, 4, 8}
 	profiles := workload.Profiles()
 	grid := make([][]float64, len(widths)) // [width][benchmark] mispredict %
-	plan := newPlan(opts)
 	for i, w := range widths {
 		grid[i] = make([]float64, len(profiles))
 		for pi, prof := range profiles {
@@ -148,45 +141,45 @@ func MultiBranch(opts Options) *Outcome {
 			})
 		}
 	}
-	plan.execute()
-	values := make([][]float64, len(widths))
-	for i, w := range widths {
-		// Buffer sizing is arithmetic on the construction, not a
-		// simulation; derive it directly rather than planning cells for it.
-		g := NewGShareFast(budget)
-		values[i] = []float64{stats.Mean(grid[i]), float64(g.BlockBufferEntries(w)), float64(g.BlockSizeBytes(w))}
-	}
-	rows := make([]string, len(widths))
-	for i, w := range widths {
-		rows[i] = fmt.Sprintf("b=%d", w)
-	}
-	t := &textplot.Table{
-		Title:     "Multiple-branch prediction at 64KB (gshare.fast)",
-		RowHeader: "block width",
-		Rows:      rows,
-		Cols:      []string{"mean mispredict %", "buffer entries", "state bytes"},
-		Values:    values,
-		Format:    "%10.3f",
-	}
-	return &Outcome{
-		ID:     "multibranch",
-		Title:  "§3.3.1: multiple branches per cycle with stale within-block history",
-		Tables: []*textplot.Table{t},
-		Notes: []string{
-			"expected: accuracy degrades only mildly as block width grows; buffer grows as b·2^L",
-		},
+	return func() *Outcome {
+		values := make([][]float64, len(widths))
+		for i, w := range widths {
+			// Buffer sizing is arithmetic on the construction, not a
+			// simulation; derive it directly rather than planning cells for it.
+			g := NewGShareFast(budget)
+			values[i] = []float64{stats.Mean(grid[i]), float64(g.BlockBufferEntries(w)), float64(g.BlockSizeBytes(w))}
+		}
+		rows := make([]string, len(widths))
+		for i, w := range widths {
+			rows[i] = fmt.Sprintf("b=%d", w)
+		}
+		t := &textplot.Table{
+			Title:     "Multiple-branch prediction at 64KB (gshare.fast)",
+			RowHeader: "block width",
+			Rows:      rows,
+			Cols:      []string{"mean mispredict %", "buffer entries", "state bytes"},
+			Values:    values,
+			Format:    "%10.3f",
+		}
+		return &Outcome{
+			ID:     "multibranch",
+			Title:  "§3.3.1: multiple branches per cycle with stale within-block history",
+			Tables: []*textplot.Table{t},
+			Notes: []string{
+				"expected: accuracy degrades only mildly as block width grows; buffer grows as b·2^L",
+			},
+		}
 	}
 }
 
-// BufferSweep is an ablation beyond the paper: how the split between
+// bufferSweep is an ablation beyond the paper: how the split between
 // prefetched (stale) row bits and late-selected (fresh) buffer bits affects
 // gshare.fast accuracy at a 256 KB budget.
-func BufferSweep(opts Options) *Outcome {
+func bufferSweep(plan *cellPlan) func() *Outcome {
 	const budget = 256 << 10
 	bufBits := []uint{3, 6, 9, 12, 15}
 	profiles := workload.Profiles()
 	grid := make([][]float64, len(bufBits)) // [bufferBits][benchmark]
-	plan := newPlan(opts)
 	for i, bits := range bufBits {
 		grid[i] = make([]float64, len(profiles))
 		org := fmt.Sprintf("buf%d", bits)
@@ -206,42 +199,42 @@ func BufferSweep(opts Options) *Outcome {
 			})
 		}
 	}
-	plan.execute()
-	values := make([][]float64, len(bufBits))
-	for i := range bufBits {
-		values[i] = []float64{stats.Mean(grid[i])}
-	}
-	rows := make([]string, len(bufBits))
-	for i, b := range bufBits {
-		rows[i] = fmt.Sprintf("%d bits", b)
-	}
-	t := &textplot.Table{
-		Title:     "PHT buffer width ablation at 256KB (gshare.fast)",
-		RowHeader: "buffer index",
-		Rows:      rows,
-		Cols:      []string{"mean mispredict %"},
-		Values:    values,
-	}
-	return &Outcome{
-		ID:     "buffersweep",
-		Title:  "Ablation: stale-row vs fresh-buffer index split",
-		Tables: []*textplot.Table{t},
-		Notes: []string{
-			"narrow buffers leave more index bits stale; very wide buffers spend the index on few PC bits — accuracy peaks in between",
-		},
+	return func() *Outcome {
+		values := make([][]float64, len(bufBits))
+		for i := range bufBits {
+			values[i] = []float64{stats.Mean(grid[i])}
+		}
+		rows := make([]string, len(bufBits))
+		for i, b := range bufBits {
+			rows[i] = fmt.Sprintf("%d bits", b)
+		}
+		t := &textplot.Table{
+			Title:     "PHT buffer width ablation at 256KB (gshare.fast)",
+			RowHeader: "buffer index",
+			Rows:      rows,
+			Cols:      []string{"mean mispredict %"},
+			Values:    values,
+		}
+		return &Outcome{
+			ID:     "buffersweep",
+			Title:  "Ablation: stale-row vs fresh-buffer index split",
+			Tables: []*textplot.Table{t},
+			Notes: []string{
+				"narrow buffers leave more index bits stale; very wide buffers spend the index on few PC bits — accuracy peaks in between",
+			},
+		}
 	}
 }
 
-// QuickSizeSweep is an ablation beyond the paper: the overriding
+// quickSizeSweep is an ablation beyond the paper: the overriding
 // organization's sensitivity to the quick predictor's size (the paper fixes
 // it at an optimistic 2K entries).
-func QuickSizeSweep(opts Options) *Outcome {
+func quickSizeSweep(plan *cellPlan) func() *Outcome {
 	const budget = 256 << 10
 	sizes := []int{256, 1024, 2048, 8192}
 	profiles := workload.Profiles()
 	ipcs := make([][]float64, len(sizes))      // [size][benchmark]
 	overrides := make([][]float64, len(sizes)) // [size][benchmark]
-	plan := newPlan(opts)
 	for i, size := range sizes {
 		ipcs[i] = make([]float64, len(profiles))
 		overrides[i] = make([]float64, len(profiles))
@@ -264,42 +257,42 @@ func QuickSizeSweep(opts Options) *Outcome {
 				})
 		}
 	}
-	plan.execute()
-	values := make([][]float64, len(sizes))
-	for i := range sizes {
-		values[i] = []float64{stats.HarmonicMean(ipcs[i]), stats.Mean(overrides[i])}
-	}
-	rows := make([]string, len(sizes))
-	for i, s := range sizes {
-		rows[i] = fmt.Sprintf("%d entries", s)
-	}
-	t := &textplot.Table{
-		Title:     "Quick predictor size ablation (perceptron @256KB behind overriding)",
-		RowHeader: "quick gshare",
-		Rows:      rows,
-		Cols:      []string{"harmonic IPC", "override rate %"},
-		Values:    values,
-	}
-	return &Outcome{
-		ID:     "quicksweep",
-		Title:  "Ablation: quick predictor size vs override rate and IPC",
-		Tables: []*textplot.Table{t},
-		Notes: []string{
-			"a better quick predictor lowers the override rate and recovers some IPC, but cannot reach the pipelined predictor's zero-penalty point",
-		},
+	return func() *Outcome {
+		values := make([][]float64, len(sizes))
+		for i := range sizes {
+			values[i] = []float64{stats.HarmonicMean(ipcs[i]), stats.Mean(overrides[i])}
+		}
+		rows := make([]string, len(sizes))
+		for i, s := range sizes {
+			rows[i] = fmt.Sprintf("%d entries", s)
+		}
+		t := &textplot.Table{
+			Title:     "Quick predictor size ablation (perceptron @256KB behind overriding)",
+			RowHeader: "quick gshare",
+			Rows:      rows,
+			Cols:      []string{"harmonic IPC", "override rate %"},
+			Values:    values,
+		}
+		return &Outcome{
+			ID:     "quicksweep",
+			Title:  "Ablation: quick predictor size vs override rate and IPC",
+			Tables: []*textplot.Table{t},
+			Notes: []string{
+				"a better quick predictor lowers the override rate and recovers some IPC, but cannot reach the pipelined predictor's zero-penalty point",
+			},
+		}
 	}
 }
 
-// DepthSweep is an ablation beyond the paper: how pipeline depth scales the
+// depthSweep is an ablation beyond the paper: how pipeline depth scales the
 // penalty gap between gshare.fast and an overriding perceptron at 256 KB —
 // the paper's motivation that deeper pipelines make predictor delay worse.
-func DepthSweep(opts Options) *Outcome {
+func depthSweep(plan *cellPlan) func() *Outcome {
 	depths := []int{10, 20, 30, 40}
 	const budget = 256 << 10
 	profiles := workload.Profiles()
 	fast := make([][]float64, len(depths)) // [depth][benchmark]
 	over := make([][]float64, len(depths)) // [depth][benchmark]
-	plan := newPlan(opts)
 	for i, depth := range depths {
 		fast[i] = make([]float64, len(profiles))
 		over[i] = make([]float64, len(profiles))
@@ -320,38 +313,39 @@ func DepthSweep(opts Options) *Outcome {
 				func(res pipeline.Result) { over[i][pi] = res.IPC() })
 		}
 	}
-	plan.execute()
-	values := make([][]float64, len(depths))
-	for i := range depths {
-		values[i] = []float64{stats.HarmonicMean(fast[i]), stats.HarmonicMean(over[i])}
-	}
-	rows := make([]string, len(depths))
-	for i, d := range depths {
-		rows[i] = fmt.Sprintf("depth=%d", d)
-	}
-	t := &textplot.Table{
-		Title:     "Pipeline depth ablation at 256KB",
-		RowHeader: "pipeline",
-		Rows:      rows,
-		Cols:      []string{"gshare.fast IPC", "perceptron(override) IPC"},
-		Values:    values,
-	}
-	return &Outcome{
-		ID:     "depthsweep",
-		Title:  "Ablation: pipeline depth vs predictor organization",
-		Tables: []*textplot.Table{t},
-		Notes: []string{
-			"with access latency held constant, depth amplifies the misprediction penalty, which favors the more accurate predictor;",
-			"the paper's depth argument acts through the clock: deeper pipelines mean faster clocks, which grow the predictor's latency in cycles — that axis is swept by the budget dimension of figures 2 and 7",
-		},
+	return func() *Outcome {
+		values := make([][]float64, len(depths))
+		for i := range depths {
+			values[i] = []float64{stats.HarmonicMean(fast[i]), stats.HarmonicMean(over[i])}
+		}
+		rows := make([]string, len(depths))
+		for i, d := range depths {
+			rows[i] = fmt.Sprintf("depth=%d", d)
+		}
+		t := &textplot.Table{
+			Title:     "Pipeline depth ablation at 256KB",
+			RowHeader: "pipeline",
+			Rows:      rows,
+			Cols:      []string{"gshare.fast IPC", "perceptron(override) IPC"},
+			Values:    values,
+		}
+		return &Outcome{
+			ID:     "depthsweep",
+			Title:  "Ablation: pipeline depth vs predictor organization",
+			Tables: []*textplot.Table{t},
+			Notes: []string{
+				"with access latency held constant, depth amplifies the misprediction penalty, which favors the more accurate predictor;",
+				"the paper's depth argument acts through the clock: deeper pipelines mean faster clocks, which grow the predictor's latency in cycles — that axis is swept by the budget dimension of figures 2 and 7",
+			},
+		}
 	}
 }
 
-// FastFamily is the §5 study the paper's conclusion proposes: apply the
+// fastFamily is the §5 study the paper's conclusion proposes: apply the
 // gshare.fast pipelining to another predictor (bi-mode) and compare the
 // resulting single-cycle family against the overriding complex predictors
 // at a large budget, in both accuracy and IPC.
-func FastFamily(opts Options) *Outcome {
+func fastFamily(plan *cellPlan) func() *Outcome {
 	const budget = 256 << 10
 	rows := []string{"gshare.fast", "bimode.fast", "perceptron(override)", "multicomponent(override)", "2bcgskew(override)"}
 	profiles := workload.Profiles()
@@ -363,7 +357,6 @@ func FastFamily(opts Options) *Outcome {
 	cellModes := []TimingMode{Ideal, Ideal, Realistic, Realistic, Realistic}
 	rates := make([][]float64, len(rows)) // [organization][benchmark]
 	ipcs := make([][]float64, len(rows))  // [organization][benchmark]
-	plan := newPlan(opts)
 	for i := range rows {
 		rates[i] = make([]float64, len(profiles))
 		ipcs[i] = make([]float64, len(profiles))
@@ -377,38 +370,38 @@ func FastFamily(opts Options) *Outcome {
 			})
 		}
 	}
-	plan.execute()
-	values := make([][]float64, len(rows))
-	for i := range rows {
-		values[i] = []float64{stats.Mean(rates[i]), stats.HarmonicMean(ipcs[i])}
-	}
-	t := &textplot.Table{
-		Title:     "Pipelined predictor family vs overriding complex predictors at 256KB",
-		RowHeader: "organization",
-		Rows:      rows,
-		Cols:      []string{"mean mispredict %", "harmonic IPC"},
-		Values:    values,
-	}
-	return &Outcome{
-		ID:     "fastfamily",
-		Title:  "§5: reorganizing other predictors with the gshare.fast pipeline",
-		Tables: []*textplot.Table{t},
-		Notes: []string{
-			"the pipelined family pays no organization penalty: its IPC tracks its accuracy, while the overriding predictors give back their accuracy advantage as bubbles",
-		},
+	return func() *Outcome {
+		values := make([][]float64, len(rows))
+		for i := range rows {
+			values[i] = []float64{stats.Mean(rates[i]), stats.HarmonicMean(ipcs[i])}
+		}
+		t := &textplot.Table{
+			Title:     "Pipelined predictor family vs overriding complex predictors at 256KB",
+			RowHeader: "organization",
+			Rows:      rows,
+			Cols:      []string{"mean mispredict %", "harmonic IPC"},
+			Values:    values,
+		}
+		return &Outcome{
+			ID:     "fastfamily",
+			Title:  "§5: reorganizing other predictors with the gshare.fast pipeline",
+			Tables: []*textplot.Table{t},
+			Notes: []string{
+				"the pipelined family pays no organization penalty: its IPC tracks its accuracy, while the overriding predictors give back their accuracy advantage as bubbles",
+			},
+		}
 	}
 }
 
-// Recovery measures what the §3.2 checkpointed-PHT-buffer mechanism is
+// recovery measures what the §3.2 checkpointed-PHT-buffer mechanism is
 // worth: gshare.fast with per-stage buffer checkpoints (recovery is free)
 // versus without (every misprediction additionally stalls fetch for a full
 // PHT read while the buffer refills).
-func Recovery(opts Options) *Outcome {
+func recovery(plan *cellPlan) func() *Outcome {
 	budgets := []int{64 << 10, 256 << 10, 512 << 10}
 	profiles := workload.Profiles()
 	with := make([][]float64, len(budgets))    // [budget][benchmark]
 	without := make([][]float64, len(budgets)) // [budget][benchmark]
-	plan := newPlan(opts)
 	for i, budget := range budgets {
 		with[i] = make([]float64, len(profiles))
 		without[i] = make([]float64, len(profiles))
@@ -426,28 +419,29 @@ func Recovery(opts Options) *Outcome {
 				func(res pipeline.Result) { without[i][pi] = res.IPC() })
 		}
 	}
-	plan.execute()
-	values := make([][]float64, len(budgets))
-	for i := range budgets {
-		values[i] = []float64{stats.HarmonicMean(with[i]), stats.HarmonicMean(without[i])}
-	}
-	rows := make([]string, len(budgets))
-	for i, b := range budgets {
-		rows[i] = budgetLabel(b)
-	}
-	t := &textplot.Table{
-		Title:     "Misprediction recovery: checkpointed vs uncheckpointed PHT buffer",
-		RowHeader: "budget",
-		Rows:      rows,
-		Cols:      []string{"checkpointed IPC", "uncheckpointed IPC"},
-		Values:    values,
-	}
-	return &Outcome{
-		ID:     "recovery",
-		Title:  "§3.2: what per-stage PHT buffer checkpointing is worth",
-		Tables: []*textplot.Table{t},
-		Notes: []string{
-			"the gap grows with budget: the uncheckpointed buffer refill costs a full (growing) PHT read per misprediction",
-		},
+	return func() *Outcome {
+		values := make([][]float64, len(budgets))
+		for i := range budgets {
+			values[i] = []float64{stats.HarmonicMean(with[i]), stats.HarmonicMean(without[i])}
+		}
+		rows := make([]string, len(budgets))
+		for i, b := range budgets {
+			rows[i] = budgetLabel(b)
+		}
+		t := &textplot.Table{
+			Title:     "Misprediction recovery: checkpointed vs uncheckpointed PHT buffer",
+			RowHeader: "budget",
+			Rows:      rows,
+			Cols:      []string{"checkpointed IPC", "uncheckpointed IPC"},
+			Values:    values,
+		}
+		return &Outcome{
+			ID:     "recovery",
+			Title:  "§3.2: what per-stage PHT buffer checkpointing is worth",
+			Tables: []*textplot.Table{t},
+			Notes: []string{
+				"the gap grows with budget: the uncheckpointed buffer refill costs a full (growing) PHT read per misprediction",
+			},
+		}
 	}
 }

@@ -38,11 +38,10 @@ func (e *cellEntry[R]) resolve() R {
 
 // cellCache memoizes one result family by canonical cell key: the same
 // resultstore.Key the persistent store reads and writes the cell under.
-// Cells duplicated across grids — Figures 6 and 8 revisit the 64 KB
-// points of Figures 5 and 7, gshare.fast's ideal and realistic
-// cells are one organization, the ablations revisit figure cells at their
-// shared budgets — resolve once per process. The zero value is an empty
-// cache.
+// A plan collapses its own duplicate cells before they get here; the
+// cache resolves a cell once per process across plans — a rerun of an
+// experiment, or TimingMemo.Cell lookups — and coalesces concurrent
+// lookups of a cold one. The zero value is an empty cache.
 type cellCache[R cellResult] struct {
 	mu      sync.Mutex
 	entries map[resultstore.Key]*cellEntry[R] // guarded by mu
@@ -50,9 +49,9 @@ type cellCache[R cellResult] struct {
 	fusion  fusionTally                       // guarded by mu
 }
 
-// fusionTally counts a cache's scheduler work for -timings: trace passes
-// run (groups whose store tier left at least one cell cold), the lanes
-// those passes carried, and how each declared cell was served — by a pass
+// fusionTally counts a cache's scheduler work for -timings: passes run
+// (groups whose store tier left at least one cell cold), the lanes those
+// passes carried, and how each declared cell was served — by a pass
 // (fused) or by the store or an existing entry (solo).
 type fusionTally struct {
 	groups, lanes, fused, solo int64
@@ -65,7 +64,8 @@ func (t *fusionTally) add(u fusionTally) {
 	t.solo += u.solo
 }
 
-// stats snapshots the cache's footprint: distinct entries and memory hits.
+// stats snapshots the cache's footprint: distinct entries, and lookups
+// served by an entry an earlier plan created.
 func (c *cellCache[R]) stats() (cells int, hits int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -120,27 +120,27 @@ type TimingMemo struct {
 func NewTimingMemo() *TimingMemo { return &TimingMemo{} }
 
 // Cell returns the timing Result for the canonical (kind, budget, mode)
-// organization on prof's recorded stream under the Table 1 machine. It is
+// organization on prof's stream under the Table 1 machine. It is
 // a one-spec group on the grids' own path: memo, then the persistent store
 // when opts.Store is set, then simulation.
 func (m *TimingMemo) Cell(kind string, budget int, mode TimingMode, prof workload.Profile, opts Options) pipeline.Result {
 	plan := newPlan(opts)
 	var res pipeline.Result
 	plan.addCell(kind, budget, mode, prof, func(r pipeline.Result) { res = r })
-	runTimingGroup(&m.cellCache, plan.tim, plan.opts)
+	plan.executeWith(&cellCache[funcsim.Result]{}, &m.cellCache)
 	return res
 }
 
 // accuracyMemo and timingMemo are the process-wide caches every experiment
-// plan resolves through, siblings to traceStore.
+// plan resolves through.
 var (
 	accuracyMemo = &cellCache[funcsim.Result]{}
 	timingMemo   = NewTimingMemo()
 )
 
 // TimingMemoStats reports the process-wide timing cache's footprint:
-// distinct cells resolved (simulated or served by the store) and duplicate
-// lookups served from memory.
+// distinct cells resolved (simulated or served by the store) and lookups
+// an earlier plan's entry served from memory.
 func TimingMemoStats() (cells int, hits int64) {
 	return timingMemo.stats()
 }
@@ -151,8 +151,8 @@ func AccuracyMemoStats() (cells int, hits int64) {
 }
 
 // FusionStats reports the process-wide accuracy scheduler's tally: fused
-// trace passes run, predictor lanes they simulated, and accuracy cells
-// served fused vs by the store or memory.
+// passes run, predictor lanes they simulated, and accuracy cells served
+// fused vs by the store or memory.
 func FusionStats() (groups, lanes, fusedCells, soloCells int64) {
 	return accuracyMemo.fusionStats()
 }

@@ -7,4 +7,4 @@ package experiments
 // module-local package it imports, transitively. Every cell key carries
 // it (cellCode), so a change to any code that computes a cell misses the
 // persistent store.
-const codeDigest = "afd33c83af93a93a272e1a918d79ee76a9c9bbfb56a688695b9b6b841c3bc803"
+const codeDigest = "fd0c88463c7e4093af09a609cdf75bf5581d55cded81d84cb029cca1e7caeabd"

@@ -10,34 +10,8 @@ import (
 	"branchsim/internal/predictor"
 	"branchsim/internal/resultstore"
 	"branchsim/internal/textplot"
-	"branchsim/internal/trace"
-	"branchsim/internal/tracestore"
 	"branchsim/internal/workload"
 )
-
-// traceStore memoizes each benchmark's recorded stream across every
-// experiment grid in the process: the first (kind × budget × benchmark)
-// cell to touch a benchmark records its live stream, all later cells —
-// including cells of other experiments run with the same instruction
-// budget — replay it. Replay is bit-identical to live generation
-// (internal/tracestore's equivalence tests), so results are unchanged; only
-// the per-cell generation cost disappears.
-var traceStore = tracestore.New()
-
-// source returns a replay cursor over prof's memoized recording at
-// opts.Insts instructions.
-func source(prof workload.Profile, opts Options) trace.Source {
-	key := tracestore.Key{Name: prof.Name, Seed: prof.Seed, Insts: opts.Insts}
-	return traceStore.Source(key, func() trace.Source { return workload.New(prof) })
-}
-
-// sidecar returns the memoized memory-latency sidecar for prof's recording
-// under cfg's cache geometry (see pipeline.BuildMemSidecar).
-func sidecar(prof workload.Profile, opts Options, cfg pipeline.Config) *pipeline.MemSidecar {
-	key := tracestore.Key{Name: prof.Name, Seed: prof.Seed, Insts: opts.Insts}
-	return traceStore.MemSidecar(key, pipeline.MemGeometryOf(cfg),
-		func() trace.Source { return workload.New(prof) })
-}
 
 //go:generate go run gencodedigest.go
 
@@ -55,20 +29,8 @@ func machineString(cfg pipeline.Config) string {
 	return fmt.Sprintf("%+v", cfg.Canonical())
 }
 
-// TraceStoreStats reports the process-wide trace store's footprint:
-// memoized recordings and their total bytes.
-func TraceStoreStats() (recordings int, bytes int64) {
-	return traceStore.Len(), traceStore.SizeBytes()
-}
-
-// SidecarStats reports the process-wide store's memory-latency sidecars:
-// precomputed (recording, geometry) columns and their total bytes.
-func SidecarStats() (sidecars int, bytes int64) {
-	return traceStore.SidecarLen(), traceStore.SidecarSizeBytes()
-}
-
 // FuseMode selects how a plan's accuracy and timing cells are grouped into
-// trace passes. It is an execution strategy, not an identity: both modes
+// passes. It is an execution strategy, not an identity: both modes
 // run the same path and publish bit-identical Results under the same
 // canonical keys (TestFusedEquivalence, TestFusedTimingPlan), so the knob
 // exists only to measure what fusion buys.
@@ -76,13 +38,14 @@ type FuseMode int
 
 const (
 	// FuseAuto — the zero value, so fusion is the default — groups a
-	// plan's cold accuracy cells by benchmark and its cold timing cells by
-	// (benchmark, cache geometry), and runs each group through one fused
-	// trace pass (funcsim.RunMany / pipeline.RunMany): one cursor walk
-	// feeds every lane of the group.
+	// plan's cold accuracy cells by (benchmark, block width) and its cold
+	// timing cells by (benchmark, cache geometry), at most maxTimingLanes
+	// to a group, and runs each group through one fused pass
+	// (funcsim.RunMany / pipeline.RunMany): one walk of the benchmark's
+	// generator feeds every lane of the group.
 	FuseAuto FuseMode = iota
 	// FuseOff makes every accuracy and timing cell a group of one: the
-	// same cache → store → simulate path, one lane per trace pass
+	// same cache → store → simulate path, one lane per pass
 	// (cmd/reproduce -nofuse).
 	FuseOff
 )
@@ -104,8 +67,7 @@ type Options struct {
 	// processes. Nil keeps everything in-memory.
 	Store *resultstore.Store
 	// Fuse selects how the accuracy and timing cells are grouped; the
-	// zero value (FuseAuto) runs them grid-fused, one trace pass per
-	// group.
+	// zero value (FuseAuto) runs them grid-fused, one pass per group.
 	Fuse FuseMode
 }
 

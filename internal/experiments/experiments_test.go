@@ -10,6 +10,16 @@ import (
 // structure and plumbing are fully exercised.
 var tiny = Options{Insts: 150_000, Warmup: 30_000}
 
+// runOne runs one registered experiment alone.
+func runOne(t *testing.T, id string, opts Options) *Outcome {
+	t.Helper()
+	outs, err := Run([]string{id}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs[0]
+}
+
 func TestRegistryComplete(t *testing.T) {
 	// DESIGN.md's experiment index: every paper table/figure plus the
 	// ablations must be registered.
@@ -67,7 +77,7 @@ func TestNewOverridingLatencies(t *testing.T) {
 }
 
 func TestTable2Structure(t *testing.T) {
-	out := Table2(Options{})
+	out := runOne(t, "table2", Options{})
 	if out.ID != "table2" || len(out.Tables) != 1 {
 		t.Fatalf("bad outcome: %+v", out)
 	}
@@ -91,7 +101,7 @@ func TestTable2Structure(t *testing.T) {
 }
 
 func TestFigure6SmallRun(t *testing.T) {
-	out := Figure6(tiny)
+	out := runOne(t, "figure6", tiny)
 	tab := out.Tables[0]
 	if len(tab.Rows) != 13 { // 12 benchmarks + MEAN
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -112,7 +122,7 @@ func TestFigure6SmallRun(t *testing.T) {
 }
 
 func TestMultiBranchSmallRun(t *testing.T) {
-	out := MultiBranch(tiny)
+	out := runOne(t, "multibranch", tiny)
 	tab := out.Tables[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -129,7 +139,7 @@ func TestMultiBranchSmallRun(t *testing.T) {
 }
 
 func TestDelayedUpdateSmallRun(t *testing.T) {
-	out := DelayedUpdate(tiny)
+	out := runOne(t, "delayedupdate", tiny)
 	tab := out.Tables[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -151,7 +161,7 @@ func TestBudgetHelpers(t *testing.T) {
 }
 
 func TestOutcomeRenderAndTableLookup(t *testing.T) {
-	out := Table2(Options{})
+	out := runOne(t, "table2", Options{})
 	if out.Table("Table 2") == nil {
 		t.Fatal("table lookup by prefix failed")
 	}

@@ -13,7 +13,7 @@ import (
 
 // fusionTestOpts uses an instruction budget unique to this file (the
 // timingmemo_test.go convention) so its cells never collide with other
-// tests' entries in the process-wide trace store or memos.
+// tests' entries in the process-wide memos.
 var fusionTestOpts = Options{Insts: 140_000, Warmup: 35_000}
 
 // fusionGrid declares a kinds × budgets × benchmarks accuracy grid into
@@ -71,18 +71,22 @@ func TestFusedEquivalence(t *testing.T) {
 
 // TestFusedMemoAccounting pins the memo's accounting under fused
 // publishing: a cell declared twice in one plan (the Figure 5 / Figure 6
-// overlap) simulates once and the duplicate counts as a memory hit, and a
-// later plan revisiting the cells resolves them solo — zero fused passes —
-// with one hit per lookup, exactly as groups of one would count.
+// overlap) collapses at plan time into one lane, simulates once and feeds
+// both sinks without a memory lookup, and a later plan revisiting the
+// cells resolves them solo — zero fused passes — with one hit per lookup,
+// exactly as groups of one would count.
 func TestFusedMemoAccounting(t *testing.T) {
 	memo := &cellCache[funcsim.Result]{}
 	plan := newPlan(fusionTestOpts)
 	first := fusionGrid(plan, []string{"bimode"}, []int{8 << 10}, 2)
 	dup := fusionGrid(plan, []string{"bimode"}, []int{8 << 10}, 2)
-	plan.executeWith(memo, &cellCache[pipeline.Result]{})
+	tally := plan.executeWith(memo, &cellCache[pipeline.Result]{})
 
-	if cells, hits := memo.stats(); cells != 2 || hits != 2 {
-		t.Fatalf("after duplicated plan: %d cells, %d hits; want 2 distinct cells, 2 duplicate hits", cells, hits)
+	if cells, hits := memo.stats(); cells != 2 || hits != 0 {
+		t.Fatalf("after duplicated plan: %d cells, %d hits; want 2 distinct cells, no hits", cells, hits)
+	}
+	if tally.accCollapsed != 2 {
+		t.Fatalf("plan tally = %+v, want 2 accuracy cells collapsed", tally)
 	}
 	if !reflect.DeepEqual(first, dup) {
 		t.Fatalf("duplicate sinks received different results:\n%+v\n%+v", first, dup)
@@ -96,8 +100,8 @@ func TestFusedMemoAccounting(t *testing.T) {
 	again := newPlan(fusionTestOpts)
 	revisit := fusionGrid(again, []string{"bimode"}, []int{8 << 10}, 2)
 	again.executeWith(memo, &cellCache[pipeline.Result]{})
-	if cells, hits := memo.stats(); cells != 2 || hits != 4 {
-		t.Fatalf("after revisit: %d cells, %d hits; want still 2 cells, 4 hits", cells, hits)
+	if cells, hits := memo.stats(); cells != 2 || hits != 2 {
+		t.Fatalf("after revisit: %d cells, %d hits; want still 2 cells, 2 hits", cells, hits)
 	}
 	if groups, _, _, solo := memo.fusionStats(); groups != 2 || solo != 2 {
 		t.Fatalf("revisit ran %d groups total (%d solo cells), want no new passes (2 groups, 2 solo)", groups, solo)

@@ -76,8 +76,8 @@ func TestDynamicPredictorsBeatStatic(t *testing.T) {
 
 func TestExperimentsDeterministic(t *testing.T) {
 	opts := Options{Insts: 120_000, Warmup: 30_000, Parallel: 2}
-	a := Figure6(opts)
-	b := Figure6(opts)
+	a := runOne(t, "figure6", opts)
+	b := runOne(t, "figure6", opts)
 	ta, tb := a.Tables[0], b.Tables[0]
 	for i := range ta.Values {
 		for j := range ta.Values[i] {

@@ -13,13 +13,15 @@ import (
 )
 
 // This file is the experiment layer's planner: experiments do not compute
-// their grids inline, they declare a plan of cells — each one a canonical
-// key, a predictor construction and a sink — and execute it. Execution
-// groups the cells (fusion.go), shards the groups across a worker pool,
-// and resolves every cell through the cell cache (cellcache.go), then the
-// persistent resultstore when Options.Store is set, then simulation. Sinks
-// fan results back into preallocated grid slices; each cell owns exactly
-// one element, so the fan-in needs no locking.
+// their grids inline, they declare cells into one plan per run — each
+// cell a canonical key, a predictor construction and a sink — and render
+// once it has executed. Execution collapses cells declared under one key
+// into one lane with several sinks, groups the lanes (fusion.go), shards
+// the groups across a worker pool, and resolves every lane through the
+// cell cache (cellcache.go), then the persistent resultstore when
+// Options.Store is set, then simulation. Sinks fan results back into
+// preallocated grid slices; each sink owns exactly one element, so the
+// fan-in needs no locking.
 
 // A PlannedCell is one schedulable unit of work: the canonical key naming
 // what it computes — the identity a panic is reported under — and the
@@ -31,7 +33,7 @@ type PlannedCell struct {
 
 // cellSpec is one declared cell as the scheduler sees it, whatever its
 // family: its canonical key (the resultstore.Key the cell cache and the
-// persistent store both use), the benchmark whose recorded stream it runs
+// persistent store both use), the benchmark whose stream it runs
 // on, the predictor construction, and the sink its Result fans back into.
 // Callers must ensure equal keys always denote identical constructions;
 // the cache and the store both trade on that.
@@ -63,9 +65,9 @@ type timingSpec struct {
 	cfg pipeline.Config
 }
 
-// cellPlan accumulates an experiment's cells before execution. Its options
-// are fixed when it is created: the measurement window is part of every
-// cell's key.
+// cellPlan accumulates a run's cells before execution: every experiment
+// of the run declares into the same plan. Its options are fixed when it is
+// created: the measurement window is part of every cell's key.
 type cellPlan struct {
 	opts Options
 	acc  []accuracySpec
@@ -132,45 +134,87 @@ func (p *cellPlan) addTiming(cfg pipeline.Config, kind, org string, budget int, 
 }
 
 // execute runs the plan through the process-wide caches.
-func (p *cellPlan) execute() {
-	p.executeWith(accuracyMemo, &timingMemo.cellCache)
+func (p *cellPlan) execute() planTally {
+	return p.executeWith(accuracyMemo, &timingMemo.cellCache)
+}
+
+// planTally counts, per family, a plan's cells collapsed at plan time into
+// a lane declared earlier under the same key.
+type planTally struct {
+	accCollapsed, timCollapsed int
 }
 
 // executeWith runs the plan through explicit caches, so tests can use
 // fresh ones. Every group is one worker-pool unit, named by its first
-// cell's key and its width.
-func (p *cellPlan) executeWith(acc *cellCache[funcsim.Result], tim *cellCache[pipeline.Result]) {
+// lane's key and its width.
+func (p *cellPlan) executeWith(acc *cellCache[funcsim.Result], tim *cellCache[pipeline.Result]) planTally {
+	accLanes := collapse(p.acc)
+	timLanes := collapse(p.tim)
 	var cells []PlannedCell
-	for _, g := range groupSpecs(p.acc, p.opts.Fuse, accuracyGroupKey) {
+	accWidth, timWidth := 0, maxTimingLanes
+	if p.opts.Fuse == FuseOff {
+		accWidth, timWidth = 1, 1
+	}
+	for _, g := range groupLanes(accLanes, accWidth, accuracyGroupKey) {
 		cells = append(cells, PlannedCell{
-			Key: fmt.Sprintf("%s|lanes=%d", g[0].key.Canonical(), len(g)),
+			Key: fmt.Sprintf("%s|lanes=%d", g[0].spec.key.Canonical(), len(g)),
 			Run: func() { runAccuracyGroup(acc, g, p.opts) },
 		})
 	}
-	for _, g := range groupSpecs(p.tim, p.opts.Fuse, timingGroupKey) {
+	for _, g := range groupLanes(timLanes, timWidth, timingGroupKey) {
 		cells = append(cells, PlannedCell{
-			Key: fmt.Sprintf("%s|lanes=%d", g[0].key.Canonical(), len(g)),
+			Key: fmt.Sprintf("%s|lanes=%d", g[0].spec.key.Canonical(), len(g)),
 			Run: func() { runTimingGroup(tim, g, p.opts) },
 		})
 	}
 	RunCells(p.opts.Parallel, cells)
+	return planTally{accCollapsed: len(p.acc) - len(accLanes), timCollapsed: len(p.tim) - len(timLanes)}
 }
 
-// accuracyGroup keys the fused accuracy unit: one pass per recorded
+// A planLane is one distinct cell of a plan: the spec first declared
+// under its key, and the sinks of every spec declared under it.
+type planLane[S specOf[R], R cellResult] struct {
+	spec  S
+	sinks []func(R)
+}
+
+// collapse merges specs declared under equal keys — Figures 6 and 8
+// revisit the 64 KB points of Figures 5 and 7, gshare.fast's ideal and
+// realistic cells are one organization, the ablations revisit figure
+// cells at their budgets — into one lane each, in first-declaration order.
+func collapse[S specOf[R], R cellResult](specs []S) []*planLane[S, R] {
+	byKey := make(map[resultstore.Key]*planLane[S, R], len(specs))
+	var lanes []*planLane[S, R]
+	for _, s := range specs {
+		c := s.cell()
+		if l := byKey[c.key]; l != nil {
+			l.sinks = append(l.sinks, c.sink)
+			continue
+		}
+		l := &planLane[S, R]{spec: s, sinks: []func(R){c.sink}}
+		byKey[c.key] = l
+		lanes = append(lanes, l)
+	}
+	return lanes
+}
+
+// accuracyGroup keys the fused accuracy unit: one pass per benchmark
 // stream and simulator shape. The measurement window is uniform across a
 // plan, so it needs no key component.
 type accuracyGroup struct {
 	bench  string
+	seed   uint64
 	blocks int
 }
 
 func accuracyGroupKey(s accuracySpec) accuracyGroup {
-	return accuracyGroup{bench: s.prof.Name, blocks: s.blocks}
+	return accuracyGroup{bench: s.prof.Name, seed: s.prof.Seed, blocks: s.blocks}
 }
 
-// timingGroup keys the fused timing unit: one trace pass per recorded
-// stream and cache geometry. Lanes in a group share the cursor and the
-// memory sidecar, so they must agree on both.
+// timingGroup keys the fused timing unit: one pass per benchmark stream
+// and cache geometry, split at maxTimingLanes. Lanes in a pass share the
+// stream and the memory hierarchy that classifies it, so they must agree
+// on both.
 type timingGroup struct {
 	bench string
 	seed  uint64
@@ -181,27 +225,46 @@ func timingGroupKey(s timingSpec) timingGroup {
 	return timingGroup{bench: s.prof.Name, seed: s.prof.Seed, geom: pipeline.MemGeometryOf(s.cfg)}
 }
 
-// groupSpecs buckets specs by key in first-appearance order — the fused
-// unit is "one trace pass per group". FuseOff makes every spec a group of
-// one: the same path, one lane per pass.
-func groupSpecs[S any, G comparable](specs []S, fuse FuseMode, key func(S) G) [][]S {
+// groupLanes buckets lanes by their spec's group key in first-appearance
+// order — the fused unit is "one pass per group" — and splits each bucket
+// into groups of at most width lanes, in declaration order. width 0 leaves
+// buckets whole; FuseOff is width 1: the same path, one lane per pass.
+func groupLanes[S specOf[R], R cellResult, G comparable](lanes []*planLane[S, R], width int, key func(S) G) [][]*planLane[S, R] {
 	idx := make(map[G]int)
-	var groups [][]S
-	for i, s := range specs {
-		if fuse == FuseOff {
-			groups = append(groups, specs[i:i+1])
-			continue
-		}
-		gi, ok := idx[key(s)]
+	var buckets [][]*planLane[S, R]
+	for _, l := range lanes {
+		bi, ok := idx[key(l.spec)]
 		if !ok {
-			gi = len(groups)
-			idx[key(s)] = gi
-			groups = append(groups, nil)
+			bi = len(buckets)
+			idx[key(l.spec)] = bi
+			buckets = append(buckets, nil)
 		}
-		groups[gi] = append(groups[gi], s)
+		buckets[bi] = append(buckets[bi], l)
+	}
+	var groups [][]*planLane[S, R]
+	for _, b := range buckets {
+		for width > 0 && len(b) > width {
+			groups = append(groups, b[:width:width])
+			b = b[width:]
+		}
+		groups = append(groups, b)
 	}
 	return groups
 }
+
+// maxTimingLanes caps a timing pass: a (benchmark, cache geometry) group
+// wider than this runs as several passes off the generator, each of at
+// most maxTimingLanes lanes in declaration order. Every lane of a pass
+// keeps its scoreboard rings and predictor tables hot across batches, and
+// a wide pass outgrows the caches: Figures 2, 7 and 8 at 125K
+// instructions (42 timing lanes per benchmark) ran 24% slower as one pass
+// per benchmark than as the 24- and 18-lane passes this cap makes, which
+// ran at parity with per-experiment plans (medians of 10 alternating
+// perfbench timing-cold pairs each, 2-core x86-64 host). Generating the
+// stream once more per pass costs little beside that. Sweeping a pass's
+// lanes in tiles of 12 within each batch did not help: the working set
+// that matters is the pass's, not the batch's.
+const maxTimingLanes = 24
 
 // cellPanic records the first panic raised by any cell in a plan so the
 // scheduler can re-raise it with the offending cell's canonical key — a
@@ -252,8 +315,8 @@ func runCell(p *cellPanic, c PlannedCell) {
 
 // RunCells executes cells on a worker pool of at most parallel
 // goroutines. Cells must write to disjoint destinations (each owns its
-// grid element); plan cells that share a canonical result key coalesce in
-// the cell cache rather than here. If any cell panics, the remaining
+// grid element); plan cells that share a canonical result key collapse
+// into one lane before they get here. If any cell panics, the remaining
 // cells are skipped and the panic is re-raised from RunCells with the
 // offending cell's key prepended.
 func RunCells(parallel int, cells []PlannedCell) {

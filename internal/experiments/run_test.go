@@ -1,0 +1,71 @@
+package experiments
+
+import (
+	"testing"
+
+	"branchsim/internal/funcsim"
+	"branchsim/internal/pipeline"
+	"branchsim/internal/workload"
+)
+
+// TestOnePassPerBenchmark pins the schedule one plan per run buys: the
+// accuracy figures' standard cells, declared by four experiments, run as
+// one pass per benchmark, and so do the timing figures' cells, on the one
+// cache geometry they share, split only where a group is wider than
+// maxTimingLanes. FuseOff still runs one lane per pass. The tallies come
+// from fresh caches, so nothing an earlier test resolved can hide a pass.
+func TestOnePassPerBenchmark(t *testing.T) {
+	nBench := int64(len(workload.Profiles()))
+	const timWidth = 42 // distinct timing cells per benchmark in figures 2, 7 and 8
+	timPasses := nBench * ((timWidth + maxTimingLanes - 1) / maxTimingLanes)
+	for _, tc := range []struct {
+		name                string
+		ids                 []string
+		fuse                FuseMode
+		accPasses, accLanes int64
+		timPasses, timLanes int64
+	}{
+		{"accuracy", []string{"figure1", "table2", "figure5", "figure6"}, FuseAuto, nBench, 48 * nBench, 0, 0},
+		{"timing", []string{"figure2", "figure7", "figure8"}, FuseAuto, 0, 0, timPasses, timWidth * nBench},
+		{"accuracy-nofuse", []string{"figure1", "table2", "figure5", "figure6"}, FuseOff, 48 * nBench, 48 * nBench, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rp, err := Plan(tc.ids, Options{Insts: 8_000, Warmup: 2_000, Fuse: tc.fuse})
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc, tim := &cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{}
+			rp.plan.executeWith(acc, tim)
+			if groups, lanes, _, _ := acc.fusionStats(); groups != tc.accPasses || lanes != tc.accLanes {
+				t.Errorf("accuracy: %d passes carrying %d lanes, want %d passes carrying %d",
+					groups, lanes, tc.accPasses, tc.accLanes)
+			}
+			if groups, lanes, _, _ := tim.fusionStats(); groups != tc.timPasses || lanes != tc.timLanes {
+				t.Errorf("timing: %d passes carrying %d lanes, want %d passes carrying %d",
+					groups, lanes, tc.timPasses, tc.timLanes)
+			}
+		})
+	}
+}
+
+// TestRunMatchesRunners pins that one shared plan changes when cells are
+// simulated, never what an experiment prints: every experiment of a Run
+// over the whole registry renders the same bytes as its own ByID runner.
+func TestRunMatchesRunners(t *testing.T) {
+	opts := Options{Insts: 20_000, Warmup: 5_000, Parallel: 2}
+	rp, err := Plan(IDs(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp.plan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	for i, out := range rp.Render() {
+		id := IDs()[i]
+		runner, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := out.Render(), runner(opts).Render(); got != want {
+			t.Errorf("%s: Run renders\n%s\nByID renders\n%s", id, got, want)
+		}
+	}
+}

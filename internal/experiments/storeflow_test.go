@@ -10,13 +10,12 @@ import (
 	"branchsim/internal/pipeline"
 	"branchsim/internal/predictor"
 	"branchsim/internal/resultstore"
-	"branchsim/internal/tracestore"
 	"branchsim/internal/workload"
 )
 
 // storeTestOpts uses an instruction budget unique to this file so its
-// cells never collide with other tests' entries in the process-wide trace
-// store or caches (the convention timingmemo_test.go established).
+// cells never collide with other tests' entries in the process-wide
+// caches (the convention timingmemo_test.go established).
 var storeTestOpts = Options{Insts: 130_000, Warmup: 30_000}
 
 // timingCell resolves one explicitly constructed timing cell as a
@@ -202,14 +201,14 @@ func TestMultiBranchWarmStore(t *testing.T) {
 	opts := Options{Insts: 60_000, Warmup: 15_000, Store: openStore()}
 
 	accuracyMemo = &cellCache[funcsim.Result]{}
-	cold := MultiBranch(opts).Render()
+	cold := runOne(t, "multibranch", opts).Render()
 	if s := opts.Store.Stats(); s.Misses != nCells || s.Writes != nCells || s.Hits != 0 {
 		t.Fatalf("cold store traffic = %+v, want %d misses, %d writes", s, nCells, nCells)
 	}
 	for _, fuse := range []FuseMode{FuseAuto, FuseOff} {
 		accuracyMemo = &cellCache[funcsim.Result]{}
 		opts.Store, opts.Fuse = openStore(), fuse
-		warm := MultiBranch(opts).Render()
+		warm := runOne(t, "multibranch", opts).Render()
 		if s := opts.Store.Stats(); s.Hits != nCells || s.Misses != 0 || s.Invalidations != 0 || s.Writes != 0 {
 			t.Fatalf("fuse=%d: warm store traffic = %+v, want %d hits and nothing else", fuse, s, nCells)
 		}
@@ -244,11 +243,10 @@ func mixedPlan(opts Options) (*cellPlan, []any) {
 
 // TestWarmRunGeneratesNothing proves a warm run reads its cells and
 // nothing else: after a cold run fills a store, a second run over the
-// same plan, through fresh caches and a fresh trace store, serves every
-// cell from disk and records, digests and classifies no stream.
+// same plan, through fresh caches, serves every cell from disk and runs
+// no pass. A pass is the only place a stream is generated, so the warm run
+// generates and classifies no stream.
 func TestWarmRunGeneratesNothing(t *testing.T) {
-	saved := traceStore
-	t.Cleanup(func() { traceStore = saved })
 	dir := t.TempDir()
 	openStore := func() *resultstore.Store {
 		st, err := resultstore.Open(dir)
@@ -259,7 +257,6 @@ func TestWarmRunGeneratesNothing(t *testing.T) {
 	}
 	opts := Options{Insts: 70_000, Warmup: 20_000}
 
-	traceStore = tracestore.New()
 	opts.Store = openStore()
 	plan, cold := mixedPlan(opts)
 	plan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
@@ -268,15 +265,17 @@ func TestWarmRunGeneratesNothing(t *testing.T) {
 		t.Fatalf("cold store traffic = %+v, want %d misses and writes", s, n)
 	}
 
-	traceStore = tracestore.New()
 	opts.Store = openStore()
 	plan, warm := mixedPlan(opts)
-	plan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	acc, tim := &cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{}
+	plan.executeWith(acc, tim)
 	if s := opts.Store.Stats(); s.Hits != n || s.Misses != 0 || s.Invalidations != 0 || s.Writes != 0 {
 		t.Fatalf("warm store traffic = %+v, want %d hits and nothing else", s, n)
 	}
-	if recs, sides := traceStore.Len(), traceStore.SidecarLen(); recs != 0 || sides != 0 {
-		t.Fatalf("warm run recorded %d streams and built %d sidecars, want none", recs, sides)
+	accPasses, _, _, _ := acc.fusionStats()
+	timPasses, _, _, _ := tim.fusionStats()
+	if accPasses != 0 || timPasses != 0 {
+		t.Fatalf("warm run ran %d accuracy and %d timing passes, want none", accPasses, timPasses)
 	}
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatalf("warm Results differ from cold:\n%+v\n%+v", warm, cold)

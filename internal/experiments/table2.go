@@ -7,12 +7,16 @@ import (
 	"branchsim/internal/textplot"
 )
 
-// Table2 reproduces the paper's Table 2: access latencies, in cycles at the
+// table2 reproduces the paper's Table 2: access latencies, in cycles at the
 // 8-FO4 clock, of the multi-component hybrid, 2Bc-gskew and perceptron
 // predictors across hardware budgets — plus, for context, the raw PHT read
 // latency gshare.fast pipelines over (its effective prediction latency is
-// always one cycle).
-func Table2(Options) *Outcome {
+// always one cycle). It declares no cells: the latencies come from the
+// delay model alone.
+func table2(*cellPlan) func() *Outcome { return table2Outcome }
+
+// table2Outcome renders Table 2.
+func table2Outcome() *Outcome {
 	budgets := PaperBudgets()
 	kinds := []string{"multicomponent", "2bcgskew", "perceptron"}
 	rows := make([]string, len(budgets))

@@ -14,7 +14,7 @@ import (
 
 // timingFusionTestOpts uses an instruction budget unique to this file (the
 // fusion_test.go convention) so its cells never collide with other tests'
-// entries in the process-wide trace store or memos.
+// entries in the process-wide memos.
 var timingFusionTestOpts = Options{Insts: 125_000, Warmup: 31_000}
 
 // timingFusionGrid declares a configs × kinds × benchmarks timing grid into
@@ -77,6 +77,37 @@ func TestFusedTimingPlan(t *testing.T) {
 	}
 }
 
+// TestFusedTimingWideGroupSplits holds a group wider than maxTimingLanes
+// to the same contract: it runs as several passes off the generator, split
+// in declaration order, and every lane equals its FuseOff run bit for bit.
+func TestFusedTimingWideGroupSplits(t *testing.T) {
+	kinds := []string{"gshare", "gshare.fast"}
+	var depths []int
+	for d := 8; len(depths)*len(kinds) <= maxTimingLanes; d += 2 {
+		depths = append(depths, d)
+	}
+	lanes := int64(len(depths) * len(kinds))
+	off := timingFusionTestOpts
+	off.Fuse = FuseOff
+	fusedPlan, soloPlan := newPlan(timingFusionTestOpts), newPlan(off)
+	fused := timingFusionGrid(fusedPlan, depths, kinds, 1)
+	solo := timingFusionGrid(soloPlan, depths, kinds, 1)
+
+	tfc := &cellCache[pipeline.Result]{}
+	fusedPlan.executeWith(&cellCache[funcsim.Result]{}, tfc)
+	soloPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	for i := range fused {
+		if !reflect.DeepEqual(fused[i], solo[i]) {
+			t.Errorf("cell %d diverges between the split group and FuseOff:\n got %+v\nwant %+v",
+				i, fused[i], solo[i])
+		}
+	}
+	wantPasses := (lanes + maxTimingLanes - 1) / maxTimingLanes
+	if groups, n, _, _ := tfc.fusionStats(); groups != wantPasses || n != lanes {
+		t.Errorf("%d-lane group ran %d passes carrying %d lanes, want %d passes", lanes, groups, n, wantPasses)
+	}
+}
+
 // TestFusedTimingGeometryGrouping pins the grouping contract at the plan
 // level: timing cells that differ only in cache geometry land in separate
 // fused groups (pipeline.RunMany would panic on a mixed group), while
@@ -111,8 +142,8 @@ func TestFusedTimingGeometryGrouping(t *testing.T) {
 
 // TestFusedTimingMemoAccounting pins the timing memo's accounting under
 // fused publishing, mirroring TestFusedMemoAccounting: a cell declared
-// twice in one plan simulates once and the duplicate counts as a memory
-// hit, and a later plan revisiting the cells resolves them solo — zero
+// twice in one plan collapses at plan time into one lane and simulates
+// once, and a later plan revisiting the cells resolves them solo — zero
 // fused passes — with one hit per lookup, exactly as groups of one would
 // count.
 func TestFusedTimingMemoAccounting(t *testing.T) {
@@ -120,10 +151,13 @@ func TestFusedTimingMemoAccounting(t *testing.T) {
 	plan := newPlan(timingFusionTestOpts)
 	first := timingFusionGrid(plan, []int{18}, []string{"bimode"}, 2)
 	dup := timingFusionGrid(plan, []int{18}, []string{"bimode"}, 2)
-	plan.executeWith(&cellCache[funcsim.Result]{}, tmemo)
+	tally := plan.executeWith(&cellCache[funcsim.Result]{}, tmemo)
 
-	if cells, hits := tmemo.stats(); cells != 2 || hits != 2 {
-		t.Fatalf("after duplicated plan: %d cells, %d hits; want 2 distinct cells, 2 duplicate hits", cells, hits)
+	if cells, hits := tmemo.stats(); cells != 2 || hits != 0 {
+		t.Fatalf("after duplicated plan: %d cells, %d hits; want 2 distinct cells, no hits", cells, hits)
+	}
+	if tally.timCollapsed != 2 {
+		t.Fatalf("plan tally = %+v, want 2 timing cells collapsed", tally)
 	}
 	if !reflect.DeepEqual(first, dup) {
 		t.Fatalf("duplicate sinks received different results:\n%+v\n%+v", first, dup)
@@ -137,8 +171,8 @@ func TestFusedTimingMemoAccounting(t *testing.T) {
 	again := newPlan(timingFusionTestOpts)
 	revisit := timingFusionGrid(again, []int{18}, []string{"bimode"}, 2)
 	again.executeWith(&cellCache[funcsim.Result]{}, tmemo)
-	if cells, hits := tmemo.stats(); cells != 2 || hits != 4 {
-		t.Fatalf("after revisit: %d cells, %d hits; want still 2 cells, 4 hits", cells, hits)
+	if cells, hits := tmemo.stats(); cells != 2 || hits != 2 {
+		t.Fatalf("after revisit: %d cells, %d hits; want still 2 cells, 2 hits", cells, hits)
 	}
 	if groups, _, _, solo := tmemo.fusionStats(); groups != 2 || solo != 2 {
 		t.Fatalf("revisit ran %d groups total (%d solo cells), want no new passes (2 groups, 2 solo)", groups, solo)

@@ -11,17 +11,17 @@ import (
 )
 
 // stressOpts uses an instruction budget no other test shares (the same
-// convention as memoTestOpts), so the memo cells and process-wide sidecar
-// store entries hammered here belong to this test alone.
+// convention as memoTestOpts), so the memo cells hammered here belong to
+// this test alone.
 var stressOpts = Options{Insts: 117_000, Warmup: 30_000, Parallel: 1}
 
 // TestTimingMemoConcurrentStress is the runtime twin of the lockguard
-// analyzer: it hammers TimingMemo.Cell and the process-wide sidecar store
-// from parallel goroutines under -race and cross-checks every result
-// against a fresh serial recompute (fresh predictor, private replay, live
-// caches, no memo). A data race on the guarded maps shows up here as a
-// race report or a diverging Result; the memo accounting at the end pins
-// that every duplicate lookup really was served from memory.
+// analyzer: it hammers TimingMemo.Cell from parallel goroutines under
+// -race and cross-checks every result against a fresh serial recompute
+// (fresh predictor, private replay, live caches, no memo). A data race on
+// the guarded map shows up here as a race report or a diverging Result;
+// the memo accounting at the end pins that every duplicate lookup really
+// was served from memory.
 func TestTimingMemoConcurrentStress(t *testing.T) {
 	const budget = 64 << 10
 	var profs []workload.Profile
@@ -56,18 +56,6 @@ func TestTimingMemoConcurrentStress(t *testing.T) {
 		refs[i] = sim.Run(rec.Replay(), stressOpts.Insts, stressOpts.Warmup)
 	}
 
-	// Sidecar references: the memoized sidecar must be pointer-stable
-	// across goroutines and column-identical to a freshly built one.
-	cfg := pipeline.DefaultConfig()
-	wantSides := make([]*pipeline.MemSidecar, len(profs))
-	for i, prof := range profs {
-		wantSides[i] = sidecar(prof, stressOpts, cfg)
-		fresh := pipeline.BuildMemSidecar(workload.Record(prof, stressOpts.Insts), pipeline.MemGeometryOf(cfg))
-		if !reflect.DeepEqual(wantSides[i], fresh) {
-			t.Fatalf("memoized sidecar for %s diverges from a fresh build", prof.Name)
-		}
-	}
-
 	m := NewTimingMemo()
 	const goroutines = 8
 	const iters = 3
@@ -86,11 +74,6 @@ func TestTimingMemoConcurrentStress(t *testing.T) {
 					if !reflect.DeepEqual(got, refs[i]) {
 						t.Errorf("goroutine %d: %s/%v/%s diverges from serial recompute:\n got %+v\nwant %+v",
 							g, sp.kind, sp.mode, sp.prof.Name, got, refs[i])
-					}
-				}
-				for i, prof := range profs {
-					if side := sidecar(prof, stressOpts, cfg); side != wantSides[i] {
-						t.Errorf("goroutine %d: sidecar store returned a distinct sidecar for %s", g, prof.Name)
 					}
 				}
 			}

@@ -9,8 +9,7 @@ import (
 )
 
 // memoTestOpts uses an instruction budget no other test shares, so the
-// process-wide memo and trace store entries exercised here are this test's
-// own.
+// process-wide memo entries exercised here are this test's own.
 var memoTestOpts = Options{Insts: 110_000, Warmup: 30_000, Parallel: 1}
 
 // TestTimingMemoEquivalence pins the memo layer's contract: a memoized Cell

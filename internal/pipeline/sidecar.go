@@ -9,8 +9,8 @@ import (
 // on: the three cache geometries. Latencies are deliberately excluded — the
 // sidecar records hierarchy *outcomes* (which level served each access),
 // and the Sim charges its own config's latencies for them — so one sidecar
-// serves every latency variant of a geometry. It is comparable and is the
-// memoization key component in internal/tracestore.
+// serves every latency variant of a geometry. It is comparable, and the
+// experiment grid groups timing cells by it: one pass per geometry.
 type MemGeometry struct {
 	L1I cache.Config
 	L1D cache.Config

@@ -18,7 +18,9 @@
 // coefficient or a machine parameter, and the affected cells miss by
 // construction. So stale entries are never wrong, only dead weight: a
 // result is served only to a key every one of its inputs agrees with.
-// Nothing is ever looked up by mtime or filename convention.
+// Nothing is ever looked up by mtime or filename convention. The dead
+// weight is easy to drop: cells are laid out under one directory per
+// Key.Code, so all of a stale build's cells are one directory to remove.
 //
 // Robustness rule: the store must never error out and never serve bad
 // data. A truncated, corrupted, wrong-version or wrong-payload cell file is
@@ -284,11 +286,15 @@ func (s *Store) write(key Key, rec Record) {
 	s.count(func(st *Stats) { st.Writes++ })
 }
 
-// path returns key's cell file path: two-level sharding by content hash so
-// no directory grows unboundedly.
+// path returns key's cell file path, <dir>/<code>/<h[:2]>/<h>.cell: code
+// is the first 12 hex digits of SHA-256(key.Code), so every cell one
+// build computed sits under one directory, removable whole once that
+// build's code is stale; h is the key's content hash, sharded by its
+// first byte so no directory grows unboundedly.
 func (s *Store) path(key Key) string {
+	code := sha256.Sum256([]byte(key.Code))
 	h := key.hash()
-	return filepath.Join(s.dir, h[:2], h[2:]+".cell")
+	return filepath.Join(s.dir, hex.EncodeToString(code[:6]), h[:2], h+".cell")
 }
 
 // count applies one counter update under the store lock.

@@ -296,8 +296,9 @@ func TestMismatchedFamilyPayload(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			corruptAndRecover(t, func(t *testing.T, path string) {
 				// Re-frame the record with a valid digest: the decode layer
-				// must still reject it.
-				s := &Store{dir: filepath.Dir(filepath.Dir(path))}
+				// must still reject it. The store root is three levels above
+				// a cell file: <dir>/<code>/<h[:2]>/<h>.cell.
+				s := &Store{dir: filepath.Dir(filepath.Dir(filepath.Dir(path)))}
 				s.write(tc.rec.Key, tc.rec)
 			})
 		})
@@ -330,8 +331,9 @@ func TestUnwritableStoreDegrades(t *testing.T) {
 	}
 }
 
-// TestShardedLayout pins the two-level fan-out so a store directory never
-// collapses into one flat dir of thousands of files.
+// TestShardedLayout pins the layout: one directory per code digest, then
+// a two-level fan-out so a store directory never collapses into one flat
+// dir of thousands of files.
 func TestShardedLayout(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
@@ -342,7 +344,42 @@ func TestShardedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := strings.Split(rel, string(filepath.Separator))
-	if len(parts) != 2 || len(parts[0]) != 2 || !strings.HasSuffix(parts[1], ".cell") {
-		t.Fatalf("unexpected cell layout %q, want <2-hex>/<hash>.cell", rel)
+	if len(parts) != 3 || len(parts[0]) != 12 || len(parts[1]) != 2 ||
+		!strings.HasPrefix(parts[2], parts[1]) || !strings.HasSuffix(parts[2], ".cell") {
+		t.Fatalf("unexpected cell layout %q, want <12-hex code>/<2-hex>/<hash>.cell", rel)
+	}
+}
+
+// TestCodeSiblingDirectory pins what the per-code layout is for: a key
+// that differs only in Code lands in a sibling code directory, so removing
+// one build's directory drops its cells and leaves every other build's.
+func TestCodeSiblingDirectory(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	a := testKey("164.gzip")
+	b := a
+	b.Code = a.Code + "+edit"
+	getOrPut(s, a, func() Record { return testRecord(a) })
+	getOrPut(s, b, func() Record { return testRecord(b) })
+	codeDir := func(k Key) string {
+		rel, err := filepath.Rel(dir, cellFile(t, s, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(rel, string(filepath.Separator))[0]
+	}
+	da, db := codeDir(a), codeDir(b)
+	if da == db {
+		t.Fatalf("keys differing only in Code share code directory %s", da)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, da)); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := Open(dir)
+	if _, ok := s2.Get(a); ok {
+		t.Fatal("cell served after its code directory was removed")
+	}
+	if _, ok := s2.Get(b); !ok {
+		t.Fatal("removing one code directory dropped the sibling's cell")
 	}
 }

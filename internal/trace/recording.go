@@ -8,9 +8,10 @@ import (
 )
 
 // A Recording is a materialized instruction stream: the record half of the
-// record/replay trace layer. The experiment grid records each benchmark's
-// stream once and replays it for every (predictor, budget) cell, the way
-// trace-driven simulators amortize workload capture across a design sweep.
+// record/replay trace layer. cmd/tracegen records streams to BPTRACE1
+// files and replays them, and tests replay a recording as the reference a
+// live generator must match; the experiment grid streams straight off the
+// generator instead, one pass per benchmark.
 //
 // Storage is struct-of-arrays, split into fixed-size chunks so recording
 // allocates incrementally (no doubling spikes, bounded slack) and so the
@@ -18,10 +19,10 @@ import (
 // is stored only for instructions that carry one (loads/stores) and Target
 // only for control transfers, cutting memory roughly in half versus []Inst.
 // Replay reconstructs every Inst field bit-for-bit, which the equivalence
-// tests in internal/tracestore enforce against live generation.
+// tests in internal/workload enforce against live generation.
 //
-// A Recording is shared by pointer across every experiment goroutine once
-// its constructor returns, and cursors replay it with no synchronization;
+// A Recording may be shared by pointer across goroutines once its
+// constructor returns, and cursors replay it with no synchronization;
 // the frozen analyzer proves nothing writes it after publication.
 //
 //bplint:frozen

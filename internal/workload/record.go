@@ -6,7 +6,7 @@ import "branchsim/internal/trace"
 // synthetic program and records its first maxInsts instructions. The
 // recording is a pure function of (prof, maxInsts); replaying it is
 // bit-identical to streaming a fresh New(prof), which the equivalence tests
-// in internal/tracestore enforce.
+// in this package (replay_test.go) enforce.
 func Record(prof Profile, maxInsts int64) *trace.Recording {
 	return trace.Record(New(prof), maxInsts)
 }

@@ -52,7 +52,7 @@ go test -run '^$' -fuzz FuzzDecodeCell -fuzztime=10s ./internal/resultstore
 echo "==> concurrency certification: -race runtime twins of the static analyzers"
 # frozen: recordings are replayed concurrently with no synchronization —
 # sound only if nothing writes them after publication.
-go test -race -run 'TestConcurrentReplay|TestConcurrentBranchCursors' ./internal/tracestore ./internal/trace
+go test -race -run 'TestConcurrentReplay|TestConcurrentBranchCursors' ./internal/workload ./internal/trace
 # oncepublish: cell-cache entries are published under sync.Once and
 # hammered from many goroutines.
 go test -race -run 'TestTimingMemoConcurrentStress' ./internal/experiments
@@ -63,7 +63,7 @@ go test -race -run 'TestRunCellsSharedCaptureStress' ./internal/experiments
 go test -race -run 'TestCellCacheColdCoalesce' ./internal/experiments
 
 echo "==> replay equivalence (live vs recorded streams, race-enabled)"
-go test -race -run 'TestReplayEquivalence|TestConcurrentReplay' ./internal/tracestore
+go test -race -run 'TestReplayEquivalence|TestConcurrentReplay' ./internal/workload
 
 echo "==> accuracy engine equivalence (Run/RunMany/RunBlocks vs the instruction-at-a-time reference, every factory kind through the stepper BatchStepperOf resolves, Predict purity of every factory kind, the overriding batch step with a cycle column, the stepper resolver and NeedsClock, bad budgets, fused bpsim vs per-cell Run, race-enabled)"
 go test -race -run 'TestFastPathEquivalence|TestRunManyEquivalence|TestRunManySingleLane|TestBadBudget|TestCycleZeroSelfClocked' ./internal/funcsim
