@@ -17,8 +17,13 @@ import (
 //
 // Functionally the organization predicts whatever the slow predictor says —
 // that is the direction fetch ultimately follows — so Predict returns the
-// slow prediction while recording whether an override occurred. Timing
-// drivers read the override out of the per-branch Outcome.
+// slow prediction while recording whether an override occurred. The pair's
+// own tally (OverrideRate, OverrideCount, LastOverrode) advances only when
+// the pair itself is stepped: by funcsim, or by a clocked timing lane. For
+// an unclocked pair (NeedsClock false), pipeline.RunMany steps the
+// components once per batch, possibly for several lanes that share them,
+// reads their prediction columns, and counts the overrides in its Result
+// instead.
 type Overriding struct {
 	quick predictor.Predictor
 	slow  predictor.Predictor
@@ -63,10 +68,11 @@ func (o *Overriding) Predict(pc uint64) bool {
 	return o.lastSlow
 }
 
-// LastOverrode reports whether the most recent Predict resulted in an
-// override (quick and slow disagreed with a multi-cycle slow predictor), and
-// the bubble cost in cycles if so. Timing drivers call it once per
-// prediction.
+// LastOverrode reports whether the most recent Predict or batch step
+// resulted in an override (quick and slow disagreed with a multi-cycle slow
+// predictor), and the bubble cost in cycles if so: the per-branch form of
+// the override a scalar driver, such as the timing engine's test-only
+// reference, charges after each Predict.
 func (o *Overriding) LastOverrode() (overrode bool, bubbleCycles int) {
 	if o.lastQuick != o.lastSlow && o.latency > 1 {
 		return true, o.latency - 1

@@ -53,7 +53,7 @@ func delayedUpdate(plan *cellPlan) func() *Outcome {
 				func() predictor.Predictor { return makePred(lag) }, prof,
 				func(res funcsim.Result) { mr[i][pi] = res.MispredictPercent() })
 			plan.addTiming(pipeline.DefaultConfig(), "gshare.fast", timOrg, budget,
-				func() predictor.Predictor { return makePred(lag) }, prof,
+				func(*timingParts) predictor.Predictor { return makePred(lag) }, prof,
 				func(res pipeline.Result) { ipc[i][pi] = res.IPC() })
 		}
 	}
@@ -247,10 +247,8 @@ func quickSizeSweep(plan *cellPlan) func() *Outcome {
 		}
 		for pi, prof := range profiles {
 			plan.addTiming(pipeline.DefaultConfig(), "perceptron", org, budget,
-				func() predictor.Predictor {
-					slow := mustPredictor("perceptron", budget)
-					lat := delaymodel.Default.ForPredictor(slow)
-					return core.NewOverriding(predictor.NewGShare(size, 0), slow, lat)
+				func(t *timingParts) predictor.Predictor {
+					return t.overriding("perceptron", budget, size)
 				}, prof, func(res pipeline.Result) {
 					ipcs[i][pi] = res.IPC()
 					overrides[i][pi] = 100 * res.OverrideRate
@@ -306,10 +304,10 @@ func depthSweep(plan *cellPlan) func() *Outcome {
 		// benchmark.
 		for pi, prof := range profiles {
 			plan.addTiming(cfg, "gshare.fast", "ideal", budget,
-				func() predictor.Predictor { return NewGShareFast(budget) }, prof,
+				func(t *timingParts) predictor.Predictor { return t.predictor("gshare.fast", budget) }, prof,
 				func(res pipeline.Result) { fast[i][pi] = res.IPC() })
 			plan.addTiming(cfg, "perceptron", "override", budget,
-				func() predictor.Predictor { return mustOverriding("perceptron", budget) }, prof,
+				func(t *timingParts) predictor.Predictor { return t.overriding("perceptron", budget, QuickEntries) }, prof,
 				func(res pipeline.Result) { over[i][pi] = res.IPC() })
 		}
 	}
@@ -413,7 +411,7 @@ func recovery(plan *cellPlan) func() *Outcome {
 				with[i][pi] = res.IPC()
 			})
 			plan.addTiming(pipeline.DefaultConfig(), "gshare.fast", "nockpt", budget,
-				func() predictor.Predictor {
+				func(*timingParts) predictor.Predictor {
 					return core.WithoutCheckpointing(NewGShareFast(budget))
 				}, prof,
 				func(res pipeline.Result) { without[i][pi] = res.IPC() })

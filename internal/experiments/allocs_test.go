@@ -47,7 +47,7 @@ func TestPredictorStepAllocs(t *testing.T) {
 	}
 	for _, kind := range []string{"2bcgskew", "perceptron", "multicomponent"} {
 		for _, budget := range Figure1Budgets() {
-			check(mustOverriding(kind, budget))
+			check(newTimingParts().timed(kind, budget, Realistic))
 		}
 	}
 	check(core.New(core.Config{Entries: 1 << 16, Latency: 3, UpdateLag: 64}))

@@ -7,4 +7,4 @@ package experiments
 // module-local package it imports, transitively. Every cell key carries
 // it (cellCode), so a change to any code that computes a cell misses the
 // persistent store.
-const codeDigest = "fd0c88463c7e4093af09a609cdf75bf5581d55cded81d84cb029cca1e7caeabd"
+const codeDigest = "603f1781a297173b988e114e1b459dea0bb517f8b3fab541e9e9e8c7eec5b0b5"

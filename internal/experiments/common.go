@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 
-	"branchsim/internal/core"
 	"branchsim/internal/pipeline"
 	"branchsim/internal/predictor"
 	"branchsim/internal/resultstore"
@@ -135,15 +134,6 @@ func mustPredictor(kind string, budgetBytes int) predictor.Predictor {
 		panic("experiments: " + strings.TrimPrefix(err.Error(), "experiments: "))
 	}
 	return p
-}
-
-// mustOverriding is mustPredictor for overriding organizations.
-func mustOverriding(kind string, budgetBytes int) *core.Overriding {
-	o, err := NewOverriding(kind, budgetBytes)
-	if err != nil {
-		panic("experiments: " + strings.TrimPrefix(err.Error(), "experiments: "))
-	}
-	return o
 }
 
 // budgetLabel renders a budget the way the paper's x axes do.

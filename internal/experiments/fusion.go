@@ -11,7 +11,7 @@ import (
 
 // This file is the cell scheduler: the one path every accuracy and timing
 // cell resolves through. A plan's lanes arrive in groups — accuracy lanes
-// by (benchmark, block width), timing lanes by (benchmark, cache
+// by (benchmark, plain or block), timing lanes by (benchmark, cache
 // geometry) at most maxTimingLanes to a group, or one lane per group under
 // FuseOff — and every group runs
 // the same sequence. It acquires its lanes' cache entries under one lock,
@@ -19,7 +19,7 @@ import (
 // resolution of an entry this group created runs the group's computation:
 // probe the persistent store for each created cell, simulate whatever is
 // still cold in one pass straight off the benchmark's generator
-// (funcsim.RunMany or RunBlocks for accuracy, pipeline.RunMany for
+// (funcsim.RunMany or RunManyBlocks for accuracy, pipeline.RunMany for
 // timing), and write those cells back. Grouping changes only when
 // simulations happen, never what they compute or how they are keyed, so
 // fused, -nofuse and warm-store runs are interchangeable byte for byte
@@ -116,21 +116,21 @@ func computeGroup[S specOf[R], R cellResult](c *cellCache[R], lanes []*planLane[
 // "fw8" of their SimOptions.
 const blockFetchWidth = 8
 
-// runAccuracyGroup resolves one accuracy group: plain cells fused into one
-// funcsim.RunMany pass over the benchmark's generator, block cells through
-// funcsim.RunBlocks, whose per-block state RunMany does not carry, one
-// generator pass each.
+// runAccuracyGroup resolves one accuracy group in one pass over the
+// benchmark's generator: plain cells fused through funcsim.RunMany, block
+// cells, whose per-block state RunMany does not carry, through
+// funcsim.RunManyBlocks, each lane at its own block width.
 func runAccuracyGroup(c *cellCache[funcsim.Result], lanes []*planLane[accuracySpec, funcsim.Result], opts Options) {
 	runGroup(c, lanes, opts, func(ss []accuracySpec) []funcsim.Result {
 		fo := funcsim.Options{MaxInsts: opts.Insts, WarmupInsts: opts.Warmup}
-		if w := ss[0].blocks; w > 0 {
-			fo.FetchWidth, fo.BlockBranches = blockFetchWidth, w
-			out := make([]funcsim.Result, len(ss))
+		if ss[0].blocks > 0 {
+			fo.FetchWidth = blockFetchWidth
+			bl := make([]funcsim.BlockLane, len(ss))
 			for i, s := range ss {
 				p := s.build()
-				out[i] = funcsim.RunBlocks(p.(funcsim.BlockPredictor), p.Name(), workload.New(s.prof), fo)
+				bl[i] = funcsim.BlockLane{P: p.(funcsim.BlockPredictor), Name: p.Name(), Width: s.blocks}
 			}
-			return out
+			return funcsim.RunManyBlocks(bl, workload.New(ss[0].prof), fo)
 		}
 		fl := make([]funcsim.Lane, len(ss))
 		for i, s := range ss {
@@ -144,13 +144,20 @@ func runAccuracyGroup(c *cellCache[funcsim.Result], lanes []*planLane[accuracySp
 // through pipeline.RunMany: one pass off the benchmark's generator feeds
 // every pipeline configuration of the group, with no sidecar, so the
 // engine's shared memory hierarchy classifies each batch once for all
-// lanes.
+// lanes. The lanes are built from one set of parts (timingLanes), so the
+// engine steps each distinct predictor once for the pass.
 func runTimingGroup(c *cellCache[pipeline.Result], lanes []*planLane[timingSpec, pipeline.Result], opts Options) {
 	runGroup(c, lanes, opts, func(ss []timingSpec) []pipeline.Result {
-		pl := make([]pipeline.Lane, len(ss))
-		for i, s := range ss {
-			pl[i] = pipeline.Lane{Cfg: s.cfg, Pred: s.build()}
-		}
-		return pipeline.RunMany(pl, workload.New(ss[0].prof), nil, opts.Insts, opts.Warmup)
+		return pipeline.RunMany(timingLanes(ss), workload.New(ss[0].prof), nil, opts.Insts, opts.Warmup)
 	})
+}
+
+// timingLanes builds one pass's lanes from one set of parts.
+func timingLanes(ss []timingSpec) []pipeline.Lane {
+	parts := newTimingParts()
+	pl := make([]pipeline.Lane, len(ss))
+	for i, s := range ss {
+		pl[i] = pipeline.Lane{Cfg: s.cfg, Pred: s.build(parts)}
+	}
+	return pl
 }

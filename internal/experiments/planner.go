@@ -34,14 +34,13 @@ type PlannedCell struct {
 // cellSpec is one declared cell as the scheduler sees it, whatever its
 // family: its canonical key (the resultstore.Key the cell cache and the
 // persistent store both use), the benchmark whose stream it runs
-// on, the predictor construction, and the sink its Result fans back into.
-// Callers must ensure equal keys always denote identical constructions;
-// the cache and the store both trade on that.
+// on, and the sink its Result fans back into. Each family's spec adds its
+// predictor construction. Callers must ensure equal keys always denote
+// identical constructions; the cache and the store both trade on that.
 type cellSpec[R cellResult] struct {
-	key   resultstore.Key
-	prof  workload.Profile
-	build func() predictor.Predictor
-	sink  func(R)
+	key  resultstore.Key
+	prof workload.Profile
+	sink func(R)
 }
 
 func (s cellSpec[R]) cell() cellSpec[R] { return s }
@@ -51,18 +50,21 @@ type specOf[R cellResult] interface {
 	cell() cellSpec[R]
 }
 
-// An accuracySpec is one accuracy cell. blocks > 0 makes it a §3.3.1
-// block-prediction cell: funcsim.RunBlocks predicting up to blocks
-// branches per block.
+// An accuracySpec is one accuracy cell, built fresh by build. blocks > 0
+// makes it a §3.3.1 block-prediction cell: funcsim.RunBlocks predicting
+// up to blocks branches per block.
 type accuracySpec struct {
 	cellSpec[funcsim.Result]
+	build  func() predictor.Predictor
 	blocks int
 }
 
-// A timingSpec is one timing cell on machine cfg.
+// A timingSpec is one timing cell on machine cfg. build assembles its
+// organization from its pass's parts.
 type timingSpec struct {
 	cellSpec[pipeline.Result]
-	cfg pipeline.Config
+	build func(*timingParts) predictor.Predictor
+	cfg   pipeline.Config
 }
 
 // cellPlan accumulates a run's cells before execution: every experiment
@@ -102,9 +104,10 @@ func (p *cellPlan) key(family, kind, org string, budget int, prof workload.Profi
 // non-factory constructions ("" is the stock factory predictor for kind;
 // the ablations use "lag64", "buf9", ...).
 func (p *cellPlan) addAccuracy(kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, sink func(funcsim.Result)) {
-	p.acc = append(p.acc, accuracySpec{cellSpec: cellSpec[funcsim.Result]{
-		key: p.key("accuracy", kind, org, budget, prof), prof: prof, build: build, sink: sink,
-	}})
+	p.acc = append(p.acc, accuracySpec{
+		cellSpec: cellSpec[funcsim.Result]{key: p.key("accuracy", kind, org, budget, prof), prof: prof, sink: sink},
+		build:    build,
+	})
 }
 
 // addBlocks declares one block-prediction accuracy cell: build's
@@ -115,7 +118,8 @@ func (p *cellPlan) addBlocks(kind string, budget, width int, build func() predic
 	key := p.key("accuracy", kind, "", budget, prof)
 	key.SimOptions = fmt.Sprintf("blocks.fw%d.bb%d", blockFetchWidth, width)
 	p.acc = append(p.acc, accuracySpec{
-		cellSpec: cellSpec[funcsim.Result]{key: key, prof: prof, build: build, sink: sink},
+		cellSpec: cellSpec[funcsim.Result]{key: key, prof: prof, sink: sink},
+		build:    build,
 		blocks:   width,
 	})
 }
@@ -124,11 +128,13 @@ func (p *cellPlan) addBlocks(kind string, budget, width int, build func() predic
 // rendering of cfg is the key's Machine. org names the organization:
 // "ideal" (bare predictor, single-cycle), "override" (behind the 2K-entry
 // quick gshare), or an ablation variant ("override.q256", "lag64", ...).
-func (p *cellPlan) addTiming(cfg pipeline.Config, kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, sink func(pipeline.Result)) {
+// build assembles the organization from its pass's parts (timingParts).
+func (p *cellPlan) addTiming(cfg pipeline.Config, kind, org string, budget int, build func(*timingParts) predictor.Predictor, prof workload.Profile, sink func(pipeline.Result)) {
 	key := p.key("timing", kind, org, budget, prof)
 	key.Machine = machineString(cfg)
 	p.tim = append(p.tim, timingSpec{
-		cellSpec: cellSpec[pipeline.Result]{key: key, prof: prof, build: build, sink: sink},
+		cellSpec: cellSpec[pipeline.Result]{key: key, prof: prof, sink: sink},
+		build:    build,
 		cfg:      cfg,
 	})
 }
@@ -199,16 +205,17 @@ func collapse[S specOf[R], R cellResult](specs []S) []*planLane[S, R] {
 }
 
 // accuracyGroup keys the fused accuracy unit: one pass per benchmark
-// stream and simulator shape. The measurement window is uniform across a
-// plan, so it needs no key component.
+// stream and simulator, plain or block; block lanes of every width share
+// a pass. The measurement window is uniform across a plan, so it needs no
+// key component.
 type accuracyGroup struct {
 	bench  string
 	seed   uint64
-	blocks int
+	blocks bool
 }
 
 func accuracyGroupKey(s accuracySpec) accuracyGroup {
-	return accuracyGroup{bench: s.prof.Name, seed: s.prof.Seed, blocks: s.blocks}
+	return accuracyGroup{bench: s.prof.Name, seed: s.prof.Seed, blocks: s.blocks > 0}
 }
 
 // timingGroup keys the fused timing unit: one pass per benchmark stream
@@ -255,15 +262,14 @@ func groupLanes[S specOf[R], R cellResult, G comparable](lanes []*planLane[S, R]
 // maxTimingLanes caps a timing pass: a (benchmark, cache geometry) group
 // wider than this runs as several passes off the generator, each of at
 // most maxTimingLanes lanes in declaration order. Every lane of a pass
-// keeps its scoreboard rings and predictor tables hot across batches, and
-// a wide pass outgrows the caches: Figures 2, 7 and 8 at 125K
-// instructions (42 timing lanes per benchmark) ran 24% slower as one pass
-// per benchmark than as the 24- and 18-lane passes this cap makes, which
-// ran at parity with per-experiment plans (medians of 10 alternating
-// perfbench timing-cold pairs each, 2-core x86-64 host). Generating the
-// stream once more per pass costs little beside that. Sweeping a pass's
-// lanes in tiles of 12 within each batch did not help: the working set
-// that matters is the pass's, not the batch's.
+// keeps its scoreboard rings and predictor tables live across batches, so
+// the cap bounds the state a pass holds. Figures 2, 7 and 8 at 125K
+// instructions (42 timing lanes per benchmark) ran at wall parity as one
+// pass per benchmark and as the 24- and 18-lane passes this cap makes
+// (medians of 10 alternating runs, 1.83 vs 1.87 s), but the one wide pass
+// peaked at ~24 MB instead of ~19 MB (2-core x86-64 host). Declaration
+// order keeps a (kind, budget)'s ideal and overriding lanes in one pass,
+// so the split costs no predictor built twice (TestTimingPassesShareParts).
 const maxTimingLanes = 24
 
 // cellPanic records the first panic raised by any cell in a plan so the

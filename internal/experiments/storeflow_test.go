@@ -23,7 +23,8 @@ var storeTestOpts = Options{Insts: 130_000, Warmup: 30_000}
 func timingCell(cfg pipeline.Config, kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, opts Options) pipeline.Result {
 	plan := newPlan(opts)
 	var res pipeline.Result
-	plan.addTiming(cfg, kind, org, budget, build, prof, func(r pipeline.Result) { res = r })
+	plan.addTiming(cfg, kind, org, budget, func(*timingParts) predictor.Predictor { return build() }, prof,
+		func(r pipeline.Result) { res = r })
 	plan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
 	return res
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"branchsim/internal/core"
+	"branchsim/internal/delaymodel"
 	"branchsim/internal/pipeline"
 	"branchsim/internal/predictor"
 	"branchsim/internal/stats"
@@ -21,15 +23,73 @@ const (
 	Realistic
 )
 
-// buildTimed assembles the predictor organization for a kind under a mode.
-func buildTimed(kind string, budget int, mode TimingMode) predictor.Predictor {
-	if mode == Ideal || kind == "gshare.fast" {
-		return mustPredictor(kind, budget)
-	}
-	return mustOverriding(kind, budget)
+// timingParts is one timing pass's predictor parts: one factory
+// predictor per (kind, budget) and one quick gshare per size, so lanes
+// whose organizations hold the same part share one instance, and the
+// engine steps it once for all of them (pipeline.RunMany). Clocked kinds
+// (core.NeedsClock) always get a fresh instance, since a clocked lane
+// steps its own. A pass's parts live only inside its group's
+// computation, so concurrent groups share nothing.
+type timingParts struct {
+	preds  map[partKey]predictor.Predictor
+	quicks map[int]predictor.Predictor
 }
 
-// timingOrg names buildTimed's organization for the cell keys:
+type partKey struct {
+	kind   string
+	budget int
+}
+
+func newTimingParts() *timingParts {
+	return &timingParts{preds: map[partKey]predictor.Predictor{}, quicks: map[int]predictor.Predictor{}}
+}
+
+// predictor returns the pass's factory predictor of kind at budget.
+func (t *timingParts) predictor(kind string, budget int) predictor.Predictor {
+	k := partKey{kind, budget}
+	if p := t.preds[k]; p != nil {
+		return p
+	}
+	p := mustPredictor(kind, budget)
+	if !core.NeedsClock(p) {
+		t.preds[k] = p
+	}
+	return p
+}
+
+// quick returns the pass's quick gshare of the given size.
+func (t *timingParts) quick(entries int) predictor.Predictor {
+	q := t.quicks[entries]
+	if q == nil {
+		q = predictor.NewGShare(entries, 0)
+		t.quicks[entries] = q
+	}
+	return q
+}
+
+// overriding returns kind at budget behind a quick gshare of quickEntries
+// entries, with the slow latency from the delay model. A clocked slow
+// predictor makes the pair a clocked lane, which gets its quick fresh.
+func (t *timingParts) overriding(kind string, budget, quickEntries int) *core.Overriding {
+	slow := t.predictor(kind, budget)
+	var quick predictor.Predictor
+	if core.NeedsClock(slow) {
+		quick = predictor.NewGShare(quickEntries, 0)
+	} else {
+		quick = t.quick(quickEntries)
+	}
+	return core.NewOverriding(quick, slow, delaymodel.Default.ForPredictor(slow))
+}
+
+// timed assembles the predictor organization for a kind under a mode.
+func (t *timingParts) timed(kind string, budget int, mode TimingMode) predictor.Predictor {
+	if mode == Ideal || kind == "gshare.fast" {
+		return t.predictor(kind, budget)
+	}
+	return t.overriding(kind, budget, QuickEntries)
+}
+
+// timingOrg names timed's organization for the cell keys:
 // "ideal" for the bare single-cycle predictor (gshare.fast's organization
 // is mode-invariant, so its realistic cells collapse to the same entry),
 // "override" behind the 2K-entry quick gshare.
@@ -43,8 +103,8 @@ func timingOrg(kind string, mode TimingMode) string {
 // addCell declares the canonical (kind, budget, mode) timing cell on the
 // Table 1 machine, the cell TimingMemo.Cell resolves.
 func (p *cellPlan) addCell(kind string, budget int, mode TimingMode, prof workload.Profile, sink func(pipeline.Result)) {
-	p.addTiming(pipeline.DefaultConfig(), kind, timingOrg(kind, mode), budget, func() predictor.Predictor {
-		return buildTimed(kind, budget, mode)
+	p.addTiming(pipeline.DefaultConfig(), kind, timingOrg(kind, mode), budget, func(t *timingParts) predictor.Predictor {
+		return t.timed(kind, budget, mode)
 	}, prof, sink)
 }
 

@@ -36,7 +36,7 @@ func timingFusionGrid(plan *cellPlan, depths []int, kinds []string, nBench int) 
 			for _, prof := range profiles {
 				slot := &out[i]
 				i++
-				plan.addTiming(cfg, kind, org, budget, func() predictor.Predictor {
+				plan.addTiming(cfg, kind, org, budget, func(*timingParts) predictor.Predictor {
 					return mustPredictor(kind, budget)
 				}, prof, func(res pipeline.Result) { *slot = res })
 			}
@@ -119,10 +119,10 @@ func TestFusedTimingGeometryGrouping(t *testing.T) {
 	small.L2.SizeBytes = 512 << 10
 	plan := newPlan(timingFusionTestOpts)
 	var a, b pipeline.Result
-	plan.addTiming(pipeline.DefaultConfig(), "gshare", "", budget, func() predictor.Predictor {
+	plan.addTiming(pipeline.DefaultConfig(), "gshare", "", budget, func(*timingParts) predictor.Predictor {
 		return mustPredictor("gshare", budget)
 	}, prof, func(res pipeline.Result) { a = res })
-	plan.addTiming(small, "gshare", "", budget, func() predictor.Predictor {
+	plan.addTiming(small, "gshare", "", budget, func(*timingParts) predictor.Predictor {
 		return mustPredictor("gshare", budget)
 	}, prof, func(res pipeline.Result) { b = res })
 

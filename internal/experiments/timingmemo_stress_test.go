@@ -52,7 +52,7 @@ func TestTimingMemoConcurrentStress(t *testing.T) {
 	refs := make([]pipeline.Result, len(specs))
 	for i, sp := range specs {
 		rec := workload.Record(sp.prof, stressOpts.Insts)
-		sim := pipeline.New(pipeline.DefaultConfig(), buildTimed(sp.kind, budget, sp.mode))
+		sim := pipeline.New(pipeline.DefaultConfig(), newTimingParts().timed(sp.kind, budget, sp.mode))
 		refs[i] = sim.Run(rec.Replay(), stressOpts.Insts, stressOpts.Warmup)
 	}
 

@@ -35,7 +35,7 @@ func TestTimingMemoEquivalence(t *testing.T) {
 			// The reference recomputes the cell from scratch with no
 			// memo, no sidecar and a private replay of the same stream.
 			rec := workload.Record(prof, memoTestOpts.Insts)
-			sim := pipeline.New(pipeline.DefaultConfig(), buildTimed(tc.kind, budget, tc.mode))
+			sim := pipeline.New(pipeline.DefaultConfig(), newTimingParts().timed(tc.kind, budget, tc.mode))
 			want := sim.Run(rec.Replay(), memoTestOpts.Insts, memoTestOpts.Warmup)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("memoized cell diverges from recompute:\n got %+v\nwant %+v", got, want)

@@ -1,6 +1,7 @@
 package funcsim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -148,6 +149,33 @@ func TestFastPathEquivalenceBlocks(t *testing.T) {
 			got := RunBlocks(mk(), "blk", src, opts)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s %s: RunBlocks diverges:\n got %+v\nwant %+v", bench, name, got, want)
+			}
+		}
+	}
+}
+
+// TestRunManyBlocksMatchesPerLane pins the multi-lane block pass: lanes of
+// block widths 1, 2, 4 and 8 over one stream — and a lane left at the
+// Options width — must each match the reference run of that lane alone.
+func TestRunManyBlocksMatchesPerLane(t *testing.T) {
+	opts := Options{MaxInsts: 150_000, WarmupInsts: 40_000, FetchWidth: 8, BlockBranches: 2}
+	mk := func() *core.GShareFast { return core.New(core.Config{Entries: 1 << 14, Latency: 3}) }
+	widths := []int{1, 2, 4, 8, 0}
+	for _, bench := range []string{"gzip", "twolf"} {
+		prof := mustProfile(t, bench)
+		lanes := make([]BlockLane, len(widths))
+		for i, w := range widths {
+			lanes[i] = BlockLane{P: mk(), Name: fmt.Sprintf("b%d", w), Width: w}
+		}
+		got := RunManyBlocks(lanes, workload.New(prof), opts)
+		for i, w := range widths {
+			o := opts
+			if w > 0 {
+				o.BlockBranches = w
+			}
+			want := refRunBlocks(mk(), lanes[i].Name, workload.New(prof), o)
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("%s width %d: multi-lane pass diverges from the lane alone:\n got %+v\nwant %+v", bench, w, got[i], want)
 			}
 		}
 	}

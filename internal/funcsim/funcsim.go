@@ -118,9 +118,29 @@ type BlockPredictor interface {
 // accuracy result. It measures the accuracy cost of the stale within-block
 // history that multiple-branch prediction implies (§3.3.1). A branch at
 // 0-based stream index i belongs to fetch cycle (i+1)/FetchWidth; a block
-// ends at a cycle change or when it is full.
+// ends at a cycle change or when it is full. RunBlocks is RunManyBlocks
+// with one lane.
 func RunBlocks(p BlockPredictor, name string, src trace.Source, opts Options) Result {
 	checkBudget("RunBlocks", src.Name(), opts)
+	return RunManyBlocks([]BlockLane{{P: p, Name: name}}, src, opts)[0]
+}
+
+// A BlockLane is one block predictor's slot in a RunManyBlocks pass: the
+// predictor, the name its Result carries, and its block width, the most
+// branches one block predicts (0 takes Options.BlockBranches). Each lane
+// needs a predictor of its own.
+type BlockLane struct {
+	P     BlockPredictor
+	Name  string
+	Width int
+}
+
+// RunManyBlocks streams src once through every lane and returns one Result
+// per lane, in lane order, each exactly what RunBlocks returns for that
+// lane alone. The fetch cycles are the stream's, so the lanes share each
+// cycle's run of branches and split it into blocks of their own width.
+func RunManyBlocks(lanes []BlockLane, src trace.Source, opts Options) []Result {
+	checkBudget("RunManyBlocks", src.Name(), opts)
 	if opts.FetchWidth <= 0 {
 		opts.FetchWidth = 8
 	}
@@ -129,22 +149,32 @@ func RunBlocks(p BlockPredictor, name string, src trace.Source, opts Options) Re
 	}
 	var (
 		insts     int64
-		mispred   stats.Rate
+		mispred   = make([]stats.Rate, len(lanes))
 		pcs       []uint64
 		takens    []bool
 		measured  []bool
 		lastCycle uint64 = ^uint64(0)
-		block            = make([]bool, opts.BlockBranches)
+		// A fetch cycle spans at most FetchWidth instructions, so at most
+		// FetchWidth branches.
+		cycleBuf = make([]bool, opts.FetchWidth)
 	)
+	// flush steps every lane through the current cycle's branches, one
+	// block of at most the lane's width at a time.
 	flush := func() {
-		if len(pcs) == 0 {
-			return
-		}
-		preds := block[:len(pcs)]
-		p.StepBlock(pcs, takens, preds)
-		for i := range preds {
-			if measured[i] {
-				mispred.Add(preds[i] != takens[i])
+		preds := cycleBuf[:len(pcs)]
+		for li, l := range lanes {
+			w := l.Width
+			if w <= 0 {
+				w = opts.BlockBranches
+			}
+			for lo := 0; lo < len(pcs); lo += w {
+				hi := min(lo+w, len(pcs))
+				l.P.StepBlock(pcs[lo:hi], takens[lo:hi], preds[lo:hi])
+			}
+			for i, pr := range preds {
+				if measured[i] {
+					mispred[li].Add(pr != takens[i])
+				}
 			}
 		}
 		pcs, takens, measured = pcs[:0], takens[:0], measured[:0]
@@ -165,8 +195,7 @@ func RunBlocks(p BlockPredictor, name string, src trace.Source, opts Options) Re
 				done = true
 				break
 			}
-			cycle := uint64(rec.InstIndex+1) / uint64(opts.FetchWidth)
-			if cycle != lastCycle || len(pcs) >= opts.BlockBranches {
+			if cycle := uint64(rec.InstIndex+1) / uint64(opts.FetchWidth); cycle != lastCycle {
 				flush()
 				lastCycle = cycle
 			}
@@ -176,11 +205,15 @@ func RunBlocks(p BlockPredictor, name string, src trace.Source, opts Options) Re
 		}
 	}
 	flush()
-	return Result{
-		Predictor:   name,
-		Workload:    src.Name(),
-		Insts:       insts,
-		Branches:    mispred.Total,
-		Mispredicts: mispred.Events,
+	out := make([]Result, len(lanes))
+	for li, l := range lanes {
+		out[li] = Result{
+			Predictor:   l.Name,
+			Workload:    src.Name(),
+			Insts:       insts,
+			Branches:    mispred[li].Total,
+			Mispredicts: mispred[li].Events,
+		}
 	}
+	return out
 }

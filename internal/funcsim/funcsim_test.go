@@ -176,6 +176,9 @@ func TestBadBudget(t *testing.T) {
 		"RunBlocks": func(o Options) {
 			RunBlocks(core.New(core.Config{Entries: 1 << 10, Latency: 2}), "blk", src, o)
 		},
+		"RunManyBlocks": func(o Options) {
+			RunManyBlocks([]BlockLane{{P: core.New(core.Config{Entries: 1 << 10, Latency: 2}), Name: "blk"}}, src, o)
+		},
 	}
 	for name, run := range runs {
 		for _, o := range []Options{

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 
 	"branchsim/internal/btb"
 	"branchsim/internal/core"
@@ -27,26 +28,35 @@ import (
 //     shared hierarchy stepped over the batch (memHier.classify): the access
 //     sequence does not depend on the predictor, so no lane has caches of
 //     its own;
-//   - every lane's predictor is driven through one step protocol, the
-//     stepper core.BatchStepperOf resolves for it. A lane whose predictions
-//     depend on the branch stream alone steps once per batch, before the
-//     sweep, over the branch columns, and leaves per-branch prediction and
-//     (for an overriding pair, core.Overriding.StepBatchOverrides) override
-//     bits that the branch sweep reads with no interface call. A clocked
-//     lane (core.NeedsClock: gshare.fast, BiModeFast, NoCheckpoint and
-//     overriding pairs holding one) needs each branch's fetch cycle, which
-//     depends on its earlier predictions, so it steps one branch at a time
-//     inside the sweep through the same step, with a one-entry cycle column
-//     holding the branch's fetch cycle;
+//   - each distinct predictor instance steps once per batch. A lane whose
+//     predictions depend on the branch stream alone (core.NeedsClock false)
+//     reads them from a shared 256-entry column: the engine steps every
+//     distinct unclocked instance — a lane's predictor, or a component of
+//     an overriding pair (core.Overriding Quick/Slow) — once per batch,
+//     before the sweep, through the stepper core.BatchStepperOf resolves
+//     for it, and an unclocked pair's lane reads its slow column for the
+//     prediction and flags an override where its quick column disagrees.
+//     Lanes holding the same instance therefore share one column, and the
+//     branch sweep makes no interface call for them. A clocked lane
+//     (gshare.fast, BiModeFast, NoCheckpoint and overriding pairs holding
+//     one) needs each branch's fetch cycle, which depends on its earlier
+//     predictions, so it steps one branch at a time inside the sweep, with
+//     a one-entry cycle column holding the branch's fetch cycle, into a
+//     column of its own;
 //   - lanes are interleaved per instruction: each lane's scoreboard update
 //     is a serial dependency chain (ring probe → reserve → commit), and
 //     stepping all lanes through one instruction before advancing lets those
 //     independent chains overlap in the host pipeline instead of running
 //     back to back;
-//   - the slot rings keep one count byte per cycle, eight cycles to a word
-//     (byteRing), so one reservation probe inspects eight cycles with two
-//     loads and a branch-free full-slot mask, and the ROB cursor wraps with
-//     a compare instead of an integer division.
+//   - the slot rings keep one count byte per cycle, eight cycles to a word,
+//     and the issue ring's word sits beside the port rings' words for the
+//     same eight cycles (ringWord), so one reservation probe inspects eight
+//     cycles with two loads from one line and a branch-free full-slot mask.
+//     A lane's rings start at initRing cycles and double, up to ringSize,
+//     only when the lane's live window — from its current dispatch cycle to
+//     its furthest reservation — would otherwise wrap onto itself, so a
+//     pass holds rings as large as its lanes' windows rather than the cap.
+//     The ROB cursor wraps with a compare instead of an integer division.
 //
 // All lanes advance in lockstep over the shared batch, so the engine needs
 // no cross-lane synchronization: lanes never read each other's state, and
@@ -69,6 +79,17 @@ type Lane struct {
 // same stream returns; fusion is an execution strategy, not an observable
 // one. The first warmupInsts instructions train every structure but are
 // excluded from the statistics; a warm-up outside [0, maxInsts) panics.
+//
+// Lanes may share predictor instances, directly or as components of
+// overriding pairs: an unclocked instance (core.NeedsClock false) steps
+// once per batch however many lanes read it, so a lane's Result is what a
+// run with its own fresh copy returns. Identity is pointer identity; a
+// predictor whose dynamic type is not a pointer is never shared. An
+// unclocked pair's lanes count overrides in Result and leave the pair's
+// own tally (core.Overriding.OverrideRate) untouched; a clocked lane steps
+// its predictor itself, so an instance in a clocked lane may appear in no
+// other lane, and no instance may appear twice in one lane: either panics,
+// naming the lanes, before any instruction is read.
 // The sidecar is used only for a *trace.Cursor it covers (same recording,
 // replayed from the start, same cache geometry); with any other source —
 // a live generator, an uncovered cursor — the engine classifies each batch
@@ -101,26 +122,29 @@ func RunMany(lanes []Lane, src trace.Source, side *MemSidecar, maxInsts, warmupI
 	return f.finish(src.Name())
 }
 
-// ringSize is the scoreboard window in cycles: a ring slot is reused once
-// its cycle is ringSize old, far beyond any latency the model produces.
+// ringSize is the largest scoreboard window in cycles: once a lane's rings
+// have grown to it, a ring slot is reused once its cycle is ringSize old,
+// far beyond any latency the model produces.
 const ringSize = 1 << 15
 
-// byteRing is the engine's slot ring: one reservation count per cycle,
-// packed eight cycles to a word, so a probe inspects eight cycles with one
-// load. The test reference's slotRing (reference_test.go) keeps a tagged
-// slot per cycle and forgets a cycle when a younger one aliases its slot;
-// byteRing instead forgets by zeroing count bytes one lap ahead of the scan
-// frontier (laneRings.extend) — the same "a cycle older than ringSize reads
-// as empty" contract, amortized to a fraction of a store per cycle.
-type byteRing struct {
-	// w's byte c&7 of word (c&(ringSize-1))>>3 counts cycle c. The
-	// fixed-size array lets the masked index elide bounds checks in the
-	// scan loop.
-	w *[ringSize / 8]uint64
-	// limitRep is the slot limit replicated into every byte lane; a cycle
-	// is full exactly when its count byte equals the limit, since
-	// reservations only land on proven-free cycles.
-	limitRep uint64
+// initRing is the ring size in cycles a lane starts with. No lane grows
+// on the timing figures' grid at 125K instructions, on cmd/ipcsim's
+// three 64 KB organizations at 1M, or on a full cmd/reproduce run at 100K:
+// their live windows (laneRings.extend) stay inside it.
+const initRing = 1 << 12
+
+// ringWord is eight cycles of a lane's slot rings: one reservation count
+// per cycle, byte c&7 counting cycle c, for the issue ring and for each
+// port ring. A probe reads the issue word and one port word for the same
+// eight cycles, so keeping them together puts both loads on one line. The
+// test reference's slotRing (reference_test.go) keeps a tagged slot per
+// cycle and forgets a cycle when a younger one aliases its slot; the rings
+// instead forget by zeroing words one lap ahead of the scan frontier
+// (laneRings.extend) — at ringSize, the same "a cycle older than ringSize
+// reads as empty" contract, amortized to a fraction of a store per cycle.
+type ringWord struct {
+	issue uint64
+	ports [numPorts]uint64
 }
 
 const (
@@ -128,54 +152,89 @@ const (
 	byteHighRep = 0x8080808080808080
 )
 
-func newByteRing(limit int) byteRing {
+// limitRep replicates a ring's slot limit into every byte lane of a word; a
+// cycle is full exactly when its count byte equals the limit, since
+// reservations only land on proven-free cycles.
+func limitRep(limit int) uint64 {
 	if limit <= 0 || limit > 127 {
 		panic("pipeline: byte ring limit out of range")
 	}
-	return byteRing{w: new([ringSize / 8]uint64), limitRep: uint64(limit) * byteOneRep}
+	return uint64(limit) * byteOneRep
+}
+
+// newLaneRings returns cfg's scoreboard at initRing cycles.
+func newLaneRings(cfg Config) laneRings {
+	return laneRings{
+		words:    make([]ringWord, initRing/8),
+		wmask:    initRing/8 - 1,
+		issueRep: limitRep(cfg.IssueWidth),
+		portRep: [numPorts]uint64{
+			portInt: limitRep(cfg.IntPorts),
+			portMem: limitRep(cfg.MemPorts),
+			portMul: limitRep(cfg.MulPorts),
+			portFP:  limitRep(cfg.FPPorts),
+		},
+		robCommit: make([]uint64, cfg.ROBSize),
+		// The freshly zeroed words already cover the first lap.
+		clearedTo: initRing,
+	}
 }
 
 // clearChunk is how far past the requested cycle extend zeroes in one call;
 // the hot path then skips the slow path for the next ~chunk cycles.
 const clearChunk = 512
 
-// extend zeroes the count bytes for cycles [clearedTo, t+clearChunk) in all
-// five rings, reclaiming slots exactly one lap (ringSize cycles) old. It
-// preserves the invariant that every cycle in [clearedTo-ringSize,
-// clearedTo) reads its own count and anything older reads as forgotten —
-// the aliasing contract the reference's slotRing enforces per probe with a
-// tag compare.
-func (rg *laneRings) extend(t uint64) {
+// extend zeroes the count bytes for cycles [clearedTo, t+clearChunk),
+// reclaiming slots exactly one lap old. live is the lane's current
+// dispatch cycle: fetch never moves backwards, so every later probe lands
+// at or after it, and the cycles [live, clearedTo) are the live window.
+// Before zeroing a slot whose previous cycle is live, extend doubles the
+// rings (grow), up to ringSize; below that size no live cycle is ever
+// forgotten, and at it every cycle in [clearedTo-ringSize, clearedTo)
+// reads its own count and anything older reads as forgotten — the
+// aliasing contract the reference's slotRing enforces per probe with a tag
+// compare.
+func (rg *laneRings) extend(t, live uint64) {
 	to := (t + clearChunk) &^ 7
-	issue, p0, p1, p2, p3 := rg.issue.w, rg.ports[0].w, rg.ports[1].w, rg.ports[2].w, rg.ports[3].w
+	for to-live > uint64(len(rg.words))*8 && len(rg.words)*8 < ringSize {
+		rg.grow(live)
+	}
+	words, mask := rg.words, rg.wmask
 	for c := rg.clearedTo; c < to; c += 8 {
-		i := (c & (ringSize - 1)) >> 3
-		issue[i] = 0
-		p0[i] = 0
-		p1[i] = 0
-		p2[i] = 0
-		p3[i] = 0
+		words[c>>3&mask] = ringWord{}
 	}
 	rg.clearedTo = to
 }
 
+// grow doubles the rings, re-laying out the live cycles [live, clearedTo)
+// — the only ones a later probe can read — at their new slots.
+func (rg *laneRings) grow(live uint64) {
+	mask := rg.wmask<<1 | 1
+	words := make([]ringWord, mask+1)
+	for c := live &^ 7; c < rg.clearedTo; c += 8 {
+		words[c>>3&mask] = rg.words[c>>3&rg.wmask]
+	}
+	rg.words, rg.wmask = words, mask
+}
+
 // takeInBoth books the first cycle at or after t with a free slot in both
 // the issue ring and port ring p, and returns it: the reference slotRing's
-// scan-then-reserve collapsed into one word-at-a-time pass. A count byte
-// equals its ring's limit iff the matching byte of count^limitRep is zero;
-// forcing each byte's high bit before the (now borrow-free) decrement
-// leaves the high bit set exactly for nonzero bytes, so the AND of the two
-// rings' masks has a high bit per free-in-both cycle and TrailingZeros
-// lands on the first one. The body is the loop-free first-word probe, the
-// common case; takeScan continues word by word when the first word is
-// booked solid. The probe is too large for the inliner (cost 192 against
-// a budget of 80), so each lane sweep calls it; a profile-guided build that
-// inlines it measured no gain on the timing grid.
-func (rg *laneRings) takeInBoth(p uint8, t uint64) uint64 {
+// scan-then-reserve collapsed into one word-at-a-time pass. live is the
+// lane's current dispatch cycle (extend). A count byte equals its ring's
+// limit iff the matching byte of count^limitRep is zero; forcing each
+// byte's high bit before the (now borrow-free) decrement leaves the high
+// bit set exactly for nonzero bytes, so the AND of the two rings' masks has
+// a high bit per free-in-both cycle and TrailingZeros lands on the first
+// one. The body is the loop-free first-word probe, the common case;
+// takeScan extends the rings and continues word by word when the probe has
+// outrun the zeroed horizon or the first word is booked solid. The probe is
+// too large for the inliner, so each lane sweep calls it; a profile-guided
+// build that inlines it measured no gain on the timing grid.
+func (rg *laneRings) takeInBoth(p uint8, t, live uint64) uint64 {
 	if t+8 <= rg.clearedTo {
-		i := (t & (ringSize - 1)) >> 3
-		zx := rg.issue.w[i] ^ rg.issue.limitRep
-		zy := rg.ports[p].w[i] ^ rg.ports[p].limitRep
+		w := &rg.words[t>>3&rg.wmask]
+		zx := w.issue ^ rg.issueRep
+		zy := w.ports[p] ^ rg.portRep[p]
 		free := ((zx | byteHighRep) - byteOneRep) & ((zy | byteHighRep) - byteOneRep) & byteHighRep
 		free &= ^uint64(0) << ((t & 7) * 8) // cycles before t are not candidates
 		if free != 0 {
@@ -183,38 +242,36 @@ func (rg *laneRings) takeInBoth(p uint8, t uint64) uint64 {
 			sh := j * 8
 			// Counts stay strictly below the ≤127 limit on free cycles, so
 			// the byte increments cannot carry into a neighbor.
-			rg.issue.w[i] += 1 << sh
-			rg.ports[p].w[i] += 1 << sh
+			w.issue += 1 << sh
+			w.ports[p] += 1 << sh
 			return t&^7 + j
 		}
 		t = t&^7 + 8
 	}
-	return rg.takeScan(p, t)
+	return rg.takeScan(p, t, live)
 }
 
 // takeScan is takeInBoth's slow path: extend the zeroed horizon when the
 // probe has outrun it, then scan whole words until a free-in-both cycle
 // appears. Entered either at an uncleared cycle or at a word boundary past
 // a fully booked word.
-func (rg *laneRings) takeScan(p uint8, t uint64) uint64 {
-	iw := rg.issue.w
-	pw := rg.ports[p].w
-	il := rg.issue.limitRep
-	pl := rg.ports[p].limitRep
+func (rg *laneRings) takeScan(p uint8, t, live uint64) uint64 {
+	il := rg.issueRep
+	pl := rg.portRep[p]
 	for {
 		if t+8 > rg.clearedTo {
-			rg.extend(t)
+			rg.extend(t, live)
 		}
-		i := (t & (ringSize - 1)) >> 3
-		zx := iw[i] ^ il
-		zy := pw[i] ^ pl
+		w := &rg.words[t>>3&rg.wmask]
+		zx := w.issue ^ il
+		zy := w.ports[p] ^ pl
 		free := ((zx | byteHighRep) - byteOneRep) & ((zy | byteHighRep) - byteOneRep) & byteHighRep
 		free &= ^uint64(0) << ((t & 7) * 8) // cycles before t are not candidates
 		if free != 0 {
 			j := uint64(bits.TrailingZeros64(free)) >> 3
 			sh := j * 8
-			iw[i] += 1 << sh
-			pw[i] += 1 << sh
+			w.issue += 1 << sh
+			w.ports[p] += 1 << sh
 			return t&^7 + j
 		}
 		t = t&^7 + 8
@@ -256,21 +313,26 @@ type laneConst struct {
 	latTab      [numLats]uint64
 }
 
-// laneOrg is a lane's predictor organization: the predictor and its
-// pre-resolved step. clocked is set for a lane that steps one branch at a
-// time at its fetch cycle (core.NeedsClock); every other lane steps once
-// per batch. bubble is an overriding pair's override cost in cycles.
+// laneOrg is a lane's predictor organization. An unclocked lane reads its
+// predictions from the shared columns (fusedRun.cols): slow is the column
+// of the instance whose prediction fetch follows, and quick the column of
+// an overriding pair's quick component, or slow again when no override
+// can occur. clocked is set for a lane that steps one branch at a time at
+// its fetch cycle (core.NeedsClock) through stepper, or the pair's own
+// step, into its own prediction column; slow then indexes fusedRun.own.
+// bubble is an overriding pair's override cost in cycles.
 type laneOrg struct {
-	pred    predictor.Predictor
-	over    *core.Overriding
-	stepper predictor.BatchStepper
-	clocked bool
-	bubble  uint64
+	pred        predictor.Predictor
+	over        *core.Overriding
+	stepper     predictor.BatchStepper
+	clocked     bool
+	bubble      uint64
+	slow, quick int
 }
 
-// step runs the lane's prediction stage over a run of branches: preds gets
-// each predicted direction and, for an overriding pair, overrode whether the
-// slow predictor overrode the quick one.
+// step runs a clocked lane's prediction stage over a run of branches:
+// preds gets each predicted direction and, for an overriding pair,
+// overrode whether the slow predictor overrode the quick one.
 func (o *laneOrg) step(pcs []uint64, takens []bool, cycles []uint64, preds, overrode []bool) {
 	if o.over != nil {
 		o.over.StepBatchOverrides(pcs, takens, cycles, preds, overrode)
@@ -279,8 +341,8 @@ func (o *laneOrg) step(pcs []uint64, takens []bool, cycles []uint64, preds, over
 	}
 }
 
-// lanePreds is a lane's prediction stage output for the current batch,
-// indexed by branch ordinal (fusedRun.bord): each branch's
+// lanePreds is a clocked lane's prediction stage output for the current
+// batch, indexed by branch ordinal (fusedRun.bord): each branch's
 // predicted direction and, for an overriding pair, whether the slow
 // predictor overrode the quick one.
 type lanePreds struct {
@@ -288,8 +350,15 @@ type lanePreds struct {
 	overrode [trace.InstBatchLen]bool
 }
 
+// predColumn is one distinct unclocked instance's predictions for the
+// current batch, indexed by branch ordinal.
+type predColumn [trace.InstBatchLen]bool
+
 // laneRings is a lane's issue-bandwidth and port scoreboard plus its ROB
-// commit window. The port rings are indexed by the shared pcls column.
+// commit window. The port rings are indexed by the shared pcls column;
+// cycle c's counts live in words[c>>3&wmask], and len(words) — the ring
+// size in cycles over eight — is a power of two between initRing/8 and
+// ringSize/8. issueRep and portRep are the rings' limitReps.
 // robCommit holds the commit cycle of each of the last ROBSize
 // instructions, indexed by laneCursor.robIdx; the slot about to be reused
 // bounds how far fetch may run ahead of commit. There is no per-cycle
@@ -298,12 +367,14 @@ type lanePreds struct {
 // cycle is never revisited after a later one and such a ring degenerates to
 // the (lastCommit, commitUsed) pair in laneCursor.
 type laneRings struct {
-	issue     byteRing
-	ports     [numPorts]byteRing
+	words     []ringWord
+	wmask     uint64
+	issueRep  uint64
+	portRep   [numPorts]uint64
 	robCommit []uint64
 	// clearedTo is the rings' zeroed horizon: count bytes are valid for
-	// cycles in [clearedTo-ringSize, clearedTo) and zero from the scan
-	// frontier up to clearedTo; extend advances it in clearChunk strides.
+	// the live cycles below it and zero from the scan frontier up to it;
+	// extend advances it in clearChunk strides.
 	clearedTo uint64
 }
 
@@ -338,7 +409,6 @@ type laneTallies struct {
 type fusedRun struct {
 	consts  []laneConst
 	orgs    []laneOrg
-	preds   []lanePreds
 	rings   []laneRings
 	btbs    []*btb.BTB
 	cursors []laneCursor
@@ -379,8 +449,14 @@ type fusedRun struct {
 	btakens [trace.InstBatchLen]bool
 	nb      int
 
-	// fetchAt is the one-entry cycle column a clocked lane steps with.
-	fetchAt [1]uint64
+	// steppers and cols are the prediction stage of the unclocked lanes:
+	// one stepper and one column per distinct instance they read. own holds
+	// the clocked lanes' columns, and fetchAt is the one-entry cycle column
+	// a clocked lane steps with.
+	steppers []predictor.BatchStepper
+	cols     []predColumn
+	own      []lanePreds
+	fetchAt  [1]uint64
 }
 
 // newFusedRun builds the per-lane SoA state for one pass, panicking on a
@@ -391,7 +467,6 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 	f := &fusedRun{
 		consts:      make([]laneConst, n),
 		orgs:        make([]laneOrg, n),
-		preds:       make([]lanePreds, n),
 		rings:       make([]laneRings, n),
 		btbs:        make([]*btb.BTB, n),
 		cursors:     make([]laneCursor, n),
@@ -431,27 +506,97 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 		if o.over != nil {
 			o.bubble = uint64(o.over.Latency() - 1)
 		}
-		o.stepper = core.BatchStepperOf(l.Pred)
 		o.clocked = core.NeedsClock(l.Pred)
 		if rc, ok := l.Pred.(predictor.RecoveryCost); ok {
 			k.recovery = uint64(rc.RecoveryPenalty())
 		}
 
-		f.rings[i] = laneRings{
-			issue: newByteRing(cfg.IssueWidth),
-			ports: [numPorts]byteRing{
-				portInt: newByteRing(cfg.IntPorts),
-				portMem: newByteRing(cfg.MemPorts),
-				portMul: newByteRing(cfg.MulPorts),
-				portFP:  newByteRing(cfg.FPPorts),
-			},
-			robCommit: make([]uint64, cfg.ROBSize),
-			// The freshly zeroed arrays already cover the first lap.
-			clearedTo: ringSize,
-		}
+		f.rings[i] = newLaneRings(cfg)
 		f.btbs[i] = btb.New(cfg.BTBEntries, cfg.BTBWays)
 	}
+	f.assignColumns()
 	return f
+}
+
+// shareable reports whether lanes may share p: only a pointer's identity
+// is checked, since comparing two values of a non-comparable type panics.
+func shareable(p predictor.Predictor) bool {
+	return p != nil && reflect.TypeOf(p).Kind() == reflect.Pointer
+}
+
+// eachInstance calls visit on p and, for an overriding pair, on every
+// component, depth first. A core.NoCheckpoint is a value wrapping a
+// gshare.fast, so the gshare.fast stands for it.
+func eachInstance(p predictor.Predictor, visit func(predictor.Predictor)) {
+	switch w := p.(type) {
+	case *core.Overriding:
+		visit(w)
+		eachInstance(w.Quick(), visit)
+		eachInstance(w.Slow(), visit)
+	case core.NoCheckpoint:
+		visit(w.GShareFast)
+	default:
+		visit(p)
+	}
+}
+
+// assignColumns gives every unclocked lane its columns, one per distinct
+// instance, and every clocked lane a column of its own, after checking
+// the sharing rules RunMany states. A pair's column is its slow
+// component's, followed through nested pairs, so no instance is stepped
+// twice.
+func (f *fusedRun) assignColumns() {
+	owner := map[predictor.Predictor]int{}
+	for i := range f.orgs {
+		eachInstance(f.orgs[i].pred, func(p predictor.Predictor) {
+			if !shareable(p) {
+				return
+			}
+			j, seen := owner[p]
+			switch {
+			case !seen:
+				owner[p] = i
+			case j == i:
+				panic(fmt.Sprintf("pipeline: lane %d holds predictor %s twice", i, p.Name()))
+			case f.orgs[i].clocked || f.orgs[j].clocked:
+				panic(fmt.Sprintf("pipeline: lanes %d and %d share predictor %s, but a clocked lane steps its own instances",
+					j, i, p.Name()))
+			}
+		})
+	}
+	col := map[predictor.Predictor]int{}
+	column := func(p predictor.Predictor) int {
+		for o, ok := p.(*core.Overriding); ok; o, ok = p.(*core.Overriding) {
+			p = o.Slow()
+		}
+		share := shareable(p)
+		if share {
+			if c, ok := col[p]; ok {
+				return c
+			}
+		}
+		c := len(f.steppers)
+		f.steppers = append(f.steppers, core.BatchStepperOf(p))
+		if share {
+			col[p] = c
+		}
+		return c
+	}
+	for i := range f.orgs {
+		o := &f.orgs[i]
+		if o.clocked {
+			o.stepper = core.BatchStepperOf(o.pred)
+			o.slow = len(f.own)
+			f.own = append(f.own, lanePreds{})
+			continue
+		}
+		o.slow = column(o.pred)
+		o.quick = o.slow
+		if o.over != nil && o.over.Latency() > 1 {
+			o.quick = column(o.over.Quick())
+		}
+	}
+	f.cols = make([]predColumn, len(f.steppers))
 }
 
 // drive is the engine's one drive loop: it fills the shared batch from
@@ -483,8 +628,8 @@ func (f *fusedRun) drive(src trace.Source) {
 	}
 }
 
-// runBatch precomputes the shared columns, runs the prediction stage of
-// every unclocked lane over the batch's branches, resolves the warm-up
+// runBatch precomputes the shared columns, steps every distinct unclocked
+// instance once over the batch's branches into its column, resolves the warm-up
 // boundary to a batch split so the step loop takes a constant measured
 // flag, and sweeps the lanes. Stepping a lane's predictor ahead of its
 // scoreboard is exact: without a fetch clock, a branch's prediction depends
@@ -495,11 +640,8 @@ func (f *fusedRun) drive(src trace.Source) {
 func (f *fusedRun) runBatch(n int) {
 	f.prep(n)
 	pcs, takens := f.bpcs[:f.nb], f.btakens[:f.nb]
-	for li := range f.orgs {
-		if o := &f.orgs[li]; !o.clocked {
-			lp := &f.preds[li]
-			o.step(pcs, takens, nil, lp.taken[:f.nb], lp.overrode[:f.nb])
-		}
+	for c, s := range f.steppers {
+		s.StepBatch(pcs, takens, nil, f.cols[c][:f.nb])
 	}
 	if d := f.warmupInsts - f.insts; d >= 0 && d < int64(n) {
 		// The boundary falls inside this batch: step up to it, snapshot
@@ -703,7 +845,7 @@ func (f *fusedRun) sweepPlain(i int) {
 			}
 		}
 		execLat := k.latTab[lcl]
-		issueAt := rg.takeInBoth(pcl, ready)
+		issueAt := rg.takeInBoth(pcl, ready, dispatchAt)
 		completeAt := issueAt + execLat
 
 		if dst >= 0 {
@@ -833,7 +975,7 @@ func (f *fusedRun) sweepJump(i int) {
 			}
 		}
 		execLat := k.latTab[lcl]
-		issueAt := rg.takeInBoth(pcl, ready)
+		issueAt := rg.takeInBoth(pcl, ready, dispatchAt)
 		completeAt := issueAt + execLat
 
 		if dst >= 0 {
@@ -871,9 +1013,10 @@ func (f *fusedRun) sweepJump(i int) {
 
 // sweepBranch steps every lane through one conditional branch: fetch,
 // prediction (with override bubbles), the predicted-taken BTB redirect,
-// issue, resolution, commit. Each lane's prediction and override bits are
-// read from its lanePreds at the branch's ordinal; a clocked lane first
-// steps this one branch there, at its fetch cycle.
+// issue, resolution, commit. An unclocked lane reads its prediction from
+// its slow column at the branch's ordinal and overrides where its quick
+// column disagrees; a clocked lane first steps this one branch into its
+// own column, at its fetch cycle.
 //
 // TestFusedTimingAllocs pins it allocation-free.
 func (f *fusedRun) sweepBranch(i int, measured bool) {
@@ -883,7 +1026,7 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 	rings := f.rings[:nLanes]
 	tallies := f.tallies[:nLanes]
 	orgs := f.orgs[:nLanes]
-	preds := f.preds[:nLanes]
+	cols := f.cols
 	btbs := f.btbs[:nLanes]
 	regs := f.regs[:nLanes]
 	inst := &f.batch[i]
@@ -943,12 +1086,16 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 
 		// --- Branch prediction at fetch ---
 		org := &orgs[li]
-		lp := &preds[li]
+		var predictedTaken, overrode bool
 		if org.clocked {
+			lp := &f.own[org.slow]
 			f.fetchAt[0] = fetchAt
 			org.step(f.bpcs[bi:bi+1], f.btakens[bi:bi+1], f.fetchAt[:], lp.taken[bi:bi+1], lp.overrode[bi:bi+1])
+			predictedTaken, overrode = lp.taken[bi], lp.overrode[bi]
+		} else {
+			predictedTaken = cols[org.slow][bi]
+			overrode = cols[org.quick][bi] != predictedTaken
 		}
-		predictedTaken, overrode := lp.taken[bi], lp.overrode[bi]
 		if org.over != nil {
 			tallies[li].overrides.Add(overrode)
 			if overrode {
@@ -987,7 +1134,7 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 			}
 		}
 		execLat := k.latTab[lcl]
-		issueAt := rg.takeInBoth(pcl, ready)
+		issueAt := rg.takeInBoth(pcl, ready, dispatchAt)
 		completeAt := issueAt + execLat
 
 		if dst >= 0 {

@@ -75,8 +75,8 @@ func fusedCfgVariants() []Config {
 
 // fusedColumn returns a fresh heterogeneous column: every fusedOrgs
 // organization on the default machine, then the fusedCfgVariants shapes
-// with an ideal gshare, all on one cache geometry. Each call builds new
-// predictors, since a run trains the ones it is given.
+// with an ideal gshare, all on one cache geometry, then sharedLanes. Each
+// call builds new predictors, since a run trains the ones it is given.
 func fusedColumn() []Lane {
 	var lanes []Lane
 	for _, org := range fusedOrgs() {
@@ -85,12 +85,32 @@ func fusedColumn() []Lane {
 	for _, cfg := range fusedCfgVariants()[1:] {
 		lanes = append(lanes, Lane{Cfg: cfg, Pred: predictor.NewGShareFromBudget(16 << 10)})
 	}
-	return lanes
+	return append(lanes, sharedLanes()...)
+}
+
+// sharedLanes are lanes that share predictor instances, the shape the
+// experiment grids give a pass: an ideal perceptron P, P behind a quick
+// gshare Q, a 2Bc-gskew P' behind the same Q (and behind Q again with a
+// one-cycle slow latency, which can never override), and P again on a
+// deeper machine. The engine steps P, P' and Q once per batch for all of
+// them.
+func sharedLanes() []Lane {
+	q := predictor.NewGShare(2048, 0)
+	p := predictor.NewPerceptronFromBudget(32 << 10)
+	p2 := predictor.NewGSkew2BcFromBudget(32 << 10)
+	return []Lane{
+		{Cfg: DefaultConfig(), Pred: p},
+		{Cfg: DefaultConfig(), Pred: core.NewOverriding(q, p, 4)},
+		{Cfg: DefaultConfig(), Pred: core.NewOverriding(q, p2, 3)},
+		{Cfg: DefaultConfig(), Pred: core.NewOverriding(q, p2, 1)},
+		{Cfg: fusedCfgVariants()[1], Pred: p},
+	}
 }
 
 // checkColumn runs fusedColumn through RunMany over the source run makes
 // and compares every lane with the reference's live-cache run over the
-// source ref makes, bit for bit. It returns the fused results.
+// source ref makes, bit for bit, each reference lane on predictors of its
+// own. It returns the fused results.
 func checkColumn(t *testing.T, name string, run func(lanes []Lane) []Result, ref func() trace.Source, maxInsts, warmup int64) []Result {
 	t.Helper()
 	lanes := fusedColumn()
@@ -98,7 +118,8 @@ func checkColumn(t *testing.T, name string, run func(lanes []Lane) []Result, ref
 	if len(fused) != len(lanes) {
 		t.Fatalf("RunMany returned %d results for %d lanes", len(fused), len(lanes))
 	}
-	for i, l := range fusedColumn() {
+	for i := range lanes {
+		l := fusedColumn()[i]
 		want := refRun(l.Cfg, l.Pred, ref(), maxInsts, warmup)
 		if !reflect.DeepEqual(fused[i], want) {
 			t.Errorf("%s warmup %d lane %d (%s): fused diverges from the reference:\n got %+v\nwant %+v",
@@ -110,7 +131,8 @@ func checkColumn(t *testing.T, name string, run func(lanes []Lane) []Result, ref
 
 // TestFusedTimingEquivalence is the engine's correctness contract:
 // RunMany over a heterogeneous column — every predictor organization plus
-// depth/latency config variants, all on one cache geometry — must
+// depth/latency config variants and lanes sharing predictor instances, all
+// on one cache geometry — must
 // reproduce each lane's reference run bit for bit, across benchmarks
 // (including a stream shorter than the budget) and warmups. The engine
 // runs with the sidecar; the reference simulates live caches per lane.
@@ -162,6 +184,37 @@ func TestFusedTimingClassifiedEquivalence(t *testing.T) {
 	checkColumn(t, "gzip/mid-stream", func(lanes []Lane) []Result {
 		return RunMany(lanes, offsetReplay(rec), side, maxInsts, warmup)
 	}, func() trace.Source { return offsetReplay(rec) }, maxInsts, warmup)
+}
+
+// TestFusedTimingRingGrowth pins the rings' growth path: a lane whose
+// memory latency stretches its live window past initRing cycles must grow
+// its rings and still match the reference bit for bit, while a Table 1
+// lane in the same pass keeps its initial rings.
+func TestFusedTimingRingGrowth(t *testing.T) {
+	const maxInsts, warmup = 150_000, 40_000
+	rec := workload.Record(mustProfile(t, "mcf"), maxInsts)
+	slowMem := DefaultConfig()
+	slowMem.MemLatency = 4000
+	lanes := func() []Lane {
+		return []Lane{
+			{Cfg: DefaultConfig(), Pred: predictor.NewGShareFromBudget(16 << 10)},
+			{Cfg: slowMem, Pred: predictor.NewGShareFromBudget(16 << 10)},
+		}
+	}
+	f := newFusedRun(lanes(), nil, maxInsts, warmup)
+	f.drive(rec.Replay())
+	got := f.finish(rec.Name())
+	if n := len(f.rings[0].words) * 8; n != initRing {
+		t.Errorf("Table 1 lane's rings grew to %d cycles, want %d", n, initRing)
+	}
+	if n := len(f.rings[1].words) * 8; n <= initRing {
+		t.Errorf("slow-memory lane's rings stayed at %d cycles; the growth path was not exercised", n)
+	}
+	for i, l := range lanes() {
+		if want := refRun(l.Cfg, l.Pred, rec.Replay(), maxInsts, warmup); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("lane %d diverges from the reference:\n got %+v\nwant %+v", i, got[i], want)
+		}
+	}
 }
 
 // TestFusedTimingLiveCaches pins the no-sidecar path for one lane: without
@@ -230,8 +283,9 @@ func TestFusedTimingGeometryGuard(t *testing.T) {
 // TestFusedTimingAllocs pins the steady-state allocation count of the
 // fused drive loop at zero, both over a replay cursor with a covering
 // sidecar and over a live generator the engine classifies batch by batch:
-// the batch and its shared columns live in the engine (allocated once at
-// construction) and per-lane state is reused. Skipped under -race, which
+// the batch, its shared columns and the shared prediction columns live in
+// the engine (allocated once at construction) and per-lane state is
+// reused. The column includes lanes that share predictor instances. Skipped under -race, which
 // instruments allocation.
 func TestFusedTimingAllocs(t *testing.T) {
 	if raceEnabled {
@@ -240,12 +294,12 @@ func TestFusedTimingAllocs(t *testing.T) {
 	prof := mustProfile(t, "gzip")
 	cfg := DefaultConfig()
 	lanes := func() []Lane {
-		return []Lane{
+		return append([]Lane{
 			{Cfg: cfg, Pred: predictor.NewGShareFromBudget(16 << 10)},
 			{Cfg: cfg, Pred: predictor.NewPerceptronFromBudget(64 << 10)},
 			{Cfg: cfg, Pred: core.New(core.Config{Entries: 1 << 15, Latency: 3})},
 			{Cfg: cfg, Pred: core.NewOverriding(predictor.NewGShare(2048, 0), predictor.NewGSkew2BcFromBudget(64<<10), 3)},
-		}
+		}, sharedLanes()...)
 	}
 
 	t.Run("sidecar", func(t *testing.T) {

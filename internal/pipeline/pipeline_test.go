@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -234,6 +236,93 @@ func TestInvalidLaneNamed(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSharedClockedLaneNamed pins the sharing rules' loud failures: a
+// clocked instance (gshare.fast steps at its own lane's fetch cycles)
+// shared by two lanes, directly, inside an overriding pair or inside an
+// uncheckpointed wrapper, and an
+// instance held twice by one lane panic before any instruction is read,
+// naming the lanes and the predictor.
+func TestSharedClockedLaneNamed(t *testing.T) {
+	cfg := DefaultConfig()
+	fast := func() predictor.Predictor { return core.New(core.Config{Entries: 1 << 10, Latency: 3}) }
+	for _, tc := range []struct {
+		name  string
+		lanes func() ([]Lane, predictor.Predictor)
+		want  string
+	}{
+		{"direct", func() ([]Lane, predictor.Predictor) {
+			g := fast()
+			return []Lane{{Cfg: cfg, Pred: predictor.NewGShare(256, 0)}, {Cfg: cfg, Pred: g}, {Cfg: cfg, Pred: g}}, g
+		}, "lanes 1 and 2"},
+		{"pair", func() ([]Lane, predictor.Predictor) {
+			g := fast()
+			return []Lane{{Cfg: cfg, Pred: g}, {Cfg: cfg, Pred: core.NewOverriding(predictor.NewGShare(64, 0), g, 3)}}, g
+		}, "lanes 0 and 1"},
+		{"quick-of-clocked-pair", func() ([]Lane, predictor.Predictor) {
+			q := predictor.NewGShare(64, 0)
+			return []Lane{{Cfg: cfg, Pred: core.NewOverriding(q, fast(), 3)}, {Cfg: cfg, Pred: q}}, q
+		}, "lanes 0 and 1"},
+		{"uncheckpointed-wrapper", func() ([]Lane, predictor.Predictor) {
+			g := core.New(core.Config{Entries: 1 << 10, Latency: 3})
+			return []Lane{{Cfg: cfg, Pred: g}, {Cfg: cfg, Pred: core.WithoutCheckpointing(g)}}, g
+		}, "lanes 0 and 1"},
+		{"twice-in-one-lane", func() ([]Lane, predictor.Predictor) {
+			q := predictor.NewGShare(64, 0)
+			return []Lane{{Cfg: cfg, Pred: predictor.Taken{}}, {Cfg: cfg, Pred: core.NewOverriding(q, q, 2)}}, q
+		}, "lane 1 holds"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := workload.New(mustProfile(t, "gzip"))
+			lanes, shared := tc.lanes()
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				RunMany(lanes, src, nil, 1000, 0)
+				return ""
+			}()
+			for _, want := range []string{tc.want, shared.Name()} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("RunMany panic %q does not contain %q", msg, want)
+				}
+			}
+			if n := src.InstsScanned(); n != 0 {
+				t.Errorf("RunMany read %d instructions before panicking", n)
+			}
+		})
+	}
+}
+
+// mapTaken is a value-type predictor whose type is not comparable: it
+// predicts taken for the PCs it lists.
+type mapTaken struct{ pcs []uint64 }
+
+func (m mapTaken) Predict(pc uint64) bool { return slices.Contains(m.pcs, pc) }
+func (m mapTaken) Update(uint64, bool)    {}
+func (m mapTaken) SizeBytes() int         { return 8 * len(m.pcs) }
+func (m mapTaken) Name() string           { return "maptaken" }
+
+// TestValuePredictorsNeverShared pins that a predictor whose dynamic type
+// is not a pointer is never compared, so a non-comparable one in several
+// lanes, alone or as a pair's component, runs like the reference.
+func TestValuePredictorsNeverShared(t *testing.T) {
+	cfg := DefaultConfig()
+	prof := mustProfile(t, "gzip")
+	lanes := func() []Lane {
+		m := mapTaken{pcs: []uint64{0x1000}}
+		return []Lane{
+			{Cfg: cfg, Pred: m},
+			{Cfg: cfg, Pred: m},
+			{Cfg: cfg, Pred: core.NewOverriding(m, predictor.NewGShare(256, 0), 3)},
+		}
+	}
+	got := RunMany(lanes(), workload.New(prof), nil, 20_000, 5_000)
+	for i := range got {
+		l := lanes()[i]
+		if want := refRun(l.Cfg, l.Pred, workload.New(prof), 20_000, 5_000); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("lane %d diverges from the reference:\n got %+v\nwant %+v", i, got[i], want)
+		}
 	}
 }
 

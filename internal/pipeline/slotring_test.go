@@ -77,3 +77,56 @@ func TestSlotRingWraparound(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneRingsMatchSlotRing drives the engine's compact rings against a
+// pair of reference slotRings — the issue ring and one port ring, probed
+// and booked together as the reference step does — through a live window
+// up to 12000 cycles wide, three times initRing, so the rings must grow
+// and re-lay out their live cycles while every answer stays exact. The
+// dispatch floor advances monotonically, as fetch does, and every probe
+// lands at or after it.
+func TestLaneRingsMatchSlotRing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.IssueWidth, cfg.IntPorts, cfg.MemPorts = 3, 2, 1
+	rg := newLaneRings(cfg)
+	issue := newSlotRing(cfg.IssueWidth)
+	ports := [numPorts]slotRing{
+		portInt: newSlotRing(cfg.IntPorts),
+		portMem: newSlotRing(cfg.MemPorts),
+		portMul: newSlotRing(cfg.MulPorts),
+		portFP:  newSlotRing(cfg.FPPorts),
+	}
+	rnd := uint64(0x9e3779b97f4a7c15)
+	next := func(n uint64) uint64 {
+		rnd = rnd*6364136223846793005 + 1442695040888963407
+		return (rnd >> 33) % n
+	}
+	var live uint64
+	for step := 0; live < 4*ringSize; step++ {
+		live += next(2)
+		// Most probes crowd in just past the floor, so slots fill and a
+		// lost count would show; some reach far ahead, the way a load's
+		// dependents wait out a long memory latency.
+		q := live + next(24)
+		if next(64) == 0 {
+			q = live + next(12000)
+		}
+		p := uint8(next(numPorts))
+		want := q
+		for {
+			t := ports[p].peekFree(issue.peekFree(want))
+			if t == want {
+				break
+			}
+			want = t
+		}
+		issue.take(want)
+		ports[p].take(want)
+		if got := rg.takeInBoth(p, q, live); got != want {
+			t.Fatalf("step %d: takeInBoth(port %d, %d, live %d) = %d, want %d", step, p, q, live, got, want)
+		}
+	}
+	if n := len(rg.words) * 8; n <= initRing {
+		t.Fatalf("rings stayed at %d cycles; the growth path was not exercised", n)
+	}
+}

@@ -25,7 +25,7 @@ go run ./cmd/bplint ./...
 echo "==> bplint allow audit (every waiver carries a justification)"
 go run ./cmd/bplint -allows
 
-echo "==> engine-vs-reference differential fuzz smoke (10s each: random streams, 1-3 lanes, bit-identical Results)"
+echo "==> engine-vs-reference differential fuzz smoke (10s each: random streams, 1-4 timing lanes sharing predictor instances, 1-3 accuracy lanes, bit-identical Results)"
 go test -run '^$' -fuzz FuzzEngineVsReference -fuzztime=10s ./internal/pipeline
 go test -run '^$' -fuzz FuzzEngineVsReference -fuzztime=10s ./internal/funcsim
 
@@ -65,8 +65,8 @@ go test -race -run 'TestCellCacheColdCoalesce' ./internal/experiments
 echo "==> replay equivalence (live vs recorded streams, race-enabled)"
 go test -race -run 'TestReplayEquivalence|TestConcurrentReplay' ./internal/workload
 
-echo "==> accuracy engine equivalence (Run/RunMany/RunBlocks vs the instruction-at-a-time reference, every factory kind through the stepper BatchStepperOf resolves, Predict purity of every factory kind, the overriding batch step with a cycle column, the stepper resolver and NeedsClock, bad budgets, fused bpsim vs per-cell Run, race-enabled)"
-go test -race -run 'TestFastPathEquivalence|TestRunManyEquivalence|TestRunManySingleLane|TestBadBudget|TestCycleZeroSelfClocked' ./internal/funcsim
+echo "==> accuracy engine equivalence (Run/RunMany/RunBlocks and multi-lane RunManyBlocks vs the instruction-at-a-time reference, every factory kind through the stepper BatchStepperOf resolves, Predict purity of every factory kind, the overriding batch step with a cycle column, the stepper resolver and NeedsClock, bad budgets, fused bpsim vs per-cell Run, race-enabled)"
+go test -race -run 'TestFastPathEquivalence|TestRunManyEquivalence|TestRunManySingleLane|TestRunManyBlocksMatchesPerLane|TestBadBudget|TestCycleZeroSelfClocked' ./internal/funcsim
 go test -race -run 'TestFactoryBatchSteppers|TestPredictIsPure' ./internal/experiments
 go test -race -run 'TestOverridingBatchEquivalence|TestBatchStepperOf|TestNeedsClock' ./internal/core
 go test -race -run 'TestFusedMatchesPerCell|TestBadKindFailsBeforeOutput' ./cmd/bpsim
@@ -77,10 +77,10 @@ go test -race -run 'TestTimingFastPathEquivalence|TestSidecarFallback|TestSlotRi
 go test -race -run 'TestTimingMemoEquivalence|TestTimingMemoDeduplicates|TestTimingMemoConcurrentStress' ./internal/experiments
 go test -race -run 'TestNextInstsMatchesStream|TestNextInstsInterleavesWithNext|TestNextInstsProtocolMixPanics' ./internal/trace
 
-echo "==> fused timing equivalence (RunMany with batch-stepped and clocked lanes vs the reference, over a sidecar and over batches one shared hierarchy classifies — live generator, mid-stream cursor; geometry guard, named bad lanes, scheduler parity, streamed ipcsim vs per-cell Sim.Run, bad run flags and a stream ending inside the warm-up, race-enabled)"
-go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingClassifiedEquivalence|TestFusedTimingLiveCaches|TestFusedTimingGeometryGuard|TestInvalidLaneNamed|TestRunManyBadWarmup|TestRunManyStreamEndsInWarmup' ./internal/pipeline
+echo "==> fused timing equivalence (RunMany with batch-stepped, clocked and instance-sharing lanes vs the reference on instances of their own, over a sidecar and over batches one shared hierarchy classifies — live generator, mid-stream cursor; rings grown past their initial size against the reference and against slotRing; geometry guard, named bad lanes and shared clocked instances, unshared value predictors, scheduler parity, one set of parts per pass, streamed ipcsim vs per-cell Sim.Run, bad run flags and a stream ending inside the warm-up, race-enabled)"
+go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingClassifiedEquivalence|TestFusedTimingLiveCaches|TestFusedTimingRingGrowth|TestLaneRingsMatchSlotRing|TestFusedTimingGeometryGuard|TestInvalidLaneNamed|TestSharedClockedLaneNamed|TestValuePredictorsNeverShared|TestRunManyBadWarmup|TestRunManyStreamEndsInWarmup' ./internal/pipeline
 go test -race -run 'TestNextInstsMatchesRecording' ./internal/workload
-go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFusedTimingMemoAccounting|TestFusedTimingStoreFlow' ./internal/experiments
+go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFusedTimingMemoAccounting|TestFusedTimingStoreFlow|TestTimingPassesShareParts|TestOnePassPerBenchmark' ./internal/experiments
 go test -race -run 'TestFusedMatchesPerCell|TestBadFlagsFailBeforeOutput' ./cmd/ipcsim
 go test -race -run 'TestBadRunFlagsFailBeforeOutput' ./cmd/reproduce
 
@@ -88,7 +88,7 @@ echo "==> cell store equivalence + robustness (store-served cells bit-identical;
 go test -race ./internal/resultstore
 go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestMultiBranchWarmStore|TestRunCellsPanicKey|TestCanonicalKeyCoverage|TestCodeDigestCurrent|TestCodeDigestTracksSources|TestStoreKeyNamesCode|TestWarmRunGeneratesNothing' ./internal/experiments
 
-echo "==> batched-loop and per-StepBatch predictor allocation bounds (every factory kind, the overriding kinds, a lag-64 gshare.fast), the timing drive loop over a sidecar and over a live generator (no race: alloc counts need a plain build)"
+echo "==> batched-loop and per-StepBatch predictor allocation bounds (every factory kind, the overriding kinds, a lag-64 gshare.fast), the timing drive loop with shared prediction columns over a sidecar and over a live generator (no race: alloc counts need a plain build)"
 go test -run 'TestBatchedRunAllocs|TestRunManyAllocs' ./internal/funcsim
 go test -run 'TestPredictorStepAllocs' ./internal/experiments
 go test -run 'TestBatchedTimingRunAllocs|TestFusedTimingAllocs' ./internal/pipeline
