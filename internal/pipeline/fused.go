@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math/bits"
 	"reflect"
 
 	"branchsim/internal/btb"
@@ -48,15 +47,19 @@ import (
 //     stepping all lanes through one instruction before advancing lets those
 //     independent chains overlap in the host pipeline instead of running
 //     back to back;
-//   - the slot rings keep one count byte per cycle, eight cycles to a word,
-//     and the issue ring's word sits beside the port rings' words for the
-//     same eight cycles (ringWord), so one reservation probe inspects eight
-//     cycles with two loads from one line and a branch-free full-slot mask.
-//     A lane's rings start at initRing cycles and double, up to ringSize,
-//     only when the lane's live window — from its current dispatch cycle to
-//     its furthest reservation — would otherwise wrap onto itself, so a
-//     pass holds rings as large as its lanes' windows rather than the cap.
-//     The ROB cursor wraps with a compare instead of an integer division.
+//   - the scoreboard keeps one packed uint32 per cycle: byte p counts port
+//     p's reservations, and the cycle's issue count is the sum of the four
+//     bytes (sumBytes), exact because every reservation books one issue
+//     slot and one port slot together. Each sweep inlines the probe at the
+//     instruction's ready cycle — a load, the horizon, issue and port
+//     compares, an add — which books that cycle on 98.9% of the timing
+//     figures' probes; the rest fall to a plain per-cycle scan
+//     (takeLater). A lane's rings start at initRing cycles and double, up
+//     to ringSize, only when the lane's live window — from its current
+//     dispatch cycle to its furthest reservation — would otherwise wrap
+//     onto itself, so a pass holds rings as large as its lanes' windows
+//     rather than the cap. The ROB cursor wraps with a compare instead of
+//     an integer division.
 //
 // All lanes advance in lockstep over the shared batch, so the engine needs
 // no cross-lane synchronization: lanes never read each other's state, and
@@ -133,49 +136,29 @@ const ringSize = 1 << 15
 // their live windows (laneRings.extend) stay inside it.
 const initRing = 1 << 12
 
-// ringWord is eight cycles of a lane's slot rings: one reservation count
-// per cycle, byte c&7 counting cycle c, for the issue ring and for each
-// port ring. A probe reads the issue word and one port word for the same
-// eight cycles, so keeping them together puts both loads on one line. The
-// test reference's slotRing (reference_test.go) keeps a tagged slot per
-// cycle and forgets a cycle when a younger one aliases its slot; the rings
-// instead forget by zeroing words one lap ahead of the scan frontier
-// (laneRings.extend) — at ringSize, the same "a cycle older than ringSize
-// reads as empty" contract, amortized to a fraction of a store per cycle.
-type ringWord struct {
-	issue uint64
-	ports [numPorts]uint64
-}
+// sumBytes folds a slot word's four port counts into its top byte:
+// v*sumBytes>>24 is the cycle's issue count. Every reservation books one
+// issue slot and one port slot at the same cycle, so the issue count is
+// the sum of the port counts, and that sum — like each partial sum the
+// multiply forms in the lower bytes — never exceeds IssueWidth ≤ 127, so
+// no byte carries into the next. sumBytes also picks the low bit of each
+// byte: pm&sumBytes is one reservation on the port whose byte mask is pm.
+const sumBytes = 0x01010101
 
-const (
-	byteOneRep  = 0x0101010101010101
-	byteHighRep = 0x8080808080808080
-)
-
-// limitRep replicates a ring's slot limit into every byte lane of a word; a
-// cycle is full exactly when its count byte equals the limit, since
-// reservations only land on proven-free cycles.
-func limitRep(limit int) uint64 {
-	if limit <= 0 || limit > 127 {
-		panic("pipeline: byte ring limit out of range")
-	}
-	return uint64(limit) * byteOneRep
-}
+// maxSlotLimit bounds IssueWidth and every port count (checkLane), the
+// no-carry condition of the packed slot words.
+const maxSlotLimit = 127
 
 // newLaneRings returns cfg's scoreboard at initRing cycles.
 func newLaneRings(cfg Config) laneRings {
 	return laneRings{
-		words:    make([]ringWord, initRing/8),
-		wmask:    initRing/8 - 1,
-		issueRep: limitRep(cfg.IssueWidth),
-		portRep: [numPorts]uint64{
-			portInt: limitRep(cfg.IntPorts),
-			portMem: limitRep(cfg.MemPorts),
-			portMul: limitRep(cfg.MulPorts),
-			portFP:  limitRep(cfg.FPPorts),
-		},
+		slots:      make([]uint32, initRing),
+		mask:       initRing - 1,
+		issueLimit: uint32(cfg.IssueWidth) << 24,
+		portLimits: uint32(cfg.IntPorts)<<(8*portInt) | uint32(cfg.MemPorts)<<(8*portMem) |
+			uint32(cfg.MulPorts)<<(8*portMul) | uint32(cfg.FPPorts)<<(8*portFP),
 		robCommit: make([]uint64, cfg.ROBSize),
-		// The freshly zeroed words already cover the first lap.
+		// The freshly zeroed slots already cover the first lap.
 		clearedTo: initRing,
 	}
 }
@@ -184,24 +167,31 @@ func newLaneRings(cfg Config) laneRings {
 // the hot path then skips the slow path for the next ~chunk cycles.
 const clearChunk = 512
 
-// extend zeroes the count bytes for cycles [clearedTo, t+clearChunk),
-// reclaiming slots exactly one lap old. live is the lane's current
-// dispatch cycle: fetch never moves backwards, so every later probe lands
-// at or after it, and the cycles [live, clearedTo) are the live window.
-// Before zeroing a slot whose previous cycle is live, extend doubles the
-// rings (grow), up to ringSize; below that size no live cycle is ever
-// forgotten, and at it every cycle in [clearedTo-ringSize, clearedTo)
-// reads its own count and anything older reads as forgotten — the
-// aliasing contract the reference's slotRing enforces per probe with a tag
-// compare.
+// extend zeroes the slots for cycles [clearedTo, t+clearChunk), reclaiming
+// slots exactly one lap old. live is the lane's current dispatch cycle:
+// fetch never moves backwards, so every later probe lands at or after it,
+// and the cycles [live, clearedTo) are the live window. Before zeroing a
+// slot whose previous cycle is live, extend doubles the rings (grow), up
+// to ringSize; below that size no live cycle is ever forgotten, and at it
+// every cycle in [clearedTo-ringSize, clearedTo) reads its own counts and
+// anything older reads as forgotten — the aliasing contract the
+// reference's slotRing enforces per probe with a tag compare. A jump of a
+// lap or more past the horizon clears every slot, since each slot's cycle
+// is then at least a lap old.
 func (rg *laneRings) extend(t, live uint64) {
-	to := (t + clearChunk) &^ 7
-	for to-live > uint64(len(rg.words))*8 && len(rg.words)*8 < ringSize {
+	to := t + clearChunk
+	for to-live > uint64(len(rg.slots)) && len(rg.slots) < ringSize {
 		rg.grow(live)
 	}
-	words, mask := rg.words, rg.wmask
-	for c := rg.clearedTo; c < to; c += 8 {
-		words[c>>3&mask] = ringWord{}
+	slots := rg.slots
+	switch i, j := rg.clearedTo&rg.mask, to&rg.mask; {
+	case to-rg.clearedTo > rg.mask:
+		clear(slots)
+	case i < j:
+		clear(slots[i:j])
+	default:
+		clear(slots[i:])
+		clear(slots[:j])
 	}
 	rg.clearedTo = to
 }
@@ -209,77 +199,51 @@ func (rg *laneRings) extend(t, live uint64) {
 // grow doubles the rings, re-laying out the live cycles [live, clearedTo)
 // — the only ones a later probe can read — at their new slots.
 func (rg *laneRings) grow(live uint64) {
-	mask := rg.wmask<<1 | 1
-	words := make([]ringWord, mask+1)
-	for c := live &^ 7; c < rg.clearedTo; c += 8 {
-		words[c>>3&mask] = rg.words[c>>3&rg.wmask]
+	mask := rg.mask<<1 | 1
+	slots := make([]uint32, mask+1)
+	for c := live; c < rg.clearedTo; c++ {
+		slots[c&mask] = *rg.slot(c)
 	}
-	rg.words, rg.wmask = words, mask
+	rg.slots, rg.mask = slots, mask
 }
 
-// takeInBoth books the first cycle at or after t with a free slot in both
-// the issue ring and port ring p, and returns it: the reference slotRing's
-// scan-then-reserve collapsed into one word-at-a-time pass. live is the
-// lane's current dispatch cycle (extend). A count byte equals its ring's
-// limit iff the matching byte of count^limitRep is zero; forcing each
-// byte's high bit before the (now borrow-free) decrement leaves the high
-// bit set exactly for nonzero bytes, so the AND of the two rings' masks has
-// a high bit per free-in-both cycle and TrailingZeros lands on the first
-// one. The body is the loop-free first-word probe, the common case;
-// takeScan extends the rings and continues word by word when the probe has
-// outrun the zeroed horizon or the first word is booked solid. The probe is
-// too large for the inliner, so each lane sweep calls it; a profile-guided
-// build that inlines it measured no gain on the timing grid.
-func (rg *laneRings) takeInBoth(p uint8, t, live uint64) uint64 {
-	if t+8 <= rg.clearedTo {
-		w := &rg.words[t>>3&rg.wmask]
-		zx := w.issue ^ rg.issueRep
-		zy := w.ports[p] ^ rg.portRep[p]
-		free := ((zx | byteHighRep) - byteOneRep) & ((zy | byteHighRep) - byteOneRep) & byteHighRep
-		free &= ^uint64(0) << ((t & 7) * 8) // cycles before t are not candidates
-		if free != 0 {
-			j := uint64(bits.TrailingZeros64(free)) >> 3
-			sh := j * 8
-			// Counts stay strictly below the ≤127 limit on free cycles, so
-			// the byte increments cannot carry into a neighbor.
-			w.issue += 1 << sh
-			w.ports[p] += 1 << sh
-			return t&^7 + j
-		}
-		t = t&^7 + 8
-	}
-	return rg.takeScan(p, t, live)
+// slot returns cycle c's slot word.
+func (rg *laneRings) slot(c uint64) *uint32 {
+	return &rg.slots[c&rg.mask]
 }
 
-// takeScan is takeInBoth's slow path: extend the zeroed horizon when the
-// probe has outrun it, then scan whole words until a free-in-both cycle
-// appears. Entered either at an uncleared cycle or at a word boundary past
-// a fully booked word.
-func (rg *laneRings) takeScan(p uint8, t, live uint64) uint64 {
-	il := rg.issueRep
-	pl := rg.portRep[p]
-	for {
-		if t+8 > rg.clearedTo {
+// fits reports whether a cycle whose slot word is v has a free issue slot
+// and a free slot on the port whose byte mask is pm. The issue count sits
+// in the top byte of v*sumBytes, above 24 bits of partial sums, so it is
+// below the limit exactly when the product is below issueLimit; a port's
+// count never exceeds its limit, so it is below it exactly when the two
+// bytes differ.
+func (rg *laneRings) fits(v, pm uint32) bool {
+	return v*sumBytes < rg.issueLimit && (v^rg.portLimits)&pm != 0
+}
+
+// takeLater is the sweeps' slow path: it books the first cycle at or after
+// t with a free slot both in issue bandwidth and on the port whose byte
+// mask is pm, extending the zeroed horizon as the scan reaches it, and
+// returns it. live is the lane's current dispatch cycle (extend). Each
+// sweep inlines the first-cycle probe, which books t itself on 98.9% of
+// the timing figures' probes, and calls takeLater only when t is full or
+// past the horizon.
+func (rg *laneRings) takeLater(pm uint32, t, live uint64) uint64 {
+	for ; ; t++ {
+		if t >= rg.clearedTo {
 			rg.extend(t, live)
 		}
-		w := &rg.words[t>>3&rg.wmask]
-		zx := w.issue ^ il
-		zy := w.ports[p] ^ pl
-		free := ((zx | byteHighRep) - byteOneRep) & ((zy | byteHighRep) - byteOneRep) & byteHighRep
-		free &= ^uint64(0) << ((t & 7) * 8) // cycles before t are not candidates
-		if free != 0 {
-			j := uint64(bits.TrailingZeros64(free)) >> 3
-			sh := j * 8
-			w.issue += 1 << sh
-			w.ports[p] += 1 << sh
-			return t&^7 + j
+		if s := rg.slot(t); rg.fits(*s, pm) {
+			*s += pm & sumBytes
+			return t
 		}
-		t = t&^7 + 8
 	}
 }
 
-// Port classes: the shared pcls column maps each instruction to its lane's
-// issue port ring, and the lcls column to its execution-latency table slot.
+// Port classes: the shared pcls column maps each instruction to its port,
+// the byte of a lane's slot words it books, and the lcls column to its
+// execution-latency table slot.
 const (
 	portInt = iota
 	portMem
@@ -355,10 +319,12 @@ type lanePreds struct {
 type predColumn [trace.InstBatchLen]bool
 
 // laneRings is a lane's issue-bandwidth and port scoreboard plus its ROB
-// commit window. The port rings are indexed by the shared pcls column;
-// cycle c's counts live in words[c>>3&wmask], and len(words) — the ring
-// size in cycles over eight — is a power of two between initRing/8 and
-// ringSize/8. issueRep and portRep are the rings' limitReps.
+// commit window. slots holds one word per cycle, cycle c at c&mask: byte p
+// counts port p's reservations (p from the shared pcls column), and the
+// cycle's issue count is their sum (sumBytes). len(slots) — the ring size
+// in cycles — is a power of two between initRing and ringSize. issueLimit
+// is IssueWidth in the top byte, and byte p of portLimits is port p's
+// count.
 // robCommit holds the commit cycle of each of the last ROBSize
 // instructions, indexed by laneCursor.robIdx; the slot about to be reused
 // bounds how far fetch may run ahead of commit. There is no per-cycle
@@ -367,40 +333,45 @@ type predColumn [trace.InstBatchLen]bool
 // cycle is never revisited after a later one and such a ring degenerates to
 // the (lastCommit, commitUsed) pair in laneCursor.
 type laneRings struct {
-	words     []ringWord
-	wmask     uint64
-	issueRep  uint64
-	portRep   [numPorts]uint64
-	robCommit []uint64
-	// clearedTo is the rings' zeroed horizon: count bytes are valid for
-	// the live cycles below it and zero from the scan frontier up to it;
-	// extend advances it in clearChunk strides.
+	slots      []uint32
+	mask       uint64
+	issueLimit uint32
+	portLimits uint32
+	robCommit  []uint64
+	// clearedTo is the rings' zeroed horizon: slots are valid for the live
+	// cycles below it and zero from the scan frontier up to it; extend
+	// advances it in clearChunk strides.
 	clearedTo uint64
 }
 
-// laneCursor is a lane's mutable scalar state between instructions. One
-// entry spans a single cache line, so the per-instruction lane sweep
-// touches one hot line per lane.
+// laneCursor is a lane's mutable state between instructions: its scalar
+// cursor and its scoreboard's header (laneRings), 128 bytes together, so
+// the per-instruction lane sweep touches two adjacent hot lines per lane
+// where separate slices spread them over up to three. One entry measured
+// about 5% fewer ns/lane-inst than two slices (BenchmarkTimingColumn in
+// internal/experiments, 24 of 30 alternating pairs on a 2-core x86-64
+// host).
 type laneCursor struct {
 	fetchCycle     uint64
 	lastFetchBlock uint64
 	lastCommit     uint64
 	commitUsed     uint64 // commits taken at cycle lastCommit; replaces the monotone commit slot ring
 	fetchStall     uint64
-	warmupCycle    uint64
 	fetchUsed      int
 	robIdx         int
+	laneRings
 }
 
-// laneTallies is a lane's statistics: branch and BTB rates, and the
-// I-side fetch class histogram (fetch accesses depend on the lane's own
-// redirect pattern, so the histogram cannot be shared the way the D-side
-// one is — see fusedRun.lT).
+// laneTallies is a lane's statistics: branch and BTB rates, the I-side
+// fetch class histogram (fetch accesses depend on the lane's own redirect
+// pattern, so the histogram cannot be shared the way the D-side one is —
+// see fusedRun.lT), and the commit cycle at the warm-up boundary.
 type laneTallies struct {
 	measBranches stats.Rate
 	overrides    stats.Rate
 	btbMisses    stats.Rate
 	fT           [4]uint64
+	warmupCycle  uint64
 }
 
 // fusedRun is the engine state: per-lane state in index-aligned SoA slices
@@ -409,7 +380,6 @@ type laneTallies struct {
 type fusedRun struct {
 	consts  []laneConst
 	orgs    []laneOrg
-	rings   []laneRings
 	btbs    []*btb.BTB
 	cursors []laneCursor
 	tallies []laneTallies
@@ -467,7 +437,6 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 	f := &fusedRun{
 		consts:      make([]laneConst, n),
 		orgs:        make([]laneOrg, n),
-		rings:       make([]laneRings, n),
 		btbs:        make([]*btb.BTB, n),
 		cursors:     make([]laneCursor, n),
 		tallies:     make([]laneTallies, n),
@@ -511,7 +480,7 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 			k.recovery = uint64(rc.RecoveryPenalty())
 		}
 
-		f.rings[i] = newLaneRings(cfg)
+		f.cursors[i].laneRings = newLaneRings(cfg)
 		f.btbs[i] = btb.New(cfg.BTBEntries, cfg.BTBWays)
 	}
 	f.assignColumns()
@@ -650,7 +619,7 @@ func (f *fusedRun) runBatch(n int) {
 		k := int(d)
 		f.stepAll(0, k, false)
 		for li := range f.cursors {
-			f.cursors[li].warmupCycle = f.cursors[li].lastCommit
+			f.tallies[li].warmupCycle = f.cursors[li].lastCommit
 		}
 		f.stepAll(k, n, true)
 	} else if d >= int64(n) {
@@ -777,12 +746,11 @@ func (f *fusedRun) sweepPlain(i int) {
 	consts := f.consts
 	nLanes := len(consts)
 	cursors := f.cursors[:nLanes]
-	rings := f.rings[:nLanes]
 	tallies := f.tallies[:nLanes]
 	regs := f.regs[:nLanes]
 	inst := &f.batch[i]
 	block := f.blocks[i]
-	pcl := f.pcls[i]
+	pm := uint32(0xff) << (8 * f.pcls[i]) // the port's byte in a slot word
 	lcl := f.lcls[i]
 	fcl := f.fcls[i]
 	s1, s2, dst := inst.Src1, inst.Src2, inst.Dst
@@ -790,7 +758,7 @@ func (f *fusedRun) sweepPlain(i int) {
 	for li := 0; li < nLanes; li++ {
 		k := &consts[li]
 		cu := &cursors[li]
-		rg := &rings[li]
+		rg := &cu.laneRings
 		rr := &regs[li]
 
 		fetchCycle := cu.fetchCycle
@@ -845,7 +813,12 @@ func (f *fusedRun) sweepPlain(i int) {
 			}
 		}
 		execLat := k.latTab[lcl]
-		issueAt := rg.takeInBoth(pcl, ready, dispatchAt)
+		issueAt := ready
+		if s := rg.slot(ready); ready < rg.clearedTo && rg.fits(*s, pm) {
+			*s += pm & sumBytes
+		} else {
+			issueAt = rg.takeLater(pm, ready, dispatchAt)
+		}
 		completeAt := issueAt + execLat
 
 		if dst >= 0 {
@@ -890,14 +863,13 @@ func (f *fusedRun) sweepJump(i int) {
 	consts := f.consts
 	nLanes := len(consts)
 	cursors := f.cursors[:nLanes]
-	rings := f.rings[:nLanes]
 	tallies := f.tallies[:nLanes]
 	btbs := f.btbs[:nLanes]
 	regs := f.regs[:nLanes]
 	inst := &f.batch[i]
 	pc := inst.PC
 	block := f.blocks[i]
-	pcl := f.pcls[i]
+	pm := uint32(0xff) << (8 * f.pcls[i]) // the port's byte in a slot word
 	lcl := f.lcls[i]
 	fcl := f.fcls[i]
 	s1, s2, dst := inst.Src1, inst.Src2, inst.Dst
@@ -905,7 +877,7 @@ func (f *fusedRun) sweepJump(i int) {
 	for li := 0; li < nLanes; li++ {
 		k := &consts[li]
 		cu := &cursors[li]
-		rg := &rings[li]
+		rg := &cu.laneRings
 		rr := &regs[li]
 
 		fetchCycle := cu.fetchCycle
@@ -975,7 +947,12 @@ func (f *fusedRun) sweepJump(i int) {
 			}
 		}
 		execLat := k.latTab[lcl]
-		issueAt := rg.takeInBoth(pcl, ready, dispatchAt)
+		issueAt := ready
+		if s := rg.slot(ready); ready < rg.clearedTo && rg.fits(*s, pm) {
+			*s += pm & sumBytes
+		} else {
+			issueAt = rg.takeLater(pm, ready, dispatchAt)
+		}
 		completeAt := issueAt + execLat
 
 		if dst >= 0 {
@@ -1023,7 +1000,6 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 	consts := f.consts
 	nLanes := len(consts)
 	cursors := f.cursors[:nLanes]
-	rings := f.rings[:nLanes]
 	tallies := f.tallies[:nLanes]
 	orgs := f.orgs[:nLanes]
 	cols := f.cols
@@ -1032,7 +1008,7 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 	inst := &f.batch[i]
 	pc := inst.PC
 	block := f.blocks[i]
-	pcl := f.pcls[i]
+	pm := uint32(0xff) << (8 * f.pcls[i]) // the port's byte in a slot word
 	lcl := f.lcls[i]
 	fcl := f.fcls[i]
 	bi := f.bord[i]
@@ -1042,7 +1018,7 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 	for li := 0; li < nLanes; li++ {
 		k := &consts[li]
 		cu := &cursors[li]
-		rg := &rings[li]
+		rg := &cu.laneRings
 		rr := &regs[li]
 
 		fetchCycle := cu.fetchCycle
@@ -1134,7 +1110,12 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 			}
 		}
 		execLat := k.latTab[lcl]
-		issueAt := rg.takeInBoth(pcl, ready, dispatchAt)
+		issueAt := ready
+		if s := rg.slot(ready); ready < rg.clearedTo && rg.fits(*s, pm) {
+			*s += pm & sumBytes
+		} else {
+			issueAt = rg.takeLater(pm, ready, dispatchAt)
+		}
 		completeAt := issueAt + execLat
 
 		if dst >= 0 {
@@ -1185,7 +1166,7 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 // folds the outcome-class histograms into the access/miss ratios live
 // caches would have counted: the same levels, the same zero-total rule.
 func (f *fusedRun) finish(workload string) []Result {
-	out := make([]Result, len(f.rings))
+	out := make([]Result, len(f.cursors))
 	for li := range out {
 		org := &f.orgs[li]
 		cu := &f.cursors[li]
@@ -1194,7 +1175,7 @@ func (f *fusedRun) finish(workload string) []Result {
 			Workload:         workload,
 			Predictor:        org.pred.Name(),
 			Insts:            f.insts - f.warmupInsts,
-			Cycles:           cu.lastCommit - cu.warmupCycle,
+			Cycles:           cu.lastCommit - tl.warmupCycle,
 			Branches:         tl.measBranches.Total,
 			Mispredicts:      tl.measBranches.Events,
 			BTBMissRate:      tl.btbMisses.Value(),

@@ -204,10 +204,10 @@ func TestFusedTimingRingGrowth(t *testing.T) {
 	f := newFusedRun(lanes(), nil, maxInsts, warmup)
 	f.drive(rec.Replay())
 	got := f.finish(rec.Name())
-	if n := len(f.rings[0].words) * 8; n != initRing {
+	if n := len(f.cursors[0].slots); n != initRing {
 		t.Errorf("Table 1 lane's rings grew to %d cycles, want %d", n, initRing)
 	}
-	if n := len(f.rings[1].words) * 8; n <= initRing {
+	if n := len(f.cursors[1].slots); n <= initRing {
 		t.Errorf("slow-memory lane's rings stayed at %d cycles; the growth path was not exercised", n)
 	}
 	for i, l := range lanes() {

@@ -14,16 +14,25 @@ import (
 // fuzzLanes is the most lanes one fuzz run drives.
 const fuzzLanes = 4
 
-// fuzzHeader is the number of leading input bytes that pick the run shape:
-// lane count, budget, warm-up, and per lane a config, a predictor and a
-// sharing/latency byte.
-const fuzzHeader = 3 + 3*fuzzLanes
+// laneHeader is the number of header bytes per lane: a config byte, a
+// predictor byte, a sharing/latency byte, and the issue and port bytes
+// that pick the lane's issue width and port counts.
+const laneHeader = 5
 
-// fuzzConfig derives a lane's machine from one byte. Every lane shares the
-// small cache geometry (so short streams still miss at every level); the
-// byte varies widths, ROB size, depth and memory latency, the knobs whose
-// interaction the scoreboard arithmetic must get right.
-func fuzzConfig(b byte) Config {
+// fuzzHeader is the number of leading input bytes that pick the run shape:
+// lane count, budget, warm-up, and laneHeader bytes per lane.
+const fuzzHeader = 3 + laneHeader*fuzzLanes
+
+// fuzzConfig derives a lane's machine from its config, issue and port
+// bytes. Every lane shares the small cache geometry (so short streams
+// still miss at every level); the config byte varies widths, ROB size,
+// depth and memory latency, the knobs whose interaction the scoreboard
+// arithmetic must get right. The issue byte draws an issue width of 1–8
+// and the port byte each port count from 1–4, so a pass mixes machines
+// whose issue bandwidth binds before any port with machines whose ports
+// bind first, one-wide ports among them; an issue byte with bit 7 set
+// keeps Table 1's issue width and ports.
+func fuzzConfig(b, issue, ports byte) Config {
 	cfg := DefaultConfig()
 	cfg.L1I = cache.Config{SizeBytes: 1 << 10, LineBytes: 64, Ways: 1}
 	cfg.L1D = cache.Config{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2}
@@ -35,6 +44,13 @@ func fuzzConfig(b byte) Config {
 	cfg.PipelineDepth = 6 + 6*int(b>>6&1)
 	if b&0x80 != 0 {
 		cfg.MemLatency = 40
+	}
+	if issue&0x80 == 0 {
+		cfg.IssueWidth = 1 + int(issue&7)
+		cfg.IntPorts = 1 + int(ports&3)
+		cfg.MemPorts = 1 + int(ports>>2&3)
+		cfg.MulPorts = 1 + int(ports>>4&3)
+		cfg.FPPorts = 1 + int(ports>>6&3)
 	}
 	return cfg
 }
@@ -99,17 +115,17 @@ func fuzzPredictor(b, sh byte, shared *fuzzParts) predictor.Predictor {
 	}
 }
 
-// fuzzLane builds lane i's config from its header bytes: sharing byte bit
-// 2 sets a memory latency of 900 cycles, long enough for chains of
+// fuzzLane builds a lane from its laneHeader bytes h: sharing byte bit 2
+// sets a memory latency of 900 cycles, long enough for chains of
 // dependent misses to stretch the live window past initRing and grow the
 // rings, short enough that even the largest fuzz ROB (32 entries) keeps
 // it under ringSize, where the engine and the reference agree exactly.
-func fuzzLane(cfgByte, predByte, sh byte, shared *fuzzParts) Lane {
-	cfg := fuzzConfig(cfgByte)
-	if sh&4 != 0 {
+func fuzzLane(h []byte, shared *fuzzParts) Lane {
+	cfg := fuzzConfig(h[0], h[3], h[4])
+	if h[2]&4 != 0 {
 		cfg.MemLatency = 900
 	}
-	return Lane{Cfg: cfg, Pred: fuzzPredictor(predByte, sh, shared)}
+	return Lane{Cfg: cfg, Pred: fuzzPredictor(h[1], h[2], shared)}
 }
 
 // FuzzEngineVsReference decodes a random instruction stream and run shape
@@ -143,7 +159,7 @@ func FuzzEngineVsReference(f *testing.F) {
 			shared := newFuzzParts()
 			ls := make([]Lane, nLanes)
 			for i := range ls {
-				ls[i] = fuzzLane(hdr[3+3*i], hdr[4+3*i], hdr[5+3*i], shared)
+				ls[i] = fuzzLane(hdr[3+laneHeader*i:3+laneHeader*(i+1)], shared)
 			}
 			return ls
 		}
@@ -154,7 +170,7 @@ func FuzzEngineVsReference(f *testing.F) {
 			want[i] = refRun(l.Cfg, l.Pred, &tracetest.Slice{Insts: insts}, maxInsts, warmup)
 		}
 		rec := trace.Record(&tracetest.Slice{Insts: insts}, n)
-		side := BuildMemSidecar(rec, MemGeometryOf(fuzzConfig(0)))
+		side := BuildMemSidecar(rec, MemGeometryOf(fuzzConfig(0, 0, 0)))
 		runs := map[string][]Result{
 			"sidecar":    RunMany(lanes(), rec.Replay(), side, maxInsts, warmup),
 			"classified": RunMany(lanes(), &tracetest.Slice{Insts: insts}, nil, maxInsts, warmup),

@@ -196,25 +196,44 @@ func TestInvalidConfigPanics(t *testing.T) {
 
 // TestInvalidLaneNamed pins the loud failure on a bad config: the panic
 // names the offending lane and prints its config, through RunMany and
-// through a one-lane New(...).Run alike.
+// through a one-lane New(...).Run alike. Beside the widths and the ROB
+// size, it covers the limits the packed slot words cannot hold (a port
+// count or issue width outside [1, 127]) and every latency or depth whose
+// negative value would wrap in the engine's unsigned cycle arithmetic.
 func TestInvalidLaneNamed(t *testing.T) {
-	badWidth := DefaultConfig()
-	badWidth.FetchWidth = 0
-	badROB := DefaultConfig()
-	badROB.ROBSize = 0
+	bad := func(mutate func(*Config)) Config {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		return cfg
+	}
 	src := func() trace.Source { return workload.New(mustProfile(t, "gzip")) }
 	panicMsg := func(f func()) (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
 		f()
 		return ""
 	}
+	const limits = "issue width and port counts must lie in [1, 127]"
+	const negative = "latencies and depths must not be negative"
 	for _, tc := range []struct {
 		name string
 		bad  Config
 		want string
 	}{
-		{"widths", badWidth, "invalid widths"},
-		{"rob", badROB, "ROB size must be positive"},
+		{"widths", bad(func(c *Config) { c.FetchWidth = 0 }), "invalid widths"},
+		{"rob", bad(func(c *Config) { c.ROBSize = 0 }), "ROB size must be positive"},
+		{"issue-128", bad(func(c *Config) { c.IssueWidth = 128 }), limits},
+		{"int-ports-0", bad(func(c *Config) { c.IntPorts = 0 }), limits},
+		{"mem-ports-128", bad(func(c *Config) { c.MemPorts = 128 }), limits},
+		{"mul-ports-neg", bad(func(c *Config) { c.MulPorts = -1 }), limits},
+		{"fp-ports-0", bad(func(c *Config) { c.FPPorts = 0 }), limits},
+		{"mul-latency", bad(func(c *Config) { c.MulLatency = -1 }), negative},
+		{"fp-latency", bad(func(c *Config) { c.FPLatency = -1 }), negative},
+		{"l1d-latency", bad(func(c *Config) { c.L1DLatency = -1 }), negative},
+		{"l2-latency", bad(func(c *Config) { c.L2Latency = -1 }), negative},
+		{"mem-latency", bad(func(c *Config) { c.MemLatency = -1 }), negative},
+		{"btb-penalty", bad(func(c *Config) { c.BTBMissPenalty = -1 }), negative},
+		{"pipeline-depth", bad(func(c *Config) { c.PipelineDepth = -1 }), negative},
+		{"front-end-depth", bad(func(c *Config) { c.FrontEndDepth = -1 }), negative},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfgText := fmt.Sprintf("%+v", tc.bad)

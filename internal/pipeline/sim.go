@@ -38,12 +38,27 @@ func New(cfg Config, pred predictor.Predictor) *Sim {
 
 // checkLane panics unless cfg describes a machine the engine can simulate,
 // naming the lane and the full config so a bad grid cell is identifiable.
+// A negative latency or depth would wrap in the engine's unsigned cycle
+// arithmetic, and the issue and port limits must fit the packed slot
+// words (maxSlotLimit).
 func checkLane(i int, cfg Config) {
 	if cfg.FetchWidth <= 0 || cfg.IssueWidth <= 0 || cfg.CommitWidth <= 0 {
 		panic(fmt.Sprintf("pipeline: invalid widths in lane %d config %+v", i, cfg))
 	}
 	if cfg.ROBSize <= 0 {
 		panic(fmt.Sprintf("pipeline: ROB size must be positive in lane %d config %+v", i, cfg))
+	}
+	for _, n := range []int{cfg.IssueWidth, cfg.IntPorts, cfg.MemPorts, cfg.MulPorts, cfg.FPPorts} {
+		if n < 1 || n > maxSlotLimit {
+			panic(fmt.Sprintf("pipeline: issue width and port counts must lie in [1, %d] in lane %d config %+v",
+				maxSlotLimit, i, cfg))
+		}
+	}
+	for _, n := range []int{cfg.PipelineDepth, cfg.FrontEndDepth, cfg.MulLatency, cfg.FPLatency,
+		cfg.L1DLatency, cfg.L2Latency, cfg.MemLatency, cfg.BTBMissPenalty} {
+		if n < 0 {
+			panic(fmt.Sprintf("pipeline: latencies and depths must not be negative in lane %d config %+v", i, cfg))
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ go run ./cmd/bplint ./...
 echo "==> bplint allow audit (every waiver carries a justification)"
 go run ./cmd/bplint -allows
 
-echo "==> engine-vs-reference differential fuzz smoke (10s each: random streams, 1-4 timing lanes sharing predictor instances, 1-3 accuracy lanes, bit-identical Results)"
+echo "==> engine-vs-reference differential fuzz smoke (10s each: random streams, 1-4 timing lanes sharing predictor instances on issue widths 1-8 and ports 1-4, 1-3 accuracy lanes, bit-identical Results)"
 go test -run '^$' -fuzz FuzzEngineVsReference -fuzztime=10s ./internal/pipeline
 go test -run '^$' -fuzz FuzzEngineVsReference -fuzztime=10s ./internal/funcsim
 
@@ -77,8 +77,8 @@ go test -race -run 'TestTimingFastPathEquivalence|TestSidecarFallback|TestSlotRi
 go test -race -run 'TestTimingMemoEquivalence|TestTimingMemoDeduplicates|TestTimingMemoConcurrentStress' ./internal/experiments
 go test -race -run 'TestNextInstsMatchesStream|TestNextInstsInterleavesWithNext|TestNextInstsProtocolMixPanics' ./internal/trace
 
-echo "==> fused timing equivalence (RunMany with batch-stepped, clocked and instance-sharing lanes vs the reference on instances of their own, over a sidecar and over batches one shared hierarchy classifies — live generator, mid-stream cursor; rings grown past their initial size against the reference and against slotRing; geometry guard, named bad lanes and shared clocked instances, unshared value predictors, scheduler parity, one set of parts per pass, streamed ipcsim vs per-cell Sim.Run, bad run flags and a stream ending inside the warm-up, race-enabled)"
-go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingClassifiedEquivalence|TestFusedTimingLiveCaches|TestFusedTimingRingGrowth|TestLaneRingsMatchSlotRing|TestFusedTimingGeometryGuard|TestInvalidLaneNamed|TestSharedClockedLaneNamed|TestValuePredictorsNeverShared|TestRunManyBadWarmup|TestRunManyStreamEndsInWarmup' ./internal/pipeline
+echo "==> fused timing equivalence (RunMany with batch-stepped, clocked and instance-sharing lanes vs the reference on instances of their own, over a sidecar and over batches one shared hierarchy classifies — live generator, mid-stream cursor; packed slot words grown past their initial size, port-bound, near the 127 limit and after a jump of more than a lap, against the reference and against slotRing; geometry guard, named bad lanes (widths, ROB, port and issue limits, negative latencies and depths) and shared clocked instances, unshared value predictors, scheduler parity, one set of parts per pass, streamed ipcsim vs per-cell Sim.Run, bad run flags and a stream ending inside the warm-up, race-enabled)"
+go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingClassifiedEquivalence|TestFusedTimingLiveCaches|TestFusedTimingRingGrowth|TestLaneRingsMatchSlotRing|TestLaneRingsForgetALapBehind|TestFusedTimingGeometryGuard|TestInvalidLaneNamed|TestSharedClockedLaneNamed|TestValuePredictorsNeverShared|TestRunManyBadWarmup|TestRunManyStreamEndsInWarmup' ./internal/pipeline
 go test -race -run 'TestNextInstsMatchesRecording' ./internal/workload
 go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFusedTimingMemoAccounting|TestFusedTimingStoreFlow|TestTimingPassesShareParts|TestOnePassPerBenchmark' ./internal/experiments
 go test -race -run 'TestFusedMatchesPerCell|TestBadFlagsFailBeforeOutput' ./cmd/ipcsim
