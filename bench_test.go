@@ -395,15 +395,14 @@ func BenchmarkPipelineSimulation(b *testing.B) {
 // The sweep is one benchmark's design-point column of the real timing grid:
 // the cells Figures 2, 7 (both halves), 8 and the override-rate ablation
 // each visit at the 64KB budget, duplicates included. Fast runs it as
-// cmd/reproduce now does — stream recorded once, cache hierarchy simulated
-// once into a memory sidecar, every cell a batched replay, duplicate cells
-// served from the timing memo. Slow runs the identical cell list the way
-// the fast path avoids: every cell simulated independently, each
-// instruction pulled through the Source interface, with the full cache
-// hierarchy live. ---
+// cmd/reproduce's plan does — duplicate cells collapsed, each distinct cell
+// one pass off the benchmark's generator, classified batch by batch. Slow
+// runs the whole cell list the way the fast path avoids: every visit
+// simulated independently, each instruction pulled through the Source
+// interface, with the full cache hierarchy live. ---
 
-// timingGridCells is the design-point cell column: 19 grid visits, 9
-// distinct simulations. Figure 7's ideal perceptron repeats Figure 2's,
+// timingGridCells is the design-point cell column: 19 grid visits, 7
+// distinct simulations (gridDistinctCells). Figure 7's ideal perceptron repeats Figure 2's,
 // Figure 8 revisits Figure 7's overriding row per benchmark, the
 // override-rate ablation recounts the realistic cells, and gshare.fast's
 // organization is mode-invariant.
@@ -461,24 +460,23 @@ func timingSweepCell(b *testing.B, res branchsim.TimingResult) {
 	}
 }
 
-// BenchmarkTimingSweepFast times the grid column through TimingMemo.Cell:
-// each iteration runs the 19 cells through a fresh timing memo, so the 10
-// duplicates are served from memory and each of the 9 distinct cells is
-// one pass off the benchmark's generator, classified batch by batch.
+// BenchmarkTimingSweepFast times the grid column through TimingCell: each
+// iteration resolves the 7 distinct cells behind the 19 visits, each one
+// pass off the benchmark's generator, classified batch by batch — the
+// work a plan does once it has collapsed the duplicates.
 func BenchmarkTimingSweepFast(b *testing.B) {
 	bench, _ := branchsim.BenchmarkByName("gcc")
 	opts := branchsim.ExperimentOptions{Insts: timingSweepInsts, Warmup: timingSweepWarmup, Parallel: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		memo := branchsim.NewTimingMemo()
-		for _, cell := range timingGridCells {
-			timingSweepCell(b, memo.Cell(cell.kind, timingSweepBudget, cell.mode, bench, opts))
+		for _, cell := range gridDistinctCells {
+			timingSweepCell(b, branchsim.TimingCell(cell.kind, timingSweepBudget, cell.mode, bench, opts))
 		}
 	}
 }
 
 // BenchmarkTimingSweepSlow is the identical cell list through a plain
-// Source: every cell simulated independently (no memo), every instruction
+// Source: every visit simulated independently, every instruction
 // filled into the engine's batch by one Next call, the cache hierarchy
 // simulated per cell as the batches arrive (no sidecar). The ratio of this to BenchmarkTimingSweepFast is
 // the fastpath speedup of BENCH_timing.json.
@@ -566,9 +564,9 @@ func BenchmarkFusedTimingSweepPerCell(b *testing.B) {
 // The same design-point column as the timing sweep above, but exercised
 // through the persistence and planner layers: a cold run simulates every
 // distinct cell and writes it back to a fresh result store; a warm run opens
-// a second store over the same directory through a fresh memo (a second
-// process's view, so every cell must come off disk) and
-// serves the whole column without simulating. The sharded/serial pair runs
+// a second store over the same directory (a second process's view, so
+// every cell must come off disk) and serves the whole column without
+// simulating. The sharded/serial pair runs
 // the identical distinct-cell plan through the worker-pool scheduler at
 // GOMAXPROCS vs one worker. ---
 
@@ -594,13 +592,12 @@ func gridOpts(store *branchsim.ResultStore) branchsim.ExperimentOptions {
 	}
 }
 
-// runGridColumn runs the distinct-cell column through a fresh memo, so every
-// cell reaches the store (or the simulator) rather than the in-memory tier.
+// runGridColumn resolves the distinct-cell column through TimingCell, so
+// every cell reaches the store (or the simulator).
 func runGridColumn(b *testing.B, bench branchsim.Benchmark, opts branchsim.ExperimentOptions) {
 	b.Helper()
-	memo := branchsim.NewTimingMemo()
 	for _, cell := range gridDistinctCells {
-		timingSweepCell(b, memo.Cell(cell.kind, timingSweepBudget, cell.mode, bench, opts))
+		timingSweepCell(b, branchsim.TimingCell(cell.kind, timingSweepBudget, cell.mode, bench, opts))
 	}
 }
 
@@ -647,10 +644,9 @@ func BenchmarkGridWarmStore(b *testing.B) {
 }
 
 // runGridPlan runs the distinct-cell column as the planner layer does: each
-// cell a PlannedCell executed by the worker-pool scheduler. A fresh memo per
-// call keeps every cell a real simulation.
+// cell a PlannedCell executed by the worker-pool scheduler, each a real
+// simulation.
 func runGridPlan(b *testing.B, bench branchsim.Benchmark, parallel int) {
-	memo := branchsim.NewTimingMemo()
 	opts := gridOpts(nil)
 	cells := make([]branchsim.PlannedCell, 0, len(gridDistinctCells))
 	for _, cell := range gridDistinctCells {
@@ -658,7 +654,7 @@ func runGridPlan(b *testing.B, bench branchsim.Benchmark, parallel int) {
 			Key: fmt.Sprintf("timing|kind=%s|org=%d|budget=%d|bench=%s", cell.kind, cell.mode, timingSweepBudget, bench.Name),
 			Run: func() {
 				// b.Fatal must not run on a worker goroutine; Error is safe.
-				if res := memo.Cell(cell.kind, timingSweepBudget, cell.mode, bench, opts); res.Insts == 0 || res.Cycles == 0 {
+				if res := branchsim.TimingCell(cell.kind, timingSweepBudget, cell.mode, bench, opts); res.Insts == 0 || res.Cycles == 0 {
 					b.Error("degenerate timing cell: no measured instructions")
 				}
 			},

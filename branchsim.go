@@ -282,20 +282,16 @@ const (
 	Realistic = experiments.Realistic
 )
 
-// TimingMemo memoizes timing Results by canonical cell key — (kind,
-// organization, budget, benchmark, measurement window, machine) — so cells
-// duplicated across experiment grids are simulated once. The experiment
-// registry runs every figure and ablation through a process-wide cache;
-// NewTimingMemo gives a custom grid its own.
-type TimingMemo = experiments.TimingMemo
+// TimingCell resolves one timing cell — the canonical (kind, budget,
+// mode) organization on prof's stream under the Table 1 machine — the way
+// the experiment grids do: served by the ResultStore when the options
+// carry one, else simulated in one pass off the benchmark's generator.
+// Nothing is kept in memory between calls.
+func TimingCell(kind string, budget int, mode TimingMode, prof Benchmark, opts ExperimentOptions) TimingResult {
+	return experiments.TimingCell(kind, budget, mode, prof, opts)
+}
 
-// NewTimingMemo returns an empty timing memo. Its Cell method resolves one
-// grid cell the way the experiment grids do: one pass off the benchmark's
-// generator, Result cached in the memo and, when the options carry a
-// ResultStore, persisted there.
-func NewTimingMemo() *TimingMemo { return experiments.NewTimingMemo() }
-
-// ResultStore is the persistent tier beneath the cell caches: a
+// ResultStore is the persistent tier beneath a run's plan: a
 // disk-backed, content-addressed store of cell results, keyed by the full
 // canonical cell identity including a digest of the code that computes
 // the cell. Set ExperimentOptions.Store to thread one through an

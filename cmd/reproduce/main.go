@@ -132,29 +132,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		file.Experiments = append(file.Experiments, results.FromOutcome(outcome))
 	}
 	if *timings {
-		accCollapsed, timCollapsed := plan.Collapsed()
+		tally := plan.Tally()
 		fmt.Fprintf(stderr, "(plan: %d experiments executed in %v)\n", len(ids), executed.Round(time.Millisecond))
 		fmt.Fprintf(stderr, "(render: %d experiments rendered in %v)\n", len(ids), rendered.Round(time.Millisecond))
-		cells, _ := experiments.TimingMemoStats()
-		fmt.Fprintf(stderr, "(timing memo: %d distinct cells resolved, %d duplicate cells collapsed at plan time)\n",
-			cells, timCollapsed)
-		acells, _ := experiments.AccuracyMemoStats()
-		fmt.Fprintf(stderr, "(accuracy memo: %d distinct cells resolved, %d duplicate cells collapsed at plan time)\n",
-			acells, accCollapsed)
-		groups, lanes, fusedCells, soloCells := experiments.FusionStats()
-		meanLanes := 0.0
-		if groups > 0 {
-			meanLanes = float64(lanes) / float64(groups)
-		}
-		fmt.Fprintf(stderr, "(grid fusion: %d fused accuracy passes run (%.1f lanes each); %d accuracy cells served fused, %d served by the store or memory)\n",
-			groups, meanLanes, fusedCells, soloCells)
-		tgroups, tlanes, tfusedCells, tsoloCells := experiments.TimingFusionStats()
-		tmeanLanes := 0.0
-		if tgroups > 0 {
-			tmeanLanes = float64(tlanes) / float64(tgroups)
-		}
-		fmt.Fprintf(stderr, "(timing fusion: %d fused timing passes run (%.1f lanes each); %d timing cells served fused, %d served by the store or memory)\n",
-			tgroups, tmeanLanes, tfusedCells, tsoloCells)
+		fmt.Fprintf(stderr, "(timing cells: %d distinct cells resolved, %d duplicate cells collapsed at plan time)\n",
+			tally.Timing.Cells, tally.Timing.Collapsed)
+		fmt.Fprintf(stderr, "(accuracy cells: %d distinct cells resolved, %d duplicate cells collapsed at plan time)\n",
+			tally.Accuracy.Cells, tally.Accuracy.Collapsed)
+		printFusion(stderr, "grid fusion", "accuracy", tally.Accuracy)
+		printFusion(stderr, "timing fusion", "timing", tally.Timing)
 		if store != nil {
 			s := store.Stats()
 			fmt.Fprintf(stderr, "(result store: %d cells served from disk, %d cold cells computed, %d invalid entries recomputed; %d cells written back, %d write errors)\n",
@@ -169,6 +155,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "results written to %s\n", *jsonPath)
 	}
 	return 0
+}
+
+// printFusion writes one family's scheduler line for -timings: passes
+// run, their mean width, and how the declared cells were served.
+func printFusion(w io.Writer, label, family string, t experiments.FamilyTally) {
+	meanLanes := 0.0
+	if t.Passes > 0 {
+		meanLanes = float64(t.Lanes) / float64(t.Passes)
+	}
+	fmt.Fprintf(w, "(%s: %d fused %s passes run (%.1f lanes each); %d %s cells served fused, %d served by the store)\n",
+		label, t.Passes, family, meanLanes, t.Fused, family, t.Stored)
 }
 
 // checkRun rejects a run length or warm-up no experiment can honor. Zero

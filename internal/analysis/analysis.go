@@ -15,7 +15,7 @@
 //     experiment packages.
 //
 // A second, flow-aware generation proves the lock discipline the shared
-// caches rest on:
+// state rests on (a plan's panic record, the result store's counters):
 //
 //   - lockguard: struct fields annotated "guarded by mu" may only be
 //     touched with that mutex provably held on every path.
@@ -30,11 +30,10 @@
 //     constructor; sync.Once publication is the one sanctioned late write;
 //   - sharedcapture: go-launched closures must not capture shared mutable
 //     variables unless every access is lock-dominated;
-//   - oncepublish: payload fields paired with a sync.Once are published
-//     inside Do and read behind a dominating Do or lock — the
-//     unsynchronized double-checked load is a finding;
-//   - globalstate: package-level vars in the hot shared packages are
-//     sync primitives, self-guarded, write-once, or explicitly allowed;
+//   - oncepublish: payload fields paired with a sync.Once (a recording's
+//     lazily computed digest) are published inside Do and read behind a
+//     dominating Do or lock — the unsynchronized double-checked load is a
+//     finding;
 //   - maporder: nondeterministic map iteration order must not flow into
 //     canonical keys, codec output, or stdout.
 //
@@ -91,7 +90,6 @@ func All() []*Analyzer {
 		Frozen,
 		SharedCapture,
 		OncePublish,
-		GlobalState,
 		MapOrder,
 		SwitchEnum,
 	}

@@ -7,15 +7,14 @@ import (
 )
 
 // dataflow.go is the shared-state dataflow core under the v3 analyzers
-// (frozen, sharedcapture, oncepublish, globalstate, maporder): a
+// (frozen, sharedcapture, oncepublish, maporder): a
 // package-level def/use summary built on flow.go's container-chain
 // dominance vocabulary. For every function it records, per local variable,
 // where the value originates (a constructor expression or not), every
 // write through it, and the earliest point it escapes the function — into
 // a return value, another object, an unsanctioned call, a goroutine or a
 // closure. Alongside it collects every Lock/Unlock site (generalizing
-// lockguard's collector to bare `mu.Lock()` locals) and every write to a
-// package-level variable.
+// lockguard's collector to bare `mu.Lock()` locals).
 //
 // Like the rest of the suite this is a conservative approximation, tuned
 // so that what it cannot prove safe it reports (the allow directive is the
@@ -424,54 +423,6 @@ func lockDominates(ops []lockOp, name string, fn ast.Node, pos token.Pos, chain 
 		}
 	}
 	return false
-}
-
-// globalWrite is one write to a package-level variable.
-type globalWrite struct {
-	obj    *types.Var
-	pos    token.Pos
-	inInit bool // inside func init() — single-goroutine by the language spec
-}
-
-// collectGlobalWrites finds every write through a package-level variable:
-// assignments and ++/-- whose lvalue is rooted at the variable (including
-// element and field stores), outside the declaration itself.
-func collectGlobalWrites(pass *Pass) []globalWrite {
-	isPkgVar := func(id *ast.Ident) *types.Var {
-		v, ok := pass.Info.Uses[id].(*types.Var)
-		if !ok || v.Parent() != pass.Pkg.Scope() {
-			return nil
-		}
-		return v
-	}
-	var writes []globalWrite
-	record := func(e ast.Expr, pos token.Pos, stack []ast.Node) {
-		id := rootIdent(ast.Unparen(e))
-		if id == nil {
-			return
-		}
-		v := isPkgVar(id)
-		if v == nil {
-			return
-		}
-		inInit := false
-		if fd, ok := enclosingFunc(stack).(*ast.FuncDecl); ok &&
-			fd.Recv == nil && fd.Name.Name == "init" {
-			inInit = true
-		}
-		writes = append(writes, globalWrite{obj: v, pos: pos, inInit: inInit})
-	}
-	inspectStack(pass.Files, func(n ast.Node, stack []ast.Node) {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range st.Lhs {
-				record(lhs, lhs.Pos(), stack)
-			}
-		case *ast.IncDecStmt:
-			record(st.X, st.Pos(), stack)
-		}
-	})
-	return writes
 }
 
 // insideOnceDo reports whether the stack places the current node inside a

@@ -172,23 +172,6 @@ func TestSharedCapture(t *testing.T) { testAnalyzer(t, SharedCapture, "branchsim
 func TestOncePublish(t *testing.T)   { testAnalyzer(t, OncePublish, "branchsim/internal") }
 func TestMapOrder(t *testing.T)      { testAnalyzer(t, MapOrder, "branchsim/internal") }
 
-// GlobalState only fires in the hot shared packages, so its fixtures mount
-// under internal/pipeline; a third pass proves the path gate by mounting
-// the bad fixture under a path the analyzer ignores.
-func TestGlobalState(t *testing.T) {
-	testAnalyzer(t, GlobalState, "branchsim/internal/pipeline")
-	t.Run("ungated-path", func(t *testing.T) {
-		dir := filepath.Join("testdata", "globalstate", "bad")
-		pkg, err := fixtureLoader(t).LoadDirAs(dir, "branchsim/internal/predictor/globalfix")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fs := Run(pkg, "branchsim", []*Analyzer{GlobalState}); len(fs) != 0 {
-			t.Fatalf("globalstate fired outside its gated packages: %v", fs)
-		}
-	})
-}
-
 // SwitchEnum only fires in trace, funcsim and pipeline (by import path
 // leaf), so its fixtures mount under synthetic paths ending in /pipeline;
 // a third pass proves the gate by mounting the bad fixture elsewhere.

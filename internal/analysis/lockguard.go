@@ -10,11 +10,12 @@ import (
 
 // LockGuard enforces annotated lock discipline: a struct field whose
 // declaration carries a "// guarded by <mu>" comment may only be read or
-// written in code where that mutex is provably held. The memo maps the
-// fast paths rest on — the trace store's recordings and sidecars, the
-// cell cache's entries — are shared across every experiment goroutine; an
-// unguarded touch is a data race that corrupts a memoized Result (one
-// wrong IPC cell) without ever failing loudly.
+// written in code where that mutex is provably held. The guarded state a
+// run shares across its worker goroutines — the plan's first-panic record
+// (experiments.cellPanic) and the result store's traffic counters
+// (resultstore.Store.stats) — is touched from every cell; an unguarded
+// touch is a data race that loses the panicking cell's key or miscounts
+// the store without ever failing loudly.
 //
 // Annotation forms, on the field's line or in its doc comment:
 //

@@ -6,9 +6,9 @@ import (
 	"go/types"
 )
 
-// OncePublish certifies the memo stores' publication protocol. The trace
-// store's entries (entry.rec, sidecarEntry.side) and the cell cache's
-// entries and group runs (cellEntry.res, groupRun.res) follow one pattern: a struct pairing a sync.Once
+// OncePublish certifies the once-publication protocol. A recording's
+// lazily computed digest (trace.digestCell, the payload behind
+// Recording.Digest) follows one pattern: a struct pairing a sync.Once
 // with the published payload, where the first goroutine computes inside
 // once.Do and everyone else blocks on the Do and then reads. The pattern
 // is sound; the classic way to break it is the unsynchronized
@@ -20,8 +20,8 @@ import (
 // payload fields: a payload field may be written only inside a function
 // literal passed to that struct's own Once Do (on the same base value),
 // and may be read only where a Do call on the same base dominates, where
-// a mutex Lock dominates (publication under the owner's lock, the trace
-// store's read-back path), or inside the Do body itself. Anything else is
+// a mutex Lock dominates (publication under the owner's lock), or inside
+// the Do body itself. Anything else is
 // an unsynchronized load or store of a once-published value.
 var OncePublish = &Analyzer{
 	Name: "oncepublish",

@@ -69,8 +69,8 @@ func runSharedCapture(pass *Pass) {
 func checkLaunch(pass *Pass, gs *ast.GoStmt, lit *ast.FuncLit, locks []lockOp) {
 	// Captured variables: identifiers used inside the literal that resolve
 	// to variables declared in an enclosing function (not the literal's
-	// own parameters or locals, not fields, not package-level state —
-	// globalstate owns the latter).
+	// own parameters or locals, not fields, not package-level state,
+	// which the hot packages keep write-once: DESIGN.md §6.3).
 	captured := map[*types.Var]bool{}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)

@@ -7,4 +7,4 @@ package experiments
 // module-local package it imports, transitively. Every cell key carries
 // it (cellCode), so a change to any code that computes a cell misses the
 // persistent store.
-const codeDigest = "1fe27dc27905980376ed4a256a471846ccca3625faed5df1292f0a6a33923cae"
+const codeDigest = "29f4666b84dc779f089e9bd1a62a0a7b41c3978f32ad9430992fb422292acb43"

@@ -44,7 +44,7 @@ const (
 	// generator feeds every lane of the group.
 	FuseAuto FuseMode = iota
 	// FuseOff makes every accuracy and timing cell a group of one: the
-	// same cache → store → simulate path, one lane per pass
+	// same store → simulate path, one lane per pass
 	// (cmd/reproduce -nofuse).
 	FuseOff
 )
@@ -63,7 +63,7 @@ type Options struct {
 	// Store, when non-nil, is the persistent result store cold cells
 	// resolve through before simulating: distinct cells hit disk first, and
 	// fresh computes are written back, making reruns incremental across
-	// processes. Nil keeps everything in-memory.
+	// processes. Nil simulates every distinct cell.
 	Store *resultstore.Store
 	// Fuse selects how the accuracy and timing cells are grouped; the
 	// zero value (FuseAuto) runs them grid-fused, one pass per group.

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"sync"
-
 	"branchsim/internal/funcsim"
 	"branchsim/internal/pipeline"
 	"branchsim/internal/resultstore"
@@ -13,82 +11,36 @@ import (
 // cell resolves through. A plan's lanes arrive in groups — accuracy lanes
 // by (benchmark, plain or block), timing lanes by (benchmark, cache
 // geometry) at most maxTimingLanes to a group, or one lane per group under
-// FuseOff — and every group runs
-// the same sequence. It acquires its lanes' cache entries under one lock,
-// creating the missing ones, then resolves each entry. The first
-// resolution of an entry this group created runs the group's computation:
-// probe the persistent store for each created cell, simulate whatever is
-// still cold in one pass straight off the benchmark's generator
-// (funcsim.RunMany or RunManyBlocks for accuracy, pipeline.RunMany for
-// timing), and write those cells back. Grouping changes only when
-// simulations happen, never what they compute or how they are keyed, so
-// fused, -nofuse and warm-store runs are interchangeable byte for byte
+// FuseOff — and every group runs the same sequence: probe the persistent
+// store for each lane, simulate whatever is still cold in one pass
+// straight off the benchmark's generator (funcsim.RunMany or
+// RunManyBlocks for accuracy, pipeline.RunMany for timing), write those
+// cells back, and fan each lane's Result into its sinks. The plan has
+// already collapsed duplicate cells, so no two groups of a plan share a
+// lane, and groups share nothing but the store. Grouping changes only
+// when simulations happen, never what they compute or how they are keyed,
+// so fused, -nofuse and warm-store runs are interchangeable byte for byte
 // (TestFusedEquivalence, TestFusedStoreFlow, TestFusedTimingPlan).
 
-// groupRun is one group's computation, published once: the first of the
-// group's created entries to resolve runs it, and each reads its own
-// lane's Result from it.
-type groupRun[R cellResult] struct {
-	once sync.Once
-	res  []R
+// cellResult is a result family a cell computes: the two payloads a
+// resultstore.Record carries.
+type cellResult interface {
+	funcsim.Result | pipeline.Result
 }
 
-// result returns lane i's Result, running compute on first use.
-func (g *groupRun[R]) result(i int, compute func() []R) R {
-	g.once.Do(func() { g.res = compute() })
-	return g.res[i]
-}
-
-// runGroup resolves one group of lanes through c; simulate runs one pass
-// over specs of the group, returning Results index-aligned with them.
-func runGroup[S specOf[R], R cellResult](c *cellCache[R], lanes []*planLane[S, R], opts Options, simulate func([]S) []R) {
-	var owned []*planLane[S, R]
-	entries := make([]*cellEntry[R], len(lanes))
-	run := &groupRun[R]{}
-	compute := func() []R { return computeGroup(c, owned, opts, simulate) }
-	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = make(map[resultstore.Key]*cellEntry[R])
-	}
-	var solo int64
-	for i, l := range lanes {
-		key := l.spec.cell().key
-		if e := c.entries[key]; e != nil {
-			c.hits++
-			entries[i] = e
-			solo += int64(len(l.sinks))
-			continue
-		}
-		j := len(owned)
-		entries[i] = &cellEntry[R]{compute: func() R { return run.result(j, compute) }}
-		c.entries[key] = entries[i]
-		owned = append(owned, l)
-	}
-	c.fusion.solo += solo
-	c.mu.Unlock()
-
-	for i, l := range lanes {
-		res := entries[i].resolve()
-		for _, sink := range l.sinks {
-			sink(res)
-		}
-	}
-}
-
-// computeGroup is a group's computation over the lanes it created: serve
-// each cell the persistent store holds, simulate the rest in one pass, and
-// write those back. A cell's key names it whole, so a group the store
-// serves entirely never opens its stream.
-func computeGroup[S specOf[R], R cellResult](c *cellCache[R], lanes []*planLane[S, R], opts Options, simulate func([]S) []R) []R {
+// runGroup resolves one group of lanes and counts its work into tally,
+// the group's own slot; simulate runs one pass over specs of the group,
+// returning Results index-aligned with them. A cell's key names it whole,
+// so a group the store serves entirely never opens its stream.
+func runGroup[S specOf[R], R cellResult](lanes []*planLane[S, R], opts Options, tally *FamilyTally, simulate func([]S) []R) {
 	res := make([]R, len(lanes))
-	var tally fusionTally
 	var cold []int
 	var coldSpecs []S
 	for i, l := range lanes {
 		if opts.Store != nil {
 			if r, ok := storeGet[R](opts.Store, l.spec.cell().key); ok {
 				res[i] = r
-				tally.solo += int64(len(l.sinks))
+				tally.Stored += len(l.sinks)
 				continue
 			}
 		}
@@ -102,14 +54,45 @@ func computeGroup[S specOf[R], R cellResult](c *cellCache[R], lanes []*planLane[
 			if opts.Store != nil {
 				storePut(opts.Store, lanes[i].spec.cell().key, out[j])
 			}
-			tally.fused += int64(len(lanes[i].sinks))
+			tally.Fused += len(lanes[i].sinks)
 		}
-		tally.groups, tally.lanes = 1, int64(len(cold))
+		tally.Passes, tally.Lanes = 1, len(cold)
 	}
-	c.mu.Lock()
-	c.fusion.add(tally)
-	c.mu.Unlock()
-	return res
+	for i, l := range lanes {
+		for _, sink := range l.sinks {
+			sink(res[i])
+		}
+	}
+}
+
+// storeGet reads key's cell from store, or reports it cold. The store
+// serves only records carrying key.Family's payload, and every key a
+// spec of R carries names R's family.
+func storeGet[R cellResult](store *resultstore.Store, key resultstore.Key) (R, bool) {
+	var res R
+	rec, ok := store.Get(key)
+	if !ok {
+		return res, false
+	}
+	switch p := any(&res).(type) {
+	case *funcsim.Result:
+		*p = *rec.Accuracy
+	case *pipeline.Result:
+		*p = *rec.Timing
+	}
+	return res, true
+}
+
+// storePut writes one computed cell back to store under key.
+func storePut[R cellResult](store *resultstore.Store, key resultstore.Key, res R) {
+	rec := resultstore.Record{Key: key}
+	switch r := any(res).(type) {
+	case funcsim.Result:
+		rec.Accuracy = &r
+	case pipeline.Result:
+		rec.Timing = &r
+	}
+	store.Put(key, rec)
 }
 
 // blockFetchWidth is the fetch width of every block-prediction cell, the
@@ -120,8 +103,8 @@ const blockFetchWidth = 8
 // benchmark's generator: plain cells fused through funcsim.RunMany, block
 // cells, whose per-block state RunMany does not carry, through
 // funcsim.RunManyBlocks, each lane at its own block width.
-func runAccuracyGroup(c *cellCache[funcsim.Result], lanes []*planLane[accuracySpec, funcsim.Result], opts Options) {
-	runGroup(c, lanes, opts, func(ss []accuracySpec) []funcsim.Result {
+func runAccuracyGroup(lanes []*planLane[accuracySpec, funcsim.Result], opts Options, tally *FamilyTally) {
+	runGroup(lanes, opts, tally, func(ss []accuracySpec) []funcsim.Result {
 		fo := funcsim.Options{MaxInsts: opts.Insts, WarmupInsts: opts.Warmup}
 		if ss[0].blocks > 0 {
 			fo.FetchWidth = blockFetchWidth
@@ -146,8 +129,8 @@ func runAccuracyGroup(c *cellCache[funcsim.Result], lanes []*planLane[accuracySp
 // engine's shared memory hierarchy classifies each batch once for all
 // lanes. The lanes are built from one set of parts (timingLanes), so the
 // engine steps each distinct predictor once for the pass.
-func runTimingGroup(c *cellCache[pipeline.Result], lanes []*planLane[timingSpec, pipeline.Result], opts Options) {
-	runGroup(c, lanes, opts, func(ss []timingSpec) []pipeline.Result {
+func runTimingGroup(lanes []*planLane[timingSpec, pipeline.Result], opts Options, tally *FamilyTally) {
+	runGroup(lanes, opts, tally, func(ss []timingSpec) []pipeline.Result {
 		return pipeline.RunMany(timingLanes(ss), workload.New(ss[0].prof), nil, opts.Insts, opts.Warmup)
 	})
 }

@@ -5,15 +5,12 @@ import (
 	"testing"
 
 	"branchsim/internal/funcsim"
-	"branchsim/internal/pipeline"
 	"branchsim/internal/predictor"
 	"branchsim/internal/resultstore"
 	"branchsim/internal/workload"
 )
 
-// fusionTestOpts uses an instruction budget unique to this file (the
-// timingmemo_test.go convention) so its cells never collide with other
-// tests' entries in the process-wide memos.
+// fusionTestOpts is the measurement window of this file's grids.
 var fusionTestOpts = Options{Insts: 140_000, Warmup: 35_000}
 
 // fusionGrid declares a kinds × budgets × benchmarks accuracy grid into
@@ -51,9 +48,8 @@ func TestFusedEquivalence(t *testing.T) {
 	fused := fusionGrid(fusedPlan, kinds, budgets, nBench)
 	solo := fusionGrid(soloPlan, kinds, budgets, nBench)
 
-	fc := &cellCache[funcsim.Result]{}
-	fusedPlan.executeWith(fc, &cellCache[pipeline.Result]{})
-	soloPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	tally := fusedPlan.execute().Accuracy
+	soloPlan.execute()
 
 	for i := range fused {
 		if !reflect.DeepEqual(fused[i], solo[i]) {
@@ -61,59 +57,33 @@ func TestFusedEquivalence(t *testing.T) {
 				i, fused[i], solo[i])
 		}
 	}
-	groups, lanes, fusedCells, soloCells := fc.fusionStats()
-	wantLanes := int64(len(kinds) * len(budgets) * nBench)
-	if groups != nBench || lanes != wantLanes || fusedCells != wantLanes || soloCells != 0 {
-		t.Errorf("fused counters = %d groups, %d lanes, %d fused, %d solo; want %d, %d, %d, 0",
-			groups, lanes, fusedCells, soloCells, nBench, wantLanes, wantLanes)
+	wantLanes := len(kinds) * len(budgets) * nBench
+	if tally.Passes != nBench || tally.Lanes != wantLanes || tally.Fused != wantLanes || tally.Stored != 0 {
+		t.Errorf("fused tally = %+v; want %d passes, %d lanes, %d fused, 0 stored", tally, nBench, wantLanes, wantLanes)
 	}
 }
 
-// TestFusedMemoAccounting pins the memo's accounting under fused
-// publishing: a cell declared twice in one plan (the Figure 5 / Figure 6
+// TestFusedMemoAccounting pins the plan's accounting under fused
+// execution: a cell declared twice in one plan (the Figure 5 / Figure 6
 // overlap) collapses at plan time into one lane, simulates once and feeds
-// both sinks without a memory lookup, and a later plan revisiting the
-// cells resolves them solo — zero fused passes — with one hit per lookup,
-// exactly as groups of one would count.
+// both sinks.
 func TestFusedMemoAccounting(t *testing.T) {
-	memo := &cellCache[funcsim.Result]{}
 	plan := newPlan(fusionTestOpts)
 	first := fusionGrid(plan, []string{"bimode"}, []int{8 << 10}, 2)
 	dup := fusionGrid(plan, []string{"bimode"}, []int{8 << 10}, 2)
-	tally := plan.executeWith(memo, &cellCache[pipeline.Result]{})
+	got := plan.execute().Accuracy
 
-	if cells, hits := memo.stats(); cells != 2 || hits != 0 {
-		t.Fatalf("after duplicated plan: %d cells, %d hits; want 2 distinct cells, no hits", cells, hits)
-	}
-	if tally.accCollapsed != 2 {
-		t.Fatalf("plan tally = %+v, want 2 accuracy cells collapsed", tally)
-	}
 	if !reflect.DeepEqual(first, dup) {
 		t.Fatalf("duplicate sinks received different results:\n%+v\n%+v", first, dup)
 	}
-	if groups, lanes, fused, solo := memo.fusionStats(); groups != 2 || lanes != 2 || fused != 4 || solo != 0 {
-		t.Fatalf("counters after duplicated plan = %d/%d/%d/%d, want 2 groups, 2 lanes, 4 fused, 0 solo",
-			groups, lanes, fused, solo)
-	}
-
-	// A second plan over the same memo finds every entry pre-existing.
-	again := newPlan(fusionTestOpts)
-	revisit := fusionGrid(again, []string{"bimode"}, []int{8 << 10}, 2)
-	again.executeWith(memo, &cellCache[pipeline.Result]{})
-	if cells, hits := memo.stats(); cells != 2 || hits != 2 {
-		t.Fatalf("after revisit: %d cells, %d hits; want still 2 cells, 2 hits", cells, hits)
-	}
-	if groups, _, _, solo := memo.fusionStats(); groups != 2 || solo != 2 {
-		t.Fatalf("revisit ran %d groups total (%d solo cells), want no new passes (2 groups, 2 solo)", groups, solo)
-	}
-	if !reflect.DeepEqual(revisit, first) {
-		t.Fatalf("revisited cells diverge from the fused originals:\n%+v\n%+v", revisit, first)
+	if want := (FamilyTally{Cells: 2, Collapsed: 2, Passes: 2, Lanes: 2, Fused: 4}); got != want {
+		t.Fatalf("tally after duplicated plan = %+v, want %+v", got, want)
 	}
 }
 
 // TestFusedStoreFlow pins the scheduler's Get/Put store flow: a cold fused
-// run misses and writes once per distinct cell, a warm rerun (fresh cache,
-// second store over the same directory — a stand-in for a second process)
+// run misses and writes once per distinct cell, a warm rerun (a second
+// store over the same directory — a stand-in for a second process)
 // serves every cell from disk and runs zero fused passes, and a -nofuse
 // rerun reads the fused run's cells bit-identically.
 func TestFusedStoreFlow(t *testing.T) {
@@ -130,7 +100,7 @@ func TestFusedStoreFlow(t *testing.T) {
 	opts.Store = st1
 	coldPlan := newPlan(opts)
 	cold := fusionGrid(coldPlan, kinds, budgets, nBench)
-	coldPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	coldPlan.execute()
 	if s := st1.Stats(); s.Misses != nCells || s.Writes != nCells || s.Hits != 0 {
 		t.Fatalf("cold store traffic = %+v, want %d misses, %d writes", s, nCells, nCells)
 	}
@@ -142,14 +112,12 @@ func TestFusedStoreFlow(t *testing.T) {
 	opts.Store = st2
 	warmPlan := newPlan(opts)
 	warm := fusionGrid(warmPlan, kinds, budgets, nBench)
-	fcWarm := &cellCache[funcsim.Result]{}
-	warmPlan.executeWith(fcWarm, &cellCache[pipeline.Result]{})
+	tally := warmPlan.execute().Accuracy
 	if s := st2.Stats(); s.Hits != nCells || s.Misses != 0 || s.Invalidations != 0 {
 		t.Fatalf("warm store traffic = %+v, want %d hits", s, nCells)
 	}
-	if groups, lanes, fused, solo := fcWarm.fusionStats(); groups != 0 || lanes != 0 || fused != 0 || solo != nCells {
-		t.Fatalf("warm rerun ran %d fused passes (%d lanes, %d fused cells, %d solo); want none, all %d solo",
-			groups, lanes, fused, solo, nCells)
+	if tally.Passes != 0 || tally.Lanes != 0 || tally.Fused != 0 || tally.Stored != nCells {
+		t.Fatalf("warm rerun tally = %+v; want no pass, all %d cells stored", tally, nCells)
 	}
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatalf("store-served cells diverge from the fused originals:\n%+v\n%+v", warm, cold)
@@ -163,7 +131,7 @@ func TestFusedStoreFlow(t *testing.T) {
 	opts.Fuse = FuseOff
 	soloPlan := newPlan(opts)
 	solo := fusionGrid(soloPlan, kinds, budgets, nBench)
-	soloPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	soloPlan.execute()
 	if s := st3.Stats(); s.Hits != nCells {
 		t.Fatalf("-nofuse rerun store traffic = %+v, want %d hits", s, nCells)
 	}

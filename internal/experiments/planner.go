@@ -16,9 +16,9 @@ import (
 // their grids inline, they declare cells into one plan per run — each
 // cell a canonical key, a predictor construction and a sink — and render
 // once it has executed. Execution collapses cells declared under one key
-// into one lane with several sinks, groups the lanes (fusion.go), shards
-// the groups across a worker pool, and resolves every lane through the
-// cell cache (cellcache.go), then the persistent resultstore when
+// into one lane with several sinks — the plan is the only in-process
+// dedup — groups the lanes (fusion.go), shards the groups across a worker
+// pool, and resolves every lane through the persistent resultstore when
 // Options.Store is set, then simulation. Sinks fan results back into
 // preallocated grid slices; each sink owns exactly one element, so the
 // fan-in needs no locking.
@@ -32,11 +32,11 @@ type PlannedCell struct {
 }
 
 // cellSpec is one declared cell as the scheduler sees it, whatever its
-// family: its canonical key (the resultstore.Key the cell cache and the
-// persistent store both use), the benchmark whose stream it runs
-// on, and the sink its Result fans back into. Each family's spec adds its
-// predictor construction. Callers must ensure equal keys always denote
-// identical constructions; the cache and the store both trade on that.
+// family: its canonical key (the resultstore.Key the plan collapses on and
+// the persistent store reads and writes), the benchmark whose stream it
+// runs on, and the sink its Result fans back into. Each family's spec adds
+// its predictor construction. Callers must ensure equal keys always denote
+// identical constructions; the plan and the store both trade on that.
 type cellSpec[R cellResult] struct {
 	key  resultstore.Key
 	prof workload.Profile
@@ -139,42 +139,69 @@ func (p *cellPlan) addTiming(cfg pipeline.Config, kind, org string, budget int, 
 	})
 }
 
-// execute runs the plan through the process-wide caches.
-func (p *cellPlan) execute() planTally {
-	return p.executeWith(accuracyMemo, &timingMemo.cellCache)
+// A FamilyTally is one result family's account of a plan's execution:
+// the distinct cells it resolved, the declared cells collapsed at plan
+// time into a lane declared earlier under the same key, the passes run
+// (groups the store left at least one cell cold in) and the lanes they
+// carried, and how each declared cell was served — by a pass (Fused) or by
+// the persistent store (Stored).
+type FamilyTally struct {
+	Cells, Collapsed int
+	Passes, Lanes    int
+	Fused, Stored    int
 }
 
-// planTally counts, per family, a plan's cells collapsed at plan time into
-// a lane declared earlier under the same key.
-type planTally struct {
-	accCollapsed, timCollapsed int
+// A Tally is a plan's execution account, per family.
+type Tally struct {
+	Accuracy, Timing FamilyTally
 }
 
-// executeWith runs the plan through explicit caches, so tests can use
-// fresh ones. Every group is one worker-pool unit, named by its first
-// lane's key and its width.
-func (p *cellPlan) executeWith(acc *cellCache[funcsim.Result], tim *cellCache[pipeline.Result]) planTally {
+// execute runs the plan and returns its tally. Every group is one
+// worker-pool unit, named by its first lane's key and its width, and
+// counts its work into its own slot of a slice preallocated here; the
+// slots are merged once RunCells has joined, so the tally needs no lock.
+func (p *cellPlan) execute() Tally {
 	accLanes := collapse(p.acc)
 	timLanes := collapse(p.tim)
-	var cells []PlannedCell
 	accWidth, timWidth := 0, maxTimingLanes
 	if p.opts.Fuse == FuseOff {
 		accWidth, timWidth = 1, 1
 	}
-	for _, g := range groupLanes(accLanes, accWidth, accuracyGroupKey) {
+	accGroups := groupLanes(accLanes, accWidth, accuracyGroupKey)
+	timGroups := groupLanes(timLanes, timWidth, timingGroupKey)
+	accSlots := make([]FamilyTally, len(accGroups))
+	timSlots := make([]FamilyTally, len(timGroups))
+	cells := make([]PlannedCell, 0, len(accGroups)+len(timGroups))
+	for i, g := range accGroups {
 		cells = append(cells, PlannedCell{
 			Key: fmt.Sprintf("%s|lanes=%d", g[0].spec.key.Canonical(), len(g)),
-			Run: func() { runAccuracyGroup(acc, g, p.opts) },
+			Run: func() { runAccuracyGroup(g, p.opts, &accSlots[i]) },
 		})
 	}
-	for _, g := range groupLanes(timLanes, timWidth, timingGroupKey) {
+	for i, g := range timGroups {
 		cells = append(cells, PlannedCell{
 			Key: fmt.Sprintf("%s|lanes=%d", g[0].spec.key.Canonical(), len(g)),
-			Run: func() { runTimingGroup(tim, g, p.opts) },
+			Run: func() { runTimingGroup(g, p.opts, &timSlots[i]) },
 		})
 	}
 	RunCells(p.opts.Parallel, cells)
-	return planTally{accCollapsed: len(p.acc) - len(accLanes), timCollapsed: len(p.tim) - len(timLanes)}
+	return Tally{
+		Accuracy: familyTally(accSlots, len(accLanes), len(p.acc)),
+		Timing:   familyTally(timSlots, len(timLanes), len(p.tim)),
+	}
+}
+
+// familyTally merges one family's group slots, the plan's distinct cells
+// and its declared cells into the family's tally.
+func familyTally(slots []FamilyTally, distinct, declared int) FamilyTally {
+	t := FamilyTally{Cells: distinct, Collapsed: declared - distinct}
+	for _, s := range slots {
+		t.Passes += s.Passes
+		t.Lanes += s.Lanes
+		t.Fused += s.Fused
+		t.Stored += s.Stored
+	}
+	return t
 }
 
 // A planLane is one distinct cell of a plan: the spec first declared

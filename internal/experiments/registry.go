@@ -80,7 +80,7 @@ func ByID(id string) (Runner, error) {
 type RunPlan struct {
 	plan    *cellPlan
 	renders []func() *Outcome
-	tally   planTally
+	tally   Tally
 }
 
 // Plan declares the experiments ids name, in that order, into one plan
@@ -106,9 +106,8 @@ func declare(decls []experiment, opts Options) *RunPlan {
 	return rp
 }
 
-// Execute resolves every cell of the plan: through the process-wide cell
-// caches, then the persistent store when Options.Store is set, then one
-// pass per group.
+// Execute resolves every cell of the plan: through the persistent store
+// when Options.Store is set, then one pass per group.
 func (rp *RunPlan) Execute() { rp.tally = rp.plan.execute() }
 
 // Render returns each experiment's Outcome, in the order Plan declared
@@ -121,11 +120,11 @@ func (rp *RunPlan) Render() []*Outcome {
 	return outs
 }
 
-// Collapsed reports, per family, how many declared cells Execute found
-// already declared under the same key, and so served from that one lane.
-func (rp *RunPlan) Collapsed() (accuracy, timing int) {
-	return rp.tally.accCollapsed, rp.tally.timCollapsed
-}
+// Tally reports what Execute did, per family: distinct cells, duplicate
+// cells collapsed at plan time, passes run and the lanes they carried, and
+// how each declared cell was served. It is scoped to this plan; nothing is
+// counted process-wide.
+func (rp *RunPlan) Tally() Tally { return rp.tally }
 
 // Run declares the experiments ids name into one plan, executes it once,
 // and renders each experiment in the order ids lists them.

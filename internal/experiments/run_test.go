@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"branchsim/internal/core"
-	"branchsim/internal/funcsim"
-	"branchsim/internal/pipeline"
 	"branchsim/internal/predictor"
 	"branchsim/internal/workload"
 )
@@ -17,18 +15,17 @@ import (
 // cache geometry they share, split only where a group is wider than
 // maxTimingLanes. A full run adds one block pass per benchmark, whose
 // lanes carry multibranch's four block widths. FuseOff still runs one
-// lane per pass. The tallies come from fresh caches, so nothing an earlier
-// test resolved can hide a pass.
+// lane per pass.
 func TestOnePassPerBenchmark(t *testing.T) {
-	nBench := int64(len(workload.Profiles()))
+	nBench := len(workload.Profiles())
 	const timWidth = 42 // distinct timing cells per benchmark in figures 2, 7 and 8
 	timPasses := nBench * ((timWidth + maxTimingLanes - 1) / maxTimingLanes)
 	for _, tc := range []struct {
 		name                string
 		ids                 []string
 		fuse                FuseMode
-		accPasses, accLanes int64
-		timPasses, timLanes int64
+		accPasses, accLanes int
+		timPasses, timLanes int
 	}{
 		{"accuracy", []string{"figure1", "table2", "figure5", "figure6"}, FuseAuto, nBench, 48 * nBench, 0, 0},
 		{"timing", []string{"figure2", "figure7", "figure8"}, FuseAuto, 0, 0, timPasses, timWidth * nBench},
@@ -42,15 +39,15 @@ func TestOnePassPerBenchmark(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			acc, tim := &cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{}
-			rp.plan.executeWith(acc, tim)
-			if groups, lanes, _, _ := acc.fusionStats(); groups != tc.accPasses || lanes != tc.accLanes {
+			rp.Execute()
+			acc, tim := rp.Tally().Accuracy, rp.Tally().Timing
+			if acc.Passes != tc.accPasses || acc.Lanes != tc.accLanes {
 				t.Errorf("accuracy: %d passes carrying %d lanes, want %d passes carrying %d",
-					groups, lanes, tc.accPasses, tc.accLanes)
+					acc.Passes, acc.Lanes, tc.accPasses, tc.accLanes)
 			}
-			if groups, lanes, _, _ := tim.fusionStats(); groups != tc.timPasses || lanes != tc.timLanes {
+			if tim.Passes != tc.timPasses || tim.Lanes != tc.timLanes {
 				t.Errorf("timing: %d passes carrying %d lanes, want %d passes carrying %d",
-					groups, lanes, tc.timPasses, tc.timLanes)
+					tim.Passes, tim.Lanes, tc.timPasses, tc.timLanes)
 			}
 		})
 	}
@@ -65,7 +62,7 @@ func TestRunMatchesRunners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp.plan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	rp.Execute()
 	for i, out := range rp.Render() {
 		id := IDs()[i]
 		runner, err := ByID(id)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -13,19 +15,17 @@ import (
 	"branchsim/internal/workload"
 )
 
-// storeTestOpts uses an instruction budget unique to this file so its
-// cells never collide with other tests' entries in the process-wide
-// caches (the convention timingmemo_test.go established).
+// storeTestOpts is the measurement window of this file's cells.
 var storeTestOpts = Options{Insts: 130_000, Warmup: 30_000}
 
 // timingCell resolves one explicitly constructed timing cell as a
-// one-spec plan through fresh caches — a stand-in for a fresh process.
+// one-spec plan.
 func timingCell(cfg pipeline.Config, kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, opts Options) pipeline.Result {
 	plan := newPlan(opts)
 	var res pipeline.Result
 	plan.addTiming(cfg, kind, org, budget, func(*timingParts) predictor.Predictor { return build() }, prof,
 		func(r pipeline.Result) { res = r })
-	plan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	plan.execute()
 	return res
 }
 
@@ -34,20 +34,20 @@ func accuracyCell(kind, org string, budget int, build func() predictor.Predictor
 	plan := newPlan(opts)
 	var res funcsim.Result
 	plan.addAccuracy(kind, org, budget, build, prof, func(r funcsim.Result) { res = r })
-	plan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	plan.execute()
 	return res
 }
 
 // TestTimingStoreEquivalence is the acceptance criterion's equivalence
 // suite for the timing family: a cell computed through a cold store, the
-// same cell served warm by a second cache (a stand-in for a second
-// process), and a cell computed with no store at all must be bit-identical
+// same cell served warm by a second store over the same directory (a
+// stand-in for a second process), and a cell computed with no store at all must be bit-identical
 // pipeline Results.
 func TestTimingStoreEquivalence(t *testing.T) {
 	prof := workload.Profiles()[0]
 	const budget = 32 << 10
 
-	fresh := NewTimingMemo().Cell("perceptron", budget, Realistic, prof, storeTestOpts)
+	fresh := TimingCell("perceptron", budget, Realistic, prof, storeTestOpts)
 
 	dir := t.TempDir()
 	st1, err := resultstore.Open(dir)
@@ -56,16 +56,16 @@ func TestTimingStoreEquivalence(t *testing.T) {
 	}
 	opts := storeTestOpts
 	opts.Store = st1
-	cold := NewTimingMemo().Cell("perceptron", budget, Realistic, prof, opts)
+	cold := TimingCell("perceptron", budget, Realistic, prof, opts)
 
-	// A fresh memo and a second store over the same directory stand in
-	// for a second process, so the warm cell must come off disk.
+	// A second store over the same directory stands in for a second
+	// process, so the warm cell must come off disk.
 	st2, err := resultstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Store = st2
-	warm := NewTimingMemo().Cell("perceptron", budget, Realistic, prof, opts)
+	warm := TimingCell("perceptron", budget, Realistic, prof, opts)
 
 	if !reflect.DeepEqual(cold, fresh) {
 		t.Fatalf("cold store compute != storeless compute:\n%+v\n%+v", cold, fresh)
@@ -173,7 +173,7 @@ func TestStoreKeySeparatesFamilies(t *testing.T) {
 	}
 	opts := storeTestOpts
 	opts.Store = st
-	NewTimingMemo().Cell("gshare.fast", budget, Ideal, prof, opts)
+	TimingCell("gshare.fast", budget, Ideal, prof, opts)
 	accuracyCell("gshare.fast", "ideal", budget, func() predictor.Predictor {
 		return mustPredictor("gshare.fast", budget)
 	}, prof, opts)
@@ -184,12 +184,10 @@ func TestStoreKeySeparatesFamilies(t *testing.T) {
 
 // TestMultiBranchWarmStore pins the block-prediction cells to the common
 // cell path: after a cold MultiBranch run fills a store, a second process
-// (fresh accuracy cache, second store over the same directory) serves
+// (a second store over the same directory) serves
 // every cell from disk, fused and FuseOff alike, and renders the same
 // table byte for byte.
 func TestMultiBranchWarmStore(t *testing.T) {
-	saved := accuracyMemo
-	t.Cleanup(func() { accuracyMemo = saved })
 	dir := t.TempDir()
 	openStore := func() *resultstore.Store {
 		st, err := resultstore.Open(dir)
@@ -201,13 +199,11 @@ func TestMultiBranchWarmStore(t *testing.T) {
 	nCells := int64(4 * len(workload.Profiles())) // block widths 1, 2, 4, 8
 	opts := Options{Insts: 60_000, Warmup: 15_000, Store: openStore()}
 
-	accuracyMemo = &cellCache[funcsim.Result]{}
 	cold := runOne(t, "multibranch", opts).Render()
 	if s := opts.Store.Stats(); s.Misses != nCells || s.Writes != nCells || s.Hits != 0 {
 		t.Fatalf("cold store traffic = %+v, want %d misses, %d writes", s, nCells, nCells)
 	}
 	for _, fuse := range []FuseMode{FuseAuto, FuseOff} {
-		accuracyMemo = &cellCache[funcsim.Result]{}
 		opts.Store, opts.Fuse = openStore(), fuse
 		warm := runOne(t, "multibranch", opts).Render()
 		if s := opts.Store.Stats(); s.Hits != nCells || s.Misses != 0 || s.Invalidations != 0 || s.Writes != 0 {
@@ -244,7 +240,7 @@ func mixedPlan(opts Options) (*cellPlan, []any) {
 
 // TestWarmRunGeneratesNothing proves a warm run reads its cells and
 // nothing else: after a cold run fills a store, a second run over the
-// same plan, through fresh caches, serves every cell from disk and runs
+// same plan serves every cell from disk and runs
 // no pass. A pass is the only place a stream is generated, so the warm run
 // generates and classifies no stream.
 func TestWarmRunGeneratesNothing(t *testing.T) {
@@ -260,7 +256,7 @@ func TestWarmRunGeneratesNothing(t *testing.T) {
 
 	opts.Store = openStore()
 	plan, cold := mixedPlan(opts)
-	plan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	plan.execute()
 	n := int64(len(cold))
 	if s := opts.Store.Stats(); s.Misses != n || s.Writes != n {
 		t.Fatalf("cold store traffic = %+v, want %d misses and writes", s, n)
@@ -268,15 +264,12 @@ func TestWarmRunGeneratesNothing(t *testing.T) {
 
 	opts.Store = openStore()
 	plan, warm := mixedPlan(opts)
-	acc, tim := &cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{}
-	plan.executeWith(acc, tim)
+	tally := plan.execute()
 	if s := opts.Store.Stats(); s.Hits != n || s.Misses != 0 || s.Invalidations != 0 || s.Writes != 0 {
 		t.Fatalf("warm store traffic = %+v, want %d hits and nothing else", s, n)
 	}
-	accPasses, _, _, _ := acc.fusionStats()
-	timPasses, _, _, _ := tim.fusionStats()
-	if accPasses != 0 || timPasses != 0 {
-		t.Fatalf("warm run ran %d accuracy and %d timing passes, want none", accPasses, timPasses)
+	if tally.Accuracy.Passes != 0 || tally.Timing.Passes != 0 {
+		t.Fatalf("warm run ran %d accuracy and %d timing passes, want none", tally.Accuracy.Passes, tally.Timing.Passes)
 	}
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatalf("warm Results differ from cold:\n%+v\n%+v", warm, cold)
@@ -295,7 +288,7 @@ func TestStoreKeyNamesCode(t *testing.T) {
 	opts := storeTestOpts
 	opts.Store = st
 	plan, _ := mixedPlan(opts)
-	plan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	plan.execute()
 
 	var keys []resultstore.Key
 	for _, s := range plan.acc {
@@ -321,5 +314,70 @@ func TestStoreKeyNamesCode(t *testing.T) {
 	}
 	if s := st.Stats(); s.Hits != int64(len(keys)) || s.Misses != int64(len(keys)) {
 		t.Fatalf("store traffic = %+v, want %d hits and %d misses", s, len(keys), len(keys))
+	}
+}
+
+// TestConcurrentPlansShareStore pins the contract concurrent plans over
+// one store keep: they may compute a cell twice, but never leave a torn
+// one. Two plans execute the same cold experiments at once against one
+// store, and both render the bytes of a serial run with no store; a third
+// plan, over a second store on the same directory, is then served whole
+// from disk and runs no pass. Run under -race by check.sh.
+func TestConcurrentPlansShareStore(t *testing.T) {
+	ids := []string{"figure6", "figure8"}
+	opts := Options{Insts: 10_000, Warmup: 2_500, Parallel: 2}
+	render := func(opts Options) (string, Tally) {
+		rp, err := Plan(ids, opts)
+		if err != nil {
+			t.Error(err)
+			return "", Tally{}
+		}
+		rp.Execute()
+		var b strings.Builder
+		for _, out := range rp.Render() {
+			b.WriteString(out.Render())
+		}
+		return b.String(), rp.Tally()
+	}
+	serial := opts
+	serial.Parallel = 1
+	want, tally := render(serial)
+	cells := int64(tally.Accuracy.Cells + tally.Timing.Cells)
+
+	dir := t.TempDir()
+	st, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Store = st
+	var got [2]string
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = render(opts)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("concurrent plan %d renders differently from the serial storeless run:\n%s\nvs\n%s", i, g, want)
+		}
+	}
+
+	if opts.Store, err = resultstore.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	warm, tally := render(opts)
+	if warm != want {
+		t.Errorf("plan served by the shared store renders differently:\n%s\nvs\n%s", warm, want)
+	}
+	if s := opts.Store.Stats(); s.Hits != cells || s.Misses != 0 || s.Invalidations != 0 || s.Writes != 0 {
+		t.Errorf("store traffic after concurrent fills = %+v, want %d hits and nothing else", s, cells)
+	}
+	if tally.Accuracy.Passes != 0 || tally.Timing.Passes != 0 {
+		t.Errorf("plan over the filled store ran %d accuracy and %d timing passes, want none",
+			tally.Accuracy.Passes, tally.Timing.Passes)
 	}
 }

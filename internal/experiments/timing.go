@@ -101,11 +101,24 @@ func timingOrg(kind string, mode TimingMode) string {
 }
 
 // addCell declares the canonical (kind, budget, mode) timing cell on the
-// Table 1 machine, the cell TimingMemo.Cell resolves.
+// Table 1 machine, the cell TimingCell resolves.
 func (p *cellPlan) addCell(kind string, budget int, mode TimingMode, prof workload.Profile, sink func(pipeline.Result)) {
 	p.addTiming(pipeline.DefaultConfig(), kind, timingOrg(kind, mode), budget, func(t *timingParts) predictor.Predictor {
 		return t.timed(kind, budget, mode)
 	}, prof, sink)
+}
+
+// TimingCell returns the timing Result for the canonical (kind, budget,
+// mode) organization on prof's stream under the Table 1 machine. It is a
+// one-cell plan on the grids' own path: the persistent store when
+// opts.Store is set, then one pass off the benchmark's generator. Nothing
+// is kept in memory between calls.
+func TimingCell(kind string, budget int, mode TimingMode, prof workload.Profile, opts Options) pipeline.Result {
+	plan := newPlan(opts)
+	var res pipeline.Result
+	plan.addCell(kind, budget, mode, prof, func(r pipeline.Result) { res = r })
+	plan.execute()
+	return res
 }
 
 // ipcSweep declares harmonic-mean IPC for each (kind, budget) pair. The

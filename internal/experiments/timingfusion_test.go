@@ -5,16 +5,13 @@ import (
 	"reflect"
 	"testing"
 
-	"branchsim/internal/funcsim"
 	"branchsim/internal/pipeline"
 	"branchsim/internal/predictor"
 	"branchsim/internal/resultstore"
 	"branchsim/internal/workload"
 )
 
-// timingFusionTestOpts uses an instruction budget unique to this file (the
-// fusion_test.go convention) so its cells never collide with other tests'
-// entries in the process-wide memos.
+// timingFusionTestOpts is the measurement window of this file's grids.
 var timingFusionTestOpts = Options{Insts: 125_000, Warmup: 31_000}
 
 // timingFusionGrid declares a configs × kinds × benchmarks timing grid into
@@ -59,9 +56,8 @@ func TestFusedTimingPlan(t *testing.T) {
 	fused := timingFusionGrid(fusedPlan, depths, kinds, nBench)
 	solo := timingFusionGrid(soloPlan, depths, kinds, nBench)
 
-	tfc := &cellCache[pipeline.Result]{}
-	fusedPlan.executeWith(&cellCache[funcsim.Result]{}, tfc)
-	soloPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	tally := fusedPlan.execute().Timing
+	soloPlan.execute()
 
 	for i := range fused {
 		if !reflect.DeepEqual(fused[i], solo[i]) {
@@ -69,11 +65,9 @@ func TestFusedTimingPlan(t *testing.T) {
 				i, fused[i], solo[i])
 		}
 	}
-	groups, lanes, fusedCells, soloCells := tfc.fusionStats()
-	wantLanes := int64(len(depths) * len(kinds) * nBench)
-	if groups != nBench || lanes != wantLanes || fusedCells != wantLanes || soloCells != 0 {
-		t.Errorf("timing fused counters = %d groups, %d lanes, %d fused, %d solo; want %d, %d, %d, 0",
-			groups, lanes, fusedCells, soloCells, nBench, wantLanes, wantLanes)
+	wantLanes := len(depths) * len(kinds) * nBench
+	if tally.Passes != nBench || tally.Lanes != wantLanes || tally.Fused != wantLanes || tally.Stored != 0 {
+		t.Errorf("timing fused tally = %+v; want %d passes, %d lanes, %d fused, 0 stored", tally, nBench, wantLanes, wantLanes)
 	}
 }
 
@@ -86,16 +80,15 @@ func TestFusedTimingWideGroupSplits(t *testing.T) {
 	for d := 8; len(depths)*len(kinds) <= maxTimingLanes; d += 2 {
 		depths = append(depths, d)
 	}
-	lanes := int64(len(depths) * len(kinds))
+	lanes := len(depths) * len(kinds)
 	off := timingFusionTestOpts
 	off.Fuse = FuseOff
 	fusedPlan, soloPlan := newPlan(timingFusionTestOpts), newPlan(off)
 	fused := timingFusionGrid(fusedPlan, depths, kinds, 1)
 	solo := timingFusionGrid(soloPlan, depths, kinds, 1)
 
-	tfc := &cellCache[pipeline.Result]{}
-	fusedPlan.executeWith(&cellCache[funcsim.Result]{}, tfc)
-	soloPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	tally := fusedPlan.execute().Timing
+	soloPlan.execute()
 	for i := range fused {
 		if !reflect.DeepEqual(fused[i], solo[i]) {
 			t.Errorf("cell %d diverges between the split group and FuseOff:\n got %+v\nwant %+v",
@@ -103,8 +96,8 @@ func TestFusedTimingWideGroupSplits(t *testing.T) {
 		}
 	}
 	wantPasses := (lanes + maxTimingLanes - 1) / maxTimingLanes
-	if groups, n, _, _ := tfc.fusionStats(); groups != wantPasses || n != lanes {
-		t.Errorf("%d-lane group ran %d passes carrying %d lanes, want %d passes", lanes, groups, n, wantPasses)
+	if tally.Passes != wantPasses || tally.Lanes != lanes {
+		t.Errorf("%d-lane group ran %d passes carrying %d lanes, want %d passes", lanes, tally.Passes, tally.Lanes, wantPasses)
 	}
 }
 
@@ -126,11 +119,8 @@ func TestFusedTimingGeometryGrouping(t *testing.T) {
 		return mustPredictor("gshare", budget)
 	}, prof, func(res pipeline.Result) { b = res })
 
-	tfc := &cellCache[pipeline.Result]{}
-	plan.executeWith(&cellCache[funcsim.Result]{}, tfc)
-	if groups, lanes, fusedCells, _ := tfc.fusionStats(); groups != 2 || lanes != 2 || fusedCells != 2 {
-		t.Fatalf("geometry-split grid ran %d groups (%d lanes, %d fused cells); want 2 single-lane groups",
-			groups, lanes, fusedCells)
+	if tally := plan.execute().Timing; tally.Passes != 2 || tally.Lanes != 2 || tally.Fused != 2 {
+		t.Fatalf("geometry-split grid tally = %+v; want 2 single-lane passes", tally)
 	}
 	if a.Insts == 0 || b.Insts == 0 {
 		t.Fatal("a geometry group's sink was never filled")
@@ -140,52 +130,28 @@ func TestFusedTimingGeometryGrouping(t *testing.T) {
 	}
 }
 
-// TestFusedTimingMemoAccounting pins the timing memo's accounting under
-// fused publishing, mirroring TestFusedMemoAccounting: a cell declared
-// twice in one plan collapses at plan time into one lane and simulates
-// once, and a later plan revisiting the cells resolves them solo — zero
-// fused passes — with one hit per lookup, exactly as groups of one would
-// count.
+// TestFusedTimingMemoAccounting pins the plan's timing accounting under
+// fused execution, mirroring TestFusedMemoAccounting: a cell declared
+// twice in one plan collapses at plan time into one lane, simulates once
+// and feeds both sinks.
 func TestFusedTimingMemoAccounting(t *testing.T) {
-	tmemo := &cellCache[pipeline.Result]{}
 	plan := newPlan(timingFusionTestOpts)
 	first := timingFusionGrid(plan, []int{18}, []string{"bimode"}, 2)
 	dup := timingFusionGrid(plan, []int{18}, []string{"bimode"}, 2)
-	tally := plan.executeWith(&cellCache[funcsim.Result]{}, tmemo)
+	got := plan.execute().Timing
 
-	if cells, hits := tmemo.stats(); cells != 2 || hits != 0 {
-		t.Fatalf("after duplicated plan: %d cells, %d hits; want 2 distinct cells, no hits", cells, hits)
-	}
-	if tally.timCollapsed != 2 {
-		t.Fatalf("plan tally = %+v, want 2 timing cells collapsed", tally)
-	}
 	if !reflect.DeepEqual(first, dup) {
 		t.Fatalf("duplicate sinks received different results:\n%+v\n%+v", first, dup)
 	}
-	if groups, lanes, fused, solo := tmemo.fusionStats(); groups != 2 || lanes != 2 || fused != 4 || solo != 0 {
-		t.Fatalf("counters after duplicated plan = %d/%d/%d/%d, want 2 groups, 2 lanes, 4 fused, 0 solo",
-			groups, lanes, fused, solo)
-	}
-
-	// A second plan over the same memo finds every entry pre-existing.
-	again := newPlan(timingFusionTestOpts)
-	revisit := timingFusionGrid(again, []int{18}, []string{"bimode"}, 2)
-	again.executeWith(&cellCache[funcsim.Result]{}, tmemo)
-	if cells, hits := tmemo.stats(); cells != 2 || hits != 2 {
-		t.Fatalf("after revisit: %d cells, %d hits; want still 2 cells, 2 hits", cells, hits)
-	}
-	if groups, _, _, solo := tmemo.fusionStats(); groups != 2 || solo != 2 {
-		t.Fatalf("revisit ran %d groups total (%d solo cells), want no new passes (2 groups, 2 solo)", groups, solo)
-	}
-	if !reflect.DeepEqual(revisit, first) {
-		t.Fatalf("revisited cells diverge from the fused originals:\n%+v\n%+v", revisit, first)
+	if want := (FamilyTally{Cells: 2, Collapsed: 2, Passes: 2, Lanes: 2, Fused: 4}); got != want {
+		t.Fatalf("tally after duplicated plan = %+v, want %+v", got, want)
 	}
 }
 
 // TestFusedTimingStoreFlow pins the timing scheduler's Get/Put store flow:
 // a cold fused run misses and writes once per distinct cell, a warm rerun
-// (fresh cache, second store over the same directory — a stand-in for a
-// second process) serves every cell from disk and runs zero fused passes,
+// (a second store over the same directory — a stand-in for a second
+// process) serves every cell from disk and runs zero fused passes,
 // and a -nofuse rerun reads the fused run's cells bit-identically.
 func TestFusedTimingStoreFlow(t *testing.T) {
 	depths := []int{22}
@@ -201,7 +167,7 @@ func TestFusedTimingStoreFlow(t *testing.T) {
 	opts.Store = st1
 	coldPlan := newPlan(opts)
 	cold := timingFusionGrid(coldPlan, depths, kinds, nBench)
-	coldPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	coldPlan.execute()
 	if s := st1.Stats(); s.Misses != nCells || s.Writes != nCells || s.Hits != 0 {
 		t.Fatalf("cold store traffic = %+v, want %d misses, %d writes", s, nCells, nCells)
 	}
@@ -213,14 +179,12 @@ func TestFusedTimingStoreFlow(t *testing.T) {
 	opts.Store = st2
 	warmPlan := newPlan(opts)
 	warm := timingFusionGrid(warmPlan, depths, kinds, nBench)
-	tfcWarm := &cellCache[pipeline.Result]{}
-	warmPlan.executeWith(&cellCache[funcsim.Result]{}, tfcWarm)
+	tally := warmPlan.execute().Timing
 	if s := st2.Stats(); s.Hits != nCells || s.Misses != 0 || s.Invalidations != 0 {
 		t.Fatalf("warm store traffic = %+v, want %d hits", s, nCells)
 	}
-	if groups, lanes, fused, solo := tfcWarm.fusionStats(); groups != 0 || lanes != 0 || fused != 0 || solo != nCells {
-		t.Fatalf("warm rerun ran %d fused passes (%d lanes, %d fused cells, %d solo); want none, all %d solo",
-			groups, lanes, fused, solo, nCells)
+	if tally.Passes != 0 || tally.Lanes != 0 || tally.Fused != 0 || tally.Stored != nCells {
+		t.Fatalf("warm rerun tally = %+v; want no pass, all %d cells stored", tally, nCells)
 	}
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatalf("store-served cells diverge from the fused originals:\n%+v\n%+v", warm, cold)
@@ -234,7 +198,7 @@ func TestFusedTimingStoreFlow(t *testing.T) {
 	opts.Fuse = FuseOff
 	soloPlan := newPlan(opts)
 	solo := timingFusionGrid(soloPlan, depths, kinds, nBench)
-	soloPlan.executeWith(&cellCache[funcsim.Result]{}, &cellCache[pipeline.Result]{})
+	soloPlan.execute()
 	if s := st3.Stats(); s.Hits != nCells {
 		t.Fatalf("-nofuse rerun store traffic = %+v, want %d hits", s, nCells)
 	}

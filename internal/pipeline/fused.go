@@ -105,8 +105,12 @@ func RunMany(lanes []Lane, src trace.Source, side *MemSidecar, maxInsts, warmupI
 	if len(lanes) == 0 {
 		return nil
 	}
+	// Every lane is checked before anything is built from its config: a bad
+	// lane is named rather than hit inside the memory hierarchy or the
+	// geometry guard.
 	geom := MemGeometryOf(lanes[0].Cfg)
-	for _, l := range lanes[1:] {
+	for i, l := range lanes {
+		checkLane(i, l.Cfg)
 		if MemGeometryOf(l.Cfg) != geom {
 			panic("pipeline: RunMany lanes must share one cache geometry")
 		}
@@ -429,9 +433,9 @@ type fusedRun struct {
 	fetchAt  [1]uint64
 }
 
-// newFusedRun builds the per-lane SoA state for one pass, panicking on a
-// lane config the engine cannot simulate (checkLane). side must cover the
-// run or be nil, in which case the pass gets its own memHier.
+// newFusedRun builds the per-lane SoA state for one pass over lanes that
+// passed checkLane (RunMany). side must cover the run or be nil, in which
+// case the pass gets its own memHier.
 func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *fusedRun {
 	n := len(lanes)
 	f := &fusedRun{
@@ -451,7 +455,6 @@ func newFusedRun(lanes []Lane, side *MemSidecar, maxInsts, warmupInsts int64) *f
 	}
 	for i, l := range lanes {
 		cfg := l.Cfg
-		checkLane(i, cfg)
 		k := &f.consts[i]
 		k.feDepth = uint64(cfg.frontEndDepth())
 		k.btbPenalty = uint64(cfg.BTBMissPenalty)

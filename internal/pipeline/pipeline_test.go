@@ -234,6 +234,10 @@ func TestInvalidLaneNamed(t *testing.T) {
 		{"btb-penalty", bad(func(c *Config) { c.BTBMissPenalty = -1 }), negative},
 		{"pipeline-depth", bad(func(c *Config) { c.PipelineDepth = -1 }), negative},
 		{"front-end-depth", bad(func(c *Config) { c.FrontEndDepth = -1 }), negative},
+		{"btb-entries-0", bad(func(c *Config) { c.BTBEntries = 0 }), "BTB entries must be a power of two"},
+		{"btb-ways-3", bad(func(c *Config) { c.BTBWays = 3 }), "BTB entries must be a power of two"},
+		{"l1d-size-0", bad(func(c *Config) { c.L1D.SizeBytes = 0 }), "invalid L1D geometry"},
+		{"l1i-line-48", bad(func(c *Config) { c.L1I.LineBytes = 48 }), "invalid L1I geometry"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfgText := fmt.Sprintf("%+v", tc.bad)

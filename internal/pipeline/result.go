@@ -1,8 +1,9 @@
 package pipeline
 
-// Result summarizes a timing run. The timing memo publishes one Result per
-// cell under a sync.Once and every later experiment reads that same value,
-// so it is frozen: built locally, then never written again.
+// Result summarizes a timing run. A plan fans one Result per cell into
+// every sink declared under its key, and the persistent store serves the
+// same value to later runs, so it is frozen: built locally, then never
+// written again.
 //
 //bplint:frozen
 type Result struct {

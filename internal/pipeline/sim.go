@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 
+	"branchsim/internal/cache"
 	"branchsim/internal/predictor"
 	"branchsim/internal/trace"
 )
@@ -39,8 +40,9 @@ func New(cfg Config, pred predictor.Predictor) *Sim {
 // checkLane panics unless cfg describes a machine the engine can simulate,
 // naming the lane and the full config so a bad grid cell is identifiable.
 // A negative latency or depth would wrap in the engine's unsigned cycle
-// arithmetic, and the issue and port limits must fit the packed slot
-// words (maxSlotLimit).
+// arithmetic, the issue and port limits must fit the packed slot words
+// (maxSlotLimit), and the BTB and cache geometry must be what btb.New and
+// cache.New accept.
 func checkLane(i int, cfg Config) {
 	if cfg.FetchWidth <= 0 || cfg.IssueWidth <= 0 || cfg.CommitWidth <= 0 {
 		panic(fmt.Sprintf("pipeline: invalid widths in lane %d config %+v", i, cfg))
@@ -58,6 +60,17 @@ func checkLane(i int, cfg Config) {
 		cfg.L1DLatency, cfg.L2Latency, cfg.MemLatency, cfg.BTBMissPenalty} {
 		if n < 0 {
 			panic(fmt.Sprintf("pipeline: latencies and depths must not be negative in lane %d config %+v", i, cfg))
+		}
+	}
+	if e, w := cfg.BTBEntries, cfg.BTBWays; e <= 0 || e&(e-1) != 0 || w <= 0 || e%w != 0 {
+		panic(fmt.Sprintf("pipeline: BTB entries must be a power of two divided by its ways in lane %d config %+v", i, cfg))
+	}
+	for _, c := range []struct {
+		name string
+		cfg  cache.Config
+	}{{"L1I", cfg.L1I}, {"L1D", cfg.L1D}, {"L2", cfg.L2}} {
+		if err := c.cfg.Validate(); err != nil {
+			panic(fmt.Sprintf("pipeline: invalid %s geometry (%v) in lane %d config %+v", c.name, err, i, cfg))
 		}
 	}
 }

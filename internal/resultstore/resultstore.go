@@ -1,11 +1,12 @@
-// Package resultstore is the persistent tier beneath the experiment grid's
-// cell cache: a disk-backed, content-addressed store of simulated cell
-// results. The in-memory cell cache (internal/experiments' cellCache, keyed
-// by this package's Key) dedupes cells within one process and coalesces
-// concurrent lookups of a cold one; this store makes the results survive
-// the process, so `cmd/reproduce` becomes incremental — a rerun, or a run
-// after a config tweak, recomputes only the cells whose identity actually
-// changed.
+// Package resultstore is the persistent tier beneath the experiment
+// grid's plan: a disk-backed, content-addressed store of simulated cell
+// results. A run's plan (internal/experiments) collapses duplicate cells
+// by this package's Key before anything runs, so within one run each cell
+// asks the store once; this store makes the results survive the process,
+// so `cmd/reproduce` becomes incremental — a rerun, or a run after a
+// config tweak, recomputes only the cells whose identity actually
+// changed. Concurrent plans over one store may compute a cell twice, but
+// each write is an atomic rename, so a reader sees a whole cell or none.
 //
 // Identity is the whole design. A cell's Key names everything its result
 // is a function of: the predictor construction (kind, organization,
@@ -136,7 +137,7 @@ type Stats struct {
 }
 
 // Store is a concurrency-safe, disk-backed cell store. It keeps nothing
-// in memory but its traffic counters: callers dedupe cells in-process
+// in memory but its traffic counters: a plan collapses its duplicate cells
 // before asking it anything, so every Get is a genuine disk question.
 type Store struct {
 	dir   string

@@ -53,14 +53,14 @@ echo "==> concurrency certification: -race runtime twins of the static analyzers
 # frozen: recordings are replayed concurrently with no synchronization —
 # sound only if nothing writes them after publication.
 go test -race -run 'TestConcurrentReplay|TestConcurrentBranchCursors' ./internal/workload ./internal/trace
-# oncepublish: cell-cache entries are published under sync.Once and
-# hammered from many goroutines.
-go test -race -run 'TestTimingMemoConcurrentStress' ./internal/experiments
+# oncepublish: a recording's digest is published under sync.Once and
+# read from many goroutines.
+go test -race -run 'TestDigestConcurrent' ./internal/trace
 # sharedcapture: the worker pool's captured shared state, lock-dominated.
 go test -race -run 'TestRunCellsSharedCaptureStress' ./internal/experiments
-# singleflight: concurrent cold lookups of one cell coalesce in the cell
-# cache into exactly one simulation and one store write.
-go test -race -run 'TestCellCacheColdCoalesce' ./internal/experiments
+# lockguard: a plan's first-panic record is written from every worker, and
+# the panicking cell's key survives to the re-raise.
+go test -race -run 'TestRunCellsPanicKey' ./internal/experiments
 
 echo "==> replay equivalence (live vs recorded streams, race-enabled)"
 go test -race -run 'TestReplayEquivalence|TestConcurrentReplay' ./internal/workload
@@ -72,21 +72,21 @@ go test -race -run 'TestOverridingBatchEquivalence|TestBatchStepperOf|TestNeedsC
 go test -race -run 'TestFusedMatchesPerCell|TestBadKindFailsBeforeOutput' ./cmd/bpsim
 go test -race -run 'TestBranchIndexMatchesStream|TestCodecPreservesBranchIndex|TestConcurrentBranchCursors' ./internal/trace
 
-echo "==> timing engine equivalence (cursor/InstSource/plain Source/sidecar/memo vs the instruction-at-a-time live-cache reference, race-enabled)"
+echo "==> timing engine equivalence (cursor/InstSource/plain Source/sidecar/TimingCell vs the instruction-at-a-time live-cache reference, race-enabled)"
 go test -race -run 'TestTimingFastPathEquivalence|TestSidecarFallback|TestSlotRingWraparound' ./internal/pipeline
-go test -race -run 'TestTimingMemoEquivalence|TestTimingMemoDeduplicates|TestTimingMemoConcurrentStress' ./internal/experiments
+go test -race -run 'TestTimingMemoEquivalence' ./internal/experiments
 go test -race -run 'TestNextInstsMatchesStream|TestNextInstsInterleavesWithNext|TestNextInstsProtocolMixPanics' ./internal/trace
 
-echo "==> fused timing equivalence (RunMany with batch-stepped, clocked and instance-sharing lanes vs the reference on instances of their own, over a sidecar and over batches one shared hierarchy classifies — live generator, mid-stream cursor; packed slot words grown past their initial size, port-bound, near the 127 limit and after a jump of more than a lap, against the reference and against slotRing; geometry guard, named bad lanes (widths, ROB, port and issue limits, negative latencies and depths) and shared clocked instances, unshared value predictors, scheduler parity, one set of parts per pass, streamed ipcsim vs per-cell Sim.Run, bad run flags and a stream ending inside the warm-up, race-enabled)"
+echo "==> fused timing equivalence (RunMany with batch-stepped, clocked and instance-sharing lanes vs the reference on instances of their own, over a sidecar and over batches one shared hierarchy classifies — live generator, mid-stream cursor; packed slot words grown past their initial size, port-bound, near the 127 limit and after a jump of more than a lap, against the reference and against slotRing; geometry guard, named bad lanes (widths, ROB, port and issue limits, negative latencies and depths, BTB and cache geometry) and shared clocked instances, unshared value predictors, scheduler parity, one set of parts per pass, streamed ipcsim vs per-cell Sim.Run, bad run flags and a stream ending inside the warm-up, race-enabled)"
 go test -race -run 'TestFusedTimingEquivalence|TestFusedTimingClassifiedEquivalence|TestFusedTimingLiveCaches|TestFusedTimingRingGrowth|TestLaneRingsMatchSlotRing|TestLaneRingsForgetALapBehind|TestFusedTimingGeometryGuard|TestInvalidLaneNamed|TestSharedClockedLaneNamed|TestValuePredictorsNeverShared|TestRunManyBadWarmup|TestRunManyStreamEndsInWarmup' ./internal/pipeline
 go test -race -run 'TestNextInstsMatchesRecording' ./internal/workload
 go test -race -run 'TestFusedTimingPlan|TestFusedTimingGeometryGrouping|TestFusedTimingMemoAccounting|TestFusedTimingStoreFlow|TestTimingPassesShareParts|TestOnePassPerBenchmark' ./internal/experiments
 go test -race -run 'TestFusedMatchesPerCell|TestBadFlagsFailBeforeOutput' ./cmd/ipcsim
 go test -race -run 'TestBadRunFlagsFailBeforeOutput' ./cmd/reproduce
 
-echo "==> cell store equivalence + robustness (store-served cells bit-identical; corrupt/truncated/stale entries recomputed; every Config and Key field reaches the key rendering; the code digest is current and tracks the sources; a key naming other code misses; a warm run records no stream, race-enabled)"
+echo "==> cell store equivalence + robustness (store-served cells bit-identical; corrupt/truncated/stale entries recomputed; every Config and Key field reaches the key rendering; the code digest is current and tracks the sources; a key naming other code misses; a warm run records no stream; concurrent plans over one store leave no torn cell, race-enabled)"
 go test -race ./internal/resultstore
-go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestMultiBranchWarmStore|TestRunCellsPanicKey|TestCanonicalKeyCoverage|TestCodeDigestCurrent|TestCodeDigestTracksSources|TestStoreKeyNamesCode|TestWarmRunGeneratesNothing' ./internal/experiments
+go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestMultiBranchWarmStore|TestRunCellsPanicKey|TestCanonicalKeyCoverage|TestCodeDigestCurrent|TestCodeDigestTracksSources|TestStoreKeyNamesCode|TestWarmRunGeneratesNothing|TestConcurrentPlansShareStore' ./internal/experiments
 
 echo "==> batched-loop and per-StepBatch predictor allocation bounds (every factory kind, the overriding kinds, a lag-64 gshare.fast), the timing drive loop with shared prediction columns over a sidecar and over a live generator (no race: alloc counts need a plain build)"
 go test -run 'TestBatchedRunAllocs|TestRunManyAllocs' ./internal/funcsim
