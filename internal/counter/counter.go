@@ -107,7 +107,11 @@ func NewArray2(n int, init uint32) *Array2 {
 func (a *Array2) Len() int { return a.n }
 
 // SizeBytes returns the hardware state size: 2 bits per counter.
-func (a *Array2) SizeBytes() int { return (a.n*2 + 7) / 8 }
+func (a *Array2) SizeBytes() int { return Array2Bytes(a.n) }
+
+// Array2Bytes is the hardware state size of an n-counter Array2, the one
+// formula SizeBytes and a footprint computed before building share.
+func Array2Bytes(n int) int { return (n*2 + 7) / 8 }
 
 // Get returns the value of counter i (0..3).
 func (a *Array2) Get(i int) uint32 {

@@ -66,8 +66,13 @@ func NewWeightPlanes(rows int, lanes, bits uint) *WeightPlanes {
 
 // SizeBytes returns the hardware state size: every row's bias and lane
 // weights at bits bits each, rounded up over the whole table.
-func (w *WeightPlanes) SizeBytes() int {
-	return (w.rows*int(1+w.lanes)*int(w.bits) + 7) / 8
+func (w *WeightPlanes) SizeBytes() int { return WeightPlanesBytes(w.rows, w.lanes, w.bits) }
+
+// WeightPlanesBytes is the hardware state size of a WeightPlanes of rows
+// rows, lanes lanes and bits-bit weights, the one formula SizeBytes and a
+// footprint computed before building share.
+func WeightPlanesBytes(rows int, lanes, bits uint) int {
+	return (rows*int(1+lanes)*int(bits) + 7) / 8
 }
 
 func (w *WeightPlanes) row(r int) []uint64 {

@@ -99,14 +99,12 @@ const (
 	KindPerceptron
 )
 
-// Spec describes a predictor to the delay model: the bytes and entry count
-// of its largest table component, its kind, and the total budget (used only
-// for reporting).
+// Spec describes a predictor to the delay model: its kind and the bytes
+// and entry count of its largest table component.
 type Spec struct {
 	Kind          PredictorKind
 	LargestBytes  int
 	LargestEntrys int
-	Name          string
 }
 
 const computeMuxFO4 = 1.0

@@ -25,30 +25,45 @@ func (m Model) ForPredictor(p predictor.Predictor) int {
 		// Also pipelined (§5 reorganization).
 		return 1
 	case *predictor.YAGS:
-		bytes, entries := v.LargestTable()
-		return m.Cycles(Spec{Kind: KindBanked, LargestBytes: bytes, LargestEntrys: entries, Name: v.Name()})
+		return m.Cycles(banked(v.LargestTable()))
 	case *predictor.Perceptron:
-		bytes, entries := v.LargestTable()
-		return m.Cycles(Spec{Kind: KindPerceptron, LargestBytes: bytes, LargestEntrys: entries, Name: v.Name()})
+		return m.Cycles(perceptron(v.LargestTable()))
 	case *predictor.MultiComponent:
-		bytes, entries := v.LargestTable()
-		return m.Cycles(Spec{Kind: KindMultiTable, LargestBytes: bytes, LargestEntrys: entries, Name: v.Name()})
+		return m.Cycles(multiTable(v.LargestTable()))
 	case *predictor.GSkew2Bc:
-		bytes, entries := v.LargestTable()
-		return m.Cycles(Spec{Kind: KindBanked, LargestBytes: bytes, LargestEntrys: entries, Name: v.Name()})
+		return m.Cycles(banked(v.LargestTable()))
 	case *predictor.EV6:
-		bytes, entries := v.LargestTable()
-		return m.Cycles(Spec{Kind: KindMultiTable, LargestBytes: bytes, LargestEntrys: entries, Name: v.Name()})
+		return m.Cycles(multiTable(v.LargestTable()))
 	case *predictor.BiMode:
-		bytes, entries := v.LargestTable()
-		return m.Cycles(Spec{Kind: KindBanked, LargestBytes: bytes, LargestEntrys: entries, Name: v.Name()})
+		return m.Cycles(banked(v.LargestTable()))
 	case predictor.DelayFootprint:
-		bytes, entries := v.LargestTable()
-		return m.Cycles(Spec{Kind: KindSingleTable, LargestBytes: bytes, LargestEntrys: entries, Name: p.Name()})
+		return m.Cycles(singleTable(v.LargestTable()))
 	default:
-		return m.Cycles(Spec{Kind: KindSingleTable, LargestBytes: p.SizeBytes(), LargestEntrys: p.SizeBytes() * 4, Name: p.Name()})
+		return m.Cycles(singleTable(p.SizeBytes(), p.SizeBytes()*4))
 	}
 }
+
+// MultiComponentSpec, GSkew2BcSpec and PerceptronSpec are the Specs
+// ForPredictor prices the predictors the FromBudget constructors build at
+// budgetBytes, derived from the budget without building them: the same
+// recipe over the same footprint formula.
+func MultiComponentSpec(budgetBytes int) Spec {
+	return multiTable(predictor.MultiComponentFootprint(budgetBytes))
+}
+
+// GSkew2BcSpec is MultiComponentSpec for 2Bc-gskew.
+func GSkew2BcSpec(budgetBytes int) Spec { return banked(predictor.GSkew2BcFootprint(budgetBytes)) }
+
+// PerceptronSpec is MultiComponentSpec for the perceptron.
+func PerceptronSpec(budgetBytes int) Spec {
+	return perceptron(predictor.PerceptronFootprint(budgetBytes))
+}
+
+// The recipes of a largest table of the given bytes and entries.
+func singleTable(bytes, entries int) Spec { return Spec{KindSingleTable, bytes, entries} }
+func banked(bytes, entries int) Spec      { return Spec{KindBanked, bytes, entries} }
+func multiTable(bytes, entries int) Spec  { return Spec{KindMultiTable, bytes, entries} }
+func perceptron(bytes, entries int) Spec  { return Spec{KindPerceptron, bytes, entries} }
 
 // PHTReadCycles returns the raw read latency of a PHT with the given number
 // of 2-bit counters — the latency gshare.fast must pipeline over (its

@@ -7,4 +7,4 @@ package experiments
 // module-local package it imports, transitively. Every cell key carries
 // it (cellCode), so a change to any code that computes a cell misses the
 // persistent store.
-const codeDigest = "29f4666b84dc779f089e9bd1a62a0a7b41c3978f32ad9430992fb422292acb43"
+const codeDigest = "d1b10b9ca51eda98d923c71a3a29378d903c1ead9aa278e7b841b3ebb0fc61c6"

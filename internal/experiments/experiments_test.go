@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"branchsim/internal/delaymodel"
+	"branchsim/internal/predictor"
 )
 
 // tiny makes experiments fast enough for unit tests: results are noisy but
@@ -73,6 +76,31 @@ func TestNewOverridingLatencies(t *testing.T) {
 	large, _ := NewOverriding("2bcgskew", 512<<10)
 	if large.Latency() <= small.Latency() {
 		t.Fatalf("latency did not grow: %d -> %d", small.Latency(), large.Latency())
+	}
+}
+
+// TestTable2MatchesBuiltPredictors pins Table 2, which prices each kind
+// from its budget configuration, to the delay model's reading of the
+// predictors the factory builds, at every Figure 1 budget: each complex
+// kind's footprint and latency, and gshare.fast's pipeline depth.
+func TestTable2MatchesBuiltPredictors(t *testing.T) {
+	for _, b := range Figure1Budgets() {
+		row := table2Row(b)
+		for j, k := range table2Kinds {
+			p := mustPredictor(k.name, b)
+			spec := k.spec(b)
+			bytes, entries := p.(predictor.DelayFootprint).LargestTable()
+			if spec.LargestBytes != bytes || spec.LargestEntrys != entries {
+				t.Errorf("%s at %d B: footprint from the budget %d B/%d entries, built %d B/%d entries",
+					k.name, b, spec.LargestBytes, spec.LargestEntrys, bytes, entries)
+			}
+			if want := float64(delaymodel.Default.ForPredictor(p)); row[j] != want {
+				t.Errorf("%s at %d B: Table 2 says %v cycles, the built predictor %v", k.name, b, row[j], want)
+			}
+		}
+		if want := float64(NewGShareFast(b).Latency()); row[len(table2Kinds)] != want {
+			t.Errorf("gshare.fast at %d B: Table 2 says a %v-cycle PHT read, the built predictor %v", b, row[len(table2Kinds)], want)
+		}
 	}
 }
 

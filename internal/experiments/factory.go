@@ -60,12 +60,19 @@ func NewPredictor(kind string, budgetBytes int) (predictor.Predictor, error) {
 // latency taken from the delay model — the pipeline is exactly as deep as
 // the table is slow.
 func NewGShareFast(budgetBytes int) *core.GShareFast {
+	entries := gshareFastEntries(budgetBytes)
+	lat := delaymodel.Default.PHTReadCycles(entries)
+	return core.New(core.Config{Entries: entries, Latency: lat})
+}
+
+// gshareFastEntries is the PHT size of NewGShareFast(budgetBytes): the
+// largest power of two whose 2-bit counters fit in half the budget.
+func gshareFastEntries(budgetBytes int) int {
 	entries := 4
 	for entries*2*2/8 <= budgetBytes {
 		entries *= 2
 	}
-	lat := delaymodel.Default.PHTReadCycles(entries)
-	return core.New(core.Config{Entries: entries, Latency: lat})
+	return entries
 }
 
 // NewBiModeFast builds a pipelined bi-mode (the §5 reorganization) sized to

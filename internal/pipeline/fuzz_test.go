@@ -134,7 +134,7 @@ func fuzzLane(h []byte, shared *fuzzParts) Lane {
 // over a plain Source the engine classifies batch by batch — and demands
 // each lane's Result be identical to the reference's run of that lane
 // alone on instances of its own, whose per-lane live caches are the
-// oracle.
+// oracle. No lane may count more mispredicts than branches.
 func FuzzEngineVsReference(f *testing.F) {
 	for _, n := range []int{0, 40, 400, 3000} {
 		seed := make([]byte, fuzzHeader+5*n)
@@ -174,6 +174,11 @@ func FuzzEngineVsReference(f *testing.F) {
 		runs := map[string][]Result{
 			"sidecar":    RunMany(lanes(), rec.Replay(), side, maxInsts, warmup),
 			"classified": RunMany(lanes(), &tracetest.Slice{Insts: insts}, nil, maxInsts, warmup),
+		}
+		for i, r := range want {
+			if r.Mispredicts > r.Branches {
+				t.Errorf("lane %d of %d mispredicts %d of %d branches", i, nLanes, r.Mispredicts, r.Branches)
+			}
 		}
 		for name, got := range runs {
 			for i := range want {

@@ -67,7 +67,18 @@ func NewGSkew2Bc(bankEntries int) *GSkew2Bc {
 // NewGSkew2BcFromBudget returns the largest 2Bc-gskew fitting budgetBytes
 // (four banks of 2-bit counters).
 func NewGSkew2BcFromBudget(budgetBytes int) *GSkew2Bc {
-	return NewGSkew2Bc(pow2Entries(budgetBytes/4, 2, 4))
+	return NewGSkew2Bc(gskewBankEntries(budgetBytes))
+}
+
+// gskewBankEntries is the bank size NewGSkew2BcFromBudget builds.
+func gskewBankEntries(budgetBytes int) int { return pow2Entries(budgetBytes/4, 2, 4) }
+
+// GSkew2BcFootprint is the LargestTable of
+// NewGSkew2BcFromBudget(budgetBytes), derived from its bank size without
+// allocating the banks.
+func GSkew2BcFootprint(budgetBytes int) (bytes, entries int) {
+	n := gskewBankEntries(budgetBytes)
+	return counter.Array2Bytes(n), n
 }
 
 // fold reduces a value wider than the bank index to the index width by

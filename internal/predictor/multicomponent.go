@@ -334,3 +334,11 @@ func (m *MultiComponent) LargestTable() (int, int) {
 	c := m.components[0]
 	return c.pht.SizeBytes(), c.pht.Len()
 }
+
+// MultiComponentFootprint is the LargestTable of
+// NewMultiComponentFromBudget(budgetBytes), derived from its
+// configuration without allocating the tables.
+func MultiComponentFootprint(budgetBytes int) (bytes, entries int) {
+	n := mcBudgetConfig(budgetBytes).ComponentEntries
+	return counter.Array2Bytes(n), n
+}

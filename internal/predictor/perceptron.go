@@ -210,3 +210,11 @@ func (p *Perceptron) Theta() int { return p.theta }
 // LargestTable implements DelayFootprint: the weight table. Its entries are
 // perceptron rows, which are few but wide.
 func (p *Perceptron) LargestTable() (int, int) { return p.weights.SizeBytes(), p.n }
+
+// PerceptronFootprint is the LargestTable of
+// NewPerceptronFromBudget(budgetBytes), derived from its configuration
+// without allocating the weights.
+func PerceptronFootprint(budgetBytes int) (bytes, entries int) {
+	cfg := perceptronBudgetConfig(budgetBytes)
+	return counter.WeightPlanesBytes(cfg.Entries, cfg.GlobalBits+cfg.LocalBits, cfg.WeightBits), cfg.Entries
+}

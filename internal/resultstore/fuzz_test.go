@@ -5,20 +5,21 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"os"
+	"strconv"
 	"testing"
 
 	"branchsim/internal/funcsim"
 )
 
-// FuzzDecodeCell drives arbitrary bytes through the BPCELL1 decoder, the
+// FuzzDecodeCell drives arbitrary bytes through the BPCELL2 decoder, the
 // point where a store directory's contents enter the process. Any input
-// must be rejected or accepted without a panic, and an accepted record
-// must be exactly the requested cell: its key's Canonical form equals the
-// requested one and it carries only its family's payload. With frame set,
-// the input is treated as a cell body and given a valid header and digest,
-// so the fuzzer reaches the JSON, key and payload checks behind the
+// must be rejected or accepted without a panic. An accepted cell must be
+// exactly the requested one: its header is the one the writer would put
+// on its body, its key line is the requested key's Canonical form, and
+// it carries only its family's payload. With frame set, the input is
+// treated as a cell body and given a valid header and digest, so the
+// fuzzer reaches the key-line, JSON and payload checks behind the
 // framing.
 func FuzzDecodeCell(f *testing.F) {
 	timingKey := testKey("164.gzip")
@@ -30,13 +31,14 @@ func FuzzDecodeCell(f *testing.F) {
 	}
 	seed := func(rec Record) []byte {
 		s.Put(rec.Key, rec)
-		raw, err := os.ReadFile(s.path(rec.Key))
+		raw, err := os.ReadFile(s.keyPath(rec.Key))
 		if err != nil {
 			f.Fatalf("seed cell: %v", err)
 		}
 		return raw
 	}
-	timingCell := seed(testRecord(timingKey))
+	timingRec := testRecord(timingKey)
+	timingCell := seed(timingRec)
 	accuracyCell := seed(Record{Key: accuracyKey, Accuracy: &funcsim.Result{
 		Predictor: "bimode", Workload: "164.gzip", Insts: 150_000, Branches: 20_000, Mispredicts: 1_111,
 	}})
@@ -47,12 +49,21 @@ func FuzzDecodeCell(f *testing.F) {
 		f.Add(body(timingCell), accuracy, true)
 		f.Add(body(accuracyCell), accuracy, true)
 	}
-	// A well-framed body whose payload is the other family's.
-	wrong, err := json.Marshal(Record{Key: accuracyKey, Timing: testRecord(accuracyKey).Timing})
+	timingPayload := body(body(timingCell)) // the JSON after the key line
+	canonical := timingKey.Canonical()
+	// A foreign key line: another cell's key over this cell's payload.
+	f.Add(append([]byte(testKey("181.mcf").Canonical()+"\n"), timingPayload...), false, true)
+	// A truncated key line, with and without the payload behind it.
+	f.Add([]byte(canonical[:len(canonical)/2]), false, true)
+	f.Add(append([]byte(canonical[:len(canonical)-1]+"\n"), timingPayload...), false, true)
+	// The other family's payload under a well-formed key line.
+	f.Add(append([]byte(accuracyKey.Canonical()+"\n"), timingPayload...), true, true)
+	// A BPCELL1 cell: the whole Record as JSON behind a BPCELL1 header.
+	old, err := json.Marshal(timingRec)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(wrong, true, true)
+	f.Add(frameCell("BPCELL1", old), false, false)
 	f.Add([]byte(cellMagic+" 00 0\n"), false, false)
 
 	f.Fuzz(func(t *testing.T, raw []byte, accuracy, frame bool) {
@@ -61,18 +72,28 @@ func FuzzDecodeCell(f *testing.F) {
 			key = accuracyKey
 		}
 		if frame {
-			sum := sha256.Sum256(raw)
-			raw = append([]byte(fmt.Sprintf("%s %s %d\n", cellMagic, hex.EncodeToString(sum[:]), len(raw))), raw...)
+			raw = frameCell(cellMagic, raw)
 		}
-		rec, ok := decodeCell(raw, key.Canonical())
+		rec, ok := decodeCell(raw, []byte(key.Canonical()), key.Family)
 		if !ok {
 			return
 		}
-		if got := rec.Key.Canonical(); got != key.Canonical() {
-			t.Fatalf("accepted another cell's record:\n got %s\nwant %s", got, key.Canonical())
+		header, body, _ := bytes.Cut(raw, []byte{'\n'})
+		if want := frameCell(cellMagic, body); !bytes.Equal(raw, want) {
+			t.Fatalf("accepted a header the writer would not write:\n got %q\nwant %q", header, want[:bytes.IndexByte(want, '\n')])
+		}
+		if line, _, _ := bytes.Cut(body, []byte{'\n'}); string(line) != key.Canonical() {
+			t.Fatalf("accepted another cell's key line:\n got %s\nwant %s", line, key.Canonical())
 		}
 		if accuracy && (rec.Accuracy == nil || rec.Timing != nil) || !accuracy && (rec.Timing == nil || rec.Accuracy != nil) {
 			t.Fatalf("accepted a %s record with payloads accuracy=%v timing=%v", key.Family, rec.Accuracy != nil, rec.Timing != nil)
 		}
 	})
+}
+
+// frameCell puts body behind a well-formed header of the given magic:
+// the body's hex SHA-256 and its length.
+func frameCell(magic string, body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return append([]byte(magic+" "+hex.EncodeToString(sum[:])+" "+strconv.Itoa(len(body))+"\n"), body...)
 }

@@ -40,8 +40,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"strconv"
 	"sync"
+	"sync/atomic"
+	"syscall"
 
 	"branchsim/internal/funcsim"
 	"branchsim/internal/pipeline"
@@ -99,25 +101,59 @@ type Key struct {
 // everything else derives from. Built field by field;
 // TestCanonicalKeyCoverage checks that every field reaches it.
 func (k Key) Canonical() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "family=%s|kind=%s|org=%s|budget=%d|bench=%s|seed=%d|insts=%d|warmup=%d|sim=%s|machine=%s|code=%s|trace=%s",
-		k.Family, k.Kind, k.Org, k.Budget, k.Bench, k.Seed, k.Insts, k.Warmup, k.SimOptions, k.Machine, k.Code, k.Trace)
-	return b.String()
+	return string(k.appendCanonical(nil))
 }
 
-// hash returns the content address of the key: hex SHA-256 of Canonical.
-func (k Key) hash() string {
-	sum := sha256.Sum256([]byte(k.Canonical()))
-	return hex.EncodeToString(sum[:])
+// appendCanonical appends Canonical's bytes to b. Get and Put build the
+// form once, into a buffer on their own stack, and use those bytes for
+// the path, the key line and the comparison on read.
+func (k Key) appendCanonical(b []byte) []byte {
+	b = append(b, "family="...)
+	b = append(b, k.Family...)
+	b = append(b, "|kind="...)
+	b = append(b, k.Kind...)
+	b = append(b, "|org="...)
+	b = append(b, k.Org...)
+	b = append(b, "|budget="...)
+	b = strconv.AppendInt(b, int64(k.Budget), 10)
+	b = append(b, "|bench="...)
+	b = append(b, k.Bench...)
+	b = append(b, "|seed="...)
+	b = strconv.AppendUint(b, k.Seed, 10)
+	b = append(b, "|insts="...)
+	b = strconv.AppendInt(b, k.Insts, 10)
+	b = append(b, "|warmup="...)
+	b = strconv.AppendInt(b, k.Warmup, 10)
+	b = append(b, "|sim="...)
+	b = append(b, k.SimOptions...)
+	b = append(b, "|machine="...)
+	b = append(b, k.Machine...)
+	b = append(b, "|code="...)
+	b = append(b, k.Code...)
+	b = append(b, "|trace="...)
+	b = append(b, k.Trace...)
+	return b
 }
 
-// Record is one stored cell: its full key (self-describing — load
-// verifies the stored key against the requested one) and exactly one
-// result payload matching Family. JSON round-trips both payloads exactly:
-// Go encodes float64 at shortest-round-trip precision, so a loaded result
-// is bit-identical to the computed one.
+// keyBufLen sizes the stack buffer Get and Put render a key into: room
+// for a timing key's machine rendering, so no real key spills to the heap.
+const keyBufLen = 1024
+
+// Record is one stored cell: its full key and exactly one result payload
+// matching Family. A cell file stores the key as its canonical string and
+// the payload as JSON; Get returns the requested key beside the payload
+// it decoded. JSON round-trips both payloads exactly: Go encodes float64
+// at shortest-round-trip precision, so a loaded result is bit-identical
+// to the computed one.
 type Record struct {
 	Key      Key
+	Timing   *pipeline.Result `json:",omitempty"`
+	Accuracy *funcsim.Result  `json:",omitempty"`
+}
+
+// payload is what a cell file stores after its key line: the Record
+// minus its Key.
+type payload struct {
 	Timing   *pipeline.Result `json:",omitempty"`
 	Accuracy *funcsim.Result  `json:",omitempty"`
 }
@@ -137,12 +173,20 @@ type Stats struct {
 }
 
 // Store is a concurrency-safe, disk-backed cell store. It keeps nothing
-// in memory but its traffic counters: a plan collapses its duplicate cells
-// before asking it anything, so every Get is a genuine disk question.
+// in memory but its traffic counters and the directory name of the last
+// Key.Code it saw: a plan collapses its duplicate cells before asking it
+// anything, so every Get is a genuine disk question.
 type Store struct {
-	dir   string
-	mu    sync.Mutex
-	stats Stats // guarded by mu
+	dir     string
+	codeDir atomic.Pointer[codeDir]
+	mu      sync.Mutex
+	stats   Stats // guarded by mu
+}
+
+// codeDir pairs a Key.Code with its cell directory under the store root,
+// so the cells of one build hash their code once, not once per cell.
+type codeDir struct {
+	code, dir string
 }
 
 // Open returns a store rooted at dir, creating it if needed.
@@ -167,112 +211,185 @@ func (s *Store) Stats() Stats {
 // read half of a cell's two-phase flow (probe, simulate what is cold, Put
 // it back). It counts a Hit when the cell is served, a Miss when no file
 // exists, and an Invalidation when a file exists but fails validation.
+// A cell costs one rendering of key, one hash of it, one open, read and
+// close of the file, and one decode of the payload.
 func (s *Store) Get(key Key) (Record, bool) {
-	return s.load(key, key.Canonical())
+	var kb [keyBufLen]byte
+	canonical := key.appendCanonical(kb[:0])
+	bp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bp)
+	raw, err := readCell(s.path(key.Code, canonical), bp)
+	if err != nil {
+		s.count(func(st *Stats) { st.Misses++ })
+		return Record{}, false
+	}
+	rec, ok := decodeCell(raw, canonical, key.Family)
+	if !ok {
+		s.count(func(st *Stats) { st.Invalidations++ })
+		return Record{}, false
+	}
+	rec.Key = key
+	s.count(func(st *Stats) { st.Hits++ })
+	return rec, true
 }
 
 // Put writes rec back under key, counting Writes and WriteErrors. rec.Key
 // must equal key and rec must carry the payload key.Family names; a record
 // that does not is written but never served (Get treats it as invalid).
 func (s *Store) Put(key Key, rec Record) {
-	s.write(key, rec)
+	var kb [keyBufLen]byte
+	canonical := key.appendCanonical(kb[:0])
+	keyLine := canonical
+	if rec.Key != key {
+		keyLine = rec.Key.appendCanonical(nil)
+	}
+	file, err := encodeCell(keyLine, payload{Timing: rec.Timing, Accuracy: rec.Accuracy})
+	if err != nil {
+		s.count(func(st *Stats) { st.WriteErrors++ })
+		return
+	}
+	s.write(s.path(key.Code, canonical), file)
 }
 
 // cellMagic is the file format's self-describing version tag. Bump it and
 // every existing entry becomes a counted invalidation on next read — the
 // format itself is part of the cell identity.
-const cellMagic = "BPCELL1"
+//
+// A BPCELL2 file is a header line, "BPCELL2 <digest> <len>\n", then a
+// body of len bytes whose SHA-256 is the lower-case hex digest: the
+// body is the key's canonical form, a newline, and the payload's JSON.
+const cellMagic = "BPCELL2"
 
-// load reads and validates key's cell file. It returns ok=false — never an
-// error — on any defect, counting a miss (absent file) or an invalidation
-// (present but invalid) as it goes.
-func (s *Store) load(key Key, canonical string) (Record, bool) {
-	raw, err := os.ReadFile(s.path(key))
+// readBufs holds the buffers Get reads cells into. A cell is a few
+// hundred bytes; a buffer grows only for a cell larger than it and
+// returns to the pool at that size.
+var readBufs = sync.Pool{New: func() any {
+	b := make([]byte, 4096)
+	return &b
+}}
+
+// readCell reads the file at path whole into *buf and returns its bytes:
+// one open, one read and one close, straight on the system calls, for
+// any file shorter than the buffer. A read that fills the buffer grows it
+// and reads on. A short read ends the file; should a file system ever
+// return one early, the length check in decodeCell turns it into an
+// invalidation, never a wrong cell.
+func readCell(path string, buf *[]byte) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	if err != nil {
-		s.count(func(st *Stats) { st.Misses++ })
-		return Record{}, false
+		return nil, err
 	}
-	rec, ok := decodeCell(raw, canonical)
-	if !ok {
-		s.count(func(st *Stats) { st.Invalidations++ })
-		return Record{}, false
+	defer syscall.Close(fd)
+	b, n := *buf, 0
+	for {
+		m, err := syscall.Read(fd, b[n:])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		if n += m; n < len(b) {
+			return b[:n], nil
+		}
+		b = append(b, make([]byte, len(b))...)
+		*buf = b
 	}
-	s.count(func(st *Stats) { st.Hits++ })
-	return rec, true
 }
 
-// decodeCell validates one cell file against the requested canonical key:
-// header shape, version, body length (truncation), body digest
-// (corruption), JSON shape, stored-key identity, and a payload matching
-// the key's family.
-func decodeCell(raw []byte, canonical string) (Record, bool) {
+// decodeCell validates one cell file against the requested key, given as
+// its canonical bytes and its family: header shape and version, body
+// length (truncation), body digest (corruption), the key line, and a
+// payload that is well-formed JSON carrying exactly the family's result.
+func decodeCell(raw, canonical []byte, family string) (Record, bool) {
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
 		return Record{}, false
 	}
-	var magic, digest string
-	var bodyLen int
-	if n, err := fmt.Sscanf(string(raw[:nl]), "%s %s %d", &magic, &digest, &bodyLen); n != 3 || err != nil {
-		return Record{}, false
-	}
-	if magic != cellMagic {
-		return Record{}, false
-	}
+	digest, bodyLen, ok := parseHeader(raw[:nl])
 	body := raw[nl+1:]
-	if len(body) != bodyLen {
+	if !ok || len(body) != bodyLen {
 		return Record{}, false
 	}
-	sum := sha256.Sum256(body)
-	if hex.EncodeToString(sum[:]) != digest {
+	var sum [2 * sha256.Size]byte
+	bodySum := sha256.Sum256(body)
+	if hex.Encode(sum[:], bodySum[:]); !bytes.Equal(sum[:], digest) {
 		return Record{}, false
 	}
-	var rec Record
-	if err := json.Unmarshal(body, &rec); err != nil {
+	if len(body) <= len(canonical) || !bytes.Equal(body[:len(canonical)], canonical) || body[len(canonical)] != '\n' {
 		return Record{}, false
 	}
-	if rec.Key.Canonical() != canonical || !rec.payloadMatchesFamily() {
+	var p payload
+	if err := json.Unmarshal(body[len(canonical)+1:], &p); err != nil || !p.carriesOnly(family) {
 		return Record{}, false
 	}
-	return rec, true
+	return Record{Timing: p.Timing, Accuracy: p.Accuracy}, true
 }
 
-// payloadMatchesFamily reports whether r carries exactly one payload, the
-// one its Key.Family names.
-func (r Record) payloadMatchesFamily() bool {
-	switch r.Key.Family {
+// parseHeader parses a header line without its newline, strictly: the
+// magic, one space, a 64-byte digest field, one space, and a body length
+// in decimal with no sign and no leading zero. decodeCell compares the
+// digest field with the body's lower-case hex SHA-256 byte for byte.
+func parseHeader(h []byte) (digest []byte, bodyLen int, ok bool) {
+	const hexLen = 2 * sha256.Size
+	rest, found := bytes.CutPrefix(h, []byte(cellMagic+" "))
+	if !found || len(rest) < hexLen+2 || rest[hexLen] != ' ' {
+		return nil, 0, false
+	}
+	num := rest[hexLen+1:]
+	if len(num) > 9 || num[0] == '0' && len(num) > 1 {
+		return nil, 0, false
+	}
+	for _, c := range num {
+		if c < '0' || c > '9' {
+			return nil, 0, false
+		}
+		bodyLen = bodyLen*10 + int(c-'0')
+	}
+	return rest[:hexLen], bodyLen, true
+}
+
+// carriesOnly reports whether p carries exactly one result, the one
+// family names.
+func (p payload) carriesOnly(family string) bool {
+	switch family {
 	case "accuracy":
-		return r.Accuracy != nil && r.Timing == nil
+		return p.Accuracy != nil && p.Timing == nil
 	case "timing":
-		return r.Timing != nil && r.Accuracy == nil
+		return p.Timing != nil && p.Accuracy == nil
 	}
 	return false
 }
 
-// write stores rec under key's content address: header with a body digest,
-// then the JSON body, written to a temp file and renamed so readers (this
-// process or another) never see a half-written cell. Failures are counted
-// and swallowed — an unwritable store is a cold store, not a broken run.
-func (s *Store) write(key Key, rec Record) {
-	body, err := json.Marshal(rec)
+// encodeCell renders a whole cell file: the header, then the body of
+// keyLine, a newline and p's JSON.
+func encodeCell(keyLine []byte, p payload) ([]byte, error) {
+	js, err := json.Marshal(p)
 	if err != nil {
-		s.count(func(st *Stats) { st.WriteErrors++ })
-		return
+		return nil, err
 	}
+	body := append(append(append(make([]byte, 0, len(keyLine)+1+len(js)), keyLine...), '\n'), js...)
 	sum := sha256.Sum256(body)
-	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	file := []byte(cellMagic + " " + hex.EncodeToString(sum[:]) + " " + strconv.Itoa(len(body)) + "\n")
+	return append(file, body...), nil
+}
+
+// write stores a cell file at path, written to a temp file and renamed so
+// readers (this process or another) never see a half-written cell.
+// Failures are counted and swallowed — an unwritable store is a cold
+// store, not a broken run.
+func (s *Store) write(path string, file []byte) {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		s.count(func(st *Stats) { st.WriteErrors++ })
 		return
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".cell-*")
+	tmp, err := os.CreateTemp(dir, ".cell-*")
 	if err != nil {
 		s.count(func(st *Stats) { st.WriteErrors++ })
 		return
 	}
-	_, werr := fmt.Fprintf(tmp, "%s %s %d\n", cellMagic, hex.EncodeToString(sum[:]), len(body))
-	if werr == nil {
-		_, werr = tmp.Write(body)
-	}
+	_, werr := tmp.Write(file)
 	if cerr := tmp.Close(); werr == nil {
 		werr = cerr
 	}
@@ -287,15 +404,22 @@ func (s *Store) write(key Key, rec Record) {
 	s.count(func(st *Stats) { st.Writes++ })
 }
 
-// path returns key's cell file path, <dir>/<code>/<h[:2]>/<h>.cell: code
-// is the first 12 hex digits of SHA-256(key.Code), so every cell one
-// build computed sits under one directory, removable whole once that
-// build's code is stale; h is the key's content hash, sharded by its
-// first byte so no directory grows unboundedly.
-func (s *Store) path(key Key) string {
-	code := sha256.Sum256([]byte(key.Code))
-	h := key.hash()
-	return filepath.Join(s.dir, hex.EncodeToString(code[:6]), h[:2], h+".cell")
+// path returns the cell file path of a key with the given Code and
+// canonical form, <dir>/<code>/<h[:2]>/<h>.cell: code is the first 12 hex
+// digits of SHA-256(Code), so every cell one build computed sits under
+// one directory, removable whole once that build's code is stale; h is
+// the hex SHA-256 of the canonical form, sharded by its first byte so no
+// directory grows unboundedly.
+func (s *Store) path(code string, canonical []byte) string {
+	cd := s.codeDir.Load()
+	if cd == nil || cd.code != code {
+		sum := sha256.Sum256([]byte(code))
+		cd = &codeDir{code: code, dir: filepath.Join(s.dir, hex.EncodeToString(sum[:6]))}
+		s.codeDir.Store(cd)
+	}
+	sum := sha256.Sum256(canonical)
+	h := hex.EncodeToString(sum[:])
+	return cd.dir + string(filepath.Separator) + h[:2] + string(filepath.Separator) + h + ".cell"
 }
 
 // count applies one counter update under the store lock.

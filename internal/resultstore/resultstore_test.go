@@ -1,10 +1,13 @@
 package resultstore
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -163,7 +166,7 @@ func TestAccuracyFamily(t *testing.T) {
 // cellFile locates the single .cell file the store wrote for key.
 func cellFile(t *testing.T, s *Store, key Key) string {
 	t.Helper()
-	path := s.path(key)
+	path := s.keyPath(key)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("expected cell file at %s: %v", path, err)
 	}
@@ -259,7 +262,7 @@ func TestKeyMismatchCell(t *testing.T) {
 	s1, _ := Open(dir)
 	getOrPut(s1, other, func() Record { return testRecord(other) })
 	src := cellFile(t, s1, other)
-	dst := s1.path(victim)
+	dst := s1.keyPath(victim)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -282,9 +285,10 @@ func TestKeyMismatchCell(t *testing.T) {
 	}
 }
 
-// TestMismatchedFamilyPayload rejects validly framed records whose payload
+// TestMismatchedFamilyPayload rejects validly framed cells whose payload
 // is not exactly the one their family names: no payload at all, and a
-// timing key carrying an accuracy payload.
+// timing key carrying an accuracy payload. A record whose own Key is not
+// the key it is put under is rejected too: its key line names its own key.
 func TestMismatchedFamilyPayload(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -292,16 +296,55 @@ func TestMismatchedFamilyPayload(t *testing.T) {
 	}{
 		{"no-payload", Record{Key: testKey("164.gzip")}},
 		{"wrong-family", Record{Key: testKey("164.gzip"), Accuracy: &funcsim.Result{Predictor: "gshare", Insts: 300_000}}},
+		{"foreign-key", testRecord(testKey("181.mcf"))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			corruptAndRecover(t, func(t *testing.T, path string) {
 				// Re-frame the record with a valid digest: the decode layer
 				// must still reject it. The store root is three levels above
 				// a cell file: <dir>/<code>/<h[:2]>/<h>.cell.
-				s := &Store{dir: filepath.Dir(filepath.Dir(filepath.Dir(path)))}
-				s.write(tc.rec.Key, tc.rec)
+				s, err := Open(filepath.Dir(filepath.Dir(filepath.Dir(path))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Put(testKey("164.gzip"), tc.rec)
 			})
 		})
+	}
+}
+
+// TestOldFormatCell plants the BPCELL1 encoding of the very record asked
+// for, the whole Record as JSON behind a BPCELL1 header: no BPCELL1 reader
+// is kept, so the cell counts as an invalidation and is rewritten.
+func TestOldFormatCell(t *testing.T) {
+	corruptAndRecover(t, func(t *testing.T, path string) {
+		old, err := json.Marshal(testRecord(testKey("164.gzip")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, frameCell("BPCELL1", old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestLargeCell round-trips a cell larger than a read buffer, so Get
+// grows its buffer and reads on; a cell of the usual size read after it
+// from the same pool must still decode.
+func TestLargeCell(t *testing.T) {
+	dir := t.TempDir()
+	big := testKey("164.gzip")
+	big.Machine = strings.Repeat("{FetchWidth:3} ", 1000)
+	small := testKey("175.vpr")
+	s1, _ := Open(dir)
+	getOrPut(s1, big, func() Record { return testRecord(big) })
+	getOrPut(s1, small, func() Record { return testRecord(small) })
+	s2, _ := Open(dir)
+	for _, key := range []Key{big, small, big} {
+		got := getOrPut(s2, key, func() Record { t.Fatalf("%s recomputed", key.Bench); return Record{} })
+		if !reflect.DeepEqual(got, testRecord(key)) {
+			t.Fatalf("%s record drifted: %+v", key.Bench, got)
+		}
 	}
 }
 
@@ -382,4 +425,80 @@ func TestCodeSiblingDirectory(t *testing.T) {
 	if _, ok := s2.Get(b); !ok {
 		t.Fatal("removing one code directory dropped the sibling's cell")
 	}
+}
+
+// TestConcurrentGetPut drives one store from several goroutines at once:
+// keys of two builds' Codes, so the memoised code directory flips while
+// others read it, and cells of two sizes, so the pooled read buffers grow
+// under concurrent use. Every served record must be its own key's.
+func TestConcurrentGetPut(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []Key
+	for i := range 16 {
+		key := testKey(fmt.Sprintf("bench.%d", i))
+		if i%2 == 1 {
+			key.Code += "+edit"
+		}
+		if i%4 == 0 {
+			key.Machine = strings.Repeat("{FetchWidth:3} ", 400)
+		}
+		keys = append(keys, key)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 20 {
+				key := keys[(g*5+round)%len(keys)]
+				got := getOrPut(s, key, func() Record { return testRecord(key) })
+				if !reflect.DeepEqual(got, testRecord(key)) {
+					t.Errorf("%s served %+v", key.Bench, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Invalidations != 0 || st.WriteErrors != 0 {
+		t.Fatalf("stats = %+v, want no invalidations or write errors", st)
+	}
+}
+
+// keyPath returns key's cell file path as Get and Put compute it.
+func (s *Store) keyPath(key Key) string {
+	return s.path(key.Code, []byte(key.Canonical()))
+}
+
+// BenchmarkGet times Store.Get on hits over a filled store of both
+// families, the warm rerun's only store traffic, and reports it per cell.
+func BenchmarkGet(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var keys []Key
+	for i := range 256 {
+		key := testKey(fmt.Sprintf("bench.%d", i))
+		rec := testRecord(key)
+		if i%2 == 0 {
+			key.Family, key.Machine = "accuracy", ""
+			rec = Record{Key: key, Accuracy: &funcsim.Result{
+				Predictor: "bimode", Workload: key.Bench, Insts: 150_000, Branches: 20_000, Mispredicts: 1_111, TakenRate: 0.625,
+			}}
+		}
+		s.Put(key, rec)
+		keys = append(keys, key)
+	}
+	b.ResetTimer()
+	for range b.N {
+		for _, key := range keys {
+			if _, ok := s.Get(key); !ok {
+				b.Fatalf("cell %s not served", key.Bench)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(keys)), "us/cell")
 }

@@ -46,7 +46,7 @@ go test -run 'TestProfileDigestsPinned' ./internal/workload
 go test -run 'TestXoshiroGoldenVector|TestSplitMix64KnownValues' ./internal/rng
 go test -run 'TestEncodeMatchesReference|TestDigestStableAcrossCodec' ./internal/trace
 
-echo "==> BPCELL1 decoder fuzz smoke (10s: no panics; accepted cells match the requested key and family)"
+echo "==> BPCELL2 decoder fuzz smoke (10s: no panics; accepted cells carry the writer's header, the requested key line and only their family's payload)"
 go test -run '^$' -fuzz FuzzDecodeCell -fuzztime=10s ./internal/resultstore
 
 echo "==> concurrency certification: -race runtime twins of the static analyzers"
