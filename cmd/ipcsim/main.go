@@ -121,7 +121,9 @@ func splitKinds(list string) []string {
 // simulate returns every kind's Result on every benchmark, indexed
 // [kind][benchmark]. Each benchmark is one fused pass over a fresh
 // generator. A benchmark's lanes are all built before its stream starts,
-// so an unknown kind or mode fails before anything is simulated.
+// so an unknown kind or mode fails before anything is simulated; a cell
+// whose measured window spans no cycles, and so has no IPC, fails the
+// run before anything is printed.
 func simulate(kinds []string, budget int, mode string, profiles []workload.Profile, insts, warmup int64) ([][]pipeline.Result, error) {
 	results := make([][]pipeline.Result, len(kinds))
 	if len(kinds) == 0 {
@@ -138,6 +140,9 @@ func simulate(kinds []string, budget int, mode string, profiles []workload.Profi
 			lanes[i] = pipeline.Lane{Cfg: cfg, Pred: p}
 		}
 		for i, r := range pipeline.RunMany(lanes, workload.New(prof), nil, insts, warmup) {
+			if err := r.CheckCycles(); err != nil {
+				return nil, fmt.Errorf("ipcsim: %s (%s) on %s: %v", kinds[i], mode, prof.ShortName(), err)
+			}
 			results[i] = append(results[i], r)
 		}
 	}

@@ -82,3 +82,22 @@ func TestBadFlagsFailBeforeOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroCycleWindowFails pins that a measured window too short to span a
+// cycle — every measured instruction commits in the warm-up's last cycle,
+// so IPC is undefined — exits 1 with one line on stderr naming the cell
+// (kind, mode and benchmark) and nothing on stdout, not a partial report.
+func TestZeroCycleWindowFails(t *testing.T) {
+	args := []string{"-predictors", "gshare", "-budget", "4096", "-benchmarks", "gzip", "-insts", "4", "-warmup", "3"}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("printed a partial report:\n%s", stdout.String())
+	}
+	msg := stderr.String()
+	if strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "gshare (realistic) on gzip") || !strings.Contains(msg, "0 cycles") {
+		t.Errorf("error %q is not one line naming the cell and its empty window", msg)
+	}
+}

@@ -120,7 +120,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	start := time.Now()
-	plan.Execute()
+	if err := plan.Execute(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 	executed := time.Since(start)
 	start = time.Now()
 	outcomes := plan.Render()

@@ -7,4 +7,4 @@ package experiments
 // module-local package it imports, transitively. Every cell key carries
 // it (cellCode), so a change to any code that computes a cell misses the
 // persistent store.
-const codeDigest = "d1b10b9ca51eda98d923c71a3a29378d903c1ead9aa278e7b841b3ebb0fc61c6"
+const codeDigest = "eae63b762c204955d1c16731b907a10b0d169bcc3ae6ad6fd4f13ba26efcd2d6"

@@ -44,7 +44,7 @@ func TestEnginesAgree(t *testing.T) {
 			}
 		}
 	}
-	plan.execute()
+	mustExecute(t, plan)
 	for _, c := range got {
 		if c.acc.Branches == 0 {
 			t.Fatalf("%s: no branches measured", c.name)

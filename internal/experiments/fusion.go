@@ -28,39 +28,39 @@ type cellResult interface {
 	funcsim.Result | pipeline.Result
 }
 
-// runGroup resolves one group of lanes and counts its work into tally,
-// the group's own slot; simulate runs one pass over specs of the group,
-// returning Results index-aligned with them. A cell's key names it whole,
-// so a group the store serves entirely never opens its stream.
+// runGroup resolves one group of lanes into their res fields and sinks
+// and counts its work into tally, the group's own slot; simulate runs one
+// pass over specs of the group, returning Results index-aligned with
+// them. A cell's key names it whole, so a group the store serves entirely
+// never opens its stream.
 func runGroup[S specOf[R], R cellResult](lanes []*planLane[S, R], opts Options, tally *FamilyTally, simulate func([]S) []R) {
-	res := make([]R, len(lanes))
-	var cold []int
+	var cold []*planLane[S, R]
 	var coldSpecs []S
-	for i, l := range lanes {
+	for _, l := range lanes {
 		if opts.Store != nil {
 			if r, ok := storeGet[R](opts.Store, l.spec.cell().key); ok {
-				res[i] = r
+				l.res = r
 				tally.Stored += len(l.sinks)
 				continue
 			}
 		}
-		cold = append(cold, i)
+		cold = append(cold, l)
 		coldSpecs = append(coldSpecs, l.spec)
 	}
 	if len(cold) > 0 {
 		out := simulate(coldSpecs)
-		for j, i := range cold {
-			res[i] = out[j]
+		for j, l := range cold {
+			l.res = out[j]
 			if opts.Store != nil {
-				storePut(opts.Store, lanes[i].spec.cell().key, out[j])
+				storePut(opts.Store, l.spec.cell().key, out[j])
 			}
-			tally.Fused += len(lanes[i].sinks)
+			tally.Fused += len(l.sinks)
 		}
 		tally.Passes, tally.Lanes = 1, len(cold)
 	}
-	for i, l := range lanes {
+	for _, l := range lanes {
 		for _, sink := range l.sinks {
-			sink(res[i])
+			sink(l.res)
 		}
 	}
 }

@@ -48,8 +48,8 @@ func TestFusedEquivalence(t *testing.T) {
 	fused := fusionGrid(fusedPlan, kinds, budgets, nBench)
 	solo := fusionGrid(soloPlan, kinds, budgets, nBench)
 
-	tally := fusedPlan.execute().Accuracy
-	soloPlan.execute()
+	tally := mustExecute(t, fusedPlan).Accuracy
+	mustExecute(t, soloPlan)
 
 	for i := range fused {
 		if !reflect.DeepEqual(fused[i], solo[i]) {
@@ -71,7 +71,7 @@ func TestFusedMemoAccounting(t *testing.T) {
 	plan := newPlan(fusionTestOpts)
 	first := fusionGrid(plan, []string{"bimode"}, []int{8 << 10}, 2)
 	dup := fusionGrid(plan, []string{"bimode"}, []int{8 << 10}, 2)
-	got := plan.execute().Accuracy
+	got := mustExecute(t, plan).Accuracy
 
 	if !reflect.DeepEqual(first, dup) {
 		t.Fatalf("duplicate sinks received different results:\n%+v\n%+v", first, dup)
@@ -100,7 +100,7 @@ func TestFusedStoreFlow(t *testing.T) {
 	opts.Store = st1
 	coldPlan := newPlan(opts)
 	cold := fusionGrid(coldPlan, kinds, budgets, nBench)
-	coldPlan.execute()
+	mustExecute(t, coldPlan)
 	if s := st1.Stats(); s.Misses != nCells || s.Writes != nCells || s.Hits != 0 {
 		t.Fatalf("cold store traffic = %+v, want %d misses, %d writes", s, nCells, nCells)
 	}
@@ -112,7 +112,7 @@ func TestFusedStoreFlow(t *testing.T) {
 	opts.Store = st2
 	warmPlan := newPlan(opts)
 	warm := fusionGrid(warmPlan, kinds, budgets, nBench)
-	tally := warmPlan.execute().Accuracy
+	tally := mustExecute(t, warmPlan).Accuracy
 	if s := st2.Stats(); s.Hits != nCells || s.Misses != 0 || s.Invalidations != 0 {
 		t.Fatalf("warm store traffic = %+v, want %d hits", s, nCells)
 	}
@@ -131,7 +131,7 @@ func TestFusedStoreFlow(t *testing.T) {
 	opts.Fuse = FuseOff
 	soloPlan := newPlan(opts)
 	solo := fusionGrid(soloPlan, kinds, budgets, nBench)
-	soloPlan.execute()
+	mustExecute(t, soloPlan)
 	if s := st3.Stats(); s.Hits != nCells {
 		t.Fatalf("-nofuse rerun store traffic = %+v, want %d hits", s, nCells)
 	}

@@ -160,7 +160,9 @@ type Tally struct {
 // worker-pool unit, named by its first lane's key and its width, and
 // counts its work into its own slot of a slice preallocated here; the
 // slots are merged once RunCells has joined, so the tally needs no lock.
-func (p *cellPlan) execute() Tally {
+// A timing cell whose measured window spans no cycles has no IPC to
+// render: the first such cell in declaration order fails the plan.
+func (p *cellPlan) execute() (Tally, error) {
 	accLanes := collapse(p.acc)
 	timLanes := collapse(p.tim)
 	accWidth, timWidth := 0, maxTimingLanes
@@ -185,10 +187,16 @@ func (p *cellPlan) execute() Tally {
 		})
 	}
 	RunCells(p.opts.Parallel, cells)
+	for _, l := range timLanes {
+		if err := l.res.CheckCycles(); err != nil {
+			k := l.spec.key
+			return Tally{}, fmt.Errorf("experiments: timing cell %s/%s at %d B on %s: %v", k.Kind, k.Org, k.Budget, k.Bench, err)
+		}
+	}
 	return Tally{
 		Accuracy: familyTally(accSlots, len(accLanes), len(p.acc)),
 		Timing:   familyTally(timSlots, len(timLanes), len(p.tim)),
-	}
+	}, nil
 }
 
 // familyTally merges one family's group slots, the plan's distinct cells
@@ -205,10 +213,12 @@ func familyTally(slots []FamilyTally, distinct, declared int) FamilyTally {
 }
 
 // A planLane is one distinct cell of a plan: the spec first declared
-// under its key, and the sinks of every spec declared under it.
+// under its key, the sinks of every spec declared under it, and the
+// Result its group resolved.
 type planLane[S specOf[R], R cellResult] struct {
 	spec  S
 	sinks []func(R)
+	res   R
 }
 
 // collapse merges specs declared under equal keys — Figures 6 and 8

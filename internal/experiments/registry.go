@@ -59,7 +59,7 @@ func lookup(id string) (experiment, error) {
 }
 
 // ByID returns the runner for an experiment id: a Run of that experiment
-// alone.
+// alone, which panics where Run would return an error.
 func ByID(id string) (Runner, error) {
 	d, err := lookup(id)
 	if err != nil {
@@ -67,7 +67,9 @@ func ByID(id string) (Runner, error) {
 	}
 	return func(opts Options) *Outcome {
 		rp := declare([]experiment{d}, opts)
-		rp.Execute()
+		if err := rp.Execute(); err != nil {
+			panic(fmt.Sprintf("experiments: running %s: %v", id, err))
+		}
 		return rp.Render()[0]
 	}, nil
 }
@@ -107,8 +109,14 @@ func declare(decls []experiment, opts Options) *RunPlan {
 }
 
 // Execute resolves every cell of the plan: through the persistent store
-// when Options.Store is set, then one pass per group.
-func (rp *RunPlan) Execute() { rp.tally = rp.plan.execute() }
+// when Options.Store is set, then one pass per group. It fails, naming
+// the cell, when a timing cell's measured window spans no cycles
+// (pipeline.Result.CheckCycles); Render must not follow.
+func (rp *RunPlan) Execute() error {
+	var err error
+	rp.tally, err = rp.plan.execute()
+	return err
+}
 
 // Render returns each experiment's Outcome, in the order Plan declared
 // them. It reads the cells Execute filled.
@@ -133,6 +141,8 @@ func Run(ids []string, opts Options) ([]*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	rp.Execute()
+	if err := rp.Execute(); err != nil {
+		return nil, err
+	}
 	return rp.Render(), nil
 }

@@ -18,8 +18,20 @@ import (
 // storeTestOpts is the measurement window of this file's cells.
 var storeTestOpts = Options{Insts: 130_000, Warmup: 30_000}
 
+// mustExecute executes plan and returns its tally, failing t if a timing
+// cell's measured window spans no cycles.
+func mustExecute(t *testing.T, plan *cellPlan) Tally {
+	t.Helper()
+	tally, err := plan.execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tally
+}
+
 // timingCell resolves one explicitly constructed timing cell as a
-// one-spec plan.
+// one-spec plan; the plans its callers build measure a window of
+// thousands of instructions, never one that spans no cycles.
 func timingCell(cfg pipeline.Config, kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, opts Options) pipeline.Result {
 	plan := newPlan(opts)
 	var res pipeline.Result
@@ -256,7 +268,7 @@ func TestWarmRunGeneratesNothing(t *testing.T) {
 
 	opts.Store = openStore()
 	plan, cold := mixedPlan(opts)
-	plan.execute()
+	mustExecute(t, plan)
 	n := int64(len(cold))
 	if s := opts.Store.Stats(); s.Misses != n || s.Writes != n {
 		t.Fatalf("cold store traffic = %+v, want %d misses and writes", s, n)
@@ -264,7 +276,7 @@ func TestWarmRunGeneratesNothing(t *testing.T) {
 
 	opts.Store = openStore()
 	plan, warm := mixedPlan(opts)
-	tally := plan.execute()
+	tally := mustExecute(t, plan)
 	if s := opts.Store.Stats(); s.Hits != n || s.Misses != 0 || s.Invalidations != 0 || s.Writes != 0 {
 		t.Fatalf("warm store traffic = %+v, want %d hits and nothing else", s, n)
 	}
@@ -288,7 +300,7 @@ func TestStoreKeyNamesCode(t *testing.T) {
 	opts := storeTestOpts
 	opts.Store = st
 	plan, _ := mixedPlan(opts)
-	plan.execute()
+	mustExecute(t, plan)
 
 	var keys []resultstore.Key
 	for _, s := range plan.acc {

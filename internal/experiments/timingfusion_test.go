@@ -56,8 +56,8 @@ func TestFusedTimingPlan(t *testing.T) {
 	fused := timingFusionGrid(fusedPlan, depths, kinds, nBench)
 	solo := timingFusionGrid(soloPlan, depths, kinds, nBench)
 
-	tally := fusedPlan.execute().Timing
-	soloPlan.execute()
+	tally := mustExecute(t, fusedPlan).Timing
+	mustExecute(t, soloPlan)
 
 	for i := range fused {
 		if !reflect.DeepEqual(fused[i], solo[i]) {
@@ -87,8 +87,8 @@ func TestFusedTimingWideGroupSplits(t *testing.T) {
 	fused := timingFusionGrid(fusedPlan, depths, kinds, 1)
 	solo := timingFusionGrid(soloPlan, depths, kinds, 1)
 
-	tally := fusedPlan.execute().Timing
-	soloPlan.execute()
+	tally := mustExecute(t, fusedPlan).Timing
+	mustExecute(t, soloPlan)
 	for i := range fused {
 		if !reflect.DeepEqual(fused[i], solo[i]) {
 			t.Errorf("cell %d diverges between the split group and FuseOff:\n got %+v\nwant %+v",
@@ -119,7 +119,7 @@ func TestFusedTimingGeometryGrouping(t *testing.T) {
 		return mustPredictor("gshare", budget)
 	}, prof, func(res pipeline.Result) { b = res })
 
-	if tally := plan.execute().Timing; tally.Passes != 2 || tally.Lanes != 2 || tally.Fused != 2 {
+	if tally := mustExecute(t, plan).Timing; tally.Passes != 2 || tally.Lanes != 2 || tally.Fused != 2 {
 		t.Fatalf("geometry-split grid tally = %+v; want 2 single-lane passes", tally)
 	}
 	if a.Insts == 0 || b.Insts == 0 {
@@ -138,7 +138,7 @@ func TestFusedTimingMemoAccounting(t *testing.T) {
 	plan := newPlan(timingFusionTestOpts)
 	first := timingFusionGrid(plan, []int{18}, []string{"bimode"}, 2)
 	dup := timingFusionGrid(plan, []int{18}, []string{"bimode"}, 2)
-	got := plan.execute().Timing
+	got := mustExecute(t, plan).Timing
 
 	if !reflect.DeepEqual(first, dup) {
 		t.Fatalf("duplicate sinks received different results:\n%+v\n%+v", first, dup)
@@ -167,7 +167,7 @@ func TestFusedTimingStoreFlow(t *testing.T) {
 	opts.Store = st1
 	coldPlan := newPlan(opts)
 	cold := timingFusionGrid(coldPlan, depths, kinds, nBench)
-	coldPlan.execute()
+	mustExecute(t, coldPlan)
 	if s := st1.Stats(); s.Misses != nCells || s.Writes != nCells || s.Hits != 0 {
 		t.Fatalf("cold store traffic = %+v, want %d misses, %d writes", s, nCells, nCells)
 	}
@@ -179,7 +179,7 @@ func TestFusedTimingStoreFlow(t *testing.T) {
 	opts.Store = st2
 	warmPlan := newPlan(opts)
 	warm := timingFusionGrid(warmPlan, depths, kinds, nBench)
-	tally := warmPlan.execute().Timing
+	tally := mustExecute(t, warmPlan).Timing
 	if s := st2.Stats(); s.Hits != nCells || s.Misses != 0 || s.Invalidations != 0 {
 		t.Fatalf("warm store traffic = %+v, want %d hits", s, nCells)
 	}
@@ -198,7 +198,7 @@ func TestFusedTimingStoreFlow(t *testing.T) {
 	opts.Fuse = FuseOff
 	soloPlan := newPlan(opts)
 	solo := timingFusionGrid(soloPlan, depths, kinds, nBench)
-	soloPlan.execute()
+	mustExecute(t, soloPlan)
 	if s := st3.Stats(); s.Hits != nCells {
 		t.Fatalf("-nofuse rerun store traffic = %+v, want %d hits", s, nCells)
 	}

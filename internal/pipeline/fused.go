@@ -47,6 +47,14 @@ import (
 //     stepping all lanes through one instruction before advancing lets those
 //     independent chains overlap in the host pipeline instead of running
 //     back to back;
+//   - two lane sweeps, picked by kind: sweepPlain for every
+//     non-control-flow instruction, with no prediction, redirect or
+//     resolution test per lane, and sweepControl for branches and jumps.
+//     Both run one copy of each shared stage — fetchPoint.fetch, robStall,
+//     readyAt, laneCursor.commit — which the compiler inlines at every
+//     call site (scripts/inlinecheck.sh fails the gate otherwise); the ROB
+//     stall and each redirect the control sweep charges (override bubble,
+//     BTB miss, mispredict refill) go through fetchPoint.advanceTo;
 //   - the scoreboard keeps one packed uint32 per cycle: byte p counts port
 //     p's reservations, and the cycle's issue count is the sum of the four
 //     bytes (sumBytes), exact because every reservation books one issue
@@ -356,13 +364,10 @@ type laneRings struct {
 // internal/experiments, 24 of 30 alternating pairs on a 2-core x86-64
 // host).
 type laneCursor struct {
-	fetchCycle     uint64
-	lastFetchBlock uint64
-	lastCommit     uint64
-	commitUsed     uint64 // commits taken at cycle lastCommit; replaces the monotone commit slot ring
-	fetchStall     uint64
-	fetchUsed      int
-	robIdx         int
+	fetchPoint
+	lastCommit uint64
+	commitUsed uint64 // commits taken at cycle lastCommit; replaces the monotone commit slot ring
+	robIdx     int
 	laneRings
 }
 
@@ -698,39 +703,125 @@ func (f *fusedRun) prep(n int) {
 	f.nb = nb
 }
 
-// advanceTo moves the fetch point, held in the sweeps' hoisted locals, to
-// at least cycle t, accounting the skipped cycles as stall.
-func advanceTo(t, fetchCycle uint64, fetchUsed int, lastBlock, stall uint64) (uint64, int, uint64, uint64) {
-	if t > fetchCycle {
-		stall += t - fetchCycle
-		fetchCycle = t
-		fetchUsed = 0
-		lastBlock = 0
+// fetchPoint is a lane's fetch stage between instructions: the cycle it
+// fetches in, the I-cache block it fetches from (address + 1, 0 = none),
+// the cycles redirects, bubbles and misses have pushed it forward
+// (Result.FetchStallCycles), and the instructions fetched in the current
+// cycle. A sweep copies it into a local and the stage helpers return it
+// updated, so a lane's step keeps its four words in registers. Every path
+// that clears lastBlock also ends the cycle, so lastBlock == 0 implies
+// used == 0.
+type fetchPoint struct {
+	cycle     uint64
+	lastBlock uint64
+	stall     uint64
+	used      int
+}
+
+// advanceTo moves the fetch point to at least cycle t, charging the
+// skipped cycles as stall. Every fetch-side stall the control sweep
+// charges — override bubble, BTB miss, mispredict refill — goes through
+// it.
+func (fp fetchPoint) advanceTo(t uint64) fetchPoint {
+	if t > fp.cycle {
+		fp.stall += t - fp.cycle
+		fp.cycle = t
+		fp.used = 0
+		fp.lastBlock = 0
 	}
-	return fetchCycle, fetchUsed, lastBlock, stall
+	return fp
+}
+
+// fetch places the next instruction, from I-cache block block with fetch
+// class fcl, in the fetch stream: a full fetch group or a block crossing
+// ends the cycle, and a new block is tallied in fT and charged its I-side
+// latency as stall. The block-change branch always runs with used == 0 —
+// the crossing resets it, and lastBlock == 0 implies it — so the stall is
+// advanceTo(cycle+lat) without its compare.
+func (fp fetchPoint) fetch(k *laneConst, fT *[4]uint64, block uint64, fcl uint8) fetchPoint {
+	if fp.used >= k.fetchWidth {
+		fp.cycle++
+		fp.used = 0
+		fp.lastBlock = 0
+	}
+	if block != fp.lastBlock {
+		if fp.lastBlock != 0 {
+			fp.cycle++
+			fp.used = 0
+		}
+		lat := k.fLat[fcl]
+		fp.cycle += lat
+		fp.stall += lat
+		fT[fcl]++
+		fp.lastBlock = block
+	}
+	fp.used++
+	return fp
+}
+
+// robStall keeps fetch from running unboundedly ahead of commit: the
+// instruction just fetched dispatches feDepth cycles after fp.cycle into
+// the ROB entry whose previous occupant commits at oldest, so fetch backs
+// up until that entry is free at dispatch.
+func (fp fetchPoint) robStall(oldest, feDepth uint64) fetchPoint {
+	if fp.cycle+feDepth <= oldest {
+		return fp.advanceTo(oldest + 1 - feDepth)
+	}
+	return fp
+}
+
+// readyAt returns the first cycle at or after t at which the source
+// registers s1 and s2 (negative: none) are ready in rr.
+func readyAt(rr *[trace.NumRegs]uint64, t uint64, s1, s2 int8) uint64 {
+	if s1 >= 0 && rr[s1] > t {
+		t = rr[s1]
+	}
+	if s2 >= 0 && rr[s2] > t {
+		t = rr[s2]
+	}
+	return t
+}
+
+// commit retires the instruction completing at completeAt in order, at
+// most commitWidth a cycle, and records its commit cycle in robIdx, the
+// ROB entry it held.
+func (cu *laneCursor) commit(k *laneConst, robIdx int, completeAt uint64) {
+	last, used := cu.lastCommit, cu.commitUsed
+	switch at := completeAt + 1; {
+	case at > last:
+		last, used = at, 1
+	case used < k.commitWidth:
+		used++ // in-order commit at the current cycle
+	default:
+		last++ // commit bandwidth exhausted: next cycle
+		used = 1
+	}
+	cu.robCommit[robIdx] = last
+	if robIdx++; robIdx == k.robSize {
+		robIdx = 0
+	}
+	cu.lastCommit, cu.commitUsed, cu.robIdx = last, used, robIdx
 }
 
 // stepAll advances every lane over batch instructions [lo, hi), dispatching
-// each instruction to the lane sweep specialized for its control-flow kind:
-// the plain sweep (no prediction, no redirect, no resolution) serves the
-// large majority of instructions with every branch-unit test hoisted out of
-// the per-lane loop, and the branch and jump sweeps carry the prediction
-// and BTB stages only where they can fire. Every sweep runs the same stage
-// order — fetch, predict, BTB, issue, resolve, commit — as the test
-// reference's step; for a batch-stepped lane the predict stage reads the
-// bits runBatch already computed. measured says whether this sub-batch lies past the
-// warm-up boundary; runBatch splits batches so it never varies inside one
-// call.
+// each instruction to the lane sweep for its kind: the plain sweep (no
+// prediction, no redirect, no resolution) serves the large majority of
+// instructions with every branch-unit test hoisted out of the per-lane
+// loop, and the control sweep carries the prediction, BTB and resolution
+// stages for branches and jumps. Both run the test reference's stage order
+// — fetch, predict, BTB, issue, resolve, commit — through the same fetch,
+// ROB-stall, readiness and commit helpers; for a batch-stepped lane the
+// predict stage reads the bits runBatch already computed. measured says
+// whether this sub-batch lies past the warm-up boundary; runBatch splits
+// batches so it never varies inside one call.
 //
 // It runs once per instruction per lane; TestFusedTimingAllocs pins it
 // allocation-free.
 func (f *fusedRun) stepAll(lo, hi int, measured bool) {
 	for i := lo; i < hi; i++ {
 		switch f.batch[i].Kind {
-		case trace.CondBranch:
-			f.sweepBranch(i, measured)
-		case trace.Jump:
-			f.sweepJump(i)
+		case trace.CondBranch, trace.Jump:
+			f.sweepControl(i, measured)
 		case trace.ALU, trace.Mul, trace.FPU, trace.Load, trace.Store:
 			f.sweepPlain(i)
 		default:
@@ -740,9 +831,7 @@ func (f *fusedRun) stepAll(lo, hi int, measured bool) {
 }
 
 // sweepPlain steps every lane through one non-control-flow instruction:
-// fetch, issue, commit. Branches and jumps never reach it, so the
-// prediction, redirect, and resolution stages are absent rather than
-// tested per lane.
+// fetch, issue, commit.
 //
 // TestFusedTimingAllocs pins it allocation-free.
 func (f *fusedRun) sweepPlain(i int) {
@@ -764,242 +853,39 @@ func (f *fusedRun) sweepPlain(i int) {
 		rg := &cu.laneRings
 		rr := &regs[li]
 
-		fetchCycle := cu.fetchCycle
-		fetchUsed := cu.fetchUsed
-		lastBlock := cu.lastFetchBlock
-		fetchStall := cu.fetchStall
-
-		// --- Fetch ---
-		if fetchUsed >= k.fetchWidth {
-			fetchCycle++
-			fetchUsed = 0
-			lastBlock = 0
-		}
-		if block != lastBlock {
-			if lastBlock != 0 {
-				fetchCycle++
-				fetchUsed = 0
-			}
-			tallies[li].fT[fcl]++
-			if lat := k.fLat[fcl]; lat > 0 {
-				fetchCycle, fetchUsed, lastBlock, fetchStall =
-					advanceTo(fetchCycle+lat, fetchCycle, fetchUsed, lastBlock, fetchStall)
-			}
-			lastBlock = block
-		}
-		fetchAt := fetchCycle
-		fetchUsed++
-
-		// Keep fetch from running unboundedly ahead of commit.
 		robIdx := cu.robIdx
-		oldestCommit := rg.robCommit[robIdx]
-		dispatchAt := fetchAt + k.feDepth
-		if dispatchAt <= oldestCommit {
-			if oldestCommit+1 > k.feDepth {
-				fetchCycle, fetchUsed, lastBlock, fetchStall =
-					advanceTo(oldestCommit+1-k.feDepth, fetchCycle, fetchUsed, lastBlock, fetchStall)
-			}
-			fetchAt = fetchCycle
-			dispatchAt = fetchAt + k.feDepth
-		}
+		fp := cu.fetchPoint.fetch(k, &tallies[li].fT, block, fcl).robStall(rg.robCommit[robIdx], k.feDepth)
+		dispatchAt := fp.cycle + k.feDepth
 
-		// --- Issue ---
-		ready := dispatchAt
-		if s1 >= 0 {
-			if t := rr[s1]; t > ready {
-				ready = t
-			}
-		}
-		if s2 >= 0 {
-			if t := rr[s2]; t > ready {
-				ready = t
-			}
-		}
-		execLat := k.latTab[lcl]
+		ready := readyAt(rr, dispatchAt, s1, s2)
 		issueAt := ready
 		if s := rg.slot(ready); ready < rg.clearedTo && rg.fits(*s, pm) {
 			*s += pm & sumBytes
 		} else {
 			issueAt = rg.takeLater(pm, ready, dispatchAt)
 		}
-		completeAt := issueAt + execLat
-
+		completeAt := issueAt + k.latTab[lcl]
 		if dst >= 0 {
 			rr[dst] = completeAt
 		}
 
-		// --- Commit ---
-		lastCommit := cu.lastCommit
-		commitUsed := cu.commitUsed
-		commitAt := completeAt + 1
-		if commitAt > lastCommit {
-			lastCommit = commitAt
-			commitUsed = 1
-		} else if commitUsed < k.commitWidth {
-			commitUsed++ // in-order commit at the current cycle
-		} else {
-			lastCommit++ // commit bandwidth exhausted: next cycle
-			commitUsed = 1
-		}
-		rg.robCommit[robIdx] = lastCommit
-		robIdx++
-		if robIdx == k.robSize {
-			robIdx = 0
-		}
-
-		cu.fetchCycle = fetchCycle
-		cu.fetchUsed = fetchUsed
-		cu.lastFetchBlock = lastBlock
-		cu.lastCommit = lastCommit
-		cu.commitUsed = commitUsed
-		cu.fetchStall = fetchStall
-		cu.robIdx = robIdx
+		cu.fetchPoint = fp
+		cu.commit(k, robIdx, completeAt)
 	}
 }
 
-// sweepJump steps every lane through one unconditional jump: fetch, the
-// always-taken BTB redirect, issue, commit. No prediction and no
-// resolution — jumps never mispredict direction.
+// sweepControl steps every lane through one conditional branch or
+// unconditional jump: fetch, prediction (with override bubbles), the
+// predicted-taken BTB redirect, issue, resolution, commit. An unclocked
+// lane reads a branch's prediction from its slow column at the branch's
+// ordinal and overrides where its quick column disagrees; a clocked lane
+// first steps this one branch into its own column, at its fetch cycle. A
+// jump is the branch predicted taken that is always taken: it has no
+// prediction stage, never mispredicts, and counts toward neither
+// overrides nor measured branches.
 //
 // TestFusedTimingAllocs pins it allocation-free.
-func (f *fusedRun) sweepJump(i int) {
-	consts := f.consts
-	nLanes := len(consts)
-	cursors := f.cursors[:nLanes]
-	tallies := f.tallies[:nLanes]
-	btbs := f.btbs[:nLanes]
-	regs := f.regs[:nLanes]
-	inst := &f.batch[i]
-	pc := inst.PC
-	block := f.blocks[i]
-	pm := uint32(0xff) << (8 * f.pcls[i]) // the port's byte in a slot word
-	lcl := f.lcls[i]
-	fcl := f.fcls[i]
-	s1, s2, dst := inst.Src1, inst.Src2, inst.Dst
-
-	for li := 0; li < nLanes; li++ {
-		k := &consts[li]
-		cu := &cursors[li]
-		rg := &cu.laneRings
-		rr := &regs[li]
-
-		fetchCycle := cu.fetchCycle
-		fetchUsed := cu.fetchUsed
-		lastBlock := cu.lastFetchBlock
-		fetchStall := cu.fetchStall
-
-		// --- Fetch ---
-		if fetchUsed >= k.fetchWidth {
-			fetchCycle++
-			fetchUsed = 0
-			lastBlock = 0
-		}
-		if block != lastBlock {
-			if lastBlock != 0 {
-				fetchCycle++
-				fetchUsed = 0
-			}
-			tallies[li].fT[fcl]++
-			if lat := k.fLat[fcl]; lat > 0 {
-				fetchCycle, fetchUsed, lastBlock, fetchStall =
-					advanceTo(fetchCycle+lat, fetchCycle, fetchUsed, lastBlock, fetchStall)
-			}
-			lastBlock = block
-		}
-		fetchAt := fetchCycle
-		fetchUsed++
-
-		// Keep fetch from running unboundedly ahead of commit.
-		robIdx := cu.robIdx
-		oldestCommit := rg.robCommit[robIdx]
-		dispatchAt := fetchAt + k.feDepth
-		if dispatchAt <= oldestCommit {
-			if oldestCommit+1 > k.feDepth {
-				fetchCycle, fetchUsed, lastBlock, fetchStall =
-					advanceTo(oldestCommit+1-k.feDepth, fetchCycle, fetchUsed, lastBlock, fetchStall)
-			}
-			fetchAt = fetchCycle
-			dispatchAt = fetchAt + k.feDepth
-		}
-
-		// Taken control flow: BTB target or decode redirect.
-		b := btbs[li]
-		_, hit := b.Lookup(pc)
-		if !hit {
-			tallies[li].btbMisses.Add(true)
-			fetchCycle, fetchUsed, lastBlock, fetchStall =
-				advanceTo(fetchAt+1+k.btbPenalty, fetchCycle, fetchUsed, lastBlock, fetchStall)
-		} else {
-			tallies[li].btbMisses.Add(false)
-			fetchCycle++ // taken-branch fetch break
-			fetchUsed = 0
-			lastBlock = 0
-		}
-		b.Insert(pc, inst.Target)
-
-		// --- Issue ---
-		ready := dispatchAt
-		if s1 >= 0 {
-			if t := rr[s1]; t > ready {
-				ready = t
-			}
-		}
-		if s2 >= 0 {
-			if t := rr[s2]; t > ready {
-				ready = t
-			}
-		}
-		execLat := k.latTab[lcl]
-		issueAt := ready
-		if s := rg.slot(ready); ready < rg.clearedTo && rg.fits(*s, pm) {
-			*s += pm & sumBytes
-		} else {
-			issueAt = rg.takeLater(pm, ready, dispatchAt)
-		}
-		completeAt := issueAt + execLat
-
-		if dst >= 0 {
-			rr[dst] = completeAt
-		}
-
-		// --- Commit ---
-		lastCommit := cu.lastCommit
-		commitUsed := cu.commitUsed
-		commitAt := completeAt + 1
-		if commitAt > lastCommit {
-			lastCommit = commitAt
-			commitUsed = 1
-		} else if commitUsed < k.commitWidth {
-			commitUsed++ // in-order commit at the current cycle
-		} else {
-			lastCommit++ // commit bandwidth exhausted: next cycle
-			commitUsed = 1
-		}
-		rg.robCommit[robIdx] = lastCommit
-		robIdx++
-		if robIdx == k.robSize {
-			robIdx = 0
-		}
-
-		cu.fetchCycle = fetchCycle
-		cu.fetchUsed = fetchUsed
-		cu.lastFetchBlock = lastBlock
-		cu.lastCommit = lastCommit
-		cu.commitUsed = commitUsed
-		cu.fetchStall = fetchStall
-		cu.robIdx = robIdx
-	}
-}
-
-// sweepBranch steps every lane through one conditional branch: fetch,
-// prediction (with override bubbles), the predicted-taken BTB redirect,
-// issue, resolution, commit. An unclocked lane reads its prediction from
-// its slow column at the branch's ordinal and overrides where its quick
-// column disagrees; a clocked lane first steps this one branch into its
-// own column, at its fetch cycle.
-//
-// TestFusedTimingAllocs pins it allocation-free.
-func (f *fusedRun) sweepBranch(i int, measured bool) {
+func (f *fusedRun) sweepControl(i int, measured bool) {
 	consts := f.consts
 	nLanes := len(consts)
 	cursors := f.cursors[:nLanes]
@@ -1016,70 +902,41 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 	fcl := f.fcls[i]
 	bi := f.bord[i]
 	s1, s2, dst := inst.Src1, inst.Src2, inst.Dst
-	taken := inst.Taken
+	jump := inst.Kind == trace.Jump
+	taken := jump || inst.Taken
+	measured = measured && !jump
 
 	for li := 0; li < nLanes; li++ {
 		k := &consts[li]
 		cu := &cursors[li]
 		rg := &cu.laneRings
 		rr := &regs[li]
+		tl := &tallies[li]
 
-		fetchCycle := cu.fetchCycle
-		fetchUsed := cu.fetchUsed
-		lastBlock := cu.lastFetchBlock
-		fetchStall := cu.fetchStall
-
-		// --- Fetch ---
-		if fetchUsed >= k.fetchWidth {
-			fetchCycle++
-			fetchUsed = 0
-			lastBlock = 0
-		}
-		if block != lastBlock {
-			if lastBlock != 0 {
-				fetchCycle++
-				fetchUsed = 0
-			}
-			tallies[li].fT[fcl]++
-			if lat := k.fLat[fcl]; lat > 0 {
-				fetchCycle, fetchUsed, lastBlock, fetchStall =
-					advanceTo(fetchCycle+lat, fetchCycle, fetchUsed, lastBlock, fetchStall)
-			}
-			lastBlock = block
-		}
-		fetchAt := fetchCycle
-		fetchUsed++
-
-		// Keep fetch from running unboundedly ahead of commit.
 		robIdx := cu.robIdx
-		oldestCommit := rg.robCommit[robIdx]
+		fp := cu.fetchPoint.fetch(k, &tl.fT, block, fcl).robStall(rg.robCommit[robIdx], k.feDepth)
+		fetchAt := fp.cycle
 		dispatchAt := fetchAt + k.feDepth
-		if dispatchAt <= oldestCommit {
-			if oldestCommit+1 > k.feDepth {
-				fetchCycle, fetchUsed, lastBlock, fetchStall =
-					advanceTo(oldestCommit+1-k.feDepth, fetchCycle, fetchUsed, lastBlock, fetchStall)
-			}
-			fetchAt = fetchCycle
-			dispatchAt = fetchAt + k.feDepth
-		}
 
 		// --- Branch prediction at fetch ---
-		org := &orgs[li]
-		var predictedTaken, overrode bool
-		if org.clocked {
-			lp := &f.own[org.slow]
-			f.fetchAt[0] = fetchAt
-			org.step(f.bpcs[bi:bi+1], f.btakens[bi:bi+1], f.fetchAt[:], lp.taken[bi:bi+1], lp.overrode[bi:bi+1])
-			predictedTaken, overrode = lp.taken[bi], lp.overrode[bi]
-		} else {
-			predictedTaken = cols[org.slow][bi]
-			overrode = cols[org.quick][bi] != predictedTaken
-		}
-		if org.over != nil {
-			tallies[li].overrides.Add(overrode)
-			if overrode {
-				fetchCycle, fetchUsed, lastBlock, fetchStall =
-					advanceTo(fetchAt+1+org.bubble, fetchCycle, fetchUsed, lastBlock, fetchStall)
+		predictedTaken := true
+		if !jump {
+			org := &orgs[li]
+			var overrode bool
+			if org.clocked {
+				lp := &f.own[org.slow]
+				f.fetchAt[0] = fetchAt
+				org.step(f.bpcs[bi:bi+1], f.btakens[bi:bi+1], f.fetchAt[:], lp.taken[bi:bi+1], lp.overrode[bi:bi+1])
+				predictedTaken, overrode = lp.taken[bi], lp.overrode[bi]
+			} else {
+				predictedTaken = cols[org.slow][bi]
+				overrode = cols[org.quick][bi] != predictedTaken
+			}
+			if org.over != nil {
+				tl.overrides.Add(overrode)
+				if overrode {
+					fp = fp.advanceTo(fetchAt + 1 + org.bubble)
+				}
 			}
 		}
 
@@ -1087,81 +944,40 @@ func (f *fusedRun) sweepBranch(i int, measured bool) {
 		if predictedTaken && taken {
 			b := btbs[li]
 			_, hit := b.Lookup(pc)
-			if !hit {
-				tallies[li].btbMisses.Add(true)
-				fetchCycle, fetchUsed, lastBlock, fetchStall =
-					advanceTo(fetchAt+1+k.btbPenalty, fetchCycle, fetchUsed, lastBlock, fetchStall)
+			tl.btbMisses.Add(!hit)
+			if hit {
+				fp.cycle++ // taken-branch fetch break
+				fp.used = 0
+				fp.lastBlock = 0
 			} else {
-				tallies[li].btbMisses.Add(false)
-				fetchCycle++ // taken-branch fetch break
-				fetchUsed = 0
-				lastBlock = 0
+				fp = fp.advanceTo(fetchAt + 1 + k.btbPenalty)
 			}
 			b.Insert(pc, inst.Target)
 		}
 
-		// --- Issue ---
-		ready := dispatchAt
-		if s1 >= 0 {
-			if t := rr[s1]; t > ready {
-				ready = t
-			}
-		}
-		if s2 >= 0 {
-			if t := rr[s2]; t > ready {
-				ready = t
-			}
-		}
-		execLat := k.latTab[lcl]
+		ready := readyAt(rr, dispatchAt, s1, s2)
 		issueAt := ready
 		if s := rg.slot(ready); ready < rg.clearedTo && rg.fits(*s, pm) {
 			*s += pm & sumBytes
 		} else {
 			issueAt = rg.takeLater(pm, ready, dispatchAt)
 		}
-		completeAt := issueAt + execLat
-
+		completeAt := issueAt + k.latTab[lcl]
 		if dst >= 0 {
 			rr[dst] = completeAt
 		}
 
 		// --- Branch resolution ---
 		miss := predictedTaken != taken
-		tl := &tallies[li]
 		if measured {
 			tl.measBranches.Add(miss)
 		}
 		if miss {
-			fetchCycle, fetchUsed, lastBlock, fetchStall =
-				advanceTo(completeAt+1+k.recovery, fetchCycle, fetchUsed, lastBlock, fetchStall)
+			fp = fp.advanceTo(completeAt + 1 + k.recovery)
 		}
 
-		// --- Commit ---
-		lastCommit := cu.lastCommit
-		commitUsed := cu.commitUsed
-		commitAt := completeAt + 1
-		if commitAt > lastCommit {
-			lastCommit = commitAt
-			commitUsed = 1
-		} else if commitUsed < k.commitWidth {
-			commitUsed++ // in-order commit at the current cycle
-		} else {
-			lastCommit++ // commit bandwidth exhausted: next cycle
-			commitUsed = 1
-		}
-		rg.robCommit[robIdx] = lastCommit
-		robIdx++
-		if robIdx == k.robSize {
-			robIdx = 0
-		}
-
-		cu.fetchCycle = fetchCycle
-		cu.fetchUsed = fetchUsed
-		cu.lastFetchBlock = lastBlock
-		cu.lastCommit = lastCommit
-		cu.commitUsed = commitUsed
-		cu.fetchStall = fetchStall
-		cu.robIdx = robIdx
+		cu.fetchPoint = fp
+		cu.commit(k, robIdx, completeAt)
 	}
 }
 
@@ -1182,7 +998,7 @@ func (f *fusedRun) finish(workload string) []Result {
 			Branches:         tl.measBranches.Total,
 			Mispredicts:      tl.measBranches.Events,
 			BTBMissRate:      tl.btbMisses.Value(),
-			FetchStallCycles: cu.fetchStall,
+			FetchStallCycles: cu.stall,
 		}
 		// An I-side fetch miss and a D-side load miss reach the L2; a
 		// store miss only allocates in the L1D.

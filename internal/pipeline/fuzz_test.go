@@ -15,9 +15,9 @@ import (
 const fuzzLanes = 4
 
 // laneHeader is the number of header bytes per lane: a config byte, a
-// predictor byte, a sharing/latency byte, and the issue and port bytes
-// that pick the lane's issue width and port counts.
-const laneHeader = 5
+// predictor byte, a sharing/latency byte, the issue and port bytes that
+// pick the lane's issue width and port counts, and a latency byte.
+const laneHeader = 6
 
 // fuzzHeader is the number of leading input bytes that pick the run shape:
 // lane count, budget, warm-up, and laneHeader bytes per lane.
@@ -31,8 +31,13 @@ const fuzzHeader = 3 + laneHeader*fuzzLanes
 // and the port byte each port count from 1–4, so a pass mixes machines
 // whose issue bandwidth binds before any port with machines whose ports
 // bind first, one-wide ports among them; an issue byte with bit 7 set
-// keeps Table 1's issue width and ports.
-func fuzzConfig(b, issue, ports byte) Config {
+// keeps Table 1's issue width and ports. The latency byte draws the BTB
+// miss penalty, the front-end depth, the L2, multiply and FP latencies —
+// the constants the shared fetch, ROB-stall and commit stages and the
+// control sweep's redirects add — from small sets holding zero or the
+// smallest legal value, Table 1's value and larger ones; a zero byte keeps
+// Table 1 throughout.
+func fuzzConfig(b, issue, ports, lat byte) Config {
 	cfg := DefaultConfig()
 	cfg.L1I = cache.Config{SizeBytes: 1 << 10, LineBytes: 64, Ways: 1}
 	cfg.L1D = cache.Config{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2}
@@ -52,6 +57,11 @@ func fuzzConfig(b, issue, ports byte) Config {
 		cfg.MulPorts = 1 + int(ports>>4&3)
 		cfg.FPPorts = 1 + int(ports>>6&3)
 	}
+	cfg.BTBMissPenalty = [4]int{2, 0, 5, 13}[lat&3]
+	cfg.FrontEndDepth = [4]int{0, 1, 3, 17}[lat>>2&3] // 0 derives PipelineDepth/2
+	cfg.L2Latency = [4]int{12, 0, 2, 45}[lat>>4&3]
+	cfg.MulLatency = [2]int{7, 0}[lat>>6&1]
+	cfg.FPLatency = [2]int{4, 19}[lat>>7]
 	return cfg
 }
 
@@ -121,7 +131,7 @@ func fuzzPredictor(b, sh byte, shared *fuzzParts) predictor.Predictor {
 // rings, short enough that even the largest fuzz ROB (32 entries) keeps
 // it under ringSize, where the engine and the reference agree exactly.
 func fuzzLane(h []byte, shared *fuzzParts) Lane {
-	cfg := fuzzConfig(h[0], h[3], h[4])
+	cfg := fuzzConfig(h[0], h[3], h[4], h[5])
 	if h[2]&4 != 0 {
 		cfg.MemLatency = 900
 	}
@@ -170,7 +180,7 @@ func FuzzEngineVsReference(f *testing.F) {
 			want[i] = refRun(l.Cfg, l.Pred, &tracetest.Slice{Insts: insts}, maxInsts, warmup)
 		}
 		rec := trace.Record(&tracetest.Slice{Insts: insts}, n)
-		side := BuildMemSidecar(rec, MemGeometryOf(fuzzConfig(0, 0, 0)))
+		side := BuildMemSidecar(rec, MemGeometryOf(fuzzConfig(0, 0, 0, 0)))
 		runs := map[string][]Result{
 			"sidecar":    RunMany(lanes(), rec.Replay(), side, maxInsts, warmup),
 			"classified": RunMany(lanes(), &tracetest.Slice{Insts: insts}, nil, maxInsts, warmup),

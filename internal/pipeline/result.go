@@ -1,5 +1,7 @@
 package pipeline
 
+import "fmt"
+
 // Result summarizes a timing run. A plan fans one Result per cell into
 // every sink declared under its key, and the persistent store serves the
 // same value to later runs, so it is frozen: built locally, then never
@@ -39,6 +41,18 @@ func (r Result) IPC() float64 {
 		return 0
 	}
 	return float64(r.Insts) / float64(r.Cycles)
+}
+
+// CheckCycles returns an error when r's measured window spans no cycles,
+// which leaves its IPC undefined. It happens when every measured
+// instruction commits in the warm-up's last cycle, whose commits count
+// toward the warm-up: a measured window of a few instructions.
+func (r Result) CheckCycles() error {
+	if r.Cycles == 0 {
+		return fmt.Errorf("the measured window (%d insts) spans 0 cycles: every measured instruction commits in the warm-up's last cycle, so IPC is undefined; measure more instructions past the warm-up",
+			r.Insts)
+	}
+	return nil
 }
 
 // MispredictPercent returns the measured misprediction rate as a

@@ -19,6 +19,9 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> timing-engine inlining (every stage helper, advanceTo, laneRings.slot and laneRings.fits inlined at each call site in fused.go)"
+./scripts/inlinecheck.sh
+
 echo "==> bplint ./... (every analyzer bplint -list names, concurrency certification included)"
 go run ./cmd/bplint ./...
 
