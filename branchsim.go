@@ -286,7 +286,8 @@ const (
 // mode) organization on prof's stream under the Table 1 machine — the way
 // the experiment grids do: served by the ResultStore when the options
 // carry one, else simulated in one pass off the benchmark's generator.
-// Nothing is kept in memory between calls.
+// Nothing is kept in memory between calls. It panics, naming the cell,
+// when the measured window spans no cycles (TimingResult.CheckCycles).
 func TimingCell(kind string, budget int, mode TimingMode, prof Benchmark, opts ExperimentOptions) TimingResult {
 	return experiments.TimingCell(kind, budget, mode, prof, opts)
 }

@@ -14,30 +14,21 @@
 //   - floatcmp: no exact floating-point equality in the statistics and
 //     experiment packages.
 //
-// A second, flow-aware generation proves the lock discipline the shared
-// state rests on (a plan's panic record, the result store's counters):
-//
-//   - lockguard: struct fields annotated "guarded by mu" may only be
-//     touched with that mutex provably held on every path.
-//
-// A third generation certifies the concurrency discipline of the shared
-// read-mostly structures the sharded drivers lean on, built on a common
-// per-package dataflow core (dataflow.go) that tracks constructor origins,
-// escapes and lock/Once dominance:
+// A second, flow-aware generation certifies that workers share nothing
+// but what Go builds for sharing, and that published values stay
+// unwritten; frozen rests on a per-package dataflow core (dataflow.go)
+// that tracks constructor origins and escapes:
 //
 //   - frozen: types marked //bplint:frozen (recordings, memory sidecars,
-//     memoized results) are never written after escaping their
-//     constructor; sync.Once publication is the one sanctioned late write;
-//   - sharedcapture: go-launched closures must not capture shared mutable
-//     variables unless every access is lock-dominated;
-//   - oncepublish: payload fields paired with a sync.Once (a recording's
-//     lazily computed digest) are published inside Do and read behind a
-//     dominating Do or lock — the unsynchronized double-checked load is a
-//     finding;
+//     simulation results) are never written after escaping their
+//     constructor; no late write is sanctioned, sync.Once included;
+//   - sharedcapture: a variable a go-launched closure captures and either
+//     side writes must be a channel, a function value or a sync/atomic
+//     value;
 //   - maporder: nondeterministic map iteration order must not flow into
 //     canonical keys, codec output, or stdout.
 //
-// A fourth generation guards the simulators' outcome-class dispatch:
+// A third generation guards the simulators' outcome-class dispatch:
 //
 //   - switchenum: switches over declared outcome/meta-class const sets
 //     in trace/funcsim/pipeline (//bplint:enum groups or typed enums)
@@ -86,10 +77,8 @@ func All() []*Analyzer {
 		SizeBytes,
 		Pow2Mask,
 		FloatCmp,
-		LockGuard,
 		Frozen,
 		SharedCapture,
-		OncePublish,
 		MapOrder,
 		SwitchEnum,
 	}

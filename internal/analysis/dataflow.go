@@ -6,15 +6,12 @@ import (
 	"go/types"
 )
 
-// dataflow.go is the shared-state dataflow core under the v3 analyzers
-// (frozen, sharedcapture, oncepublish, maporder): a
-// package-level def/use summary built on flow.go's container-chain
-// dominance vocabulary. For every function it records, per local variable,
-// where the value originates (a constructor expression or not), every
-// write through it, and the earliest point it escapes the function — into
-// a return value, another object, an unsanctioned call, a goroutine or a
-// closure. Alongside it collects every Lock/Unlock site (generalizing
-// lockguard's collector to bare `mu.Lock()` locals).
+// dataflow.go is the dataflow core under the frozen analyzer: a
+// package-level def/use summary. For every function it records, per local
+// variable, where the value originates (a constructor expression or not),
+// every write through it, and the earliest point it escapes the function
+// — into a return value, another object, an unsanctioned call, a goroutine
+// or a closure.
 //
 // Like the rest of the suite this is a conservative approximation, tuned
 // so that what it cannot prove safe it reports (the allow directive is the
@@ -51,8 +48,6 @@ type varUse struct {
 	callee types.Object // for escCall: the called function/method, if resolvable
 	deref  bool         // the use goes through a selector/index (x.f, x[i]), not x itself
 	pos    token.Pos
-	fn     ast.Node   // enclosing function scope (FuncDecl or FuncLit)
-	chain  []ast.Node // statement containers inside fn
 }
 
 // localFlow summarizes one function-local variable.
@@ -222,12 +217,11 @@ func ctorExpr(pass *Pass, e ast.Expr) (types.Type, bool) {
 // read, write, or one of the escape shapes. id sits at the top of stack's
 // ancestry; fd is the declaring function.
 func classifyUse(pass *Pass, id *ast.Ident, stack []ast.Node, fd *ast.FuncDecl) varUse {
-	fn := enclosingFunc(stack)
-	u := varUse{kind: useRead, pos: id.Pos(), fn: fn, chain: containerChain(stack, fn)}
+	u := varUse{kind: useRead, pos: id.Pos()}
 
 	// Capture: the use sits inside a function literal, which may outlive
 	// the frame and run on another goroutine.
-	if fn != ast.Node(fd) {
+	if enclosingFunc(stack) != ast.Node(fd) {
 		u.kind, u.esc = useEscape, escGo
 		return u
 	}
@@ -336,144 +330,6 @@ func calleeOf(pass *Pass, call *ast.CallExpr) types.Object {
 		return pass.Info.Uses[fun.Sel]
 	}
 	return nil
-}
-
-// lockOp is one Lock/Unlock call site, generalized over lockguard's
-// collector: both field mutexes (x.mu.Lock()) and bare local/global
-// mutexes (mu.Lock()) are recognized.
-type lockOp struct {
-	unlock   bool
-	deferred bool
-	name     string // "mu" or "x.mu": the full locked expression
-	pos      token.Pos
-	fn       ast.Node
-	chain    []ast.Node
-}
-
-// collectLockOps gathers every Lock/RLock/Unlock/RUnlock call in the files.
-func collectLockOps(pass *Pass) []lockOp {
-	var ops []lockOp
-	inspectStack(pass.Files, func(n ast.Node, stack []ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 0 {
-			return
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		var unlock bool
-		switch sel.Sel.Name {
-		case "Lock", "RLock":
-		case "Unlock", "RUnlock":
-			unlock = true
-		default:
-			return
-		}
-		// The locked expression must be mutex-shaped: a sync.Mutex/RWMutex
-		// (or embedder) value, so Foo.Lock() on arbitrary types stays out.
-		tv, ok := pass.Info.Types[ast.Unparen(sel.X)]
-		if !ok || tv.Type == nil || !hasMethodNamed(pass.Pkg, tv.Type, "Lock") {
-			return
-		}
-		deferred := false
-		if len(stack) > 0 {
-			if _, isDefer := stack[len(stack)-1].(*ast.DeferStmt); isDefer {
-				deferred = true
-			}
-		}
-		fn := enclosingFunc(stack)
-		ops = append(ops, lockOp{
-			unlock:   unlock,
-			deferred: deferred,
-			name:     types.ExprString(ast.Unparen(sel.X)),
-			pos:      call.Pos(),
-			fn:       fn,
-			chain:    containerChain(stack, fn),
-		})
-	})
-	return ops
-}
-
-// lockDominates reports whether some Lock (of any mutex when name is "",
-// else of the named one) dominates position pos in scope fn with chain,
-// with no possibly-intervening non-deferred Unlock of the same mutex —
-// the same approximation lockguard uses.
-func lockDominates(ops []lockOp, name string, fn ast.Node, pos token.Pos, chain []ast.Node) bool {
-	for _, l := range ops {
-		if l.unlock || l.fn != fn || l.pos >= pos {
-			continue
-		}
-		if name != "" && l.name != name {
-			continue
-		}
-		if !chainCovers(chain, l.chain) {
-			continue
-		}
-		killed := false
-		for _, u := range ops {
-			if u.unlock && !u.deferred && u.fn == fn && u.name == l.name &&
-				u.pos > l.pos && u.pos < pos {
-				killed = true
-				break
-			}
-		}
-		if !killed {
-			return true
-		}
-	}
-	return false
-}
-
-// insideOnceDo reports whether the stack places the current node inside a
-// function literal passed to a sync.Once Do call, and returns the
-// expression string of the Once value ("e.once"). Write-once publication
-// through a Once is the one sanctioned late-write pattern.
-func insideOnceDo(pass *Pass, stack []ast.Node) (string, bool) {
-	for i := len(stack) - 1; i > 0; i-- {
-		lit, ok := stack[i].(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		call, ok := stack[i-1].(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		argOf := false
-		for _, a := range call.Args {
-			if a == ast.Node(lit) {
-				argOf = true
-			}
-		}
-		if !argOf {
-			continue
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Do" {
-			continue
-		}
-		if !isSyncOnce(pass.Info.Types[ast.Unparen(sel.X)].Type) {
-			continue
-		}
-		return types.ExprString(ast.Unparen(sel.X)), true
-	}
-	return "", false
-}
-
-// isSyncOnce reports whether t is sync.Once (or a pointer to it).
-func isSyncOnce(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Once"
 }
 
 // namedOf unwraps pointers and returns the named type, or nil.

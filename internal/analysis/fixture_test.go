@@ -165,11 +165,8 @@ func TestFloatCmp(t *testing.T) {
 	})
 }
 
-func TestLockGuard(t *testing.T) { testAnalyzer(t, LockGuard, "branchsim/internal") }
-
 func TestFrozen(t *testing.T)        { testAnalyzer(t, Frozen, "branchsim/internal") }
 func TestSharedCapture(t *testing.T) { testAnalyzer(t, SharedCapture, "branchsim/internal") }
-func TestOncePublish(t *testing.T)   { testAnalyzer(t, OncePublish, "branchsim/internal") }
 func TestMapOrder(t *testing.T)      { testAnalyzer(t, MapOrder, "branchsim/internal") }
 
 // SwitchEnum only fires in trace, funcsim and pipeline (by import path

@@ -1,15 +1,13 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
-// flow.go holds the small flow-analysis vocabulary shared by the
-// flow-aware analyzers (lockguard, frozen, sharedcapture, oncepublish) and
-// the dataflow core (dataflow.go): root identifiers of access chains,
-// statement-container chains for the dominance approximation,
-// enclosing-function lookup and method lookup through embedding.
+// flow.go holds the small flow-analysis vocabulary of the frozen analyzer
+// and its dataflow core (dataflow.go): root identifiers of access chains
+// and enclosing-function lookup. The statement-container chains below are
+// the per-scope dominance approximation the lock analyzers compared
+// positions with; no analyzer calls them since those went, and they go
+// with their tests (ROADMAP).
 
 // rootIdent returns the leftmost identifier of a selector/index/deref
 // chain, or nil when the chain is rooted in something else (a call result,
@@ -37,8 +35,8 @@ func rootIdent(e ast.Expr) *ast.Ident {
 
 // enclosingFunc returns the innermost function literal or declaration on
 // the stack, or nil at package scope. Function literals are their own
-// analysis scope: a lock taken in a closure proves nothing about its
-// enclosing function and vice versa.
+// analysis scope: a closure's use of a variable is a capture, not a use
+// by the function that declares it.
 func enclosingFunc(stack []ast.Node) ast.Node {
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch stack[i].(type) {
@@ -52,8 +50,7 @@ func enclosingFunc(stack []ast.Node) ast.Node {
 // containerChain returns the statement containers (blocks and switch/select
 // clause bodies) on the stack strictly inside fn, outermost first. Two
 // positions share a prefix of container chains exactly when they share
-// control-flow context, which is what the lockguard dominance
-// approximation compares.
+// control-flow context, which is what a dominance approximation compares.
 func containerChain(stack []ast.Node, fn ast.Node) []ast.Node {
 	var chain []ast.Node
 	seenFn := fn == nil
@@ -87,19 +84,4 @@ func chainCovers(outer, inner []ast.Node) bool {
 		}
 	}
 	return true
-}
-
-// hasMethodNamed reports whether t (or its pointer) has a method with the
-// given name, looking through embedding.
-func hasMethodNamed(pkg *types.Package, t types.Type, name string) bool {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, pkg, name)
-	if _, ok := obj.(*types.Func); ok {
-		return true
-	}
-	obj, _, _ = types.LookupFieldOrMethod(t, true, pkg, name)
-	_, ok := obj.(*types.Func)
-	return ok
 }

@@ -25,10 +25,9 @@ import (
 // closure or a goroutine. Builder helpers that mutate frozen state through
 // a pointer receiver or parameter are allowed but must stay unexported,
 // and each call to one is checked at the call site like a direct write.
-// Writes inside a sync.Once Do body are the one sanctioned
-// post-publication pattern (write-once lazy publication). Everything else
-// — mutating a frozen value reached through another object, a global, or
-// after an escape — is a finding.
+// Everything else — mutating a frozen value reached through another
+// object, a global, or after an escape, a write inside a sync.Once Do body
+// included — is a finding: no late write is sanctioned.
 //
 // Value-typed frozen locals (a pipeline.Result under construction) are
 // freely writable until their address escapes: copies do not alias, so
@@ -61,7 +60,6 @@ type frozenOp struct {
 	root   types.Object // root identifier's object (local/param/global), nil if none
 	owner  *types.Named // the frozen type being written
 	callee types.Object // same-package callee for deferred classification
-	once   bool         // inside a sync.Once Do body: sanctioned publication
 }
 
 func runFrozen(pass *Pass) {
@@ -92,9 +90,6 @@ func runFrozen(pass *Pass) {
 				continue
 			}
 			for _, op := range fops {
-				if op.once {
-					continue
-				}
 				if v, ok := op.root.(*types.Var); ok && ff.params[v] && pointerTyped(v) {
 					if op.callee == nil || mutator[op.callee] {
 						mutator[obj] = true
@@ -122,9 +117,6 @@ func runFrozen(pass *Pass) {
 			continue
 		}
 		for _, op := range fops {
-			if op.once {
-				continue // write-once publication under sync.Once
-			}
 			if op.callee != nil && !mutator[op.callee] {
 				continue // the callee never mutates frozen state
 			}
@@ -299,14 +291,7 @@ func collectFrozenOps(pass *Pass, fd *ast.FuncDecl, frozen map[*types.Named]bool
 		}
 	}
 
-	var stack []ast.Node
-	stack = append(stack, fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		defer func() { stack = append(stack, n) }()
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range st.Lhs {
@@ -314,15 +299,13 @@ func collectFrozenOps(pass *Pass, fd *ast.FuncDecl, frozen map[*types.Named]bool
 					continue // rebinding a variable is not a state write
 				}
 				if owner := frozenOwner(lhs); owner != nil {
-					_, once := insideOnceDo(pass, stack)
-					out = append(out, frozenOp{pos: lhs.Pos(), root: rootOf(lhs), owner: owner, once: once})
+					out = append(out, frozenOp{pos: lhs.Pos(), root: rootOf(lhs), owner: owner})
 				}
 			}
 		case *ast.IncDecStmt:
 			if _, bare := ast.Unparen(st.X).(*ast.Ident); !bare {
 				if owner := frozenOwner(st.X); owner != nil {
-					_, once := insideOnceDo(pass, stack)
-					out = append(out, frozenOp{pos: st.Pos(), root: rootOf(st.X), owner: owner, once: once})
+					out = append(out, frozenOp{pos: st.Pos(), root: rootOf(st.X), owner: owner})
 				}
 			}
 		case *ast.CallExpr:
@@ -334,8 +317,7 @@ func collectFrozenOps(pass *Pass, fd *ast.FuncDecl, frozen map[*types.Named]bool
 					if fn, ok := pass.Info.Uses[id].(*types.Func); ok && fn.Pkg() == pass.Pkg && decls[fn] != nil {
 						for _, a := range st.Args {
 							if owner := frozenOwner(a); owner != nil {
-								_, once := insideOnceDo(pass, stack)
-								out = append(out, frozenOp{pos: st.Pos(), root: rootOf(a), owner: owner, callee: fn, once: once})
+								out = append(out, frozenOp{pos: st.Pos(), root: rootOf(a), owner: owner, callee: fn})
 								break
 							}
 						}
@@ -351,11 +333,10 @@ func collectFrozenOps(pass *Pass, fd *ast.FuncDecl, frozen map[*types.Named]bool
 			if owner == nil {
 				return true
 			}
-			_, once := insideOnceDo(pass, stack)
 			if fn.Pkg() == pass.Pkg && decls[fn] != nil {
-				out = append(out, frozenOp{pos: st.Pos(), root: rootOf(sel.X), owner: owner, callee: fn, once: once})
+				out = append(out, frozenOp{pos: st.Pos(), root: rootOf(sel.X), owner: owner, callee: fn})
 			} else if crossMutators[fn.Name()] {
-				out = append(out, frozenOp{pos: st.Pos(), root: rootOf(sel.X), owner: owner, once: once})
+				out = append(out, frozenOp{pos: st.Pos(), root: rootOf(sel.X), owner: owner})
 			}
 		}
 		return true

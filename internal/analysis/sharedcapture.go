@@ -4,29 +4,25 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// SharedCapture extends lockguard across goroutine boundaries: a closure
-// launched with `go` shares every variable it captures with its parent,
-// and the sharded drivers (the experiment grid's worker pool today, the
-// sharded reproduce driver the roadmap plans) launch many of them. A
-// captured variable that either side writes is a data race unless every
-// access is serialized — captured channels, sync primitives and
-// self-guarded structs are the sanctioned sharing vocabulary.
+// SharedCapture holds goroutines to share-nothing: a closure launched
+// with `go` shares every variable it captures with its parent, and the
+// worker pools (the plan's RunCells, cmd/bplint's package workers) launch
+// many of them. A captured variable that either side writes is a data
+// race unless its type is built to be shared: channels, function values,
+// and sync and sync/atomic values are the whole sharing vocabulary.
 //
-// The rule, per go-launched function literal: for each captured variable
-// that is written (inside the goroutine, or by the parent at any point
-// after the `go` statement), every access on both sides must be dominated
-// by a mutex Lock (lockguard's per-scope dominance approximation; the
-// goroutine's accesses need a Lock inside the goroutine). Variables whose
-// type is a channel, a sync/sync-atomic primitive, a function value, or a
-// struct carrying its own mutex are exempt: they are the mechanisms Go
-// shares by design. Loop-range and worker-pool reads of never-written
-// captures are fine.
+// The rule, per go-launched function literal: a captured variable that is
+// written (inside the goroutine, or by the parent at any point after the
+// `go` statement) must be a channel, a function value or a sync/sync
+// atomic value, or a pointer to one; otherwise every access to it on
+// either side is a finding. A lock held around each access does not
+// excuse it: a worker keeps its own state and hands it back on a channel.
+// Loop-range and worker-pool reads of never-written captures are fine.
 var SharedCapture = &Analyzer{
 	Name: "sharedcapture",
-	Doc:  "go-launched closures must not capture shared mutable variables without lock-dominated access",
+	Doc:  "a variable a go-launched closure captures and either side writes must be a channel, function value or sync/atomic value",
 	Run:  runSharedCapture,
 }
 
@@ -35,13 +31,9 @@ var SharedCapture = &Analyzer{
 type capAccess struct {
 	write bool
 	pos   token.Pos
-	fn    ast.Node
-	chain []ast.Node
 }
 
 func runSharedCapture(pass *Pass) {
-	locks := collectLockOps(pass)
-
 	// Find every `go func(...){...}(...)` launch and its lexical parent.
 	type launch struct {
 		stmt *ast.GoStmt
@@ -62,11 +54,11 @@ func runSharedCapture(pass *Pass) {
 	}
 
 	for _, l := range launches {
-		checkLaunch(pass, l.stmt, l.lit, locks)
+		checkLaunch(pass, l.stmt, l.lit)
 	}
 }
 
-func checkLaunch(pass *Pass, gs *ast.GoStmt, lit *ast.FuncLit, locks []lockOp) {
+func checkLaunch(pass *Pass, gs *ast.GoStmt, lit *ast.FuncLit) {
 	// Captured variables: identifiers used inside the literal that resolve
 	// to variables declared in an enclosing function (not the literal's
 	// own parameters or locals, not fields, not package-level state,
@@ -109,13 +101,7 @@ func checkLaunch(pass *Pass, gs *ast.GoStmt, lit *ast.FuncLit, locks []lockOp) {
 		if !inLit && id.Pos() <= gs.End() {
 			return // parent accesses before (or at) the launch are pre-publication
 		}
-		fn := enclosingFunc(stack)
-		accesses[v] = append(accesses[v], capAccess{
-			write: isWriteContext(stack, id),
-			pos:   id.Pos(),
-			fn:    fn,
-			chain: containerChain(stack, fn),
-		})
+		accesses[v] = append(accesses[v], capAccess{write: isWriteContext(stack, id), pos: id.Pos()})
 	})
 
 	for v, accs := range accesses {
@@ -133,11 +119,8 @@ func checkLaunch(pass *Pass, gs *ast.GoStmt, lit *ast.FuncLit, locks []lockOp) {
 			continue // read-only on both sides: effectively immutable after launch
 		}
 		for _, a := range accs {
-			if lockDominates(locks, "", a.fn, a.pos, a.chain) {
-				continue
-			}
 			pass.Reportf(a.pos,
-				"%s is captured by a go statement (line %d) and written concurrently, but this access is not lock-dominated",
+				"%s is captured by a go statement (line %d) and written, but is not a channel, function value or sync/atomic value",
 				v.Name(), pass.Fset.Position(gs.Pos()).Line)
 		}
 	}
@@ -173,30 +156,18 @@ func isWriteContext(stack []ast.Node, id *ast.Ident) bool {
 }
 
 // sharableType reports whether t is safe to share across goroutines by
-// design: channels, function values, sync and sync/atomic primitives, and
-// structs that carry their own mutex (self-guarded, lockguard's domain).
+// design: channels, function values, and sync and sync/atomic values, or
+// a pointer to one.
 func sharableType(t types.Type) bool {
 	switch u := t.Underlying().(type) {
 	case *types.Chan, *types.Signature:
 		return true
 	case *types.Pointer:
 		return sharableType(u.Elem())
-	case *types.Struct:
-		if named := namedOf(t); named != nil {
-			if pkg := named.Obj().Pkg(); pkg != nil {
-				if p := pkg.Path(); p == "sync" || p == "sync/atomic" {
-					return true
-				}
-			}
-		}
-		for i := 0; i < u.NumFields(); i++ {
-			ft := u.Field(i).Type()
-			if named := namedOf(ft); named != nil {
-				if pkg := named.Obj().Pkg(); pkg != nil && pkg.Path() == "sync" &&
-					strings.HasSuffix(named.Obj().Name(), "Mutex") {
-					return true
-				}
-			}
+	}
+	if named := namedOf(t); named != nil {
+		if pkg := named.Obj().Pkg(); pkg != nil {
+			return pkg.Path() == "sync" || pkg.Path() == "sync/atomic"
 		}
 	}
 	return false

@@ -1,7 +1,10 @@
 // Package fix is the known-bad fixture for the frozen analyzer: writes to
 // //bplint:frozen state after the value has escaped its constructor, writes
-// through already-published values, and an exported mutator.
+// through already-published values, an exported mutator, and a late write
+// published through sync.Once.
 package fix
+
+import "sync"
 
 //bplint:frozen
 type rec struct {
@@ -42,4 +45,19 @@ func steal() {
 
 func direct() {
 	published.n = 4 // want "does not construct"
+}
+
+// lazy publishes a frozen value through sync.Once. The Once orders the
+// writers, but the value is written after construction all the same.
+type lazy struct {
+	once sync.Once
+	r    *rec
+}
+
+func (l *lazy) Get() *rec { // want "frozen builders must stay unexported"
+	l.once.Do(func() {
+		l.r = &rec{}
+		l.r.n = 1
+	})
+	return l.r
 }

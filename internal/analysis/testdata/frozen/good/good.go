@@ -1,10 +1,8 @@
 // Package fix is the known-good fixture for the frozen analyzer: the
 // sanctioned construction patterns — build-then-return, early returns
-// inside the build loop, value-typed assembly, builder helpers, sync.Once
-// late publication — plus one documented allow.
+// inside the build loop, value-typed assembly, builder helpers — plus one
+// documented allow.
 package fix
-
-import "sync"
 
 //bplint:frozen
 type rec struct {
@@ -56,21 +54,6 @@ func adjust() summary {
 	s := summarize(nil)
 	s.total = 0
 	return s
-}
-
-// lazy publishes a frozen value through sync.Once: the one sanctioned
-// post-publication write pattern.
-type lazy struct {
-	once sync.Once
-	r    *rec
-}
-
-func (l *lazy) get() *rec {
-	l.once.Do(func() {
-		l.r = &rec{}
-		l.r.n = 1
-	})
-	return l.r
 }
 
 var global *rec

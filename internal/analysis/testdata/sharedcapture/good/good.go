@@ -1,10 +1,12 @@
 // Package fix is the known-good fixture for the sharedcapture analyzer:
-// the sanctioned sharing vocabulary — channels, sync primitives, function
-// values, read-only captures, lock-dominated accumulators — plus one
-// documented allow.
+// the sharing vocabulary — channels, sync and sync/atomic values, function
+// values, read-only captures — plus one documented allow.
 package fix
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // forEach is the worker-pool shape: every capture is a channel, a
 // WaitGroup, or a function value.
@@ -27,27 +29,38 @@ func forEach(n int, fn func(int)) {
 	wg.Wait()
 }
 
-// tally shares a written accumulator, but every access on both sides is
-// lock-dominated.
+// tally is share-nothing: each goroutine keeps its own total and hands it
+// back on a channel.
 func tally(vals []int) int {
-	var mu sync.Mutex
-	total := 0
-	var wg sync.WaitGroup
+	sums := make(chan int)
 	for _, v := range vals {
 		v := v
+		go func() {
+			sum := 0
+			sum += v
+			sums <- sum
+		}()
+	}
+	total := 0
+	for range vals {
+		total += <-sums
+	}
+	return total
+}
+
+// count shares only an atomic counter, which either side may write.
+func count(n int) int64 {
+	var hits atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mu.Lock()
-			total += v
-			mu.Unlock()
+			hits.Add(1)
 		}()
 	}
 	wg.Wait()
-	mu.Lock()
-	t := total
-	mu.Unlock()
-	return t
+	return hits.Load()
 }
 
 // readOnly captures are effectively immutable after the launch.

@@ -7,4 +7,4 @@ package experiments
 // module-local package it imports, transitively. Every cell key carries
 // it (cellCode), so a change to any code that computes a cell misses the
 // persistent store.
-const codeDigest = "eae63b762c204955d1c16731b907a10b0d169bcc3ae6ad6fd4f13ba26efcd2d6"
+const codeDigest = "b94bbb12e54b5efb7a9371588a5ef34879e4192998416ce1447aee3c2cb91464"

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"branchsim/internal/delaymodel"
 	"branchsim/internal/predictor"
@@ -219,28 +220,72 @@ func TestRunCellsCoversAll(t *testing.T) {
 }
 
 // TestRunCellsPanicKey pins the scheduler's panic contract: a panic inside
-// any cell — serial or sharded — is re-raised from RunCells carrying the
-// offending cell's canonical key, not a bare worker stack.
+// any cell — at one worker or eight — is re-raised from RunCells carrying
+// the offending cell's canonical key, not a bare worker stack. With two
+// panicking cells it names the lower-index one, even when the other
+// panics first in time; at one worker no cell after the panic runs.
 func TestRunCellsPanicKey(t *testing.T) {
 	const key = "family=timing|kind=gshare|org=ideal|budget=8192|bench=164.gzip"
 	for _, par := range []int{1, 8} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("parallel=%d: panic not re-raised", par)
-				}
-				msg, ok := r.(string)
-				if !ok || !strings.Contains(msg, key) || !strings.Contains(msg, "boom") {
-					t.Fatalf("parallel=%d: panic lost cell context: %v", par, r)
-				}
-			}()
+		var cells []PlannedCell
+		for i := 0; i < 16; i++ {
+			cells = append(cells, PlannedCell{Key: fmt.Sprintf("test|ok|%d", i), Run: func() {}})
+		}
+		cells = append(cells, PlannedCell{Key: key, Run: func() { panic("boom") }})
+		msg := runCellsPanic(par, cells)
+		if !strings.Contains(msg, key) || !strings.Contains(msg, "boom") {
+			t.Fatalf("parallel=%d: panic lost cell context: %q", par, msg)
+		}
+	}
+
+	// Cell 3 panics a millisecond after cell 5 does; the report names 3.
+	const first, second = 3, 5
+	for _, par := range []int{1, 8} {
+		for rep := 0; rep < 50; rep++ {
 			var cells []PlannedCell
 			for i := 0; i < 16; i++ {
-				cells = append(cells, PlannedCell{Key: fmt.Sprintf("test|ok|%d", i), Run: func() {}})
+				run := func() {}
+				switch i {
+				case first:
+					run = func() { time.Sleep(time.Millisecond); panic("first") }
+				case second:
+					run = func() { panic("second") }
+				}
+				cells = append(cells, PlannedCell{Key: fmt.Sprintf("test|cell|%d", i), Run: run})
 			}
-			cells = append(cells, PlannedCell{Key: key, Run: func() { panic("boom") }})
-			RunCells(par, cells)
-		}()
+			msg := runCellsPanic(par, cells)
+			if want := fmt.Sprintf("cell test|cell|%d panicked: first", first); !strings.HasPrefix(msg, "experiments: "+want) {
+				t.Fatalf("parallel=%d rep %d: re-raised %q, want the panic of cell %d", par, rep, msg, first)
+			}
+		}
 	}
+
+	ran := make([]bool, 16)
+	var cells []PlannedCell
+	for i := range ran {
+		cells = append(cells, PlannedCell{Key: fmt.Sprintf("test|cell|%d", i), Run: func() {
+			ran[i] = true
+			if i == first {
+				panic("stop")
+			}
+		}})
+	}
+	runCellsPanic(1, cells)
+	for i, r := range ran {
+		if r != (i <= first) {
+			t.Fatalf("parallel=1: cell %d ran = %v with cell %d panicking", i, r, first)
+		}
+	}
+}
+
+// runCellsPanic runs cells on par workers and returns the message RunCells
+// re-raises, or "" when no cell panics.
+func runCellsPanic(par int, cells []PlannedCell) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	RunCells(par, cells)
+	return ""
 }

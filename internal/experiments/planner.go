@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime/debug"
-	"sync"
+	"sync/atomic"
 
 	"branchsim/internal/funcsim"
 	"branchsim/internal/pipeline"
@@ -309,92 +309,67 @@ func groupLanes[S specOf[R], R cellResult, G comparable](lanes []*planLane[S, R]
 // so the split costs no predictor built twice (TestTimingPassesShareParts).
 const maxTimingLanes = 24
 
-// cellPanic records the first panic raised by any cell in a plan so the
-// scheduler can re-raise it with the offending cell's canonical key — a
-// worker-pool panic with no cell context is undebuggable in a 696-cell
-// grid.
-type cellPanic struct {
-	mu    sync.Mutex
-	set   bool   // guarded by mu
-	key   string // guarded by mu
-	val   any    // guarded by mu
-	stack string // guarded by mu
+// A workerPanic is one worker's first panic: the index and key of the cell
+// that raised it, the value and the goroutine's stack, so RunCells can
+// re-raise it with the cell's canonical key — a worker-pool panic with no
+// cell context is undebuggable in a 696-cell grid.
+type workerPanic struct {
+	index int
+	key   string
+	val   any
+	stack string
 }
 
-func (p *cellPanic) record(key string, val any, stack []byte) {
-	p.mu.Lock()
-	if !p.set {
-		p.set, p.key, p.val, p.stack = true, key, val, string(stack)
-	}
-	p.mu.Unlock()
-}
-
-func (p *cellPanic) triggered() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.set
-}
-
-// rethrow re-raises the recorded panic, now carrying the cell key and the
-// original goroutine's stack.
-func (p *cellPanic) rethrow() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.set {
-		panic(fmt.Sprintf("experiments: cell %s panicked: %v\n%s", p.key, p.val, p.stack))
-	}
-}
-
-// runCell executes one cell, converting a panic into a recorded
-// (key, value, stack) triple instead of letting it unwind a bare worker.
-func runCell(p *cellPanic, c PlannedCell) {
+// runCell executes cell i, converting a panic into a workerPanic instead of
+// letting it unwind a bare worker; it returns nil when the cell completes.
+func runCell(i int, c PlannedCell) (p *workerPanic) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.record(c.Key, r, debug.Stack())
+			p = &workerPanic{index: i, key: c.Key, val: r, stack: string(debug.Stack())}
 		}
 	}()
 	c.Run()
+	return nil
 }
 
-// RunCells executes cells on a worker pool of at most parallel
-// goroutines. Cells must write to disjoint destinations (each owns its
-// grid element); plan cells that share a canonical result key collapse
-// into one lane before they get here. If any cell panics, the remaining
-// cells are skipped and the panic is re-raised from RunCells with the
-// offending cell's key prepended.
+// RunCells executes cells on a pool of at most parallel workers, the
+// caller itself being the first, so one worker starts no goroutine.
+// Workers take cell indices in order from one counter and share nothing
+// else: each returns its own first panic when it exits. Cells must write
+// to disjoint destinations (each owns its grid element); plan cells that
+// share a canonical result key collapse into one lane before they get
+// here. Once a cell panics, no worker takes another cell, and RunCells
+// re-raises the panic of the lowest-index panicking cell with its key
+// prepended. A taken cell always runs, so that cell ran whatever the
+// schedule: the report does not depend on timing.
 func RunCells(parallel int, cells []PlannedCell) {
-	if parallel > len(cells) {
-		parallel = len(cells)
-	}
-	var pan cellPanic
-	if parallel <= 1 {
-		for _, c := range cells {
-			runCell(&pan, c)
-			if pan.triggered() {
+	parallel = max(1, min(parallel, len(cells)))
+	var next atomic.Int64
+	var stop atomic.Bool
+	work := func() *workerPanic {
+		for !stop.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= len(cells) {
 				break
 			}
-		}
-		pan.rethrow()
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan PlannedCell)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range next {
-				if pan.triggered() {
-					continue
-				}
-				runCell(&pan, c)
+			if p := runCell(i, cells[i]); p != nil {
+				stop.Store(true)
+				return p
 			}
-		}()
+		}
+		return nil
 	}
-	for _, c := range cells {
-		next <- c
+	done := make(chan *workerPanic, parallel-1)
+	for w := 1; w < parallel; w++ {
+		go func() { done <- work() }()
 	}
-	close(next)
-	wg.Wait()
-	pan.rethrow()
+	first := work()
+	for w := 1; w < parallel; w++ {
+		if p := <-done; p != nil && (first == nil || p.index < first.index) {
+			first = p
+		}
+	}
+	if first != nil {
+		panic(fmt.Sprintf("experiments: cell %s panicked: %v\n%s", first.key, first.val, first.stack))
+	}
 }

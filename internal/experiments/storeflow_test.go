@@ -30,23 +30,24 @@ func mustExecute(t *testing.T, plan *cellPlan) Tally {
 }
 
 // timingCell resolves one explicitly constructed timing cell as a
-// one-spec plan; the plans its callers build measure a window of
-// thousands of instructions, never one that spans no cycles.
-func timingCell(cfg pipeline.Config, kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, opts Options) pipeline.Result {
+// one-spec plan, failing t if its measured window spans no cycles.
+func timingCell(t *testing.T, cfg pipeline.Config, kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, opts Options) pipeline.Result {
+	t.Helper()
 	plan := newPlan(opts)
 	var res pipeline.Result
 	plan.addTiming(cfg, kind, org, budget, func(*timingParts) predictor.Predictor { return build() }, prof,
 		func(r pipeline.Result) { res = r })
-	plan.execute()
+	mustExecute(t, plan)
 	return res
 }
 
 // accuracyCell is timingCell for one accuracy cell.
-func accuracyCell(kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, opts Options) funcsim.Result {
+func accuracyCell(t *testing.T, kind, org string, budget int, build func() predictor.Predictor, prof workload.Profile, opts Options) funcsim.Result {
+	t.Helper()
 	plan := newPlan(opts)
 	var res funcsim.Result
 	plan.addAccuracy(kind, org, budget, build, prof, func(r funcsim.Result) { res = r })
-	plan.execute()
+	mustExecute(t, plan)
 	return res
 }
 
@@ -110,7 +111,7 @@ func TestTimingStoreWarmDoesNotSimulate(t *testing.T) {
 		builds.Add(1)
 		return mustPredictor("gshare.fast", budget)
 	}
-	cold := timingCell(pipeline.DefaultConfig(), "gshare.fast", "ideal", budget, build, prof, opts)
+	cold := timingCell(t, pipeline.DefaultConfig(), "gshare.fast", "ideal", budget, build, prof, opts)
 	if builds.Load() != 1 {
 		t.Fatalf("cold cell built %d predictors, want 1", builds.Load())
 	}
@@ -119,7 +120,7 @@ func TestTimingStoreWarmDoesNotSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Store = st2
-	warm := timingCell(pipeline.DefaultConfig(), "gshare.fast", "ideal", budget, build, prof, opts)
+	warm := timingCell(t, pipeline.DefaultConfig(), "gshare.fast", "ideal", budget, build, prof, opts)
 	if builds.Load() != 1 {
 		t.Fatalf("warm cell re-simulated (%d builds)", builds.Load())
 	}
@@ -140,7 +141,7 @@ func TestAccuracyStoreEquivalence(t *testing.T) {
 		return mustPredictor("bimode", budget)
 	}
 
-	fresh := accuracyCell("bimode", "", budget, build, prof, storeTestOpts)
+	fresh := accuracyCell(t, "bimode", "", budget, build, prof, storeTestOpts)
 
 	dir := t.TempDir()
 	st1, err := resultstore.Open(dir)
@@ -149,7 +150,7 @@ func TestAccuracyStoreEquivalence(t *testing.T) {
 	}
 	opts := storeTestOpts
 	opts.Store = st1
-	cold := accuracyCell("bimode", "", budget, build, prof, opts)
+	cold := accuracyCell(t, "bimode", "", budget, build, prof, opts)
 	if computes.Load() != 2 {
 		t.Fatalf("cold cell computed %d times total, want 2 (storeless + cold)", computes.Load())
 	}
@@ -158,7 +159,7 @@ func TestAccuracyStoreEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Store = st2
-	warm := accuracyCell("bimode", "", budget, build, prof, opts)
+	warm := accuracyCell(t, "bimode", "", budget, build, prof, opts)
 	if computes.Load() != 2 {
 		t.Fatalf("warm cell re-simulated (%d computes)", computes.Load())
 	}
@@ -186,7 +187,7 @@ func TestStoreKeySeparatesFamilies(t *testing.T) {
 	opts := storeTestOpts
 	opts.Store = st
 	TimingCell("gshare.fast", budget, Ideal, prof, opts)
-	accuracyCell("gshare.fast", "ideal", budget, func() predictor.Predictor {
+	accuracyCell(t, "gshare.fast", "ideal", budget, func() predictor.Predictor {
 		return mustPredictor("gshare.fast", budget)
 	}, prof, opts)
 	if s := st.Stats(); s.Misses != 2 || s.Writes != 2 || s.Hits != 0 {

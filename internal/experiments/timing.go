@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"branchsim/internal/core"
 	"branchsim/internal/delaymodel"
 	"branchsim/internal/pipeline"
@@ -112,12 +114,15 @@ func (p *cellPlan) addCell(kind string, budget int, mode TimingMode, prof worklo
 // mode) organization on prof's stream under the Table 1 machine. It is a
 // one-cell plan on the grids' own path: the persistent store when
 // opts.Store is set, then one pass off the benchmark's generator. Nothing
-// is kept in memory between calls.
+// is kept in memory between calls. It panics, naming the cell, when the
+// measured window spans no cycles (pipeline.Result.CheckCycles).
 func TimingCell(kind string, budget int, mode TimingMode, prof workload.Profile, opts Options) pipeline.Result {
 	plan := newPlan(opts)
 	var res pipeline.Result
 	plan.addCell(kind, budget, mode, prof, func(r pipeline.Result) { res = r })
-	plan.execute()
+	if _, err := plan.execute(); err != nil {
+		panic(fmt.Sprintf("experiments: TimingCell: %v", err))
+	}
 	return res
 }
 

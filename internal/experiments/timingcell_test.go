@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"branchsim/internal/pipeline"
@@ -41,4 +43,30 @@ func TestTimingMemoEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTimingCellZeroCycleWindowPanics pins TimingCell to the plan's error:
+// a measured window that spans no cycles (every measured instruction
+// commits in the warm-up's last cycle) has no IPC, so TimingCell panics
+// naming the cell instead of returning a Result with Cycles 0.
+func TestTimingCellZeroCycleWindowPanics(t *testing.T) {
+	prof, ok := workload.ByName("gzip")
+	if !ok {
+		t.Fatal("unknown benchmark gzip")
+	}
+	cell := "gshare/ideal at 4096 B on " + prof.Name
+	defer func() {
+		r := recover()
+		if r == nil {
+			return // the Fatalf below has already failed the test
+		}
+		msg := fmt.Sprint(r)
+		for _, want := range []string{"experiments: TimingCell", cell, "spans 0 cycles"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not contain %q", msg, want)
+			}
+		}
+	}()
+	res := TimingCell("gshare", 4096, Ideal, prof, Options{Insts: 4, Warmup: 3, Parallel: 1})
+	t.Fatalf("TimingCell returned %+v for a window of no cycles", res)
 }

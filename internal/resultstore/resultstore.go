@@ -173,14 +173,14 @@ type Stats struct {
 }
 
 // Store is a concurrency-safe, disk-backed cell store. It keeps nothing
-// in memory but its traffic counters and the directory name of the last
-// Key.Code it saw: a plan collapses its duplicate cells before asking it
-// anything, so every Get is a genuine disk question.
+// in memory but its traffic counters, one atomic each, and the directory
+// name of the last Key.Code it saw: a plan collapses its duplicate cells
+// before asking it anything, so every Get is a genuine disk question.
 type Store struct {
 	dir     string
 	codeDir atomic.Pointer[codeDir]
-	mu      sync.Mutex
-	stats   Stats // guarded by mu
+
+	hits, misses, invalidations, writes, writeErrors atomic.Int64
 }
 
 // codeDir pairs a Key.Code with its cell directory under the store root,
@@ -200,11 +200,17 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Stats returns a snapshot of the store's traffic counters.
+// Stats returns the store's traffic counters. Each is loaded on its own,
+// so a snapshot taken while cells are in flight need not add up; one
+// taken after they complete is exact.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return Stats{
+		Hits:          s.hits.Load(),
+		Misses:        s.misses.Load(),
+		Invalidations: s.invalidations.Load(),
+		Writes:        s.writes.Load(),
+		WriteErrors:   s.writeErrors.Load(),
+	}
 }
 
 // Get probes the store for key without computing anything on a miss: the
@@ -220,16 +226,16 @@ func (s *Store) Get(key Key) (Record, bool) {
 	defer readBufs.Put(bp)
 	raw, err := readCell(s.path(key.Code, canonical), bp)
 	if err != nil {
-		s.count(func(st *Stats) { st.Misses++ })
+		s.misses.Add(1)
 		return Record{}, false
 	}
 	rec, ok := decodeCell(raw, canonical, key.Family)
 	if !ok {
-		s.count(func(st *Stats) { st.Invalidations++ })
+		s.invalidations.Add(1)
 		return Record{}, false
 	}
 	rec.Key = key
-	s.count(func(st *Stats) { st.Hits++ })
+	s.hits.Add(1)
 	return rec, true
 }
 
@@ -245,7 +251,7 @@ func (s *Store) Put(key Key, rec Record) {
 	}
 	file, err := encodeCell(keyLine, payload{Timing: rec.Timing, Accuracy: rec.Accuracy})
 	if err != nil {
-		s.count(func(st *Stats) { st.WriteErrors++ })
+		s.writeErrors.Add(1)
 		return
 	}
 	s.write(s.path(key.Code, canonical), file)
@@ -381,12 +387,12 @@ func encodeCell(keyLine []byte, p payload) ([]byte, error) {
 func (s *Store) write(path string, file []byte) {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		s.count(func(st *Stats) { st.WriteErrors++ })
+		s.writeErrors.Add(1)
 		return
 	}
 	tmp, err := os.CreateTemp(dir, ".cell-*")
 	if err != nil {
-		s.count(func(st *Stats) { st.WriteErrors++ })
+		s.writeErrors.Add(1)
 		return
 	}
 	_, werr := tmp.Write(file)
@@ -398,10 +404,10 @@ func (s *Store) write(path string, file []byte) {
 	}
 	if werr != nil {
 		os.Remove(tmp.Name())
-		s.count(func(st *Stats) { st.WriteErrors++ })
+		s.writeErrors.Add(1)
 		return
 	}
-	s.count(func(st *Stats) { st.Writes++ })
+	s.writes.Add(1)
 }
 
 // path returns the cell file path of a key with the given Code and
@@ -420,11 +426,4 @@ func (s *Store) path(code string, canonical []byte) string {
 	sum := sha256.Sum256(canonical)
 	h := hex.EncodeToString(sum[:])
 	return cd.dir + string(filepath.Separator) + h[:2] + string(filepath.Separator) + h + ".cell"
-}
-
-// count applies one counter update under the store lock.
-func (s *Store) count(f func(*Stats)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
 }

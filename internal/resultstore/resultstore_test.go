@@ -430,7 +430,9 @@ func TestCodeSiblingDirectory(t *testing.T) {
 // TestConcurrentGetPut drives one store from several goroutines at once:
 // keys of two builds' Codes, so the memoised code directory flips while
 // others read it, and cells of two sizes, so the pooled read buffers grow
-// under concurrent use. Every served record must be its own key's.
+// under concurrent use. Every served record must be its own key's, and
+// the lock-free counters must add up exactly once the goroutines join:
+// one Hit, Miss or Invalidation per Get, one Write per Put.
 func TestConcurrentGetPut(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -447,14 +449,21 @@ func TestConcurrentGetPut(t *testing.T) {
 		}
 		keys = append(keys, key)
 	}
+	const goroutines, rounds = 4, 20
+	puts := make([]int64, goroutines)
 	var wg sync.WaitGroup
-	for g := range 4 {
+	for g := range goroutines {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for round := range 20 {
+			for round := range rounds {
 				key := keys[(g*5+round)%len(keys)]
-				got := getOrPut(s, key, func() Record { return testRecord(key) })
+				got, ok := s.Get(key)
+				if !ok {
+					got = testRecord(key)
+					s.Put(key, got)
+					puts[g]++
+				}
 				if !reflect.DeepEqual(got, testRecord(key)) {
 					t.Errorf("%s served %+v", key.Bench, got)
 				}
@@ -462,8 +471,19 @@ func TestConcurrentGetPut(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := s.Stats(); st.Invalidations != 0 || st.WriteErrors != 0 {
+	st := s.Stats()
+	if st.Invalidations != 0 || st.WriteErrors != 0 {
 		t.Fatalf("stats = %+v, want no invalidations or write errors", st)
+	}
+	if gets := st.Hits + st.Misses + st.Invalidations; gets != goroutines*rounds {
+		t.Errorf("stats = %+v: Hits+Misses+Invalidations = %d, want %d Gets", st, gets, goroutines*rounds)
+	}
+	var wantWrites int64
+	for _, n := range puts {
+		wantWrites += n
+	}
+	if st.Writes != wantWrites {
+		t.Errorf("stats = %+v: Writes = %d, want %d Puts", st, st.Writes, wantWrites)
 	}
 }
 

@@ -75,9 +75,9 @@ func TestDigestStableAcrossCodec(t *testing.T) {
 	}
 }
 
-// TestDigestConcurrent hammers the lazy once-published digest from many
-// goroutines; run under -race this is the runtime twin of the frozen
-// analyzer's sanction for sync.Once late writes.
+// TestDigestConcurrent calls Digest from many goroutines at once; run
+// under -race it is the runtime twin of the frozen analyzer's rule that a
+// published Recording is never written: Digest only reads it.
 func TestDigestConcurrent(t *testing.T) {
 	rec := digestTestStream(1000, 0x4000)
 	want := digestTestStream(1000, 0x4000).Digest()

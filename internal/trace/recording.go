@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"slices"
-	"sync"
 )
 
 // A Recording is a materialized instruction stream: the record half of the
@@ -30,20 +29,6 @@ type Recording struct {
 	name   string
 	chunks []chunk
 	insts  int64
-
-	// dig caches the recording's content identity, computed lazily (the
-	// sanctioned write-once late publication) because most in-process
-	// replays never need it — only the persistent result store keys on it.
-	dig digestCell
-}
-
-// digestCell pairs the lazily-computed digest with its sync.Once in a
-// struct of its own, so the oncepublish analyzer sees exactly one payload
-// field behind the Once — the Recording's other fields are frozen at
-// construction, not Once-published.
-type digestCell struct {
-	once sync.Once
-	v    string // published inside once.Do only
 }
 
 // chunkLen is the instruction capacity of one chunk. At 64Ki instructions
@@ -202,17 +187,14 @@ func (r *Recording) SizeBytes() int64 {
 // boundaries and storage-layout changes alike — a recording decoded from a
 // trace file, or rebuilt from the same workload seed, digests identically
 // (TestDigestStableAcrossCodec). TestProfileDigestsPinned pins every
-// workload profile's stream by it. Computed once per recording and cached;
-// safe for concurrent callers.
+// workload profile's stream by it. Each call encodes and hashes the whole
+// stream and writes nothing, so concurrent callers need no
+// synchronization.
 func (r *Recording) Digest() string {
-	r.dig.once.Do(func() {
-		h := sha256.New()
-		// sha256's Write never fails, so WriteTo cannot return an error
-		// here.
-		r.WriteTo(h)
-		r.dig.v = hex.EncodeToString(h.Sum(nil))
-	})
-	return r.dig.v
+	h := sha256.New()
+	// sha256's Write never fails, so WriteTo cannot return an error here.
+	r.WriteTo(h)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Replay returns a new cursor positioned at the start of the recording.

@@ -52,18 +52,22 @@ go test -run 'TestEncodeMatchesReference|TestDigestStableAcrossCodec' ./internal
 echo "==> BPCELL2 decoder fuzz smoke (10s: no panics; accepted cells carry the writer's header, the requested key line and only their family's payload)"
 go test -run '^$' -fuzz FuzzDecodeCell -fuzztime=10s ./internal/resultstore
 
-echo "==> concurrency certification: -race runtime twins of the static analyzers"
+echo "==> concurrency certification: -race runtime twins of the static analyzers and of share-nothing workers"
 # frozen: recordings are replayed concurrently with no synchronization —
 # sound only if nothing writes them after publication.
 go test -race -run 'TestConcurrentReplay|TestConcurrentBranchCursors' ./internal/workload ./internal/trace
-# oncepublish: a recording's digest is published under sync.Once and
-# read from many goroutines.
+# frozen: concurrent callers of a pure Digest, which reads the recording
+# and writes nothing.
 go test -race -run 'TestDigestConcurrent' ./internal/trace
-# sharedcapture: the worker pool's captured shared state, lock-dominated.
+# sharedcapture: the worker pool's goroutines capture only channels,
+# function values and sync/atomic values.
 go test -race -run 'TestRunCellsSharedCaptureStress' ./internal/experiments
-# lockguard: a plan's first-panic record is written from every worker, and
-# the panicking cell's key survives to the re-raise.
+# deterministic re-raise: each worker hands back its own first panic, and
+# RunCells re-raises the lowest-index one whatever the schedule.
 go test -race -run 'TestRunCellsPanicKey' ./internal/experiments
+# the store's atomic counters add up exactly under concurrent Get and Put
+# (and the rest of the store's tests).
+go test -race ./internal/resultstore
 
 echo "==> replay equivalence (live vs recorded streams, race-enabled)"
 go test -race -run 'TestReplayEquivalence|TestConcurrentReplay' ./internal/workload
@@ -77,7 +81,7 @@ go test -race -run 'TestBranchIndexMatchesStream|TestCodecPreservesBranchIndex|T
 
 echo "==> timing engine equivalence (cursor/InstSource/plain Source/sidecar/TimingCell vs the instruction-at-a-time live-cache reference, race-enabled)"
 go test -race -run 'TestTimingFastPathEquivalence|TestSidecarFallback|TestSlotRingWraparound' ./internal/pipeline
-go test -race -run 'TestTimingMemoEquivalence' ./internal/experiments
+go test -race -run 'TestTimingMemoEquivalence|TestTimingCellZeroCycleWindowPanics' ./internal/experiments
 go test -race -run 'TestNextInstsMatchesStream|TestNextInstsInterleavesWithNext|TestNextInstsProtocolMixPanics' ./internal/trace
 
 echo "==> fused timing equivalence (RunMany with batch-stepped, clocked and instance-sharing lanes vs the reference on instances of their own, over a sidecar and over batches one shared hierarchy classifies — live generator, mid-stream cursor; packed slot words grown past their initial size, port-bound, near the 127 limit and after a jump of more than a lap, against the reference and against slotRing; geometry guard, named bad lanes (widths, ROB, port and issue limits, negative latencies and depths, BTB and cache geometry) and shared clocked instances, unshared value predictors, scheduler parity, one set of parts per pass, streamed ipcsim vs per-cell Sim.Run, bad run flags and a stream ending inside the warm-up, race-enabled)"
@@ -88,7 +92,6 @@ go test -race -run 'TestFusedMatchesPerCell|TestBadFlagsFailBeforeOutput' ./cmd/
 go test -race -run 'TestBadRunFlagsFailBeforeOutput' ./cmd/reproduce
 
 echo "==> cell store equivalence + robustness (store-served cells bit-identical; corrupt/truncated/stale entries recomputed; every Config and Key field reaches the key rendering; the code digest is current and tracks the sources; a key naming other code misses; a warm run records no stream; concurrent plans over one store leave no torn cell, race-enabled)"
-go test -race ./internal/resultstore
 go test -race -run 'TestTimingStoreEquivalence|TestTimingStoreWarmDoesNotSimulate|TestAccuracyStoreEquivalence|TestStoreKeySeparatesFamilies|TestMultiBranchWarmStore|TestRunCellsPanicKey|TestCanonicalKeyCoverage|TestCodeDigestCurrent|TestCodeDigestTracksSources|TestStoreKeyNamesCode|TestWarmRunGeneratesNothing|TestConcurrentPlansShareStore' ./internal/experiments
 
 echo "==> batched-loop and per-StepBatch predictor allocation bounds (every factory kind, the overriding kinds, a lag-64 gshare.fast), the timing drive loop with shared prediction columns over a sidecar and over a live generator (no race: alloc counts need a plain build)"
