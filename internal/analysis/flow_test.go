@@ -52,16 +52,16 @@ func TestRootIdent(t *testing.T) {
 }
 
 // flowProbe walks a single-function file and captures, at each marked call
-// site probe(n), the enclosing function and container chain exactly as the
-// analyzers see them during inspectStack.
-func flowProbe(t *testing.T, src string) (fns map[int]ast.Node, chains map[int][]ast.Node) {
+// site probe(n), the enclosing function exactly as the analyzers see it
+// during inspectStack.
+func flowProbe(t *testing.T, src string) map[int]ast.Node {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "probe.go", src, 0)
 	if err != nil {
 		t.Fatalf("parsing probe source: %v", err)
 	}
-	fns, chains = map[int]ast.Node{}, map[int][]ast.Node{}
+	fns := map[int]ast.Node{}
 	inspectStack([]*ast.File{file}, func(n ast.Node, stack []ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -79,11 +79,9 @@ func flowProbe(t *testing.T, src string) (fns map[int]ast.Node, chains map[int][
 		for _, c := range lit.Value {
 			k = k*10 + int(c-'0')
 		}
-		fn := enclosingFunc(stack)
-		fns[k] = fn
-		chains[k] = containerChain(stack, fn)
+		fns[k] = enclosingFunc(stack)
 	})
-	return fns, chains
+	return fns
 }
 
 const flowProbeSrc = `package p
@@ -112,26 +110,10 @@ func f(cond bool, xs []int) {
 }
 `
 
-func TestContainerChain(t *testing.T) {
-	fns, chains := flowProbe(t, flowProbeSrc)
-
-	// Chain depth: function body = 1 container, each nested block adds one.
-	wantLen := map[int]int{
-		0: 1, // function body
-		1: 2, // body + if block
-		2: 3, // body + if block + for block
-		3: 2, // body + else block
-		4: 3, // body + the switch's block + case clause
-		5: 1, // the closure's own body only — its chain restarts at the FuncLit
-		6: 1,
-	}
-	for k, want := range wantLen {
-		if got := len(chains[k]); got != want {
-			t.Errorf("probe(%d): chain length = %d, want %d", k, got, want)
-		}
-	}
-
-	// The closure is its own scope; everything else shares f.
+// TestEnclosingFunc pins enclosingFunc's scopes: a closure is its own
+// function, and every nested block of f shares f's.
+func TestEnclosingFunc(t *testing.T) {
+	fns := flowProbe(t, flowProbeSrc)
 	if fns[5] == fns[0] {
 		t.Errorf("probe(5) inside the closure reports the same scope as probe(0)")
 	}
@@ -139,38 +121,5 @@ func TestContainerChain(t *testing.T) {
 		if fns[k] != fns[0] {
 			t.Errorf("probe(%d) does not share f's scope", k)
 		}
-	}
-}
-
-func TestChainCovers(t *testing.T) {
-	_, chains := flowProbe(t, flowProbeSrc)
-
-	cases := []struct {
-		name         string
-		outer, inner int
-		want         bool
-	}{
-		// A lock at the function top (probe 0) dominates everything in f.
-		{"top-dominates-if", 1, 0, true},
-		{"top-dominates-nested-for", 2, 0, true},
-		{"top-dominates-else", 3, 0, true},
-		{"top-dominates-case", 4, 0, true},
-		// A lock inside the if block proves nothing for the else branch or
-		// for code after the if.
-		{"if-not-else", 3, 1, false},
-		{"if-not-after", 6, 1, false},
-		// Deeper chains cover shallower prefixes, not vice versa.
-		{"for-covers-if", 2, 1, true},
-		{"if-not-for", 1, 2, false},
-		// Identical context covers itself.
-		{"self", 2, 2, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := chainCovers(chains[tc.outer], chains[tc.inner]); got != tc.want {
-				t.Errorf("chainCovers(chain[%d], chain[%d]) = %v, want %v",
-					tc.outer, tc.inner, got, tc.want)
-			}
-		})
 	}
 }

@@ -7,4 +7,4 @@ package experiments
 // module-local package it imports, transitively. Every cell key carries
 // it (cellCode), so a change to any code that computes a cell misses the
 // persistent store.
-const codeDigest = "b94bbb12e54b5efb7a9371588a5ef34879e4192998416ce1447aee3c2cb91464"
+const codeDigest = "f90dc64c24adb7cfe21fad532001482764fa0a36cee885f683c2ec862dd70488"

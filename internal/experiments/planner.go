@@ -74,11 +74,14 @@ type cellPlan struct {
 	opts Options
 	acc  []accuracySpec
 	tim  []timingSpec
+	// machines memoises machineString per machine config: a run declares
+	// hundreds of timing cells on a handful of machines.
+	machines map[pipeline.Config]string
 }
 
 // newPlan returns an empty plan executing under opts.
 func newPlan(opts Options) *cellPlan {
-	return &cellPlan{opts: opts.normalize()}
+	return &cellPlan{opts: opts.normalize(), machines: map[pipeline.Config]string{}}
 }
 
 // key returns the canonical key of one of the plan's cells. Kind, Org
@@ -131,7 +134,12 @@ func (p *cellPlan) addBlocks(kind string, budget, width int, build func() predic
 // build assembles the organization from its pass's parts (timingParts).
 func (p *cellPlan) addTiming(cfg pipeline.Config, kind, org string, budget int, build func(*timingParts) predictor.Predictor, prof workload.Profile, sink func(pipeline.Result)) {
 	key := p.key("timing", kind, org, budget, prof)
-	key.Machine = machineString(cfg)
+	m, ok := p.machines[cfg]
+	if !ok {
+		m = machineString(cfg)
+		p.machines[cfg] = m
+	}
+	key.Machine = m
 	p.tim = append(p.tim, timingSpec{
 		cellSpec: cellSpec[pipeline.Result]{key: key, prof: prof, sink: sink},
 		build:    build,

@@ -35,9 +35,9 @@ package resultstore
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -141,21 +141,16 @@ const keyBufLen = 1024
 
 // Record is one stored cell: its full key and exactly one result payload
 // matching Family. A cell file stores the key as its canonical string and
-// the payload as JSON; Get returns the requested key beside the payload
-// it decoded. JSON round-trips both payloads exactly: Go encodes float64
-// at shortest-round-trip precision, so a loaded result is bit-identical
-// to the computed one.
+// the payload in the store's fixed-field encoding (cellMagic); Get
+// returns the requested key beside the payload it decoded. Every field
+// round-trips exactly: floats are stored as their raw IEEE 754 bits, so a
+// loaded result is bit-identical to the computed one, -0 and NaN
+// included. A funcsim.Result with ClassRates set is not stored: Put
+// counts it as a write error.
 type Record struct {
 	Key      Key
-	Timing   *pipeline.Result `json:",omitempty"`
-	Accuracy *funcsim.Result  `json:",omitempty"`
-}
-
-// payload is what a cell file stores after its key line: the Record
-// minus its Key.
-type payload struct {
-	Timing   *pipeline.Result `json:",omitempty"`
-	Accuracy *funcsim.Result  `json:",omitempty"`
+	Timing   *pipeline.Result
+	Accuracy *funcsim.Result
 }
 
 // Stats counts the store's traffic. Hits are cells served from disk;
@@ -192,7 +187,7 @@ type codeDir struct {
 // Open returns a store rooted at dir, creating it if needed.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("resultstore: opening %s: %w", dir, err)
+		return nil, &os.PathError{Op: "resultstore: open", Path: dir, Err: err}
 	}
 	return &Store{dir: dir}, nil
 }
@@ -242,6 +237,8 @@ func (s *Store) Get(key Key) (Record, bool) {
 // Put writes rec back under key, counting Writes and WriteErrors. rec.Key
 // must equal key and rec must carry the payload key.Family names; a record
 // that does not is written but never served (Get treats it as invalid).
+// A record the encoding cannot store exactly (ClassRates set) is not
+// written and counts as a write error.
 func (s *Store) Put(key Key, rec Record) {
 	var kb [keyBufLen]byte
 	canonical := key.appendCanonical(kb[:0])
@@ -249,8 +246,8 @@ func (s *Store) Put(key Key, rec Record) {
 	if rec.Key != key {
 		keyLine = rec.Key.appendCanonical(nil)
 	}
-	file, err := encodeCell(keyLine, payload{Timing: rec.Timing, Accuracy: rec.Accuracy})
-	if err != nil {
+	file, ok := encodeCell(keyLine, rec)
+	if !ok {
 		s.writeErrors.Add(1)
 		return
 	}
@@ -261,10 +258,22 @@ func (s *Store) Put(key Key, rec Record) {
 // every existing entry becomes a counted invalidation on next read — the
 // format itself is part of the cell identity.
 //
-// A BPCELL2 file is a header line, "BPCELL2 <digest> <len>\n", then a
+// A BPCELL3 file is a header line, "BPCELL3 <digest> <len>\n", then a
 // body of len bytes whose SHA-256 is the lower-case hex digest: the
-// body is the key's canonical form, a newline, and the payload's JSON.
-const cellMagic = "BPCELL2"
+// body is the key's canonical form, a newline, and the payload. The
+// payload is each result the record carries, timing first: a one-byte
+// family tag (timingTag, accuracyTag), then the result's fields in the
+// order timingFields or accuracyFields visits them. Every field is one
+// little-endian 64-bit word — an integer as its two's complement, a
+// float as math.Float64bits — except a string, which is a word holding
+// its length and then its bytes.
+const cellMagic = "BPCELL3"
+
+// The payload's family tags.
+const (
+	timingTag   = 'T'
+	accuracyTag = 'A'
+)
 
 // readBufs holds the buffers Get reads cells into. A cell is a few
 // hundred bytes; a buffer grows only for a cell larger than it and
@@ -306,7 +315,7 @@ func readCell(path string, buf *[]byte) ([]byte, error) {
 // decodeCell validates one cell file against the requested key, given as
 // its canonical bytes and its family: header shape and version, body
 // length (truncation), body digest (corruption), the key line, and a
-// payload that is well-formed JSON carrying exactly the family's result.
+// payload carrying exactly the family's result and nothing after it.
 func decodeCell(raw, canonical []byte, family string) (Record, bool) {
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
@@ -325,11 +334,32 @@ func decodeCell(raw, canonical []byte, family string) (Record, bool) {
 	if len(body) <= len(canonical) || !bytes.Equal(body[:len(canonical)], canonical) || body[len(canonical)] != '\n' {
 		return Record{}, false
 	}
-	var p payload
-	if err := json.Unmarshal(body[len(canonical)+1:], &p); err != nil || !p.carriesOnly(family) {
+	return decodePayload(body[len(canonical)+1:], family)
+}
+
+// decodePayload parses a payload holding exactly one result, family's.
+// A missing tag or field, another family's tag, or bytes after the last
+// field reject the cell.
+func decodePayload(p []byte, family string) (Record, bool) {
+	if len(p) == 0 {
 		return Record{}, false
 	}
-	return Record{Timing: p.Timing, Accuracy: p.Accuracy}, true
+	r := cellReader{b: p[1:], ok: true}
+	var rec Record
+	switch {
+	case p[0] == timingTag && family == "timing":
+		rec.Timing = new(pipeline.Result)
+		timingFields(&r, rec.Timing)
+	case p[0] == accuracyTag && family == "accuracy":
+		rec.Accuracy = new(funcsim.Result)
+		accuracyFields(&r, rec.Accuracy)
+	default:
+		return Record{}, false
+	}
+	if !r.ok || len(r.b) != 0 {
+		return Record{}, false
+	}
+	return rec, true
 }
 
 // parseHeader parses a header line without its newline, strictly: the
@@ -355,29 +385,131 @@ func parseHeader(h []byte) (digest []byte, bodyLen int, ok bool) {
 	return rest[:hexLen], bodyLen, true
 }
 
-// carriesOnly reports whether p carries exactly one result, the one
-// family names.
-func (p payload) carriesOnly(family string) bool {
-	switch family {
-	case "accuracy":
-		return p.Accuracy != nil && p.Timing == nil
-	case "timing":
-		return p.Timing != nil && p.Accuracy == nil
+// encodeCell renders a whole cell file: the header, then the body of
+// keyLine, a newline and rec's payload. It refuses a record whose
+// ClassRates is set, which the encoding does not store.
+func encodeCell(keyLine []byte, rec Record) ([]byte, bool) {
+	w := cellWriter{b: make([]byte, 0, len(keyLine)+256)}
+	w.b = append(append(w.b, keyLine...), '\n')
+	if rec.Timing != nil {
+		w.b = append(w.b, timingTag)
+		timingFields(&w, rec.Timing)
 	}
-	return false
+	if r := rec.Accuracy; r != nil {
+		if r.ClassRates != nil {
+			return nil, false
+		}
+		w.b = append(w.b, accuracyTag)
+		accuracyFields(&w, r)
+	}
+	body := w.b
+	sum := sha256.Sum256(body)
+	file := make([]byte, 0, len(cellMagic)+2*sha256.Size+len(body)+16)
+	file = append(file, cellMagic+" "...)
+	file = hex.AppendEncode(file, sum[:])
+	file = append(file, ' ')
+	file = strconv.AppendInt(file, int64(len(body)), 10)
+	file = append(file, '\n')
+	return append(file, body...), true
 }
 
-// encodeCell renders a whole cell file: the header, then the body of
-// keyLine, a newline and p's JSON.
-func encodeCell(keyLine []byte, p payload) ([]byte, error) {
-	js, err := json.Marshal(p)
-	if err != nil {
-		return nil, err
+// A fieldCodec visits a result's fields in their stored order: cellWriter
+// appends each to a payload, cellReader parses each in place. Each
+// family's order is written once, in timingFields and accuracyFields, so
+// the writer and the reader cannot disagree on it;
+// TestPayloadFieldCoverage fails when a result gains a field neither
+// visits.
+type fieldCodec interface {
+	str(*string)
+	i64(*int64)
+	u64(*uint64)
+	f64(*float64)
+	// num is a Go int, stored as an int64.
+	num(*int)
+}
+
+// timingFields visits every field of a pipeline.Result.
+func timingFields(c fieldCodec, r *pipeline.Result) {
+	c.str(&r.Workload)
+	c.str(&r.Predictor)
+	c.i64(&r.Insts)
+	c.u64(&r.Cycles)
+	c.i64(&r.Branches)
+	c.i64(&r.Mispredicts)
+	c.i64(&r.Overrides)
+	c.f64(&r.OverrideRate)
+	c.f64(&r.BTBMissRate)
+	c.f64(&r.L1IMissRate)
+	c.f64(&r.L1DMissRate)
+	c.f64(&r.L2MissRate)
+	c.u64(&r.FetchStallCycles)
+}
+
+// accuracyFields visits every field of a funcsim.Result but ClassRates,
+// which encodeCell requires to be nil.
+func accuracyFields(c fieldCodec, r *funcsim.Result) {
+	c.str(&r.Predictor)
+	c.str(&r.Workload)
+	c.i64(&r.Insts)
+	c.i64(&r.Branches)
+	c.i64(&r.Mispredicts)
+	c.f64(&r.TakenRate)
+	c.num(&r.PredSizeByte)
+}
+
+// cellWriter appends the fields it visits to b.
+type cellWriter struct{ b []byte }
+
+func (w *cellWriter) u64(p *uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, *p) }
+func (w *cellWriter) i64(p *int64)  { w.b = binary.LittleEndian.AppendUint64(w.b, uint64(*p)) }
+func (w *cellWriter) num(p *int)    { w.b = binary.LittleEndian.AppendUint64(w.b, uint64(int64(*p))) }
+func (w *cellWriter) f64(p *float64) {
+	w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(*p))
+}
+
+func (w *cellWriter) str(p *string) {
+	w.b = binary.LittleEndian.AppendUint64(w.b, uint64(len(*p)))
+	w.b = append(w.b, *p...)
+}
+
+// cellReader parses the fields it visits off the front of b. ok turns
+// false, for good, at the first field b is too short for or an int does
+// not fit; the fields after it parse as zero.
+type cellReader struct {
+	b  []byte
+	ok bool
+}
+
+// word takes one 64-bit word off b.
+func (r *cellReader) word() uint64 {
+	if len(r.b) < 8 {
+		r.ok, r.b = false, nil
+		return 0
 	}
-	body := append(append(append(make([]byte, 0, len(keyLine)+1+len(js)), keyLine...), '\n'), js...)
-	sum := sha256.Sum256(body)
-	file := []byte(cellMagic + " " + hex.EncodeToString(sum[:]) + " " + strconv.Itoa(len(body)) + "\n")
-	return append(file, body...), nil
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+func (r *cellReader) u64(p *uint64)  { *p = r.word() }
+func (r *cellReader) i64(p *int64)   { *p = int64(r.word()) }
+func (r *cellReader) f64(p *float64) { *p = math.Float64frombits(r.word()) }
+
+func (r *cellReader) num(p *int) {
+	v := int64(r.word())
+	if *p = int(v); int64(*p) != v {
+		r.ok = false
+	}
+}
+
+func (r *cellReader) str(p *string) {
+	n := r.word()
+	if n > uint64(len(r.b)) {
+		r.ok, r.b = false, nil
+		return
+	}
+	*p = string(r.b[:n])
+	r.b = r.b[n:]
 }
 
 // write stores a cell file at path, written to a temp file and renamed so
@@ -424,6 +556,15 @@ func (s *Store) path(code string, canonical []byte) string {
 		s.codeDir.Store(cd)
 	}
 	sum := sha256.Sum256(canonical)
-	h := hex.EncodeToString(sum[:])
-	return cd.dir + string(filepath.Separator) + h[:2] + string(filepath.Separator) + h + ".cell"
+	var pb [pathBufLen]byte
+	b := append(append(pb[:0], cd.dir...), filepath.Separator)
+	b = hex.AppendEncode(b, sum[:1])
+	b = append(b, filepath.Separator)
+	b = hex.AppendEncode(b, sum[:])
+	return string(append(b, ".cell"...))
 }
+
+// pathBufLen sizes the stack buffer path renders a cell's path into: a
+// store root of up to a few hundred bytes stays on the stack, and only
+// the returned string is allocated.
+const pathBufLen = 512

@@ -122,9 +122,10 @@ func TestColdThenWarm(t *testing.T) {
 	}
 }
 
-// TestFloatRoundTrip proves the JSON layer is bit-exact for the float64
-// fields results carry: Go marshals shortest-round-trip representations, so
-// a loaded record equals the stored one to the last bit.
+// TestFloatRoundTrip proves the codec is bit-exact for the float64
+// fields results carry, values with no short decimal form included: a
+// float is stored as its raw bits, so a loaded record equals the stored
+// one to the last bit.
 func TestFloatRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey("175.vpr")
@@ -313,19 +314,29 @@ func TestMismatchedFamilyPayload(t *testing.T) {
 	}
 }
 
-// TestOldFormatCell plants the BPCELL1 encoding of the very record asked
-// for, the whole Record as JSON behind a BPCELL1 header: no BPCELL1 reader
-// is kept, so the cell counts as an invalidation and is rewritten.
+// TestOldFormatCell plants the BPCELL2 encoding of the very record asked
+// for, its payload as JSON behind a BPCELL2 header: no BPCELL2 reader is
+// kept, so the cell counts as an invalidation and is rewritten.
 func TestOldFormatCell(t *testing.T) {
 	corruptAndRecover(t, func(t *testing.T, path string) {
-		old, err := json.Marshal(testRecord(testKey("164.gzip")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, frameCell("BPCELL1", old), 0o644); err != nil {
+		if err := os.WriteFile(path, bpcell2(t, testRecord(testKey("164.gzip"))), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// bpcell2 renders rec as the BPCELL2 format wrote it: the key line and
+// the JSON of the record minus its key, behind a BPCELL2 header.
+func bpcell2(t testing.TB, rec Record) []byte {
+	t.Helper()
+	js, err := json.Marshal(struct {
+		Timing   *pipeline.Result `json:",omitempty"`
+		Accuracy *funcsim.Result  `json:",omitempty"`
+	}{rec.Timing, rec.Accuracy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frameCell("BPCELL2", append([]byte(rec.Key.Canonical()+"\n"), js...))
 }
 
 // TestLargeCell round-trips a cell larger than a read buffer, so Get
@@ -492,6 +503,25 @@ func (s *Store) keyPath(key Key) string {
 	return s.path(key.Code, []byte(key.Canonical()))
 }
 
+// benchCells returns 256 keys and records, half of each family, with
+// results shaped like the grid's.
+func benchCells() ([]Key, []Record) {
+	var keys []Key
+	var recs []Record
+	for i := range 256 {
+		key := testKey(fmt.Sprintf("bench.%d", i))
+		rec := testRecord(key)
+		if i%2 == 0 {
+			key = accuracyKey(key.Bench)
+			rec = Record{Key: key, Accuracy: &funcsim.Result{
+				Predictor: "bimode", Workload: key.Bench, Insts: 150_000, Branches: 20_000, Mispredicts: 1_111, TakenRate: 0.625,
+			}}
+		}
+		keys, recs = append(keys, key), append(recs, rec)
+	}
+	return keys, recs
+}
+
 // BenchmarkGet times Store.Get on hits over a filled store of both
 // families, the warm rerun's only store traffic, and reports it per cell.
 func BenchmarkGet(b *testing.B) {
@@ -499,18 +529,9 @@ func BenchmarkGet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var keys []Key
-	for i := range 256 {
-		key := testKey(fmt.Sprintf("bench.%d", i))
-		rec := testRecord(key)
-		if i%2 == 0 {
-			key.Family, key.Machine = "accuracy", ""
-			rec = Record{Key: key, Accuracy: &funcsim.Result{
-				Predictor: "bimode", Workload: key.Bench, Insts: 150_000, Branches: 20_000, Mispredicts: 1_111, TakenRate: 0.625,
-			}}
-		}
-		s.Put(key, rec)
-		keys = append(keys, key)
+	keys, recs := benchCells()
+	for i, key := range keys {
+		s.Put(key, recs[i])
 	}
 	b.ResetTimer()
 	for range b.N {
@@ -521,4 +542,25 @@ func BenchmarkGet(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(keys)), "us/cell")
+}
+
+// BenchmarkPut times Store.Put of both families, a cold run's store
+// traffic: encode, temp file, write and rename. Every round after the
+// first replaces the cells the one before wrote.
+func BenchmarkPut(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys, recs := benchCells()
+	b.ResetTimer()
+	for range b.N {
+		for i, key := range keys {
+			s.Put(key, recs[i])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(keys)), "us/cell")
+	if st := s.Stats(); st.WriteErrors != 0 {
+		b.Fatalf("stats = %+v, want no write errors", st)
+	}
 }

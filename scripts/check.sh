@@ -49,7 +49,7 @@ go test -run 'TestProfileDigestsPinned' ./internal/workload
 go test -run 'TestXoshiroGoldenVector|TestSplitMix64KnownValues' ./internal/rng
 go test -run 'TestEncodeMatchesReference|TestDigestStableAcrossCodec' ./internal/trace
 
-echo "==> BPCELL2 decoder fuzz smoke (10s: no panics; accepted cells carry the writer's header, the requested key line and only their family's payload)"
+echo "==> BPCELL3 decoder fuzz smoke (10s: no panics; an accepted cell is byte for byte what Put writes for the requested key and its record, and carries only its family's payload)"
 go test -run '^$' -fuzz FuzzDecodeCell -fuzztime=10s ./internal/resultstore
 
 echo "==> concurrency certification: -race runtime twins of the static analyzers and of share-nothing workers"
